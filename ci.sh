@@ -10,73 +10,79 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --workspace --all-targets (examples, benches, bins link)"
+echo "==> cargo build --workspace --all-targets (examples, tests, bins link)"
 cargo build --workspace --all-targets
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
-# The vendored proptest/criterion stand-ins are exempt: their doc comments
-# mirror the upstream crates' wording, ambiguous intra-doc links included.
+# The vendored proptest stand-in is exempt: its doc comments mirror the
+# upstream crate's wording, ambiguous intra-doc links included.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
-  --exclude proptest --exclude criterion
+  --exclude proptest
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> invariant auditor over the seed-42 sweep grids"
-# Each bin attaches the run-attached auditor to every cell and exits
-# non-zero if any protocol invariant is violated; summaries (with
-# audit_events / audit_violations per cell) land in results/*.json.
-cargo build --release -p sharqfec-bench --bins --quiet
-./target/release/fault_sweep --seed 42 > /dev/null
-./target/release/ablation_sweep --seed 42 > /dev/null
-./target/release/fig14_21_traffic --seed 42 --packets 128 > /dev/null
+cargo build --release -p sharqfec-bench --quiet
+bench=./target/release/sharqfec-bench
+# Fresh output never lands in results/: every sweep writes under --out.
+fresh=target/tmp/bench_ci
+sharded=target/tmp/bench_ci_sharded
+rm -rf "$fresh" "$sharded"
+# The fields that legitimately differ between two runs of one grid: wall
+# clock, thread and shard counts, machine-dependent throughput.
+strip_timing() {
+  sed -E 's/"(wall_ms|threads|shards|events_per_sec)": [0-9.eE+-]+/"\1": _/g' "$1"
+}
+same_summary() {
+  diff <(strip_timing "$1") <(strip_timing "$2")
+}
 
-echo "==> injection-policy ablation grid + schema/pin check"
-# The policy sweep's gate also pins the EwmaPolicy arm bit-identical to
-# the ablation sweep's historical baseline and requires the optimizing
-# policy to beat the EWMA's repair bill on the long-burst cells.
-./target/release/policy_sweep --seed 42 > /dev/null
-./target/release/policy_sweep --check results/BENCH_policy_sweep.json
-
-echo "==> microbench smoke + JSON schema check"
-# The smoke profile writes to a scratch directory so the committed
-# full-run baseline in results/BENCH_microbench.json is never clobbered.
-mkdir -p target/tmp/bench_ci
-./target/release/microbench --smoke --out target/tmp/bench_ci > /dev/null
-./target/release/microbench --check target/tmp/bench_ci/BENCH_microbench.json
-./target/release/microbench --check results/BENCH_microbench.json
+echo "==> seed-42 sweep grids: audited fresh, pinned to results/, checked"
+# Each sweep attaches the invariant auditor to every cell and exits
+# non-zero on a violation.  The fresh summary must equal the committed
+# one (modulo timing), and both must pass the sweep's --check: for the
+# policy grid that pins the EWMA arm bit-identical to the ablation
+# sweep's historical baseline and requires the optimizing policy to beat
+# the EWMA's repair bill on the long-burst cells.
+pinned_sweep() {
+  local sub=$1 name=$2
+  shift 2
+  "$bench" "$sub" --seed 42 "$@" --out "$fresh" > /dev/null
+  same_summary "results/$name.json" "$fresh/$name.json"
+  "$bench" "$sub" --check "$fresh/$name.json"
+  "$bench" "$sub" --check "results/$name.json"
+}
+pinned_sweep fault fault_sweep
+pinned_sweep ablation ablation_sweep
+pinned_sweep fig14-21 fig14_21_traffic --packets 128
+pinned_sweep policy BENCH_policy_sweep
 
 echo "==> scaling sweep smoke (10^2/10^3) + crossover check"
 # The smoke grid re-measures the SHARQFEC-vs-SRM session crossover at
 # CI-sized memberships; the committed full run (through 10^5) carries
 # the exponent fit and the state-growth assertions.
-./target/release/scale_sweep --smoke --out target/tmp/bench_ci > /dev/null
-./target/release/scale_sweep --check target/tmp/bench_ci/BENCH_scale_sweep.json
-./target/release/scale_sweep --check results/BENCH_scale_sweep.json
+"$bench" scale --smoke --out "$fresh" > /dev/null
+"$bench" scale --check "$fresh/BENCH_scale_sweep.json"
+"$bench" scale --check results/BENCH_scale_sweep.json
 
 echo "==> workload-scenario sweep smoke + committed-grid check"
 # Flash crowds, churn, and regional outages compiled through the
 # scenario DSL, every cell audited: the smoke grid runs fresh, the
 # committed full grid (with the 10^4-receiver flash-crowd cell) is
-# schema- and invariant-checked.
-./target/release/scenario_sweep --smoke --out target/tmp/bench_ci > /dev/null
-./target/release/scenario_sweep --check target/tmp/bench_ci/BENCH_scenario_sweep.json
-./target/release/scenario_sweep --check results/BENCH_scenario_sweep.json
+# invariant-checked.
+"$bench" scenario --smoke --out "$fresh" > /dev/null
+"$bench" scenario --check "$fresh/BENCH_scenario_sweep.json"
+"$bench" scenario --check results/BENCH_scenario_sweep.json
 
 echo "==> sharded engine determinism gate (--shards 4 vs serial)"
 # The conservative-PDES shard path must be bit-identical to the serial
-# engine: rerun the smoke grid at 4 shards and diff the summaries after
-# stripping the fields that legitimately differ (wall clock, thread and
-# shard counts, machine-dependent throughput).
-mkdir -p target/tmp/bench_ci_sharded
-./target/release/scale_sweep --smoke --shards 4 --out target/tmp/bench_ci_sharded > /dev/null
-./target/release/scenario_sweep --smoke --shards 4 --out target/tmp/bench_ci_sharded > /dev/null
-strip_timing() {
-  sed -E 's/"(wall_ms|threads|shards|events_per_sec)": [0-9.eE+-]+/"\1": _/g' "$1"
-}
-diff <(strip_timing target/tmp/bench_ci/BENCH_scale_sweep.json) \
-     <(strip_timing target/tmp/bench_ci_sharded/BENCH_scale_sweep.json)
-diff <(strip_timing target/tmp/bench_ci/BENCH_scenario_sweep.json) \
-     <(strip_timing target/tmp/bench_ci_sharded/BENCH_scenario_sweep.json)
+# engine: rerun the smoke grids at 4 shards and diff the summaries.
+"$bench" scale --smoke --shards 4 --out "$sharded" > /dev/null
+"$bench" scenario --smoke --shards 4 --out "$sharded" > /dev/null
+same_summary "$fresh/BENCH_scale_sweep.json" "$sharded/BENCH_scale_sweep.json"
+same_summary "$fresh/BENCH_scenario_sweep.json" "$sharded/BENCH_scenario_sweep.json"
+
+echo "==> results/ untouched by this run"
+git diff --quiet -- results/
 
 echo "CI OK"

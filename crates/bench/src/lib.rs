@@ -1,39 +1,45 @@
-//! Shared machinery for the figure-regeneration harnesses.
+//! The figure-regeneration harness behind `sharqfec-bench <subcommand>`.
 //!
-//! Every table and figure in the paper's evaluation maps to one binary in
-//! `src/bin/` (see `DESIGN.md` §3 for the index); this library holds the
-//! experiment runners they share, so integration tests can assert on the
-//! same numbers the binaries print.
+//! Every table and figure in the paper's evaluation maps to one
+//! subcommand of the one binary (see `DESIGN.md` §3 for the index); this
+//! library holds the experiment runners and the shared sweep driver
+//! ([`cli`]), so integration tests can assert on the same numbers the
+//! subcommands print.  Performance is measured elsewhere: `benchmark/` at
+//! the repository root is the one performance harness.
 //!
 //! * Every experiment cell is a [`Scenario`]: protocol variant + topology
-//!   knobs + workload + fault plan + recorder mode.  The figure binaries,
+//!   knobs + workload + fault plan + recorder mode.  The figure sweeps,
 //!   the ablation sweep, and the fault sweep all build scenarios and run
 //!   them through the same code path (fanned out via
-//!   `sharqfec_netsim::runner` when there are many).
+//!   `sharqfec_netsim::runner`).
 //! * Figures 14–21: [`Scenario::variant`] / [`Scenario::srm_baseline`]
 //!   build the §6.2 workload (1024 × 1000 B packets at 800 kbit/s on the
 //!   Figure 10 network); [`Scenario::run_traffic`] returns
 //!   0.1-second-binned traffic series.
 //! * Figures 11–13: [`RttExperiment`] runs the §6.1 session experiment
 //!   and returns per-receiver estimated/actual RTT ratios.
-//! * Figure 1 / Figure 8 are analytic (`sharqfec-analysis`); their
-//!   binaries format those computations.
+//! * Figure 1 / Figure 8 are analytic (`sharqfec-analysis`);
+//!   [`figures`] formats those computations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod microbench;
+pub mod figures;
+pub mod grids;
 pub mod policy;
 pub mod scale;
 pub mod scenario;
+pub mod traffic;
 
 use sharqfec::{setup_sharqfec_builder, PolicyConfig, SfAgent, SharqfecConfig, Variant};
 use sharqfec_analysis::series::{bin_deliveries, BinSpec};
 use sharqfec_netsim::faults::{FaultPlan, LossModel};
 use sharqfec_netsim::graph::LinkId;
 use sharqfec_netsim::probe::AuditConfig;
-use sharqfec_netsim::{NodeId, RecorderMode, RunSpec, SimTime, TrafficClass};
+use sharqfec_netsim::{
+    Classify, Engine, EngineBuilder, NodeId, RecorderMode, RunSpec, SimTime, TrafficClass,
+};
 use sharqfec_session::core::ZcrSeeding;
 use sharqfec_session::{setup_session_sim, ProbePlan, SessionAgent, SessionConfig};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
@@ -133,6 +139,9 @@ impl Workload {
     }
 }
 
+/// When every receiver starts its session layer.
+const JOIN_AT: SimTime = SimTime::from_secs(1);
+
 /// Which reliable-multicast protocol a [`Scenario`] runs.
 #[derive(Clone, Debug)]
 pub enum Protocol {
@@ -202,12 +211,12 @@ pub struct ScenarioOutcome {
 }
 
 impl Scenario {
-    /// A SHARQFEC scenario with default topology, no bursts, no faults,
-    /// raw recording.
-    pub fn sharqfec(label: impl Into<String>, cfg: SharqfecConfig, workload: Workload) -> Scenario {
+    /// A scenario with default topology, no bursts, no faults, raw
+    /// recording.
+    fn new(label: impl Into<String>, protocol: Protocol, workload: Workload) -> Scenario {
         Scenario {
             label: label.into(),
-            protocol: Protocol::Sharqfec(cfg),
+            protocol,
             params: Figure10Params::default(),
             mean_burst: None,
             workload,
@@ -218,20 +227,16 @@ impl Scenario {
         }
     }
 
+    /// A SHARQFEC scenario with default topology, no bursts, no faults,
+    /// raw recording.
+    pub fn sharqfec(label: impl Into<String>, cfg: SharqfecConfig, workload: Workload) -> Scenario {
+        Scenario::new(label, Protocol::Sharqfec(cfg), workload)
+    }
+
     /// An SRM scenario with default topology, no bursts, no faults, raw
     /// recording.
     pub fn srm(label: impl Into<String>, cfg: SrmConfig, workload: Workload) -> Scenario {
-        Scenario {
-            label: label.into(),
-            protocol: Protocol::Srm(cfg),
-            params: Figure10Params::default(),
-            mean_burst: None,
-            workload,
-            faults: FaultPlan::new(),
-            recorder: RecorderMode::Raw,
-            audit: false,
-            shards: 1,
-        }
+        Scenario::new(label, Protocol::Srm(cfg), workload)
     }
 
     /// The §6.2 figure cell for a SHARQFEC variant: the variant's label
@@ -326,78 +331,93 @@ impl Scenario {
         built
     }
 
+    /// Builds the configured engine — the scenario's recorder mode, fault
+    /// plan, and auditor on top of the protocol's `builder` — and runs it
+    /// to the workload's end.
+    fn simulate<M: Classify + Clone + Send + 'static>(
+        &self,
+        built: &BuiltTopology,
+        mut builder: EngineBuilder<M>,
+    ) -> Engine<M> {
+        builder
+            .recorder_mode(self.recorder)
+            .fault_plan(self.faults.clone());
+        if self.audit {
+            builder.audit(AuditConfig::default());
+        }
+        let mut engine = builder.build();
+        engine.advance(self.run_spec(built));
+        engine
+    }
+
+    /// Runs a SHARQFEC scenario; returns the engine, the packets still
+    /// unrecovered, and the stream's time-to-complete (the slowest
+    /// receiver's last group completion, `None` unless every receiver
+    /// completed).
+    fn simulate_sharqfec(
+        &self,
+        built: &BuiltTopology,
+        cfg: &SharqfecConfig,
+        seed: u64,
+    ) -> (Engine<sharqfec::SfMsg>, u32, Option<f64>) {
+        let cfg = SharqfecConfig {
+            total_packets: self.workload.packets,
+            ..cfg.clone()
+        };
+        let engine = self.simulate(built, setup_sharqfec_builder(built, seed, cfg, JOIN_AT));
+        let agents = || {
+            let receiver = |&r| engine.agent::<SfAgent>(r).expect("receiver");
+            built.receivers.iter().map(receiver)
+        };
+        let unrecovered = agents().map(SfAgent::missing).sum();
+        let ttc = agents()
+            .map(SfAgent::completion_time)
+            .try_fold(SimTime::ZERO, |acc, t| t.map(|t| acc.max(t)))
+            .map(|t| t.as_secs_f64());
+        (engine, unrecovered, ttc)
+    }
+
+    /// Runs an SRM scenario; returns the engine and the packets still
+    /// unrecovered.
+    fn simulate_srm(
+        &self,
+        built: &BuiltTopology,
+        cfg: &SrmConfig,
+        seed: u64,
+    ) -> (Engine<sharqfec_srm::SrmMsg>, u32) {
+        let cfg = SrmConfig {
+            total_packets: self.workload.packets,
+            ..cfg.clone()
+        };
+        let engine = self.simulate(built, setup_srm_builder(built, seed, cfg, JOIN_AT));
+        let receiver = |&r| engine.agent::<SrmReceiver>(r).expect("receiver").missing();
+        let unrecovered = built.receivers.iter().map(receiver).sum();
+        (engine, unrecovered)
+    }
+
     /// Runs the scenario and returns aggregate metrics.
     pub fn run(&self, seed: u64) -> ScenarioOutcome {
         let built = self.build_topology();
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let cfg = SharqfecConfig {
-                    total_packets: self.workload.packets,
-                    ..cfg.clone()
-                };
-                let mut builder = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1));
-                builder
-                    .recorder_mode(self.recorder)
-                    .fault_plan(self.faults.clone());
-                if self.audit {
-                    builder.audit(AuditConfig::default());
-                }
-                let mut engine = builder.build();
-                engine.advance(self.run_spec(&built));
-                let unrecovered = built
-                    .receivers
-                    .iter()
-                    .map(|&r| engine.agent::<SfAgent>(r).expect("receiver").missing())
-                    .sum();
-                // Stream time-to-complete: the slowest receiver's last
-                // group completion (only meaningful at full delivery).
-                let ttc = built
-                    .receivers
-                    .iter()
-                    .map(|&r| {
-                        engine
-                            .agent::<SfAgent>(r)
-                            .expect("receiver")
-                            .completion_time()
-                    })
-                    .try_fold(SimTime::ZERO, |acc, t| t.map(|t| acc.max(t)))
-                    .map(|t| t.as_secs_f64());
-                let audit = audit_outcome(&engine);
-                self.outcome(engine.recorder(), &built, unrecovered, ttc, audit)
+                let (engine, unrecovered, ttc) = self.simulate_sharqfec(&built, cfg, seed);
+                self.outcome(&engine, &built, unrecovered, ttc)
             }
             Protocol::Srm(cfg) => {
-                let cfg = SrmConfig {
-                    total_packets: self.workload.packets,
-                    ..cfg.clone()
-                };
-                let mut builder = setup_srm_builder(&built, seed, cfg, SimTime::from_secs(1));
-                builder
-                    .recorder_mode(self.recorder)
-                    .fault_plan(self.faults.clone());
-                if self.audit {
-                    builder.audit(AuditConfig::default());
-                }
-                let mut engine = builder.build();
-                engine.advance(self.run_spec(&built));
-                let unrecovered = built
-                    .receivers
-                    .iter()
-                    .map(|&r| engine.agent::<SrmReceiver>(r).expect("receiver").missing())
-                    .sum();
-                let audit = audit_outcome(&engine);
-                self.outcome(engine.recorder(), &built, unrecovered, None, audit)
+                let (engine, unrecovered) = self.simulate_srm(&built, cfg, seed);
+                self.outcome(&engine, &built, unrecovered, None)
             }
         }
     }
 
-    fn outcome(
+    fn outcome<M: Classify + Clone + 'static>(
         &self,
-        rec: &sharqfec_netsim::Recorder,
+        engine: &Engine<M>,
         built: &BuiltTopology,
         unrecovered: u32,
         time_to_complete: Option<f64>,
-        audit: Option<AuditOutcome>,
     ) -> ScenarioOutcome {
+        let rec = engine.recorder();
         let dr_all =
             rec.total_delivered(TrafficClass::Data) + rec.total_delivered(TrafficClass::Repair);
         let dr_src = rec.delivered_count(built.source, TrafficClass::Data)
@@ -410,17 +430,13 @@ impl Scenario {
             data_repair_per_rx: (dr_all - dr_src) as f64 / built.receivers.len() as f64,
             dropped: rec.total_dropped(TrafficClass::Data)
                 + rec.total_dropped(TrafficClass::Repair),
-            time_to_complete: if unrecovered == 0 {
-                time_to_complete
-            } else {
-                None
-            },
-            audit,
+            time_to_complete: time_to_complete.filter(|_| unrecovered == 0),
+            audit: audit_outcome(engine),
         }
     }
 
     /// Runs the scenario and returns the binned traffic series the figure
-    /// binaries plot.
+    /// sweep plots.
     ///
     /// # Panics
     ///
@@ -435,41 +451,11 @@ impl Scenario {
         let spec = self.workload.spec();
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let cfg = SharqfecConfig {
-                    total_packets: self.workload.packets,
-                    ..cfg.clone()
-                };
-                let mut builder = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1));
-                builder.fault_plan(self.faults.clone());
-                if self.audit {
-                    builder.audit(AuditConfig::default());
-                }
-                let mut engine = builder.build();
-                engine.advance(self.run_spec(&built));
-                let unrecovered: u32 = built
-                    .receivers
-                    .iter()
-                    .map(|&r| engine.agent::<SfAgent>(r).expect("receiver").missing())
-                    .sum();
+                let (engine, unrecovered, _) = self.simulate_sharqfec(&built, cfg, seed);
                 extract_run(self.label.clone(), &engine, &built, &spec, unrecovered)
             }
             Protocol::Srm(cfg) => {
-                let cfg = SrmConfig {
-                    total_packets: self.workload.packets,
-                    ..cfg.clone()
-                };
-                let mut builder = setup_srm_builder(&built, seed, cfg, SimTime::from_secs(1));
-                builder.fault_plan(self.faults.clone());
-                if self.audit {
-                    builder.audit(AuditConfig::default());
-                }
-                let mut engine = builder.build();
-                engine.advance(self.run_spec(&built));
-                let unrecovered: u32 = built
-                    .receivers
-                    .iter()
-                    .map(|&r| engine.agent::<SrmReceiver>(r).expect("receiver").missing())
-                    .sum();
+                let (engine, unrecovered) = self.simulate_srm(&built, cfg, seed);
                 extract_run(self.label.clone(), &engine, &built, &spec, unrecovered)
             }
         }
@@ -478,8 +464,8 @@ impl Scenario {
 
 /// Maps the engine's audit report (if an auditor was attached) to the
 /// outcome representation the sweep harnesses serialize.
-fn audit_outcome<M: sharqfec_netsim::Classify + Clone + 'static>(
-    engine: &sharqfec_netsim::Engine<M>,
+pub(crate) fn audit_outcome<M: Classify + Clone + 'static>(
+    engine: &Engine<M>,
 ) -> Option<AuditOutcome> {
     engine.audit_report().map(|r| AuditOutcome {
         events: r.events,
@@ -488,9 +474,9 @@ fn audit_outcome<M: sharqfec_netsim::Classify + Clone + 'static>(
     })
 }
 
-fn extract_run<M: sharqfec_netsim::Classify + Clone + 'static>(
+fn extract_run<M: Classify + Clone + 'static>(
     label: String,
-    engine: &sharqfec_netsim::Engine<M>,
+    engine: &Engine<M>,
     built: &BuiltTopology,
     spec: &BinSpec,
     unrecovered: u32,
@@ -628,7 +614,7 @@ impl RttExperiment {
 mod tests {
     use super::*;
 
-    /// Smoke test shared by the figure binaries: a small ECSRM-vs-full run
+    /// Smoke test shared by the figure sweeps: a small ECSRM-vs-full run
     /// must exhibit the paper's headline ordering (full SHARQFEC's source
     /// sees less recovery traffic and fewer NACKs fly overall than in the
     /// unscoped baseline).

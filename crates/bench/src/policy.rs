@@ -1,4 +1,4 @@
-//! The injection-policy ablation grid (`policy_sweep` binary).
+//! The injection-policy ablation grid (the `policy` subcommand).
 //!
 //! Three [`sharqfec::InjectionPolicy`] implementations — the paper's
 //! EWMA, the quantile tracker, and the TAROT-style optimizing
@@ -9,18 +9,44 @@
 //! pin each other.  Compared per cell: repair traffic, NACK count, and
 //! the stream's time-to-complete.
 //!
-//! [`check_json`] is the CI gate over `results/BENCH_policy_sweep.json`:
-//! schema, the EWMA baseline's bit-exact historical numbers, and the
-//! redesign's payoff criterion (the optimizing policy spends fewer
-//! repair packets than the EWMA on the long-burst cells at full
-//! delivery).
+//! `policy --check results/BENCH_policy_sweep.json` is the CI gate:
+//! every grid cell present with its metrics, the EWMA baseline's
+//! bit-exact historical numbers, and the redesign's payoff criterion (the
+//! optimizing policy spends fewer repair packets than the EWMA on the
+//! long-burst cells at full delivery).  `--policy` narrows the grid to
+//! one arm (useful for tuning); the default run compares all three.
 
+use crate::grids::{Extra, Fig10Grid};
 use crate::{Scenario, Workload};
 use sharqfec::{PolicyConfig, SharqfecConfig};
+use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_topology::Figure10Params;
 
-/// Sweep name; the summary lands in `results/BENCH_policy_sweep.json`.
-pub const SWEEP_NAME: &str = "BENCH_policy_sweep";
+/// The `policy` sweep; the summary lands in
+/// `results/BENCH_policy_sweep.json`.
+pub const SWEEP: Fig10Grid = Fig10Grid {
+    name: "BENCH_policy_sweep",
+    plan,
+    title: |packets, seed| {
+        format!(
+            "SHARQFEC injection-policy ablation ({packets} packets, Figure 10, \
+             Gilbert-Elliott burst ladder, seed {seed})"
+        )
+    },
+    label_columns: ["policy", "loss"],
+    // The stream's time-to-complete: -1 / "-" when a packet stayed
+    // unrecovered.
+    extra: Some(Extra {
+        metric: "time_to_complete_s",
+        column: "ttc (s)",
+        value: |o| o.time_to_complete.unwrap_or(-1.0),
+        shown: |o| {
+            o.time_to_complete
+                .map_or("-".to_string(), |s| format!("{s:.2}"))
+        },
+    }),
+    check,
+};
 
 /// The policies compared, by [`PolicyConfig::named`] name.
 pub const POLICIES: [&str; 3] = ["ewma", "percentile", "optimizing"];
@@ -38,12 +64,12 @@ pub const CELLS: [(&str, Option<f64>); 5] = [
 /// The `ewma/base` cell must reproduce the ablation sweep's EWMA
 /// baseline ("zlc EWMA gain/w=0.25", seed 42, 256 packets) bit-exactly:
 /// same scenario, same seed, different harness.
-pub const EWMA_BASE_PINS: [(&str, &str); 5] = [
-    ("data_repair_per_rx", "341.7857142857143"),
-    ("nacks", "209"),
-    ("repairs", "562"),
-    ("unrecovered", "0"),
-    ("audit_events", "5923"),
+pub const EWMA_BASE_PINS: [(&str, f64); 5] = [
+    ("data_repair_per_rx", 341.7857142857143),
+    ("nacks", 209.0),
+    ("repairs", 562.0),
+    ("unrecovered", 0.0),
+    ("audit_events", 5923.0),
 ];
 
 /// Metric keys every cell must carry.
@@ -83,71 +109,31 @@ pub fn plan(packets: u32) -> Vec<Scenario> {
     cells
 }
 
-/// The line describing one cell of the summary (cells are one line each
-/// in the sweep-runner schema).
-pub(crate) fn cell_line<'a>(text: &'a str, label: &str) -> Option<&'a str> {
-    let tag = format!("\"scenario\": \"{label}\"");
-    text.lines().find(|l| l.contains(&tag))
-}
-
-/// Extracts an integer-valued metric from a cell line.
-pub(crate) fn metric_u64(line: &str, key: &str) -> Option<u64> {
-    metric_f64(line, key).map(|v| v.round() as u64)
-}
-
-/// Extracts a metric from a cell line as written.
-pub(crate) fn metric_f64(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok()
-}
-
-/// Validates a `BENCH_policy_sweep.json` summary (seed-42 defaults):
-/// sweep-runner schema, every grid cell present and ok with the
-/// required metrics, zero audit violations, the `ewma/base` cell
+/// The policy grid's gates over a summary (seed-42 defaults): every grid
+/// cell present with the required metrics, the `ewma/base` cell
 /// bit-identical to the pre-redesign ablation baseline, and the
 /// optimizing policy beating the EWMA's repair bill on the long-burst
-/// cells (mb ≥ 8) at full delivery.  Returns problems (empty = pass).
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
-        }
-    }
-    let total = POLICIES.len() * CELLS.len();
-    if !text.contains(&format!("\"cells_ok\": {total}")) {
-        problems.push(format!("expected all {total} cells ok"));
-    }
+/// cells (mb ≥ 8) at full delivery.
+fn check(summary: &SweepSummary, problems: &mut Vec<String>) {
     for policy in POLICIES {
         for (cell, _) in CELLS {
             let label = format!("{policy}/{cell}");
-            let Some(line) = cell_line(text, &label) else {
+            let Some(c) = summary.cell(&label) else {
                 problems.push(format!("missing cell {label:?}"));
                 continue;
             };
             for m in REQUIRED_METRICS {
-                if !line.contains(&format!("\"{m}\":")) {
+                if c.result.is_ok() && c.metric(m).is_none() {
                     problems.push(format!("missing metric {m:?} (cell {label:?})"));
                 }
-            }
-            match metric_u64(line, "audit_violations") {
-                Some(0) => {}
-                _ => problems.push(format!("cell {label:?} has audit violations")),
             }
         }
     }
     // The EWMA arm must not have moved: its base cell re-runs the
     // ablation sweep's historical baseline under a different harness.
-    if let Some(line) = cell_line(text, "ewma/base") {
+    if let Some(base) = summary.cell("ewma/base") {
         for (key, value) in EWMA_BASE_PINS {
-            if !line.contains(&format!("\"{key}\": {value}")) {
+            if base.metric(key) != Some(value) {
                 problems.push(format!(
                     "ewma/base {key} drifted from the pinned baseline {value}"
                 ));
@@ -158,33 +144,25 @@ pub fn check_json(text: &str) -> Vec<String> {
     // controller must deliver everything with a smaller repair bill.
     for cell in ["mb=8", "mb=16"] {
         let (Some(ewma), Some(opt)) = (
-            cell_line(text, &format!("ewma/{cell}")),
-            cell_line(text, &format!("optimizing/{cell}")),
+            summary.cell(&format!("ewma/{cell}")),
+            summary.cell(&format!("optimizing/{cell}")),
         ) else {
             continue; // already reported as missing
         };
-        if metric_u64(opt, "unrecovered") != Some(0) {
-            problems.push(format!("optimizing/{cell} did not deliver everything"));
-            continue;
-        }
-        match (metric_u64(ewma, "repairs"), metric_u64(opt, "repairs")) {
+        match (ewma.metric("repairs"), opt.metric("repairs")) {
             (Some(e), Some(o)) if o < e => {}
             (e, o) => problems.push(format!(
                 "optimizing/{cell} repairs ({o:?}) not below ewma ({e:?})"
             )),
         }
     }
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
-    }
-    problems
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::check_summary;
+    use crate::cli::tests::{summary_of, Metrics};
     use crate::Protocol;
 
     #[test]
@@ -208,7 +186,7 @@ mod tests {
     }
 
     /// The pinned value of one `ewma/base` metric.
-    fn pinned(key: &str) -> &'static str {
+    fn pinned(key: &str) -> f64 {
         EWMA_BASE_PINS
             .iter()
             .find(|(k, _)| *k == key)
@@ -216,78 +194,62 @@ mod tests {
             .1
     }
 
-    /// A minimal syntactically-plausible summary that satisfies every
-    /// check, for exercising the gate logic.  Metric values interpolate
-    /// from [`EWMA_BASE_PINS`] so re-deriving the pins never breaks the
-    /// fixture.
-    fn good_json() -> String {
-        let mut s = String::new();
-        s.push_str(&format!("{{\n  \"sweep\": \"{SWEEP_NAME}\",\n"));
-        s.push_str("  \"threads\": 1,\n  \"wall_ms\": 1.0,\n");
-        s.push_str("  \"cells_ok\": 15,\n  \"cells_failed\": 0,\n  \"cells\": [\n");
+    /// The problems `--check` finds in a minimal summary that satisfies
+    /// every gate, after `edit` has had its way with the cells.  Metric
+    /// values come from [`EWMA_BASE_PINS`] so re-deriving the pins never
+    /// breaks the fixture.
+    fn problems(edit: impl Fn(&mut Vec<(String, Metrics)>)) -> Vec<String> {
+        let mut cells = Vec::new();
         for policy in POLICIES {
             for (cell, _) in CELLS {
                 let repairs = match (policy, cell) {
-                    ("optimizing", _) => "500",
+                    ("optimizing", _) => 500.0,
                     ("ewma", "base") => pinned("repairs"),
-                    _ => "900",
+                    _ => 900.0,
                 };
-                s.push_str(&format!(
-                    "    {{\"scenario\": \"{policy}/{cell}\", \"seed\": 42, \"wall_ms\": 1.0, \
-                     \"status\": \"ok\", \"metrics\": {{\"data_repair_per_rx\": {dr}, \
-                     \"nacks\": {nacks}, \"repairs\": {repairs}, \"unrecovered\": 0, \
-                     \"time_to_complete_s\": 9.5, \"audit_events\": {events}, \
-                     \"audit_violations\": 0}}}},\n",
-                    dr = pinned("data_repair_per_rx"),
-                    nacks = pinned("nacks"),
-                    events = pinned("audit_events"),
-                ));
+                let metrics = vec![
+                    ("data_repair_per_rx", pinned("data_repair_per_rx")),
+                    ("nacks", pinned("nacks")),
+                    ("repairs", repairs),
+                    ("unrecovered", 0.0),
+                    ("time_to_complete_s", 9.5),
+                    ("audit_events", pinned("audit_events")),
+                    ("audit_violations", 0.0),
+                ];
+                cells.push((format!("{policy}/{cell}"), metrics));
             }
         }
-        s.push_str("  ]\n}\n");
-        s
+        edit(&mut cells);
+        check_summary(&SWEEP, &summary_of(SWEEP.name, &cells))
     }
 
     #[test]
     fn checker_accepts_a_conforming_summary() {
-        let text = good_json();
         // The pinned EWMA numbers double as this fixture's values, so a
         // conforming file passes clean.
-        assert_eq!(check_json(&text), Vec::<String>::new());
+        assert_eq!(problems(|_| {}), Vec::<String>::new());
     }
 
     #[test]
     fn checker_flags_schema_and_criterion_breaks() {
-        assert!(!check_json("{}").is_empty());
-
-        // Drift in the pinned EWMA baseline is caught…
-        let pinned_dr = format!(
-            "\"ewma/base\", \"seed\": 42, \"wall_ms\": 1.0, \"status\": \"ok\", \
-             \"metrics\": {{\"data_repair_per_rx\": {}",
-            pinned("data_repair_per_rx")
-        );
-        let moved_dr = pinned_dr
-            .rsplit_once(": ")
-            .map(|(head, _)| format!("{head}: 340.0"))
-            .expect("fixture line has a metric value");
-        let drifted = good_json().replace(&pinned_dr, &moved_dr);
-        assert!(check_json(&drifted)
+        // A cell missing from the grid is named…
+        let gapped = problems(|cells| cells[7].0 = "percentile/mb=5".to_string());
+        assert!(gapped
             .iter()
-            .any(|p| p.contains("drifted from the pinned baseline")));
+            .any(|p| p.contains("missing cell \"percentile/mb=4\"")));
+
+        // …drift in the pinned EWMA baseline is caught…
+        let drifted = problems(|cells| cells[0].1[0].1 = 340.0);
+        assert!(drifted
+            .iter()
+            .any(|p| p.contains("data_repair_per_rx drifted from the pinned baseline")));
 
         // …and so is an optimizing arm that stopped paying for itself.
-        let regressed = good_json().replace("\"repairs\": 500", "\"repairs\": 900");
-        assert!(check_json(&regressed)
-            .iter()
-            .any(|p| p.contains("not below ewma")));
-    }
-
-    #[test]
-    fn metric_extraction_reads_trailing_and_mid_fields() {
-        let line =
-            "{\"scenario\": \"x\", \"metrics\": {\"repairs\": 602, \"audit_violations\": 0}}";
-        assert_eq!(metric_u64(line, "repairs"), Some(602));
-        assert_eq!(metric_u64(line, "audit_violations"), Some(0));
-        assert_eq!(metric_u64(line, "absent"), None);
+        let regressed = problems(|cells| {
+            for (_, metrics) in &mut cells[10..] {
+                metrics[2].1 = 900.0;
+            }
+        });
+        assert!(regressed.iter().any(|p| p.contains("not below ewma")));
     }
 }

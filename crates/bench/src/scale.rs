@@ -1,4 +1,4 @@
-//! The large-n scaling sweep (`scale_sweep` binary): SHARQFEC vs SRM on
+//! The large-n scaling sweep (the `scale` subcommand): SHARQFEC vs SRM on
 //! the hierarchical `topology::scaled` generator at n ∈ {10², 10³, 10⁴,
 //! 10⁵, opt-in 10⁶} receivers.
 //!
@@ -36,27 +36,41 @@
 //! SHARQFEC cells never stride — zone-scoped announcements are O(n·z̄)
 //! per round and simulate in full at every n.
 //!
-//! [`check_json`] gates the emitted `results/BENCH_scale_sweep.json`:
+//! `scale --check` gates the emitted `results/BENCH_scale_sweep.json`:
 //! every cell audited clean at full delivery, SHARQFEC's session traffic
 //! below SRM's at the crossover bound n = 10⁴ (and at the largest common
 //! cell), a smaller fitted session-traffic exponent, SHARQFEC state flat
 //! in n while SRM's grows.
 //!
+//! `--smoke` runs the 10²/10³ CI grid; the default adds 10⁴ and 10⁵;
+//! `--mega` appends the opt-in 10⁶ cell (consider `--threads 1` — two
+//! million-agent engines resident at once is a lot of memory).
+//! `--shards K` runs each engine sharded over K zone subtrees
+//! (conservative PDES); results are bit-identical to `--shards 1`, only
+//! `events_per_sec`/`wall_ms` change.
+//!
 //! [`Agent::state_bytes`]: sharqfec_netsim::Agent::state_bytes
 //! [`Engine::state_bytes`]: sharqfec_netsim::Engine::state_bytes
 //! [`SrmConfig::announce_stride`]: sharqfec_srm::SrmConfig::announce_stride
 
-use crate::policy::{cell_line, metric_f64, metric_u64};
+use crate::cli::{self, Args, Ran, Sweep};
 use crate::AuditOutcome;
 use sharqfec::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
+use sharqfec_analysis::table::Table;
 use sharqfec_netsim::probe::AuditConfig;
-use sharqfec_netsim::{RecorderMode, RunSpec, SimDuration, SimTime, TrafficClass};
+use sharqfec_netsim::runner::SweepSummary;
+use sharqfec_netsim::shard::ShardPlan;
+use sharqfec_netsim::{
+    Classify, Engine, EngineBuilder, RecorderMode, RunSpec, SimDuration, SimTime, TrafficClass,
+};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
-use sharqfec_topology::{scaled_tree, ScaledTreeParams};
+use sharqfec_topology::{scaled_tree, BuiltTopology, ScaledTreeParams};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Sweep name; the summary lands in `results/BENCH_scale_sweep.json`.
-pub const SWEEP_NAME: &str = "BENCH_scale_sweep";
+/// The `scale` sweep; the summary lands in
+/// `results/BENCH_scale_sweep.json`.
+pub struct Scale;
 
 /// Default receiver counts (the opt-in 10⁶ cell is appended by
 /// `--mega`).
@@ -65,7 +79,7 @@ pub const SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
 /// The CI smoke grid (`--smoke`): small enough for every run of ci.sh.
 pub const SMOKE_SIZES: [usize; 2] = [100, 1_000];
 
-/// The crossover bound the paper claims and [`check_json`] enforces:
+/// The crossover bound the paper claims and `scale --check` enforces:
 /// SHARQFEC session traffic must be below SRM's by this n.
 pub const CROSSOVER_N: usize = 10_000;
 
@@ -140,7 +154,7 @@ pub struct ScaleOutcome {
     /// Events processed.
     pub events: u64,
     /// Events per wall-clock second (machine-dependent; excluded from
-    /// every [`check_json`] assertion).
+    /// every `--check` assertion).
     pub events_per_sec: f64,
     /// Engine shards the cell ran with (1 = serial).  Results are
     /// bit-identical at any shard count; only throughput may differ.
@@ -173,259 +187,225 @@ const HORIZON: SimTime = SimTime::from_secs(8);
 /// and shard counts.
 pub fn run_cell(cell: ScaleCell, seed: u64, packets: u32, shards: usize) -> ScaleOutcome {
     let built = scaled_tree(&scale_params(cell.receivers), seed).built;
-    let plan = std::sync::Arc::new(built.shard_plan(shards.max(1)));
-    let spec = || RunSpec::to(HORIZON).with_plan(std::sync::Arc::clone(&plan));
+    let plan = Arc::new(built.shard_plan(shards.max(1)));
     let started = Instant::now();
-    let (events, session, data_repair, nacks, unrecovered, state_sum, peers_sum, audit) =
-        if cell.srm {
-            let cfg = SrmConfig {
-                total_packets: packets,
-                session_announce: Some(SRM_ANNOUNCE),
-                announce_stride: announce_stride(cell.receivers),
-                ..SrmConfig::default()
-            };
-            let mut builder = setup_srm_builder(&built, seed, cfg, JOIN_AT);
-            builder
-                .recorder_mode(RecorderMode::Aggregate)
-                .audit_streaming(AuditConfig::default());
-            let mut engine = builder.build();
-            let events = engine.advance(spec());
-            let mut unrecovered = 0u64;
-            let mut peers = 0u64;
-            for &r in &built.receivers {
-                let a = engine.agent::<SrmReceiver>(r).expect("receiver");
-                unrecovered += u64::from(a.missing());
-                peers += a.session_peer_count() as u64;
-            }
-            collect(&engine, &built, events, unrecovered, peers)
-        } else {
-            let cfg = SharqfecConfig {
-                total_packets: packets,
-                ..SharqfecConfig::full()
-            };
-            let mut builder = setup_sharqfec_builder(&built, seed, cfg, JOIN_AT);
-            builder
-                .recorder_mode(RecorderMode::Aggregate)
-                .audit_streaming(AuditConfig::default());
-            let mut engine = builder.build();
-            let events = engine.advance(spec());
-            let mut unrecovered = 0u64;
-            for &r in &built.receivers {
-                unrecovered += u64::from(engine.agent::<SfAgent>(r).expect("receiver").missing());
-            }
-            collect(&engine, &built, events, unrecovered, 0)
+    if cell.srm {
+        let stride = announce_stride(cell.receivers);
+        let cfg = SrmConfig {
+            total_packets: packets,
+            session_announce: Some(SRM_ANNOUNCE),
+            announce_stride: stride,
+            ..SrmConfig::default()
         };
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let n = cell.receivers as f64;
-    let stride = if cell.srm {
-        announce_stride(cell.receivers)
+        let (engine, events) = advance(setup_srm_builder(&built, seed, cfg, JOIN_AT), &plan);
+        let (mut unrecovered, mut peers) = (0u64, 0u64);
+        for &r in &built.receivers {
+            let a = engine.agent::<SrmReceiver>(r).expect("receiver");
+            unrecovered += u64::from(a.missing());
+            peers += a.session_peer_count() as u64;
+        }
+        let ran = (events, unrecovered, peers, stride);
+        outcome(cell, &engine, &built, ran, started, plan.shard_count())
     } else {
-        1
-    };
-    ScaleOutcome {
-        label: cell.label(),
-        receivers: cell.receivers,
-        session_deliveries: session,
-        announce_stride: stride,
-        session_norm: session as f64 * stride as f64,
-        data_repair,
-        nacks,
-        unrecovered,
-        state_bytes_per_rx: state_sum as f64 / n,
-        peers_per_rx: peers_sum as f64 / n,
-        events,
-        events_per_sec: events as f64 / wall,
-        shards: plan.shard_count(),
-        audit,
+        let cfg = SharqfecConfig {
+            total_packets: packets,
+            ..SharqfecConfig::full()
+        };
+        let (engine, events) = advance(setup_sharqfec_builder(&built, seed, cfg, JOIN_AT), &plan);
+        let missing = |&r| u64::from(engine.agent::<SfAgent>(r).expect("receiver").missing());
+        let ran = (events, built.receivers.iter().map(missing).sum(), 0, 1);
+        outcome(cell, &engine, &built, ran, started, plan.shard_count())
     }
 }
 
-type Collected = (u64, usize, usize, usize, u64, u64, u64, AuditOutcome);
+/// Builds the audited aggregate-recorder engine and runs it to the
+/// horizon; returns it with the events processed.
+fn advance<M: Classify + Clone + Send + 'static>(
+    mut builder: EngineBuilder<M>,
+    plan: &Arc<ShardPlan>,
+) -> (Engine<M>, u64) {
+    builder
+        .recorder_mode(RecorderMode::Aggregate)
+        .audit_streaming(AuditConfig::default());
+    let mut engine = builder.build();
+    let events = engine.advance(RunSpec::to(HORIZON).with_plan(Arc::clone(plan)));
+    (engine, events)
+}
 
-fn collect<M: sharqfec_netsim::Classify + Clone + 'static>(
-    engine: &sharqfec_netsim::Engine<M>,
-    built: &sharqfec_topology::BuiltTopology,
-    events: u64,
-    unrecovered: u64,
-    peers_sum: u64,
-) -> Collected {
+/// Reads a finished engine's aggregate metrics; `ran` is `(events,
+/// unrecovered, session peers summed over receivers, announce stride)`.
+fn outcome<M: Classify + Clone + 'static>(
+    cell: ScaleCell,
+    engine: &Engine<M>,
+    built: &BuiltTopology,
+    (events, unrecovered, peers_sum, announce_stride): (u64, u64, u64, u64),
+    started: Instant,
+    shards: usize,
+) -> ScaleOutcome {
     let rec = engine.recorder();
     let state_sum: u64 = built
         .receivers
         .iter()
         .map(|&r| engine.agent_state_bytes(r) as u64)
         .sum();
-    let audit = engine
-        .audit_report()
-        .map(|r| AuditOutcome {
-            events: r.events,
-            violations: r.violations.len(),
-            summary: r.summary(),
-        })
-        .expect("every scale cell is audited");
-    (
-        events,
-        rec.total_delivered(TrafficClass::Session),
-        rec.total_delivered(TrafficClass::Data) + rec.total_delivered(TrafficClass::Repair),
-        rec.total_sent(TrafficClass::Nack),
+    let session_deliveries = rec.total_delivered(TrafficClass::Session);
+    let n = cell.receivers as f64;
+    ScaleOutcome {
+        label: cell.label(),
+        receivers: cell.receivers,
+        session_deliveries,
+        announce_stride,
+        session_norm: session_deliveries as f64 * announce_stride as f64,
+        data_repair: rec.total_delivered(TrafficClass::Data)
+            + rec.total_delivered(TrafficClass::Repair),
+        nacks: rec.total_sent(TrafficClass::Nack),
         unrecovered,
-        state_sum,
-        peers_sum,
-        audit,
-    )
+        state_bytes_per_rx: state_sum as f64 / n,
+        peers_per_rx: peers_sum as f64 / n,
+        events,
+        events_per_sec: events as f64 / started.elapsed().as_secs_f64().max(1e-9),
+        shards,
+        audit: crate::audit_outcome(engine).expect("every scale cell is audited"),
+    }
 }
 
-/// The per-cell numbers published to the summary JSON.
-pub fn metrics(o: &ScaleOutcome) -> Vec<(String, f64)> {
-    vec![
-        ("receivers".into(), o.receivers as f64),
-        ("session_deliveries".into(), o.session_deliveries as f64),
-        ("announce_stride".into(), o.announce_stride as f64),
-        ("session_norm".into(), o.session_norm),
-        ("data_repair".into(), o.data_repair as f64),
-        ("nacks".into(), o.nacks as f64),
-        ("unrecovered".into(), o.unrecovered as f64),
-        ("state_bytes_per_rx".into(), o.state_bytes_per_rx),
-        ("peers_per_rx".into(), o.peers_per_rx),
-        ("events".into(), o.events as f64),
-        ("events_per_sec".into(), o.events_per_sec),
-        ("shards".into(), o.shards as f64),
-        ("audit_events".into(), o.audit.events as f64),
-        ("audit_violations".into(), o.audit.violations as f64),
-    ]
-}
+impl Sweep for Scale {
+    type Cell = ScaleCell;
+    type Outcome = ScaleOutcome;
 
-/// One parsed cell of a summary.
-struct ParsedCell<'a> {
-    srm: bool,
-    n: usize,
-    line: &'a str,
-}
+    fn name(&self) -> &'static str {
+        "BENCH_scale_sweep"
+    }
 
-fn parse_cells(text: &str) -> Vec<ParsedCell<'_>> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        for (proto, srm) in [("sharqfec", false), ("srm", true)] {
-            let tag = format!("\"scenario\": \"{proto}/n=");
-            if let Some(pos) = line.find(&tag) {
-                let rest = &line[pos + tag.len()..];
-                let end = rest.find('"').unwrap_or(rest.len());
-                if let Ok(n) = rest[..end].parse::<usize>() {
-                    out.push(ParsedCell { srm, n, line });
-                }
+    fn plan(&self, args: &Args) -> Vec<(String, ScaleCell)> {
+        let mut sizes = if args.smoke {
+            SMOKE_SIZES.to_vec()
+        } else {
+            SIZES.to_vec()
+        };
+        if args.mega {
+            sizes.push(1_000_000);
+        }
+        plan(&sizes).into_iter().map(|c| (c.label(), c)).collect()
+    }
+
+    fn run(&self, cell: &ScaleCell, args: &Args) -> ScaleOutcome {
+        run_cell(*cell, args.seed, args.packets, args.shard_count())
+    }
+
+    fn metrics(&self, o: &ScaleOutcome) -> Vec<(String, f64)> {
+        vec![
+            ("receivers".into(), o.receivers as f64),
+            ("session_deliveries".into(), o.session_deliveries as f64),
+            ("announce_stride".into(), o.announce_stride as f64),
+            ("session_norm".into(), o.session_norm),
+            ("data_repair".into(), o.data_repair as f64),
+            ("nacks".into(), o.nacks as f64),
+            ("unrecovered".into(), o.unrecovered as f64),
+            ("state_bytes_per_rx".into(), o.state_bytes_per_rx),
+            ("peers_per_rx".into(), o.peers_per_rx),
+            ("events".into(), o.events as f64),
+            ("events_per_sec".into(), o.events_per_sec),
+            ("shards".into(), o.shards as f64),
+            ("audit_events".into(), o.audit.events as f64),
+            ("audit_violations".into(), o.audit.violations as f64),
+        ]
+    }
+
+    fn print(&self, args: &Args, ran: Ran, outcomes: &[ScaleOutcome]) {
+        let title = format!(
+            "SHARQFEC-vs-SRM scaling sweep ({} packets, scaled trees, \
+             lossless session plane, seed {})",
+            args.packets, args.seed
+        );
+        let header = vec![
+            "cell",
+            "session",
+            "(norm)",
+            "stride",
+            "state B/rx",
+            "peers/rx",
+            "events",
+            "ev/s",
+            "audit",
+        ];
+        let rows = outcomes.iter().map(|o| {
+            vec![
+                o.label.clone(),
+                o.session_deliveries.to_string(),
+                format!("{:.3e}", o.session_norm),
+                o.announce_stride.to_string(),
+                format!("{:.0}", o.state_bytes_per_rx),
+                format!("{:.0}", o.peers_per_rx),
+                o.events.to_string(),
+                format!("{:.2e}", o.events_per_sec),
+                cli::audit_column(&o.audit),
+            ]
+        });
+        cli::print_table(&title, ran, "aggregate", header, rows);
+    }
+
+    fn failures(&self, o: &ScaleOutcome) -> Vec<String> {
+        cli::audit_failure(&o.label, &o.audit)
+            .into_iter()
+            .chain(cli::delivery_failure(&o.label, o.unrecovered))
+            .collect()
+    }
+
+    /// Over either the committed full sweep or a `--smoke` run: both
+    /// protocols at every size, SHARQFEC session traffic below SRM's at
+    /// every size ≥ [`CROSSOVER_N`] and at the largest size present, and —
+    /// when three or more sizes are present — a smaller fitted
+    /// session-traffic exponent plus flat-vs-growing per-receiver state.
+    fn check(&self, summary: &SweepSummary, problems: &mut Vec<String>) {
+        // A metric for one (protocol, size), when that cell exists and is ok.
+        let lookup = |srm: bool, n: usize, key: &str| -> Option<f64> {
+            summary
+                .cell(&ScaleCell { receivers: n, srm }.label())?
+                .metric(key)
+        };
+        let mut sizes: Vec<usize> = summary
+            .cells
+            .iter()
+            .filter_map(|c| c.scenario.split_once("/n=")?.1.parse().ok())
+            .collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+
+        let mut sf_traffic = Vec::new();
+        let mut srm_traffic = Vec::new();
+        let mut sf_state = Vec::new();
+        let mut srm_state = Vec::new();
+        for &n in &sizes {
+            let (Some(sf), Some(srm)) = (
+                lookup(false, n, "session_norm"),
+                lookup(true, n, "session_norm"),
+            ) else {
+                problems.push(format!("size n={n} missing one of the two protocols"));
+                continue;
+            };
+            sf_traffic.push((n as f64, sf));
+            srm_traffic.push((n as f64, srm));
+            if let (Some(a), Some(b)) = (
+                lookup(false, n, "state_bytes_per_rx"),
+                lookup(true, n, "state_bytes_per_rx"),
+            ) {
+                sf_state.push((n, a));
+                srm_state.push((n, b));
+            }
+            // The paper's crossover: scoped session traffic must be the
+            // cheaper one from CROSSOVER_N up, and already at the largest
+            // cell any run produces.
+            if (n >= CROSSOVER_N || Some(&n) == sizes.last()) && sf >= srm {
+                problems.push(format!(
+                    "no crossover at n={n}: sharqfec session {sf} >= srm {srm}"
+                ));
             }
         }
-    }
-    out
-}
 
-/// Least-squares slope of ln(y) against ln(x) — the fitted power-law
-/// exponent.  `None` with fewer than two usable points.
-fn loglog_slope(points: &[(f64, f64)]) -> Option<f64> {
-    let pts: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
-        .map(|&(x, y)| (x.ln(), y.ln()))
-        .collect();
-    if pts.len() < 2 {
-        return None;
-    }
-    let n = pts.len() as f64;
-    let (sx, sy): (f64, f64) = pts.iter().fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
-    let (sxx, sxy): (f64, f64) = pts
-        .iter()
-        .fold((0.0, 0.0), |(a, b), (x, y)| (a + x * x, b + x * y));
-    let denom = n * sxx - sx * sx;
-    (denom.abs() > 1e-12).then(|| (n * sxy - sx * sy) / denom)
-}
-
-/// Fitted-exponent margin [`check_json`] demands between SRM's and
-/// SHARQFEC's session-traffic growth (measured: ~2.0 vs ~1.4).
-pub const EXPONENT_MARGIN: f64 = 0.25;
-
-/// Validates a `BENCH_scale_sweep.json` summary (either the committed
-/// full sweep or a `--smoke` run): sweep-runner schema, every cell ok at
-/// full delivery with zero audit violations, both protocols at every
-/// size, SHARQFEC session traffic below SRM's at every size ≥
-/// [`CROSSOVER_N`] and at the largest size present, and — when three or
-/// more sizes are present — a smaller fitted session-traffic exponent
-/// plus flat-vs-growing per-receiver state.  Returns problems (empty =
-/// pass).
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
+        if sizes.len() < 3 {
+            return;
         }
-    }
-    if !text.contains("\"cells_failed\": 0") {
-        problems.push("has failed cells".to_string());
-    }
-
-    let cells = parse_cells(text);
-    if cells.is_empty() {
-        problems.push("no scale cells found".to_string());
-        return problems;
-    }
-    let mut sizes: Vec<usize> = cells.iter().map(|c| c.n).collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-
-    for c in &cells {
-        let label = format!("{}/n={}", if c.srm { "srm" } else { "sharqfec" }, c.n);
-        if !c.line.contains("\"status\": \"ok\"") {
-            problems.push(format!("cell {label:?} not ok"));
-            continue;
-        }
-        if metric_u64(c.line, "audit_violations") != Some(0) {
-            problems.push(format!("cell {label:?} has audit violations"));
-        }
-        if metric_u64(c.line, "unrecovered") != Some(0) {
-            problems.push(format!("cell {label:?} did not deliver everything"));
-        }
-    }
-
-    // A metric for one (protocol, size), when that cell exists and is ok.
-    let lookup = |srm: bool, n: usize, key: &str| -> Option<f64> {
-        let label = format!("{}/n={n}", if srm { "srm" } else { "sharqfec" });
-        metric_f64(cell_line(text, &label)?, key)
-    };
-
-    let mut sf_traffic = Vec::new();
-    let mut srm_traffic = Vec::new();
-    let mut sf_state = Vec::new();
-    let mut srm_state = Vec::new();
-    for &n in &sizes {
-        let (Some(sf), Some(srm)) = (
-            lookup(false, n, "session_norm"),
-            lookup(true, n, "session_norm"),
-        ) else {
-            problems.push(format!("size n={n} missing one of the two protocols"));
-            continue;
-        };
-        sf_traffic.push((n as f64, sf));
-        srm_traffic.push((n as f64, srm));
-        if let (Some(a), Some(b)) = (
-            lookup(false, n, "state_bytes_per_rx"),
-            lookup(true, n, "state_bytes_per_rx"),
-        ) {
-            sf_state.push((n, a));
-            srm_state.push((n, b));
-        }
-        // The paper's crossover: scoped session traffic must be the
-        // cheaper one from CROSSOVER_N up, and already at the largest
-        // cell any run produces.
-        if (n >= CROSSOVER_N || n == *sizes.last().expect("nonempty")) && sf >= srm {
-            problems.push(format!(
-                "no crossover at n={n}: sharqfec session {sf} >= srm {srm}"
-            ));
-        }
-    }
-
-    if sizes.len() >= 3 {
         match (loglog_slope(&sf_traffic), loglog_slope(&srm_traffic)) {
             (Some(sf), Some(srm)) if sf + EXPONENT_MARGIN < srm => {}
             (sf, srm) => problems.push(format!(
@@ -461,18 +441,118 @@ pub fn check_json(text: &str) -> Vec<String> {
             }
         }
     }
+}
 
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
+/// Least-squares slope of ln(y) against ln(x) — the fitted power-law
+/// exponent.  `None` with fewer than two usable points.
+fn loglog_slope(points: &[(f64, f64)]) -> Option<f64> {
+    let pts: Vec<(f64, f64)> = points
+        .iter()
+        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
+        .map(|&(x, y)| (x.ln(), y.ln()))
+        .collect();
+    if pts.len() < 2 {
+        return None;
     }
-    problems
+    let n = pts.len() as f64;
+    let (sx, sy): (f64, f64) = pts.iter().fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
+    let (sxx, sxy): (f64, f64) = pts
+        .iter()
+        .fold((0.0, 0.0), |(a, b), (x, y)| (a + x * x, b + x * y));
+    let denom = n * sxx - sx * sx;
+    (denom.abs() > 1e-12).then(|| (n * sxy - sx * sy) / denom)
+}
+
+/// Fitted-exponent margin `scale --check` demands between SRM's and
+/// SHARQFEC's session-traffic growth (measured: ~2.0 vs ~1.4).
+pub const EXPONENT_MARGIN: f64 = 0.25;
+
+/// `shard-scaling` — one SHARQFEC scale cell run serially and at
+/// increasing shard counts, verifying bit-identical results while
+/// reporting throughput per configuration.
+///
+/// The sharded engine is a conservative PDES: correctness never depends
+/// on shard count, so the only honest question is throughput.  On a
+/// single-core host the shard workers time-slice one CPU and the
+/// barrier protocol is pure overhead — expect speedup ≤ 1 there; the
+/// measurement is still useful as the determinism gate and as the
+/// baseline the multi-core numbers are read against.
+///
+/// # Panics
+///
+/// Panics if a sharded run diverges from the first configuration's.
+pub fn shard_scaling(args: &Args) {
+    let (receivers, packets, seed) = (args.receivers, args.packets, args.seed);
+    let shard_counts: &[usize] = if args.shards.is_empty() {
+        &[1, 2, 4, 8]
+    } else {
+        &args.shards
+    };
+    let cell = ScaleCell {
+        receivers,
+        srm: false,
+    };
+    println!(
+        "shard scaling on sharqfec/n={receivers} ({packets} packets, seed {seed}, \
+         host cores: {})",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    println!();
+
+    let runs: Vec<(f64, ScaleOutcome)> = shard_counts
+        .iter()
+        .map(|&shards| {
+            let start = Instant::now();
+            let outcome = run_cell(cell, seed, packets, shards);
+            (start.elapsed().as_secs_f64(), outcome)
+        })
+        .collect();
+
+    // Determinism gate: every sharded run must match the first run
+    // field-for-field on everything but throughput.
+    let (serial_wall, baseline) = &runs[0];
+    for (_, o) in &runs[1..] {
+        let same = o.session_deliveries == baseline.session_deliveries
+            && o.session_norm == baseline.session_norm
+            && o.data_repair == baseline.data_repair
+            && o.nacks == baseline.nacks
+            && o.unrecovered == baseline.unrecovered
+            && o.state_bytes_per_rx == baseline.state_bytes_per_rx
+            && o.peers_per_rx == baseline.peers_per_rx
+            && o.events == baseline.events
+            && o.audit == baseline.audit;
+        assert!(
+            same,
+            "sharded run ({} shards) diverged from the {}-shard baseline",
+            o.shards, baseline.shards
+        );
+    }
+
+    let mut t = Table::new(vec!["shards", "events", "wall s", "ev/s", "speedup"]);
+    for (wall, o) in &runs {
+        t.row(vec![
+            o.shards.to_string(),
+            o.events.to_string(),
+            format!("{wall:.1}"),
+            format!("{:.2e}", o.events_per_sec),
+            format!("{:.2}x", serial_wall / wall),
+        ]);
+    }
+    println!("{}", t.to_aligned());
+    println!();
+    println!(
+        "all {} configurations bit-identical ({} events, {} unrecovered, audit {})",
+        runs.len(),
+        baseline.events,
+        baseline.unrecovered,
+        if baseline.audit.ok() { "ok" } else { "FAILED" }
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::{summary_of, Metrics};
 
     #[test]
     fn plan_orders_cheap_cells_first_within_each_protocol() {
@@ -502,67 +582,56 @@ mod tests {
         assert!(loglog_slope(&[(1.0, 1.0)]).is_none());
     }
 
-    fn synthetic(cells: &[(&str, usize, &str)]) -> String {
-        let mut s = format!(
-            "{{\n  \"sweep\": \"{SWEEP_NAME}\",\n  \"threads\": 1,\n  \
-             \"wall_ms\": 1.0,\n  \"cells_ok\": {},\n  \"cells_failed\": 0,\n  \
-             \"cells\": [\n",
-            cells.len()
-        );
-        for (i, (proto, n, metrics)) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{proto}/n={n}\", \"seed\": 42, \"wall_ms\": 1.0, \
-                 \"status\": \"ok\", \"metrics\": {{{metrics}}}}}{}\n",
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The problems `--check` finds in a summary of `(protocol, n,
+    /// metrics)` cells.
+    fn synthetic(cells: &[(&str, usize, Metrics)]) -> Vec<String> {
+        let cells: Vec<_> = cells
+            .iter()
+            .map(|(proto, n, metrics)| (format!("{proto}/n={n}"), metrics.clone()))
+            .collect();
+        cli::check_summary(&Scale, &summary_of(Scale.name(), &cells))
     }
 
-    fn healthy_metrics(session: f64, state: f64) -> String {
-        format!(
-            "\"session_norm\": {session}, \"state_bytes_per_rx\": {state}, \
-             \"unrecovered\": 0, \"audit_violations\": 0"
-        )
+    fn healthy_metrics(session: f64, state: f64) -> Metrics {
+        vec![
+            ("session_norm", session),
+            ("state_bytes_per_rx", state),
+            ("unrecovered", 0.0),
+            ("audit_violations", 0.0),
+        ]
     }
 
     #[test]
     fn check_passes_a_healthy_sweep_and_catches_a_missing_crossover() {
         // SHARQFEC ~n^1.3, SRM ~n^2, SF state flat, SRM state linear.
         let good = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("sharqfec", 10000, &healthy_metrics(1.6e6, 4000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
-            ("srm", 10000, &healthy_metrics(5e8, 300000.0)),
+            ("sharqfec", 100, healthy_metrics(4e3, 2000.0)),
+            ("sharqfec", 1000, healthy_metrics(8e4, 3000.0)),
+            ("sharqfec", 10000, healthy_metrics(1.6e6, 4000.0)),
+            ("srm", 100, healthy_metrics(5e4, 3000.0)),
+            ("srm", 1000, healthy_metrics(5e6, 30000.0)),
+            ("srm", 10000, healthy_metrics(5e8, 300000.0)),
         ]);
-        assert_eq!(check_json(&good), Vec::<String>::new());
+        assert_eq!(good, Vec::<String>::new());
 
         // SHARQFEC above SRM at the crossover bound must fail.
         let crossed = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("sharqfec", 10000, &healthy_metrics(6e8, 4000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
-            ("srm", 10000, &healthy_metrics(5e8, 300000.0)),
+            ("sharqfec", 100, healthy_metrics(4e3, 2000.0)),
+            ("sharqfec", 1000, healthy_metrics(8e4, 3000.0)),
+            ("sharqfec", 10000, healthy_metrics(6e8, 4000.0)),
+            ("srm", 100, healthy_metrics(5e4, 3000.0)),
+            ("srm", 1000, healthy_metrics(5e6, 30000.0)),
+            ("srm", 10000, healthy_metrics(5e8, 300000.0)),
         ]);
-        assert!(check_json(&crossed)
+        assert!(crossed
             .iter()
             .any(|p| p.contains("no crossover at n=10000")));
 
         // An audit violation must fail.
-        let violated = synthetic(&[(
-            "sharqfec",
-            100,
-            "\"session_norm\": 1, \"state_bytes_per_rx\": 1, \
-             \"unrecovered\": 0, \"audit_violations\": 2",
-        )]);
-        assert!(check_json(&violated)
-            .iter()
-            .any(|p| p.contains("audit violations")));
+        let mut metrics = healthy_metrics(1.0, 1.0);
+        metrics[3].1 = 2.0;
+        let violated = synthetic(&[("sharqfec", 100, metrics)]);
+        assert!(violated.iter().any(|p| p.contains("audit violations")));
     }
 
     /// The sharded engine must not change a single published number:
@@ -598,20 +667,20 @@ mod tests {
         // Two sizes: crossover at the largest is enforced, exponents are
         // not (the fit needs three points).
         let smoke = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
+            ("sharqfec", 100, healthy_metrics(4e3, 2000.0)),
+            ("sharqfec", 1000, healthy_metrics(8e4, 3000.0)),
+            ("srm", 100, healthy_metrics(5e4, 3000.0)),
+            ("srm", 1000, healthy_metrics(5e6, 30000.0)),
         ]);
-        assert_eq!(check_json(&smoke), Vec::<String>::new());
+        assert_eq!(smoke, Vec::<String>::new());
 
         let inverted = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(9e6, 3000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
+            ("sharqfec", 100, healthy_metrics(4e3, 2000.0)),
+            ("sharqfec", 1000, healthy_metrics(9e6, 3000.0)),
+            ("srm", 100, healthy_metrics(5e4, 3000.0)),
+            ("srm", 1000, healthy_metrics(5e6, 30000.0)),
         ]);
-        assert!(check_json(&inverted)
+        assert!(inverted
             .iter()
             .any(|p| p.contains("no crossover at n=1000")));
     }

@@ -1,4 +1,4 @@
-//! The audited workload-scenario sweep (`scenario_sweep` binary): flash
+//! The audited workload-scenario sweep (the `scenario` subcommand): flash
 //! crowds, membership churn, and correlated regional outages on the
 //! hierarchical `topology::scaled` generator, every cell running under
 //! the streaming invariant auditor.
@@ -12,7 +12,7 @@
 //! down to ordinary DES events, so a cell remains a pure function of
 //! `(cell, seed)` and bit-identical at any `--shards` value.
 //!
-//! Reported per cell, and gated by [`check_json`]:
+//! Reported per cell, and gated both live and by `scenario --check`:
 //!
 //! * `unrecovered` — must be 0: every receiver, including every flash
 //!   joiner and every churned node, ends the run complete;
@@ -28,13 +28,14 @@
 //!
 //! The default grid crosses flash ∈ {0, 64, 256} with churn and outage
 //! on/off at n = 500, then appends [`FLASH_10K`] — the 10⁴-receiver
-//! flash-crowd acceptance cell.
+//! flash-crowd acceptance cell; `--smoke` runs the three-cell CI grid.
 
-use crate::policy::{cell_line, metric_f64, metric_u64};
+use crate::cli::{self, Args, Ran, Sweep};
 use crate::AuditOutcome;
 use sharqfec::{member_channels, setup_sharqfec_scenario_builder, SfAgent, SharqfecConfig};
 use sharqfec_netsim::prelude::FaultPlan;
 use sharqfec_netsim::probe::AuditConfig;
+use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::{
     ChannelId, NodeId, RecorderMode, RunSpec, ScenarioPlan, SimDuration, SimTime, TrafficClass,
 };
@@ -42,8 +43,9 @@ use sharqfec_scoping::ZoneId;
 use sharqfec_topology::{scaled_tree, ScaledTopology, ScaledTreeParams};
 use std::time::Instant;
 
-/// Sweep name; the summary lands in `results/BENCH_scenario_sweep.json`.
-pub const SWEEP_NAME: &str = "BENCH_scenario_sweep";
+/// The `scenario` sweep; the summary lands in
+/// `results/BENCH_scenario_sweep.json`.
+pub struct Scenarios;
 
 /// Per-member repair-delivery bound for flash joiners, as a multiple of
 /// the stream length: a joiner missed at most the whole stream, so
@@ -232,7 +234,7 @@ pub struct ScenarioOutcome {
     /// Events processed.
     pub events: u64,
     /// Events per wall-clock second (machine-dependent; excluded from
-    /// every [`check_json`] assertion).
+    /// every `--check` assertion).
     pub events_per_sec: f64,
     /// Engine shards the cell ran with (1 = serial).  Results are
     /// bit-identical at any shard count; only throughput may differ.
@@ -309,14 +311,7 @@ pub fn run_cell(cell: ScenarioCell, seed: u64, packets: u32, shards: usize) -> S
         .iter()
         .map(|&j| rec.delivered_count(j, TrafficClass::Repair) as u64)
         .sum();
-    let audit = engine
-        .audit_report()
-        .map(|r| AuditOutcome {
-            events: r.events,
-            violations: r.violations.len(),
-            summary: r.summary(),
-        })
-        .expect("every scenario cell is audited");
+    let audit = crate::audit_outcome(&engine).expect("every scenario cell is audited");
 
     ScenarioOutcome {
         label: cell.label(),
@@ -339,155 +334,160 @@ pub fn run_cell(cell: ScenarioCell, seed: u64, packets: u32, shards: usize) -> S
     }
 }
 
-/// The per-cell numbers published to the summary JSON.
-pub fn metrics(o: &ScenarioOutcome) -> Vec<(String, f64)> {
-    vec![
-        ("receivers".into(), o.receivers as f64),
-        ("flash".into(), o.flash as f64),
-        ("packets".into(), o.packets as f64),
-        ("unrecovered".into(), o.unrecovered as f64),
-        ("flash_repairs".into(), o.flash_repairs as f64),
-        ("flash_repair_per_member".into(), o.flash_repair_per_member),
-        ("nacks".into(), o.nacks as f64),
-        ("repairs".into(), o.repairs as f64),
-        ("events".into(), o.events as f64),
-        ("events_per_sec".into(), o.events_per_sec),
-        ("shards".into(), o.shards as f64),
-        ("audit_events".into(), o.audit.events as f64),
-        ("audit_violations".into(), o.audit.violations as f64),
-    ]
+/// The flash-repair bound, shared by the live failure rule and
+/// `--check`: a flash crowd's per-member repair deliveries must stay
+/// under [`REPAIR_BOUND_FACTOR`] × the stream length.
+fn flash_repairs_unbounded(flash: usize, per_member: f64, packets: f64) -> bool {
+    flash > 0 && per_member > REPAIR_BOUND_FACTOR * packets
 }
 
-/// One parsed cell of a summary.
-struct ParsedCell<'a> {
-    label: String,
-    flash: usize,
-    churn: bool,
-    outage: bool,
-    line: &'a str,
+/// The value of `key` in a cell label's `key=value/key=value/…` form.
+fn label_field<'a>(label: &'a str, key: &str) -> Option<&'a str> {
+    label
+        .split('/')
+        .find_map(|part| part.strip_prefix(key)?.strip_prefix('='))
 }
 
-fn parse_cells(text: &str) -> Vec<ParsedCell<'_>> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let tag = "\"scenario\": \"n=";
-        let Some(pos) = line.find(tag) else { continue };
-        let rest = &line[pos + "\"scenario\": \"".len()..];
-        let Some(end) = rest.find('"') else { continue };
-        let label = rest[..end].to_string();
-        let field = |key: &str| -> Option<&str> {
-            label
-                .split('/')
-                .find_map(|part| part.strip_prefix(key).and_then(|v| v.strip_prefix('=')))
+impl Sweep for Scenarios {
+    type Cell = ScenarioCell;
+    type Outcome = ScenarioOutcome;
+
+    fn name(&self) -> &'static str {
+        "BENCH_scenario_sweep"
+    }
+
+    fn plan(&self, args: &Args) -> Vec<(String, ScenarioCell)> {
+        let grid = if args.smoke {
+            smoke_grid()
+        } else {
+            default_grid()
         };
-        let (Some(flash), Some(churn), Some(outage)) = (
-            field("flash").map(str::to_string),
-            field("churn").map(str::to_string),
-            field("outage").map(str::to_string),
-        ) else {
-            continue;
-        };
-        let Ok(flash) = flash.parse::<usize>() else {
-            continue;
-        };
-        out.push(ParsedCell {
-            label,
-            flash,
-            churn: churn == "on",
-            outage: outage == "on",
-            line,
+        grid.into_iter().map(|c| (c.label(), c)).collect()
+    }
+
+    fn run(&self, cell: &ScenarioCell, args: &Args) -> ScenarioOutcome {
+        run_cell(*cell, args.seed, args.packets, args.shard_count())
+    }
+
+    fn metrics(&self, o: &ScenarioOutcome) -> Vec<(String, f64)> {
+        vec![
+            ("receivers".into(), o.receivers as f64),
+            ("flash".into(), o.flash as f64),
+            ("packets".into(), o.packets as f64),
+            ("unrecovered".into(), o.unrecovered as f64),
+            ("flash_repairs".into(), o.flash_repairs as f64),
+            ("flash_repair_per_member".into(), o.flash_repair_per_member),
+            ("nacks".into(), o.nacks as f64),
+            ("repairs".into(), o.repairs as f64),
+            ("events".into(), o.events as f64),
+            ("events_per_sec".into(), o.events_per_sec),
+            ("shards".into(), o.shards as f64),
+            ("audit_events".into(), o.audit.events as f64),
+            ("audit_violations".into(), o.audit.violations as f64),
+        ]
+    }
+
+    fn print(&self, args: &Args, ran: Ran, outcomes: &[ScenarioOutcome]) {
+        let title = format!(
+            "Workload-scenario sweep ({} packets, scaled trees, audited \
+             membership, seed {})",
+            args.packets, args.seed
+        );
+        let header = vec![
+            "cell",
+            "unrec",
+            "flash rep/member",
+            "nacks",
+            "repairs",
+            "events",
+            "ev/s",
+            "audit",
+        ];
+        let rows = outcomes.iter().map(|o| {
+            vec![
+                o.label.clone(),
+                o.unrecovered.to_string(),
+                format!("{:.1}", o.flash_repair_per_member),
+                o.nacks.to_string(),
+                o.repairs.to_string(),
+                o.events.to_string(),
+                format!("{:.2e}", o.events_per_sec),
+                cli::audit_column(&o.audit),
+            ]
         });
-    }
-    out
-}
-
-/// Validates a `BENCH_scenario_sweep.json` summary (committed full grid
-/// or a `--smoke` run): sweep-runner schema; every cell ok with zero
-/// audit violations at full delivery; the grid covers a flash crowd, a
-/// churn cell, and an outage cell; flash cells' per-member repair
-/// deliveries under [`REPAIR_BOUND_FACTOR`] × the stream length, quiet
-/// cells' at zero.  Returns problems (empty = pass).
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
-        }
-    }
-    if !text.contains("\"cells_failed\": 0") {
-        problems.push("has failed cells".to_string());
+        cli::print_table(&title, ran, "streaming", header, rows);
     }
 
-    let cells = parse_cells(text);
-    if cells.is_empty() {
-        problems.push("no scenario cells found".to_string());
-        return problems;
-    }
-    if !cells.iter().any(|c| c.flash > 0) {
-        problems.push("grid has no flash-crowd cell".to_string());
-    }
-    if !cells.iter().any(|c| c.churn) {
-        problems.push("grid has no churn cell".to_string());
-    }
-    if !cells.iter().any(|c| c.outage) {
-        problems.push("grid has no outage cell".to_string());
+    fn failures(&self, o: &ScenarioOutcome) -> Vec<String> {
+        let mut failures: Vec<String> = cli::audit_failure(&o.label, &o.audit)
+            .into_iter()
+            .chain(cli::delivery_failure(&o.label, o.unrecovered))
+            .collect();
+        if flash_repairs_unbounded(o.flash, o.flash_repair_per_member, o.packets as f64) {
+            failures.push(format!(
+                "{}: joining-zone repair traffic unbounded ({:.1}/member)",
+                o.label, o.flash_repair_per_member
+            ));
+        }
+        failures
     }
 
-    for c in &cells {
-        let label = &c.label;
-        if !c.line.contains("\"status\": \"ok\"") {
-            problems.push(format!("cell {label:?} not ok"));
-            continue;
+    /// Over the committed full grid or a `--smoke` run: the grid covers a
+    /// flash crowd, a churn cell, and an outage cell; flash cells'
+    /// per-member repair deliveries are positive and bounded, quiet
+    /// cells' zero.
+    fn check(&self, summary: &SweepSummary, problems: &mut Vec<String>) {
+        let labels = || summary.cells.iter().map(|c| c.scenario.as_str());
+        if !labels().any(|l| label_field(l, "flash").is_some_and(|f| f != "0")) {
+            problems.push("grid has no flash-crowd cell".to_string());
         }
-        let line = cell_line(text, label).unwrap_or(c.line);
-        if metric_u64(line, "audit_violations") != Some(0) {
-            problems.push(format!("cell {label:?} has audit violations"));
+        if !labels().any(|l| label_field(l, "churn") == Some("on")) {
+            problems.push("grid has no churn cell".to_string());
         }
-        if metric_u64(line, "unrecovered") != Some(0) {
-            problems.push(format!("cell {label:?} did not deliver everything"));
+        if !labels().any(|l| label_field(l, "outage") == Some("on")) {
+            problems.push("grid has no outage cell".to_string());
         }
-        let per_member = metric_f64(line, "flash_repair_per_member");
-        let packets = metric_f64(line, "packets");
-        match (c.flash, per_member, packets) {
-            (0, Some(pm), _) if pm != 0.0 => {
+
+        for c in summary.cells.iter().filter(|c| c.result.is_ok()) {
+            let label = &c.scenario;
+            let Some(flash) = label_field(label, "flash").and_then(|f| f.parse::<usize>().ok())
+            else {
+                problems.push(format!("cell {label:?} is not a scenario cell"));
+                continue;
+            };
+            let Some(pm) = c.metric("flash_repair_per_member") else {
+                problems.push(format!("cell {label:?} missing flash_repair_per_member"));
+                continue;
+            };
+            if flash == 0 {
+                if pm != 0.0 {
+                    problems.push(format!(
+                        "cell {label:?} has flash repairs without a flash crowd"
+                    ));
+                }
+                continue;
+            }
+            if pm <= 0.0 {
                 problems.push(format!(
-                    "cell {label:?} has flash repairs without a flash crowd"
+                    "cell {label:?}: flash joiners recovered without repairs (pm={pm})"
                 ));
             }
-            (f, Some(pm), Some(p)) if f > 0 => {
-                if pm <= 0.0 {
-                    problems.push(format!(
-                        "cell {label:?}: flash joiners recovered without repairs (pm={pm})"
-                    ));
-                }
-                if pm > REPAIR_BOUND_FACTOR * p {
-                    problems.push(format!(
-                        "cell {label:?}: joining-zone repair traffic unbounded: \
-                         {pm} repairs/member > {REPAIR_BOUND_FACTOR} x {p} packets"
-                    ));
-                }
+            match c.metric("packets") {
+                Some(p) if flash_repairs_unbounded(flash, pm, p) => problems.push(format!(
+                    "cell {label:?}: joining-zone repair traffic unbounded: \
+                     {pm} repairs/member > {REPAIR_BOUND_FACTOR} x {p} packets"
+                )),
+                Some(_) => {}
+                None => problems.push(format!("cell {label:?} missing packets")),
             }
-            (_, None, _) => {
-                problems.push(format!("cell {label:?} missing flash_repair_per_member"));
-            }
-            _ => {}
         }
     }
-
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
-    }
-    problems
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::{summary_of, Metrics};
 
     #[test]
     fn grids_cover_every_disruption_kind() {
@@ -576,56 +576,44 @@ mod tests {
         assert_eq!(o.audit.violations, 0, "audit: {}", o.audit.summary);
     }
 
-    fn synthetic(cells: &[(&str, &str)]) -> String {
-        let mut s = format!(
-            "{{\n  \"sweep\": \"{SWEEP_NAME}\",\n  \"threads\": 1,\n  \
-             \"wall_ms\": 1.0,\n  \"cells_ok\": {},\n  \"cells_failed\": 0,\n  \
-             \"cells\": [\n",
-            cells.len()
-        );
-        for (i, (label, metrics)) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{label}\", \"seed\": 42, \"wall_ms\": 1.0, \
-                 \"status\": \"ok\", \"metrics\": {{{metrics}}}}}{}\n",
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The problems `--check` finds in a summary of `(label, metrics)` cells.
+    fn synthetic(cells: &[(&str, Metrics)]) -> Vec<String> {
+        let cells: Vec<_> = cells
+            .iter()
+            .map(|(label, metrics)| (label.to_string(), metrics.clone()))
+            .collect();
+        cli::check_summary(&Scenarios, &summary_of(Scenarios.name(), &cells))
     }
 
-    fn healthy(per_member: f64) -> String {
-        format!(
-            "\"packets\": 64, \"unrecovered\": 0, \"audit_violations\": 0, \
-             \"flash_repair_per_member\": {per_member}"
-        )
+    fn healthy(per_member: f64) -> Metrics {
+        vec![
+            ("packets", 64.0),
+            ("unrecovered", 0.0),
+            ("audit_violations", 0.0),
+            ("flash_repair_per_member", per_member),
+        ]
     }
 
     #[test]
     fn check_passes_healthy_and_catches_unbounded_flash_repairs() {
         let good = synthetic(&[
-            ("n=500/flash=0/churn=on/outage=off", &healthy(0.0)),
-            ("n=500/flash=64/churn=off/outage=on", &healthy(70.0)),
+            ("n=500/flash=0/churn=on/outage=off", healthy(0.0)),
+            ("n=500/flash=64/churn=off/outage=on", healthy(70.0)),
         ]);
-        assert_eq!(check_json(&good), Vec::<String>::new());
+        assert_eq!(good, Vec::<String>::new());
 
         // A flash cell pulling repairs past the zone bound must fail.
         let unbounded = synthetic(&[
-            ("n=500/flash=0/churn=on/outage=off", &healthy(0.0)),
-            ("n=500/flash=64/churn=off/outage=on", &healthy(900.0)),
+            ("n=500/flash=0/churn=on/outage=off", healthy(0.0)),
+            ("n=500/flash=64/churn=off/outage=on", healthy(900.0)),
         ]);
-        assert!(check_json(&unbounded)
-            .iter()
-            .any(|p| p.contains("unbounded")));
+        assert!(unbounded.iter().any(|p| p.contains("unbounded")));
 
         // A violation must fail, and a grid without churn must fail.
-        let violated = synthetic(&[(
-            "n=500/flash=64/churn=off/outage=on",
-            "\"packets\": 64, \"unrecovered\": 0, \"audit_violations\": 3, \
-             \"flash_repair_per_member\": 70.0",
-        )]);
-        let problems = check_json(&violated);
-        assert!(problems.iter().any(|p| p.contains("audit violations")));
-        assert!(problems.iter().any(|p| p.contains("no churn cell")));
+        let mut metrics = healthy(70.0);
+        metrics[2].1 = 3.0;
+        let violated = synthetic(&[("n=500/flash=64/churn=off/outage=on", metrics)]);
+        assert!(violated.iter().any(|p| p.contains("audit violations")));
+        assert!(violated.iter().any(|p| p.contains("no churn cell")));
     }
 }

@@ -153,11 +153,12 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// when the topology is a tree; per-source routing trees are computed
     /// lazily on first use so fault-driven invalidation stays cheap, and
     /// are never computed at all on fault-free tree topologies (see
-    /// [`Engine::schedule_faults`]).
+    /// [`EngineBuilder::fault_plan`]).
     ///
-    /// Prefer [`EngineBuilder`], which configures channels, agents,
-    /// recorder mode, and the fault plan in one place.
-    pub fn new(topo: Topology, seed: u64) -> Engine<M> {
+    /// Crate-internal: [`EngineBuilder`] is the public way to construct
+    /// an engine, configuring channels, agents, recorder mode, and the
+    /// fault plan in one place.
+    pub(crate) fn new(topo: Topology, seed: u64) -> Engine<M> {
         let n = topo.node_count();
         let mut root = SimRng::new(seed);
         let loss_base = root.split(u64::MAX);
@@ -300,7 +301,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     }
 
     /// Registers a multicast channel over the given members.
-    pub fn add_channel(&mut self, members: &[NodeId]) -> ChannelId {
+    pub(crate) fn add_channel(&mut self, members: &[NodeId]) -> ChannelId {
         let id = ChannelId(self.channels.len() as u32);
         self.channels
             .push(Channel::new(self.topo.node_count(), members));
@@ -313,7 +314,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     }
 
     /// Attaches an agent to a node and schedules its `on_start` at t = 0.
-    pub fn set_agent(&mut self, node: NodeId, agent: Box<dyn Agent<M>>) {
+    #[cfg(test)]
+    pub(crate) fn set_agent(&mut self, node: NodeId, agent: Box<dyn Agent<M>>) {
         self.attach_agent(node, agent, SimTime::ZERO);
     }
 
@@ -334,7 +336,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// fast path for the rest of the run: packets already in a subtree
     /// must observe the live link mask and rerouted trees, which only the
     /// masked-SPT path models.
-    pub fn schedule_faults(&mut self, plan: &FaultPlan) {
+    pub(crate) fn schedule_faults(&mut self, plan: &FaultPlan) {
         if plan
             .events()
             .iter()
@@ -364,7 +366,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// never disables the tree-forwarding fast path and invalidates no
     /// routing tree: scope pruning consults live membership per hop, so
     /// the membership flip is visible to the very next packet.
-    pub fn schedule_membership(&mut self, when: SimTime, ev: MembershipEvent) {
+    pub(crate) fn schedule_membership(&mut self, when: SimTime, ev: MembershipEvent) {
         assert!(
             when >= self.now,
             "membership event at {when:?} is in the past (now = {:?})",
@@ -859,9 +861,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
 /// channels, agents with start times, and fault plan — then produces a
 /// runnable [`Engine`].
 ///
-/// Channel ids are assigned in registration order starting at 0, exactly
-/// as [`Engine::add_channel`] does, so a builder-constructed scenario is
-/// bit-identical to the equivalent imperative setup.
+/// Channel ids are assigned in registration order starting at 0.
 ///
 /// ```
 /// use sharqfec_netsim::prelude::*;

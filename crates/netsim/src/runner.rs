@@ -16,7 +16,9 @@
 //!   scenario and seed; the other cells complete normally.
 //! * **Reporting** — [`SweepResults::write_json`] writes a
 //!   machine-readable summary (status, wall time, and caller-chosen
-//!   metrics per cell) under a results directory.
+//!   metrics per cell) under a results directory, and
+//!   [`SweepSummary::parse`] reads one back: the summary format lives
+//!   in this module and nowhere else.
 //!
 //! Wall-clock fields in the summary are measured, hence *not*
 //! deterministic; every simulation metric is.
@@ -286,6 +288,260 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// A sweep summary read back from the JSON [`SweepResults::to_json`]
+/// writes — the one reader of that format.  [`SweepSummary::parse`] is
+/// the writer's inverse: it accepts exactly the fields the writer emits,
+/// in the writer's order, in any whitespace layout, and nothing else.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepSummary {
+    /// Sweep name (the summary file's stem).
+    pub sweep: String,
+    /// Worker threads the sweep ran on.
+    pub threads: usize,
+    /// Wall-clock milliseconds for the whole sweep.
+    pub wall_ms: f64,
+    /// The writer's count of cells that completed.
+    pub cells_ok: usize,
+    /// The writer's count of cells that panicked.
+    pub cells_failed: usize,
+    /// Per-cell records, in cell order.
+    pub cells: Vec<SummaryCell>,
+}
+
+/// One cell of a [`SweepSummary`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct SummaryCell {
+    /// Scenario label.
+    pub scenario: String,
+    /// RNG seed the cell ran at.
+    pub seed: u64,
+    /// Wall-clock milliseconds the cell took.
+    pub wall_ms: f64,
+    /// An ok cell's metrics in written order (`None` is a non-finite
+    /// value, written as `null`), or a panicked cell's error message.
+    pub result: Result<Vec<(String, Option<f64>)>, String>,
+}
+
+/// Why a document is not a sweep summary: what the reader needed, and
+/// the byte offset at which it was missing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset into the document.
+    pub offset: usize,
+    /// What the reader expected there.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "byte {}: expected {}", self.offset, self.expected)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl SweepSummary {
+    /// Parses a summary document: the writer's fields in the writer's
+    /// order, in any whitespace layout.  Recursive descent directed by
+    /// the summary's own shape, so nesting is bounded by construction
+    /// (document → cells → cell → metrics) whatever the input holds.
+    pub fn parse(text: &str) -> Result<SweepSummary, ParseError> {
+        let mut r = Reader { text, pos: 0 };
+        let summary = SweepSummary {
+            sweep: r.field("{", "\"sweep\"")?.string()?,
+            threads: r.field(",", "\"threads\"")?.number("a thread count")?,
+            wall_ms: r.field(",", "\"wall_ms\"")?.number("a number")?,
+            cells_ok: r.field(",", "\"cells_ok\"")?.number("a cell count")?,
+            cells_failed: r.field(",", "\"cells_failed\"")?.number("a cell count")?,
+            cells: r.field(",", "\"cells\"")?.list("[", "]", Reader::cell)?,
+        };
+        r.token("}")?;
+        r.skip_ws();
+        if r.pos != text.len() {
+            return r.err("end of document");
+        }
+        Ok(summary)
+    }
+
+    /// The cell with the given scenario label (the first, if several
+    /// seeds share it).
+    pub fn cell(&self, scenario: &str) -> Option<&SummaryCell> {
+        self.cells.iter().find(|c| c.scenario == scenario)
+    }
+}
+
+impl SummaryCell {
+    /// A metric's value; `None` when the cell panicked, the metric is
+    /// absent, or it was written as `null`.
+    pub fn metric(&self, key: &str) -> Option<f64> {
+        let metrics = self.result.as_ref().ok()?;
+        metrics.iter().find(|(k, _)| k == key)?.1
+    }
+}
+
+/// Cursor over a summary document.  `pos` only ever advances past ASCII
+/// bytes or to an index `str::find` returned, so it stays on a character
+/// boundary.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+type Parsed<T> = Result<T, ParseError>;
+
+impl<'a> Reader<'a> {
+    fn err<T>(&self, expected: &'static str) -> Parsed<T> {
+        Err(ParseError {
+            offset: self.pos,
+            expected,
+        })
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    fn skip_ws(&mut self) {
+        let blank = |c: char| matches!(c, ' ' | '\n' | '\r' | '\t');
+        self.pos = self.text.len() - self.rest().trim_start_matches(blank).len();
+    }
+
+    /// Skips whitespace, then consumes `token` if it is next.
+    fn eat(&mut self, token: &str) -> bool {
+        self.skip_ws();
+        let hit = self.rest().starts_with(token);
+        self.pos += if hit { token.len() } else { 0 };
+        hit
+    }
+
+    fn token(&mut self, token: &'static str) -> Parsed<()> {
+        if self.eat(token) {
+            Ok(())
+        } else {
+            self.err(token)
+        }
+    }
+
+    /// `open "key" :`, leaving the cursor at the field's value.
+    fn field(&mut self, open: &'static str, key: &'static str) -> Parsed<&mut Self> {
+        self.token(open)?;
+        self.token(key)?;
+        self.token(":")?;
+        Ok(self)
+    }
+
+    /// `open (item (, item)*)? close`.
+    fn list<T>(
+        &mut self,
+        open: &'static str,
+        close: &'static str,
+        item: fn(&mut Self) -> Parsed<T>,
+    ) -> Parsed<Vec<T>> {
+        self.token(open)?;
+        let mut items = Vec::new();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat(close) {
+                return Ok(items);
+            }
+            self.token(",")?;
+        }
+    }
+
+    fn string(&mut self) -> Parsed<String> {
+        if !self.eat("\"") {
+            return self.err("a string");
+        }
+        let mut out = String::new();
+        loop {
+            let rest = self.rest();
+            let Some(i) = rest.find(['"', '\\']) else {
+                self.pos = self.text.len();
+                return self.err("a closing '\"'");
+            };
+            out.push_str(&rest[..i]);
+            self.pos += i + 1;
+            if rest.as_bytes()[i] == b'"' {
+                return Ok(out);
+            }
+            let escape = self.rest().chars().next();
+            out.push(match escape {
+                Some(c @ ('"' | '\\' | '/')) => c,
+                Some('n') => '\n',
+                Some('r') => '\r',
+                Some('t') => '\t',
+                Some('b') => '\u{8}',
+                Some('f') => '\u{c}',
+                Some('u') => {
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32);
+                    match code {
+                        Some(c) => {
+                            self.pos += 4;
+                            c
+                        }
+                        None => return self.err("\\u and four hex digits of a scalar value"),
+                    }
+                }
+                _ => return self.err("an escape character"),
+            });
+            self.pos += 1;
+        }
+    }
+
+    fn number<T: std::str::FromStr>(&mut self, expected: &'static str) -> Parsed<T> {
+        self.skip_ws();
+        let digits = |c: char| matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E');
+        let len = self.rest().len() - self.rest().trim_start_matches(digits).len();
+        match self.rest()[..len].parse() {
+            Ok(v) => {
+                self.pos += len;
+                Ok(v)
+            }
+            Err(_) => self.err(expected),
+        }
+    }
+
+    /// `"name": <number or null>`.
+    fn metric(&mut self) -> Parsed<(String, Option<f64>)> {
+        let name = self.string()?;
+        self.token(":")?;
+        let value = if self.eat("null") {
+            None
+        } else {
+            Some(self.number("a number or null")?)
+        };
+        Ok((name, value))
+    }
+
+    fn cell(&mut self) -> Parsed<SummaryCell> {
+        let scenario = self.field("{", "\"scenario\"")?.string()?;
+        let seed = self.field(",", "\"seed\"")?.number("an unsigned seed")?;
+        let wall_ms = self.field(",", "\"wall_ms\"")?.number("a number")?;
+        let result = match self.field(",", "\"status\"")?.string()?.as_str() {
+            "ok" => Ok(self
+                .field(",", "\"metrics\"")?
+                .list("{", "}", Reader::metric)?),
+            "panicked" => Err(self.field(",", "\"error\"")?.string()?),
+            _ => return self.err("status \"ok\" or \"panicked\""),
+        };
+        self.token("}")?;
+        Ok(SummaryCell {
+            scenario,
+            seed,
+            wall_ms,
+            result,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,17 +610,67 @@ mod tests {
     }
 
     #[test]
-    fn json_summary_is_well_formed() {
-        let res = run_sweep(grid(&["a\"b"], &[1, 2]), two_threads(), |c| c.seed as f64);
+    fn json_summary_reads_back() {
+        let res = run_sweep(grid(&["a\"b"], &[1, 2]), two_threads(), |c| {
+            if c.seed == 2 {
+                panic!("boom");
+            }
+            c.seed as f64
+        });
         let json = res.to_json("unit", |v| vec![("value".to_string(), *v)]);
-        assert!(json.contains("\"sweep\": \"unit\""));
-        assert!(json.contains("\"a\\\"b\""), "scenario quotes escaped");
-        assert!(json.contains("\"value\": 1"));
-        assert!(json.contains("\"cells_ok\": 2"));
-        // Smoke-parse: balanced braces/brackets, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
+        let summary = SweepSummary::parse(&json).expect("the writer's output parses");
+        assert_eq!(summary.sweep, "unit");
+        assert_eq!((summary.cells_ok, summary.cells_failed), (1, 1));
+        let ok = summary.cell("a\"b").expect("scenario quotes survive");
+        assert_eq!((ok.seed, ok.metric("value")), (1, Some(1.0)));
+        assert_eq!(ok.metric("absent"), None);
+        let msg = summary.cells[1].result.as_ref().unwrap_err();
+        assert!(msg.contains("seed 2") && msg.contains("boom"), "{msg}");
+    }
+
+    /// Malformed documents are typed errors carrying the offending
+    /// offset — never a panic, and never recursion the input controls.
+    #[test]
+    fn parse_rejections_are_typed() {
+        let good = run_sweep(grid(&["s"], &[1]), NonZeroUsize::MIN, |c| c.seed as f64)
+            .to_json("unit", |v| vec![("value".to_string(), *v)]);
+        assert!(SweepSummary::parse(&good).is_ok());
+        let rejected = |text: &str| SweepSummary::parse(text).expect_err("must be rejected");
+
+        for cut in 0..good.trim_end().len() {
+            if good.is_char_boundary(cut) {
+                assert!(rejected(&good[..cut]).offset <= cut, "truncated at {cut}");
+            }
+        }
+        let trailing = rejected(&format!("{good}x"));
+        assert_eq!(
+            (trailing.offset, trailing.expected),
+            (good.len(), "end of document")
+        );
+        assert_eq!(
+            rejected("{\"sweep\": \"never closed").expected,
+            "a closing '\"'"
+        );
+        assert_eq!(
+            rejected("{\"sweep\": \"a\\qb\"}").expected,
+            "an escape character"
+        );
+        // A lone surrogate is not a scalar value.
+        assert!(rejected("{\"sweep\": \"\\ud800\"}")
+            .expected
+            .contains("hex digits"));
+        let deep = "[".repeat(10_000);
+        assert_eq!(rejected(&deep).offset, 0);
+        let deep_metric = good.replace("\"value\": 1", &format!("\"value\": {deep}"));
+        assert_eq!(rejected(&deep_metric).expected, "a number or null");
+        assert_eq!(
+            rejected(&good.replace("\"threads\"", "\"cores\"")).expected,
+            "\"threads\""
+        );
+        assert_eq!(
+            rejected(&good.replace("\"status\": \"ok\"", "\"status\": \"fine\"")).expected,
+            "status \"ok\" or \"panicked\""
+        );
     }
 
     #[test]
@@ -394,8 +700,7 @@ mod tests {
             }
         }
 
-        let cells = grid(&["lossy"], &[1, 2, 3, 4]);
-        let res = run_sweep(cells, two_threads(), |c| {
+        let lossy_link = |c: &Cell| {
             let mut b = TopologyBuilder::new();
             let n0 = b.add_node("0");
             let n1 = b.add_node("1");
@@ -412,28 +717,12 @@ mod tests {
             e.advance(RunSpec::drain());
             e.recorder()
                 .delivered_count(n1, crate::metrics::TrafficClass::Data)
-        });
-        let values = res.into_values();
+        };
+        let cells = || grid(&["lossy"], &[1, 2, 3, 4]);
+        let values = run_sweep(cells(), two_threads(), lossy_link).into_values();
         assert_eq!(values.len(), 4);
         // Deterministic per seed: running again yields the same numbers.
-        let again = run_sweep(grid(&["lossy"], &[1, 2, 3, 4]), NonZeroUsize::MIN, |c| {
-            let mut b = TopologyBuilder::new();
-            let n0 = b.add_node("0");
-            let n1 = b.add_node("1");
-            b.add_link(
-                n0,
-                n1,
-                LinkParams::new(SimDuration::from_millis(1), 800_000, 0.5),
-            );
-            let mut e: Engine<P> = Engine::new(b.build(), c.seed);
-            let chan = e.add_channel(&[n0, n1]);
-            for _ in 0..64 {
-                e.multicast_from(n0, chan, P, 100);
-            }
-            e.advance(RunSpec::drain());
-            e.recorder()
-                .delivered_count(n1, crate::metrics::TrafficClass::Data)
-        });
+        let again = run_sweep(cells(), NonZeroUsize::MIN, lossy_link);
         assert_eq!(values, again.into_values());
     }
 }

@@ -6,6 +6,8 @@ use proptest::prelude::*;
 use sharqfec_netsim::prelude::*;
 use sharqfec_netsim::queue::EventQueue;
 use sharqfec_netsim::routing::{DistanceOracle, Spt};
+use sharqfec_netsim::runner::{Cell, CellOutcome, SweepResults, SweepSummary};
+use std::time::Duration;
 
 /// A random connected topology: a random tree plus a few extra edges.
 #[derive(Debug, Clone)]
@@ -182,6 +184,43 @@ impl Agent<Beat> for EchoBack {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Beat>, _token: u64) {
         ctx.multicast(self.chan, Beat::Echo, 60);
     }
+}
+
+/// Label text that exercises every escape the summary writer knows:
+/// quotes, backslashes, control characters, and non-ASCII.
+fn label_text() -> impl Strategy<Value = String> {
+    const PALETTE: [char; 14] = [
+        'a', 'Z', '7', ' ', '/', '=', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', 'é', '∑',
+    ];
+    proptest::collection::vec(0usize..PALETTE.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+/// Metric values: every bit pattern (NaN, infinities, subnormals) plus
+/// the integral and boundary values the writer formats specially.
+fn metric_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (0u64..1_000_000).prop_map(|v| v as f64),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(1e15),
+        Just(-341.7857142857143),
+    ]
+}
+
+/// One sweep cell's outcome: ok with metrics, or panicked with a message.
+type CellResult = Result<Vec<(String, f64)>, String>;
+
+fn cell_outcome() -> impl Strategy<Value = (String, u64, CellResult)> {
+    let metrics = proptest::collection::vec((label_text(), metric_value()), 0..5);
+    let result = prop_oneof![
+        metrics.prop_map(Ok as fn(_) -> CellResult),
+        label_text().prop_map(Err as fn(_) -> CellResult),
+    ];
+    (label_text(), any::<u64>(), result)
 }
 
 proptest! {
@@ -591,5 +630,48 @@ proptest! {
         let raw = run_mode(RecorderMode::Raw);
         let streaming = run_mode(RecorderMode::Streaming);
         prop_assert_eq!(raw, streaming);
+    }
+
+    /// The summary reader is the writer's inverse: scenario, seed,
+    /// status, error and metrics survive `to_json` → `parse` exactly,
+    /// non-finite metrics as `null`.
+    #[test]
+    fn sweep_summary_round_trips(
+        name in label_text(),
+        cells in proptest::collection::vec(cell_outcome(), 0..6),
+    ) {
+        let results = SweepResults {
+            outcomes: cells
+                .iter()
+                .map(|(scenario, seed, result)| CellOutcome {
+                    cell: Cell::new(scenario.clone(), *seed),
+                    wall: Duration::from_micros(*seed % 5_000_000),
+                    result: result.clone(),
+                })
+                .collect(),
+            threads: 3,
+            wall: Duration::from_millis(1234),
+        };
+        let json = results.to_json(&name, |metrics| metrics.clone());
+        let summary = match SweepSummary::parse(&json) {
+            Ok(summary) => summary,
+            Err(e) => return Err(TestCaseError::fail(format!("{e} in {json}"))),
+        };
+        prop_assert_eq!(&summary.sweep, &name);
+        prop_assert_eq!(summary.threads, 3);
+        prop_assert_eq!(summary.cells_ok, results.ok_count());
+        prop_assert_eq!(summary.cells_failed, cells.len() - results.ok_count());
+        prop_assert_eq!(summary.cells.len(), cells.len());
+        for (read, (scenario, seed, result)) in summary.cells.iter().zip(&cells) {
+            prop_assert_eq!(&read.scenario, scenario);
+            prop_assert_eq!(read.seed, *seed);
+            let want = result.clone().map(|metrics| {
+                metrics
+                    .into_iter()
+                    .map(|(k, v)| (k, v.is_finite().then_some(v)))
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(&read.result, &want);
+        }
     }
 }
