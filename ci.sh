@@ -82,6 +82,39 @@ echo "==> sharded engine determinism gate (--shards 4 vs serial)"
 same_summary "$fresh/BENCH_scale_sweep.json" "$sharded/BENCH_scale_sweep.json"
 same_summary "$fresh/BENCH_scenario_sweep.json" "$sharded/BENCH_scenario_sweep.json"
 
+echo "==> benchmark/: its own tests, then one counted pass per workload"
+# The benchmark is a workspace of its own; nothing above builds it.  Each
+# workload must reproduce its pinned statistics ("correct": true) and stay
+# under its heap-allocation ceiling.  `allocs` is an exact count (the
+# counted repetition always runs the seed-42 inputs), so the ceilings are
+# the committed code's own counts + 5%: a new allocation per event or per
+# group trips them, a new one per run does not.  Timings stay out of CI.
+cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+alloc_ceiling() {
+  case "$1" in
+    fig10_repair)    echo 27802 ;; # 26479
+    session_1k)      echo 37266 ;; # 35492
+    srm_500)         echo 5855 ;;  # 5577
+    flash_churn_500) echo 73787 ;; # 70274
+    codec_object)    echo 2212 ;;  # 2107
+    *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
+  esac
+}
+for w in fig10_repair session_1k srm_500 flash_churn_500 codec_object; do
+  ceiling=$(alloc_ceiling "$w")
+  json=$(bash benchmark/run.sh --workload "$w" --seconds 1 | tail -n 1)
+  allocs=$(sed -nE 's/.*"correct": true.*"allocs": \{"value": ([0-9]+)[,.}].*/\1/p' <<< "$json")
+  if [[ -z "$allocs" ]]; then
+    echo "benchmark workload $w did not end in a correct result: $json" >&2
+    exit 1
+  fi
+  if (( allocs > ceiling )); then
+    echo "benchmark workload $w: allocs $allocs over its ceiling $ceiling" >&2
+    exit 1
+  fi
+  echo "    $w: allocs $allocs (ceiling $ceiling)"
+done
+
 echo "==> results/ untouched by this run"
 git diff --quiet -- results/
 

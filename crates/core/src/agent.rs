@@ -293,14 +293,12 @@ impl SfAgent {
         // Only scopes our next request would ask at (or wider) can cover
         // us — narrower ones already failed to produce a repair if the
         // request escalated past them.
-        let covered_by = st.zlc[st.scope_idx..].iter().copied().max().unwrap_or(0);
-        if st.llc() > covered_by {
+        if st.llc() > st.covered_by() {
             self.arm_request(ctx, g);
         }
     }
 
     fn request_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
-        let chain_entries = self.session.ancestor_chain();
         // A zone's representative asks *upstream*: its own zone shares its
         // losses by construction (everything it missed, its subtree missed
         // too), so its requests start at the parent scope.
@@ -321,8 +319,8 @@ impl SfAgent {
         let llc = st.llc();
         let max_idx = st.max_idx().unwrap_or(st.k.saturating_sub(1));
         // Our own NACK establishes the new ZLC for the zone.
-        st.zlc[sent_level] = st.zlc[sent_level].max(llc);
-        let zlc_now = st.zlc[sent_level];
+        st.zones[sent_level].zlc = st.zones[sent_level].zlc.max(llc);
+        let zlc_now = st.zones[sent_level].zlc;
         st.attempts += 1;
         if st.attempts >= self.cfg.attempts_per_zone && st.scope_idx + 1 < self.chain.len() {
             // Escalate to the next-larger scope (paper §4: "after two
@@ -331,6 +329,7 @@ impl SfAgent {
             st.attempts = 0;
         }
         st.i = (st.i + 1).min(self.cfg.max_backoff);
+        let chain_entries = self.session.ancestor_chain();
         let bytes = self.cfg.nack_bytes + 12 * chain_entries.len() as u32;
         ctx.multicast(
             self.channels[zone.idx()],
@@ -370,13 +369,14 @@ impl SfAgent {
     fn arm_reply(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         let (d1, d2, default) = (self.cfg.d1, self.cfg.d2, self.cfg.default_dist);
         let st = self.groups.get_mut(&g).expect("group exists");
-        if st.reply_timer[level].is_some() || st.outstanding[level] == 0 {
+        let z = &mut st.zones[level];
+        if z.reply_timer.is_some() || z.outstanding == 0 {
             return;
         }
-        let d = st.last_nack_dist[level].unwrap_or(default);
+        let d = z.last_nack_dist.unwrap_or(default);
         let factor = ctx.rng().range_f64(d1, d1 + d2);
         // No backoff on reply timers (paper §4).
-        st.reply_timer[level] = Some(ctx.set_timer(d.mul_f64(factor), tok(KIND_REPLY, g, level)));
+        z.reply_timer = Some(ctx.set_timer(d.mul_f64(factor), tok(KIND_REPLY, g, level)));
     }
 
     /// Starts (or continues) transmitting queued repairs for a zone if a
@@ -387,7 +387,7 @@ impl SfAgent {
     /// suppresses the slower timer-based repairers.
     fn kick_repairs(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         let st = self.groups.get_mut(&g).expect("group exists");
-        if st.pacing[level] || st.outstanding[level] == 0 {
+        if st.zones[level].pacing || st.zones[level].outstanding == 0 {
             return;
         }
         if !self.can_repair(g) {
@@ -403,20 +403,20 @@ impl SfAgent {
         let zone = self.chain[level];
         let chan = self.channels[zone.idx()];
         let st = self.groups.get_mut(&g).expect("group exists");
-        if st.outstanding[level] == 0 {
-            st.pacing[level] = false;
+        if st.zones[level].outstanding == 0 {
+            st.zones[level].pacing = false;
             return;
         }
         let idx = st.next_repair_idx();
         st.receive(idx); // a repairer holds what it generates
-        st.outstanding[level] -= 1;
+        st.zones[level].outstanding -= 1;
         let k = st.k;
-        let more = st.outstanding[level] > 0;
-        st.pacing[level] = more;
+        let more = st.zones[level].outstanding > 0;
+        st.zones[level].pacing = more;
         // Announce the whole paced burst (paper §4's "what will be the new
         // highest packet identifier") so one heard packet suppresses rival
         // repairers for the entire burst.
-        let burst_end = idx + st.outstanding[level];
+        let burst_end = idx + st.zones[level].outstanding;
         st.reserve(burst_end);
         ctx.multicast(
             chan,
@@ -437,15 +437,15 @@ impl SfAgent {
 
     fn reply_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         let st = self.groups.get_mut(&g).expect("group exists");
-        st.reply_timer[level] = None;
-        if st.outstanding[level] == 0 {
+        st.zones[level].reply_timer = None;
+        if st.zones[level].outstanding == 0 {
             return;
         }
         if !self.can_repair(g) {
             // Speculation failed: we never completed the group, so we
             // cannot generate FEC.  Surrender this round; the requester
             // will escalate if nobody else answered either.
-            self.groups.get_mut(&g).expect("group exists").outstanding[level] = 0;
+            self.groups.get_mut(&g).expect("group exists").zones[level].outstanding = 0;
             return;
         }
         self.kick_repairs(ctx, g, level);
@@ -507,18 +507,18 @@ impl SfAgent {
             };
             if !is_zcr {
                 // Plain repairers answer queued NACKs now that they can.
-                if repairs_allowed && self.groups[&g].outstanding[level] > 0 {
+                if repairs_allowed && self.groups[&g].zones[level].outstanding > 0 {
                     self.arm_reply(ctx, g, level);
                 }
                 continue;
             }
             // ZCR duties: preemptive injection sized by the policy…
-            if self.injection_on && repairs_allowed && !self.groups[&g].injected[level] {
-                self.groups.get_mut(&g).expect("exists").injected[level] = true;
+            if self.injection_on && repairs_allowed && !self.groups[&g].zones[level].injected {
+                self.groups.get_mut(&g).expect("exists").zones[level].injected = true;
                 let n = self.decide_injection(ctx, g, level);
                 if n > 0 {
                     let st = self.groups.get_mut(&g).expect("exists");
-                    st.outstanding[level] += n;
+                    st.zones[level].outstanding += n;
                 }
             }
             // …the first queued repair goes out immediately (paper §4)…
@@ -526,7 +526,7 @@ impl SfAgent {
                 self.kick_repairs(ctx, g, level);
             }
             // …and the true ZLC is measured 2.5 RTTs later (paper §4).
-            if !self.groups[&g].measured[level] {
+            if !self.groups[&g].zones[level].measured {
                 let rtt = self
                     .session
                     .max_known_rtt()
@@ -573,17 +573,18 @@ impl SfAgent {
             let fallback = self.cfg.default_dist * 2;
             let factor = self.measure_rtt_factor;
             let st = self.groups.get_mut(&g).expect("group exists");
-            if !st.measured[level] && st.measure_defers[level] < Self::MAX_MEASURE_DEFERS {
-                st.measure_defers[level] += 1;
+            let z = &mut st.zones[level];
+            if !z.measured && z.measure_defers < Self::MAX_MEASURE_DEFERS {
+                z.measure_defers += 1;
                 ctx.set_timer(fallback.mul_f64(factor), tok(KIND_MEASURE, g, level));
                 return;
             }
         }
         let st = self.groups.get_mut(&g).expect("group exists");
-        if st.measured[level] {
+        if st.zones[level].measured {
             return;
         }
-        st.measured[level] = true;
+        st.zones[level].measured = true;
         // The zone's observed repair demand for this group: the largest
         // `needed` any NACK in the zone advertised.  This is measured net
         // of upstream redundancy — a receiver already covered by packets
@@ -593,7 +594,7 @@ impl SfAgent {
         // the observation is 0 and the prediction decays, matching the
         // paper's "decays over time; receivers request additional repairs
         // as necessary".
-        let observed = st.zone_needed[level] as f64;
+        let observed = st.zones[level].zone_needed as f64;
         self.policy.on_zlc_measurement(level, observed);
         ctx.probe(ProbeEvent::ZlcUpdate {
             group: g,
@@ -649,9 +650,10 @@ impl SfAgent {
                 for j in 0..=level {
                     let st = self.groups.get_mut(&g).expect("exists");
                     st.reserve(burst_end);
-                    st.outstanding[j] = st.outstanding[j].saturating_sub(burst);
-                    if st.outstanding[j] == 0 {
-                        if let Some(t) = st.reply_timer[j].take() {
+                    let z = &mut st.zones[j];
+                    z.outstanding = z.outstanding.saturating_sub(burst);
+                    if z.outstanding == 0 {
+                        if let Some(t) = z.reply_timer.take() {
                             // Enough repairs seen or promised: suppress.
                             ctx.cancel_timer(t);
                         }
@@ -704,13 +706,14 @@ impl SfAgent {
         let (became_visible, suppress_outcome, my_llc, zlc_now) = {
             let st = self.groups.get_mut(&g).expect("exists");
             let newly = st.note_exists(max_idx);
-            let zlc_increased = llc > st.zlc[level];
-            st.zlc[level] = st.zlc[level].max(llc);
+            let z = &mut st.zones[level];
+            let zlc_increased = llc > z.zlc;
+            z.zlc = z.zlc.max(llc);
             // Repairer bookkeeping: the zone needs max(needed) repairs —
             // FEC covers concurrent NACKers with one set of packets.
-            st.outstanding[level] = st.outstanding[level].max(needed);
-            st.zone_needed[level] = st.zone_needed[level].max(needed);
-            st.last_nack_dist[level] = Some(dist);
+            z.outstanding = z.outstanding.max(needed);
+            z.zone_needed = z.zone_needed.max(needed);
+            z.last_nack_dist = Some(dist);
 
             // Requester-side suppression — but only by NACKs at or above
             // the scope our own next request will use.  A request that
@@ -728,14 +731,14 @@ impl SfAgent {
                     st.i = (st.i + 1).min(max_backoff);
                     self.window.saw_duplicate();
                     outcome = Some(NackOutcome::SuppressedDuplicate);
-                } else if st.llc() <= st.zlc[st.scope_idx..].iter().copied().max().unwrap_or(0) {
+                } else if st.llc() <= st.covered_by() {
                     // Someone worse off spoke for us at a scope enclosing
                     // our next request: the repairs it provokes reach
                     // every nested member, so push our NACK out.
                     outcome = Some(NackOutcome::SuppressedCovered);
                 }
             }
-            (newly > 0, outcome, st.llc(), st.zlc[level])
+            (newly > 0, outcome, st.llc(), st.zones[level].zlc)
         };
         // Loss evidence for the injection policy: a NACK advertises the
         // zone's uncovered shortfall (the EWMA ignores this; reactive
@@ -860,15 +863,15 @@ impl SfAgent {
     /// measurement timer.
     fn finish_group(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let root = self.chain.len() - 1;
-        if self.injection_on && !self.groups[&g].injected[root] {
-            self.groups.get_mut(&g).expect("exists").injected[root] = true;
+        if self.injection_on && !self.groups[&g].zones[root].injected {
+            self.groups.get_mut(&g).expect("exists").zones[root].injected = true;
             let n = self.decide_injection(ctx, g, root);
             if n > 0 {
-                self.groups.get_mut(&g).expect("exists").outstanding[root] += n;
+                self.groups.get_mut(&g).expect("exists").zones[root].outstanding += n;
             }
         }
         self.kick_repairs(ctx, g, root);
-        if !self.groups[&g].measured[root] {
+        if !self.groups[&g].zones[root].measured {
             let rtt = self
                 .session
                 .max_known_rtt()
@@ -927,10 +930,10 @@ impl Agent<SfMsg> for SfAgent {
             if st.phase == Phase::Ldp {
                 st.phase = Phase::Repair;
             }
-            for l in 0..st.reply_timer.len() {
-                st.reply_timer[l] = None;
-                st.pacing[l] = false;
-                st.outstanding[l] = 0;
+            for zone in &mut st.zones {
+                zone.reply_timer = None;
+                zone.pacing = false;
+                zone.outstanding = 0;
             }
             self.maybe_request(ctx, g);
         }
@@ -964,7 +967,7 @@ impl Agent<SfMsg> for SfAgent {
             KIND_REQ => self.request_fire(ctx, g),
             KIND_REPLY => self.reply_fire(ctx, g, level),
             KIND_SPACING => {
-                self.groups.get_mut(&g).expect("group exists").pacing[level] = false;
+                self.groups.get_mut(&g).expect("group exists").zones[level].pacing = false;
                 if self.can_repair(g) {
                     self.send_repair(ctx, g, level);
                 }

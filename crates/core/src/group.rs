@@ -65,6 +65,35 @@ pub enum Phase {
     Repair,
 }
 
+/// One group's state for one zone of the member's chain.
+#[derive(Clone, Debug, Default)]
+pub struct ZoneState {
+    /// Zone Loss Count (max LLC heard in NACKs).
+    pub zlc: u32,
+    /// Max `needed` count heard in NACKs — the zone's repair demand *net of
+    /// upstream redundancy*, which is what the injection EWMA must track so
+    /// that nested zones do not double-cover the same losses (paper §3.2:
+    /// "Should too much redundancy be injected at one level in the
+    /// hierarchy, receivers in subservient zones will add less
+    /// redundancy").
+    pub zone_needed: u32,
+    /// Speculatively queued repairs.
+    pub outstanding: u32,
+    /// Pending reply timer.
+    pub reply_timer: Option<TimerId>,
+    /// Whether a repair-pacing chain (spacing timer) is running.
+    pub pacing: bool,
+    /// One-way distance to the most recent NACKer (reply-timer base).
+    pub last_nack_dist: Option<SimDuration>,
+    /// Whether the ZCR-injection for this group has fired.
+    pub injected: bool,
+    /// Whether the ZLC measurement fed the EWMA.
+    pub measured: bool,
+    /// How many times the ZLC measurement was deferred because no RTT was
+    /// known yet (startup ordering — see `measure_fire`).
+    pub measure_defers: u8,
+}
+
 /// State for one packet group at one session member.
 ///
 /// Indices `0..k` are data, `>= k` FEC.  `k` distinct indices reconstruct
@@ -86,31 +115,9 @@ pub struct GroupState {
     pub peak_llc: u32,
     /// Current phase.
     pub phase: Phase,
-    /// Zone Loss Count per chain level (max LLC heard in NACKs).
-    pub zlc: Vec<u32>,
-    /// Max `needed` count heard in NACKs per chain level — the zone's
-    /// repair demand *net of upstream redundancy*, which is what the
-    /// injection EWMA must track so that nested zones do not double-cover
-    /// the same losses (paper §3.2: "Should too much redundancy be
-    /// injected at one level in the hierarchy, receivers in subservient
-    /// zones will add less redundancy").
-    pub zone_needed: Vec<u32>,
-    /// Speculatively queued repairs per chain level.
-    pub outstanding: Vec<u32>,
-    /// Pending reply timer per chain level.
-    pub reply_timer: Vec<Option<TimerId>>,
-    /// Whether a repair-pacing chain (spacing timer) is running per level.
-    pub pacing: Vec<bool>,
-    /// One-way distance to the most recent NACKer per level (reply-timer
-    /// base).
-    pub last_nack_dist: Vec<Option<SimDuration>>,
-    /// Whether the ZCR-injection for this group has fired per level.
-    pub injected: Vec<bool>,
-    /// Whether the ZLC measurement fed the EWMA per level.
-    pub measured: Vec<bool>,
-    /// How many times the ZLC measurement was deferred per level because
-    /// no RTT was known yet (startup ordering — see `measure_fire`).
-    pub measure_defers: Vec<u8>,
+    /// Per-zone state, one entry per level of the member's zone chain —
+    /// a single allocation per (member, group).
+    pub zones: Vec<ZoneState>,
     /// Pending request (NACK) timer.
     pub request_timer: Option<TimerId>,
     /// Request backoff exponent `i` (paper: starts at 1).
@@ -143,15 +150,7 @@ impl GroupState {
             missing: 0,
             peak_llc: 0,
             phase: Phase::Ldp,
-            zlc: vec![0; levels],
-            zone_needed: vec![0; levels],
-            outstanding: vec![0; levels],
-            reply_timer: vec![None; levels],
-            pacing: vec![false; levels],
-            last_nack_dist: vec![None; levels],
-            injected: vec![false; levels],
-            measured: vec![false; levels],
-            measure_defers: vec![0; levels],
+            zones: vec![ZoneState::default(); levels],
             request_timer: None,
             i: 1,
             scope_idx: initial_scope,
@@ -193,20 +192,10 @@ impl GroupState {
     }
 
     /// Approximate heap bytes retained by this group's state (bitset
-    /// words plus the per-chain-level vectors), for the scaling harness's
+    /// words plus the per-zone entries), for the scaling harness's
     /// resident-state accounting.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.received.heap_bytes()
-            + self.zlc.capacity() * size_of::<u32>()
-            + self.zone_needed.capacity() * size_of::<u32>()
-            + self.outstanding.capacity() * size_of::<u32>()
-            + self.reply_timer.capacity() * size_of::<Option<TimerId>>()
-            + self.pacing.capacity() * size_of::<bool>()
-            + self.last_nack_dist.capacity() * size_of::<Option<SimDuration>>()
-            + self.injected.capacity() * size_of::<bool>()
-            + self.measured.capacity() * size_of::<bool>()
-            + self.measure_defers.capacity() * size_of::<u8>()
+        self.received.heap_bytes() + self.zones.capacity() * std::mem::size_of::<ZoneState>()
     }
 
     /// FEC packets still needed to reconstruct (`needed` in NACKs).
@@ -222,6 +211,17 @@ impl GroupState {
     /// The Local Loss Count.
     pub fn llc(&self) -> u32 {
         self.missing
+    }
+
+    /// The largest ZLC known at the scope the next request would use or
+    /// any wider one: a NACK there with `llc >= ours` provokes repairs
+    /// that reach this member too.
+    pub fn covered_by(&self) -> u32 {
+        self.zones[self.scope_idx..]
+            .iter()
+            .map(|z| z.zlc)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Highest identifier known to exist.
@@ -363,6 +363,26 @@ mod tests {
         assert_eq!(g.llc(), 0);
         assert_eq!(g.phase, Phase::Repair);
         assert_eq!(g.next_repair_idx(), 16);
+    }
+
+    #[test]
+    fn per_zone_state_is_one_allocation_no_larger_than_the_nine_it_replaced() {
+        // The nine per-level vectors held 4+4+4+16+1+16+1+1+1 bytes a level.
+        let g = GroupState::new(16, 3, 0);
+        assert_eq!(g.zones.len(), 3);
+        assert_eq!(g.heap_bytes(), 3 * 48);
+    }
+
+    #[test]
+    fn covered_by_ignores_scopes_narrower_than_the_next_request() {
+        let mut g = GroupState::new(16, 3, 0);
+        g.zones[0].zlc = 5;
+        g.zones[1].zlc = 2;
+        assert_eq!(g.covered_by(), 5);
+        g.scope_idx = 1;
+        assert_eq!(g.covered_by(), 2);
+        g.scope_idx = 2;
+        assert_eq!(g.covered_by(), 0);
     }
 
     #[test]

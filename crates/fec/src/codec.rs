@@ -161,11 +161,28 @@ impl GroupCodec {
             if out.len() != len {
                 return Err(FecError::UnequalShardLengths);
             }
-            out.fill(0);
-            let coeffs = self.generator.row(self.k + j);
-            for (i, shard) in data.iter().enumerate() {
-                mul_acc_slice(out, shard, coeffs[i]);
-            }
+            self.combine(self.k + j, out, data.iter().copied());
+        }
+        Ok(())
+    }
+
+    /// [`GroupCodec::encode_into`] for a group held flat in one buffer:
+    /// `group` is `(k + h) · len` bytes, packet `i` at offset `i · len`.
+    /// The `k` data packets are read and the `h` parity packets behind
+    /// them overwritten, with no per-group list of shard references.
+    pub fn encode_flat(&self, group: &mut [u8], len: usize) -> Result<(), FecError> {
+        if len == 0 {
+            return Err(FecError::EmptyShards);
+        }
+        if self.n().checked_mul(len) != Some(group.len()) {
+            return Err(FecError::WrongShardCount {
+                expected: self.n(),
+                got: group.len() / len,
+            });
+        }
+        let (data, parity) = group.split_at_mut(self.k * len);
+        for (j, out) in parity.chunks_exact_mut(len).enumerate() {
+            self.combine(self.k + j, out, data.chunks_exact(len));
         }
         Ok(())
     }
@@ -197,12 +214,17 @@ impl GroupCodec {
             out.copy_from_slice(data[index]);
             return Ok(());
         }
-        out.fill(0);
-        let coeffs = self.generator.row(index);
-        for (i, shard) in data.iter().enumerate() {
-            mul_acc_slice(out, shard, coeffs[i]);
-        }
+        self.combine(index, out, data.iter().copied());
         Ok(())
+    }
+
+    /// Output packet `index` as the generator row's combination of the `k`
+    /// data packets: `out = Σ W[index][i] · data[i]`.
+    fn combine<'a>(&self, index: usize, out: &mut [u8], data: impl Iterator<Item = &'a [u8]>) {
+        out.fill(0);
+        for (shard, &coeff) in data.zip(self.generator.row(index)) {
+            mul_acc_slice(out, shard, coeff);
+        }
     }
 
     /// Reconstructs the `k` original data packets from any `k` received
@@ -285,6 +307,83 @@ impl GroupCodec {
             flat: &scratch.out,
             shard_len: len,
         })
+    }
+
+    /// Rebuilds, in place, the data packets a group is missing.
+    ///
+    /// The group is held flat: `data` is `k · len` bytes with data packet
+    /// `i` at offset `i · len`, `parity` is `h · len` bytes with parity
+    /// packet `k + j` at offset `j · len`, and `have(i)` says which of the
+    /// `k + h` packets are really there (the rest of either buffer is
+    /// never read).  Only the missing data packets are computed — from the
+    /// present data packets and the lowest-indexed present parity packets —
+    /// so a group that lost `e` packets costs one `k × k` inversion plus
+    /// `O(e · k · len)`, not the `O(k² · len)` of a full [`decode`].
+    ///
+    /// [`decode`]: GroupCodec::decode
+    pub fn reconstruct_flat(
+        &self,
+        data: &mut [u8],
+        parity: &[u8],
+        len: usize,
+        have: impl Fn(usize) -> bool,
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), FecError> {
+        if len == 0 {
+            return Err(FecError::EmptyShards);
+        }
+        if self.k.checked_mul(len) != Some(data.len()) {
+            return Err(FecError::WrongShardCount {
+                expected: self.k,
+                got: data.len() / len,
+            });
+        }
+        scratch.rows.clear();
+        scratch.rows.extend((0..self.k).filter(|&i| have(i)));
+        if scratch.rows.len() == self.k {
+            return Ok(());
+        }
+        if self.h.checked_mul(len) != Some(parity.len()) {
+            return Err(FecError::WrongShardCount {
+                expected: self.h,
+                got: parity.len() / len,
+            });
+        }
+        let short = self.k - scratch.rows.len();
+        scratch
+            .rows
+            .extend((self.k..self.n()).filter(|&i| have(i)).take(short));
+        if scratch.rows.len() < self.k {
+            return Err(FecError::NotEnoughShards {
+                needed: self.k,
+                got: scratch.rows.len(),
+            });
+        }
+        scratch.sub.select_rows_into(&self.generator, &scratch.rows);
+        if !scratch.sub.invert_into(&mut scratch.inv) {
+            return Err(FecError::SingularMatrix);
+        }
+        for missing in (0..self.k).filter(|&i| !have(i)) {
+            let at = missing * len;
+            data[at..at + len].fill(0);
+            let coeffs = scratch.inv.row(missing);
+            for (&row, &coeff) in scratch.rows.iter().zip(coeffs) {
+                // Source and destination may be two packets of one buffer:
+                // split it between them.
+                let (out, src) = if row >= self.k {
+                    let from = (row - self.k) * len;
+                    (&mut data[at..at + len], &parity[from..from + len])
+                } else if row < missing {
+                    let (lo, hi) = data.split_at_mut(at);
+                    (&mut hi[..len], &lo[row * len..(row + 1) * len])
+                } else {
+                    let (lo, hi) = data.split_at_mut(row * len);
+                    (&mut lo[at..at + len], &hi[..len])
+                };
+                mul_acc_slice(out, src, coeff);
+            }
+        }
+        Ok(())
     }
 
     fn check_data(&self, data: &[&[u8]]) -> Result<(), FecError> {
@@ -550,6 +649,111 @@ mod tests {
                 .unwrap_err(),
             FecError::UnequalShardLengths
         );
+    }
+
+    /// A group laid out flat: the data packets, then `h` zeroed parity
+    /// packets.
+    fn flat_group(data: &[Vec<u8>], h: usize) -> Vec<u8> {
+        let mut flat = data.concat();
+        flat.resize(flat.len() + h * data[0].len(), 0);
+        flat
+    }
+
+    #[test]
+    fn flat_encode_matches_encode_into() {
+        for (k, h) in [(16usize, 4usize), (5, 3), (1, 2), (4, 0)] {
+            let codec = GroupCodec::new(k, h).unwrap();
+            let data = sample_data(k, 24);
+            let mut flat = flat_group(&data, h);
+            // Stale parity bytes are overwritten, not accumulated into.
+            flat[k * 24..].fill(0xEE);
+            codec.encode_flat(&mut flat, 24).unwrap();
+            let parity = encode_parity(&codec, &refs(&data));
+            assert_eq!(flat[..k * 24], data.concat()[..]);
+            assert_eq!(flat[k * 24..], parity.concat()[..], "k={k} h={h}");
+        }
+        let codec = GroupCodec::new(3, 2).unwrap();
+        assert_eq!(
+            codec.encode_flat(&mut [], 0).unwrap_err(),
+            FecError::EmptyShards
+        );
+        assert_eq!(
+            codec.encode_flat(&mut [0; 32], 8).unwrap_err(),
+            FecError::WrongShardCount {
+                expected: 5,
+                got: 4
+            }
+        );
+    }
+
+    #[test]
+    fn flat_reconstruct_rebuilds_exactly_the_missing_data() {
+        // k=4, h=3: every subset of at least k of the 7 packets.
+        let (k, h, len) = (4usize, 3usize, 32usize);
+        let codec = GroupCodec::new(k, h).unwrap();
+        let data = sample_data(k, len);
+        let mut group = flat_group(&data, h);
+        codec.encode_flat(&mut group, len).unwrap();
+        let (whole, parity) = group.split_at(k * len);
+
+        let mut scratch = DecodeScratch::default();
+        for mask in 0u32..(1 << (k + h)) {
+            let have = |i: usize| mask & (1 << i) != 0;
+            // Absent packets hold garbage the rebuild must not read.
+            let mut held = whole.to_vec();
+            let mut held_parity = parity.to_vec();
+            for i in (0..k + h).filter(|&i| !have(i)) {
+                let buf = if i < k {
+                    &mut held[i * len..(i + 1) * len]
+                } else {
+                    &mut held_parity[(i - k) * len..(i - k + 1) * len]
+                };
+                buf.fill(0xA5);
+            }
+            let result = codec.reconstruct_flat(&mut held, &held_parity, len, have, &mut scratch);
+            if (mask.count_ones() as usize) < k {
+                assert_eq!(
+                    result.unwrap_err(),
+                    FecError::NotEnoughShards {
+                        needed: k,
+                        got: mask.count_ones() as usize
+                    }
+                );
+            } else {
+                result.unwrap();
+                assert_eq!(held, whole, "mask={mask:07b}");
+            }
+        }
+
+        // Mis-sized buffers are refused; a whole group needs no parity.
+        let mut whole = whole.to_vec();
+        assert_eq!(
+            codec
+                .reconstruct_flat(&mut whole[len..], parity, len, |_| true, &mut scratch)
+                .unwrap_err(),
+            FecError::WrongShardCount {
+                expected: 4,
+                got: 3
+            }
+        );
+        assert_eq!(
+            codec
+                .reconstruct_flat(&mut whole, &parity[len..], len, |i| i > 0, &mut scratch)
+                .unwrap_err(),
+            FecError::WrongShardCount {
+                expected: 3,
+                got: 2
+            }
+        );
+        assert_eq!(
+            codec
+                .reconstruct_flat(&mut whole, &[], 0, |_| true, &mut scratch)
+                .unwrap_err(),
+            FecError::EmptyShards
+        );
+        codec
+            .reconstruct_flat(&mut whole, &[], len, |i| i < k, &mut scratch)
+            .unwrap();
     }
 
     #[test]

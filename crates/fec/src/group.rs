@@ -10,33 +10,44 @@
 //! Frame layout: the object length is prepended as an 8-byte little-endian
 //! header so the decoder can strip tail padding; everything after it is raw
 //! object bytes.
+//!
+//! Each side moves the object through one buffer.  An [`EncodedGroup`] is
+//! one contiguous `(k + h) · payload_len` run filled straight from the
+//! object, parity written behind the data in place.  The decoder copies
+//! every arriving data packet directly into its slot of one frame buffer,
+//! holds parity only for groups that are still short, rebuilds nothing but
+//! the missing data packets, and hands the frame buffer over as the object.
 
 use crate::codec::{DecodeScratch, GroupCodec};
-use crate::FecError;
+use crate::{FecError, MAX_GROUP};
 
 /// Header bytes prepended to the object (little-endian u64 length).
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// One encoded packet group: `k` data packets followed by `h` parity
-/// packets, all `payload_len` bytes.
+/// packets, all `payload_len` bytes, in one contiguous buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedGroup {
     /// Group sequence number, starting at 0.
     pub group_id: u64,
-    /// The `k` data packets.
-    pub data: Vec<Vec<u8>>,
-    /// The `h` parity packets.
-    pub parity: Vec<Vec<u8>>,
+    payload_len: usize,
+    /// Packet `i` at offset `i · payload_len`.
+    bytes: Vec<u8>,
 }
 
 impl EncodedGroup {
     /// Iterates `(index, payload)` over all `k + h` packets of the group.
     pub fn packets(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        self.data
-            .iter()
-            .chain(self.parity.iter())
-            .enumerate()
-            .map(|(i, p)| (i, p.as_slice()))
+        self.bytes.chunks_exact(self.payload_len).enumerate()
+    }
+
+    /// Packet `index` of the group: data for `0..k`, parity for `k..k+h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= k + h`.
+    pub fn packet(&self, index: usize) -> &[u8] {
+        &self.bytes[index * self.payload_len..(index + 1) * self.payload_len]
     }
 }
 
@@ -79,32 +90,81 @@ impl GroupEncoder {
 
     /// Encodes a whole object into groups.
     pub fn encode_object(&self, object: &[u8]) -> Result<Vec<EncodedGroup>, FecError> {
-        let mut framed = Vec::with_capacity(FRAME_HEADER_LEN + object.len());
-        framed.extend_from_slice(&(object.len() as u64).to_le_bytes());
-        framed.extend_from_slice(object);
-
-        let k = self.codec.k();
-        let group_bytes = k * self.payload_len;
-        let n_groups = framed.len().div_ceil(group_bytes).max(1);
-        framed.resize(n_groups * group_bytes, 0);
+        let len = self.payload_len;
+        let group_bytes = self.codec.k() * len;
+        let header = (object.len() as u64).to_le_bytes();
+        let n_groups = self.groups_for(object.len());
 
         let mut out = Vec::with_capacity(n_groups);
         for g in 0..n_groups {
-            let chunk = &framed[g * group_bytes..(g + 1) * group_bytes];
-            let data: Vec<Vec<u8>> = (0..k)
-                .map(|i| chunk[i * self.payload_len..(i + 1) * self.payload_len].to_vec())
-                .collect();
-            let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut parity = vec![vec![0u8; self.payload_len]; self.codec.h()];
-            let mut bufs: Vec<&mut [u8]> = parity.iter_mut().map(|v| v.as_mut_slice()).collect();
-            self.codec.encode_into(&refs, &mut bufs)?;
+            // This group's window `lo..lo + group_bytes` of the framed
+            // stream — header, object, zero padding — copied piecewise, so
+            // the stream itself is never materialized.  (The header spans
+            // several groups when a group is under 8 bytes.)
+            let lo = g * group_bytes;
+            let mut bytes = Vec::with_capacity(self.codec.n() * len);
+            if lo < FRAME_HEADER_LEN {
+                bytes.extend_from_slice(&header[lo..FRAME_HEADER_LEN.min(lo + group_bytes)]);
+            }
+            let from = lo.saturating_sub(FRAME_HEADER_LEN);
+            let to = (lo + group_bytes)
+                .saturating_sub(FRAME_HEADER_LEN)
+                .min(object.len());
+            if from < to {
+                bytes.extend_from_slice(&object[from..to]);
+            }
+            // Tail padding and the parity packets' space.
+            bytes.resize(self.codec.n() * len, 0);
+            self.codec.encode_flat(&mut bytes, len)?;
             out.push(EncodedGroup {
                 group_id: g as u64,
-                data,
-                parity,
+                payload_len: len,
+                bytes,
             });
         }
         Ok(out)
+    }
+}
+
+/// Words in a bitmap over one group's packet indices.
+const INDEX_WORDS: usize = MAX_GROUP.div_ceil(64);
+
+/// What a [`GroupDecoder`] holds for one group besides its data packets'
+/// slots in the frame buffer.
+#[derive(Debug, Clone, Default)]
+struct GroupSlot {
+    /// Bitmap over the group's `k + h` packet indices: which are held.
+    held: [u64; INDEX_WORDS],
+    /// The held parity packets, packet `k + j` at offset `j · payload_len`.
+    /// Allocated when the first one is kept, released once the group's data
+    /// packets are all there.
+    parity: Vec<u8>,
+}
+
+impl GroupSlot {
+    fn has(&self, index: usize) -> bool {
+        self.held[index / 64] & (1 << (index % 64)) != 0
+    }
+
+    fn set(&mut self, index: usize) {
+        self.held[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Distinct packets held, data and parity.
+    fn count(&self) -> usize {
+        self.held.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether all of data packets `0..k` are held.
+    fn data_complete(&self, k: usize) -> bool {
+        (0..k).all(|i| self.has(i))
+    }
+
+    /// The group's data is whole: parity has nothing left to rebuild.
+    fn release_parity(&mut self, k: usize) {
+        self.held = [0; INDEX_WORDS];
+        (0..k).for_each(|i| self.set(i));
+        self.parity = Vec::new();
     }
 }
 
@@ -113,13 +173,24 @@ impl GroupEncoder {
 pub struct GroupDecoder {
     codec: GroupCodec,
     payload_len: usize,
-    /// Per group: received `(index, payload)` pairs, deduplicated.
-    groups: Vec<Vec<(usize, Vec<u8>)>>,
+    n_groups: usize,
+    /// `n_groups · k · payload_len`, checked against overflow in `new`.
+    frame_len: usize,
+    /// The framed object: data packet `i` of group `g` lives at offset
+    /// `(g · k + i) · payload_len`, arrives there and is rebuilt there.
+    /// Empty until the first `push`; handed over by `finish`.
+    frame: Vec<u8>,
+    /// Per-group arrival state; empty until the first `push`.
+    slots: Vec<GroupSlot>,
 }
 
 impl GroupDecoder {
     /// Creates a decoder for an object spanning `n_groups` groups with the
     /// same shape parameters as the encoder.
+    ///
+    /// Nothing sized by the object is allocated until the first
+    /// [`GroupDecoder::push`]; an object too large to address is refused
+    /// here with [`FecError::ObjectTooLarge`].
     pub fn new(
         k: usize,
         h: usize,
@@ -129,20 +200,30 @@ impl GroupDecoder {
         if payload_len == 0 {
             return Err(FecError::EmptyShards);
         }
+        let codec = GroupCodec::new(k, h)?;
+        let frame_len = n_groups
+            .checked_mul(k)
+            .and_then(|packets| packets.checked_mul(payload_len))
+            .filter(|&bytes| isize::try_from(bytes).is_ok())
+            .ok_or(FecError::ObjectTooLarge)?;
         Ok(GroupDecoder {
-            codec: GroupCodec::new(k, h)?,
+            codec,
             payload_len,
-            groups: vec![Vec::new(); n_groups],
+            n_groups,
+            frame_len,
+            frame: Vec::new(),
+            slots: Vec::new(),
         })
     }
 
     /// Feeds one received packet.  Duplicate `(group, index)` pairs are
-    /// ignored (multicast repair traffic routinely duplicates packets).
+    /// ignored (multicast repair traffic routinely duplicates packets), and
+    /// so is parity for a group that already holds `k` packets.
     pub fn push(&mut self, group_id: u64, index: usize, payload: &[u8]) -> Result<(), FecError> {
-        let g = group_id as usize;
-        if g >= self.groups.len() {
-            return Err(FecError::BadFrame("group id beyond object"));
-        }
+        let g = match usize::try_from(group_id) {
+            Ok(g) if g < self.n_groups => g,
+            _ => return Err(FecError::BadFrame("group id beyond object")),
+        };
         if index >= self.codec.n() {
             return Err(FecError::IndexOutOfRange {
                 index,
@@ -152,64 +233,99 @@ impl GroupDecoder {
         if payload.len() != self.payload_len {
             return Err(FecError::UnequalShardLengths);
         }
-        let slot = &mut self.groups[g];
-        if slot.iter().any(|(i, _)| *i == index) {
+        if self.slots.is_empty() {
+            self.frame = vec![0; self.frame_len];
+            self.slots.resize_with(self.n_groups, GroupSlot::default);
+        }
+        let (k, len) = (self.codec.k(), self.payload_len);
+        let slot = &mut self.slots[g];
+        if slot.has(index) {
             return Ok(()); // duplicate: drop silently
         }
-        slot.push((index, payload.to_vec()));
+        if index < k {
+            let at = (g * k + index) * len;
+            self.frame[at..at + len].copy_from_slice(payload);
+            slot.set(index);
+            if !slot.parity.is_empty() && slot.data_complete(k) {
+                slot.release_parity(k);
+            }
+        } else if slot.count() < k {
+            if slot.parity.is_empty() {
+                slot.parity = vec![0; self.codec.h() * len];
+            }
+            let at = (index - k) * len;
+            slot.parity[at..at + len].copy_from_slice(payload);
+            slot.set(index);
+        }
         Ok(())
+    }
+
+    /// Distinct packets held for group `g` (0 before the first `push`).
+    fn held(&self, g: usize) -> usize {
+        self.slots.get(g).map_or(0, GroupSlot::count)
     }
 
     /// Whether group `g` has enough packets to reconstruct.
     pub fn group_complete(&self, group_id: u64) -> bool {
-        self.groups
-            .get(group_id as usize)
-            .is_some_and(|g| g.len() >= self.codec.k())
+        usize::try_from(group_id).is_ok_and(|g| g < self.n_groups && self.held(g) >= self.codec.k())
     }
 
     /// How many more packets group `g` needs — the quantity a SHARQFEC NACK
     /// carries.
     pub fn deficit(&self, group_id: u64) -> usize {
-        match self.groups.get(group_id as usize) {
-            Some(g) => self.codec.k().saturating_sub(g.len()),
-            None => 0,
+        match usize::try_from(group_id) {
+            Ok(g) if g < self.n_groups => self.codec.k().saturating_sub(self.held(g)),
+            _ => 0,
         }
     }
 
     /// Whether the whole object can be reconstructed.
     pub fn complete(&self) -> bool {
-        (0..self.groups.len() as u64).all(|g| self.group_complete(g))
+        (0..self.n_groups).all(|g| self.held(g) >= self.codec.k())
     }
 
-    /// Reconstructs the object.  Fails if any group is still short.
-    pub fn finish(&self) -> Result<Vec<u8>, FecError> {
-        let mut framed = Vec::with_capacity(self.groups.len() * self.codec.k() * self.payload_len);
-        // One decode scratch reused across every group of the object: the
-        // recovered shards land flat in index order, which is exactly the
-        // framed layout, so each group is one decode + one memcpy.
-        let mut scratch = DecodeScratch::default();
-        for shards in self.groups.iter() {
-            if shards.len() < self.codec.k() {
-                return Err(FecError::NotEnoughShards {
-                    needed: self.codec.k(),
-                    got: shards.len(),
-                });
-            }
-            let refs: Vec<(usize, &[u8])> =
-                shards.iter().map(|(i, p)| (*i, p.as_slice())).collect();
-            let recovered = self.codec.decode(&refs, &mut scratch)?;
-            framed.extend_from_slice(recovered.flat());
+    /// Reconstructs the object and hands it over, leaving the decoder as
+    /// [`GroupDecoder::new`] made it: a second `finish` without new packets
+    /// finds every group short.  Fails, keeping everything pushed so far,
+    /// if any group is still short.
+    pub fn finish(&mut self) -> Result<Vec<u8>, FecError> {
+        let (k, len) = (self.codec.k(), self.payload_len);
+        if let Some(got) = (0..self.n_groups)
+            .map(|g| self.held(g))
+            .find(|&got| got < k)
+        {
+            return Err(FecError::NotEnoughShards { needed: k, got });
         }
-        if framed.len() < FRAME_HEADER_LEN {
+        // One decode scratch reused across every group of the object; the
+        // groups' data slots are the framed layout already, so only what
+        // never arrived is computed and nothing is copied.
+        let mut scratch = DecodeScratch::default();
+        for (slot, data) in self
+            .slots
+            .iter_mut()
+            .zip(self.frame.chunks_exact_mut(k * len))
+        {
+            if slot.data_complete(k) {
+                continue;
+            }
+            self.codec
+                .reconstruct_flat(data, &slot.parity, len, |i| slot.has(i), &mut scratch)?;
+            slot.release_parity(k);
+        }
+        if self.frame.len() < FRAME_HEADER_LEN {
             return Err(FecError::BadFrame("object shorter than header"));
         }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&framed[..FRAME_HEADER_LEN]);
-        let object_len = u64::from_le_bytes(len_bytes) as usize;
-        if object_len > framed.len() - FRAME_HEADER_LEN {
-            return Err(FecError::BadFrame("length header exceeds payload"));
-        }
-        Ok(framed[FRAME_HEADER_LEN..FRAME_HEADER_LEN + object_len].to_vec())
+        let mut len_bytes = [0u8; FRAME_HEADER_LEN];
+        len_bytes.copy_from_slice(&self.frame[..FRAME_HEADER_LEN]);
+        let object_len = match usize::try_from(u64::from_le_bytes(len_bytes)) {
+            Ok(n) if n <= self.frame.len() - FRAME_HEADER_LEN => n,
+            _ => return Err(FecError::BadFrame("length header exceeds payload")),
+        };
+        self.slots.clear();
+        let mut object = std::mem::take(&mut self.frame);
+        object.copy_within(FRAME_HEADER_LEN..FRAME_HEADER_LEN + object_len, 0);
+        object.truncate(object_len);
+        Ok(object)
     }
 }
 
@@ -275,21 +391,21 @@ mod tests {
         let groups = enc.encode_object(&object(100)).unwrap();
         let mut dec = GroupDecoder::new(4, 2, 16, groups.len()).unwrap();
         assert_eq!(dec.deficit(0), 4);
-        dec.push(0, 0, &groups[0].data[0]).unwrap();
+        dec.push(0, 0, groups[0].packet(0)).unwrap();
         assert_eq!(dec.deficit(0), 3);
         // duplicates don't shrink the deficit
-        dec.push(0, 0, &groups[0].data[0]).unwrap();
+        dec.push(0, 0, groups[0].packet(0)).unwrap();
         assert_eq!(dec.deficit(0), 3);
-        dec.push(0, 4, &groups[0].parity[0]).unwrap();
-        dec.push(0, 5, &groups[0].parity[1]).unwrap();
-        dec.push(0, 1, &groups[0].data[1]).unwrap();
+        dec.push(0, 4, groups[0].packet(4)).unwrap();
+        dec.push(0, 5, groups[0].packet(5)).unwrap();
+        dec.push(0, 1, groups[0].packet(1)).unwrap();
         assert_eq!(dec.deficit(0), 0);
         assert!(dec.group_complete(0));
     }
 
     #[test]
     fn finish_fails_when_short() {
-        let dec = GroupDecoder::new(4, 2, 16, 1).unwrap();
+        let mut dec = GroupDecoder::new(4, 2, 16, 1).unwrap();
         assert!(!dec.complete());
         assert!(matches!(
             dec.finish().unwrap_err(),
@@ -331,12 +447,172 @@ mod tests {
         // Hand-craft a group whose header claims more bytes than exist.
         let enc = GroupEncoder::new(2, 0, 8).unwrap();
         let mut groups = enc.encode_object(&object(4)).unwrap();
-        groups[0].data[0][..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        groups[0].bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut dec = GroupDecoder::new(2, 0, 8, 1).unwrap();
         for (idx, p) in groups[0].packets() {
             dec.push(0, idx, p).unwrap();
         }
         assert!(matches!(dec.finish().unwrap_err(), FecError::BadFrame(_)));
+    }
+
+    #[test]
+    fn header_and_padding_edges_round_trip() {
+        // Shapes whose groups are smaller than, equal to and larger than
+        // the 8-byte header; lengths around the header and the point where
+        // the framed stream exactly fills its groups.
+        for (k, h, plen) in [(2, 1, 3), (2, 2, 4), (4, 2, 5), (3, 1, 16)] {
+            let gb = k * plen;
+            let fill = |groups: usize| (groups * gb).saturating_sub(FRAME_HEADER_LEN);
+            let mut lens = vec![0, 1, 7, 8, 9];
+            for edge in [fill(1), fill(2), fill(3)] {
+                lens.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+            for len in lens {
+                let obj = object(len);
+                let enc = GroupEncoder::new(k, h, plen).unwrap();
+                let groups = enc.encode_object(&obj).unwrap();
+                assert_eq!(groups.len(), (FRAME_HEADER_LEN + len).div_ceil(gb));
+                // The framed stream, read back off the data packets.
+                let framed: Vec<u8> = groups
+                    .iter()
+                    .flat_map(|g| g.packets().take(k).flat_map(|(_, p)| p.to_vec()))
+                    .collect();
+                assert_eq!(framed[..8], (len as u64).to_le_bytes());
+                assert_eq!(framed[8..8 + len], obj[..]);
+                assert!(framed[8 + len..].iter().all(|&b| b == 0));
+                round_trip_with_losses(&obj, k, h, plen, h);
+            }
+        }
+    }
+
+    /// A decoder for `groups`, fed packet `idx` of group 0 for each `idx`.
+    fn feed(
+        groups: &[EncodedGroup],
+        k: usize,
+        h: usize,
+        plen: usize,
+        order: &[usize],
+    ) -> GroupDecoder {
+        let mut dec = GroupDecoder::new(k, h, plen, groups.len()).unwrap();
+        for &idx in order {
+            dec.push(0, idx, groups[0].packet(idx)).unwrap();
+        }
+        dec
+    }
+
+    #[test]
+    fn parity_is_held_only_while_the_group_is_short() {
+        let obj = object(4 * 16 - FRAME_HEADER_LEN);
+        let groups = GroupEncoder::new(4, 3, 16)
+            .unwrap()
+            .encode_object(&obj)
+            .unwrap();
+        assert_eq!(groups.len(), 1);
+
+        // Parity ahead of data: held, and used for the one missing packet.
+        let mut dec = feed(&groups, 4, 3, 16, &[5, 4, 0, 2]);
+        assert_eq!(dec.slots[0].parity.len(), 3 * 16);
+        assert_eq!(dec.finish().unwrap(), obj);
+
+        // More than k: parity offered to a group that already has k packets
+        // is not kept, duplicate or not.
+        let mut dec = feed(&groups, 4, 3, 16, &[0, 1, 2, 3, 4, 4, 6]);
+        assert!(dec.slots[0].parity.is_empty());
+        assert_eq!(dec.slots[0].count(), 4);
+        assert_eq!(dec.finish().unwrap(), obj);
+        let mut dec = feed(&groups, 4, 3, 16, &[6, 1, 2, 4, 5]);
+        assert_eq!(dec.slots[0].count(), 4);
+        assert!(!dec.slots[0].has(5));
+        assert_eq!(dec.finish().unwrap(), obj);
+
+        // Data arriving after parity completed the group still lands in
+        // its slot; the last one releases the parity.
+        let mut dec = feed(&groups, 4, 3, 16, &[4, 5, 2, 3, 1]);
+        assert_eq!(dec.slots[0].count(), 5);
+        assert!(!dec.slots[0].parity.is_empty());
+        dec.push(0, 0, groups[0].packet(0)).unwrap();
+        assert!(dec.slots[0].parity.is_empty());
+        assert_eq!(dec.deficit(0), 0);
+        assert_eq!(dec.finish().unwrap(), obj);
+    }
+
+    #[test]
+    fn nothing_sized_by_the_object_exists_before_the_first_push() {
+        let mut dec = GroupDecoder::new(16, 4, 1000, 1 << 20).unwrap();
+        assert_eq!(dec.frame.capacity() + dec.slots.capacity(), 0);
+        assert_eq!(dec.deficit(7), 16);
+        assert!(!dec.group_complete(7));
+        assert!(!dec.complete());
+        // A rejected packet allocates nothing either.
+        assert!(dec.push(0, 0, &[0; 999]).is_err());
+        assert_eq!(dec.frame.capacity() + dec.slots.capacity(), 0);
+    }
+
+    #[test]
+    fn unaddressable_object_is_a_typed_error() {
+        for (k, plen, n_groups) in [
+            (16, usize::MAX / 8, 2),
+            (16, 1000, usize::MAX / 1000),
+            // Fits a usize, not an allocation.
+            (1, 1, usize::MAX),
+        ] {
+            assert_eq!(
+                GroupDecoder::new(k, 4, plen, n_groups).unwrap_err(),
+                FecError::ObjectTooLarge
+            );
+        }
+    }
+
+    #[test]
+    fn finish_hands_the_object_over_once_and_resets() {
+        let obj = object(500);
+        let groups = GroupEncoder::new(4, 2, 32)
+            .unwrap()
+            .encode_object(&obj)
+            .unwrap();
+        let mut dec = GroupDecoder::new(4, 2, 32, groups.len()).unwrap();
+        let feed_all = |dec: &mut GroupDecoder| {
+            for g in &groups {
+                for (idx, p) in g.packets().skip(2) {
+                    dec.push(g.group_id, idx, p).unwrap();
+                }
+            }
+        };
+        feed_all(&mut dec);
+        assert_eq!(dec.finish().unwrap(), obj);
+        // The buffer is gone: no panic, no empty "object".
+        assert!(!dec.complete());
+        assert_eq!(dec.deficit(0), 4);
+        assert_eq!(
+            dec.finish().unwrap_err(),
+            FecError::NotEnoughShards { needed: 4, got: 0 }
+        );
+        // ... and the decoder takes the next object of the same shape.
+        feed_all(&mut dec);
+        assert_eq!(dec.finish().unwrap(), obj);
+    }
+
+    #[test]
+    fn short_finish_keeps_what_was_pushed() {
+        let obj = object(100);
+        let groups = GroupEncoder::new(4, 2, 16)
+            .unwrap()
+            .encode_object(&obj)
+            .unwrap();
+        let mut dec = GroupDecoder::new(4, 2, 16, groups.len()).unwrap();
+        for g in &groups {
+            for (idx, p) in g.packets().skip(3) {
+                dec.push(g.group_id, idx, p).unwrap();
+            }
+        }
+        assert_eq!(
+            dec.finish().unwrap_err(),
+            FecError::NotEnoughShards { needed: 4, got: 3 }
+        );
+        for g in &groups {
+            dec.push(g.group_id, 1, g.packet(1)).unwrap();
+        }
+        assert_eq!(dec.finish().unwrap(), obj);
     }
 
     #[test]

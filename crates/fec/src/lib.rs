@@ -14,7 +14,9 @@
 //! * [`matrix`] — dense matrices over GF(256) with Gauss–Jordan inversion;
 //! * [`codec`] — the systematic encoder/decoder ([`GroupCodec`]);
 //! * [`group`] — framing of an application byte stream into packet groups
-//!   ([`GroupEncoder`] / [`GroupDecoder`]), the shape used by the examples.
+//!   ([`GroupEncoder`] / [`GroupDecoder`]), the shape used by the examples:
+//!   one contiguous buffer per encoded group, and a decoder that assembles
+//!   the object in the buffer it hands over.
 //!
 //! # Quickstart
 //!
@@ -108,6 +110,9 @@ pub enum FecError {
     SingularMatrix,
     /// The framed byte-stream header was malformed.
     BadFrame(&'static str),
+    /// `n_groups · k · payload_len` does not fit in memory's address range,
+    /// so no decoder for such an object can exist.
+    ObjectTooLarge,
 }
 
 impl core::fmt::Display for FecError {
@@ -134,6 +139,7 @@ impl core::fmt::Display for FecError {
             }
             FecError::SingularMatrix => write!(f, "decode matrix is singular (corrupt input?)"),
             FecError::BadFrame(msg) => write!(f, "malformed frame: {msg}"),
+            FecError::ObjectTooLarge => write!(f, "object size overflows the address range"),
         }
     }
 }

@@ -111,8 +111,7 @@ proptest! {
                 order.swap(i, j);
             }
             let keep: std::collections::HashSet<usize> = order[..n - h].iter().copied().collect();
-            let all: Vec<Vec<u8>> = g.data.iter().cloned().chain(g.parity.iter().cloned()).collect();
-            for (idx, payload) in all.iter().enumerate() {
+            for (idx, payload) in g.packets() {
                 if keep.contains(&idx) {
                     dec.push(g.group_id, idx, payload).unwrap();
                 }
@@ -121,4 +120,81 @@ proptest! {
         prop_assert!(dec.complete());
         prop_assert_eq!(dec.finish().unwrap(), obj);
     }
+
+    /// The in-place decoder against `GroupCodec::decode` on the same shard
+    /// sets, over arrival orders the simulator's repair traffic produces:
+    /// parity ahead of data, duplicates, more than k shards, and data that
+    /// turns up after parity had already completed its group.
+    #[test]
+    fn in_place_decoder_matches_group_codec_on_any_arrival_order(
+        obj_len in 0usize..2048,
+        k in 1usize..=12,
+        h in 0usize..=6,
+        plen in 1usize..48,
+        seed in any::<u64>(),
+    ) {
+        let obj: Vec<u8> = (0..obj_len).map(|i| ((i as u64 * 31) ^ seed) as u8).collect();
+        let enc = GroupEncoder::new(k, h, plen).unwrap();
+        let groups = enc.encode_object(&obj).unwrap();
+        prop_assert_eq!(groups.len(), enc.groups_for(obj.len()));
+        let mut dec = GroupDecoder::new(k, h, plen, groups.len()).unwrap();
+        let n = k + h;
+
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut scratch = DecodeScratch::default();
+        let mut reference = Vec::new();
+        for g in &groups {
+            let mut order: Vec<usize> = (0..n).collect();
+            match next(3) {
+                // Every parity packet first, then the data: the parity
+                // completes the group (when h >= k) or is all held.
+                0 => order.rotate_left(k),
+                // h data packets withheld until parity has stood in for them.
+                1 => order.rotate_left(h.min(k)),
+                _ => {
+                    for i in (1..n).rev() {
+                        order.swap(i, next(i + 1));
+                    }
+                }
+            }
+            // Any count from exactly k to everything, then some repeats.
+            order.truncate(k + next(h + 1));
+            for _ in 0..next(4) {
+                let again = order[next(order.len())];
+                order.insert(next(order.len() + 1), again);
+            }
+            for &idx in &order {
+                dec.push(g.group_id, idx, g.packet(idx)).unwrap();
+            }
+            prop_assert!(dec.group_complete(g.group_id));
+            prop_assert_eq!(dec.deficit(g.group_id), 0);
+
+            let mut distinct: Vec<(usize, &[u8])> = Vec::new();
+            for &idx in &order {
+                if distinct.iter().all(|&(seen, _)| seen != idx) {
+                    distinct.push((idx, g.packet(idx)));
+                }
+            }
+            reference.extend_from_slice(codec_flat(enc.codec(), &distinct, &mut scratch));
+        }
+        prop_assert!(dec.complete());
+        let decoded = dec.finish().unwrap();
+        prop_assert_eq!(&decoded[..], &reference[8..8 + obj.len()]);
+        prop_assert_eq!(decoded, obj);
+    }
+}
+
+/// `GroupCodec::decode` of one group, as its flat `k · len` byte run.
+fn codec_flat<'s>(
+    codec: &GroupCodec,
+    shards: &[(usize, &[u8])],
+    scratch: &'s mut DecodeScratch,
+) -> &'s [u8] {
+    codec.decode(shards, scratch).unwrap().flat()
 }

@@ -76,7 +76,8 @@ pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) oracle: &'a DistanceOracle,
-    pub(crate) actions: Vec<Action<M>>,
+    /// The engine's one action buffer, on loan for this callback.
+    pub(crate) actions: &'a mut Vec<Action<M>>,
     pub(crate) next_timer: &'a mut u64,
     pub(crate) probes: &'a mut ProbeSink,
 }

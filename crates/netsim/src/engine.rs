@@ -139,6 +139,11 @@ pub struct Engine<M> {
     pub(crate) shard: Option<ShardCtx>,
     /// Cross-shard arrivals generated during the current window.
     pub(crate) outbox: Vec<OutMsg<M>>,
+    /// What an agent queues during one callback.  Lent to the callback's
+    /// [`Ctx`] and drained as soon as it returns, so it is empty between
+    /// callbacks and a steady-state callback allocates nothing for it; it
+    /// lives here, once per engine, not in any agent.
+    pub(crate) actions: Vec<Action<M>>,
     /// Builder-supplied defaults consulted by [`Engine::advance`] when the
     /// [`RunSpec`] leaves them unset.
     pub(crate) default_plan: Option<Arc<ShardPlan>>,
@@ -189,6 +194,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             probes: ProbeSink::default(),
             shard: None,
             outbox: Vec::new(),
+            actions: Vec::new(),
             default_plan: None,
             default_threads: None,
             topo,
@@ -635,21 +641,24 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         let Some(mut agent) = self.agents[node.idx()].take() else {
             return;
         };
+        // Applying an action never runs a callback, so the buffer is never
+        // wanted twice at once and can leave the engine for the duration.
+        let mut actions = std::mem::take(&mut self.actions);
         let mut ctx = Ctx {
             now: self.now,
             node,
             rng: &mut self.agent_rngs[node.idx()],
             oracle: &self.oracle,
-            actions: Vec::new(),
+            actions: &mut actions,
             next_timer: &mut self.node_seq[node.idx()],
             probes: &mut self.probes,
         };
         f(agent.as_mut(), &mut ctx);
-        let actions = ctx.actions;
         self.agents[node.idx()] = Some(agent);
-        for action in actions {
+        for action in actions.drain(..) {
             self.apply(node, action);
         }
+        self.actions = actions;
     }
 
     fn apply(&mut self, node: NodeId, action: Action<M>) {
@@ -1610,6 +1619,51 @@ mod tests {
             ]
         );
         assert_eq!(e.pending_timer_count(), 1);
+    }
+
+    #[test]
+    fn action_buffer_is_drained_in_order_and_never_replayed() {
+        /// Answers every packet it hears with one NACK.
+        struct Echo {
+            chan: ChannelId,
+        }
+        impl Agent<Msg> for Echo {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {
+                ctx.multicast(self.chan, Msg::Nack, 40);
+            }
+        }
+        let (t, [n0, n1, n2]) = chain3(0.0);
+        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 1);
+        let chan = b.add_channel(&[n0, n1, n2]);
+        // n0 queues three actions in one callback; the callbacks that
+        // follow are n1's, which queue nothing.  n2 hears the burst at 40,
+        // 50 and 60 ms and is down from 45 ms on.
+        b.add_agent(n0, Box::new(Burst { chan, count: 3 }));
+        b.add_agent(n1, Box::new(Sniffer::default()));
+        b.add_agent(n2, Box::new(Echo { chan }));
+        b.fault_plan(FaultPlan::new().at(SimTime::from_millis(45), FaultEvent::NodeCrash(n2)));
+        let mut e = b.build();
+        e.advance(RunSpec::drain());
+
+        // Queue order is wire order, and nothing n0 queued was applied a
+        // second time at the end of a later callback (n1's, or the ones the
+        // crashed n2 never got): three packets and n2's one reply.
+        let sent: Vec<NodeId> = e.recorder().transmissions.iter().map(|r| r.node).collect();
+        assert_eq!(sent, vec![n0, n0, n0, n2]);
+        let heard: Vec<&Msg> = e
+            .agent::<Sniffer>(n1)
+            .unwrap()
+            .heard
+            .iter()
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(
+            heard,
+            [&Msg::Data(0), &Msg::Data(1), &Msg::Data(2), &Msg::Nack]
+        );
+        // One buffer, back in the engine, empty, with the room it grew.
+        assert!(e.actions.is_empty());
+        assert!(e.actions.capacity() >= 3);
     }
 
     #[test]

@@ -452,6 +452,7 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                         me,
                     }),
                     outbox: Vec::new(),
+                    actions: Vec::new(),
                     default_plan: None,
                     default_threads: None,
                 }

@@ -342,20 +342,15 @@ impl SessionCore {
     /// Direct RTT estimate to a peer, searched across all participation
     /// tables (smallest zone first).
     pub fn direct_rtt(&self, peer: NodeId) -> Option<SimDuration> {
-        for zone in self.participation() {
-            if let Some(rtt) = self.tables.get(&zone).and_then(|t| t.rtt(peer)) {
-                return Some(rtt);
-            }
-        }
-        None
+        self.participating()
+            .find_map(|zone| self.tables.get(&zone)?.rtt(peer))
     }
 
     /// Largest direct RTT estimate (the paper's "most distant known
     /// receiver" for the 2.5×RTT ZLC measurement window).
     pub fn max_known_rtt(&self) -> Option<SimDuration> {
-        self.participation()
-            .into_iter()
-            .filter_map(|z| self.tables.get(&z).and_then(|t| t.max_rtt()))
+        self.participating()
+            .filter_map(|z| self.tables.get(&z)?.max_rtt())
             .max()
     }
 
@@ -446,17 +441,27 @@ impl SessionCore {
         self.chain.iter().position(|&z| z == zone)
     }
 
+    /// Whether this node participates in its chain zone at level `l`: its
+    /// smallest zone, or the parent of a zone it is ZCR of.
+    fn participates(&self, l: usize) -> bool {
+        l == 0 || self.levels[l - 1].zcr == Some(self.node)
+    }
+
+    /// The zones of [`SessionCore::participation`], smallest first, without
+    /// the `Vec`: every distance estimate searches them.
+    fn participating(&self) -> impl Iterator<Item = ZoneId> + '_ {
+        (0..self.levels.len())
+            .filter(|&l| self.participates(l))
+            .map(|l| self.chain[l])
+    }
+
     /// Zones this node participates in: smallest zone plus the parent of
     /// every zone it is ZCR of.
+    ///
+    /// No deduplication is needed: each entry is a different level of the
+    /// zone chain, and a chain never repeats a zone.
     pub fn participation(&self) -> Vec<ZoneId> {
-        let mut out = vec![self.chain[0]];
-        for l in 0..self.levels.len() {
-            if self.levels[l].zcr == Some(self.node) && l + 1 < self.chain.len() {
-                out.push(self.chain[l + 1]);
-            }
-        }
-        out.dedup();
-        out
+        self.participating().collect()
     }
 
     /// Starts the protocol: arms the announcement timer and the per-zone
@@ -565,13 +570,16 @@ impl SessionCore {
         } else {
             SimTime::ZERO
         };
-        for zone in self.participation() {
+        // By level rather than through `participating()`: the tables are
+        // mutated below, and nothing in the loop changes a seat.
+        for l in 0..self.levels.len() {
+            if !self.participates(l) {
+                continue;
+            }
+            let zone = self.chain[l];
             let table = self.tables.entry(zone).or_default();
             table.expire(cutoff);
             let entries = table.entries(now);
-            let l = self
-                .chain_index(zone)
-                .expect("participation zones are in the chain");
             let zcr = self.levels[l].zcr;
             let zcr_to_parent = if zcr == Some(self.node) {
                 self.levels[l]
@@ -656,7 +664,7 @@ impl SessionCore {
         }
 
         // Participation table update (echo protocol).
-        if self.participation().contains(&a.zone) {
+        if self.participates(l) {
             let gain = self.cfg.rtt_gain;
             let table = self.tables.entry(a.zone).or_default();
             table.heard(src, a.sent_at, now);
@@ -723,18 +731,19 @@ impl SessionCore {
         // parent zone (= my chain level l) reveals the sibling-ZCR table
         // and the identity of the next ZCR up.
         if l >= 1 && Some(src) == self.levels[l - 1].zcr && src != self.node {
-            let dists: HashMap<NodeId, SimDuration> = a
-                .entries
-                .iter()
-                .filter_map(|e| e.rtt_est.map(|rtt| (e.peer, rtt / 2)))
-                .collect();
+            let upper = a.zcr.or(self.levels[l].zcr);
+            // Refilled in place: one of these arrives per ancestor announce.
+            let below = &mut self.levels[l - 1];
+            below.zcr_peer_dists.clear();
+            below.zcr_peer_dists.extend(
+                a.entries
+                    .iter()
+                    .filter_map(|e| e.rtt_est.map(|rtt| (e.peer, rtt / 2))),
+            );
             // link distance to the next ZCR up, if present in the table.
-            if let Some(upper) = a.zcr.or(self.levels[l].zcr) {
-                if let Some(&d) = dists.get(&upper) {
-                    self.levels[l - 1].link_dist = Some(d);
-                }
+            if let Some(&d) = upper.and_then(|u| below.zcr_peer_dists.get(&u)) {
+                below.link_dist = Some(d);
             }
-            self.levels[l - 1].zcr_peer_dists = dists;
         }
     }
 
@@ -748,7 +757,7 @@ impl SessionCore {
         if self.hier.parent(self.chain[l]).is_none() {
             return false; // root zone: fixed representative, no election
         }
-        l == 0 || self.levels[l - 1].zcr == Some(self.node)
+        self.participates(l)
     }
 
     fn arm_challenge(&mut self, ctx: &mut dyn SessionCtx, l: usize) {
@@ -1185,6 +1194,39 @@ mod tests {
     }
 
     #[test]
+    fn participation_follows_the_seats_held_along_the_chain() {
+        // Nodes 3 and 5 share the chain Z2 ⊂ Z1 ⊂ Z0; node 0 sits in Z0 only.
+        let (z0, z1, z2) = (ZoneId(0), ZoneId(1), ZoneId(2));
+        let cases: [(u32, [u32; 3], &[ZoneId]); 6] = [
+            (5, [0, 1, 3], &[z2]),         // leaf member
+            (3, [0, 1, 3], &[z2, z1]),     // ZCR of its smallest zone
+            (3, [0, 3, 3], &[z2, z1, z0]), // ZCR at two levels
+            (5, [0, 5, 3], &[z2, z0]),     // ZCR of a middle zone only
+            (3, [3, 3, 3], &[z2, z1, z0]), // the root seat adds no parent
+            (0, [0, 1, 3], &[z0]),         // root representative
+        ];
+        for (node, zcrs, want) in cases {
+            let seeding = ZcrSeeding::Designed(zcrs.map(n).to_vec());
+            let core = SessionCore::new(n(node), hier(), SessionConfig::default(), &seeding);
+            // The definition, written out: smallest zone, then the parent
+            // of every zone whose seat this node holds.
+            let chain = core.chain_zones();
+            let mut spec = vec![chain[0]];
+            for l in 0..chain.len() - 1 {
+                if core.is_zcr_of(chain[l]) {
+                    spec.push(chain[l + 1]);
+                }
+            }
+            assert_eq!(spec, want, "node {node} under {zcrs:?}");
+            assert_eq!(core.participating().collect::<Vec<_>>(), want);
+            assert_eq!(core.participation(), want);
+            for (l, zone) in chain.iter().enumerate() {
+                assert_eq!(core.participates(l), want.contains(zone));
+            }
+        }
+    }
+
+    #[test]
     fn start_arms_announce_and_elections() {
         let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
         let mut ctx = FakeCtx::new();
@@ -1369,6 +1411,33 @@ mod tests {
         assert_eq!(core.dist_to_ancestor(1), Some(ms(50)));
         // Full ancestor chain now has at least 2 resolvable entries.
         assert!(core.ancestor_chain().len() >= 2);
+
+        // The next announce replaces the sibling table, it does not merge
+        // into it: node 2 has dropped out of node 3's table.
+        core.on_msg(
+            &mut ctx,
+            n(3),
+            &SessionMsg::Announce(Announce {
+                zone: z1,
+                sent_at: now,
+                zcr: Some(n(1)),
+                zcr_to_parent: None,
+                report: None,
+                entries: vec![PeerEntry {
+                    peer: n(1),
+                    echo_sent_at: SimTime::ZERO,
+                    elapsed: SimDuration::ZERO,
+                    rtt_est: Some(ms(80)),
+                }],
+            }),
+        );
+        let sibling = AncestorEntry {
+            zone: ZoneId(1),
+            zcr: n(2),
+            dist: ms(15),
+        };
+        assert_eq!(core.estimate_rtt(n(9), &[sibling]), None);
+        assert_eq!(core.dist_to_ancestor(1), Some(ms(60))); // 20 + 80/2
     }
 
     #[test]

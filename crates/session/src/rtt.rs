@@ -151,19 +151,19 @@ impl PeerTable {
     /// Builds announcement entries for every tracked peer (paper §5's
     /// receiver list), deterministically ordered by peer id.
     pub fn entries(&self, now: SimTime) -> Vec<PeerEntry> {
-        let mut ids: Vec<NodeId> = self.peers.keys().copied().collect();
-        ids.sort();
-        ids.into_iter()
-            .map(|peer| {
-                let p = &self.peers[&peer];
-                PeerEntry {
-                    peer,
-                    echo_sent_at: p.last_sent_at,
-                    elapsed: now.saturating_since(p.last_recv_at),
-                    rtt_est: p.rtt.map(|e| e.rtt()),
-                }
+        // The one `Vec` the announcement carries, sorted where it lies.
+        let mut entries: Vec<PeerEntry> = self
+            .peers
+            .iter()
+            .map(|(&peer, p)| PeerEntry {
+                peer,
+                echo_sent_at: p.last_sent_at,
+                elapsed: now.saturating_since(p.last_recv_at),
+                rtt_est: p.rtt.map(|e| e.rtt()),
             })
-            .collect()
+            .collect();
+        entries.sort_unstable_by_key(|e| e.peer);
+        entries
     }
 
     /// Iterates over tracked peers.
@@ -238,6 +238,29 @@ mod tests {
         assert_eq!(entries[1].peer, NodeId(3));
         assert_eq!(entries[1].elapsed, ms(80));
         assert_eq!(entries[1].rtt_est, Some(ms(50)));
+    }
+
+    #[test]
+    fn entries_stay_sorted_by_peer_id_whatever_the_map_order() {
+        let mut t = PeerTable::new();
+        // 257 ids in a scrambled insertion order, every third with an RTT.
+        for i in 0..257u64 {
+            let peer = NodeId((i * 101 % 257) as u32);
+            t.heard(peer, at(i), at(i + 1));
+            if i % 3 == 0 {
+                t.sample(peer, ms(i), 0.5, at(i + 1));
+            }
+        }
+        t.expire(at(10));
+        let entries = t.entries(at(1_000));
+        assert_eq!(entries.len(), t.len());
+        assert!(entries.windows(2).all(|w| w[0].peer < w[1].peer));
+        for e in &entries {
+            let p = t.state(e.peer).unwrap();
+            assert_eq!(e.echo_sent_at, p.last_sent_at);
+            assert_eq!(e.elapsed, at(1_000).saturating_since(p.last_recv_at));
+            assert_eq!(e.rtt_est, t.rtt(e.peer));
+        }
     }
 
     #[test]

@@ -67,20 +67,17 @@ fn main() {
             let mut fed = 0;
             for idx in agent.held_indices(g) {
                 let idx = idx as usize;
-                // Simulated index -> real shard: data (idx < k) from the
-                // encoded group, FEC (idx >= k) from its parity table.
-                let shard: &[u8] = if idx < K as usize {
-                    &encoded[g as usize].data[idx]
-                } else {
-                    let f = idx - K as usize;
+                // Simulated index -> real shard: the encoded group holds
+                // data (idx < k) and FEC (idx >= k) under the same index.
+                if let Some(f) = idx.checked_sub(K as usize) {
                     assert!(
                         f < HEADROOM,
                         "protocol allocated FEC index {idx} beyond headroom"
                     );
                     worst_fec_used = worst_fec_used.max(f + 1);
-                    &encoded[g as usize].parity[f]
-                };
-                dec.push(g as u64, idx, shard).expect("feed shard");
+                }
+                dec.push(g as u64, idx, encoded[g as usize].packet(idx))
+                    .expect("feed shard");
                 fed += 1;
                 if fed >= K {
                     break; // any k suffice

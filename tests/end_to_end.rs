@@ -112,13 +112,9 @@ fn object_bytes_survive_the_network() {
             let mut fed = 0;
             for idx in agent.held_indices(g) {
                 let idx = idx as usize;
-                let shard: &[u8] = if idx < K {
-                    &groups[g as usize].data[idx]
-                } else {
-                    assert!(idx - K < HEADROOM, "FEC index {idx} beyond headroom");
-                    &groups[g as usize].parity[idx - K]
-                };
-                dec.push(g as u64, idx, shard).expect("push");
+                assert!(idx < K + HEADROOM, "FEC index {idx} beyond headroom");
+                dec.push(g as u64, idx, groups[g as usize].packet(idx))
+                    .expect("push");
                 fed += 1;
                 if fed >= K {
                     break;
