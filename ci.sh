@@ -92,10 +92,10 @@ echo "==> benchmark/: its own tests, then one counted pass per workload"
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 alloc_ceiling() {
   case "$1" in
-    fig10_repair)    echo 27802 ;; # 26479
-    session_1k)      echo 37266 ;; # 35492
+    fig10_repair)    echo 27684 ;; # 26366
+    session_1k)      echo 36215 ;; # 34491
     srm_500)         echo 5855 ;;  # 5577
-    flash_churn_500) echo 73787 ;; # 70274
+    flash_churn_500) echo 73261 ;; # 69773
     codec_object)    echo 2212 ;;  # 2107
     *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
   esac

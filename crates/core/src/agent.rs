@@ -15,7 +15,6 @@ use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
 use sharqfec_session::core::{is_session_token, SessionCore, SessionCtx};
 use sharqfec_session::msg::SessionMsg;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Whether this member originates the stream or receives it.
@@ -56,8 +55,6 @@ pub struct SfAgent {
     session: SessionCore,
     /// Channel of each zone, indexed by `ZoneId`.
     channels: Arc<Vec<ChannelId>>,
-    /// Reverse map for classifying received repairs by scope.
-    chan_to_level: HashMap<ChannelId, usize>,
     /// This member's zone chain (smallest zone first).
     chain: Vec<ZoneId>,
     /// Data channel = the root zone's channel (maximum scope).
@@ -65,7 +62,7 @@ pub struct SfAgent {
     /// The scope index new NACKs start at (paper §4's smallest-partition
     /// rule).
     initial_scope: usize,
-    groups: HashMap<u32, GroupState>,
+    groups: IdHashMap<u32, GroupState>,
     /// Sizes preemptive injection where this member is a level's ZCR
     /// (paper §4's EWMA by default; see [`crate::policy`]).
     policy: Box<dyn InjectionPolicy>,
@@ -137,11 +134,6 @@ impl SfAgent {
     ) -> SfAgent {
         cfg.validate();
         let chain = session.chain_zones().to_vec();
-        let chan_to_level = chain
-            .iter()
-            .enumerate()
-            .map(|(l, z)| (channels[z.idx()], l))
-            .collect();
         let root_channel = channels[chain.last().expect("chain nonempty").idx()];
         let initial_scope = if hier.is_member(chain[0], source_node) {
             chain.len() - 1
@@ -157,11 +149,10 @@ impl SfAgent {
             role,
             session,
             channels,
-            chan_to_level,
             chain,
             root_channel,
             initial_scope,
-            groups: HashMap::new(),
+            groups: IdHashMap::default(),
             policy,
             injection_on: pcfg.enabled,
             measure_rtt_factor: pcfg.measure_rtt_factor,
@@ -228,6 +219,11 @@ impl SfAgent {
     /// Forwards ZCR seat transitions recorded by the session layer to
     /// the policy, so history-bearing predictors can reset on election.
     fn drain_seat_events(&mut self) {
+        // Called after every session delivery; seats change a few times a
+        // run.
+        if !self.session.has_seat_events() {
+            return;
+        }
         for (level, is_zcr) in self.session.take_seat_events() {
             self.policy.on_seat_change(level, is_zcr);
         }
@@ -646,7 +642,13 @@ impl SfAgent {
             // and the promised identifier range is reserved so our own
             // later repairs cannot collide with it.
             let burst = burst_end.saturating_sub(idx) + 1;
-            if let Some(&level) = self.chan_to_level.get(&channel) {
+            // Classify the repair by scope: the chain is at most the
+            // hierarchy's depth long, so a scan beats any map.
+            let heard_at = self
+                .chain
+                .iter()
+                .position(|z| self.channels[z.idx()] == channel);
+            if let Some(level) = heard_at {
                 for j in 0..=level {
                     let st = self.groups.get_mut(&g).expect("exists");
                     st.reserve(burst_end);
@@ -893,8 +895,6 @@ impl Agent<SfMsg> for SfAgent {
         let mut bytes = size_of::<SfAgent>()
             + self.session.state_bytes()
             + self.chain.capacity() * size_of::<ZoneId>()
-            + self.chan_to_level.capacity()
-                * (size_of::<ChannelId>() + size_of::<usize>() + size_of::<u64>())
             + self.groups.capacity()
                 * (size_of::<u32>() + size_of::<GroupState>() + size_of::<u64>());
         for g in self.groups.values() {

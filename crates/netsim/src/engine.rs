@@ -11,6 +11,16 @@
 //! it executes serially or partitioned across shards (see `shard.rs` and
 //! [`Engine::advance`]).
 //!
+//! The statement covers what a message *carries*, not only when it is
+//! scheduled: every map an agent or the engine touches on the event path
+//! is keyed by an id this program minted and hashes with the fixed
+//! [`crate::idhash`] hasher, so a value folded over a map's iteration
+//! order (the loss-report summary in every session announcement, whose
+//! `f64` weighted mean is not associative) depends on the owning node's
+//! event history alone — not on `RandomState` keys drawn per map and per
+//! process.  `tests/payload_determinism.rs` runs one seeded simulation
+//! twice and on two shards and compares such payloads to the bit.
+//!
 //! Two allocation-conscious structures back the hot path: the slab-backed
 //! [`crate::queue::EventQueue`], whose heap moves small `Copy` keys
 //! instead of whole events, and the private packet arena (`arena.rs`),
@@ -39,6 +49,7 @@ use crate::arena::{PacketArena, PacketHeader, PacketRef};
 use crate::channel::{Channel, ChannelId};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::graph::{LinkId, NodeId, Topology};
+use crate::idhash::IdHashSet;
 use crate::link::LinkState;
 use crate::metrics::{DropRecord, Record, Recorder, RecorderMode};
 use crate::packet::{Classify, Packet};
@@ -50,7 +61,6 @@ use crate::scenario::{MembershipEvent, ScenarioPlan};
 use crate::shard::{OutMsg, ShardCtx, ShardPlan};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One scheduled event.  Payload-free: packets in flight live in the
@@ -119,11 +129,11 @@ pub struct Engine<M> {
     /// Timer events scheduled but not yet fired.  Keyed by id (ids are
     /// never reused), removed when the event is popped, so both this set
     /// and `cancelled` stay bounded by the number of in-flight timers.
-    pub(crate) pending_timers: HashSet<TimerId>,
+    pub(crate) pending_timers: IdHashSet<TimerId>,
     /// Cancellations whose timer event is still in the queue.  Invariant:
     /// `cancelled ⊆ pending_timers` — cancelling an already-fired (or
     /// never-armed) timer must not leak an entry forever.
-    pub(crate) cancelled: HashSet<TimerId>,
+    pub(crate) cancelled: IdHashSet<TimerId>,
     /// Per-node monotone counter feeding timer ids, packet uids, and
     /// event-key sequence numbers.  Only drawn while processing events at
     /// the owning node, so the draw sequence — and with it every
@@ -186,8 +196,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             queue: EventQueue::new(),
             arena: PacketArena::new(),
             now: SimTime::ZERO,
-            pending_timers: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending_timers: IdHashSet::default(),
+            cancelled: IdHashSet::default(),
             node_seq: vec![0; n],
             build_seq: 0,
             recorder: Recorder::default(),

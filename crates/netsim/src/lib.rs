@@ -32,6 +32,10 @@
 //! * **Deterministic RNG** — one seeded generator drives all loss sampling
 //!   and is handed to agents for their timer jitter, so a run is a pure
 //!   function of (topology, agents, seed) ([`rng`]).
+//! * **Id-keyed maps** — one fixed-seed integer hasher for every map keyed
+//!   by an id the program minted itself, so iteration order (and anything
+//!   folded over it) is a function of the run, not of the process
+//!   ([`idhash`]).
 //! * **Metrics** — every transmission, delivery, and drop is recorded with
 //!   a timestamp, node, and traffic class, which is precisely the data the
 //!   paper's Figures 11–21 are plotted from ([`metrics`]).
@@ -90,6 +94,7 @@ pub mod channel;
 pub mod engine;
 pub mod faults;
 pub mod graph;
+pub mod idhash;
 pub mod link;
 pub mod metrics;
 pub mod packet;
@@ -110,6 +115,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineBuilder};
     pub use crate::faults::{FaultEvent, FaultPlan, LossModel};
     pub use crate::graph::{LinkId, LinkParams, NodeId, Topology, TopologyBuilder};
+    pub use crate::idhash::{IdHashMap, IdHashSet};
     pub use crate::metrics::{Recorder, RecorderMode, Tally, TrafficClass};
     pub use crate::packet::{Classify, Packet};
     pub use crate::probe::{

@@ -4,9 +4,9 @@
 //! events, so the queue's memory behaviour is a first-order performance
 //! concern.  This queue separates *ordering* from *storage*:
 //!
-//! * the binary min-heap holds only small `Copy` keys — an [`EventKey`]
-//!   plus the slab slot — so every sift moves a few words instead of a
-//!   whole event payload;
+//! * the binary min-heap holds only 32-byte `Copy` entries — an
+//!   [`EventKey`]'s four fields plus the slab slot, two to a cache line —
+//!   so every sift moves a few words instead of a whole event payload;
 //! * event payloads live in a slab (`Vec<Option<T>>`) addressed by the
 //!   key's slot index, with a free list recycling slots, so steady-state
 //!   scheduling touches no allocator at all once the simulation's
@@ -56,17 +56,55 @@ pub struct EventKey {
     pub oseq: u64,
 }
 
-/// Heap entry: the ordering key plus the slab slot holding the payload.
+/// Heap entry: an [`EventKey`]'s fields and the slab slot holding the
+/// payload, packed into 32 bytes (the derived layout of `(EventKey, u32)`
+/// pads to 40).
+///
+/// **Order proof obligation:** [`Entry::before`] must agree with
+/// `EventKey::cmp` — lexicographic `(time, push_time, origin, oseq)` — on
+/// every pair of keys; a property test below pins it, ties on every prefix
+/// included.
 #[derive(Clone, Copy, Debug)]
-struct Key {
-    key: EventKey,
+struct Entry {
+    time: u64,
+    push_time: u64,
+    oseq: u64,
+    origin: u32,
     slot: u32,
 }
 
-impl Key {
+impl Entry {
+    fn new(key: EventKey, slot: u32) -> Entry {
+        Entry {
+            time: key.time.0,
+            push_time: key.push_time.0,
+            oseq: key.oseq,
+            origin: key.origin,
+            slot,
+        }
+    }
+
+    fn key(&self) -> EventKey {
+        EventKey {
+            time: SimTime(self.time),
+            push_time: SimTime(self.push_time),
+            origin: self.origin,
+            oseq: self.oseq,
+        }
+    }
+
+    /// Whether `self` pops strictly before `other`.
+    ///
+    /// The four-field lexicographic compare as two `u128` halves —
+    /// `(time, push_time)` then `(origin, oseq)` — joined with `|`/`&`
+    /// rather than `||`/`&&`: which of two events is earlier is a coin
+    /// flip no branch predictor learns, so the compare must compile to
+    /// flag arithmetic, not to a jump per field.
     #[inline]
-    fn rank(&self) -> EventKey {
-        self.key
+    fn before(&self, other: &Entry) -> bool {
+        let when = |e: &Entry| (u128::from(e.time) << 64) | u128::from(e.push_time);
+        let who = |e: &Entry| (u128::from(e.origin) << 64) | u128::from(e.oseq);
+        (when(self) < when(other)) | ((when(self) == when(other)) & (who(self) < who(other)))
     }
 }
 
@@ -77,7 +115,7 @@ impl Key {
 /// exactly once on pop — the heap itself only ever copies small keys.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: Vec<Key>,
+    heap: Vec<Entry>,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
     seq: u64,
@@ -150,18 +188,18 @@ impl<T> EventQueue<T> {
                 s
             }
         };
-        self.heap.push(Key { key, slot });
+        self.heap.push(Entry::new(key, slot));
         self.sift_up(self.heap.len() - 1);
     }
 
     /// Timestamp of the earliest event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.key.time)
+        self.heap.first().map(|e| SimTime(e.time))
     }
 
     /// Full ordering key of the earliest event, if any.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.first().map(|k| k.key)
+        self.heap.first().map(Entry::key)
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
@@ -181,50 +219,114 @@ impl<T> EventQueue<T> {
             .take()
             .expect("heap key points at a filled slot");
         self.free.push(top.slot);
-        Some((top.key, item))
+        Some((top.key(), item))
     }
 
+    /// Moves the entry at `i` toward the root until its parent pops first.
+    /// The entry travels in a register and is written once where the hole
+    /// it leaves comes to rest — one store per level, not a swap's three.
     fn sift_up(&mut self, mut i: usize) {
+        let moving = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i].rank() < self.heap[parent].rank() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
+            if !moving.before(&self.heap[parent]) {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
+        self.heap[i] = moving;
     }
 
+    /// Moves the entry at `i` toward the leaves until both children pop
+    /// after it, again as a hole.  The smaller child is picked by adding
+    /// the compare's outcome to the left child's index, so the only
+    /// data-dependent branch per level is the loop exit.
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let moving = heap[i];
         loop {
             let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
             let right = left + 1;
-            let smallest_child = if right < n && self.heap[right].rank() < self.heap[left].rank() {
-                right
-            } else {
+            let child = if right < n {
+                left + usize::from(heap[right].before(&heap[left]))
+            } else if left < n {
                 left
-            };
-            if self.heap[smallest_child].rank() < self.heap[i].rank() {
-                self.heap.swap(i, smallest_child);
-                i = smallest_child;
             } else {
                 break;
+            };
+            if !heap[child].before(&moving) {
+                break;
             }
+            heap[i] = heap[child];
+            i = child;
         }
+        heap[i] = moving;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn heap_entry_fits_two_to_a_cache_line() {
+        assert!(std::mem::size_of::<Entry>() <= 32);
+    }
+
+    /// One key field: mostly a handful of small values, so that ties are
+    /// the common case, plus the extremes of the field's range.
+    fn field(extremes: [u64; 3]) -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..3,
+            0u64..3,
+            any::<u64>(),
+            (0usize..3).prop_map(move |i| extremes[i]),
+        ]
+    }
+
+    fn key() -> impl Strategy<Value = EventKey> {
+        (
+            field([0, u64::MAX - 1, u64::MAX]),
+            field([0, u64::MAX - 1, u64::MAX]),
+            // `origin = u32::MAX` and `oseq` above 2^32: the packed halves
+            // must not let one field's high bits spill into the next.
+            field([0, u64::from(u32::MAX) - 1, u64::from(u32::MAX)]),
+            field([(1 << 32) - 1, 1 << 32, u64::MAX]),
+        )
+            .prop_map(|(time, push_time, origin, oseq)| EventKey {
+                time: SimTime(time),
+                push_time: SimTime(push_time),
+                origin: origin as u32,
+                oseq,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The packed entry orders exactly as `EventKey::cmp`, whatever
+        /// prefix of the key ties and whatever the slots are.
+        #[test]
+        fn packed_entry_order_is_event_key_order(a in key(), b in key(), share in 0usize..5) {
+            // Force a tie on the first `share` fields (4 = equal keys).
+            let mut b = b;
+            if share >= 1 { b.time = a.time; }
+            if share >= 2 { b.push_time = a.push_time; }
+            if share >= 3 { b.origin = a.origin; }
+            if share >= 4 { b.oseq = a.oseq; }
+            let (ea, eb) = (Entry::new(a, 7), Entry::new(b, 3));
+            prop_assert_eq!(ea.before(&eb), a < b);
+            prop_assert_eq!(eb.before(&ea), b < a);
+            prop_assert_eq!(ea.key(), a);
+            prop_assert_eq!(eb.key(), b);
+        }
     }
 
     #[test]

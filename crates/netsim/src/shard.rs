@@ -55,13 +55,13 @@
 use crate::arena::PacketArena;
 use crate::engine::{Engine, EventKind};
 use crate::graph::{LinkId, NodeId, Topology};
+use crate::idhash::IdHashSet;
 use crate::link::LinkState;
 use crate::metrics::{Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
 use crate::probe::ProbeRecord;
 use crate::queue::{EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -441,8 +441,8 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                     queue: EventQueue::new(),
                     arena: PacketArena::new(),
                     now: self.now,
-                    pending_timers: HashSet::new(),
-                    cancelled: HashSet::new(),
+                    pending_timers: IdHashSet::default(),
+                    cancelled: IdHashSet::default(),
                     node_seq: self.node_seq.clone(),
                     build_seq: self.build_seq,
                     recorder,

@@ -8,12 +8,17 @@
 //!
 //! ## State held per node (paper §5, Figure 5)
 //!
-//! * one [`PeerTable`] per zone the node *participates* in — its smallest
-//!   zone, plus the parent zone of every zone it is currently ZCR of;
-//! * per level of its zone chain: the believed ZCR, the ZCR→parent-ZCR
-//!   link distance, and the distances its ancestor ZCR announced to peers
-//!   in the parent zone (the "sibling ZCR" table used for indirect
-//!   estimation);
+//! Everything is a field of the chain level (`Level`) it belongs to, so a
+//! handler that has found its level has found all of its state — no map
+//! keyed by zone is probed on any path:
+//!
+//! * the [`PeerTable`] of that zone — filled only while the node
+//!   *participates* there: its smallest zone, plus the parent zone of
+//!   every zone it is currently ZCR of;
+//! * the believed ZCR, the ZCR→parent-ZCR link distance, and the distances
+//!   its ancestor ZCR announced to peers in the parent zone (the "sibling
+//!   ZCR" table used for indirect estimation);
+//! * the loss reports heard there (§7 summarization);
 //! * election state: the last pending challenge and takeover timer.
 //!
 //! Distances are one-way throughout (RTT/2), matching the units of the
@@ -25,9 +30,8 @@ use crate::reports::LossReport;
 use crate::rtt::PeerTable;
 use sharqfec_netsim::agent::TimerId;
 use sharqfec_netsim::probe::{ProbeEvent, ZcrAction};
-use sharqfec_netsim::{NodeId, SimDuration, SimRng, SimTime};
+use sharqfec_netsim::{IdHashMap, NodeId, SimDuration, SimRng, SimTime};
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Top bit marks timer tokens owned by the session layer.
@@ -100,7 +104,16 @@ struct Level {
     /// One-way distances from *this level's ZCR* to peers in the parent
     /// zone, learned from the ZCR's announcements there (the sibling-ZCR
     /// table for indirect estimation).
-    zcr_peer_dists: HashMap<NodeId, SimDuration>,
+    zcr_peer_dists: IdHashMap<NodeId, SimDuration>,
+    /// Echo state and RTT estimates for the peers heard in this zone.
+    /// Updated only while the node participates here; a node that loses
+    /// the seat below keeps the table (and its entries in
+    /// [`SessionCore::tracked_peer_count`]) and resumes expiring it when
+    /// it participates again.
+    table: PeerTable,
+    /// Reports heard in this zone, by reporter (ZCR announcements into a
+    /// zone carry the summary for their whole subtree).
+    reports: IdHashMap<NodeId, LossReport>,
     /// My own measured one-way distance to the *parent* zone's ZCR, from
     /// challenge/response arithmetic (election currency for this zone).
     my_dist_to_parent: Option<SimDuration>,
@@ -139,14 +152,9 @@ pub struct SessionCore {
     /// Zone chain, smallest zone first, ending at the root.
     chain: Vec<ZoneId>,
     levels: Vec<Level>,
-    /// Peer tables for every zone this node participates in.
-    tables: HashMap<ZoneId, PeerTable>,
     /// This member's own reception-quality report (§7 RR summarization),
     /// set by the host protocol via [`SessionCore::set_local_loss`].
     local_loss: Option<f64>,
-    /// Reports heard per zone, by reporter (ZCR announcements into a zone
-    /// carry the summary for their whole subtree).
-    zone_reports: HashMap<ZoneId, HashMap<NodeId, LossReport>>,
     announces_sent: u32,
     started: bool,
     /// ZCR seat transitions of *this node* (chain level, now-held),
@@ -184,7 +192,9 @@ impl SessionCore {
                     zcr,
                     zcr_heard_at: SimTime::ZERO,
                     link_dist: None,
-                    zcr_peer_dists: HashMap::new(),
+                    zcr_peer_dists: IdHashMap::default(),
+                    table: PeerTable::new(),
+                    reports: IdHashMap::default(),
                     my_dist_to_parent: None,
                     pending: None,
                     takeover: None,
@@ -192,17 +202,13 @@ impl SessionCore {
                 }
             })
             .collect();
-        let mut tables = HashMap::new();
-        tables.insert(chain[0], PeerTable::new());
         SessionCore {
             node,
             hier,
             cfg,
             chain,
             levels,
-            tables,
             local_loss: None,
-            zone_reports: HashMap::new(),
             announces_sent: 0,
             started: false,
             seat_events: Vec::new(),
@@ -210,8 +216,8 @@ impl SessionCore {
     }
 
     /// Approximate resident heap bytes of this node's session state:
-    /// zone chain, per-level election state (sibling-ZCR distance
-    /// tables), peer tables, and heard loss reports.
+    /// zone chain and per-level state (election state, sibling-ZCR
+    /// distance table, peer table, heard loss reports).
     ///
     /// Everything here is bounded by the node's *zone chain* (depth of
     /// the hierarchy) and its *zone sizes*, never by total session
@@ -230,22 +236,12 @@ impl SessionCore {
                 size_of::<NodeId>(),
                 size_of::<SimDuration>(),
             );
-        }
-        bytes += map(
-            self.tables.capacity(),
-            size_of::<ZoneId>(),
-            size_of::<PeerTable>(),
-        );
-        for t in self.tables.values() {
-            bytes += t.state_bytes();
-        }
-        bytes += map(
-            self.zone_reports.capacity(),
-            size_of::<ZoneId>(),
-            size_of::<HashMap<NodeId, LossReport>>(),
-        );
-        for m in self.zone_reports.values() {
-            bytes += map(m.capacity(), size_of::<NodeId>(), size_of::<LossReport>());
+            bytes += l.table.state_bytes();
+            bytes += map(
+                l.reports.capacity(),
+                size_of::<NodeId>(),
+                size_of::<LossReport>(),
+            );
         }
         bytes
     }
@@ -264,8 +260,16 @@ impl SessionCore {
     /// Drains the queued ZCR seat transitions of this node — `(chain
     /// level, whether the seat is now held)`, in occurrence order.  The
     /// host protocol forwards these to its injection policy.
+    ///
+    /// Check [`SessionCore::has_seat_events`] first on a hot path: taking
+    /// an empty queue still moves a `Vec` out and a fresh one in.
     pub fn take_seat_events(&mut self) -> Vec<(usize, bool)> {
         std::mem::take(&mut self.seat_events)
+    }
+
+    /// Whether any seat transition is waiting in the queue.
+    pub fn has_seat_events(&self) -> bool {
+        !self.seat_events.is_empty()
     }
 
     /// Sets this member's own reception-quality figure (loss fraction)
@@ -280,43 +284,33 @@ impl SessionCore {
     /// `aggregate_report(root)` approximates the whole session's RR state
     /// from O(zones) announcements.
     pub fn aggregate_report(&self, zone: ZoneId) -> Option<LossReport> {
-        let mut acc = if self.hier.is_member(zone, self.node) {
+        let own = if self.hier.is_member(zone, self.node) {
             self.local_loss.map(LossReport::single)
         } else {
             None
         };
-        if let Some(heard) = self.zone_reports.get(&zone) {
-            for r in heard.values() {
-                match &mut acc {
-                    None => acc = Some(*r),
-                    Some(a) => a.merge(r),
-                }
-            }
-        }
-        acc
+        Self::summarized(own, self.chain_index(zone).map(|l| &self.levels[l]))
+    }
+
+    /// `own` merged with every report heard at `level`, in the map's
+    /// iteration order.  The weighted mean is not associative in `f64`, so
+    /// that order shows in the result — and the id hasher makes it a
+    /// function of this node's own event history, the same in every run
+    /// and at every shard count.
+    fn summarized(own: Option<LossReport>, level: Option<&Level>) -> Option<LossReport> {
+        let heard = level.into_iter().flat_map(|level| level.reports.values());
+        LossReport::summarize(own.iter().chain(heard))
     }
 
     /// The report this member announces into `zone`: its own quality,
     /// merged — when it represents the child zone below `zone` — with the
     /// reports heard there, so summaries roll up the hierarchy.
     fn outgoing_report(&self, zone: ZoneId) -> Option<LossReport> {
-        let mut acc = self.local_loss.map(LossReport::single);
-        // If announcing into a parent zone as ZCR of the child below it,
-        // fold in the child zone's heard reports.
-        if let Some(l) = self.chain_index(zone) {
-            if l >= 1 && self.levels[l - 1].zcr == Some(self.node) {
-                let child = self.chain[l - 1];
-                if let Some(heard) = self.zone_reports.get(&child) {
-                    for r in heard.values() {
-                        match &mut acc {
-                            None => acc = Some(*r),
-                            Some(a) => a.merge(r),
-                        }
-                    }
-                }
-            }
-        }
-        acc
+        let child = self
+            .chain_index(zone)
+            .filter(|&l| l >= 1 && self.levels[l - 1].zcr == Some(self.node))
+            .map(|l| &self.levels[l - 1]);
+        Self::summarized(self.local_loss.map(LossReport::single), child)
     }
 
     /// The node this core belongs to.
@@ -342,21 +336,20 @@ impl SessionCore {
     /// Direct RTT estimate to a peer, searched across all participation
     /// tables (smallest zone first).
     pub fn direct_rtt(&self, peer: NodeId) -> Option<SimDuration> {
-        self.participating()
-            .find_map(|zone| self.tables.get(&zone)?.rtt(peer))
+        self.participating().find_map(|level| level.table.rtt(peer))
     }
 
     /// Largest direct RTT estimate (the paper's "most distant known
     /// receiver" for the 2.5×RTT ZLC measurement window).
     pub fn max_known_rtt(&self) -> Option<SimDuration> {
         self.participating()
-            .filter_map(|z| self.tables.get(&z)?.max_rtt())
+            .filter_map(|level| level.table.max_rtt())
             .max()
     }
 
     /// Number of peers across all tables — the Figure 8 "state" metric.
     pub fn tracked_peer_count(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
+        self.levels.iter().map(|level| level.table.len()).sum()
     }
 
     /// One-way distance from this node to its ancestor ZCR at chain level
@@ -447,12 +440,14 @@ impl SessionCore {
         l == 0 || self.levels[l - 1].zcr == Some(self.node)
     }
 
-    /// The zones of [`SessionCore::participation`], smallest first, without
-    /// the `Vec`: every distance estimate searches them.
-    fn participating(&self) -> impl Iterator<Item = ZoneId> + '_ {
-        (0..self.levels.len())
-            .filter(|&l| self.participates(l))
-            .map(|l| self.chain[l])
+    /// The levels of [`SessionCore::participation`], smallest zone first,
+    /// without the `Vec`: every distance estimate searches their tables.
+    fn participating(&self) -> impl Iterator<Item = &Level> + '_ {
+        self.levels
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| self.participates(l))
+            .map(|(_, level)| level)
     }
 
     /// Zones this node participates in: smallest zone plus the parent of
@@ -461,7 +456,7 @@ impl SessionCore {
     /// No deduplication is needed: each entry is a different level of the
     /// zone chain, and a chain never repeats a zone.
     pub fn participation(&self) -> Vec<ZoneId> {
-        self.participating().collect()
+        self.participating().map(|level| level.zone).collect()
     }
 
     /// Starts the protocol: arms the announcement timer and the per-zone
@@ -577,7 +572,7 @@ impl SessionCore {
                 continue;
             }
             let zone = self.chain[l];
-            let table = self.tables.entry(zone).or_default();
+            let table = &mut self.levels[l].table;
             table.expire(cutoff);
             let entries = table.entries(now);
             let zcr = self.levels[l].zcr;
@@ -615,37 +610,31 @@ impl SessionCore {
         self.direct_rtt(parent_zcr).map(|rtt| rtt / 2)
     }
 
-    /// Whether any member of `zone` has been heard on the zone channel
-    /// within the ZCR liveness window.  A node that has heard nobody
-    /// there for a whole window is cut off from (its side of) the zone
-    /// — evidence used to keep partition-remote election traffic from
-    /// flipping local beliefs.  Trivially true early in the session,
+    /// Whether any member of the zone at chain level `l` has been heard on
+    /// the zone channel within the ZCR liveness window.  A node that has
+    /// heard nobody there for a whole window is cut off from (its side of)
+    /// the zone — evidence used to keep partition-remote election traffic
+    /// from flipping local beliefs.  Trivially true early in the session,
     /// before a full window has elapsed.
-    fn zone_fresh(&self, zone: ZoneId, now: SimTime) -> bool {
+    fn zone_fresh(&self, l: usize, now: SimTime) -> bool {
         let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
-        let last = self
-            .tables
-            .get(&zone)
-            .and_then(|t| t.last_heard())
-            .unwrap_or(SimTime::ZERO);
+        let last = self.levels[l].table.last_heard().unwrap_or(SimTime::ZERO);
         now.saturating_since(last) < window
     }
 
-    /// Whether `peer` specifically has been heard in `zone` within the
-    /// liveness window.  Overheard-challenge arithmetic trusts cached
-    /// RTTs to the challenger; a challenger we no longer hear inside
-    /// the zone (it may be challenging from across a partition via the
-    /// parent channel) invalidates that cache.
+    /// Whether `peer` specifically has been heard in the zone at chain
+    /// level `l` within the liveness window.  Overheard-challenge
+    /// arithmetic trusts cached RTTs to the challenger; a challenger we no
+    /// longer hear inside the zone (it may be challenging from across a
+    /// partition via the parent channel) invalidates that cache.
     /// Trivially true before the first full window has elapsed (nobody
     /// can be declared stale that early).
-    fn peer_fresh(&self, zone: ZoneId, peer: NodeId, now: SimTime) -> bool {
+    fn peer_fresh(&self, l: usize, peer: NodeId, now: SimTime) -> bool {
         let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
-        let last = self
-            .tables
-            .get(&zone)
-            .and_then(|t| t.state(peer))
-            .map(|p| p.last_recv_at)
-            .unwrap_or(SimTime::ZERO);
+        let last = self.levels[l]
+            .table
+            .state(peer)
+            .map_or(SimTime::ZERO, |p| p.last_recv_at);
         now.saturating_since(last) < window
     }
 
@@ -657,22 +646,29 @@ impl SessionCore {
             return;
         };
 
+        debug_assert!(
+            a.entries.windows(2).all(|w| w[0].peer < w[1].peer),
+            "Announce.entries must be sorted by peer id"
+        );
+        let participates = self.participates(l);
+        let level = &mut self.levels[l];
+
         // §7 receiver-report bookkeeping: remember the latest summary each
         // reporter announced into this zone.
         if let Some(r) = a.report {
-            self.zone_reports.entry(a.zone).or_default().insert(src, r);
+            level.reports.insert(src, r);
         }
 
-        // Participation table update (echo protocol).
-        if self.participates(l) {
-            let gain = self.cfg.rtt_gain;
-            let table = self.tables.entry(a.zone).or_default();
-            table.heard(src, a.sent_at, now);
-            if let Some(me) = a.entries.iter().find(|e| e.peer == self.node) {
+        // Participation table update (echo protocol): one table lookup for
+        // the sender, one binary search for this node's own line.
+        if participates {
+            let peer = level.table.heard(src, a.sent_at, now);
+            if let Ok(i) = a.entries.binary_search_by_key(&self.node, |e| e.peer) {
+                let me = &a.entries[i];
                 // RTT = (now − my original timestamp) − peer's hold time.
                 let total = now.saturating_since(me.echo_sent_at);
                 if total >= me.elapsed {
-                    table.sample(src, total - me.elapsed, gain, now);
+                    peer.sample(total - me.elapsed, self.cfg.rtt_gain);
                 }
             }
         }
@@ -867,7 +863,7 @@ impl SessionCore {
             // which can survive a cut that severs the zone's own channel;
             // a partitioned-off ZCR must not keep its seat alive through
             // election control traffic its zone can no longer benefit from.
-            if Some(challenger) == self.levels[l].zcr && self.peer_fresh(zone, challenger, now) {
+            if Some(challenger) == self.levels[l].zcr && self.peer_fresh(l, challenger, now) {
                 self.levels[l].zcr_heard_at = now;
                 if claimed.is_some() {
                     self.levels[l].link_dist = claimed;
@@ -905,7 +901,7 @@ impl SessionCore {
         let my_dist = if pending.mine {
             // I issued the challenge: elapsed is my full round trip.
             Some(elapsed / 2)
-        } else if !self.peer_fresh(zone, challenger, now) {
+        } else if !self.peer_fresh(l, challenger, now) {
             // A challenger we have not heard inside the zone for a whole
             // liveness window is challenging from across a partition (its
             // challenge reached us via the parent channel).  Our cached
@@ -1017,7 +1013,6 @@ impl SessionCore {
         self.levels[l].my_dist_to_parent = Some(my_dist);
         self.levels[l].link_dist = Some(my_dist);
         self.levels[l].usurp_rounds = 0;
-        self.tables.entry(parent).or_default();
     }
 
     fn on_takeover(
@@ -1040,7 +1035,7 @@ impl SessionCore {
         // Sitting ZCR reasserts if it is still strictly closer (§5.2: "the
         // old ZCR will … reassert its superiority").
         if self.levels[l].zcr == Some(self.node) && new_zcr != self.node {
-            if !self.zone_fresh(zone, ctx.now()) {
+            if !self.zone_fresh(l, ctx.now()) {
                 // We are cut off from the zone: the declarer is on the far
                 // side of a partition and this takeover reached us through
                 // the parent channel.  Neither fight back (reasserting
@@ -1063,7 +1058,7 @@ impl SessionCore {
         // that severs the zone's); adopting a representative whose
         // announcements cannot reach us would strand the zone behind a
         // silent ZCR and re-trigger elections forever.
-        if new_zcr != self.node && !self.peer_fresh(zone, new_zcr, ctx.now()) {
+        if new_zcr != self.node && !self.peer_fresh(l, new_zcr, ctx.now()) {
             return;
         }
         if new_zcr != self.node {
@@ -1218,7 +1213,8 @@ mod tests {
                 }
             }
             assert_eq!(spec, want, "node {node} under {zcrs:?}");
-            assert_eq!(core.participating().collect::<Vec<_>>(), want);
+            let zones: Vec<ZoneId> = core.participating().map(|level| level.zone).collect();
+            assert_eq!(zones, want);
             assert_eq!(core.participation(), want);
             for (l, zone) in chain.iter().enumerate() {
                 assert_eq!(core.participates(l), want.contains(zone));
@@ -2030,6 +2026,206 @@ mod tests {
             core.levels[0].takeover.is_none(),
             "and cannot win elections"
         );
+    }
+
+    /// One report line echoing `peer`'s timestamp `echo_ms`, held `held_ms`.
+    fn line(peer: u32, echo_ms: u64, held_ms: u64) -> PeerEntry {
+        PeerEntry {
+            peer: n(peer),
+            echo_sent_at: SimTime::from_millis(echo_ms),
+            elapsed: ms(held_ms),
+            rtt_est: None,
+        }
+    }
+
+    fn announce(zone: ZoneId, sent_ms: u64, zcr: u32, entries: Vec<PeerEntry>) -> SessionMsg {
+        SessionMsg::Announce(Announce {
+            zone,
+            sent_at: SimTime::from_millis(sent_ms),
+            zcr: Some(n(zcr)),
+            zcr_to_parent: None,
+            report: None,
+            entries,
+        })
+    }
+
+    #[test]
+    fn own_line_is_found_wherever_it_sorts() {
+        // Node 5 in Z2 = {3, 4, 5, 6}; every echo below closes a 60 ms loop
+        // (heard at 180, own timestamp 100, held 20).
+        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
+        let mut ctx = FakeCtx::new();
+        core.start(&mut ctx);
+        ctx.now = SimTime::from_millis(180);
+        let z2 = ZoneId(2);
+        let mine = || line(5, 100, 20);
+        let other = |p| line(p, 1, 1);
+        // First.
+        core.on_msg(
+            &mut ctx,
+            n(4),
+            &announce(z2, 150, 3, vec![mine(), other(6)]),
+        );
+        assert_eq!(core.direct_rtt(n(4)), Some(ms(60)));
+        // Middle.
+        core.on_msg(
+            &mut ctx,
+            n(3),
+            &announce(z2, 150, 3, vec![other(4), mine(), other(6)]),
+        );
+        assert_eq!(core.direct_rtt(n(3)), Some(ms(60)));
+        // Last.
+        core.on_msg(
+            &mut ctx,
+            n(6),
+            &announce(z2, 150, 3, vec![other(3), other(4), mine()]),
+        );
+        assert_eq!(core.direct_rtt(n(6)), Some(ms(60)));
+        assert_eq!(core.max_known_rtt(), Some(ms(60)));
+
+        // Absent: the sender's echo state is refreshed, the estimate
+        // already held for it is left alone …
+        core.on_msg(
+            &mut ctx,
+            n(4),
+            &announce(z2, 170, 3, vec![other(3), other(6)]),
+        );
+        assert_eq!(core.direct_rtt(n(4)), Some(ms(60)));
+        assert_eq!(
+            core.levels[0].table.state(n(4)).map(|p| p.last_sent_at),
+            Some(SimTime::from_millis(170))
+        );
+        assert_eq!(core.tracked_peer_count(), 3);
+
+        // … and a peer never echoed back is heard without an estimate.
+        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
+        core.start(&mut ctx);
+        core.on_msg(&mut ctx, n(4), &announce(z2, 150, 3, vec![other(3)]));
+        core.on_msg(&mut ctx, n(6), &announce(z2, 150, 3, vec![]));
+        assert_eq!(core.direct_rtt(n(4)), None);
+        assert_eq!(core.max_known_rtt(), None);
+        assert_eq!(core.tracked_peer_count(), 2);
+    }
+
+    #[test]
+    fn a_lost_seat_keeps_its_table_and_a_regained_one_resumes_it() {
+        // Node 3 sits as ZCR of Z2, so it participates in Z2 and Z1.
+        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
+        let mut ctx = FakeCtx::new();
+        core.start(&mut ctx);
+        let (z1, z2) = (ZoneId(1), ZoneId(2));
+        ctx.now = SimTime::from_millis(180);
+        core.on_msg(
+            &mut ctx,
+            n(4),
+            &announce(z2, 150, 3, vec![line(3, 100, 20)]),
+        );
+        core.on_msg(
+            &mut ctx,
+            n(1),
+            &announce(z1, 150, 1, vec![line(3, 100, 40)]),
+        );
+        core.on_msg(&mut ctx, n(2), &announce(z1, 150, 1, vec![]));
+        assert_eq!(core.tracked_peer_count(), 3);
+        assert_eq!(core.direct_rtt(n(1)), Some(ms(40)));
+
+        // A closer usurper takes Z2: node 3 stops participating in Z1.
+        core.levels[0].my_dist_to_parent = Some(ms(10));
+        core.on_msg(
+            &mut ctx,
+            n(6),
+            &SessionMsg::ZcrTakeover {
+                zone: z2,
+                new_zcr: n(6),
+                dist_to_parent: ms(4),
+            },
+        );
+        assert_eq!(core.participation(), vec![z2]);
+        // The Z1 table is kept and still counted, but no longer searched
+        // or updated …
+        assert_eq!(core.tracked_peer_count(), 3);
+        assert_eq!(core.direct_rtt(n(1)), None);
+        assert_eq!(core.max_known_rtt(), Some(ms(60)));
+        ctx.now = SimTime::from_secs(5);
+        core.on_msg(&mut ctx, n(2), &announce(z1, 4_900, 1, vec![]));
+        assert_eq!(
+            core.levels[1].table.state(n(2)).map(|p| p.last_recv_at),
+            Some(SimTime::from_millis(180))
+        );
+        // … nor expired: only participating levels are swept.
+        ctx.now = SimTime::from_secs(30);
+        core.on_msg(&mut ctx, n(4), &announce(z2, 29_900, 6, vec![]));
+        assert!(core.on_timer(&mut ctx, token(KIND_ANNOUNCE, 0)));
+        assert_eq!(core.levels[1].table.len(), 2);
+        assert_eq!(core.tracked_peer_count(), 3);
+
+        // Regaining the seat resumes the same table: nothing is counted
+        // twice, the old estimate is searchable again …
+        core.levels[0].takeover = Some((TimerId(99), ms(1)));
+        assert!(core.on_timer(&mut ctx, token(KIND_TAKEOVER, 0)));
+        assert_eq!(core.participation(), vec![z2, z1]);
+        assert_eq!(core.tracked_peer_count(), 3);
+        assert_eq!(core.direct_rtt(n(1)), Some(ms(40)));
+        // … and the next announcement sweeps out what went stale meanwhile.
+        core.on_msg(&mut ctx, n(1), &announce(z1, 29_900, 1, vec![]));
+        assert!(core.on_timer(&mut ctx, token(KIND_ANNOUNCE, 0)));
+        assert_eq!(core.levels[1].table.len(), 1);
+        assert_eq!(core.tracked_peer_count(), 2);
+        assert_eq!(
+            core.take_seat_events(),
+            vec![(0, true), (0, false), (0, true)]
+        );
+    }
+
+    #[test]
+    fn freshness_reads_the_levels_own_table() {
+        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
+        let mut ctx = FakeCtx::new();
+        core.start(&mut ctx);
+        let early = SimTime::from_secs(1);
+        let late = SimTime::from_secs(20); // far past the 3.2 s window
+                                           // Nobody heard yet: trivially fresh early on, stale once a whole
+                                           // window has passed — at a participating level and at one that
+                                           // holds no table entries because the node does not participate.
+        for l in [0, 1] {
+            assert!(core.zone_fresh(l, early));
+            assert!(core.peer_fresh(l, n(4), early));
+            assert!(!core.zone_fresh(l, late));
+            assert!(!core.peer_fresh(l, n(4), late));
+        }
+        ctx.now = late;
+        core.on_msg(&mut ctx, n(4), &announce(ZoneId(2), 19_990, 3, vec![]));
+        assert!(core.zone_fresh(0, late));
+        assert!(core.peer_fresh(0, n(4), late));
+        assert!(!core.peer_fresh(0, n(6), late), "freshness is per peer");
+        assert!(!core.zone_fresh(1, late), "and per level");
+        let window = SessionConfig::default()
+            .challenge_period
+            .mul_f64(SessionConfig::default().liveness_factor);
+        assert!(!core.zone_fresh(0, late + window));
+    }
+
+    #[test]
+    fn a_zone_outside_the_chain_has_no_aggregate() {
+        // Node 0's chain is [Z0]; Z2 traffic reaches it because channels
+        // nest, and is ignored.
+        let mut core = SessionCore::new(n(0), hier(), SessionConfig::default(), &designed());
+        let mut ctx = FakeCtx::new();
+        core.start(&mut ctx);
+        core.set_local_loss(0.25);
+        let mut heard = announce(ZoneId(2), 10, 3, vec![]);
+        if let SessionMsg::Announce(a) = &mut heard {
+            a.report = Some(LossReport::single(0.5));
+        }
+        core.on_msg(&mut ctx, n(3), &heard);
+        assert_eq!(core.aggregate_report(ZoneId(2)), None);
+        assert_eq!(core.aggregate_report(ZoneId(1)), None);
+        assert_eq!(
+            core.aggregate_report(ZoneId(0)),
+            Some(LossReport::single(0.25))
+        );
+        assert_eq!(core.tracked_peer_count(), 0);
+        assert_eq!(core.direct_rtt(n(3)), None);
     }
 
     #[test]

@@ -39,7 +39,10 @@ pub struct Announce {
     /// quality, merged — when it is a ZCR — with the reports heard in its
     /// child zone.
     pub report: Option<LossReport>,
-    /// Per-peer report lines.
+    /// Per-peer report lines, **sorted by strictly ascending peer id** —
+    /// an invariant of the message, not a convention: a receiver finds its
+    /// own line by binary search ([`crate::rtt::PeerTable::entries`]
+    /// builds them so; `SessionCore` `debug_assert`s it on receipt).
     pub entries: Vec<PeerEntry>,
 }
 

@@ -1,8 +1,7 @@
 //! RTT estimates and per-zone peer tables.
 
 use crate::msg::PeerEntry;
-use sharqfec_netsim::{NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
+use sharqfec_netsim::{IdHashMap, NodeId, SimDuration, SimTime};
 
 /// One EWMA-merged RTT estimate.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,11 +58,28 @@ pub struct PeerState {
     pub rtt: Option<RttEstimate>,
 }
 
+impl PeerState {
+    /// Merges an RTT sample for this peer.
+    ///
+    /// Reached only through the state [`PeerTable::heard`] hands back: a
+    /// sample closes an echo loop, so its peer has been heard.  There is
+    /// deliberately no create-if-missing variant — a peer fabricated
+    /// without ever being heard would carry `last_sent_at = 0`, which the
+    /// next announcement would echo for that peer to read as an RTT the
+    /// size of its whole clock.
+    pub fn sample(&mut self, rtt: SimDuration, gain: f64) {
+        match &mut self.rtt {
+            Some(est) => est.merge(rtt, gain),
+            none => *none = Some(RttEstimate::new(rtt)),
+        }
+    }
+}
+
 /// The session table a node keeps for one zone it participates in: echo
 /// state and RTT estimates for every peer heard there.
 #[derive(Clone, Debug, Default)]
 pub struct PeerTable {
-    peers: HashMap<NodeId, PeerState>,
+    peers: IdHashMap<NodeId, PeerState>,
 }
 
 impl PeerTable {
@@ -72,8 +88,10 @@ impl PeerTable {
         PeerTable::default()
     }
 
-    /// Records that `peer` was heard `now`, with its carried timestamp.
-    pub fn heard(&mut self, peer: NodeId, sent_at: SimTime, now: SimTime) {
+    /// Records that `peer` was heard `now`, with its carried timestamp,
+    /// and returns its state — the one lookup an announcement costs; the
+    /// RTT sample it may close lands through the same reference.
+    pub fn heard(&mut self, peer: NodeId, sent_at: SimTime, now: SimTime) -> &mut PeerState {
         let entry = self.peers.entry(peer).or_insert(PeerState {
             last_sent_at: sent_at,
             last_recv_at: now,
@@ -81,20 +99,7 @@ impl PeerTable {
         });
         entry.last_sent_at = sent_at;
         entry.last_recv_at = now;
-    }
-
-    /// Merges an RTT sample for `peer` (creates the peer if unknown —
-    /// ZCR-challenge measurements can precede any announcement exchange).
-    pub fn sample(&mut self, peer: NodeId, rtt: SimDuration, gain: f64, now: SimTime) {
-        let entry = self.peers.entry(peer).or_insert(PeerState {
-            last_sent_at: SimTime::ZERO,
-            last_recv_at: now,
-            rtt: None,
-        });
-        match &mut entry.rtt {
-            Some(est) => est.merge(rtt, gain),
-            none => *none = Some(RttEstimate::new(rtt)),
-        }
+        entry
     }
 
     /// Current RTT estimate to `peer`.
@@ -215,9 +220,9 @@ mod tests {
         let p = NodeId(7);
         t.heard(p, at(100), at(130));
         assert_eq!(t.rtt(p), None);
-        t.sample(p, ms(60), 0.5, at(130));
+        t.heard(p, at(100), at(130)).sample(ms(60), 0.5);
         assert_eq!(t.rtt(p), Some(ms(60)));
-        t.sample(p, ms(20), 0.5, at(140));
+        t.heard(p, at(110), at(140)).sample(ms(20), 0.5);
         assert_eq!(t.rtt(p), Some(ms(40)));
         assert_eq!(t.len(), 1);
     }
@@ -225,8 +230,7 @@ mod tests {
     #[test]
     fn entries_echo_the_right_fields() {
         let mut t = PeerTable::new();
-        t.heard(NodeId(3), at(100), at(120));
-        t.sample(NodeId(3), ms(50), 0.5, at(120));
+        t.heard(NodeId(3), at(100), at(120)).sample(ms(50), 0.5);
         t.heard(NodeId(1), at(90), at(95));
         let entries = t.entries(at(200));
         assert_eq!(entries.len(), 2);
@@ -246,9 +250,9 @@ mod tests {
         // 257 ids in a scrambled insertion order, every third with an RTT.
         for i in 0..257u64 {
             let peer = NodeId((i * 101 % 257) as u32);
-            t.heard(peer, at(i), at(i + 1));
+            let state = t.heard(peer, at(i), at(i + 1));
             if i % 3 == 0 {
-                t.sample(peer, ms(i), 0.5, at(i + 1));
+                state.sample(ms(i), 0.5);
             }
         }
         t.expire(at(10));
@@ -278,16 +282,16 @@ mod tests {
     fn max_rtt_tracks_most_distant_peer() {
         let mut t = PeerTable::new();
         assert_eq!(t.max_rtt(), None);
-        t.sample(NodeId(1), ms(30), 0.5, at(0));
-        t.sample(NodeId(2), ms(90), 0.5, at(0));
-        t.sample(NodeId(3), ms(60), 0.5, at(0));
+        t.heard(NodeId(1), at(0), at(0)).sample(ms(30), 0.5);
+        t.heard(NodeId(2), at(0), at(0)).sample(ms(90), 0.5);
+        t.heard(NodeId(3), at(0), at(0)).sample(ms(60), 0.5);
         assert_eq!(t.max_rtt(), Some(ms(90)));
     }
 
     #[test]
     fn heard_updates_do_not_clear_estimates() {
         let mut t = PeerTable::new();
-        t.sample(NodeId(1), ms(40), 0.5, at(0));
+        t.heard(NodeId(1), at(0), at(0)).sample(ms(40), 0.5);
         t.heard(NodeId(1), at(100), at(110));
         assert_eq!(t.rtt(NodeId(1)), Some(ms(40)));
         let st = t.state(NodeId(1)).unwrap();

@@ -4,7 +4,6 @@ use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
 use crate::timers::AdaptiveParams;
 use sharqfec_netsim::prelude::*;
-use std::collections::HashMap;
 
 const TOK_REQ_BASE: u64 = 1 << 32;
 const TOK_REP_BASE: u64 = 2 << 32;
@@ -47,16 +46,16 @@ pub struct SrmReceiver {
     /// Highest sequence number known to exist (from data, repairs, or
     /// others' requests); `None` before anything is heard.
     max_seen: Option<u32>,
-    requests: HashMap<u32, ReqState>,
-    repairs: HashMap<u32, RepState>,
-    holdoff: HashMap<u32, SimTime>,
+    requests: IdHashMap<u32, ReqState>,
+    repairs: IdHashMap<u32, RepState>,
+    holdoff: IdHashMap<u32, SimTime>,
     req_params: AdaptiveParams,
     rep_params: AdaptiveParams,
     /// Session-layer peer table: every announcer heard, with the time it
     /// was last heard.  Because announcements are globally scoped this
     /// grows O(n) with session size — the state SRM's session protocol
     /// fundamentally requires and the scale sweep measures.
-    session_peers: HashMap<NodeId, SimTime>,
+    session_peers: IdHashMap<NodeId, SimTime>,
     /// Which announce rotation round comes next (see
     /// `SrmConfig::announce_stride`).
     announce_round: u64,
@@ -81,12 +80,12 @@ impl SrmReceiver {
             source,
             received_count: 0,
             max_seen: None,
-            requests: HashMap::new(),
-            repairs: HashMap::new(),
-            holdoff: HashMap::new(),
+            requests: IdHashMap::default(),
+            repairs: IdHashMap::default(),
+            holdoff: IdHashMap::default(),
             req_params,
             rep_params,
-            session_peers: HashMap::new(),
+            session_peers: IdHashMap::default(),
             announce_round: 0,
             requests_sent: 0,
             repairs_sent: 0,

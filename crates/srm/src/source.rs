@@ -5,7 +5,6 @@ use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
 use crate::timers::AdaptiveParams;
 use sharqfec_netsim::prelude::*;
-use std::collections::HashMap;
 
 const TOK_SEND: u64 = 0;
 const TOK_REPAIR_BASE: u64 = 1 << 32;
@@ -16,9 +15,9 @@ pub struct SrmSource {
     chan: ChannelId,
     next_seq: u32,
     /// Pending repair timers: seq → (timer, requester distance).
-    pending: HashMap<u32, (TimerId, SimDuration)>,
+    pending: IdHashMap<u32, (TimerId, SimDuration)>,
     /// Per-seq hold-down after a repair was sent or heard.
-    holdoff: HashMap<u32, SimTime>,
+    holdoff: IdHashMap<u32, SimTime>,
     params: AdaptiveParams,
     /// Repairs transmitted (for post-run inspection).
     pub repairs_sent: u32,
@@ -32,8 +31,8 @@ impl SrmSource {
             cfg,
             chan,
             next_seq: 0,
-            pending: HashMap::new(),
-            holdoff: HashMap::new(),
+            pending: IdHashMap::default(),
+            holdoff: IdHashMap::default(),
             params,
             repairs_sent: 0,
         }
