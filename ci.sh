@@ -19,6 +19,12 @@ echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
   --exclude proptest
 
+echo "==> benchmark/ builds against this tree (the names it imports still exist)"
+# benchmark/ is a workspace of its own that no step above compiles, and no
+# PR but a benchmark one may edit it: a renamed function it imports should
+# fail here, in the first minute, not after the test suite.
+cargo build --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -87,16 +93,17 @@ echo "==> benchmark/: its own tests, then one counted pass per workload"
 # workload must reproduce its pinned statistics ("correct": true) and stay
 # under its heap-allocation ceiling.  `allocs` is an exact count (the
 # counted repetition always runs the seed-42 inputs), so the ceilings are
-# the committed code's own counts + 5%: a new allocation per event or per
-# group trips them, a new one per run does not.  Timings stay out of CI.
+# the committed code's own counts + 1%, the bound the benchmark gate itself
+# applies (BENCHMARK.json, allocs.bound): what passes here passes there.
+# Timings stay out of CI.
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 alloc_ceiling() {
   case "$1" in
-    fig10_repair)    echo 27684 ;; # 26366
-    session_1k)      echo 36215 ;; # 34491
-    srm_500)         echo 5855 ;;  # 5577
-    flash_churn_500) echo 73261 ;; # 69773
-    codec_object)    echo 2212 ;;  # 2107
+    fig10_repair)    echo 26629 ;; # 26366
+    session_1k)      echo 34835 ;; # 34491
+    srm_500)         echo 5632 ;;  # 5577
+    flash_churn_500) echo 70470 ;; # 69773
+    codec_object)    echo 2128 ;;  # 2107
     *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
   esac
 }

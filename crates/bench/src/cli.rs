@@ -526,7 +526,6 @@ pub(crate) mod tests {
 
     const W: Workload = Workload {
         packets: 1,
-        seed: 0,
         tail_secs: 1,
     };
 

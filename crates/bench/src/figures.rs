@@ -8,7 +8,7 @@ use sharqfec_analysis::stats::Summary;
 use sharqfec_analysis::table::Table;
 use sharqfec_netsim::{NodeId, RunSpec, SimTime, TrafficClass};
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_sim, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, SessionAgent, SessionConfig};
 use sharqfec_topology::{balanced_tree, chain, star, BuiltTopology};
 
 /// `fig01` — the paper's Figure 1 analysis (§3.1): compounded loss on
@@ -195,14 +195,15 @@ pub fn fig11_13(elect: bool) {
 }
 
 fn run_case(name: &str, built: &BuiltTopology, t: &mut Table) {
-    let (mut engine, _) = setup_session_sim(
+    let mut engine = setup_session_builder(
         built,
         7,
         ZcrSeeding::Elect { root: built.source },
         SessionConfig::default(),
         SimTime::from_secs(1),
         &[],
-    );
+    )
+    .build();
     engine.advance(RunSpec::to(SimTime::from_secs(15)));
 
     // Count challenge/takeover control traffic.

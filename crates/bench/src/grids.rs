@@ -141,7 +141,6 @@ pub const ABLATION: Fig10Grid = Fig10Grid {
 fn ablation_plan(packets: u32) -> Vec<Scenario> {
     let workload = Workload {
         packets,
-        seed: 0,       // per-cell seeds come from runner::Cell
         tail_secs: 51, // stream ends at 6 s + 2.56 s; 60 s total
     };
     let cell = |sweep: &str, setting: String, cfg: SharqfecConfig, loss_scale: f64| {
@@ -220,7 +219,6 @@ pub const FAULT: Fig10Grid = Fig10Grid {
 fn fault_plan(packets: u32) -> Vec<Scenario> {
     let workload = Workload {
         packets,
-        seed: 0, // per-cell seeds come from runner::Cell
         tail_secs: 82,
     };
     // The link that flaps: tree 3's backbone attachment.  Link ids depend

@@ -41,9 +41,11 @@ use sharqfec_netsim::{
     Classify, Engine, EngineBuilder, NodeId, RecorderMode, RunSpec, SimTime, TrafficClass,
 };
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_sim, ProbePlan, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent, SessionConfig};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
 use sharqfec_topology::{figure10, BuiltTopology, Figure10Params};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Binned traffic observed in one protocol run.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,27 +103,23 @@ impl AuditOutcome {
 pub struct Workload {
     /// Data packets (paper: 1024; tests use fewer).
     pub packets: u32,
-    /// RNG seed.
-    pub seed: u64,
     /// Extra tail time after the stream ends, seconds.
     pub tail_secs: u64,
 }
 
 impl Workload {
     /// The paper's full workload.
-    pub fn paper(seed: u64) -> Workload {
+    pub fn paper() -> Workload {
         Workload {
             packets: 1024,
-            seed,
             tail_secs: 45,
         }
     }
 
     /// A reduced workload for tests.
-    pub fn small(seed: u64) -> Workload {
+    pub fn small() -> Workload {
         Workload {
             packets: 128,
-            seed,
             tail_secs: 20,
         }
     }
@@ -139,8 +137,60 @@ impl Workload {
     }
 }
 
-/// When every receiver starts its session layer.
-const JOIN_AT: SimTime = SimTime::from_secs(1);
+/// When every initial member starts its session layer, in every harness
+/// (the paper's t = 1 s).
+pub(crate) const JOIN_AT: SimTime = SimTime::from_secs(1);
+
+/// One finished run: the engine, and what every sweep reports of the run
+/// itself.
+pub(crate) struct Driven<M> {
+    pub engine: Engine<M>,
+    /// Events processed.
+    pub events: u64,
+    /// Events per wall-clock second over build + run (machine-dependent).
+    pub events_per_sec: f64,
+    /// Shards the topology actually split into (1 = serial).
+    pub shards: usize,
+    /// The auditor's verdict, if one was asked for.
+    pub audit: Option<AuditOutcome>,
+}
+
+/// The one way a harness turns a protocol's populated builder into a
+/// finished run: recorder mode, auditor (fed the probe stream, keeping no
+/// records — nothing here reads them) and fault plan on top of `builder`,
+/// then build and advance to `horizon` over up to `shards` subtrees of
+/// `built`.
+pub(crate) fn drive<M: Classify + Clone + Send + 'static>(
+    built: &BuiltTopology,
+    mut builder: EngineBuilder<M>,
+    recorder: RecorderMode,
+    audit: Option<AuditConfig>,
+    faults: FaultPlan,
+    horizon: SimTime,
+    shards: usize,
+) -> Driven<M> {
+    builder.recorder_mode(recorder).fault_plan(faults);
+    if let Some(cfg) = audit {
+        builder.audit_streaming(cfg);
+    }
+    let plan = Arc::new(built.shard_plan(shards.max(1)));
+    let started = Instant::now();
+    let mut engine = builder.build();
+    let events = engine.advance(RunSpec::to(horizon).with_plan(Arc::clone(&plan)));
+    let wall = started.elapsed().as_secs_f64().max(1e-9);
+    let audit = engine.audit_report().map(|r| AuditOutcome {
+        events: r.events,
+        violations: r.violations.len(),
+        summary: r.summary(),
+    });
+    Driven {
+        engine,
+        events,
+        events_per_sec: events as f64 / wall,
+        shards: plan.shard_count(),
+        audit,
+    }
+}
 
 /// Which reliable-multicast protocol a [`Scenario`] runs.
 #[derive(Clone, Debug)]
@@ -170,8 +220,7 @@ pub struct Scenario {
     /// Gilbert–Elliott burst model of equal mean loss and this mean
     /// burst length (packets).
     pub mean_burst: Option<f64>,
-    /// Stream length and tail time (`workload.seed` is ignored here; the
-    /// seed is passed to [`Scenario::run`] so sweep cells control it).
+    /// Stream length and tail time.
     pub workload: Workload,
     /// Deterministic fault schedule (link flaps, loss changes, churn).
     pub faults: FaultPlan,
@@ -304,16 +353,6 @@ impl Scenario {
         self
     }
 
-    /// The [`RunSpec`] for this scenario on an already-built topology:
-    /// run to the workload's end, sharded if requested.
-    fn run_spec(&self, built: &BuiltTopology) -> RunSpec {
-        let mut spec = RunSpec::to(self.workload.run_end());
-        if self.shards > 1 {
-            spec = spec.with_plan(std::sync::Arc::new(built.shard_plan(self.shards)));
-        }
-        spec
-    }
-
     /// Builds the scenario's network, applying the burst re-model.
     pub fn build_topology(&self) -> BuiltTopology {
         let mut built = figure10(&self.params);
@@ -331,26 +370,25 @@ impl Scenario {
         built
     }
 
-    /// Builds the configured engine — the scenario's recorder mode, fault
-    /// plan, and auditor on top of the protocol's `builder` — and runs it
-    /// to the workload's end.
+    /// Runs the protocol's `builder` under this scenario's recorder mode,
+    /// fault plan, auditor and shard count, to the workload's end.
     fn simulate<M: Classify + Clone + Send + 'static>(
         &self,
         built: &BuiltTopology,
-        mut builder: EngineBuilder<M>,
-    ) -> Engine<M> {
-        builder
-            .recorder_mode(self.recorder)
-            .fault_plan(self.faults.clone());
-        if self.audit {
-            builder.audit(AuditConfig::default());
-        }
-        let mut engine = builder.build();
-        engine.advance(self.run_spec(built));
-        engine
+        builder: EngineBuilder<M>,
+    ) -> Driven<M> {
+        drive(
+            built,
+            builder,
+            self.recorder,
+            self.audit.then(AuditConfig::default),
+            self.faults.clone(),
+            self.workload.run_end(),
+            self.shards,
+        )
     }
 
-    /// Runs a SHARQFEC scenario; returns the engine, the packets still
+    /// Runs a SHARQFEC scenario; returns the run, the packets still
     /// unrecovered, and the stream's time-to-complete (the slowest
     /// receiver's last group completion, `None` unless every receiver
     /// completed).
@@ -359,14 +397,14 @@ impl Scenario {
         built: &BuiltTopology,
         cfg: &SharqfecConfig,
         seed: u64,
-    ) -> (Engine<sharqfec::SfMsg>, u32, Option<f64>) {
+    ) -> (Driven<sharqfec::SfMsg>, u32, Option<f64>) {
         let cfg = SharqfecConfig {
             total_packets: self.workload.packets,
             ..cfg.clone()
         };
-        let engine = self.simulate(built, setup_sharqfec_builder(built, seed, cfg, JOIN_AT));
+        let run = self.simulate(built, setup_sharqfec_builder(built, seed, cfg, JOIN_AT));
         let agents = || {
-            let receiver = |&r| engine.agent::<SfAgent>(r).expect("receiver");
+            let receiver = |&r| run.engine.agent::<SfAgent>(r).expect("receiver");
             built.receivers.iter().map(receiver)
         };
         let unrecovered = agents().map(SfAgent::missing).sum();
@@ -374,25 +412,28 @@ impl Scenario {
             .map(SfAgent::completion_time)
             .try_fold(SimTime::ZERO, |acc, t| t.map(|t| acc.max(t)))
             .map(|t| t.as_secs_f64());
-        (engine, unrecovered, ttc)
+        (run, unrecovered, ttc)
     }
 
-    /// Runs an SRM scenario; returns the engine and the packets still
+    /// Runs an SRM scenario; returns the run and the packets still
     /// unrecovered.
     fn simulate_srm(
         &self,
         built: &BuiltTopology,
         cfg: &SrmConfig,
         seed: u64,
-    ) -> (Engine<sharqfec_srm::SrmMsg>, u32) {
+    ) -> (Driven<sharqfec_srm::SrmMsg>, u32) {
         let cfg = SrmConfig {
             total_packets: self.workload.packets,
             ..cfg.clone()
         };
-        let engine = self.simulate(built, setup_srm_builder(built, seed, cfg, JOIN_AT));
-        let receiver = |&r| engine.agent::<SrmReceiver>(r).expect("receiver").missing();
+        let run = self.simulate(built, setup_srm_builder(built, seed, cfg, JOIN_AT));
+        let receiver = |&r| {
+            let agent = run.engine.agent::<SrmReceiver>(r).expect("receiver");
+            agent.missing()
+        };
         let unrecovered = built.receivers.iter().map(receiver).sum();
-        (engine, unrecovered)
+        (run, unrecovered)
     }
 
     /// Runs the scenario and returns aggregate metrics.
@@ -400,24 +441,24 @@ impl Scenario {
         let built = self.build_topology();
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let (engine, unrecovered, ttc) = self.simulate_sharqfec(&built, cfg, seed);
-                self.outcome(&engine, &built, unrecovered, ttc)
+                let (run, unrecovered, ttc) = self.simulate_sharqfec(&built, cfg, seed);
+                self.outcome(run, &built, unrecovered, ttc)
             }
             Protocol::Srm(cfg) => {
-                let (engine, unrecovered) = self.simulate_srm(&built, cfg, seed);
-                self.outcome(&engine, &built, unrecovered, None)
+                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed);
+                self.outcome(run, &built, unrecovered, None)
             }
         }
     }
 
     fn outcome<M: Classify + Clone + 'static>(
         &self,
-        engine: &Engine<M>,
+        run: Driven<M>,
         built: &BuiltTopology,
         unrecovered: u32,
         time_to_complete: Option<f64>,
     ) -> ScenarioOutcome {
-        let rec = engine.recorder();
+        let rec = run.engine.recorder();
         let dr_all =
             rec.total_delivered(TrafficClass::Data) + rec.total_delivered(TrafficClass::Repair);
         let dr_src = rec.delivered_count(built.source, TrafficClass::Data)
@@ -431,7 +472,7 @@ impl Scenario {
             dropped: rec.total_dropped(TrafficClass::Data)
                 + rec.total_dropped(TrafficClass::Repair),
             time_to_complete: time_to_complete.filter(|_| unrecovered == 0),
-            audit: audit_outcome(engine),
+            audit: run.audit,
         }
     }
 
@@ -451,37 +492,25 @@ impl Scenario {
         let spec = self.workload.spec();
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let (engine, unrecovered, _) = self.simulate_sharqfec(&built, cfg, seed);
-                extract_run(self.label.clone(), &engine, &built, &spec, unrecovered)
+                let (run, unrecovered, _) = self.simulate_sharqfec(&built, cfg, seed);
+                extract_run(self.label.clone(), run, &built, &spec, unrecovered)
             }
             Protocol::Srm(cfg) => {
-                let (engine, unrecovered) = self.simulate_srm(&built, cfg, seed);
-                extract_run(self.label.clone(), &engine, &built, &spec, unrecovered)
+                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed);
+                extract_run(self.label.clone(), run, &built, &spec, unrecovered)
             }
         }
     }
 }
 
-/// Maps the engine's audit report (if an auditor was attached) to the
-/// outcome representation the sweep harnesses serialize.
-pub(crate) fn audit_outcome<M: Classify + Clone + 'static>(
-    engine: &Engine<M>,
-) -> Option<AuditOutcome> {
-    engine.audit_report().map(|r| AuditOutcome {
-        events: r.events,
-        violations: r.violations.len(),
-        summary: r.summary(),
-    })
-}
-
 fn extract_run<M: Classify + Clone + 'static>(
     label: String,
-    engine: &Engine<M>,
+    run: Driven<M>,
     built: &BuiltTopology,
     spec: &BinSpec,
     unrecovered: u32,
 ) -> TrafficRun {
-    let rec = engine.recorder();
+    let rec = run.engine.recorder();
     let dr = [TrafficClass::Data, TrafficClass::Repair];
     let nk = [TrafficClass::Nack];
     let source_sent = bin_deliveries(&rec.transmissions, spec, &dr, &[built.source]);
@@ -508,7 +537,7 @@ fn extract_run<M: Classify + Clone + 'static>(
             .iter()
             .filter(|t| t.class == TrafficClass::Nack)
             .count(),
-        audit: audit_outcome(engine),
+        audit: run.audit,
     }
 }
 
@@ -574,14 +603,15 @@ impl RttExperiment {
                 )
             })
             .collect();
-        let (mut engine, _) = setup_session_sim(
+        let mut engine = setup_session_builder(
             &built,
             seed,
             seeding,
             SessionConfig::default(),
-            SimTime::from_secs(1),
+            JOIN_AT,
             &plans,
-        );
+        )
+        .build();
         let end = self
             .probe_times
             .iter()
@@ -622,11 +652,10 @@ mod tests {
     fn figure_shapes_hold_on_small_workload() {
         let w = Workload {
             packets: 64,
-            seed: 3,
             tail_secs: 20,
         };
-        let ecsrm = Scenario::variant(Variant::Ecsrm, w).run_traffic(w.seed);
-        let full = Scenario::variant(Variant::Full, w).run_traffic(w.seed);
+        let ecsrm = Scenario::variant(Variant::Ecsrm, w).run_traffic(3);
+        let full = Scenario::variant(Variant::Full, w).run_traffic(3);
         assert_eq!(ecsrm.unrecovered, 0);
         assert_eq!(full.unrecovered, 0);
 
@@ -646,14 +675,14 @@ mod tests {
     /// now guards the builders directly.
     #[test]
     fn builder_entry_points_are_deterministic() {
-        let w = Workload::small(42);
+        let w = Workload::small();
         assert_eq!(
-            Scenario::srm_baseline(w).run_traffic(w.seed),
-            Scenario::srm_baseline(w).run_traffic(w.seed)
+            Scenario::srm_baseline(w).run_traffic(42),
+            Scenario::srm_baseline(w).run_traffic(42)
         );
         assert_eq!(
-            Scenario::variant(Variant::Ecsrm, w).run_traffic(w.seed),
-            Scenario::variant(Variant::Ecsrm, w).run_traffic(w.seed)
+            Scenario::variant(Variant::Ecsrm, w).run_traffic(42),
+            Scenario::variant(Variant::Ecsrm, w).run_traffic(42)
         );
         let probers = [NodeId(3)];
         let times = [SimTime::from_secs(4), SimTime::from_secs(8)];
@@ -669,13 +698,12 @@ mod tests {
     fn sharded_traffic_run_matches_serial() {
         let w = Workload {
             packets: 32,
-            seed: 42,
             tail_secs: 15,
         };
-        let serial = Scenario::variant(Variant::Full, w).run_traffic(w.seed);
+        let serial = Scenario::variant(Variant::Full, w).run_traffic(42);
         let sharded = Scenario::variant(Variant::Full, w)
             .with_shards(4)
-            .run_traffic(w.seed);
+            .run_traffic(42);
         assert_eq!(serial, sharded);
     }
 }

@@ -88,7 +88,6 @@ pub const REQUIRED_METRICS: [&str; 7] = [
 pub fn plan(packets: u32) -> Vec<Scenario> {
     let workload = Workload {
         packets,
-        seed: 0, // per-cell seeds come from runner::Cell
         tail_secs: 51,
     };
     let mut cells = Vec::new();

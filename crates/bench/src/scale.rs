@@ -54,18 +54,15 @@
 //! [`SrmConfig::announce_stride`]: sharqfec_srm::SrmConfig::announce_stride
 
 use crate::cli::{self, Args, Ran, Sweep};
-use crate::AuditOutcome;
+use crate::{drive, AuditOutcome, Driven, JOIN_AT};
 use sharqfec::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_analysis::table::Table;
+use sharqfec_netsim::faults::FaultPlan;
 use sharqfec_netsim::probe::AuditConfig;
 use sharqfec_netsim::runner::SweepSummary;
-use sharqfec_netsim::shard::ShardPlan;
-use sharqfec_netsim::{
-    Classify, Engine, EngineBuilder, RecorderMode, RunSpec, SimDuration, SimTime, TrafficClass,
-};
+use sharqfec_netsim::{Classify, EngineBuilder, RecorderMode, SimDuration, SimTime, TrafficClass};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
 use sharqfec_topology::{scaled_tree, BuiltTopology, ScaledTreeParams};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The `scale` sweep; the summary lands in
@@ -177,7 +174,6 @@ fn scale_params(receivers: usize) -> ScaledTreeParams {
     }
 }
 
-const JOIN_AT: SimTime = SimTime::from_secs(1);
 const HORIZON: SimTime = SimTime::from_secs(8);
 
 /// Runs one cell: generate the tree, run the protocol with its session
@@ -187,8 +183,6 @@ const HORIZON: SimTime = SimTime::from_secs(8);
 /// and shard counts.
 pub fn run_cell(cell: ScaleCell, seed: u64, packets: u32, shards: usize) -> ScaleOutcome {
     let built = scaled_tree(&scale_params(cell.receivers), seed).built;
-    let plan = Arc::new(built.shard_plan(shards.max(1)));
-    let started = Instant::now();
     if cell.srm {
         let stride = announce_stride(cell.receivers);
         let cfg = SrmConfig {
@@ -197,56 +191,67 @@ pub fn run_cell(cell: ScaleCell, seed: u64, packets: u32, shards: usize) -> Scal
             announce_stride: stride,
             ..SrmConfig::default()
         };
-        let (engine, events) = advance(setup_srm_builder(&built, seed, cfg, JOIN_AT), &plan);
+        let run = advance(
+            &built,
+            setup_srm_builder(&built, seed, cfg, JOIN_AT),
+            shards,
+        );
         let (mut unrecovered, mut peers) = (0u64, 0u64);
         for &r in &built.receivers {
-            let a = engine.agent::<SrmReceiver>(r).expect("receiver");
+            let a = run.engine.agent::<SrmReceiver>(r).expect("receiver");
             unrecovered += u64::from(a.missing());
             peers += a.session_peer_count() as u64;
         }
-        let ran = (events, unrecovered, peers, stride);
-        outcome(cell, &engine, &built, ran, started, plan.shard_count())
+        outcome(cell, run, &built, (unrecovered, peers, stride))
     } else {
         let cfg = SharqfecConfig {
             total_packets: packets,
             ..SharqfecConfig::full()
         };
-        let (engine, events) = advance(setup_sharqfec_builder(&built, seed, cfg, JOIN_AT), &plan);
-        let missing = |&r| u64::from(engine.agent::<SfAgent>(r).expect("receiver").missing());
-        let ran = (events, built.receivers.iter().map(missing).sum(), 0, 1);
-        outcome(cell, &engine, &built, ran, started, plan.shard_count())
+        let builder = setup_sharqfec_builder(&built, seed, cfg, JOIN_AT);
+        let run = advance(&built, builder, shards);
+        let missing = |&r| {
+            let agent = run.engine.agent::<SfAgent>(r).expect("receiver");
+            u64::from(agent.missing())
+        };
+        let unrecovered = built.receivers.iter().map(missing).sum();
+        outcome(cell, run, &built, (unrecovered, 0, 1))
     }
 }
 
-/// Builds the audited aggregate-recorder engine and runs it to the
-/// horizon; returns it with the events processed.
+/// Runs a protocol's builder to the horizon, audited, on the aggregate
+/// recorder.
 fn advance<M: Classify + Clone + Send + 'static>(
-    mut builder: EngineBuilder<M>,
-    plan: &Arc<ShardPlan>,
-) -> (Engine<M>, u64) {
-    builder
-        .recorder_mode(RecorderMode::Aggregate)
-        .audit_streaming(AuditConfig::default());
-    let mut engine = builder.build();
-    let events = engine.advance(RunSpec::to(HORIZON).with_plan(Arc::clone(plan)));
-    (engine, events)
+    built: &BuiltTopology,
+    builder: EngineBuilder<M>,
+    shards: usize,
+) -> Driven<M> {
+    let (aggregate, audit) = (RecorderMode::Aggregate, AuditConfig::default());
+    let no_faults = FaultPlan::new();
+    drive(
+        built,
+        builder,
+        aggregate,
+        Some(audit),
+        no_faults,
+        HORIZON,
+        shards,
+    )
 }
 
-/// Reads a finished engine's aggregate metrics; `ran` is `(events,
-/// unrecovered, session peers summed over receivers, announce stride)`.
+/// Reads a finished run's aggregate metrics; `ran` is `(unrecovered,
+/// session peers summed over receivers, announce stride)`.
 fn outcome<M: Classify + Clone + 'static>(
     cell: ScaleCell,
-    engine: &Engine<M>,
+    run: Driven<M>,
     built: &BuiltTopology,
-    (events, unrecovered, peers_sum, announce_stride): (u64, u64, u64, u64),
-    started: Instant,
-    shards: usize,
+    (unrecovered, peers_sum, announce_stride): (u64, u64, u64),
 ) -> ScaleOutcome {
-    let rec = engine.recorder();
+    let rec = run.engine.recorder();
     let state_sum: u64 = built
         .receivers
         .iter()
-        .map(|&r| engine.agent_state_bytes(r) as u64)
+        .map(|&r| run.engine.agent_state_bytes(r) as u64)
         .sum();
     let session_deliveries = rec.total_delivered(TrafficClass::Session);
     let n = cell.receivers as f64;
@@ -262,10 +267,10 @@ fn outcome<M: Classify + Clone + 'static>(
         unrecovered,
         state_bytes_per_rx: state_sum as f64 / n,
         peers_per_rx: peers_sum as f64 / n,
-        events,
-        events_per_sec: events as f64 / started.elapsed().as_secs_f64().max(1e-9),
-        shards,
-        audit: crate::audit_outcome(engine).expect("every scale cell is audited"),
+        events: run.events,
+        events_per_sec: run.events_per_sec,
+        shards: run.shards,
+        audit: run.audit.expect("every scale cell is audited"),
     }
 }
 

@@ -31,17 +31,16 @@
 //! flash-crowd acceptance cell; `--smoke` runs the three-cell CI grid.
 
 use crate::cli::{self, Args, Ran, Sweep};
-use crate::AuditOutcome;
+use crate::{drive, AuditOutcome, JOIN_AT};
 use sharqfec::{member_channels, setup_sharqfec_scenario_builder, SfAgent, SharqfecConfig};
 use sharqfec_netsim::prelude::FaultPlan;
 use sharqfec_netsim::probe::AuditConfig;
 use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::{
-    ChannelId, NodeId, RecorderMode, RunSpec, ScenarioPlan, SimDuration, SimTime, TrafficClass,
+    ChannelId, NodeId, RecorderMode, ScenarioPlan, SimDuration, SimTime, TrafficClass,
 };
 use sharqfec_scoping::ZoneId;
 use sharqfec_topology::{scaled_tree, ScaledTopology, ScaledTreeParams};
-use std::time::Instant;
 
 /// The `scenario` sweep; the summary lands in
 /// `results/BENCH_scenario_sweep.json`.
@@ -126,8 +125,6 @@ pub fn smoke_grid() -> Vec<ScenarioCell> {
 
 // ---- the shared timeline every cell runs on ----
 
-/// Initial members start their session layer here.
-const JOIN_AT: SimTime = SimTime::from_secs(1);
 /// The stream starts here (pulled forward from the paper's 6 s so cells
 /// stay short).
 const DATA_START: SimTime = SimTime::from_secs(2);
@@ -279,39 +276,36 @@ pub fn run_cell(cell: ScenarioCell, seed: u64, packets: u32, shards: usize) -> S
         max_backoff: MAX_BACKOFF,
         ..SharqfecConfig::full()
     };
-    let mut builder = setup_sharqfec_scenario_builder(built, seed, cfg, JOIN_AT, plan, None);
+    let builder = setup_sharqfec_scenario_builder(built, seed, cfg, JOIN_AT, plan, None);
+    let mut faults = FaultPlan::new();
     if cell.outage {
-        builder.fault_plan(topo.zone_outage(
-            FaultPlan::new(),
-            outage_zone(&topo),
-            OUTAGE_DOWN,
-            OUTAGE_UP,
-        ));
+        faults = topo.zone_outage(faults, outage_zone(&topo), OUTAGE_DOWN, OUTAGE_UP);
     }
-    let audit_cfg = AuditConfig {
+    let audit = AuditConfig {
         nack_sent_cap: Some(nack_cap(hier.zone_count())),
         ..AuditConfig::default()
     };
-    builder
-        .recorder_mode(RecorderMode::Streaming)
-        .audit_streaming(audit_cfg);
-
-    let shard_plan = std::sync::Arc::new(built.shard_plan(shards.max(1)));
-    let started = Instant::now();
-    let mut engine = builder.build();
-    let events = engine.advance(RunSpec::to(HORIZON).with_plan(std::sync::Arc::clone(&shard_plan)));
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
+    let streaming = RecorderMode::Streaming;
+    let run = drive(
+        built,
+        builder,
+        streaming,
+        Some(audit),
+        faults,
+        HORIZON,
+        shards,
+    );
 
     let mut unrecovered = 0u64;
     for &r in &built.receivers {
-        unrecovered += u64::from(engine.agent::<SfAgent>(r).expect("receiver").missing());
+        let agent = run.engine.agent::<SfAgent>(r).expect("receiver");
+        unrecovered += u64::from(agent.missing());
     }
-    let rec = engine.recorder();
+    let rec = run.engine.recorder();
     let flash_repairs: u64 = joiners
         .iter()
         .map(|&j| rec.delivered_count(j, TrafficClass::Repair) as u64)
         .sum();
-    let audit = crate::audit_outcome(&engine).expect("every scenario cell is audited");
 
     ScenarioOutcome {
         label: cell.label(),
@@ -327,10 +321,10 @@ pub fn run_cell(cell: ScenarioCell, seed: u64, packets: u32, shards: usize) -> S
         },
         nacks: rec.total_sent(TrafficClass::Nack),
         repairs: rec.total_sent(TrafficClass::Repair),
-        events,
-        events_per_sec: events as f64 / wall,
-        shards: shard_plan.shard_count(),
-        audit,
+        events: run.events,
+        events_per_sec: run.events_per_sec,
+        shards: run.shards,
+        audit: run.audit.expect("every scenario cell is audited"),
     }
 }
 

@@ -110,7 +110,6 @@ impl Sweep for Traffic {
     fn plan(&self, args: &Args) -> Vec<(String, Scenario)> {
         let w = Workload {
             packets: args.packets,
-            seed: args.seed,
             tail_secs: 45,
         };
         let ladder = [

@@ -12,7 +12,6 @@ use sharqfec_bench::{Scenario, ScenarioOutcome, Workload};
 
 const WORKLOAD: Workload = Workload {
     packets: 48,
-    seed: 0, // the per-run seed is passed to `run`
     tail_secs: 20,
 };
 

@@ -6,16 +6,26 @@
 //! of paper §4.  Both embed a [`SessionCore`] for RTT estimates and ZCR
 //! identity, and both act as repairers for the zones they belong to.
 
-use crate::adapt::AdaptiveWindow;
 use crate::config::SharqfecConfig;
 use crate::group::{GroupState, Phase};
 use crate::msg::SfMsg;
 use crate::policy::InjectionPolicy;
+use sharqfec_netsim::adaptive::{AdaptiveConfig, AdaptiveTimer};
 use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
-use sharqfec_session::core::{is_session_token, SessionCore, SessionCtx};
-use sharqfec_session::msg::SessionMsg;
+use sharqfec_session::core::{is_session_token, SessionCore};
+use sharqfec_session::Bridge;
 use std::sync::Arc;
+
+/// Recovery delay (in units of `d_SA`) above which the adaptive request
+/// window narrows.  The window is the SRM §V adjustment
+/// ([`sharqfec_netsim::adaptive`]) applied to SHARQFEC's request window
+/// `2^i·[C1·d, (C1+C2)·d]` — the paper's §7 future work, off unless
+/// [`SharqfecConfig::adaptive_timers`] — and this trigger is the one place
+/// it deliberately departs from the SRM baseline's 1.5: SHARQFEC rounds
+/// are measured against `d_SA` to the zone's ZCR, which scoping keeps
+/// short, so only genuinely slow rounds should narrow the window.
+pub const DELAY_HIGH: f64 = 4.0;
 
 /// Whether this member originates the stream or receives it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,8 +83,9 @@ pub struct SfAgent {
     measure_rtt_factor: f64,
     /// Source only: next absolute data sequence number.
     next_seq: u32,
-    /// Request-window constants, optionally adapted (paper §7 extension).
-    window: AdaptiveWindow,
+    /// Request-window constants C1 (`lo`) and C2 (`width`), optionally
+    /// adapted (paper §7 extension; see [`DELAY_HIGH`]).
+    window: AdaptiveTimer,
     /// EWMA of this receiver's observed loss fraction, fed to the session
     /// layer's §7 receiver-report summarization.
     observed_loss: f64,
@@ -82,43 +93,6 @@ pub struct SfAgent {
     pub nacks_sent: u32,
     /// Repair packets transmitted, including preemptive injections.
     pub repairs_sent: u32,
-}
-
-/// Bridges the netsim context to the session layer.
-struct Bridge<'a, 'b> {
-    ctx: &'a mut Ctx<'b, SfMsg>,
-    channels: &'a [ChannelId],
-}
-
-impl SessionCtx for Bridge<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        self.ctx.rng()
-    }
-    fn send(&mut self, zone: ZoneId, msg: SessionMsg, bytes: u32) {
-        self.ctx
-            .multicast(self.channels[zone.idx()], SfMsg::Session(msg), bytes);
-    }
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.ctx.set_timer(delay, token)
-    }
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.ctx.cancel_timer(id);
-    }
-    fn probe(&mut self, event: ProbeEvent) {
-        self.ctx.probe(event);
-    }
-}
-
-macro_rules! bridge {
-    ($self:ident, $ctx:ident) => {
-        Bridge {
-            ctx: $ctx,
-            channels: &$self.channels,
-        }
-    };
 }
 
 impl SfAgent {
@@ -142,7 +116,15 @@ impl SfAgent {
         };
         let pcfg = cfg.policy.clone();
         let policy = pcfg.build(chain.len());
-        let window = AdaptiveWindow::new(cfg.c1, cfg.c2, cfg.adaptive_timers);
+        let window = AdaptiveTimer::new(
+            cfg.c1,
+            cfg.c2,
+            cfg.adaptive_timers,
+            AdaptiveConfig {
+                delay_high: DELAY_HIGH,
+                ..AdaptiveConfig::default()
+            },
+        );
         let cfg_first_seq = cfg.first_seq;
         SfAgent {
             cfg,
@@ -264,7 +246,7 @@ impl SfAgent {
 
     fn arm_request(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let d = self.d_sa();
-        let (c1, c2, max_backoff) = (self.window.c1(), self.window.c2(), self.cfg.max_backoff);
+        let (c1, c2, max_backoff) = (self.window.lo(), self.window.width(), self.cfg.max_backoff);
         let st = self.groups.get_mut(&g).expect("group exists");
         let factor = ctx.rng().range_f64(c1, c1 + c2);
         let delay = d.mul_f64(factor) * (1u64 << st.i.min(max_backoff));
@@ -465,8 +447,8 @@ impl SfAgent {
                     .unwrap_or(0.0);
                 self.window.end_round(waited / d_sa);
                 ctx.probe(ProbeEvent::Window {
-                    lo: self.window.c1(),
-                    width: self.window.c2(),
+                    lo: self.window.lo(),
+                    width: self.window.width(),
                     ave_dup: self.window.ave_dup(),
                     ave_delay: self.window.ave_delay(),
                 });
@@ -904,10 +886,8 @@ impl Agent<SfMsg> for SfAgent {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SfMsg>) {
-        {
-            let mut b = bridge!(self, ctx);
-            self.session.start(&mut b);
-        }
+        self.session
+            .start(&mut Bridge::new(ctx, &self.channels, SfMsg::Session));
         self.drain_seat_events();
         // On a warm restart (NodeRestart after a crash) every timer this
         // agent had pending died with the crash epoch, but the per-group
@@ -953,10 +933,8 @@ impl Agent<SfMsg> for SfAgent {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SfMsg>, token: u64) {
         if is_session_token(token) {
-            {
-                let mut b = bridge!(self, ctx);
-                self.session.on_timer(&mut b, token);
-            }
+            let mut bridge = Bridge::new(ctx, &self.channels, SfMsg::Session);
+            self.session.on_timer(&mut bridge, token);
             self.drain_seat_events();
             return;
         }
@@ -981,10 +959,8 @@ impl Agent<SfMsg> for SfAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, SfMsg>, pkt: &Packet<SfMsg>) {
         match &pkt.payload {
             SfMsg::Session(msg) => {
-                {
-                    let mut b = bridge!(self, ctx);
-                    self.session.on_msg(&mut b, pkt.src, msg);
-                }
+                let mut bridge = Bridge::new(ctx, &self.channels, SfMsg::Session);
+                self.session.on_msg(&mut bridge, pkt.src, msg);
                 self.drain_seat_events();
             }
             SfMsg::Data { group, idx, .. } => {
@@ -1015,6 +991,220 @@ impl Agent<SfMsg> for SfAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharqfec_netsim::agent::Action;
+    use sharqfec_netsim::routing::DistanceOracle;
+    use sharqfec_session::core::ZcrSeeding;
+
+    /// A receiver and everything [`Ctx::new`] borrows, owned by the test:
+    /// no engine and no network.  `c3` of `chain(4)` sits in the child
+    /// zone `{c1, c2, c3}` under the root, is nobody's ZCR, and so has a
+    /// two-level chain whose requests start at level 0.
+    struct Driven {
+        agent: SfAgent,
+        now: SimTime,
+        rng: SimRng,
+        oracle: DistanceOracle,
+        next_timer: u64,
+        probes: ProbeSink,
+    }
+
+    const ME: NodeId = NodeId(3);
+
+    impl Driven {
+        fn receiver() -> Driven {
+            let built = sharqfec_topology::chain(4);
+            let hier = Arc::new(built.hierarchy.clone());
+            let channels = Arc::new((0..hier.zone_count() as u32).map(ChannelId).collect());
+            let cfg = SharqfecConfig::full();
+            let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
+            let session = SessionCore::new(ME, Arc::clone(&hier), cfg.session.clone(), &seeding);
+            let source = built.source;
+            Driven {
+                agent: SfAgent::new(cfg, Role::Receiver, session, hier, channels, source),
+                now: SimTime::from_secs(6),
+                rng: SimRng::new(11),
+                oracle: DistanceOracle::compute(&built.topology),
+                next_timer: 0,
+                probes: ProbeSink::recording(),
+            }
+        }
+
+        /// Runs one callback at `self.now` and returns what it queued.
+        fn call(
+            &mut self,
+            f: impl FnOnce(&mut SfAgent, &mut Ctx<'_, SfMsg>),
+        ) -> Vec<Action<SfMsg>> {
+            let mut actions = Vec::new();
+            let mut ctx = Ctx::new(
+                self.now,
+                ME,
+                &mut self.rng,
+                &self.oracle,
+                &mut actions,
+                &mut self.next_timer,
+                &mut self.probes,
+            );
+            f(&mut self.agent, &mut ctx);
+            actions
+        }
+
+        /// Delivers `payload` from a peer on chain level `level`'s channel.
+        fn hear(&mut self, level: usize, payload: SfMsg) -> Vec<Action<SfMsg>> {
+            let pkt = Packet {
+                uid: 0,
+                src: NodeId(2),
+                channel: self.agent.channels[self.agent.chain[level].idx()],
+                sent_at: self.now,
+                bytes: 0,
+                payload,
+            };
+            self.call(|agent, ctx| agent.on_packet(ctx, &pkt))
+        }
+
+        /// Opens group `g` with a one-packet gap (indices 0 and 2 arrive),
+        /// which arms its request timer.
+        fn lose_one(&mut self, g: u32) {
+            for idx in [0, 2] {
+                self.hear(
+                    1,
+                    SfMsg::Data {
+                        group: g,
+                        idx,
+                        k: 16,
+                    },
+                );
+            }
+            assert!(self.agent.groups[&g].request_timer.is_some());
+        }
+
+        fn fire_request(&mut self, g: u32) -> Vec<Action<SfMsg>> {
+            self.call(|agent, ctx| agent.on_timer(ctx, tok(KIND_REQ, g, 0)))
+        }
+    }
+
+    /// The request timers an action list arms, as `(group, id)`.
+    fn requests_armed(actions: &[Action<SfMsg>]) -> Vec<(u32, TimerId)> {
+        let armed = |a: &Action<SfMsg>| match *a {
+            Action::SetTimer { id, token, .. } if tok_parts(token).0 == KIND_REQ => {
+                Some((tok_parts(token).1, id))
+            }
+            _ => None,
+        };
+        actions.iter().filter_map(armed).collect()
+    }
+
+    fn cancels(actions: &[Action<SfMsg>], timer: Option<TimerId>) -> bool {
+        let hit = |a: &Action<SfMsg>| matches!(a, Action::CancelTimer(id) if Some(*id) == timer);
+        actions.iter().any(hit)
+    }
+
+    /// PR 10's livelock fix, without a 500-receiver sweep cell: a
+    /// duplicate NACK at the scope the next request will use backs the
+    /// request off once; the same NACK at a scope the request has already
+    /// escalated past — proven futile — does not touch it.
+    #[test]
+    fn duplicate_nacks_back_off_only_at_or_above_the_request_scope() {
+        let mut d = Driven::receiver();
+        d.lose_one(0);
+        let peer_nack = |d: &mut Driven| {
+            let zone = d.agent.chain[0];
+            let chain = Vec::new();
+            let (group, llc, needed, max_idx) = (0, 1, 1, 2);
+            d.hear(
+                0,
+                SfMsg::Nack {
+                    group,
+                    zone,
+                    llc,
+                    needed,
+                    max_idx,
+                    chain,
+                },
+            )
+        };
+        let duplicate_backoffs = |d: &Driven| {
+            let dup = NackOutcome::SuppressedDuplicate;
+            let is_dup = |r: &&ProbeRecord| matches!(r.event, ProbeEvent::Nack { outcome, .. } if outcome == dup);
+            d.probes.records().iter().filter(is_dup).count()
+        };
+        // Our own first NACK sets level 0's ZLC to our LLC, so a peer's
+        // NACK with the same LLC raises nothing: a duplicate.
+        d.fire_request(0);
+        let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
+        assert_eq!((d.agent.groups[&0].scope_idx, i), (0, 2));
+        let actions = peer_nack(&mut d);
+        assert_eq!(d.agent.groups[&0].i, i + 1, "backed off");
+        assert_eq!(duplicate_backoffs(&d), 1);
+        assert!(cancels(&actions, armed), "old request cancelled");
+        assert_eq!(requests_armed(&actions).len(), 1, "and redrawn once");
+
+        // The second attempt at level 0 escalates the next request to
+        // level 1.  Level-0 chatter is now below its scope.
+        d.fire_request(0);
+        let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
+        assert_eq!(d.agent.groups[&0].scope_idx, 1);
+        let actions = peer_nack(&mut d);
+        assert_eq!(d.agent.groups[&0].i, i, "not backed off");
+        assert_eq!(d.agent.groups[&0].request_timer, armed, "timer untouched");
+        assert_eq!(duplicate_backoffs(&d), 1, "no second suppression");
+        assert!(requests_armed(&actions).is_empty());
+    }
+
+    /// Paper §4: "any time a repair arrives, i is reset to 1" — and the
+    /// request is redrawn from the reset window.
+    #[test]
+    fn a_repair_resets_the_backoff_and_rearms_the_request() {
+        let mut d = Driven::receiver();
+        d.lose_one(0);
+        d.fire_request(0);
+        d.fire_request(0);
+        let armed = d.agent.groups[&0].request_timer;
+        assert!(d.agent.groups[&0].i > 1);
+        // One repair of the fourteen still needed (k = 16, two held).
+        let (group, idx, k, burst_end) = (0, 16, 16, 16);
+        let actions = d.hear(
+            0,
+            SfMsg::Fec {
+                group,
+                idx,
+                k,
+                burst_end,
+            },
+        );
+        assert_eq!(d.agent.groups[&0].i, 1);
+        let rearmed = requests_armed(&actions);
+        assert_eq!(rearmed.len(), 1);
+        assert_eq!(d.agent.groups[&0].request_timer, Some(rearmed[0].1));
+        assert!(cancels(&actions, armed) && Some(rearmed[0].1) != armed);
+    }
+
+    /// A crash kills every pending timer but leaves the handles in the
+    /// group state.  The restart's `on_start` must forget them — cancel
+    /// nothing, treat nothing as armed — and ask again for every open
+    /// group in group order, whatever order the map holds them in: each
+    /// armed request is an RNG draw.
+    #[test]
+    fn restart_forgets_dead_timers_and_reasks_in_group_order() {
+        let groups = [0u32, 1, 2, 3, 4, 5];
+        let restart = |order: &mut dyn Iterator<Item = u32>| {
+            let mut d = Driven::receiver();
+            order.for_each(|g| d.lose_one(g));
+            // The crash: same clock, RNG stream and timer counter on both
+            // sides, so only the agents' own state can differ.
+            (d.now, d.rng, d.next_timer) = (SimTime::from_secs(7), SimRng::new(5), 1_000);
+            let actions = d.call(|agent, ctx| agent.on_start(ctx));
+            let armed = requests_armed(&actions);
+            for &(g, id) in &armed {
+                assert_eq!(d.agent.groups[&g].request_timer, Some(id), "fresh handle");
+            }
+            assert!(!actions.iter().any(|a| matches!(a, Action::CancelTimer(_))));
+            (armed, format!("{actions:?}"))
+        };
+        let (armed, ascending) = restart(&mut groups.into_iter());
+        let (_, descending) = restart(&mut groups.into_iter().rev());
+        assert_eq!(armed.iter().map(|&(g, _)| g).collect::<Vec<_>>(), groups);
+        assert_eq!(ascending, descending);
+    }
 
     #[test]
     fn token_round_trip() {

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod agent;
 pub mod config;
 pub mod group;
@@ -46,6 +45,4 @@ pub use msg::SfMsg;
 pub use policy::{
     EwmaPolicy, InjectionPolicy, OptimizingPolicy, PercentilePolicy, PolicyConfig, PolicyKind,
 };
-pub use setup::{
-    member_channels, setup_sharqfec_builder, setup_sharqfec_scenario_builder, setup_sharqfec_sim,
-};
+pub use setup::{member_channels, setup_sharqfec_builder, setup_sharqfec_scenario_builder};

@@ -3,7 +3,7 @@
 use crate::agent::{Role, SfAgent};
 use crate::config::SharqfecConfig;
 use crate::msg::SfMsg;
-use sharqfec_netsim::{ChannelId, Engine, EngineBuilder, NodeId, ScenarioPlan, SimTime};
+use sharqfec_netsim::{ChannelId, EngineBuilder, NodeId, ScenarioPlan, SimTime};
 use sharqfec_scoping::{ZoneHierarchy, ZoneHierarchyBuilder};
 use sharqfec_session::core::{SessionCore, ZcrSeeding};
 use sharqfec_topology::BuiltTopology;
@@ -28,7 +28,14 @@ pub fn member_channels(hier: &ZoneHierarchy, node: NodeId) -> Vec<ChannelId> {
 
 /// Assembles a fully-populated [`EngineBuilder`] for a SHARQFEC scenario:
 /// one channel per zone (zone order, so the root zone's channel is also
-/// the data channel), one [`SfAgent`] per member joining at `join_at`.
+/// the data channel), one [`SfAgent`] per member joining at `join_at`
+/// (the paper uses t = 1 s, five seconds before data starts, so session
+/// state stabilises).
+///
+/// With `cfg.scoping` the zone hierarchy and by-design ZCRs of the built
+/// topology are used; without it (`ns` variants) the hierarchy collapses
+/// to a single maximum-scope zone whose representative is the source —
+/// which is exactly what "no administrative scoping" means operationally.
 ///
 /// Harnesses that need more than the defaults — a streaming recorder, a
 /// fault plan — set those on the returned builder before calling
@@ -133,25 +140,6 @@ pub fn setup_sharqfec_scenario_builder(
     builder
 }
 
-/// Builds a ready-to-run SHARQFEC simulation.
-///
-/// With `cfg.scoping` the zone hierarchy and by-design ZCRs of the built
-/// topology are used; without it (`ns` variants) the hierarchy collapses
-/// to a single maximum-scope zone whose representative is the source —
-/// which is exactly what "no administrative scoping" means operationally.
-///
-/// One engine channel is registered per zone; the root zone's channel is
-/// also the data channel.  Members join at `join_at` (the paper uses
-/// t = 1 s, five seconds before data starts, so session state stabilises).
-pub fn setup_sharqfec_sim(
-    built: &BuiltTopology,
-    seed: u64,
-    cfg: SharqfecConfig,
-    join_at: SimTime,
-) -> Engine<SfMsg> {
-    setup_sharqfec_builder(built, seed, cfg, join_at).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +156,7 @@ mod tests {
     fn lossless_run_completes_without_nacks() {
         let built = chain(4);
         let cfg = small_cfg(SharqfecConfig::full());
-        let mut engine = setup_sharqfec_sim(&built, 1, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, 1, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(60)));
         for &r in &built.receivers {
             let a = engine.agent::<SfAgent>(r).unwrap();
@@ -191,7 +179,7 @@ mod tests {
     fn full_sharqfec_recovers_figure10_losses() {
         let built = figure10(&Figure10Params::default());
         let cfg = small_cfg(SharqfecConfig::full());
-        let mut engine = setup_sharqfec_sim(&built, 42, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, 42, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         let mut missing = 0u32;
         for &r in &built.receivers {
@@ -218,7 +206,7 @@ mod tests {
             Variant::Full,
         ] {
             let cfg = small_cfg(SharqfecConfig::variant(v));
-            let mut engine = setup_sharqfec_sim(&built, 7, cfg, SimTime::from_secs(1));
+            let mut engine = setup_sharqfec_builder(&built, 7, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(180)));
             let missing: u32 = built
                 .receivers
@@ -248,7 +236,7 @@ mod tests {
             } else {
                 SharqfecConfig::ns()
             });
-            let mut engine = setup_sharqfec_sim(&built, 11, cfg, SimTime::from_secs(1));
+            let mut engine = setup_sharqfec_builder(&built, 11, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(120)));
             let missing: u32 = built
                 .receivers
@@ -506,7 +494,8 @@ mod tests {
         let built = figure10(&Figure10Params::default());
         let run = |seed: u64| {
             let cfg = small_cfg(SharqfecConfig::full());
-            let mut engine = setup_sharqfec_sim(&built, seed, cfg, SimTime::from_secs(1));
+            let mut engine =
+                setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(60)));
             (
                 engine.recorder().transmissions.len(),

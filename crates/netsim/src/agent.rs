@@ -54,35 +54,79 @@ impl TimerId {
     }
 }
 
-/// Deferred effects queued by an agent during a callback.
+/// One deferred effect an agent queued during a callback.  The engine
+/// applies them in queue order once the callback returns; a test that
+/// drives an agent through [`Ctx::new`] reads them out of its own buffer.
 #[derive(Debug)]
-pub(crate) enum Action<M> {
+pub enum Action<M> {
+    /// Multicast `payload` on `channel` as a `bytes`-byte packet
+    /// ([`Ctx::multicast`]).
     Multicast {
+        /// The channel to send on.
         channel: ChannelId,
+        /// The protocol message.
         payload: M,
+        /// Wire size.
         bytes: u32,
     },
+    /// Arm timer `id` to fire at `at`, handing `token` back to
+    /// `on_timer` ([`Ctx::set_timer`], [`Ctx::set_timer_at`]).
     SetTimer {
+        /// The handle the agent was given.
         id: TimerId,
+        /// Absolute fire time.
         at: SimTime,
+        /// Opaque value returned to the agent.
         token: u64,
     },
+    /// Cancel a pending timer ([`Ctx::cancel_timer`]).
     CancelTimer(TimerId),
 }
 
-/// The environment an agent sees during one callback.
+/// The environment an agent sees during one callback: a clock, the
+/// node's RNG stream, ground-truth distances, and a buffer the callback
+/// queues its [`Action`]s into.  Nothing in it refers to an engine.
 pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) oracle: &'a DistanceOracle,
-    /// The engine's one action buffer, on loan for this callback.
+    /// The caller's action buffer, on loan for this callback.
     pub(crate) actions: &'a mut Vec<Action<M>>,
     pub(crate) next_timer: &'a mut u64,
     pub(crate) probes: &'a mut ProbeSink,
 }
 
 impl<'a, M> Ctx<'a, M> {
+    /// The context for one callback of the agent at `node`, at time `now`.
+    ///
+    /// The engine builds one per callback from its own state and drains
+    /// `actions` when the callback returns; a test builds one from a
+    /// [`SimRng`], a [`DistanceOracle`] and a `Vec` it owns, calls the
+    /// agent, and asserts on what was queued (DESIGN.md §10, "Driving an
+    /// agent without an engine").  `next_timer` is the node's timer
+    /// sequence: each armed timer takes the next value, so ids stay
+    /// unique across callbacks as long as the caller keeps the counter.
+    pub fn new(
+        now: SimTime,
+        node: NodeId,
+        rng: &'a mut SimRng,
+        oracle: &'a DistanceOracle,
+        actions: &'a mut Vec<Action<M>>,
+        next_timer: &'a mut u64,
+        probes: &'a mut ProbeSink,
+    ) -> Ctx<'a, M> {
+        Ctx {
+            now,
+            node,
+            rng,
+            oracle,
+            actions,
+            next_timer,
+            probes,
+        }
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -143,6 +143,17 @@ impl<M> PacketArena<M> {
         }
     }
 
+    /// A copy of an interned packet, for an arrival that moves to another
+    /// engine's arena (a cross-shard hop, a shard split or absorb) while
+    /// this slot still serves the arrivals that stay.
+    pub fn copy_of(&self, r: PacketRef) -> Packet<M>
+    where
+        M: Clone,
+    {
+        let pkt = self.slots[r.0 as usize].pkt.clone();
+        pkt.expect("copy of an empty slot")
+    }
+
     /// Temporarily moves the packet out so it can be lent to an agent
     /// callback while other arrivals still reference the slot.  The slot
     /// stays off the free list, so re-entrant `insert`s cannot reuse it;

@@ -51,17 +51,16 @@ use crate::faults::{FaultEvent, FaultPlan};
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::idhash::IdHashSet;
 use crate::link::LinkState;
-use crate::metrics::{DropRecord, Record, Recorder, RecorderMode};
+use crate::metrics::{DropRecord, Record, Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
 use crate::probe::{AuditConfig, AuditReport, Auditor, ProbeRecord, ProbeSink};
 use crate::queue::{EventKey, EventQueue};
 use crate::rng::SimRng;
 use crate::routing::{DistanceOracle, Spt};
 use crate::scenario::{MembershipEvent, ScenarioPlan};
-use crate::shard::{OutMsg, ShardCtx, ShardPlan};
-use crate::time::{SimDuration, SimTime};
+use crate::shard::{OutMsg, ShardCtx};
+use crate::time::SimTime;
 use std::any::Any;
-use std::sync::Arc;
 
 /// One scheduled event.  Payload-free: packets in flight live in the
 /// engine's arena and events carry only a `Copy` handle, so the whole
@@ -81,10 +80,19 @@ pub(crate) enum EventKind {
         /// means the node crashed in between and the timer dies silently.
         epoch: u32,
     },
+    /// A scheduled change to state every shard holds a copy of.
+    Replicated(Replicated),
+}
+
+/// The events a sharded run queues on *every* shard under one key, so
+/// replicated state — link masks, loss models, crash epochs, channel
+/// member sets — evolves identically everywhere.  Applying one is
+/// idempotent.
+#[derive(Clone, Copy)]
+pub(crate) enum Replicated {
     /// A scheduled fault takes effect.
     Fault(FaultEvent),
-    /// A scheduled channel-membership change takes effect.  Replicated to
-    /// every shard, like faults: channel membership is replicated state.
+    /// A scheduled channel-membership change takes effect.
     Membership(MembershipEvent),
 }
 
@@ -154,10 +162,6 @@ pub struct Engine<M> {
     /// callbacks and a steady-state callback allocates nothing for it; it
     /// lives here, once per engine, not in any agent.
     pub(crate) actions: Vec<Action<M>>,
-    /// Builder-supplied defaults consulted by [`Engine::advance`] when the
-    /// [`RunSpec`] leaves them unset.
-    pub(crate) default_plan: Option<Arc<ShardPlan>>,
-    pub(crate) default_threads: Option<usize>,
 }
 
 impl<M: Classify + Clone + 'static> Engine<M> {
@@ -205,8 +209,6 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             shard: None,
             outbox: Vec::new(),
             actions: Vec::new(),
-            default_plan: None,
-            default_threads: None,
             topo,
         }
     }
@@ -293,19 +295,14 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         &mut self.recorder
     }
 
-    /// The probe sink agents emit decision-level events into (disabled by
-    /// default; see [`EngineBuilder::record_probes`]).
+    /// The probe sink agents emit decision-level events into (disabled
+    /// unless an auditor is attached; see [`EngineBuilder::audit`]).
     pub fn probes(&self) -> &ProbeSink {
         &self.probes
     }
 
-    /// Mutable probe-sink access (e.g. to toggle recording mid-run or
-    /// attach an [`Auditor`] to an imperatively-built engine).
-    pub fn probes_mut(&mut self) -> &mut ProbeSink {
-        &mut self.probes
-    }
-
-    /// Probe events captured so far (empty unless recording was enabled).
+    /// Probe events captured so far (empty unless [`EngineBuilder::audit`]
+    /// attached a record-keeping auditor).
     pub fn probe_records(&self) -> &[ProbeRecord] {
         self.probes.records()
     }
@@ -374,7 +371,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                     assert!(n.idx() < self.topo.node_count(), "unknown node {n:?}");
                 }
             }
-            self.push(when, EventKind::Fault(ev));
+            self.push(when, EventKind::Replicated(Replicated::Fault(ev)));
         }
     }
 
@@ -394,7 +391,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             "unknown channel {channel:?}"
         );
         assert!(node.idx() < self.topo.node_count(), "unknown node {node:?}");
-        self.push(when, EventKind::Membership(ev));
+        self.push(when, EventKind::Replicated(Replicated::Membership(ev)));
     }
 
     /// Immutable, downcast access to an agent's concrete type — used after
@@ -404,47 +401,21 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         (a as &dyn Any).downcast_ref::<T>()
     }
 
-    /// Serial horizon run (the single-shard path of [`Engine::advance`]).
-    pub(crate) fn run_serial_until(&mut self, t_end: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(key) = self.queue.peek_key() {
-            if key.time > t_end {
-                break;
-            }
-            let (key, kind) = self.queue.pop_keyed().expect("peeked");
-            debug_assert!(key.time >= self.now, "time went backwards");
-            self.now = key.time;
-            self.dispatch(kind);
-            processed += 1;
-        }
-        if self.now < t_end {
-            self.now = t_end;
-        }
-        processed
-    }
-
-    /// Serial drain run (the single-shard path of [`Engine::advance`]).
-    pub(crate) fn run_serial_drain(&mut self) -> u64 {
-        let mut processed = 0;
-        while let Some((key, kind)) = self.queue.pop_keyed() {
-            debug_assert!(key.time >= self.now, "time went backwards");
-            self.now = key.time;
-            self.dispatch(kind);
-            processed += 1;
-        }
-        processed
-    }
-
-    /// Processes every queued event with key time ≤ `bound` (one
-    /// conservative window of a sharded run), stamping each event's key
-    /// into the recorder and probe sink so per-shard outputs can be merged
-    /// back into the serial timeline.  Returns `(events processed,
-    /// replicated events processed)` — fault and membership events are
-    /// replicated to every shard, so the sharded driver subtracts the
-    /// duplicates from its event total.
-    pub(crate) fn run_window(&mut self, bound: SimTime) -> (u64, u64) {
-        let mut processed = 0;
-        let mut faults = 0;
+    /// The event loop, serial and sharded alike: pops events in
+    /// [`EventKey`] order, moves the clock to each and dispatches it, until
+    /// the queue is empty or its head lies past `bound`.  Returns `(events
+    /// processed, replicated events among them)`.
+    ///
+    /// A shard also stamps each event's key into its recorder and probe
+    /// sink, so per-shard outputs merge back into the serial timeline, and
+    /// counts the replicated events (each shard processes its own copy;
+    /// the sharded driver subtracts the duplicates).  Whether this engine
+    /// is a shard is decided once, outside the loop: a serial run stamps
+    /// and counts nothing.
+    pub(crate) fn run(&mut self, bound: Option<SimTime>) -> (u64, u64) {
+        let is_shard = self.shard.is_some();
+        let bound = bound.unwrap_or(SimTime::MAX);
+        let (mut processed, mut replicated) = (0, 0);
         while let Some(key) = self.queue.peek_key() {
             if key.time > bound {
                 break;
@@ -452,32 +423,52 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             let (key, kind) = self.queue.pop_keyed().expect("peeked");
             debug_assert!(key.time >= self.now, "time went backwards");
             self.now = key.time;
-            if matches!(kind, EventKind::Fault(_) | EventKind::Membership(_)) {
-                faults += 1;
+            if is_shard {
+                replicated += u64::from(matches!(kind, EventKind::Replicated(_)));
+                self.recorder.set_tag(key);
+                self.probes.set_tag(key);
             }
-            self.recorder.set_tag(key);
-            self.probes.set_tag(key);
             self.dispatch(kind);
             processed += 1;
         }
-        (processed, faults)
+        (processed, replicated)
     }
 
-    /// Enqueues cross-shard arrivals received from peer shards.  Keys are
-    /// the exact keys the sending shard would have used locally, so the
-    /// destination queue orders them exactly as the serial engine would.
+    /// What a popped `Arrive` event carried, for another engine's queue
+    /// (a shard split or absorb).  Drops the event's reference: the last
+    /// one moves the packet out of the arena, any other takes a copy.
+    pub(crate) fn take_arrival(&mut self, pkt: PacketRef) -> (Packet<M>, TrafficClass) {
+        let class = self.arena.header(pkt).class;
+        let owned = match self.arena.release(pkt) {
+            Some(p) => p,
+            None => self.arena.copy_of(pkt),
+        };
+        (owned, class)
+    }
+
+    /// Queues an arrival another engine sent — the other half of
+    /// [`Engine::take_arrival`] and of a cross-shard [`Engine::hop`] —
+    /// under the sender's key, which is the key the serial engine would
+    /// have used, so this queue orders it as the serial engine would.
+    pub(crate) fn enqueue_arrival(
+        &mut self,
+        key: EventKey,
+        node: NodeId,
+        pkt: Packet<M>,
+        class: TrafficClass,
+    ) {
+        let pkt = self.arena.insert(pkt, class);
+        self.arena.add_ref(pkt);
+        self.queue.push_keyed(key, EventKind::Arrive { node, pkt });
+    }
+
+    /// Queues the cross-shard arrivals peer shards sent this round, in key
+    /// order: the inbox fills in thread-arrival order, and arena and slab
+    /// slots are handed out in insertion order.
     pub(crate) fn ingest(&mut self, mut msgs: Vec<OutMsg<M>>) {
         msgs.sort_by_key(|m| m.key);
         for m in msgs {
-            let pref = self.arena.insert(m.pkt, m.class);
-            self.arena.add_ref(pref);
-            self.queue.push_keyed(
-                m.key,
-                EventKind::Arrive {
-                    node: m.node,
-                    pkt: pref,
-                },
-            );
+            self.enqueue_arrival(m.key, m.node, m.pkt, m.class);
         }
     }
 
@@ -494,17 +485,21 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.queue.push_keyed(key, kind);
     }
 
-    /// Schedules an event generated while processing node `node`: origin
+    /// The key of an event generated while processing node `node`: origin
     /// `node + 1`, sequenced by that node's own counter, so the key is
     /// identical no matter which shard carries the event.
-    fn push_from(&mut self, node: NodeId, time: SimTime, oseq: u64, kind: EventKind) {
-        let key = EventKey {
+    fn key_from(&self, node: NodeId, time: SimTime, oseq: u64) -> EventKey {
+        EventKey {
             time,
             push_time: self.now,
             origin: node.0 + 1,
             oseq,
-        };
-        self.queue.push_keyed(key, kind);
+        }
+    }
+
+    /// Schedules an event generated while processing node `node`.
+    fn push_from(&mut self, node: NodeId, time: SimTime, oseq: u64, kind: EventKind) {
+        self.queue.push_keyed(self.key_from(node, time, oseq), kind);
     }
 
     /// Draws the next value of `node`'s monotone sequence counter.
@@ -569,8 +564,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                     self.arena.restore(pkt, owned);
                 }
             }
-            EventKind::Fault(ev) => self.apply_fault(ev),
-            EventKind::Membership(ev) => self.apply_membership(ev),
+            EventKind::Replicated(Replicated::Fault(ev)) => self.apply_fault(ev),
+            EventKind::Replicated(Replicated::Membership(ev)) => self.apply_membership(ev),
         }
     }
 
@@ -654,15 +649,15 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         // Applying an action never runs a callback, so the buffer is never
         // wanted twice at once and can leave the engine for the duration.
         let mut actions = std::mem::take(&mut self.actions);
-        let mut ctx = Ctx {
-            now: self.now,
+        let mut ctx = Ctx::new(
+            self.now,
             node,
-            rng: &mut self.agent_rngs[node.idx()],
-            oracle: &self.oracle,
-            actions: &mut actions,
-            next_timer: &mut self.node_seq[node.idx()],
-            probes: &mut self.probes,
-        };
+            &mut self.agent_rngs[node.idx()],
+            &self.oracle,
+            &mut actions,
+            &mut self.node_seq[node.idx()],
+            &mut self.probes,
+        );
         f(agent.as_mut(), &mut ctx);
         self.agents[node.idx()] = Some(agent);
         for action in actions.drain(..) {
@@ -833,22 +828,15 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         if let Some(sh) = &self.shard {
             let dst = sh.plan.owner(child);
             if dst != sh.me {
-                // Cross-shard hop: the packet leaves this shard's arena as
-                // a timestamped message; the receiver re-interns it.
-                let owned = self.arena.take(pkt);
-                let copy = owned.clone();
-                self.arena.restore(pkt, owned);
+                // Cross-shard hop: a copy leaves this shard as a message
+                // under the key the local push below would have used; the
+                // receiver's `enqueue_arrival` re-interns it.
                 self.outbox.push(OutMsg {
                     dst,
-                    key: EventKey {
-                        time: arrive,
-                        push_time: self.now,
-                        origin: at.0 + 1,
-                        oseq,
-                    },
+                    key: self.key_from(at, arrive, oseq),
                     node: child,
                     class: hdr.class,
-                    pkt: copy,
+                    pkt: self.arena.copy_of(pkt),
                 });
                 return;
             }
@@ -908,15 +896,13 @@ pub struct EngineBuilder<M> {
     topo: Topology,
     seed: u64,
     mode: RecorderMode,
-    bin_width: Option<SimDuration>,
     channels: Vec<Vec<NodeId>>,
     agents: Vec<(NodeId, Box<dyn Agent<M>>, SimTime)>,
     plan: FaultPlan,
     scenario: ScenarioPlan,
-    record_probes: bool,
-    audit: Option<AuditConfig>,
-    shard_plan: Option<Arc<ShardPlan>>,
-    threads: Option<usize>,
+    /// The auditor's configuration, and whether the probe records it is
+    /// fed are also kept.
+    audit: Option<(AuditConfig, bool)>,
 }
 
 impl<M: Classify + Clone + 'static> EngineBuilder<M> {
@@ -926,41 +912,17 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             topo,
             seed,
             mode: RecorderMode::Raw,
-            bin_width: None,
             channels: Vec::new(),
             agents: Vec::new(),
             plan: FaultPlan::new(),
             scenario: ScenarioPlan::new(),
-            record_probes: false,
             audit: None,
-            shard_plan: None,
-            threads: None,
         }
-    }
-
-    /// Default shard plan for [`Engine::advance`] calls whose [`RunSpec`](crate::shard::RunSpec)
-    /// leaves the plan unset (default: serial).
-    pub fn shard_plan(&mut self, plan: Arc<ShardPlan>) -> &mut Self {
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Default worker-thread count for sharded [`Engine::advance`] calls
-    /// (default: one thread per shard).
-    pub fn threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = Some(threads);
-        self
     }
 
     /// How observations are stored (default [`RecorderMode::Raw`]).
     pub fn recorder_mode(&mut self, mode: RecorderMode) -> &mut Self {
         self.mode = mode;
-        self
-    }
-
-    /// Histogram bin width for [`RecorderMode::Streaming`] (default 100 ms).
-    pub fn bin_width(&mut self, width: SimDuration) -> &mut Self {
-        self.bin_width = Some(width);
         self
     }
 
@@ -1012,21 +974,15 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
         self
     }
 
-    /// Keeps the probe events agents emit (default: discard them).  Probe
-    /// emission is a single branch when disabled, so enabling this never
-    /// changes simulated behaviour — only what is retained.
-    pub fn record_probes(&mut self) -> &mut Self {
-        self.record_probes = true;
-        self
-    }
-
-    /// Attaches an invariant [`Auditor`] fed from the probe stream
-    /// (implies [`EngineBuilder::record_probes`]).  If a fault plan is
-    /// set, its active span is excused from the single-ZCR invariant
-    /// automatically ([`AuditConfig::excuse_faults`]).
+    /// Attaches an invariant [`Auditor`] fed from the probe stream and
+    /// keeps every probe event agents emit ([`Engine::probe_records`]).
+    /// Probe emission is a single branch when nothing observes it, so
+    /// attaching an auditor never changes simulated behaviour — only what
+    /// is retained.  If a fault plan is set, its active span is excused
+    /// from the single-ZCR invariant automatically
+    /// ([`AuditConfig::excuse_faults`]).
     pub fn audit(&mut self, cfg: AuditConfig) -> &mut Self {
-        self.record_probes = true;
-        self.audit = Some(cfg);
+        self.audit = Some((cfg, true));
         self
     }
 
@@ -1036,7 +992,7 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
     /// record log.  Large-scale runs use this so a 10⁶-receiver sweep can
     /// stay audited without holding per-event history.
     pub fn audit_streaming(&mut self, cfg: AuditConfig) -> &mut Self {
-        self.audit = Some(cfg);
+        self.audit = Some((cfg, false));
         self
     }
 
@@ -1049,18 +1005,16 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
     /// referencing an unknown link or node.
     pub fn build(self) -> Engine<M> {
         let mut engine: Engine<M> = Engine::new(self.topo, self.seed);
-        if self.record_probes {
-            engine.probes.set_recording(true);
-        }
-        if let Some(mut cfg) = self.audit {
+        if let Some((mut cfg, keep_records)) = self.audit {
             cfg.excuse_faults(&self.plan);
             cfg.excuse_scenario(&self.scenario);
+            engine.probes.set_recording(keep_records);
             engine.probes.set_auditor(Auditor::new(cfg));
         }
         engine.recorder.set_mode(self.mode);
-        if let Some(w) = self.bin_width {
-            engine.recorder.set_bin_width(w);
-        }
+        // One pass over the plan answers `initially_out` for every member
+        // of every channel and `start_override` for every agent below.
+        let (initially_out, start_overrides) = self.scenario.compile();
         for (i, members) in self.channels.iter().enumerate() {
             if self.scenario.is_empty() {
                 engine.add_channel(members);
@@ -1073,7 +1027,7 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             let initial: Vec<NodeId> = members
                 .iter()
                 .copied()
-                .filter(|&m| !self.scenario.initially_out(id, m))
+                .filter(|&m| !initially_out.contains_key(&(id, m)))
                 .collect();
             engine.add_channel(&initial);
         }
@@ -1084,7 +1038,7 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             engine.schedule_membership(when, ev);
         }
         for (node, agent, at) in self.agents {
-            let at = self.scenario.start_override(node).unwrap_or(at);
+            let at = start_overrides.get(&node).copied().unwrap_or(at);
             engine.attach_agent(node, agent, at);
         }
         // Agent stops/restarts ride the fault machinery: a stop is a node
@@ -1097,8 +1051,6 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             plan.push(when, FaultEvent::NodeRestart(node));
         }
         engine.schedule_faults(&plan);
-        engine.default_plan = self.shard_plan;
-        engine.default_threads = self.threads;
         engine
     }
 }
@@ -1110,6 +1062,7 @@ mod tests {
     use crate::metrics::TrafficClass;
     use crate::shard::RunSpec;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -1935,28 +1888,30 @@ mod tests {
         assert_eq!(split.recorder().drops, whole.recorder().drops);
     }
 
+    /// Multicasts one data packet every 10 ms, `left` times.
+    struct Ticker {
+        chan: ChannelId,
+        left: u32,
+    }
+    impl Agent<Msg> for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _: u64) {
+            ctx.multicast(self.chan, Msg::Data(0), 100);
+            self.left -= 1;
+            if self.left > 0 {
+                ctx.set_timer(SimDuration::from_millis(10), 0);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
+    }
+
     #[test]
     fn membership_events_flip_delivery_midrun() {
         // n2 leaves the channel at 15 ms and rejoins at 35 ms.  Scope is
         // checked when the parent forwards (n1's hop toward n2), so sends
         // whose n1→n2 hop lands in the gap are pruned, the rest delivered.
-        struct Ticker {
-            chan: ChannelId,
-            left: u32,
-        }
-        impl Agent<Msg> for Ticker {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                ctx.set_timer(SimDuration::from_millis(10), 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _: u64) {
-                ctx.multicast(self.chan, Msg::Data(0), 100);
-                self.left -= 1;
-                if self.left > 0 {
-                    ctx.set_timer(SimDuration::from_millis(10), 0);
-                }
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
-        }
         let (t, [n0, n1, n2]) = chain3(0.0);
         let mut e: Engine<Msg> = Engine::new(t, 5);
         let chan = e.add_channel(&[n0, n1, n2]);
@@ -1989,23 +1944,6 @@ mod tests {
         // A joiner declared via ScenarioPlan must start outside the
         // channel even though the builder listed it as a member, then
         // hear everything from its join time onward.
-        struct Ticker {
-            chan: ChannelId,
-            left: u32,
-        }
-        impl Agent<Msg> for Ticker {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                ctx.set_timer(SimDuration::from_millis(10), 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _: u64) {
-                ctx.multicast(self.chan, Msg::Data(0), 100);
-                self.left -= 1;
-                if self.left > 0 {
-                    ctx.set_timer(SimDuration::from_millis(10), 0);
-                }
-            }
-            fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
-        }
         let (t, [n0, n1, n2]) = chain3(0.0);
         let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 5);
         let chan = b.add_channel(&[n0, n1, n2]);
@@ -2022,5 +1960,130 @@ mod tests {
         // 41/51 ms; only the two hops after the 35 ms join get through.
         assert_eq!(e.agent::<Sniffer>(n2).unwrap().heard.len(), 2);
         assert!(e.channel(chan).contains(n2));
+    }
+    proptest! {
+        /// `build` answers "does this member start outside this channel"
+        /// and "when does this agent start" from one indexed pass over
+        /// the plan; `ScenarioPlan::initially_out` and `start_override`,
+        /// which scan it per question, are the specification.  Random
+        /// plans of joins, leaves, rejoins and handoffs over six nodes and
+        /// three overlapping channels, on four instants so equal-time ties
+        /// are the common case.
+        #[test]
+        fn compiled_scenario_matches_its_specification(
+            steps in proptest::collection::vec((0u32..6, 0usize..3, 0u64..4, 0u8..4), 0..40),
+        ) {
+            let mut t = TopologyBuilder::new();
+            let nodes: Vec<NodeId> = (0..6).map(|i| t.add_node(format!("{i}"))).collect();
+            for w in nodes.windows(2) {
+                t.add_link(w[0], w[1], LinkParams::lossless_infinite(ms(1)));
+            }
+            let rosters = [&nodes[..], &nodes[..4], &nodes[2..]];
+            let mut b: EngineBuilder<Msg> = EngineBuilder::new(t.build(), 1);
+            let chans = rosters.map(|members| b.add_channel(members));
+            let listed_start = SimTime::from_millis(7);
+            for &n in &nodes {
+                b.add_agent_at(n, Box::new(Sniffer::default()), listed_start);
+            }
+            let mut plan = ScenarioPlan::new();
+            for (node, touched, at, what) in steps {
+                let (node, at) = (NodeId(node), SimTime::from_millis(10 * at));
+                let touched = [&chans[..1], &chans[1..], &chans[..]][touched];
+                plan = match what {
+                    0 => plan.join_at(at, node, touched),
+                    1 => plan.leave_at(at, node, touched),
+                    2 => plan.rejoin_at(at, node, touched),
+                    _ => plan.handoff(at, NodeId((node.0 + 1) % 6), node, touched),
+                };
+            }
+            b.scenario(plan.clone());
+            let mut e = b.build();
+            for (&c, roster) in chans.iter().zip(rosters) {
+                for &n in &nodes {
+                    let member = roster.contains(&n) && !plan.initially_out(c, n);
+                    prop_assert_eq!(e.channel(c).contains(n), member, "{:?} in {:?}", n, c);
+                }
+            }
+            // Nothing has run, so the queued `Start`s are the attached
+            // agents', at the times `build` gave them.
+            let mut starts = vec![None; nodes.len()];
+            while let Some((key, kind)) = e.queue.pop_keyed() {
+                if let EventKind::Start(n) = kind {
+                    starts[n.idx()] = Some(key.time);
+                }
+            }
+            for &n in &nodes {
+                let want = plan.start_override(n).unwrap_or(listed_start);
+                prop_assert_eq!(starts[n.idx()], Some(want), "start of {:?}", n);
+            }
+        }
+    }
+
+    /// `Ctx::new` is the whole interface between an agent and the engine:
+    /// a callback driven by hand — same clock, node, RNG stream, oracle and
+    /// timer counter — queues, action for action, what the engine applied
+    /// for that callback in a real run.
+    #[test]
+    fn ctx_new_reproduces_what_the_engine_applied() {
+        /// Draws its jitter from the RNG, so a wrong stream would show.
+        struct Jittery {
+            chan: ChannelId,
+        }
+        impl Agent<Msg> for Jittery {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                let jitter = ctx.rng().range_f64(1.0, 2.0);
+                let keep = ctx.set_timer(ctx.one_way(NodeId(2)).mul_f64(jitter), 5);
+                let dropped = ctx.set_timer(ms(3), 6);
+                ctx.cancel_timer(dropped);
+                ctx.multicast(self.chan, Msg::Data(keep.0 as u32), 100);
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
+        }
+        /// Runs the inner agent and keeps what its callback queued, as
+        /// the engine is about to apply it.
+        struct Recording {
+            inner: Jittery,
+            queued: String,
+        }
+        impl Agent<Msg> for Recording {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                self.inner.on_start(ctx);
+                self.queued = format!("{:?}", ctx.actions);
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
+        }
+        let (seed, start) = (9, SimTime::from_millis(40));
+        let (t, [n0, n1, n2]) = chain3(0.0);
+        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, seed);
+        let chan = b.add_channel(&[n0, n1, n2]);
+        let (inner, queued) = (Jittery { chan }, String::new());
+        b.add_agent_at(n1, Box::new(Recording { inner, queued }), start);
+        let mut e = b.build();
+        // What the engine will lend the callback, copied before it does.
+        let (mut rng, mut next_timer) = (e.agent_rngs[n1.idx()].clone(), e.node_seq[n1.idx()]);
+        let oracle = e.oracle.clone();
+        e.advance(RunSpec::drain());
+        let applied = &e.agent::<Recording>(n1).unwrap().queued;
+        assert_eq!(applied.matches("SetTimer").count(), 2, "{applied}");
+        assert_eq!(
+            e.recorder().transmissions.len(),
+            1,
+            "the engine applied them"
+        );
+
+        // The same callback with no engine.
+        let mut actions = Vec::new();
+        let mut probes = ProbeSink::default();
+        let mut ctx = Ctx::new(
+            start,
+            n1,
+            &mut rng,
+            &oracle,
+            &mut actions,
+            &mut next_timer,
+            &mut probes,
+        );
+        Jittery { chan }.on_start(&mut ctx);
+        assert_eq!(&format!("{actions:?}"), applied);
     }
 }

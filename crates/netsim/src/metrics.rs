@@ -26,6 +26,7 @@
 use crate::channel::ChannelId;
 use crate::graph::NodeId;
 use crate::queue::EventKey;
+use crate::shard::merge_by_key;
 use crate::time::{SimDuration, SimTime};
 
 /// Coarse protocol-independent classification of a packet.
@@ -156,27 +157,55 @@ impl Tally {
     }
 }
 
+/// Which side of the wire an observation was made on; indexes every
+/// per-direction table below.
+#[derive(Clone, Copy)]
+enum Direction {
+    Delivered = 0,
+    Sent = 1,
+}
+use Direction::{Delivered, Sent};
+
 /// Per-record [`EventKey`] tags, kept only by per-shard recorders in
 /// [`RecorderMode::Raw`].  Each raw vector gets a parallel tag vector
 /// stamping which engine event produced the record, so shard outputs can
-/// be k-way merged back into the exact serial timeline regardless of
-/// shard completion order (see `shard.rs`).
+/// be merged back into the exact serial timeline regardless of shard
+/// completion order (see `shard.rs`).
 #[derive(Debug, Default)]
 struct RecorderTags {
     current: EventKey,
-    deliveries: Vec<EventKey>,
-    transmissions: Vec<EventKey>,
+    /// Parallel to `deliveries` and `transmissions`, by [`Direction`].
+    records: [Vec<EventKey>; 2],
     drops: Vec<EventKey>,
 }
 
-/// Per-node aggregate state: totals per class, and (streaming mode only)
-/// per-bin tallies per class.
+/// Aggregate state, kept once per node and once for the whole session:
+/// totals per (direction, class) and, where the mode bins at that level,
+/// per-bin tallies — one lazily grown vector per (direction, class), so
+/// nothing is paid for kinds of traffic never seen.
 #[derive(Clone, Debug, Default)]
-struct NodeStats {
-    delivered: [Tally; CLASS_COUNT],
-    sent: [Tally; CLASS_COUNT],
-    delivered_bins: [Vec<Tally>; CLASS_COUNT],
-    sent_bins: [Vec<Tally>; CLASS_COUNT],
+struct Stats {
+    totals: [[Tally; CLASS_COUNT]; 2],
+    bins: [[Vec<Tally>; CLASS_COUNT]; 2],
+}
+
+impl Stats {
+    /// Sums `other`'s tables into this one, growing bins to cover them.
+    fn absorb(&mut self, other: &Stats) {
+        let totals = self.totals.iter_mut().flatten();
+        for (mine, theirs) in totals.zip(other.totals.iter().flatten()) {
+            mine.absorb(*theirs);
+        }
+        let bins = self.bins.iter_mut().flatten();
+        for (mine, theirs) in bins.zip(other.bins.iter().flatten()) {
+            if mine.len() < theirs.len() {
+                mine.resize(theirs.len(), Tally::default());
+            }
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                m.absorb(*t);
+            }
+        }
+    }
 }
 
 /// Accumulates simulation observations.
@@ -191,13 +220,12 @@ pub struct Recorder {
     pub drops: Vec<DropRecord>,
     mode: RecorderMode,
     bin_width: SimDuration,
-    nodes: Vec<NodeStats>,
-    delivered_total: [Tally; CLASS_COUNT],
-    sent_total: [Tally; CLASS_COUNT],
+    /// Per-node totals (raw and streaming modes) and bins (streaming).
+    nodes: Vec<Stats>,
+    /// Session-global totals (every mode) and bins
+    /// ([`RecorderMode::Aggregate`]).
+    global: Stats,
     drop_total: [u64; CLASS_COUNT],
-    /// Session-global time bins, maintained in [`RecorderMode::Aggregate`].
-    delivered_bins_total: [Vec<Tally>; CLASS_COUNT],
-    sent_bins_total: [Vec<Tally>; CLASS_COUNT],
     /// Event-key tags parallel to the raw vectors; `Some` only on
     /// per-shard recorders (see [`Recorder::enable_tagging`]).
     tags: Option<Box<RecorderTags>>,
@@ -213,11 +241,8 @@ impl Default for Recorder {
             // The paper's measurement granularity (§6.2): 0.1 s bins.
             bin_width: SimDuration::from_millis(100),
             nodes: Vec::new(),
-            delivered_total: [Tally::default(); CLASS_COUNT],
-            sent_total: [Tally::default(); CLASS_COUNT],
+            global: Stats::default(),
             drop_total: [0; CLASS_COUNT],
-            delivered_bins_total: Default::default(),
-            sent_bins_total: Default::default(),
             tags: None,
         }
     }
@@ -298,79 +323,50 @@ impl Recorder {
             && self.transmissions.is_empty()
             && self.drops.is_empty()
             && self.drop_total.iter().all(|&c| c == 0)
-            && self.delivered_total.iter().all(|t| t.packets == 0)
-            && self.sent_total.iter().all(|t| t.packets == 0)
+            && self.global.totals.iter().flatten().all(|t| t.packets == 0)
     }
 
-    fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
+    fn node_mut(&mut self, node: NodeId) -> &mut Stats {
         if self.nodes.len() <= node.idx() {
-            self.nodes.resize_with(node.idx() + 1, NodeStats::default);
+            self.nodes.resize_with(node.idx() + 1, Stats::default);
         }
         &mut self.nodes[node.idx()]
     }
 
-    fn bin_index(&self, t: SimTime) -> usize {
-        (t.as_nanos() / self.bin_width.as_nanos()) as usize
-    }
-
     /// Records one delivery observation.
     pub fn record_delivery(&mut self, r: Record) {
-        self.delivered_total[r.class.index()].add(r.bytes);
-        let bin = self.bin_index(r.time);
-        match self.mode {
-            RecorderMode::Aggregate => {
-                let bins = &mut self.delivered_bins_total[r.class.index()];
-                if bins.len() <= bin {
-                    bins.resize(bin + 1, Tally::default());
-                }
-                bins[bin].add(r.bytes);
-            }
-            RecorderMode::Streaming => {
-                let stats = self.node_mut(r.node);
-                stats.delivered[r.class.index()].add(r.bytes);
-                let bins = &mut stats.delivered_bins[r.class.index()];
-                if bins.len() <= bin {
-                    bins.resize(bin + 1, Tally::default());
-                }
-                bins[bin].add(r.bytes);
-            }
-            RecorderMode::Raw => {
-                self.node_mut(r.node).delivered[r.class.index()].add(r.bytes);
-                if let Some(tags) = &mut self.tags {
-                    tags.deliveries.push(tags.current);
-                }
-                self.deliveries.push(r);
-            }
-        }
+        self.record(Delivered, r);
     }
 
     /// Records one transmission observation.
     pub fn record_transmission(&mut self, r: Record) {
-        self.sent_total[r.class.index()].add(r.bytes);
-        let bin = self.bin_index(r.time);
+        self.record(Sent, r);
+    }
+
+    /// The one record path: the session total always, then what the mode
+    /// keeps — session bins, the node's total and bins, or the node's
+    /// total and the event itself.
+    #[inline]
+    fn record(&mut self, dir: Direction, r: Record) {
+        let (d, c) = (dir as usize, r.class.index());
+        let bin = (r.time.as_nanos() / self.bin_width.as_nanos()) as usize;
+        self.global.totals[d][c].add(r.bytes);
         match self.mode {
-            RecorderMode::Aggregate => {
-                let bins = &mut self.sent_bins_total[r.class.index()];
-                if bins.len() <= bin {
-                    bins.resize(bin + 1, Tally::default());
-                }
-                bins[bin].add(r.bytes);
-            }
+            RecorderMode::Aggregate => add_to_bin(&mut self.global.bins[d][c], bin, r.bytes),
             RecorderMode::Streaming => {
                 let stats = self.node_mut(r.node);
-                stats.sent[r.class.index()].add(r.bytes);
-                let bins = &mut stats.sent_bins[r.class.index()];
-                if bins.len() <= bin {
-                    bins.resize(bin + 1, Tally::default());
-                }
-                bins[bin].add(r.bytes);
+                stats.totals[d][c].add(r.bytes);
+                add_to_bin(&mut stats.bins[d][c], bin, r.bytes);
             }
             RecorderMode::Raw => {
-                self.node_mut(r.node).sent[r.class.index()].add(r.bytes);
+                self.node_mut(r.node).totals[d][c].add(r.bytes);
                 if let Some(tags) = &mut self.tags {
-                    tags.transmissions.push(tags.current);
+                    tags.records[d].push(tags.current);
                 }
-                self.transmissions.push(r);
+                match dir {
+                    Delivered => self.deliveries.push(r),
+                    Sent => self.transmissions.push(r),
+                }
             }
         }
     }
@@ -393,40 +389,44 @@ impl Recorder {
         self.transmissions.clear();
         self.drops.clear();
         if let Some(tags) = &mut self.tags {
-            tags.deliveries.clear();
-            tags.transmissions.clear();
+            tags.records.iter_mut().for_each(Vec::clear);
             tags.drops.clear();
         }
         self.nodes.clear();
-        self.delivered_total = [Tally::default(); CLASS_COUNT];
-        self.sent_total = [Tally::default(); CLASS_COUNT];
+        self.global = Stats::default();
         self.drop_total = [0; CLASS_COUNT];
-        self.delivered_bins_total = Default::default();
-        self.sent_bins_total = Default::default();
+    }
+
+    fn node_total(&self, dir: Direction, node: NodeId, class: TrafficClass) -> usize {
+        self.nodes.get(node.idx()).map_or(0, |s| {
+            s.totals[dir as usize][class.index()].packets as usize
+        })
+    }
+
+    fn node_bins(&self, dir: Direction, node: NodeId, class: TrafficClass) -> &[Tally] {
+        self.nodes
+            .get(node.idx())
+            .map_or(&[][..], |s| &s.bins[dir as usize][class.index()])
     }
 
     /// Counts deliveries at `node` with the given class.  O(1).
     pub fn delivered_count(&self, node: NodeId, class: TrafficClass) -> usize {
-        self.nodes
-            .get(node.idx())
-            .map_or(0, |s| s.delivered[class.index()].packets as usize)
+        self.node_total(Delivered, node, class)
     }
 
     /// Counts transmissions by `node` with the given class.  O(1).
     pub fn sent_count(&self, node: NodeId, class: TrafficClass) -> usize {
-        self.nodes
-            .get(node.idx())
-            .map_or(0, |s| s.sent[class.index()].packets as usize)
+        self.node_total(Sent, node, class)
     }
 
     /// Total deliveries across all nodes for a class.  O(1).
     pub fn total_delivered(&self, class: TrafficClass) -> usize {
-        self.delivered_total[class.index()].packets as usize
+        self.global.totals[Delivered as usize][class.index()].packets as usize
     }
 
     /// Total transmissions across all nodes for a class.  O(1).
     pub fn total_sent(&self, class: TrafficClass) -> usize {
-        self.sent_total[class.index()].packets as usize
+        self.global.totals[Sent as usize][class.index()].packets as usize
     }
 
     /// Total loss events for a class.  O(1).
@@ -436,7 +436,7 @@ impl Recorder {
 
     /// Total bytes delivered across all nodes for a class.  O(1).
     pub fn delivered_bytes(&self, class: TrafficClass) -> u64 {
-        self.delivered_total[class.index()].bytes
+        self.global.totals[Delivered as usize][class.index()].bytes
     }
 
     /// Number of nodes with at least one recorded observation (dense
@@ -450,30 +450,26 @@ impl Recorder {
     /// recorded there (and always in raw mode, which keeps raw events
     /// instead).
     pub fn delivered_bins(&self, node: NodeId, class: TrafficClass) -> &[Tally] {
-        self.nodes
-            .get(node.idx())
-            .map_or(&[][..], |s| &s.delivered_bins[class.index()])
+        self.node_bins(Delivered, node, class)
     }
 
     /// Streaming-mode transmission bins for `(node, class)`; see
     /// [`Recorder::delivered_bins`].
     pub fn sent_bins(&self, node: NodeId, class: TrafficClass) -> &[Tally] {
-        self.nodes
-            .get(node.idx())
-            .map_or(&[][..], |s| &s.sent_bins[class.index()])
+        self.node_bins(Sent, node, class)
     }
 
     /// Aggregate-mode session-global delivery bins for a class; entry `i`
     /// covers `[i × bin_width, (i + 1) × bin_width)`.  Empty in the other
     /// modes (which keep raw events or per-node bins instead).
     pub fn total_delivered_bins(&self, class: TrafficClass) -> &[Tally] {
-        &self.delivered_bins_total[class.index()]
+        &self.global.bins[Delivered as usize][class.index()]
     }
 
     /// Aggregate-mode session-global transmission bins for a class; see
     /// [`Recorder::total_delivered_bins`].
     pub fn total_sent_bins(&self, class: TrafficClass) -> &[Tally] {
-        &self.sent_bins_total[class.index()]
+        &self.global.bins[Sent as usize][class.index()]
     }
 
     /// Approximate heap bytes this recorder currently holds.  The
@@ -482,21 +478,13 @@ impl Recorder {
     /// traffic volume.
     pub fn resident_bytes(&self) -> usize {
         let record = std::mem::size_of::<Record>();
-        let tally = std::mem::size_of::<Tally>();
-        let mut total = self.deliveries.capacity() * record
+        let every_stats = self.nodes.iter().chain([&self.global]);
+        let bins = every_stats.flat_map(|s| s.bins.iter().flatten());
+        self.deliveries.capacity() * record
             + self.transmissions.capacity() * record
             + self.drops.capacity() * std::mem::size_of::<DropRecord>()
-            + self.nodes.capacity() * std::mem::size_of::<NodeStats>();
-        for s in &self.nodes {
-            for c in 0..CLASS_COUNT {
-                total += (s.delivered_bins[c].capacity() + s.sent_bins[c].capacity()) * tally;
-            }
-        }
-        for c in 0..CLASS_COUNT {
-            total += (self.delivered_bins_total[c].capacity() + self.sent_bins_total[c].capacity())
-                * tally;
-        }
-        total
+            + self.nodes.capacity() * std::mem::size_of::<Stats>()
+            + bins.map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Tally>()
     }
 
     /// Sums another recorder's aggregate tables into this one: global
@@ -508,88 +496,53 @@ impl Recorder {
     pub(crate) fn absorb_totals(&mut self, other: &Recorder) {
         debug_assert_eq!(self.mode, other.mode, "shard recorders share one mode");
         debug_assert_eq!(self.bin_width, other.bin_width);
-        for c in 0..CLASS_COUNT {
-            self.delivered_total[c].absorb(other.delivered_total[c]);
-            self.sent_total[c].absorb(other.sent_total[c]);
-            self.drop_total[c] += other.drop_total[c];
-            absorb_bins(
-                &mut self.delivered_bins_total[c],
-                &other.delivered_bins_total[c],
-            );
-            absorb_bins(&mut self.sent_bins_total[c], &other.sent_bins_total[c]);
+        self.global.absorb(&other.global);
+        for (mine, theirs) in self.drop_total.iter_mut().zip(&other.drop_total) {
+            *mine += theirs;
         }
         if self.nodes.len() < other.nodes.len() {
-            self.nodes
-                .resize_with(other.nodes.len(), NodeStats::default);
+            self.nodes.resize_with(other.nodes.len(), Stats::default);
         }
         for (mine, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
-            for c in 0..CLASS_COUNT {
-                mine.delivered[c].absorb(theirs.delivered[c]);
-                mine.sent[c].absorb(theirs.sent[c]);
-                absorb_bins(&mut mine.delivered_bins[c], &theirs.delivered_bins[c]);
-                absorb_bins(&mut mine.sent_bins[c], &theirs.sent_bins[c]);
-            }
+            mine.absorb(theirs);
         }
     }
 
     /// Reassembles tagged [`RecorderMode::Raw`] shard recorders into this
-    /// recorder, replaying every record in global [`EventKey`] order so the
-    /// result is bit-identical to the serial run's recorder: raw vectors in
-    /// serial order, totals and per-node tables rebuilt by the same
-    /// `record_*` paths.  Records the target already holds (from earlier
-    /// `advance` calls or external sends) stay in place; the merged batch
-    /// appends after them, matching the serial timeline because a sharded
-    /// window's events all postdate anything recorded before it.
-    ///
-    /// Each engine event is processed by exactly one shard, so no key
-    /// appears in two parts; a stable sort keeps same-key records (several
-    /// records from one event) in their original within-shard order.
+    /// recorder, replaying every record in global [`EventKey`] order
+    /// ([`merge_by_key`]) so the result is bit-identical to the serial
+    /// run's recorder: raw vectors in serial order, totals and per-node
+    /// tables rebuilt by the same record path.  Records the target
+    /// already holds (from earlier `advance` calls or external sends) stay
+    /// in place; the merged batch appends after them, matching the serial
+    /// timeline because a sharded window's events all postdate anything
+    /// recorded before it.
     ///
     /// # Panics
     ///
     /// Panics if a part is untagged.
     pub(crate) fn merge_raw_parts(&mut self, parts: Vec<Recorder>) {
         assert_eq!(self.mode, RecorderMode::Raw);
-        let mut deliveries: Vec<(EventKey, Record)> = Vec::new();
-        let mut transmissions: Vec<(EventKey, Record)> = Vec::new();
-        let mut drops: Vec<(EventKey, DropRecord)> = Vec::new();
-        for mut part in parts {
-            let tags = *part.tags.take().expect("shard recorder parts are tagged");
-            assert_eq!(tags.deliveries.len(), part.deliveries.len());
-            assert_eq!(tags.transmissions.len(), part.transmissions.len());
-            assert_eq!(tags.drops.len(), part.drops.len());
-            deliveries.extend(tags.deliveries.into_iter().zip(part.deliveries.drain(..)));
-            transmissions.extend(
-                tags.transmissions
-                    .into_iter()
-                    .zip(part.transmissions.drain(..)),
-            );
-            drops.extend(tags.drops.into_iter().zip(part.drops.drain(..)));
+        let (mut deliveries, mut transmissions, mut drops) = (Vec::new(), Vec::new(), Vec::new());
+        for part in parts {
+            let tags = *part.tags.expect("shard recorder parts are tagged");
+            let [delivered, sent] = tags.records;
+            deliveries.push((delivered, part.deliveries));
+            transmissions.push((sent, part.transmissions));
+            drops.push((tags.drops, part.drops));
         }
-        // Stable: same-key runs (all from one shard) keep their order.
-        deliveries.sort_by_key(|(k, _)| *k);
-        transmissions.sort_by_key(|(k, _)| *k);
-        drops.sort_by_key(|(k, _)| *k);
-        for (_, r) in deliveries {
-            self.record_delivery(r);
-        }
-        for (_, r) in transmissions {
-            self.record_transmission(r);
-        }
-        for (_, d) in drops {
-            self.record_drop(d);
-        }
+        merge_by_key(deliveries, |r| self.record(Delivered, r));
+        merge_by_key(transmissions, |r| self.record(Sent, r));
+        merge_by_key(drops, |d| self.record_drop(d));
     }
 }
 
-/// Elementwise `Tally` sum, growing `dst` to cover `src`.
-fn absorb_bins(dst: &mut Vec<Tally>, src: &[Tally]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), Tally::default());
+/// Adds one packet to `bins[bin]`, growing the vector to reach it.
+fn add_to_bin(bins: &mut Vec<Tally>, bin: usize, bytes: u32) {
+    if bins.len() <= bin {
+        bins.resize(bin + 1, Tally::default());
     }
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.absorb(*s);
-    }
+    bins[bin].add(bytes);
 }
 
 #[cfg(test)]

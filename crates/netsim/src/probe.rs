@@ -24,10 +24,11 @@
 //!   [`AuditConfig::nack_sent_cap`] — sent NACKs per (group, level)
 //!   stay under a storm cap even across batch joins.
 //!
-//! Enable recording with [`crate::engine::EngineBuilder::record_probes`]
-//! and auditing with [`crate::engine::EngineBuilder::audit`]; read the
-//! results back with [`crate::engine::Engine::probe_records`] and
-//! [`crate::engine::Engine::audit_report`].
+//! Attach the auditor with [`crate::engine::EngineBuilder::audit`] (which
+//! also keeps the records) or
+//! [`crate::engine::EngineBuilder::audit_streaming`] (which does not);
+//! read the results back with [`crate::engine::Engine::probe_records`]
+//! and [`crate::engine::Engine::audit_report`].
 
 use crate::faults::FaultPlan;
 use crate::graph::NodeId;
@@ -282,7 +283,7 @@ pub struct ProbeRecord {
 }
 
 /// The invariants the auditor enforces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Invariant {
     /// At most one stable ZCR per zone outside fault/heal windows.
     SingleZcr,
@@ -437,6 +438,16 @@ struct SeatState {
     overlap_since: Option<SimTime>,
 }
 
+impl SeatState {
+    /// The claimants' node ids, ascending — what a violation prints.  The
+    /// map itself iterates in an order drawn per map and per process.
+    fn claimants(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.holders.keys().map(|n| n.0).collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
 /// Online invariant checker over the probe stream.
 #[derive(Debug)]
 pub struct Auditor {
@@ -495,10 +506,10 @@ impl Auditor {
         if until.saturating_since(since) <= self.cfg.seat_settle || self.excused(since, until) {
             return;
         }
-        let holders: Vec<u32> = self
+        let holders = self
             .seats
             .get(&zone)
-            .map(|s| s.holders.keys().map(|n| n.0).collect())
+            .map(SeatState::claimants)
             .unwrap_or_default();
         self.violations.push(Violation {
             time: until,
@@ -677,10 +688,10 @@ impl Auditor {
         for (&zone, seat) in &self.seats {
             if let Some(since) = seat.overlap_since {
                 if now.saturating_since(since) > self.cfg.seat_settle && !self.excused(since, now) {
-                    let holders: Vec<u32> = seat.holders.keys().map(|n| n.0).collect();
+                    let holders = seat.claimants();
                     violations.push(Violation {
                         time: now,
-                        node: NodeId(*holders.iter().min().unwrap_or(&0)),
+                        node: NodeId(*holders.first().unwrap_or(&0)),
                         invariant: Invariant::SingleZcr,
                         detail: format!(
                             "zone {zone} still has claimants {holders:?} at run end \
@@ -701,7 +712,15 @@ impl Auditor {
                 });
             }
         }
-        violations.sort_by_key(|v| v.time);
+        // A total order: `seats` and `closes` were walked in hash order,
+        // and every run-end violation carries `time = now`, so time alone
+        // would leave the report — and the `violations[0]` its summary
+        // prints — different from run to run.
+        violations.sort_by(|a, b| {
+            (a.time, a.node, a.invariant)
+                .cmp(&(b.time, b.node, b.invariant))
+                .then_with(|| a.detail.cmp(&b.detail))
+        });
         AuditReport {
             events: self.events,
             violations,
@@ -714,7 +733,7 @@ impl Auditor {
 pub struct AuditReport {
     /// Probe events the auditor saw.
     pub events: u64,
-    /// Every violation, time-ordered.
+    /// Every violation, ordered by (time, node, invariant, detail).
     pub violations: Vec<Violation>,
 }
 
@@ -782,10 +801,16 @@ impl ProbeSink {
     /// Emits one event.  A disabled sink returns immediately.
     #[inline]
     pub fn emit(&mut self, time: SimTime, node: NodeId, event: ProbeEvent) {
-        if !self.enabled() {
-            return;
+        if self.enabled() {
+            self.ingest(ProbeRecord { time, node, event });
         }
-        let r = ProbeRecord { time, node, event };
+    }
+
+    /// Hands one record to whatever observes: the auditor, then the record
+    /// log (tagged, on a shard sink).  Besides [`ProbeSink::emit`], this is
+    /// how a master sink takes the globally merged shard stream — in key
+    /// order, as the auditor requires.
+    pub(crate) fn ingest(&mut self, r: ProbeRecord) {
         if let Some(a) = &mut self.auditor {
             a.ingest(&r);
         }
@@ -822,24 +847,11 @@ impl ProbeSink {
         }
     }
 
-    /// Drains everything recorded since the last drain, paired with its
-    /// tag.  Only meaningful on tagged shard sinks.
-    pub(crate) fn drain_tagged(&mut self) -> Vec<(crate::queue::EventKey, ProbeRecord)> {
+    /// Takes everything recorded since the last drain, with its tags.
+    /// Only meaningful on tagged shard sinks.
+    pub(crate) fn drain_tagged(&mut self) -> crate::shard::Tagged<ProbeRecord> {
         let tags = self.tags.as_mut().map(std::mem::take).unwrap_or_default();
-        debug_assert_eq!(tags.len(), self.records.len());
-        tags.into_iter().zip(self.records.drain(..)).collect()
-    }
-
-    /// Ingests one record of the globally merged shard stream: feeds the
-    /// auditor (in-order, as it requires) and stores the record iff this
-    /// master sink is keeping records.
-    pub(crate) fn ingest_merged(&mut self, r: ProbeRecord) {
-        if let Some(a) = &mut self.auditor {
-            a.ingest(&r);
-        }
-        if self.keep {
-            self.records.push(r);
-        }
+        (tags, std::mem::take(&mut self.records))
     }
 
     /// Everything recorded so far (empty unless recording was enabled).
@@ -1056,6 +1068,37 @@ mod tests {
         assert!(!a.report(at(60)).ok(), "still two claimants at the end");
         // But a short-lived overlap at the very end is fine.
         assert!(a.report(at(6)).ok());
+    }
+
+    /// Two auditors fed one stream must print one report.  32 zones each
+    /// end the run with three claimants, so all 32 violations carry
+    /// `time = now` and only the order `report` imposes separates them;
+    /// sorted by time alone, the two reports used to open with different
+    /// zones and list claimants in different orders.
+    #[test]
+    fn two_auditors_fed_the_same_stream_report_identically() {
+        let stream: Vec<ProbeRecord> = (0..32u64)
+            .flat_map(|zone| {
+                (0..3u32).map(move |i| {
+                    let node = zone as u32 * 10 + i + 1;
+                    rec(at(1), node, zcr(zone, ZcrAction::Seeded, node))
+                })
+            })
+            .collect();
+        let report = || {
+            let mut a = Auditor::new(AuditConfig::default());
+            stream.iter().for_each(|r| a.ingest(r));
+            a.report(at(100))
+        };
+        let (first, second) = (report(), report());
+        assert_eq!(first.violations.len(), 32);
+        assert_eq!(first.summary(), second.summary());
+        let lines = |r: &AuditReport| -> Vec<String> {
+            r.violations.iter().map(|v| v.to_string()).collect()
+        };
+        assert_eq!(lines(&first), lines(&second));
+        assert!(first.violations[0].detail.contains("zone 0 "));
+        assert!(first.violations[0].detail.contains("[1, 2, 3]"));
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use crate::channel::ChannelId;
 use crate::graph::NodeId;
+use crate::idhash::IdHashMap;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -266,6 +267,30 @@ impl ScenarioPlan {
             .is_some_and(|(_, ev)| matches!(ev, MembershipEvent::Join { .. }))
     }
 
+    /// [`ScenarioPlan::initially_out`] and [`ScenarioPlan::start_override`]
+    /// answered for every key in one pass: a map whose keys are the
+    /// (channel, node) pairs that start out, and each node's start
+    /// override.  Those two scan the plan per question and remain the
+    /// specification; [`EngineBuilder::build`](crate::engine::EngineBuilder::build)
+    /// asks once per member of every channel and once per agent, which
+    /// made compiling a scenario O(memberships × plan events).
+    pub(crate) fn compile(&self) -> (FirstEvents, IdHashMap<NodeId, SimTime>) {
+        let mut first =
+            FirstEvents::with_capacity_and_hasher(self.events.len(), Default::default());
+        for &(t, ev) in &self.events {
+            let this = (t, matches!(ev, MembershipEvent::Join { .. }));
+            let earliest = first.entry((ev.channel(), ev.node())).or_insert(this);
+            // Strictly earlier replaces: equal times keep the first
+            // scheduled, as `min_by_key` does.
+            if t < earliest.0 {
+                *earliest = this;
+            }
+        }
+        first.retain(|_, &mut (_, join)| join);
+        // A later insert replaces an earlier one: the last override wins.
+        (first, self.starts.iter().copied().collect())
+    }
+
     /// Every instant at which the plan perturbs the session — membership
     /// changes, agent starts/stops/restarts — sorted ascending.  The
     /// auditor derives its membership excuse windows from these (see
@@ -297,6 +322,10 @@ impl ScenarioPlan {
             && self.restarts.is_empty()
     }
 }
+
+/// Per (channel, node): the time of its earliest membership event there,
+/// and whether that event is a `Join`.
+pub(crate) type FirstEvents = IdHashMap<(ChannelId, NodeId), (SimTime, bool)>;
 
 #[cfg(test)]
 mod tests {

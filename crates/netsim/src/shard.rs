@@ -52,6 +52,7 @@
 //! (zero lookahead would admit same-instant cross-shard causality);
 //! [`Engine::advance`] asserts it.
 
+use crate::agent::TimerId;
 use crate::arena::PacketArena;
 use crate::engine::{Engine, EventKind};
 use crate::graph::{LinkId, NodeId, Topology};
@@ -63,7 +64,7 @@ use crate::probe::ProbeRecord;
 use crate::queue::{EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 /// A deterministic assignment of every node to one shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -165,20 +166,16 @@ impl ShardPlan {
     }
 }
 
-/// Everything one [`Engine::advance`] call needs: horizon, shard plan,
-/// and worker-thread count.  Unset fields fall back to the builder
-/// defaults ([`crate::engine::EngineBuilder::shard_plan`] /
-/// [`crate::engine::EngineBuilder::threads`]), then to serial execution.
+/// Everything one [`Engine::advance`] call needs: a horizon and, for a
+/// sharded run, the shard plan (one worker thread per shard).
 #[derive(Clone, Debug, Default)]
 pub struct RunSpec {
     /// Process events up to and including this instant; `None` drains the
     /// queue completely.
     pub until: Option<SimTime>,
-    /// Shard plan for this run; `None` uses the builder default (serial
-    /// if none was set).
+    /// Shard plan for this run; `None` (or a single-shard plan) runs
+    /// serially.
     pub plan: Option<Arc<ShardPlan>>,
-    /// Worker threads for a sharded run; `None` means one per shard.
-    pub threads: Option<usize>,
 }
 
 impl RunSpec {
@@ -197,15 +194,9 @@ impl RunSpec {
         RunSpec::default()
     }
 
-    /// Overrides the shard plan for this run.
+    /// Runs sharded per `plan`.
     pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> RunSpec {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Overrides the worker-thread count for this run.
-    pub fn with_threads(mut self, threads: usize) -> RunSpec {
-        self.threads = Some(threads);
         self
     }
 }
@@ -225,6 +216,35 @@ pub(crate) struct OutMsg<M> {
     pub(crate) node: NodeId,
     pub(crate) class: TrafficClass,
     pub(crate) pkt: Packet<M>,
+}
+
+/// What one shard recorded of one kind, as parallel vectors: each record
+/// and the key of the event that produced it.
+pub(crate) type Tagged<T> = (Vec<EventKey>, Vec<T>);
+
+/// Replays the records of every shard in global [`EventKey`] order — the
+/// order the serial engine produced them in.  Each engine event is
+/// processed by exactly one shard, so no key appears in two parts, and
+/// the sort is stable, so the several records one event produced keep
+/// their within-shard order.
+pub(crate) fn merge_by_key<T>(
+    parts: impl IntoIterator<Item = Tagged<T>>,
+    mut replay: impl FnMut(T),
+) {
+    let mut all: Vec<(EventKey, T)> = Vec::new();
+    for (tags, records) in parts {
+        assert_eq!(tags.len(), records.len(), "every shard record is tagged");
+        all.extend(tags.into_iter().zip(records));
+    }
+    all.sort_by_key(|(key, _)| *key);
+    for (_, r) in all {
+        replay(r);
+    }
+}
+
+/// Locks rendezvous state of a sharded run.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("a shard worker panicked holding this lock")
 }
 
 /// Minimum latency over links whose endpoints live in different shards —
@@ -264,31 +284,28 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
     /// topology, or if some inter-shard link has zero latency (no
     /// lookahead — conservative synchronization would be impossible).
     pub fn advance(&mut self, spec: RunSpec) -> u64 {
-        let plan = spec.plan.or_else(|| self.default_plan.clone());
-        let threads = spec.threads.or(self.default_threads);
-        match plan {
+        let processed = match spec.plan {
             Some(p) if p.shard_count() > 1 => {
                 assert_eq!(
                     p.node_count(),
                     self.topo.node_count(),
                     "shard plan covers a different topology"
                 );
-                self.run_sharded(p, threads, spec.until)
+                self.run_sharded(p, spec.until)
             }
-            _ => match spec.until {
-                Some(t) => self.run_serial_until(t),
-                None => self.run_serial_drain(),
-            },
+            _ => self.run(spec.until).0,
+        };
+        // A horizon run parks the clock at the horizon; a drain leaves it
+        // at the last event.
+        if let Some(t) = spec.until {
+            self.now = self.now.max(t);
         }
+        processed
     }
 
-    /// The conservative barrier-synchronized parallel driver.
-    fn run_sharded(
-        &mut self,
-        plan: Arc<ShardPlan>,
-        threads: Option<usize>,
-        until: Option<SimTime>,
-    ) -> u64 {
+    /// The conservative barrier-synchronized parallel driver: one worker
+    /// thread per shard.
+    fn run_sharded(&mut self, plan: Arc<ShardPlan>, until: Option<SimTime>) -> u64 {
         let lookahead = min_cross_latency(&self.topo, &plan);
         if let Some(l) = lookahead {
             assert!(
@@ -298,42 +315,31 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         }
         let k = plan.shard_count();
         let shards = self.split_shards(&plan);
-        let nthreads = threads.unwrap_or(k).clamp(1, k);
-        let mut groups: Vec<Vec<(usize, Engine<M>)>> = (0..nthreads).map(|_| Vec::new()).collect();
-        for (i, s) in shards.into_iter().enumerate() {
-            groups[i % nthreads].push((i, s));
-        }
         // Per-round rendezvous state.  `mins` is written only in the
         // publish phase (before barrier A) and read only after it; the
         // inboxes and probe batches are written in the process phase and
         // drained between barriers B and C.
         let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
         let inboxes: Vec<Mutex<Vec<OutMsg<M>>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
-        let probe_batches: Vec<Mutex<Vec<(EventKey, ProbeRecord)>>> =
-            (0..k).map(|_| Mutex::new(Vec::new())).collect();
+        let probe_batches: Vec<Mutex<Tagged<ProbeRecord>>> =
+            (0..k).map(|_| Mutex::new(Default::default())).collect();
         let master_probes = Mutex::new(std::mem::take(&mut self.probes));
-        let barrier = Barrier::new(nthreads);
-        let processed = AtomicU64::new(0);
-        // Fault events are replicated to every shard; shard 0's count is
-        // the serial fault count, used to de-duplicate the event total.
-        let shard0_faults = AtomicU64::new(0);
+        let barrier = Barrier::new(k);
 
-        let mut done: Vec<Option<Engine<M>>> = (0..k).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
+        // Each worker returns its shard with `run`'s two counts summed.
+        let done: Vec<(Engine<M>, u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
                 .into_iter()
                 .enumerate()
-                .map(|(t, mut group)| {
+                .map(|(i, mut e)| {
                     let (mins, inboxes, probe_batches) = (&mins, &inboxes, &probe_batches);
-                    let (barrier, processed) = (&barrier, &processed);
-                    let (master_probes, shard0_faults) = (&master_probes, &shard0_faults);
+                    let (barrier, master_probes) = (&barrier, &master_probes);
                     scope.spawn(move || {
+                        let (mut processed, mut replicated) = (0, 0);
                         loop {
-                            // Publish each shard's earliest pending time.
-                            for (i, e) in &group {
-                                let next = e.queue.peek_key().map_or(u64::MAX, |k| k.time.0);
-                                mins[*i].store(next, Ordering::SeqCst);
-                            }
+                            // Publish this shard's earliest pending time.
+                            let next = e.queue.peek_key().map_or(u64::MAX, |k| k.time.0);
+                            mins[i].store(next, Ordering::SeqCst);
                             barrier.wait(); // A: all mins published
                             let t_min = mins
                                 .iter()
@@ -352,62 +358,49 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                             if let Some(u) = until {
                                 bound = bound.min(u.0);
                             }
-                            for (i, e) in group.iter_mut() {
-                                let (p, f) = e.run_window(SimTime(bound));
-                                processed.fetch_add(p, Ordering::Relaxed);
-                                if *i == 0 {
-                                    shard0_faults.fetch_add(f, Ordering::Relaxed);
-                                }
-                                for m in e.outbox.drain(..) {
-                                    inboxes[m.dst as usize].lock().unwrap().push(m);
-                                }
-                                let batch = e.probes.drain_tagged();
-                                if !batch.is_empty() {
-                                    *probe_batches[*i].lock().unwrap() = batch;
-                                }
+                            let (p, r) = e.run(Some(SimTime(bound)));
+                            processed += p;
+                            replicated += r;
+                            for m in e.outbox.drain(..) {
+                                locked(&inboxes[m.dst as usize]).push(m);
                             }
+                            *locked(&probe_batches[i]) = e.probes.drain_tagged();
                             barrier.wait(); // B: all outboxes/probes deposited
-                            if t == 0 {
+                            if i == 0 {
                                 // Windows are disjoint and increasing, so a
                                 // per-round merge extends the global
                                 // key-ordered probe stream (and keeps shard
                                 // sink memory bounded round-to-round).
-                                let mut merged: Vec<(EventKey, ProbeRecord)> = Vec::new();
-                                for b in probe_batches {
-                                    merged.append(&mut b.lock().unwrap());
-                                }
-                                if !merged.is_empty() {
-                                    merged.sort_by_key(|(key, _)| *key);
-                                    let mut sink = master_probes.lock().unwrap();
-                                    for (_, r) in merged {
-                                        sink.ingest_merged(r);
-                                    }
-                                }
+                                let mut sink = locked(master_probes);
+                                merge_by_key(
+                                    probe_batches
+                                        .iter()
+                                        .map(|b| std::mem::take(&mut *locked(b))),
+                                    |r| sink.ingest(r),
+                                );
                             }
-                            for (i, e) in group.iter_mut() {
-                                let msgs = std::mem::take(&mut *inboxes[*i].lock().unwrap());
-                                e.ingest(msgs);
-                            }
+                            let msgs = std::mem::take(&mut *locked(&inboxes[i]));
+                            e.ingest(msgs);
                             barrier.wait(); // C: all inboxes ingested
                         }
-                        group
+                        (e, processed, replicated)
                     })
                 })
                 .collect();
-            for h in handles {
-                for (i, e) in h.join().expect("shard worker panicked") {
-                    done[i] = Some(e);
-                }
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
         });
-        self.probes = master_probes.into_inner().unwrap();
-        let shards: Vec<Engine<M>> = done
-            .into_iter()
-            .map(|s| s.expect("every shard is returned by its worker"))
-            .collect();
-        self.absorb_shards(shards, &plan, until);
-        let dup = shard0_faults.load(Ordering::Relaxed) * (k as u64 - 1);
-        processed.load(Ordering::Relaxed) - dup
+        self.probes = master_probes
+            .into_inner()
+            .expect("a shard worker panicked holding this lock");
+        // Every shard processed its own copy of each replicated event; the
+        // serial engine processes one.
+        let processed: u64 = done.iter().map(|d| d.1).sum();
+        let duplicates = done[0].2 * (k as u64 - 1);
+        self.absorb_shards(done.into_iter().map(|d| d.0).collect(), &plan);
+        processed - duplicates
     }
 
     /// Splits this engine into `k` per-shard engines: agents, timers, and
@@ -453,8 +446,6 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                     }),
                     outbox: Vec::new(),
                     actions: Vec::new(),
-                    default_plan: None,
-                    default_threads: None,
                 }
             })
             .collect();
@@ -464,59 +455,33 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
             }
         }
         // Timer bookkeeping partitions by the id's encoded owner node.
+        let owner = |id: TimerId| {
+            let node = id.node();
+            plan.owner(node.expect("engine-issued timer ids encode their node")) as usize
+        };
         for id in self.pending_timers.drain() {
-            let node = id
-                .node()
-                .expect("engine-issued timer ids encode their node");
-            shards[plan.owner(node) as usize].pending_timers.insert(id);
+            shards[owner(id)].pending_timers.insert(id);
         }
         for id in self.cancelled.drain() {
-            let node = id
-                .node()
-                .expect("engine-issued timer ids encode their node");
-            shards[plan.owner(node) as usize].cancelled.insert(id);
+            shards[owner(id)].cancelled.insert(id);
         }
-        // Distribute queued events under their existing keys; faults and
-        // membership changes replicate to every shard so replicated state
-        // (link masks, epochs, channel member sets) stays identical.
+        // Distribute queued events under their existing keys: replicated
+        // ones to every shard, the rest to the shard owning their node.
         while let Some((key, kind)) = self.queue.pop_keyed() {
             match kind {
-                EventKind::Fault(ev) => {
+                EventKind::Replicated(ev) => {
                     for s in &mut shards {
-                        s.queue.push_keyed(key, EventKind::Fault(ev));
-                    }
-                }
-                EventKind::Membership(ev) => {
-                    for s in &mut shards {
-                        s.queue.push_keyed(key, EventKind::Membership(ev));
+                        s.queue.push_keyed(key, EventKind::Replicated(ev));
                     }
                 }
                 EventKind::Arrive { node, pkt } => {
-                    let class = self.arena.header(pkt).class;
-                    let owned = match self.arena.release(pkt) {
-                        Some(p) => p,
-                        None => {
-                            let p = self.arena.take(pkt);
-                            let copy = p.clone();
-                            self.arena.restore(pkt, p);
-                            copy
-                        }
-                    };
-                    let dst = &mut shards[plan.owner(node) as usize];
-                    let pref = dst.arena.insert(owned, class);
-                    dst.arena.add_ref(pref);
-                    dst.queue
-                        .push_keyed(key, EventKind::Arrive { node, pkt: pref });
+                    let (pkt, class) = self.take_arrival(pkt);
+                    shards[plan.owner(node) as usize].enqueue_arrival(key, node, pkt, class);
                 }
-                other => {
-                    let node = match &other {
-                        EventKind::Start(node) => *node,
-                        EventKind::Timer { node, .. } => *node,
-                        _ => unreachable!("faults, membership, and arrivals handled above"),
-                    };
+                EventKind::Start(node) | EventKind::Timer { node, .. } => {
                     shards[plan.owner(node) as usize]
                         .queue
-                        .push_keyed(key, other);
+                        .push_keyed(key, kind);
                 }
             }
         }
@@ -528,12 +493,7 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
     /// sharded run: per-node state comes from each node's owner,
     /// per-direction link state from the direction's transmitting side,
     /// replicated state from shard 0, and the recorders merge by mode.
-    fn absorb_shards(
-        &mut self,
-        mut shards: Vec<Engine<M>>,
-        plan: &ShardPlan,
-        until: Option<SimTime>,
-    ) {
+    fn absorb_shards(&mut self, mut shards: Vec<Engine<M>>, plan: &ShardPlan) {
         let n = self.topo.node_count();
         // Replicated state evolved identically in every shard (fault
         // events replay everywhere); take shard 0's copy.
@@ -584,36 +544,14 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
             self.cancelled.extend(s.cancelled.drain());
         }
         // Events still queued (horizon reached before drain) come back
-        // under their keys; replicated faults and membership changes only
-        // from shard 0.
+        // under their keys; replicated ones only from shard 0.
         for (si, s) in shards.iter_mut().enumerate() {
             while let Some((key, kind)) = s.queue.pop_keyed() {
                 match kind {
-                    EventKind::Fault(ev) => {
-                        if si == 0 {
-                            self.queue.push_keyed(key, EventKind::Fault(ev));
-                        }
-                    }
-                    EventKind::Membership(ev) => {
-                        if si == 0 {
-                            self.queue.push_keyed(key, EventKind::Membership(ev));
-                        }
-                    }
+                    EventKind::Replicated(_) if si != 0 => {}
                     EventKind::Arrive { node, pkt } => {
-                        let class = s.arena.header(pkt).class;
-                        let owned = match s.arena.release(pkt) {
-                            Some(p) => p,
-                            None => {
-                                let p = s.arena.take(pkt);
-                                let copy = p.clone();
-                                s.arena.restore(pkt, p);
-                                copy
-                            }
-                        };
-                        let pref = self.arena.insert(owned, class);
-                        self.arena.add_ref(pref);
-                        self.queue
-                            .push_keyed(key, EventKind::Arrive { node, pkt: pref });
+                        let (pkt, class) = s.take_arrival(pkt);
+                        self.enqueue_arrival(key, node, pkt, class);
                     }
                     other => self.queue.push_keyed(key, other),
                 }
@@ -622,11 +560,8 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         }
         match self.recorder.mode() {
             RecorderMode::Raw => {
-                let parts = shards
-                    .iter_mut()
-                    .map(|s| std::mem::take(&mut s.recorder))
-                    .collect();
-                self.recorder.merge_raw_parts(parts);
+                let parts = shards.iter_mut().map(|s| std::mem::take(&mut s.recorder));
+                self.recorder.merge_raw_parts(parts.collect());
             }
             _ => {
                 for s in &shards {
@@ -636,11 +571,6 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         }
         let last = shards.iter().map(|s| s.now).max().unwrap_or(self.now);
         self.now = self.now.max(last);
-        if let Some(t) = until {
-            if self.now < t {
-                self.now = t;
-            }
-        }
     }
 }
 
@@ -830,15 +760,56 @@ mod tests {
         probes: Vec<ProbeRecord>,
     }
 
-    /// Runs the full faulted scenario split over `shards` shards on
-    /// `threads` threads, with a mid-run horizon stop to exercise the
-    /// split/absorb round trip twice.
-    fn run_scenario(shards: usize, threads: usize) -> Observed {
+    /// The scenario both bit-identity tests run: the tree cut into
+    /// `shards`, one channel over all of it, the source at the root and a
+    /// receiver on every leaf.
+    fn scenario(shards: usize) -> (EngineBuilder<Msg>, Arc<ShardPlan>, Vec<NodeId>, ChannelId) {
         let (topo, nodes) = scenario_topology();
         let plan = Arc::new(ShardPlan::by_subtrees(&topo, nodes[0], shards));
         assert_eq!(plan.shard_count(), shards.min(3));
         let mut builder: EngineBuilder<Msg> = EngineBuilder::new(topo, 42);
-        builder.record_probes();
+        let chan = builder.add_channel(&nodes);
+        builder.add_agent(
+            nodes[0],
+            Box::new(Source {
+                chan,
+                next: 0,
+                count: 12,
+                repaired: Default::default(),
+            }),
+        );
+        for &r in &nodes[4..] {
+            builder.add_agent(
+                r,
+                Box::new(Receiver {
+                    chan: Some(chan),
+                    ..Default::default()
+                }),
+            );
+        }
+        (builder, plan, nodes, chan)
+    }
+
+    fn observed(e: &Engine<Msg>, processed: u64, nodes: &[NodeId]) -> Observed {
+        Observed {
+            processed,
+            now: e.now(),
+            deliveries: e.recorder().deliveries.clone(),
+            transmissions: e.recorder().transmissions.clone(),
+            drops: e.recorder().drops.clone(),
+            heard: nodes[4..]
+                .iter()
+                .map(|&r| e.agent::<Receiver>(r).unwrap().heard.clone())
+                .collect(),
+            probes: e.probes().records().to_vec(),
+        }
+    }
+
+    /// Runs the full faulted scenario split over `shards` shards, with a
+    /// mid-run horizon stop to exercise the split/absorb round trip twice.
+    fn run_scenario(shards: usize) -> Observed {
+        let (mut builder, plan, nodes, _) = scenario(shards);
+        builder.audit(crate::probe::AuditConfig::default());
         builder.fault_plan(
             FaultPlan::new()
                 .link_flap(
@@ -853,58 +824,24 @@ mod tests {
                 .at(SimTime::from_millis(50), FaultEvent::NodeCrash(nodes[6]))
                 .at(SimTime::from_millis(90), FaultEvent::NodeRestart(nodes[6])),
         );
-        let chan = builder.add_channel(&nodes);
-        builder.add_agent(
-            nodes[0],
-            Box::new(Source {
-                chan,
-                next: 0,
-                count: 12,
-                repaired: Default::default(),
-            }),
-        );
-        let receivers: Vec<NodeId> = nodes[4..].to_vec();
-        for &r in &receivers {
-            builder.add_agent(
-                r,
-                Box::new(Receiver {
-                    chan: Some(chan),
-                    ..Default::default()
-                }),
-            );
-        }
         let mut e = builder.build();
-        let mut processed = e.advance(
-            RunSpec::to(SimTime::from_millis(70))
-                .with_plan(Arc::clone(&plan))
-                .with_threads(threads),
-        );
-        processed += e.advance(RunSpec::drain().with_plan(plan).with_threads(threads));
-        Observed {
-            processed,
-            now: e.now(),
-            deliveries: e.recorder().deliveries.clone(),
-            transmissions: e.recorder().transmissions.clone(),
-            drops: e.recorder().drops.clone(),
-            heard: receivers
-                .iter()
-                .map(|&r| e.agent::<Receiver>(r).unwrap().heard.clone())
-                .collect(),
-            probes: e.probes().records().to_vec(),
-        }
+        let mut processed =
+            e.advance(RunSpec::to(SimTime::from_millis(70)).with_plan(Arc::clone(&plan)));
+        processed += e.advance(RunSpec::drain().with_plan(plan));
+        observed(&e, processed, &nodes)
     }
 
     #[test]
     fn sharded_runs_are_bit_identical_to_serial_at_any_shard_count() {
-        let serial = run_scenario(1, 1);
+        let serial = run_scenario(1);
         assert!(!serial.deliveries.is_empty());
         assert!(!serial.drops.is_empty(), "scenario must exercise loss");
         assert!(!serial.probes.is_empty(), "scenario must exercise probes");
-        for (shards, threads) in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)] {
-            let sharded = run_scenario(shards, threads);
+        for shards in [2, 3] {
             assert_eq!(
-                serial, sharded,
-                "divergence at shards={shards} threads={threads}"
+                serial,
+                run_scenario(shards),
+                "divergence at shards={shards}"
             );
         }
     }
@@ -916,29 +853,7 @@ mod tests {
         // ScenarioPlan.  The run must match serial bit-for-bit, and the
         // master's channel state after absorb must reflect the changes.
         let run = |shards: usize| {
-            let (topo, nodes) = scenario_topology();
-            let plan = Arc::new(ShardPlan::by_subtrees(&topo, nodes[0], shards));
-            let mut builder: EngineBuilder<Msg> = EngineBuilder::new(topo, 42);
-            let chan = builder.add_channel(&nodes);
-            builder.add_agent(
-                nodes[0],
-                Box::new(Source {
-                    chan,
-                    next: 0,
-                    count: 12,
-                    repaired: Default::default(),
-                }),
-            );
-            let receivers: Vec<NodeId> = nodes[4..].to_vec();
-            for &r in &receivers {
-                builder.add_agent(
-                    r,
-                    Box::new(Receiver {
-                        chan: Some(chan),
-                        ..Default::default()
-                    }),
-                );
-            }
+            let (mut builder, plan, nodes, chan) = scenario(shards);
             let scen = ScenarioPlan::new()
                 .at(
                     SimTime::from_millis(30),
@@ -966,18 +881,7 @@ mod tests {
             assert!(!e.channel(chan).contains(nodes[4]), "leave applied");
             processed += e.advance(RunSpec::drain().with_plan(plan));
             assert!(e.channel(chan).contains(nodes[4]), "rejoin applied");
-            Observed {
-                processed,
-                now: e.now(),
-                deliveries: e.recorder().deliveries.clone(),
-                transmissions: e.recorder().transmissions.clone(),
-                drops: e.recorder().drops.clone(),
-                heard: receivers
-                    .iter()
-                    .map(|&r| e.agent::<Receiver>(r).unwrap().heard.clone())
-                    .collect(),
-                probes: Vec::new(),
-            }
+            observed(&e, processed, &nodes)
         };
         let serial = run(1);
         assert!(!serial.deliveries.is_empty());
@@ -997,28 +901,6 @@ mod tests {
         let processed = e.advance(RunSpec::to(SimTime::from_secs(5)).with_plan(plan));
         assert_eq!(processed, 0);
         assert_eq!(e.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn builder_default_plan_is_used_when_runspec_leaves_it_unset() {
-        let (topo, nodes) = scenario_topology();
-        let plan = Arc::new(ShardPlan::by_subtrees(&topo, nodes[0], 2));
-        let mut builder: EngineBuilder<Msg> = EngineBuilder::new(topo, 42);
-        let chan = builder.add_channel(&nodes);
-        builder.add_agent(
-            nodes[0],
-            Box::new(Source {
-                chan,
-                next: 0,
-                count: 3,
-                repaired: Default::default(),
-            }),
-        );
-        builder.add_agent(nodes[4], Box::new(Receiver::default()));
-        builder.shard_plan(plan).threads(2);
-        let mut e = builder.build();
-        e.advance(RunSpec::drain());
-        assert!(!e.agent::<Receiver>(nodes[4]).unwrap().heard.is_empty());
     }
 
     #[test]

@@ -103,13 +103,33 @@ impl SessionAgent {
     }
 }
 
-/// Bridges the netsim agent context to the engine-agnostic [`SessionCtx`].
-struct Bridge<'a, 'b> {
-    ctx: &'a mut Ctx<'b, SessionWire>,
+/// Bridges a netsim agent's [`Ctx`] to the engine-agnostic [`SessionCtx`]
+/// for any host whose wire type `M` can carry a [`SessionMsg`]: the
+/// standalone [`SessionAgent`] here, the full SHARQFEC agent in
+/// `sharqfec-core`.
+pub struct Bridge<'a, 'b, M> {
+    ctx: &'a mut Ctx<'b, M>,
     channels: &'a [ChannelId],
+    wrap: fn(SessionMsg) -> M,
 }
 
-impl SessionCtx for Bridge<'_, '_> {
+impl<'a, 'b, M> Bridge<'a, 'b, M> {
+    /// `channels[zone.idx()]` is the channel carrying that zone's session
+    /// traffic; `wrap` puts a session message on the host's wire.
+    pub fn new(
+        ctx: &'a mut Ctx<'b, M>,
+        channels: &'a [ChannelId],
+        wrap: fn(SessionMsg) -> M,
+    ) -> Self {
+        Bridge {
+            ctx,
+            channels,
+            wrap,
+        }
+    }
+}
+
+impl<M> SessionCtx for Bridge<'_, '_, M> {
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
@@ -118,7 +138,7 @@ impl SessionCtx for Bridge<'_, '_> {
     }
     fn send(&mut self, zone: ZoneId, msg: SessionMsg, bytes: u32) {
         self.ctx
-            .multicast(self.channels[zone.idx()], SessionWire(msg), bytes);
+            .multicast(self.channels[zone.idx()], (self.wrap)(msg), bytes);
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         self.ctx.set_timer(delay, token)
@@ -147,19 +167,13 @@ impl Agent<SessionWire> for SessionAgent {
             let delay = t.saturating_since(ctx.now());
             ctx.set_timer(delay, PROBE_TOKEN_BASE + i as u64);
         }
-        let mut bridge = Bridge {
-            ctx,
-            channels: &self.channels,
-        };
-        self.core.start(&mut bridge);
+        self.core
+            .start(&mut Bridge::new(ctx, &self.channels, SessionWire));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SessionWire>, token: u64) {
         if is_session_token(token) {
-            let mut bridge = Bridge {
-                ctx,
-                channels: &self.channels,
-            };
+            let mut bridge = Bridge::new(ctx, &self.channels, SessionWire);
             self.core.on_timer(&mut bridge, token);
             return;
         }
@@ -192,29 +206,27 @@ impl Agent<SessionWire> for SessionAgent {
                 });
             }
             msg => {
-                let mut bridge = Bridge {
-                    ctx,
-                    channels: &self.channels,
-                };
+                let mut bridge = Bridge::new(ctx, &self.channels, SessionWire);
                 self.core.on_msg(&mut bridge, pkt.src, msg);
             }
         }
     }
 }
 
-/// Builds a ready-to-run session simulation over a `BuiltTopology`-style
-/// bundle: one channel per zone, one [`SessionAgent`] per member.
+/// Assembles a fully-populated [`EngineBuilder`] for a session-only
+/// simulation over a `BuiltTopology`-style bundle: one channel per zone in
+/// zone order — so zone `z`'s channel is `ChannelId(z.idx())` — and one
+/// [`SessionAgent`] per member.
 ///
-/// `probes` maps node → probe schedule.  Returns the engine and the
-/// zone-channel table.
-pub fn setup_session_sim(
+/// `probes` maps node → probe schedule.
+pub fn setup_session_builder(
     built: &sharqfec_topology::BuiltTopology,
     seed: u64,
     seeding: ZcrSeeding,
     cfg: SessionConfig,
     start_at: SimTime,
     probes: &[(NodeId, ProbePlan)],
-) -> (Engine<SessionWire>, Arc<Vec<ChannelId>>) {
+) -> EngineBuilder<SessionWire> {
     let hier = Arc::new(built.hierarchy.clone());
     let mut builder: EngineBuilder<SessionWire> = EngineBuilder::new(built.topology.clone(), seed);
     let channels: Vec<ChannelId> = hier
@@ -235,7 +247,7 @@ pub fn setup_session_sim(
         let agent = SessionAgent::new(core, Arc::clone(&channels), root_channel, plan);
         builder.add_agent_at(member, Box::new(agent), start_at);
     }
-    (builder.build(), channels)
+    builder
 }
 
 #[cfg(test)]
@@ -244,14 +256,15 @@ mod tests {
     use sharqfec_topology::{balanced_tree, chain, figure10, star, Figure10Params};
 
     fn run_election(built: &sharqfec_topology::BuiltTopology, seconds: u64) -> Engine<SessionWire> {
-        let (mut engine, _) = setup_session_sim(
+        let mut engine = setup_session_builder(
             built,
             7,
             ZcrSeeding::Elect { root: built.source },
             SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
-        );
+        )
+        .build();
         engine.advance(RunSpec::to(SimTime::from_secs(seconds)));
         engine
     }
@@ -319,14 +332,15 @@ mod tests {
                 times: (0..4).map(|i| SimTime::from_secs(10 + 3 * i)).collect(),
             },
         )];
-        let (mut engine, _) = setup_session_sim(
+        let mut engine = setup_session_builder(
             &built,
             42,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
             SessionConfig::default(),
             SimTime::from_secs(1),
             &probes,
-        );
+        )
+        .build();
         engine.advance(RunSpec::to(SimTime::from_secs(21)));
 
         let mut with_estimate = 0usize;
@@ -387,16 +401,17 @@ mod tests {
     #[test]
     fn announce_traffic_is_scoped() {
         let built = figure10(&Figure10Params::lossless());
-        let (mut engine, channels) = setup_session_sim(
+        let mut engine = setup_session_builder(
             &built,
             3,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
             SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
-        );
+        )
+        .build();
         engine.advance(RunSpec::to(SimTime::from_secs(10)));
-        let root_chan = channels[0];
+        let root_chan = ChannelId(ZoneId::ROOT.idx() as u32);
         let rec = engine.recorder();
         // Transmissions into the root channel: only the source and the 7
         // mesh-node ZCRs participate there.

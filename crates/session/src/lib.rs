@@ -30,7 +30,8 @@
 //!   agent and the full SHARQFEC agent can embed it;
 //! * [`agent`] — a standalone netsim agent running only the session
 //!   protocol, used to reproduce Figures 11–13 and the §6.1 election
-//!   claims.
+//!   claims, and [`Bridge`], the one adapter from a netsim `Ctx` to
+//!   [`core::SessionCtx`] that it and the SHARQFEC agent both use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +44,9 @@ pub mod reports;
 pub mod rtt;
 
 pub use crate::core::{SessionCore, SessionCtx, ZcrSeeding};
-pub use agent::{setup_session_sim, ProbePlan, SessionAgent, SessionObservation, SessionWire};
+pub use agent::{
+    setup_session_builder, Bridge, ProbePlan, SessionAgent, SessionObservation, SessionWire,
+};
 pub use config::SessionConfig;
 pub use msg::{AncestorEntry, PeerEntry, SessionMsg};
 pub use reports::LossReport;

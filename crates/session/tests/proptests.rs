@@ -8,7 +8,7 @@ use sharqfec_netsim::routing::DistanceOracle;
 use sharqfec_netsim::{LinkParams, NodeId, RunSpec, SimDuration, SimTime, TopologyBuilder};
 use sharqfec_scoping::ZoneHierarchyBuilder;
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_sim, ProbePlan, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent, SessionConfig};
 use sharqfec_topology::BuiltTopology;
 
 /// A random two-subtree topology: source feeding two gateway receivers,
@@ -99,14 +99,15 @@ proptest! {
     #[test]
     fn echo_rtts_converge_exactly(s in shape(), seed in any::<u64>()) {
         let built = build(&s);
-        let (mut engine, _) = setup_session_sim(
+        let mut engine = setup_session_builder(
             &built,
             seed,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
             SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
-        );
+        )
+        .build();
         engine.advance(RunSpec::to(SimTime::from_secs(10)));
         let oracle = DistanceOracle::compute(&built.topology);
         // Check within the left zone: every pair of members.
@@ -134,14 +135,15 @@ proptest! {
         let probes = vec![(prober, ProbePlan {
             times: vec![SimTime::from_secs(8), SimTime::from_secs(10)],
         })];
-        let (mut engine, _) = setup_session_sim(
+        let mut engine = setup_session_builder(
             &built,
             seed,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
             SessionConfig::default(),
             SimTime::from_secs(1),
             &probes,
-        );
+        )
+        .build();
         engine.advance(RunSpec::to(SimTime::from_secs(11)));
         for &r in &built.receivers {
             if r == prober { continue; }

@@ -22,7 +22,7 @@
 //!   delays, widening the timer window when duplicates are common and
 //!   narrowing it when duplicates are rare but delays are long.  Exact
 //!   constants follow the published algorithm's structure; see
-//!   [`timers::AdaptiveParams`] for the mapping (DESIGN.md §5 records this
+//!   [`DELAY_HIGH`] for the mapping (DESIGN.md §5 records this
 //!   baseline as reconstructed-from-paper).
 //!
 //! RTT estimates come from the simulator's converged-session oracle
@@ -50,20 +50,48 @@ pub mod config;
 pub mod msg;
 pub mod receiver;
 pub mod source;
-pub mod timers;
 
 pub use config::SrmConfig;
 pub use msg::SrmMsg;
 pub use receiver::SrmReceiver;
 pub use source::SrmSource;
 
-use sharqfec_netsim::{Engine, EngineBuilder, SimTime};
+use sharqfec_netsim::adaptive::{AdaptiveConfig, AdaptiveTimer};
+use sharqfec_netsim::{EngineBuilder, SimTime};
 use sharqfec_topology::BuiltTopology;
+
+/// Delay (in units of `d`) above which an adaptive window narrows.
+///
+/// Each member keeps adaptive windows `[lo·d, (lo+width)·d]` (Floyd et al.
+/// §V) — a receiver its request window `C1`/`C2` and its repair window
+/// `D1`/`D2`, the source a repair window — each adapting from two EWMAs:
+/// duplicates observed per recovery round and the delay (in units of `d`)
+/// the member's own timers incur.  Too many duplicates widen a window
+/// (better suppression); few duplicates but long delays narrow it (faster
+/// recovery).  Reconstructed from the published description: the update
+/// structure and the 0.1/0.5 increase and 0.05/0.1 decrease steps are the
+/// paper's, and the machinery is [`sharqfec_netsim::adaptive`], shared
+/// with SHARQFEC's §7 extension.  This trigger is where the two part: SRM
+/// recovers across the whole session, delays measured against the global
+/// `d_SA`, so rounds slower than 1.5 units already warrant narrowing;
+/// SHARQFEC's scoped recovery deliberately waits until 4
+/// (`sharqfec::agent::DELAY_HIGH`).
+pub const DELAY_HIGH: f64 = 1.5;
+
+/// One adaptive window under SRM's trigger.
+pub(crate) fn adaptive_window(lo: f64, width: f64, enabled: bool) -> AdaptiveTimer {
+    let cfg = AdaptiveConfig {
+        delay_high: DELAY_HIGH,
+        ..AdaptiveConfig::default()
+    };
+    AdaptiveTimer::new(lo, width, enabled, cfg)
+}
 
 /// Assembles a fully-populated [`EngineBuilder`] for an SRM scenario: one
 /// global channel, a CBR source, and a receiver agent on every other
-/// member.  Harnesses needing a streaming recorder or fault plan set
-/// those on the returned builder before [`EngineBuilder::build`].
+/// member.  Nodes join at `join_at`; the source starts transmitting at
+/// `cfg.data_start`.  Harnesses needing a streaming recorder or fault plan
+/// set those on the returned builder before [`EngineBuilder::build`].
 pub fn setup_srm_builder(
     built: &BuiltTopology,
     seed: u64,
@@ -88,17 +116,6 @@ pub fn setup_srm_builder(
     builder
 }
 
-/// Builds a ready-to-run SRM simulation.  Nodes join at `join_at`; the
-/// source starts transmitting at `cfg.data_start`.
-pub fn setup_srm_sim(
-    built: &BuiltTopology,
-    seed: u64,
-    cfg: SrmConfig,
-    join_at: SimTime,
-) -> Engine<SrmMsg> {
-    setup_srm_builder(built, seed, cfg, join_at).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +130,7 @@ mod tests {
             total_packets: 20,
             ..SrmConfig::default()
         };
-        let mut engine = setup_srm_sim(&built, 1, cfg, SimTime::from_secs(1));
+        let mut engine = setup_srm_builder(&built, 1, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(40)));
         for &r in &built.receivers {
             let agent = engine.agent::<SrmReceiver>(r).unwrap();
@@ -143,7 +160,7 @@ mod tests {
             total_packets: 64,
             ..SrmConfig::default()
         };
-        let mut engine = setup_srm_sim(&built, 42, cfg, SimTime::from_secs(1));
+        let mut engine = setup_srm_builder(&built, 42, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         let mut incomplete = 0;
         for &r in &built.receivers {
@@ -180,7 +197,7 @@ mod tests {
                 adaptive,
                 ..SrmConfig::default()
             };
-            let mut engine = setup_srm_sim(&built, 21, cfg, SimTime::from_secs(1));
+            let mut engine = setup_srm_builder(&built, 21, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(150)));
             let missing: u32 = built
                 .receivers
@@ -216,7 +233,7 @@ mod tests {
                 announce_stride: stride,
                 ..SrmConfig::default()
             };
-            let mut engine = setup_srm_sim(&built, 3, cfg, SimTime::from_secs(1));
+            let mut engine = setup_srm_builder(&built, 3, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(40)));
             let session_tx = engine
                 .recorder()

@@ -1,8 +1,9 @@
 //! The SRM receiver: gap detection, suppressed requests, peer repairs.
 
+use crate::adaptive_window;
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
-use crate::timers::AdaptiveParams;
+use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
 const TOK_REQ_BASE: u64 = 1 << 32;
@@ -49,8 +50,8 @@ pub struct SrmReceiver {
     requests: IdHashMap<u32, ReqState>,
     repairs: IdHashMap<u32, RepState>,
     holdoff: IdHashMap<u32, SimTime>,
-    req_params: AdaptiveParams,
-    rep_params: AdaptiveParams,
+    req_params: AdaptiveTimer,
+    rep_params: AdaptiveTimer,
     /// Session-layer peer table: every announcer heard, with the time it
     /// was last heard.  Because announcements are globally scoped this
     /// grows O(n) with session size — the state SRM's session protocol
@@ -71,8 +72,8 @@ impl SrmReceiver {
     /// Creates a receiver expecting `cfg.total_packets` packets from
     /// `source`.
     pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId) -> SrmReceiver {
-        let req_params = AdaptiveParams::new(cfg.c1, cfg.c2, cfg.adaptive);
-        let rep_params = AdaptiveParams::new(cfg.d1, cfg.d2, cfg.adaptive);
+        let req_params = adaptive_window(cfg.c1, cfg.c2, cfg.adaptive);
+        let rep_params = adaptive_window(cfg.d1, cfg.d2, cfg.adaptive);
         SrmReceiver {
             received: vec![false; cfg.total_packets as usize],
             cfg,
@@ -381,6 +382,93 @@ impl Agent<SrmMsg> for SrmReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharqfec_netsim::agent::Action;
+    use sharqfec_netsim::routing::DistanceOracle;
+
+    /// A receiver and everything [`Ctx::new`] borrows, owned by the test:
+    /// no engine, no network.
+    struct Driven {
+        r: SrmReceiver,
+        me: NodeId,
+        now: SimTime,
+        rng: SimRng,
+        oracle: DistanceOracle,
+        next_timer: u64,
+        probes: ProbeSink,
+    }
+
+    impl Driven {
+        /// Runs one callback and returns what it queued.
+        fn call(
+            &mut self,
+            f: impl FnOnce(&mut SrmReceiver, &mut Ctx<'_, SrmMsg>),
+        ) -> Vec<Action<SrmMsg>> {
+            let mut actions = Vec::new();
+            let mut ctx = Ctx::new(
+                self.now,
+                self.me,
+                &mut self.rng,
+                &self.oracle,
+                &mut actions,
+                &mut self.next_timer,
+                &mut self.probes,
+            );
+            f(&mut self.r, &mut ctx);
+            actions
+        }
+
+        fn hear(&mut self, src: NodeId, payload: SrmMsg) -> Vec<Action<SrmMsg>> {
+            let pkt = Packet {
+                uid: 0,
+                src,
+                channel: ChannelId(0),
+                sent_at: self.now,
+                bytes: 0,
+                payload,
+            };
+            self.call(|r, ctx| r.on_packet(ctx, &pkt))
+        }
+    }
+
+    /// SRM §IV backs a request off when a duplicate is overheard — once
+    /// per round.  A shared upstream loss makes every peer request; the
+    /// later duplicates of a round must leave the timer alone, and the
+    /// round after this receiver's own request may back off once more.
+    #[test]
+    fn overheard_duplicates_back_a_request_off_once_per_round() {
+        let built = sharqfec_topology::chain(3);
+        let (source, peer) = (built.source, built.receivers[0]);
+        let mut d = Driven {
+            r: SrmReceiver::new(SrmConfig::default(), ChannelId(0), source),
+            me: built.receivers[1],
+            now: SimTime::from_secs(6),
+            rng: SimRng::new(3),
+            oracle: DistanceOracle::compute(&built.topology),
+            next_timer: 0,
+            probes: ProbeSink::default(),
+        };
+        // Sequence 1 goes missing: its request timer is armed at i = 0.
+        d.hear(source, SrmMsg::Data { seq: 0 });
+        d.hear(source, SrmMsg::Data { seq: 2 });
+        let armed = d.r.requests[&1].timer;
+
+        let first = d.hear(peer, SrmMsg::Request { seq: 1 });
+        assert!(
+            matches!(first[..], [Action::CancelTimer(id), Action::SetTimer { .. }] if id == armed)
+        );
+        assert_eq!(d.r.requests[&1].i, 1);
+        let rearmed = d.r.requests[&1].timer;
+        for _ in 0..3 {
+            assert!(d.hear(peer, SrmMsg::Request { seq: 1 }).is_empty());
+        }
+        assert_eq!((d.r.requests[&1].i, d.r.requests[&1].timer), (1, rearmed));
+
+        // Our own request opens a new round (i = 2): one more back-off.
+        d.call(|r, ctx| r.on_timer(ctx, TOK_REQ_BASE | 1));
+        d.hear(peer, SrmMsg::Request { seq: 1 });
+        d.hear(peer, SrmMsg::Request { seq: 1 });
+        assert_eq!(d.r.requests[&1].i, 3);
+    }
 
     #[test]
     fn receiver_tracks_completion() {

@@ -1,9 +1,10 @@
 //! The SRM data source: a CBR sender that also answers requests (it is
 //! simply a member that happens to hold every packet).
 
+use crate::adaptive_window;
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
-use crate::timers::AdaptiveParams;
+use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
 const TOK_SEND: u64 = 0;
@@ -18,7 +19,7 @@ pub struct SrmSource {
     pending: IdHashMap<u32, (TimerId, SimDuration)>,
     /// Per-seq hold-down after a repair was sent or heard.
     holdoff: IdHashMap<u32, SimTime>,
-    params: AdaptiveParams,
+    params: AdaptiveTimer,
     /// Repairs transmitted (for post-run inspection).
     pub repairs_sent: u32,
 }
@@ -26,7 +27,7 @@ pub struct SrmSource {
 impl SrmSource {
     /// Creates the source.
     pub fn new(cfg: SrmConfig, chan: ChannelId) -> SrmSource {
-        let params = AdaptiveParams::new(cfg.d1, cfg.d2, cfg.adaptive);
+        let params = adaptive_window(cfg.d1, cfg.d2, cfg.adaptive);
         SrmSource {
             cfg,
             chan,

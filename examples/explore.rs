@@ -12,7 +12,7 @@
 
 use sharqfec_repro::netsim::trace::{Timeline, TraceFilter};
 use sharqfec_repro::netsim::{RunSpec, SimDuration, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::{
     chain, figure10, national, random_tree, BuiltTopology, Figure10Params, NationalParams,
     RandomTreeParams,
@@ -53,7 +53,7 @@ fn main() {
         built.hierarchy.zone_count()
     );
 
-    let mut engine = setup_sharqfec_sim(&built, seed, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(
         6 + packets as u64 / 100 + 60,
     )));

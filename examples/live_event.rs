@@ -13,7 +13,7 @@
 
 use sharqfec_repro::analysis::national::NationalAnalysis;
 use sharqfec_repro::netsim::{RunSpec, SimTime};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::{national, NationalParams};
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
         total_packets: 160, // 10 groups
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 99, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 99, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(60)));
 
     // Reliability.

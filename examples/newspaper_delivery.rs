@@ -16,7 +16,7 @@
 
 use sharqfec_repro::fec::group::{GroupDecoder, GroupEncoder};
 use sharqfec_repro::netsim::{RunSpec, SimTime};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::{figure10, Figure10Params};
 
 /// The wire shape shared by the simulation and the codec.
@@ -49,7 +49,7 @@ fn main() {
         ..SharqfecConfig::full()
     };
     let stream_secs = (total_packets as u64) / 100 + 1;
-    let mut engine = setup_sharqfec_sim(&built, 2026, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 2026, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(6 + stream_secs + 60)));
 
     // --- reassembly at every receiver -------------------------------------

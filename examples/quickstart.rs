@@ -9,7 +9,7 @@
 
 use sharqfec_repro::fec::codec::{DecodeScratch, GroupCodec};
 use sharqfec_repro::netsim::{RunSpec, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::{figure10, Figure10Params};
 
 fn codec_demo() {
@@ -61,7 +61,7 @@ fn protocol_demo() {
         total_packets: 128, // 8 groups of 16 (paper runs 1024)
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 7, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 7, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(60)));
 
     let missing: u32 = built

@@ -22,7 +22,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+//! use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 //! use sharqfec_repro::netsim::{RunSpec, SimTime};
 //! use sharqfec_repro::topology::{figure10, Figure10Params};
 //!
@@ -31,7 +31,7 @@
 //!     total_packets: 32,
 //!     ..SharqfecConfig::full()
 //! };
-//! let mut engine = setup_sharqfec_sim(&built, 42, cfg, SimTime::from_secs(1));
+//! let mut engine = setup_sharqfec_builder(&built, 42, cfg, SimTime::from_secs(1)).build();
 //! engine.advance(RunSpec::to(SimTime::from_secs(60)));
 //! for &r in &built.receivers {
 //!     assert!(engine.agent::<SfAgent>(r).unwrap().complete());

@@ -4,7 +4,7 @@
 
 use sharqfec_repro::fec::group::{GroupDecoder, GroupEncoder};
 use sharqfec_repro::netsim::{RunSpec, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig, Variant};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig, Variant};
 use sharqfec_repro::topology::{figure10, national, Figure10Params, NationalParams};
 
 fn missing_total(
@@ -32,7 +32,7 @@ fn all_variants_deliver_reliably_on_figure10() {
             total_packets: 96,
             ..SharqfecConfig::variant(v)
         };
-        let mut engine = setup_sharqfec_sim(&built, 17, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, 17, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         assert_eq!(
             missing_total(&engine, &built),
@@ -50,7 +50,7 @@ fn national_hierarchy_delivers_reliably() {
         total_packets: 96,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 23, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 23, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(120)));
     assert_eq!(missing_total(&engine, &built), 0);
 }
@@ -101,7 +101,7 @@ fn object_bytes_survive_the_network() {
         packet_bytes: PAYLOAD as u32,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 5, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 5, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(120)));
 
     for &r in &built.receivers {
@@ -133,7 +133,7 @@ fn runs_are_deterministic_per_seed_and_differ_across_seeds() {
             total_packets: 48,
             ..SharqfecConfig::full()
         };
-        let mut engine = setup_sharqfec_sim(&built, seed, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(60)));
         let rec = engine.recorder();
         (
@@ -154,7 +154,7 @@ fn lossless_network_never_nacks_or_repairs_reactively() {
         total_packets: 64,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 3, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 3, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(60)));
     assert_eq!(missing_total(&engine, &built), 0);
     let nacks = engine

@@ -35,7 +35,6 @@ fn tree3_backbone() -> sharqfec_repro::netsim::graph::LinkId {
 fn burst_flap_scenario(label: &str, mean_burst: f64, packets: u32) -> Scenario {
     let workload = Workload {
         packets,
-        seed: 0,
         tail_secs: 52,
     };
     // Down at 7 s the stream is mid-flight; 16 receivers lose their only

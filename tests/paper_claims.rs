@@ -8,10 +8,9 @@ use sharqfec_bench::{RttExperiment, Scenario, Workload};
 use sharqfec_repro::netsim::{NodeId, SimTime};
 use sharqfec_repro::protocol::Variant;
 
-fn w(seed: u64) -> Workload {
+fn w() -> Workload {
     Workload {
         packets: 96,
-        seed,
         tail_secs: 30,
     }
 }
@@ -20,8 +19,8 @@ fn w(seed: u64) -> Workload {
 /// repair volume and NACK volume.
 #[test]
 fn ecsrm_beats_srm() {
-    let srm = Scenario::srm_baseline(w(11)).run_traffic(11);
-    let ecsrm = Scenario::variant(Variant::Ecsrm, w(11)).run_traffic(11);
+    let srm = Scenario::srm_baseline(w()).run_traffic(11);
+    let ecsrm = Scenario::variant(Variant::Ecsrm, w()).run_traffic(11);
     assert_eq!(ecsrm.unrecovered, 0);
 
     let sum = |v: &[f64]| v.iter().sum::<f64>();
@@ -43,8 +42,8 @@ fn ecsrm_beats_srm() {
 /// see no more traffic and the peaks shrink.
 #[test]
 fn scoping_beats_unscoped_hybrid() {
-    let ecsrm = Scenario::variant(Variant::Ecsrm, w(12)).run_traffic(12);
-    let full = Scenario::variant(Variant::Full, w(12)).run_traffic(12);
+    let ecsrm = Scenario::variant(Variant::Ecsrm, w()).run_traffic(12);
+    let full = Scenario::variant(Variant::Full, w()).run_traffic(12);
     assert_eq!(full.unrecovered, 0);
     let sum = |v: &[f64]| v.iter().sum::<f64>();
     let peak = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
@@ -66,8 +65,8 @@ fn scoping_beats_unscoped_hybrid() {
 /// (Rubenstein et al.'s result, revalidated in the hierarchy).
 #[test]
 fn injection_is_bandwidth_neutral() {
-    let ni = Scenario::variant(Variant::NoInjection, w(13)).run_traffic(13);
-    let full = Scenario::variant(Variant::Full, w(13)).run_traffic(13);
+    let ni = Scenario::variant(Variant::NoInjection, w()).run_traffic(13);
+    let full = Scenario::variant(Variant::Full, w()).run_traffic(13);
     let sum = |v: &[f64]| v.iter().sum::<f64>();
     let (a, b) = (sum(&full.data_repair), sum(&ni.data_repair));
     assert!(
@@ -80,8 +79,8 @@ fn injection_is_bandwidth_neutral() {
 /// protocol ("less than or equal to the minimum seen for ECSRM").
 #[test]
 fn full_sharqfec_suppresses_nacks() {
-    let ecsrm = Scenario::variant(Variant::Ecsrm, w(14)).run_traffic(14);
-    let full = Scenario::variant(Variant::Full, w(14)).run_traffic(14);
+    let ecsrm = Scenario::variant(Variant::Ecsrm, w()).run_traffic(14);
+    let full = Scenario::variant(Variant::Full, w()).run_traffic(14);
     let sum = |v: &[f64]| v.iter().sum::<f64>();
     assert!(
         sum(&full.nacks) < 0.6 * sum(&ecsrm.nacks),
@@ -95,8 +94,8 @@ fn full_sharqfec_suppresses_nacks() {
 /// hierarchy.
 #[test]
 fn source_is_insulated_by_scoping() {
-    let ecsrm = Scenario::variant(Variant::Ecsrm, w(15)).run_traffic(15);
-    let full = Scenario::variant(Variant::Full, w(15)).run_traffic(15);
+    let ecsrm = Scenario::variant(Variant::Ecsrm, w()).run_traffic(15);
+    let full = Scenario::variant(Variant::Full, w()).run_traffic(15);
     let sum = |v: &[f64]| v.iter().sum::<f64>();
     assert!(
         sum(&full.source_data_repair) < sum(&ecsrm.source_data_repair),

@@ -11,7 +11,7 @@
 //! once on two shards, must produce the same aggregates to the bit.
 
 use sharqfec_repro::netsim::{NodeId, RunSpec, SimTime};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::figure10::{mesh_node, TREES};
 use sharqfec_repro::topology::{figure10, Figure10Params};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn aggregates(shards: usize) -> Vec<(NodeId, u32, u32, u64, u64)> {
         total_packets: 192,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 77, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 77, cfg, SimTime::from_secs(1)).build();
     let plan = Arc::new(built.shard_plan(shards));
     assert_eq!(plan.shard_count(), shards);
     engine.advance(RunSpec::to(SimTime::from_secs(60)).with_plan(plan));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sharqfec_repro::netsim::{RunSpec, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig, Variant};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig, Variant};
 use sharqfec_repro::topology::{figure10, random_tree, Figure10Params, RandomTreeParams};
 
 fn variant_strategy() -> impl Strategy<Value = Variant> {
@@ -38,7 +38,7 @@ proptest! {
             group_size,
             ..SharqfecConfig::variant(variant)
         };
-        let mut engine = setup_sharqfec_sim(&built, seed, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(150)));
         for &r in &built.receivers {
             let agent = engine.agent::<SfAgent>(r).expect("receiver");
@@ -70,7 +70,7 @@ proptest! {
             total_packets: 48,
             ..SharqfecConfig::full()
         };
-        let mut engine = setup_sharqfec_sim(&built, run_seed, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, run_seed, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         for &r in &built.receivers {
             let agent = engine.agent::<SfAgent>(r).expect("receiver");
@@ -92,7 +92,7 @@ proptest! {
             total_packets: 32,
             ..SharqfecConfig::full()
         };
-        let mut engine = setup_sharqfec_sim(&built, seed, cfg, SimTime::from_secs(1));
+        let mut engine = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(60)));
         let rec = engine.recorder();
         for class in [TrafficClass::Data, TrafficClass::Repair, TrafficClass::Nack] {

@@ -5,7 +5,9 @@
 use sharqfec_repro::netsim::{
     Engine, LinkParams, NodeId, RunSpec, SimDuration, SimTime, TopologyBuilder, TrafficClass,
 };
-use sharqfec_repro::protocol::{setup_sharqfec_sim, PolicyKind, SfAgent, SfMsg, SharqfecConfig};
+use sharqfec_repro::protocol::{
+    setup_sharqfec_builder, PolicyKind, SfAgent, SfMsg, SharqfecConfig,
+};
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
 use sharqfec_repro::topology::BuiltTopology;
 
@@ -46,7 +48,7 @@ fn shared_loss_topology(loss: f64) -> BuiltTopology {
 }
 
 fn run(built: &BuiltTopology, cfg: SharqfecConfig, seed: u64, until: u64) -> Engine<SfMsg> {
-    let mut engine = setup_sharqfec_sim(built, seed, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(built, seed, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(until)));
     engine
 }

@@ -4,7 +4,7 @@
 //! truth without any receiver announcing beyond its own zone.
 
 use sharqfec_repro::netsim::{RunSpec, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_sim, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::scoping::ZoneId;
 use sharqfec_repro::topology::{figure10, Figure10Params};
 
@@ -15,7 +15,7 @@ fn source_learns_session_quality_from_zone_summaries() {
         total_packets: 192,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 77, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 77, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(60)));
 
     let source_agent = engine.agent::<SfAgent>(built.source).expect("source");
@@ -72,7 +72,7 @@ fn zcr_summaries_reflect_their_zones() {
         total_packets: 192,
         ..SharqfecConfig::full()
     };
-    let mut engine = setup_sharqfec_sim(&built, 78, cfg, SimTime::from_secs(1));
+    let mut engine = setup_sharqfec_builder(&built, 78, cfg, SimTime::from_secs(1)).build();
     engine.advance(RunSpec::to(SimTime::from_secs(60)));
 
     // Tree 3 (worst backbone) vs tree 5 (best): their mesh-node ZCRs'

@@ -8,10 +8,9 @@ use sharqfec_bench::{Scenario, TrafficRun, Workload};
 use sharqfec_netsim::runner::{grid, run_sweep, Cell};
 use std::num::NonZeroUsize;
 
-fn small(seed: u64) -> Workload {
+fn small() -> Workload {
     Workload {
         packets: 32,
-        seed,
         tail_secs: 10,
     }
 }
@@ -35,8 +34,8 @@ fn assert_runs_identical(a: &TrafficRun, b: &TrafficRun) {
 
 #[test]
 fn runner_reproduces_figure_runs_bit_for_bit_at_seed_42() {
-    let direct_full = Scenario::variant(Variant::Full, small(42)).run_traffic(42);
-    let direct_ecsrm = Scenario::variant(Variant::Ecsrm, small(42)).run_traffic(42);
+    let direct_full = Scenario::variant(Variant::Full, small()).run_traffic(42);
+    let direct_ecsrm = Scenario::variant(Variant::Ecsrm, small()).run_traffic(42);
 
     let cells = vec![Cell::new("ecsrm", 42), Cell::new("full", 42)];
     let swept = run_sweep(cells, NonZeroUsize::new(4).unwrap(), |c| {
@@ -45,7 +44,7 @@ fn runner_reproduces_figure_runs_bit_for_bit_at_seed_42() {
             "full" => Variant::Full,
             other => panic!("unexpected scenario {other}"),
         };
-        Scenario::variant(variant, small(c.seed)).run_traffic(c.seed)
+        Scenario::variant(variant, small()).run_traffic(c.seed)
     })
     .into_values();
 
@@ -60,7 +59,7 @@ fn seed_sweep_is_invariant_under_thread_count() {
         run_sweep(
             grid(&["full"], &seeds),
             NonZeroUsize::new(threads).unwrap(),
-            |c| Scenario::variant(Variant::Full, small(c.seed)).run_traffic(c.seed),
+            |c| Scenario::variant(Variant::Full, small()).run_traffic(c.seed),
         )
         .into_values()
     };
@@ -82,7 +81,7 @@ fn sweep_json_summary_is_written_and_names_failing_seeds() {
             if c.seed == 8 {
                 panic!("synthetic failure");
             }
-            Scenario::variant(Variant::Full, small(c.seed))
+            Scenario::variant(Variant::Full, small())
                 .run_traffic(c.seed)
                 .total_repairs
         },
