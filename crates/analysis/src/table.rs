@@ -33,16 +33,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Tab-separated rendering (header first).
     pub fn to_tsv(&self) -> String {
         let mut out = self.header.join("\t");
@@ -94,8 +84,8 @@ mod tests {
         let tsv = t.to_tsv();
         let lines: Vec<&str> = tsv.lines().collect();
         assert_eq!(lines, vec!["a\tb", "1\t2", "3\t4"]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
+        assert!(!t.rows.is_empty());
     }
 
     #[test]

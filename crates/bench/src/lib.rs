@@ -108,16 +108,9 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The paper's full workload.
-    pub fn paper() -> Workload {
-        Workload {
-            packets: 1024,
-            tail_secs: 45,
-        }
-    }
-
     /// A reduced workload for tests.
-    pub fn small() -> Workload {
+    #[cfg(test)]
+    fn small() -> Workload {
         Workload {
             packets: 128,
             tail_secs: 20,

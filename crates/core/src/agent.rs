@@ -178,11 +178,6 @@ impl SfAgent {
         self.policy.predicted(level)
     }
 
-    /// The injection policy driving this member's ZCR duties.
-    pub fn policy(&self) -> &dyn InjectionPolicy {
-        &*self.policy
-    }
-
     /// When this receiver completed its last group, once *every* group
     /// of the stream is reconstructable here (`None` for the source and
     /// for receivers still missing packets).
@@ -993,93 +988,58 @@ mod tests {
     use super::*;
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
+    use sharqfec_netsim::testkit::Rig;
     use sharqfec_session::core::ZcrSeeding;
-
-    /// A receiver and everything [`Ctx::new`] borrows, owned by the test:
-    /// no engine and no network.  `c3` of `chain(4)` sits in the child
-    /// zone `{c1, c2, c3}` under the root, is nobody's ZCR, and so has a
-    /// two-level chain whose requests start at level 0.
-    struct Driven {
-        agent: SfAgent,
-        now: SimTime,
-        rng: SimRng,
-        oracle: DistanceOracle,
-        next_timer: u64,
-        probes: ProbeSink,
-    }
 
     const ME: NodeId = NodeId(3);
 
-    impl Driven {
-        fn receiver() -> Driven {
-            let built = sharqfec_topology::chain(4);
-            let hier = Arc::new(built.hierarchy.clone());
-            let channels = Arc::new((0..hier.zone_count() as u32).map(ChannelId).collect());
-            let cfg = SharqfecConfig::full();
-            let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
-            let session = SessionCore::new(ME, Arc::clone(&hier), cfg.session.clone(), &seeding);
-            let source = built.source;
-            Driven {
-                agent: SfAgent::new(cfg, Role::Receiver, session, hier, channels, source),
-                now: SimTime::from_secs(6),
-                rng: SimRng::new(11),
-                oracle: DistanceOracle::compute(&built.topology),
-                next_timer: 0,
-                probes: ProbeSink::recording(),
-            }
+    /// A receiver with no engine and no network.  `c3` of `chain(4)` sits
+    /// in the child zone `{c1, c2, c3}` under the root, is nobody's ZCR,
+    /// and so has a two-level chain whose requests start at level 0.
+    fn receiver() -> Rig<SfAgent> {
+        let built = sharqfec_topology::chain(4);
+        let hier = Arc::new(built.hierarchy.clone());
+        let channels = Arc::new((0..hier.zone_count() as u32).map(ChannelId).collect());
+        let cfg = SharqfecConfig::full();
+        let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
+        let session = SessionCore::new(ME, Arc::clone(&hier), cfg.session.clone(), &seeding);
+        let source = built.source;
+        Rig {
+            agent: SfAgent::new(cfg, Role::Receiver, session, hier, channels, source),
+            now: SimTime::from_secs(6),
+            node: ME,
+            rng: SimRng::new(11),
+            oracle: DistanceOracle::compute(&built.topology),
+            next_timer: 0,
+            probes: ProbeSink::recording(),
         }
+    }
 
-        /// Runs one callback at `self.now` and returns what it queued.
-        fn call(
-            &mut self,
-            f: impl FnOnce(&mut SfAgent, &mut Ctx<'_, SfMsg>),
-        ) -> Vec<Action<SfMsg>> {
-            let mut actions = Vec::new();
-            let mut ctx = Ctx::new(
-                self.now,
-                ME,
-                &mut self.rng,
-                &self.oracle,
-                &mut actions,
-                &mut self.next_timer,
-                &mut self.probes,
+    /// Delivers `payload` from a peer on chain level `level`'s channel.
+    fn hear(d: &mut Rig<SfAgent>, level: usize, payload: SfMsg) -> Vec<Action<SfMsg>> {
+        let channel = d.agent.channels[d.agent.chain[level].idx()];
+        d.hear(NodeId(2), channel, payload)
+    }
+
+    /// Opens group `g` with a one-packet gap (indices 0 and 2 arrive),
+    /// which arms its request timer.
+    fn lose_one(d: &mut Rig<SfAgent>, g: u32) {
+        for idx in [0, 2] {
+            hear(
+                d,
+                1,
+                SfMsg::Data {
+                    group: g,
+                    idx,
+                    k: 16,
+                },
             );
-            f(&mut self.agent, &mut ctx);
-            actions
         }
+        assert!(d.agent.groups[&g].request_timer.is_some());
+    }
 
-        /// Delivers `payload` from a peer on chain level `level`'s channel.
-        fn hear(&mut self, level: usize, payload: SfMsg) -> Vec<Action<SfMsg>> {
-            let pkt = Packet {
-                uid: 0,
-                src: NodeId(2),
-                channel: self.agent.channels[self.agent.chain[level].idx()],
-                sent_at: self.now,
-                bytes: 0,
-                payload,
-            };
-            self.call(|agent, ctx| agent.on_packet(ctx, &pkt))
-        }
-
-        /// Opens group `g` with a one-packet gap (indices 0 and 2 arrive),
-        /// which arms its request timer.
-        fn lose_one(&mut self, g: u32) {
-            for idx in [0, 2] {
-                self.hear(
-                    1,
-                    SfMsg::Data {
-                        group: g,
-                        idx,
-                        k: 16,
-                    },
-                );
-            }
-            assert!(self.agent.groups[&g].request_timer.is_some());
-        }
-
-        fn fire_request(&mut self, g: u32) -> Vec<Action<SfMsg>> {
-            self.call(|agent, ctx| agent.on_timer(ctx, tok(KIND_REQ, g, 0)))
-        }
+    fn fire_request(d: &mut Rig<SfAgent>, g: u32) -> Vec<Action<SfMsg>> {
+        d.call(|agent, ctx| agent.on_timer(ctx, tok(KIND_REQ, g, 0)))
     }
 
     /// The request timers an action list arms, as `(group, id)`.
@@ -1104,13 +1064,14 @@ mod tests {
     /// escalated past — proven futile — does not touch it.
     #[test]
     fn duplicate_nacks_back_off_only_at_or_above_the_request_scope() {
-        let mut d = Driven::receiver();
-        d.lose_one(0);
-        let peer_nack = |d: &mut Driven| {
+        let mut d = receiver();
+        lose_one(&mut d, 0);
+        let peer_nack = |d: &mut Rig<SfAgent>| {
             let zone = d.agent.chain[0];
             let chain = Vec::new();
             let (group, llc, needed, max_idx) = (0, 1, 1, 2);
-            d.hear(
+            hear(
+                d,
                 0,
                 SfMsg::Nack {
                     group,
@@ -1122,14 +1083,14 @@ mod tests {
                 },
             )
         };
-        let duplicate_backoffs = |d: &Driven| {
+        let duplicate_backoffs = |d: &Rig<SfAgent>| {
             let dup = NackOutcome::SuppressedDuplicate;
             let is_dup = |r: &&ProbeRecord| matches!(r.event, ProbeEvent::Nack { outcome, .. } if outcome == dup);
             d.probes.records().iter().filter(is_dup).count()
         };
         // Our own first NACK sets level 0's ZLC to our LLC, so a peer's
         // NACK with the same LLC raises nothing: a duplicate.
-        d.fire_request(0);
+        fire_request(&mut d, 0);
         let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
         assert_eq!((d.agent.groups[&0].scope_idx, i), (0, 2));
         let actions = peer_nack(&mut d);
@@ -1140,7 +1101,7 @@ mod tests {
 
         // The second attempt at level 0 escalates the next request to
         // level 1.  Level-0 chatter is now below its scope.
-        d.fire_request(0);
+        fire_request(&mut d, 0);
         let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
         assert_eq!(d.agent.groups[&0].scope_idx, 1);
         let actions = peer_nack(&mut d);
@@ -1154,15 +1115,16 @@ mod tests {
     /// request is redrawn from the reset window.
     #[test]
     fn a_repair_resets_the_backoff_and_rearms_the_request() {
-        let mut d = Driven::receiver();
-        d.lose_one(0);
-        d.fire_request(0);
-        d.fire_request(0);
+        let mut d = receiver();
+        lose_one(&mut d, 0);
+        fire_request(&mut d, 0);
+        fire_request(&mut d, 0);
         let armed = d.agent.groups[&0].request_timer;
         assert!(d.agent.groups[&0].i > 1);
         // One repair of the fourteen still needed (k = 16, two held).
         let (group, idx, k, burst_end) = (0, 16, 16, 16);
-        let actions = d.hear(
+        let actions = hear(
+            &mut d,
             0,
             SfMsg::Fec {
                 group,
@@ -1187,8 +1149,8 @@ mod tests {
     fn restart_forgets_dead_timers_and_reasks_in_group_order() {
         let groups = [0u32, 1, 2, 3, 4, 5];
         let restart = |order: &mut dyn Iterator<Item = u32>| {
-            let mut d = Driven::receiver();
-            order.for_each(|g| d.lose_one(g));
+            let mut d = receiver();
+            order.for_each(|g| lose_one(&mut d, g));
             // The crash: same clock, RNG stream and timer counter on both
             // sides, so only the agents' own state can differ.
             (d.now, d.rng, d.next_timer) = (SimTime::from_secs(7), SimRng::new(5), 1_000);

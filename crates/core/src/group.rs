@@ -33,11 +33,6 @@ impl IndexBitset {
         true
     }
 
-    fn contains(&self, idx: u32) -> bool {
-        let w = (idx / 64) as usize;
-        w < self.words.len() && self.words[w] & (1u64 << (idx % 64)) != 0
-    }
-
     fn len(&self) -> u32 {
         self.len
     }
@@ -178,11 +173,6 @@ impl GroupState {
     /// Number of distinct indices held.
     pub fn held(&self) -> u32 {
         self.received.len()
-    }
-
-    /// Whether `idx` is held.
-    pub fn has(&self, idx: u32) -> bool {
-        self.received.contains(idx)
     }
 
     /// All held packet indices, sorted ascending (data first, then FEC) —

@@ -101,11 +101,6 @@ impl AdaptiveTimer {
         self.ave_delay
     }
 
-    /// Whether adaptation is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turns adaptation on or off mid-run.  Turning it on resets the
     /// round's duplicate count so the next round starts clean; EWMAs were
     /// never fed while disabled, so they are already unbiased.

@@ -111,21 +111,6 @@ impl Channel {
         }
     }
 
-    /// Sorted member list.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the channel has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Checks that the members form a connected subtree of the given
     /// source-rooted SPT — the precondition for scope pruning to reach
     /// every member.  Used by topology builders in debug assertions.
@@ -158,9 +143,9 @@ mod tests {
     #[test]
     fn membership_is_normalized() {
         let c = Channel::new(5, &[NodeId(3), NodeId(1), NodeId(3)]);
-        assert_eq!(c.members(), &[NodeId(1), NodeId(3)]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        assert_eq!(c.members, &[NodeId(1), NodeId(3)]);
+        assert_eq!(c.members.len(), 2);
+        assert!(!c.members.is_empty());
         assert!(c.contains(NodeId(1)));
         assert!(!c.contains(NodeId(0)));
     }
@@ -177,7 +162,7 @@ mod tests {
         // instead of O(node_count); contiguous zone ids must not fragment.
         let members: Vec<NodeId> = (10..500).map(NodeId).collect();
         let c = Channel::new(1000, &members);
-        assert_eq!(c.len(), 490);
+        assert_eq!(c.members.len(), 490);
         assert!(!c.contains(NodeId(9)));
         assert!(c.contains(NodeId(10)));
         assert!(c.contains(NodeId(499)));
@@ -203,10 +188,7 @@ mod tests {
         // Extend the contiguous run: still one range.
         c.insert(NodeId(13));
         c.insert(NodeId(13));
-        assert_eq!(
-            c.members(),
-            &[NodeId(10), NodeId(11), NodeId(12), NodeId(13)]
-        );
+        assert_eq!(c.members, &[NodeId(10), NodeId(11), NodeId(12), NodeId(13)]);
         assert!(c.contains(NodeId(13)));
         // Punch a hole in the middle.
         c.remove(NodeId(11));
@@ -223,7 +205,7 @@ mod tests {
         for m in [10u32, 12, 13, 50] {
             c.remove(NodeId(m));
         }
-        assert!(c.is_empty());
+        assert!(c.members.is_empty());
         assert!(!c.contains(NodeId(10)));
     }
 
@@ -240,7 +222,7 @@ mod tests {
             .map(NodeId)
             .collect();
         let fresh = Channel::new(64, &rebuilt);
-        assert_eq!(mutated.members(), fresh.members());
+        assert_eq!(mutated.members, fresh.members);
         assert_eq!(mutated.ranges, fresh.ranges);
     }
 

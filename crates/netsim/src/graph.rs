@@ -121,19 +121,6 @@ impl LinkParams {
         }
     }
 
-    /// A finite-rate link with an explicit loss process.
-    pub fn with_loss_model(
-        latency: SimDuration,
-        bandwidth: Bandwidth,
-        loss: LossModel,
-    ) -> LinkParams {
-        LinkParams {
-            latency,
-            bandwidth,
-            loss,
-        }
-    }
-
     /// A lossless finite-rate link.
     pub fn lossless(latency: SimDuration, bandwidth_bps: u64) -> LinkParams {
         LinkParams::new(latency, bandwidth_bps, 0.0)

@@ -105,6 +105,7 @@ pub mod routing;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
+pub mod testkit;
 pub mod time;
 pub mod trace;
 

@@ -49,7 +49,8 @@ pub const CLASS_COUNT: usize = 5;
 
 impl TrafficClass {
     /// All classes, in [`TrafficClass::index`] order.
-    pub const ALL: [TrafficClass; CLASS_COUNT] = [
+    #[cfg(test)]
+    const ALL: [TrafficClass; CLASS_COUNT] = [
         TrafficClass::Data,
         TrafficClass::Repair,
         TrafficClass::Nack,
@@ -434,11 +435,6 @@ impl Recorder {
         self.drop_total[class.index()] as usize
     }
 
-    /// Total bytes delivered across all nodes for a class.  O(1).
-    pub fn delivered_bytes(&self, class: TrafficClass) -> u64 {
-        self.global.totals[Delivered as usize][class.index()].bytes
-    }
-
     /// Number of nodes with at least one recorded observation (dense
     /// upper bound for iterating aggregate tables).
     pub fn node_count(&self) -> usize {
@@ -594,7 +590,8 @@ mod tests {
         assert_eq!(r.delivered_count(NodeId(2), TrafficClass::Nack), 0);
         assert_eq!(r.delivered_count(NodeId(99), TrafficClass::Data), 0);
         assert_eq!(r.sent_count(NodeId(0), TrafficClass::Data), 1);
-        assert_eq!(r.delivered_bytes(TrafficClass::Data), 30);
+        let data = TrafficClass::Data.index();
+        assert_eq!(r.global.totals[Delivered as usize][data].bytes, 30);
         assert_eq!(r.total_delivered(TrafficClass::Data), 3);
         assert_eq!(r.total_sent(TrafficClass::Data), 1);
 

@@ -32,9 +32,9 @@
 
 use crate::faults::FaultPlan;
 use crate::graph::NodeId;
+use crate::idhash::IdHashMap;
 use crate::scenario::ScenarioPlan;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 
 /// How a NACK decision point resolved at one receiver.
@@ -433,14 +433,14 @@ impl AuditConfig {
 #[derive(Debug, Default)]
 struct SeatState {
     /// Current claimants and when each claimed.
-    holders: HashMap<NodeId, SimTime>,
+    holders: IdHashMap<NodeId, SimTime>,
     /// When the current multi-claimant episode began, if one is open.
     overlap_since: Option<SimTime>,
 }
 
 impl SeatState {
-    /// The claimants' node ids, ascending — what a violation prints.  The
-    /// map itself iterates in an order drawn per map and per process.
+    /// The claimants' node ids, ascending — what a violation prints, so it
+    /// does not depend on the order the claims arrived in.
     fn claimants(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.holders.keys().map(|n| n.0).collect();
         ids.sort_unstable();
@@ -454,21 +454,21 @@ pub struct Auditor {
     cfg: AuditConfig,
     events: u64,
     violations: Vec<Violation>,
-    seats: HashMap<u64, SeatState>,
+    seats: IdHashMap<u64, SeatState>,
     /// Injections seen per (node, group, level).
-    injections: HashMap<(NodeId, u32, u32), u32>,
+    injections: IdHashMap<(NodeId, u32, u32), u32>,
     /// Last close seen per (node, group).
-    closes: HashMap<(NodeId, u32), (SimTime, bool, u32, u32)>,
+    closes: IdHashMap<(NodeId, u32), (SimTime, bool, u32, u32)>,
     /// The node currently in its fresh-send era, if any.
     active_sender: Option<NodeId>,
     /// Senders whose era ended (another node started sending fresh data),
     /// with the time of the switch.
-    retired_senders: HashMap<NodeId, SimTime>,
+    retired_senders: IdHashMap<NodeId, SimTime>,
     /// First fresh sender seen per sequence number.
-    sent_seqs: HashMap<u32, NodeId>,
+    sent_seqs: IdHashMap<u32, NodeId>,
     /// `Sent` NACK decisions per (group, level), kept only when
     /// [`AuditConfig::nack_sent_cap`] is set.
-    nack_sent: HashMap<(u32, u32), u32>,
+    nack_sent: IdHashMap<(u32, u32), u32>,
 }
 
 impl Auditor {
@@ -478,13 +478,13 @@ impl Auditor {
             cfg,
             events: 0,
             violations: Vec::new(),
-            seats: HashMap::new(),
-            injections: HashMap::new(),
-            closes: HashMap::new(),
+            seats: IdHashMap::default(),
+            injections: IdHashMap::default(),
+            closes: IdHashMap::default(),
             active_sender: None,
-            retired_senders: HashMap::new(),
-            sent_seqs: HashMap::new(),
-            nack_sent: HashMap::new(),
+            retired_senders: IdHashMap::default(),
+            sent_seqs: IdHashMap::default(),
+            nack_sent: IdHashMap::default(),
         }
     }
 
@@ -499,10 +499,21 @@ impl Auditor {
         self.cfg.excused.iter().any(|&(s, e)| s <= t && t <= e)
     }
 
-    /// Closes a seat-overlap episode `[since, until)`, recording a
-    /// violation when it outlived the settle window without intersecting
-    /// an excused window.
-    fn close_overlap(&mut self, zone: u64, since: SimTime, until: SimTime, node: NodeId) {
+    /// Records a streaming violation at `r`'s time and node.
+    fn flag(&mut self, r: &ProbeRecord, invariant: Invariant, detail: String) {
+        self.violations.push(Violation {
+            time: r.time,
+            node: r.node,
+            invariant,
+            detail,
+        });
+    }
+
+    /// Closes the seat-overlap episode `[since, r.time)` that `r` ended,
+    /// recording a violation when it outlived the settle window without
+    /// intersecting an excused window.
+    fn close_overlap(&mut self, zone: u64, since: SimTime, r: &ProbeRecord) {
+        let until = r.time;
         if until.saturating_since(since) <= self.cfg.seat_settle || self.excused(since, until) {
             return;
         }
@@ -511,17 +522,13 @@ impl Auditor {
             .get(&zone)
             .map(SeatState::claimants)
             .unwrap_or_default();
-        self.violations.push(Violation {
-            time: until,
-            node,
-            invariant: Invariant::SingleZcr,
-            detail: format!(
-                "zone {zone} had multiple ZCR claimants for {:.3}s \
-                 (since {:.3}s; claimants now {holders:?})",
-                until.saturating_since(since).as_secs_f64(),
-                since.as_secs_f64()
-            ),
-        });
+        let detail = format!(
+            "zone {zone} had multiple ZCR claimants for {:.3}s \
+             (since {:.3}s; claimants now {holders:?})",
+            until.saturating_since(since).as_secs_f64(),
+            since.as_secs_f64()
+        );
+        self.flag(r, Invariant::SingleZcr, detail);
     }
 
     /// Feeds one event through every streaming check.
@@ -530,12 +537,8 @@ impl Auditor {
         match r.event {
             ProbeEvent::ZlcUpdate { level, pred, .. } => {
                 if !pred.is_finite() || pred < 0.0 {
-                    self.violations.push(Violation {
-                        time: r.time,
-                        node: r.node,
-                        invariant: Invariant::ZlcSane,
-                        detail: format!("zlc_pred[{level}] became {pred}"),
-                    });
+                    let detail = format!("zlc_pred[{level}] became {pred}");
+                    self.flag(r, Invariant::ZlcSane, detail);
                 }
             }
             ProbeEvent::PolicyDecision {
@@ -548,34 +551,21 @@ impl Auditor {
                 ..
             } => {
                 if chosen > group_size {
-                    self.violations.push(Violation {
-                        time: r.time,
-                        node: r.node,
-                        invariant: Invariant::InjectionBudget,
-                        detail: format!(
-                            "{policy} chose {chosen} > group_size {group_size} (g{group} L{level})"
-                        ),
-                    });
+                    let detail = format!(
+                        "{policy} chose {chosen} > group_size {group_size} (g{group} L{level})"
+                    );
+                    self.flag(r, Invariant::InjectionBudget, detail);
                 }
                 if !pred.is_finite() || pred < 0.0 {
-                    self.violations.push(Violation {
-                        time: r.time,
-                        node: r.node,
-                        invariant: Invariant::ZlcSane,
-                        detail: format!("{policy} prediction became {pred} (g{group} L{level})"),
-                    });
+                    let detail = format!("{policy} prediction became {pred} (g{group} L{level})");
+                    self.flag(r, Invariant::ZlcSane, detail);
                 }
                 let seen = self.injections.entry((r.node, group, level)).or_insert(0);
                 *seen += 1;
                 if *seen > 1 {
-                    self.violations.push(Violation {
-                        time: r.time,
-                        node: r.node,
-                        invariant: Invariant::InjectionBudget,
-                        detail: format!(
-                            "{policy} injection decided {seen} times for g{group} L{level}"
-                        ),
-                    });
+                    let detail =
+                        format!("{policy} injection decided {seen} times for g{group} L{level}");
+                    self.flag(r, Invariant::InjectionBudget, detail);
                 }
             }
             ProbeEvent::Zcr { zone, action, .. } => {
@@ -598,7 +588,7 @@ impl Auditor {
                             .get_mut(&zone)
                             .expect("just touched")
                             .overlap_since = None;
-                        self.close_overlap(zone, s, r.time, r.node);
+                        self.close_overlap(zone, s, r);
                     }
                     _ => {}
                 }
@@ -624,12 +614,8 @@ impl Auditor {
                     *n += 1;
                     // Flag exactly once, when the cap is first crossed.
                     if *n == cap + 1 {
-                        self.violations.push(Violation {
-                            time: r.time,
-                            node: r.node,
-                            invariant: Invariant::NackStorm,
-                            detail: format!("more than {cap} Sent NACKs for g{group} L{level}"),
-                        });
+                        let detail = format!("more than {cap} Sent NACKs for g{group} L{level}");
+                        self.flag(r, Invariant::NackStorm, detail);
                     }
                 }
             }
@@ -640,18 +626,14 @@ impl Auditor {
     /// Single-sender bookkeeping for one fresh send.
     fn ingest_sender(&mut self, r: &ProbeRecord, seq: u32) {
         match self.sent_seqs.get(&seq) {
-            Some(&prev) if prev != r.node => self.violations.push(Violation {
-                time: r.time,
-                node: r.node,
-                invariant: Invariant::SingleSender,
-                detail: format!("seq {seq} fresh-sent by n{} and n{}", prev.0, r.node.0),
-            }),
-            Some(_) => self.violations.push(Violation {
-                time: r.time,
-                node: r.node,
-                invariant: Invariant::SingleSender,
-                detail: format!("seq {seq} fresh-sent twice by n{}", r.node.0),
-            }),
+            Some(&prev) if prev != r.node => {
+                let detail = format!("seq {seq} fresh-sent by n{} and n{}", prev.0, r.node.0);
+                self.flag(r, Invariant::SingleSender, detail);
+            }
+            Some(_) => {
+                let detail = format!("seq {seq} fresh-sent twice by n{}", r.node.0);
+                self.flag(r, Invariant::SingleSender, detail);
+            }
             None => {
                 self.sent_seqs.insert(seq, r.node);
             }
@@ -665,15 +647,11 @@ impl Auditor {
                 // unless a membership/fault window excuses the transient.
                 self.retired_senders.insert(a, r.time);
                 if self.retired_senders.remove(&r.node).is_some() && !self.excused_at(r.time) {
-                    self.violations.push(Violation {
-                        time: r.time,
-                        node: r.node,
-                        invariant: Invariant::SingleSender,
-                        detail: format!(
-                            "retired sender n{} resumed fresh sends (seq {seq})",
-                            r.node.0
-                        ),
-                    });
+                    let detail = format!(
+                        "retired sender n{} resumed fresh sends (seq {seq})",
+                        r.node.0
+                    );
+                    self.flag(r, Invariant::SingleSender, detail);
                 }
                 self.active_sender = Some(r.node);
             }

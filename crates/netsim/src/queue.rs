@@ -148,12 +148,6 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// High-water mark of the slab (diagnostics): slots ever allocated,
-    /// including currently free ones.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Schedules `item` at `time` and returns its insertion sequence
     /// number.  Events pushed at the same `time` pop in push order (the
     /// key is derived from a per-queue monotone counter).
@@ -190,11 +184,6 @@ impl<T> EventQueue<T> {
         };
         self.heap.push(Entry::new(key, slot));
         self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Timestamp of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| SimTime(e.time))
     }
 
     /// Full ordering key of the earliest event, if any.
@@ -335,12 +324,12 @@ mod tests {
         q.push(t(30), "c");
         q.push(t(10), "a");
         q.push(t(20), "b");
-        assert_eq!(q.peek_time(), Some(t(10)));
+        assert_eq!(q.peek_key().map(|k| k.time), Some(t(10)));
         assert_eq!(q.pop(), Some((t(10), "a")));
         assert_eq!(q.pop(), Some((t(20), "b")));
         assert_eq!(q.pop(), Some((t(30), "c")));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
@@ -381,7 +370,7 @@ mod tests {
             }
         }
         // 400 events flowed through, but never more than 8 at once.
-        assert_eq!(q.slot_capacity(), 8);
+        assert_eq!(q.slots.len(), 8);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }

@@ -124,7 +124,8 @@ impl Spt {
     }
 
     /// The children of `node` in this tree, sorted by child id.
-    pub fn children(&self, node: NodeId) -> &[(NodeId, LinkId)] {
+    #[cfg(test)]
+    fn children(&self, node: NodeId) -> &[(NodeId, LinkId)] {
         let (start, end) = self.child_range(node);
         &self.child_edges[start..end]
     }

@@ -231,11 +231,6 @@ impl ScenarioPlan {
         &self.events
     }
 
-    /// Agent start-time overrides `(node, start)`.
-    pub fn starts(&self) -> &[(NodeId, SimTime)] {
-        &self.starts
-    }
-
     /// Scheduled agent stops `(when, node)`.
     pub fn stops(&self) -> &[(SimTime, NodeId)] {
         &self.stops
@@ -309,11 +304,6 @@ impl ScenarioPlan {
         times
     }
 
-    /// Number of raw membership events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the plan schedules nothing at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -363,8 +353,8 @@ mod tests {
         let members = [ch(0), ch(1)];
         let joins = (10..20u32).map(|i| (NodeId(i), &members[..]));
         let plan = ScenarioPlan::new().batch_join(SimTime::from_secs(8), joins);
-        assert_eq!(plan.len(), 20, "two channels per joiner");
-        assert_eq!(plan.starts().len(), 10);
+        assert_eq!(plan.events().len(), 20, "two channels per joiner");
+        assert_eq!(plan.starts.len(), 10);
         for i in 10..20u32 {
             assert_eq!(
                 plan.start_override(NodeId(i)),
@@ -381,6 +371,10 @@ mod tests {
             ScenarioPlan::new().handoff(SimTime::from_secs(12), NodeId(0), NodeId(5), &[ch(0)]);
         assert_eq!(plan.stops(), &[(SimTime::from_secs(12), NodeId(0))]);
         assert_eq!(plan.start_override(NodeId(5)), Some(SimTime::from_secs(12)));
+        // A warm standby is handed off to with no channels to join: no
+        // membership event at all, and still a plan that schedules something.
+        let warm = ScenarioPlan::new().handoff(SimTime::from_secs(12), NodeId(0), NodeId(5), &[]);
+        assert!(warm.events().is_empty() && !warm.is_empty());
         assert_eq!(
             plan.events(),
             &[(

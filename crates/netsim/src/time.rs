@@ -31,12 +31,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Builds an instant from fractional seconds (rounds to nanoseconds).
-    pub fn from_secs_f64(s: f64) -> SimTime {
-        assert!(s >= 0.0 && s.is_finite(), "time must be finite and >= 0");
-        SimTime((s * 1e9).round() as u64)
-    }
-
     /// This instant as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -73,7 +67,8 @@ impl SimDuration {
     }
 
     /// Builds a span from whole microseconds.
-    pub const fn from_micros(us: u64) -> SimDuration {
+    #[cfg(test)]
+    const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us * 1_000)
     }
 
@@ -237,7 +232,6 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
-        assert_eq!(SimTime::from_secs_f64(2.0), SimTime::from_secs(2));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
         assert_eq!(
             SimDuration::from_secs_f64(0.25),

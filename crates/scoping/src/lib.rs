@@ -306,11 +306,6 @@ impl ZoneHierarchy {
         self.smallest[node.idx()].unwrap_or_else(|| panic!("node {node} belongs to no zone"))
     }
 
-    /// Whether `node` is in any zone (i.e. in the session).
-    pub fn in_session(&self, node: NodeId) -> bool {
-        self.smallest.get(node.idx()).is_some_and(|s| s.is_some())
-    }
-
     /// The chain of zones containing `node`, smallest first, ending at the
     /// root.  This is the NACK scope-escalation order.
     pub fn zone_chain(&self, node: NodeId) -> Vec<ZoneId> {
@@ -451,16 +446,6 @@ impl ZoneInterner {
         }
         out
     }
-
-    /// Number of interned symbols.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no symbol was interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +504,6 @@ mod tests {
         assert!(h.is_member(z0, n(0)));
         assert!(h.is_member(z1, n(5)));
         assert!(!h.is_member(z2, n(5)));
-        assert!(h.in_session(n(13)));
     }
 
     #[test]
@@ -627,7 +611,7 @@ mod tests {
         let b = i.intern(Some(a), 7);
         assert_eq!(i.intern(Some(root), 2), a, "re-interning dedups");
         assert_eq!(i.intern(None, 0), root);
-        assert_eq!(i.len(), 3);
+        assert_eq!(i.entries.len(), 3);
         assert_eq!(i.parent(b), Some(a));
         assert_eq!(i.parent(root), None);
         assert_eq!(i.ordinal(b), 7);

@@ -34,8 +34,10 @@ use sharqfec_netsim::{IdHashMap, NodeId, SimDuration, SimRng, SimTime};
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
 use std::sync::Arc;
 
+mod election;
+
 /// Top bit marks timer tokens owned by the session layer.
-pub const SESSION_TOKEN_BIT: u64 = 1 << 63;
+const SESSION_TOKEN_BIT: u64 = 1 << 63;
 
 const KIND_ANNOUNCE: u64 = 0;
 const KIND_CHALLENGE: u64 = 1;
@@ -313,11 +315,6 @@ impl SessionCore {
         Self::summarized(self.local_loss.map(LossReport::single), child)
     }
 
-    /// The node this core belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The node's zone chain, smallest first.
     pub fn chain_zones(&self) -> &[ZoneId] {
         &self.chain
@@ -440,8 +437,8 @@ impl SessionCore {
         l == 0 || self.levels[l - 1].zcr == Some(self.node)
     }
 
-    /// The levels of [`SessionCore::participation`], smallest zone first,
-    /// without the `Vec`: every distance estimate searches their tables.
+    /// The levels this node participates at, smallest zone first, without
+    /// a `Vec`: every distance estimate searches their tables.
     fn participating(&self) -> impl Iterator<Item = &Level> + '_ {
         self.levels
             .iter()
@@ -455,7 +452,8 @@ impl SessionCore {
     ///
     /// No deduplication is needed: each entry is a different level of the
     /// zone chain, and a chain never repeats a zone.
-    pub fn participation(&self) -> Vec<ZoneId> {
+    #[cfg(test)]
+    fn participation(&self) -> Vec<ZoneId> {
         self.participating().map(|level| level.zone).collect()
     }
 
@@ -742,343 +740,6 @@ impl SessionCore {
             }
         }
     }
-
-    // ----- ZCR election ----------------------------------------------------
-
-    /// Whether this node competes in elections for chain level `l`: its own
-    /// smallest zone, or a zone whose child it currently represents
-    /// (paper §5: "the ZCR for a particular zone participates … also the
-    /// next-largest scope zone").
-    fn candidate(&self, l: usize) -> bool {
-        if self.hier.parent(self.chain[l]).is_none() {
-            return false; // root zone: fixed representative, no election
-        }
-        self.participates(l)
-    }
-
-    fn arm_challenge(&mut self, ctx: &mut dyn SessionCtx, l: usize) {
-        if self.hier.parent(self.chain[l]).is_none() {
-            return; // root: no election
-        }
-        let base = self.cfg.challenge_period;
-        let delay = if self.levels[l].zcr == Some(self.node) {
-            base.mul_f64(ctx.rng().range_f64(0.9, 1.1))
-        } else {
-            base.mul_f64(self.cfg.liveness_factor * ctx.rng().range_f64(1.0, 1.1))
-        };
-        ctx.set_timer(delay, token(KIND_CHALLENGE, l));
-    }
-
-    fn challenge_tick(&mut self, ctx: &mut dyn SessionCtx, l: usize) {
-        if !self.candidate(l) {
-            return;
-        }
-        let now = ctx.now();
-        let am_zcr = self.levels[l].zcr == Some(self.node);
-        if !am_zcr {
-            // Back off while the sitting ZCR is alive, or while the parent
-            // zone has not elected a representative yet (top-down order).
-            let silence = now.saturating_since(self.levels[l].zcr_heard_at);
-            let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
-            let parent_known = l + 1 < self.levels.len() && self.levels[l + 1].zcr.is_some();
-            if (self.levels[l].zcr.is_some() && silence < window) || !parent_known {
-                return;
-            }
-        }
-        self.issue_challenge(ctx, l);
-    }
-
-    fn issue_challenge(&mut self, ctx: &mut dyn SessionCtx, l: usize) {
-        let zone = self.chain[l];
-        let parent = self.chain[l + 1];
-        let claimed = self.levels[l].my_dist_to_parent;
-        // A non-ZCR only gets here via liveness expiry: the seat is vacant.
-        let vacant = self.levels[l].zcr != Some(self.node);
-        self.levels[l].pending = Some(Pending {
-            challenger: self.node,
-            claimed,
-            heard_at: ctx.now(),
-            mine: true,
-            vacant,
-        });
-        ctx.send(
-            parent,
-            SessionMsg::ZcrChallenge {
-                zone,
-                challenger: self.node,
-                claimed_dist: claimed,
-            },
-            self.cfg.control_bytes,
-        );
-    }
-
-    fn on_challenge(
-        &mut self,
-        ctx: &mut dyn SessionCtx,
-        zone: ZoneId,
-        challenger: NodeId,
-        claimed: Option<SimDuration>,
-    ) {
-        let now = ctx.now();
-        // Respond if we represent the parent zone.
-        if let Some(parent) = self.hier.parent(zone) {
-            if let Some(pl) = self.chain_index(parent) {
-                if self.levels[pl].zcr == Some(self.node) {
-                    ctx.send(
-                        parent,
-                        SessionMsg::ZcrResponse {
-                            zone,
-                            challenger,
-                            // The simulator responds within the same event;
-                            // a real implementation reports its queueing
-                            // delay here.
-                            hold: SimDuration::ZERO,
-                        },
-                        self.cfg.control_bytes,
-                    );
-                }
-            }
-        }
-        // Election bookkeeping if the zone is in our chain.
-        if let Some(l) = self.chain_index(zone) {
-            // Corroborate a vacancy claim against our own liveness view:
-            // the challenger is not the sitting ZCR *and* we have not
-            // heard from that ZCR within the window either.
-            let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
-            let silence = now.saturating_since(self.levels[l].zcr_heard_at);
-            let vacant = match self.levels[l].zcr {
-                None => true,
-                Some(z) => z != challenger && silence >= window,
-            };
-            self.levels[l].pending = Some(Pending {
-                challenger,
-                claimed,
-                heard_at: now,
-                mine: false,
-                vacant,
-            });
-            // Challenge activity counts as ZCR liveness (an election is in
-            // progress; don't pile on) — but only from a ZCR we still hear
-            // inside the zone.  Challenges travel on the parent channel,
-            // which can survive a cut that severs the zone's own channel;
-            // a partitioned-off ZCR must not keep its seat alive through
-            // election control traffic its zone can no longer benefit from.
-            if Some(challenger) == self.levels[l].zcr && self.peer_fresh(l, challenger, now) {
-                self.levels[l].zcr_heard_at = now;
-                if claimed.is_some() {
-                    self.levels[l].link_dist = claimed;
-                }
-            }
-        }
-    }
-
-    fn on_response(
-        &mut self,
-        ctx: &mut dyn SessionCtx,
-        zone: ZoneId,
-        challenger: NodeId,
-        hold: SimDuration,
-    ) {
-        let Some(l) = self.chain_index(zone) else {
-            return;
-        };
-        let Some(pending) = self.levels[l].pending.take() else {
-            return;
-        };
-        if pending.challenger != challenger {
-            // Response to a different (raced) challenge; drop ours too —
-            // the next periodic round will retry.
-            return;
-        }
-        let now = ctx.now();
-        let elapsed = now.saturating_since(pending.heard_at);
-        let elapsed = if elapsed >= hold {
-            elapsed - hold
-        } else {
-            SimDuration::ZERO
-        };
-
-        let my_dist = if pending.mine {
-            // I issued the challenge: elapsed is my full round trip.
-            Some(elapsed / 2)
-        } else if !self.peer_fresh(l, challenger, now) {
-            // A challenger we have not heard inside the zone for a whole
-            // liveness window is challenging from across a partition (its
-            // challenge reached us via the parent channel).  Our cached
-            // RTT to it predates the split, so the overheard measurement
-            // would be garbage — often a flattering near-zero distance
-            // that then wins elections it should not.
-            None
-        } else {
-            // Paper §5.2: dist = dist_to_challenger + (t_reply − t_challenge)
-            //                   − dist_challenger_to_parent   (one-way units)
-            match (self.direct_rtt(challenger), pending.claimed) {
-                (Some(rtt), Some(claimed)) => {
-                    let base = rtt / 2 + elapsed;
-                    Some(if base >= claimed {
-                        base - claimed
-                    } else {
-                        SimDuration::ZERO
-                    })
-                }
-                _ => None,
-            }
-        };
-        let Some(my_dist) = my_dist else {
-            return;
-        };
-        self.levels[l].my_dist_to_parent = Some(my_dist);
-
-        if !self.candidate(l) {
-            return;
-        }
-        // Would we beat the sitting ZCR?
-        let incumbent_dist = if Some(pending.challenger) == self.levels[l].zcr {
-            pending.claimed
-        } else {
-            self.levels[l].link_dist
-        };
-        let beats = if pending.vacant {
-            // Dead or unknown incumbent: any live candidate with a measured
-            // distance competes; takeover suppression sorts out who is
-            // closest.
-            self.levels[l].zcr != Some(self.node)
-        } else {
-            match self.levels[l].zcr {
-                None => true,
-                Some(z) if z == self.node => false,
-                Some(_) => match incumbent_dist {
-                    Some(d) => my_dist < d,
-                    None => false,
-                },
-            }
-        };
-        if !beats {
-            self.levels[l].usurp_rounds = 0;
-            return;
-        }
-        if !pending.vacant {
-            // Usurping a *live* incumbent needs two consecutive beating
-            // rounds: a single overheard measurement can be garbage when a
-            // link fault re-routes the exchange mid-flight.
-            self.levels[l].usurp_rounds = self.levels[l].usurp_rounds.saturating_add(1);
-            if self.levels[l].usurp_rounds < 2 {
-                return;
-            }
-        }
-        if self.levels[l].takeover.is_none() {
-            // Suppression: delay proportional to distance so the closest
-            // candidate declares first (paper §5.2: "other potential ZCRs
-            // should perform suppression as appropriate").
-            let delay = my_dist.mul_f64(ctx.rng().range_f64(
-                self.cfg.takeover_c1,
-                self.cfg.takeover_c1 + self.cfg.takeover_c2,
-            ));
-            let id = ctx.set_timer(delay, token(KIND_TAKEOVER, l));
-            self.levels[l].takeover = Some((id, my_dist));
-        }
-    }
-
-    fn takeover_fire(&mut self, ctx: &mut dyn SessionCtx, l: usize) {
-        let Some((_, my_dist)) = self.levels[l].takeover.take() else {
-            return;
-        };
-        self.declare_takeover(ctx, l, my_dist, ZcrAction::Takeover);
-    }
-
-    fn declare_takeover(
-        &mut self,
-        ctx: &mut dyn SessionCtx,
-        l: usize,
-        my_dist: SimDuration,
-        action: ZcrAction,
-    ) {
-        let zone = self.chain[l];
-        let parent = self.chain[l + 1];
-        let msg = SessionMsg::ZcrTakeover {
-            zone,
-            new_zcr: self.node,
-            dist_to_parent: my_dist,
-        };
-        // Two packets: one informs the child zone, one the parent (§5.2).
-        ctx.send(zone, msg.clone(), self.cfg.control_bytes);
-        ctx.send(parent, msg, self.cfg.control_bytes);
-        ctx.probe(ProbeEvent::Zcr {
-            zone: zone.idx() as u64,
-            action,
-            holder: self.node,
-        });
-        self.set_seat(l, Some(self.node));
-        self.levels[l].zcr_heard_at = ctx.now();
-        self.levels[l].my_dist_to_parent = Some(my_dist);
-        self.levels[l].link_dist = Some(my_dist);
-        self.levels[l].usurp_rounds = 0;
-    }
-
-    fn on_takeover(
-        &mut self,
-        ctx: &mut dyn SessionCtx,
-        zone: ZoneId,
-        new_zcr: NodeId,
-        dist: SimDuration,
-    ) {
-        let Some(l) = self.chain_index(zone) else {
-            return;
-        };
-        // Suppress our own pending takeover if the declarer is closer.
-        if let Some((id, my_dist)) = self.levels[l].takeover {
-            if dist <= my_dist {
-                ctx.cancel_timer(id);
-                self.levels[l].takeover = None;
-            }
-        }
-        // Sitting ZCR reasserts if it is still strictly closer (§5.2: "the
-        // old ZCR will … reassert its superiority").
-        if self.levels[l].zcr == Some(self.node) && new_zcr != self.node {
-            if !self.zone_fresh(l, ctx.now()) {
-                // We are cut off from the zone: the declarer is on the far
-                // side of a partition and this takeover reached us through
-                // the parent channel.  Neither fight back (reasserting
-                // through the parent would flip the far side's freshly
-                // elected ZCR and oscillate) nor concede a zone we can
-                // still serve on our own side — the announce-time conflict
-                // resolution arbitrates once the partition heals.
-                return;
-            }
-            if let Some(mine) = self.levels[l].my_dist_to_parent {
-                if mine < dist {
-                    self.declare_takeover(ctx, l, mine, ZcrAction::Reassert);
-                    return;
-                }
-            }
-        }
-        // Adopt — but only a declarer we can actually hear inside the
-        // zone.  A takeover can arrive through the parent channel from
-        // across a zone partition (the parent's channel survives a cut
-        // that severs the zone's); adopting a representative whose
-        // announcements cannot reach us would strand the zone behind a
-        // silent ZCR and re-trigger elections forever.
-        if new_zcr != self.node && !self.peer_fresh(l, new_zcr, ctx.now()) {
-            return;
-        }
-        if new_zcr != self.node {
-            // A sitting ZCR stepping aside concedes; everyone else adopts.
-            let action = if self.levels[l].zcr == Some(self.node) {
-                ZcrAction::Concede
-            } else {
-                ZcrAction::Adopt
-            };
-            ctx.probe(ProbeEvent::Zcr {
-                zone: zone.idx() as u64,
-                action,
-                holder: new_zcr,
-            });
-        }
-        self.set_seat(l, Some(new_zcr));
-        self.levels[l].zcr_heard_at = ctx.now();
-        self.levels[l].link_dist = Some(dist);
-        self.levels[l].usurp_rounds = 0;
-    }
 }
 
 impl core::fmt::Debug for SessionCore {
@@ -1161,6 +822,85 @@ mod tests {
         ZcrSeeding::Designed(vec![n(0), n(1), n(3)])
     }
 
+    /// `node`'s core over [`hier`] under the [`designed`] seeding, not yet
+    /// started.
+    fn core_of(node: u32) -> SessionCore {
+        SessionCore::new(n(node), hier(), SessionConfig::default(), &designed())
+    }
+
+    /// [`core_of`], cold-started at t = 0 on a fresh ctx.
+    fn started(node: u32) -> (SessionCore, FakeCtx) {
+        let (mut core, mut ctx) = (core_of(node), FakeCtx::new());
+        core.start(&mut ctx);
+        (core, ctx)
+    }
+
+    /// One report line echoing `peer`'s timestamp `echo_ms`, held `held_ms`.
+    fn line(peer: u32, echo_ms: u64, held_ms: u64) -> PeerEntry {
+        PeerEntry {
+            peer: n(peer),
+            echo_sent_at: SimTime::from_millis(echo_ms),
+            elapsed: ms(held_ms),
+            rtt_est: None,
+        }
+    }
+
+    /// A report line carrying only the announcer's RTT estimate to `peer`.
+    fn estimate(peer: u32, rtt_ms: u64) -> PeerEntry {
+        PeerEntry {
+            rtt_est: Some(ms(rtt_ms)),
+            ..line(peer, 0, 0)
+        }
+    }
+
+    fn announce(zone: ZoneId, sent_ms: u64, zcr: u32, entries: Vec<PeerEntry>) -> SessionMsg {
+        SessionMsg::Announce(Announce {
+            zone,
+            sent_at: SimTime::from_millis(sent_ms),
+            zcr: Some(n(zcr)),
+            zcr_to_parent: None,
+            report: None,
+            entries,
+        })
+    }
+
+    /// Node 4 announcing itself, at t = 30 s, as Z2's ZCR 30 ms from the
+    /// parent ZCR: what a sitting ZCR hears when a partition heals.
+    fn rival_announce() -> SessionMsg {
+        let mut msg = announce(ZoneId(2), 30_000, 4, vec![]);
+        if let SessionMsg::Announce(a) = &mut msg {
+            a.zcr_to_parent = Some(ms(30));
+        }
+        msg
+    }
+
+    fn challenge(zone: ZoneId, challenger: u32, claimed_ms: Option<u64>) -> SessionMsg {
+        let (challenger, claimed_dist) = (n(challenger), claimed_ms.map(ms));
+        SessionMsg::ZcrChallenge {
+            zone,
+            challenger,
+            claimed_dist,
+        }
+    }
+
+    fn response(zone: ZoneId, challenger: u32, hold_ms: u64) -> SessionMsg {
+        let (challenger, hold) = (n(challenger), ms(hold_ms));
+        SessionMsg::ZcrResponse {
+            zone,
+            challenger,
+            hold,
+        }
+    }
+
+    fn takeover(zone: ZoneId, new_zcr: u32, dist_ms: u64) -> SessionMsg {
+        let (new_zcr, dist_to_parent) = (n(new_zcr), ms(dist_ms));
+        SessionMsg::ZcrTakeover {
+            zone,
+            new_zcr,
+            dist_to_parent,
+        }
+    }
+
     #[test]
     fn token_round_trip() {
         let t = token(KIND_CHALLENGE, 5);
@@ -1171,7 +911,7 @@ mod tests {
 
     #[test]
     fn chain_and_participation_for_deep_node() {
-        let core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
+        let core = core_of(5);
         assert_eq!(core.chain_zones().len(), 3);
         // node 5 is not a ZCR: participates only in its smallest zone.
         assert_eq!(core.participation(), vec![core.chain_zones()[0]]);
@@ -1181,7 +921,7 @@ mod tests {
 
     #[test]
     fn zcr_participates_in_parent_zone() {
-        let core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
+        let core = core_of(3);
         // node 3 is ZCR of Z2 -> participates in Z2 and Z1.
         let p = core.participation();
         assert_eq!(p.len(), 2);
@@ -1224,9 +964,7 @@ mod tests {
 
     #[test]
     fn start_arms_announce_and_elections() {
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (_, ctx) = started(5);
         // announce timer + challenge timers for the two non-root levels.
         let kinds: Vec<u64> = ctx.timers.iter().map(|(_, t)| token_parts(*t).0).collect();
         assert_eq!(kinds.iter().filter(|&&k| k == KIND_ANNOUNCE).count(), 1);
@@ -1244,9 +982,7 @@ mod tests {
         // re-arm announce/challenge timers (the crash epoch killed the
         // old ones), reset the ZCR liveness clocks, and NOT re-emit the
         // seeded-tenure probe or seat gain.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         let cold_timers = ctx.timers.len();
         let cold_probes = ctx.probes.len();
         assert_eq!(cold_probes, 1, "node 3 is the seeded ZCR of Z2");
@@ -1268,9 +1004,7 @@ mod tests {
 
     #[test]
     fn announce_timer_emits_one_message_per_participation_zone() {
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         let tok = token(KIND_ANNOUNCE, 0);
         ctx.now = SimTime::from_millis(100);
         assert!(core.on_timer(&mut ctx, tok));
@@ -1289,30 +1023,13 @@ mod tests {
 
     #[test]
     fn echo_produces_rtt_estimate() {
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         // Peer 4 echoes our timestamp 100 with 20ms hold; we receive at 180.
         // RTT = 180 - 100 - 20 = 60ms.
         ctx.now = SimTime::from_millis(180);
         let smallest = core.chain_zones()[0];
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::Announce(Announce {
-                zone: smallest,
-                sent_at: SimTime::from_millis(150),
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(5),
-                    echo_sent_at: SimTime::from_millis(100),
-                    elapsed: ms(20),
-                    rtt_est: None,
-                }],
-            }),
-        );
+        let echo = announce(smallest, 150, 3, vec![line(5, 100, 20)]);
+        core.on_msg(&mut ctx, n(4), &echo);
         assert_eq!(core.direct_rtt(n(4)), Some(ms(60)));
         assert_eq!(core.tracked_peer_count(), 1);
     }
@@ -1325,60 +1042,19 @@ mod tests {
         // Then a packet from node 9 (not simulated here) carrying chain
         // entry (zone Z?, zcr=2, dist=15ms) should estimate:
         //  (20 + 50 + 15) * 2 = 170ms.
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
 
         // Direct RTT to node 3 via echo.
         ctx.now = SimTime::from_millis(140);
         let z2 = core.chain_zones()[0];
         let z1 = core.chain_zones()[1];
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z2,
-                sent_at: SimTime::from_millis(130),
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(5),
-                    echo_sent_at: SimTime::from_millis(100),
-                    elapsed: SimDuration::ZERO,
-                    rtt_est: None,
-                }],
-            }),
-        );
+        let echo = announce(z2, 130, 3, vec![line(5, 100, 0)]);
+        core.on_msg(&mut ctx, n(3), &echo);
         assert_eq!(core.direct_rtt(n(3)), Some(ms(40)));
 
         // Node 3's announce into Z1 (its parent zone).
-        let now = ctx.now;
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z1,
-                sent_at: now,
-                zcr: Some(n(1)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![
-                    PeerEntry {
-                        peer: n(1),
-                        echo_sent_at: SimTime::ZERO,
-                        elapsed: SimDuration::ZERO,
-                        rtt_est: Some(ms(60)),
-                    },
-                    PeerEntry {
-                        peer: n(2),
-                        echo_sent_at: SimTime::ZERO,
-                        elapsed: SimDuration::ZERO,
-                        rtt_est: Some(ms(100)),
-                    },
-                ],
-            }),
-        );
+        let table = announce(z1, 140, 1, vec![estimate(1, 60), estimate(2, 100)]);
+        core.on_msg(&mut ctx, n(3), &table);
 
         // Indirect estimate through sibling ZCR 2.
         let est = core.estimate_rtt(
@@ -1410,23 +1086,8 @@ mod tests {
 
         // The next announce replaces the sibling table, it does not merge
         // into it: node 2 has dropped out of node 3's table.
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z1,
-                sent_at: now,
-                zcr: Some(n(1)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(1),
-                    echo_sent_at: SimTime::ZERO,
-                    elapsed: SimDuration::ZERO,
-                    rtt_est: Some(ms(80)),
-                }],
-            }),
-        );
+        let table = announce(z1, 140, 1, vec![estimate(1, 80)]);
+        core.on_msg(&mut ctx, n(3), &table);
         let sibling = AncestorEntry {
             zone: ZoneId(1),
             zcr: n(2),
@@ -1446,54 +1107,21 @@ mod tests {
         // the arithmetic: elapsed = 25ms, dist_to_challenger = 5ms,
         // claimed = 10ms => my_dist = 5 + 25 - 10 = 20ms? No: true d02 =
         // 15ms means elapsed must be d01 + d02 - d12 = 10 + 15 - 5 = 20ms.
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         let z2 = core.chain_zones()[0];
 
         // Seed direct RTT to challenger (node 3): 10ms RTT = 5ms one-way.
         ctx.now = SimTime::from_millis(60);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z2,
-                sent_at: SimTime::from_millis(55),
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(5),
-                    echo_sent_at: SimTime::from_millis(50),
-                    elapsed: SimDuration::ZERO,
-                    rtt_est: None,
-                }],
-            }),
-        );
+        let echo = announce(z2, 55, 3, vec![line(5, 50, 0)]);
+        core.on_msg(&mut ctx, n(3), &echo);
         assert_eq!(core.direct_rtt(n(3)), Some(ms(10)));
 
         // Challenge from sitting ZCR 3 with claimed distance 10ms.
         ctx.now = SimTime::from_millis(100);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::ZcrChallenge {
-                zone: z2,
-                challenger: n(3),
-                claimed_dist: Some(ms(10)),
-            },
-        );
+        core.on_msg(&mut ctx, n(3), &challenge(z2, 3, Some(10)));
         // Response arrives 20ms later: my_dist = 5 + 20 - 10 = 15ms.
         ctx.now = SimTime::from_millis(120);
-        core.on_msg(
-            &mut ctx,
-            n(1),
-            &SessionMsg::ZcrResponse {
-                zone: z2,
-                challenger: n(3),
-                hold: SimDuration::ZERO,
-            },
-        );
+        core.on_msg(&mut ctx, n(1), &response(z2, 3, 0));
         assert_eq!(core.levels[0].my_dist_to_parent, Some(ms(15)));
         // 15ms > ZCR's 10ms: no takeover scheduled.
         assert!(core.levels[0].takeover.is_none());
@@ -1501,54 +1129,21 @@ mod tests {
 
     #[test]
     fn closer_node_schedules_takeover_and_suppression_works() {
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         let z2 = core.chain_zones()[0];
         // Direct RTT to challenger 3: 40ms (20 one-way).
         ctx.now = SimTime::from_millis(60);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z2,
-                sent_at: SimTime::from_millis(40),
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(5),
-                    echo_sent_at: SimTime::from_millis(20),
-                    elapsed: SimDuration::ZERO,
-                    rtt_est: None,
-                }],
-            }),
-        );
+        let echo = announce(z2, 40, 3, vec![line(5, 20, 0)]);
+        core.on_msg(&mut ctx, n(3), &echo);
         // ZCR 3 claims 50ms to parent; response timing gives us
         // my_dist = 20 + (t_resp - t_chal) - 50 = 20 + 40 - 50 = 10ms < 50ms.
         // Usurping a live incumbent is debounced: the first beating round
         // only arms the streak, the second schedules the takeover.
         for round in 0u64..2 {
             ctx.now = SimTime::from_millis(100 * (round + 1));
-            core.on_msg(
-                &mut ctx,
-                n(3),
-                &SessionMsg::ZcrChallenge {
-                    zone: z2,
-                    challenger: n(3),
-                    claimed_dist: Some(ms(50)),
-                },
-            );
+            core.on_msg(&mut ctx, n(3), &challenge(z2, 3, Some(50)));
             ctx.now = SimTime::from_millis(100 * (round + 1) + 40);
-            core.on_msg(
-                &mut ctx,
-                n(1),
-                &SessionMsg::ZcrResponse {
-                    zone: z2,
-                    challenger: n(3),
-                    hold: SimDuration::ZERO,
-                },
-            );
+            core.on_msg(&mut ctx, n(1), &response(z2, 3, 0));
             if round == 0 {
                 assert!(
                     core.levels[0].takeover.is_none(),
@@ -1560,37 +1155,19 @@ mod tests {
         assert_eq!(my_dist, ms(10));
 
         // Someone closer (6ms) declares first: our takeover is suppressed.
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(4),
-                dist_to_parent: ms(6),
-            },
-        );
+        core.on_msg(&mut ctx, n(4), &takeover(z2, 4, 6));
         assert!(core.levels[0].takeover.is_none());
         assert_eq!(core.zcr_of(z2), Some(n(4)));
     }
 
     #[test]
     fn sitting_zcr_reasserts_against_farther_usurper() {
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         let z2 = core.chain_zones()[0];
         assert!(core.is_zcr_of(z2));
         core.levels[0].my_dist_to_parent = Some(ms(10));
         // A usurper claims 25ms: we are closer, so we reassert.
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(25),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 25));
         assert!(core.is_zcr_of(z2));
         let reasserts = ctx
             .sent
@@ -1602,15 +1179,7 @@ mod tests {
         assert_eq!(reasserts, 2, "reassert goes to child and parent zones");
 
         // But a genuinely closer usurper wins.
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(4),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
         assert_eq!(core.zcr_of(z2), Some(n(6)));
         assert!(!core.is_zcr_of(z2));
     }
@@ -1619,29 +1188,11 @@ mod tests {
     fn seat_transitions_emit_probe_events() {
         // Replays `sitting_zcr_reasserts_against_farther_usurper` and
         // checks the probe narrative: seeded -> reassert -> concede.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         let z2 = core.chain_zones()[0];
         core.levels[0].my_dist_to_parent = Some(ms(10));
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(25),
-            },
-        );
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(4),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 25));
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
         let seats: Vec<(u64, ZcrAction, NodeId)> = ctx
             .probes
             .iter()
@@ -1666,41 +1217,21 @@ mod tests {
 
     #[test]
     fn seat_events_record_this_nodes_tenure_changes() {
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         // Seeded ZCR of Z2 (chain level 0): one gain event, drained once.
         assert_eq!(core.take_seat_events(), vec![(0, true)]);
         assert_eq!(core.take_seat_events(), vec![]);
         let z2 = core.chain_zones()[0];
         core.levels[0].my_dist_to_parent = Some(ms(10));
         // Reassert against a farther usurper: tenure unchanged, no event.
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(25),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 25));
         assert_eq!(core.take_seat_events(), vec![]);
         // A strictly closer usurper wins the seat: one loss event.
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(4),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
         assert_eq!(core.take_seat_events(), vec![(0, false)]);
 
         // A node seeded with no seats never produces events.
-        let mut other = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut c2 = FakeCtx::new();
-        other.start(&mut c2);
+        let (mut other, _) = started(5);
         assert_eq!(other.take_seat_events(), vec![]);
     }
 
@@ -1708,18 +1239,8 @@ mod tests {
     fn parent_zcr_responds_to_challenges() {
         // Node 1 is ZCR of Z1; a challenge for Z2 goes to Z1 and node 1
         // must answer it.
-        let mut core = SessionCore::new(n(1), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::ZcrChallenge {
-                zone: ZoneId(2),
-                challenger: n(3),
-                claimed_dist: None,
-            },
-        );
+        let (mut core, mut ctx) = started(1);
+        core.on_msg(&mut ctx, n(3), &challenge(ZoneId(2), 3, None));
         let responses: Vec<_> = ctx
             .sent
             .iter()
@@ -1735,9 +1256,7 @@ mod tests {
 
     #[test]
     fn challenger_measures_own_distance_from_round_trip() {
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         // Node 3 is ZCR of Z2 and candidate for it; fire its challenge tick.
         ctx.now = SimTime::from_millis(1000);
         core.challenge_tick(&mut ctx, 0);
@@ -1747,35 +1266,17 @@ mod tests {
         ));
         // Response 30ms later: own one-way distance = 15ms.
         ctx.now = SimTime::from_millis(1030);
-        core.on_msg(
-            &mut ctx,
-            n(1),
-            &SessionMsg::ZcrResponse {
-                zone: ZoneId(2),
-                challenger: n(3),
-                hold: SimDuration::ZERO,
-            },
-        );
+        core.on_msg(&mut ctx, n(1), &response(ZoneId(2), 3, 0));
         assert_eq!(core.levels[0].my_dist_to_parent, Some(ms(15)));
     }
 
     #[test]
     fn hold_time_is_subtracted() {
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         ctx.now = SimTime::from_millis(1000);
         core.challenge_tick(&mut ctx, 0);
         ctx.now = SimTime::from_millis(1040);
-        core.on_msg(
-            &mut ctx,
-            n(1),
-            &SessionMsg::ZcrResponse {
-                zone: ZoneId(2),
-                challenger: n(3),
-                hold: ms(10),
-            },
-        );
+        core.on_msg(&mut ctx, n(1), &response(ZoneId(2), 3, 10));
         assert_eq!(core.levels[0].my_dist_to_parent, Some(ms(15)));
     }
 
@@ -1794,18 +1295,8 @@ mod tests {
     #[test]
     fn non_chain_messages_are_ignored() {
         // Node 0's chain is only [Z0]; a takeover for Z2 must not touch it.
-        let mut core = SessionCore::new(n(0), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: ZoneId(2),
-                new_zcr: n(6),
-                dist_to_parent: ms(1),
-            },
-        );
+        let (mut core, mut ctx) = started(0);
+        core.on_msg(&mut ctx, n(6), &takeover(ZoneId(2), 6, 1));
         assert_eq!(core.zcr_of(ZoneId(2)), None); // not in chain
         assert_eq!(core.zcr_of(ZoneId(0)), Some(n(0)));
     }
@@ -1816,24 +1307,10 @@ mod tests {
         // healed partition it hears node 4 announce itself as Z2's ZCR at
         // 30ms.  Node 3 is strictly closer, so it must reassert with a
         // takeover rather than concede.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         core.levels[0].my_dist_to_parent = Some(ms(10));
         ctx.now = SimTime::from_secs(30);
-        let sent_at = ctx.now;
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::Announce(Announce {
-                zone: ZoneId(2),
-                sent_at,
-                zcr: Some(n(4)),
-                zcr_to_parent: Some(ms(30)),
-                report: None,
-                entries: vec![],
-            }),
-        );
+        core.on_msg(&mut ctx, n(4), &rival_announce());
         assert_eq!(core.zcr_of(ZoneId(2)), Some(n(3)), "incumbent holds");
         assert!(
             ctx.sent.iter().any(|(_, m)| matches!(
@@ -1849,24 +1326,10 @@ mod tests {
     fn partition_heal_farther_sitting_zcr_concedes() {
         // Mirror image: the sitting ZCR measures 50ms, the rival announces
         // 30ms — the incumbent concedes and adopts the rival.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         core.levels[0].my_dist_to_parent = Some(ms(50));
         ctx.now = SimTime::from_secs(30);
-        let sent_at = ctx.now;
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::Announce(Announce {
-                zone: ZoneId(2),
-                sent_at,
-                zcr: Some(n(4)),
-                zcr_to_parent: Some(ms(30)),
-                report: None,
-                entries: vec![],
-            }),
-        );
+        core.on_msg(&mut ctx, n(4), &rival_announce());
         assert_eq!(core.zcr_of(ZoneId(2)), Some(n(4)), "incumbent concedes");
         assert_eq!(core.levels[0].link_dist, Some(ms(30)));
         assert!(
@@ -1881,24 +1344,10 @@ mod tests {
     fn partition_heal_tie_breaks_toward_lower_node_id() {
         // Equal distances: the lower node id wins, so node 3 (vs rival 4)
         // reasserts on a tie.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         core.levels[0].my_dist_to_parent = Some(ms(30));
         ctx.now = SimTime::from_secs(30);
-        let sent_at = ctx.now;
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::Announce(Announce {
-                zone: ZoneId(2),
-                sent_at,
-                zcr: Some(n(4)),
-                zcr_to_parent: Some(ms(30)),
-                report: None,
-                entries: vec![],
-            }),
-        );
+        core.on_msg(&mut ctx, n(4), &rival_announce());
         assert_eq!(core.zcr_of(ZoneId(2)), Some(n(3)));
     }
 
@@ -1910,20 +1359,10 @@ mod tests {
         // from the far side of the partition.  It must neither reassert
         // (that would flip the far side's freshly elected ZCR and
         // oscillate) nor concede the zone it still serves on its side.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         core.levels[0].my_dist_to_parent = Some(ms(10));
         ctx.now = SimTime::from_secs(20);
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: ZoneId(2),
-                new_zcr: n(6),
-                dist_to_parent: ms(25),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(ZoneId(2), 6, 25));
         assert_eq!(core.zcr_of(ZoneId(2)), Some(n(3)), "no concession");
         assert!(
             !ctx.sent
@@ -1934,28 +1373,8 @@ mod tests {
 
         // Once zone traffic is heard again the usual reassert logic is
         // back in force: the same farther takeover now draws a fight.
-        let sent_at = ctx.now;
-        core.on_msg(
-            &mut ctx,
-            n(4),
-            &SessionMsg::Announce(Announce {
-                zone: ZoneId(2),
-                sent_at,
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![],
-            }),
-        );
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: ZoneId(2),
-                new_zcr: n(6),
-                dist_to_parent: ms(25),
-            },
-        );
+        core.on_msg(&mut ctx, n(4), &announce(ZoneId(2), 20_000, 3, vec![]));
+        core.on_msg(&mut ctx, n(6), &takeover(ZoneId(2), 6, 25));
         assert_eq!(core.zcr_of(ZoneId(2)), Some(n(3)));
         assert!(
             ctx.sent.iter().any(|(_, m)| matches!(
@@ -1972,52 +1391,19 @@ mod tests {
         // been heard inside the zone for a whole liveness window: the
         // cached RTT to it predates a partition, so the overheard
         // distance arithmetic must be skipped, not clamped.
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         let z2 = core.chain_zones()[0];
         // Heard node 3 once, early — the RTT sample that would feed the
         // overheard formula.
         ctx.now = SimTime::from_millis(60);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::Announce(Announce {
-                zone: z2,
-                sent_at: SimTime::from_millis(40),
-                zcr: Some(n(3)),
-                zcr_to_parent: None,
-                report: None,
-                entries: vec![PeerEntry {
-                    peer: n(5),
-                    echo_sent_at: SimTime::from_millis(20),
-                    elapsed: SimDuration::ZERO,
-                    rtt_est: None,
-                }],
-            }),
-        );
+        let echo = announce(z2, 40, 3, vec![line(5, 20, 0)]);
+        core.on_msg(&mut ctx, n(3), &echo);
         // Much later (node 3 long silent in-zone) its challenge and the
         // parent's response drift in via the parent channel.
         ctx.now = SimTime::from_secs(20);
-        core.on_msg(
-            &mut ctx,
-            n(3),
-            &SessionMsg::ZcrChallenge {
-                zone: z2,
-                challenger: n(3),
-                claimed_dist: Some(ms(50)),
-            },
-        );
+        core.on_msg(&mut ctx, n(3), &challenge(z2, 3, Some(50)));
         ctx.now = SimTime::from_secs(20) + ms(40);
-        core.on_msg(
-            &mut ctx,
-            n(1),
-            &SessionMsg::ZcrResponse {
-                zone: z2,
-                challenger: n(3),
-                hold: SimDuration::ZERO,
-            },
-        );
+        core.on_msg(&mut ctx, n(1), &response(z2, 3, 0));
         assert_eq!(
             core.levels[0].my_dist_to_parent, None,
             "stale overheard measurement must not update the distance"
@@ -2028,34 +1414,11 @@ mod tests {
         );
     }
 
-    /// One report line echoing `peer`'s timestamp `echo_ms`, held `held_ms`.
-    fn line(peer: u32, echo_ms: u64, held_ms: u64) -> PeerEntry {
-        PeerEntry {
-            peer: n(peer),
-            echo_sent_at: SimTime::from_millis(echo_ms),
-            elapsed: ms(held_ms),
-            rtt_est: None,
-        }
-    }
-
-    fn announce(zone: ZoneId, sent_ms: u64, zcr: u32, entries: Vec<PeerEntry>) -> SessionMsg {
-        SessionMsg::Announce(Announce {
-            zone,
-            sent_at: SimTime::from_millis(sent_ms),
-            zcr: Some(n(zcr)),
-            zcr_to_parent: None,
-            report: None,
-            entries,
-        })
-    }
-
     #[test]
     fn own_line_is_found_wherever_it_sorts() {
         // Node 5 in Z2 = {3, 4, 5, 6}; every echo below closes a 60 ms loop
         // (heard at 180, own timestamp 100, held 20).
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         ctx.now = SimTime::from_millis(180);
         let z2 = ZoneId(2);
         let mine = || line(5, 100, 20);
@@ -2098,7 +1461,7 @@ mod tests {
         assert_eq!(core.tracked_peer_count(), 3);
 
         // … and a peer never echoed back is heard without an estimate.
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
+        let mut core = core_of(5);
         core.start(&mut ctx);
         core.on_msg(&mut ctx, n(4), &announce(z2, 150, 3, vec![other(3)]));
         core.on_msg(&mut ctx, n(6), &announce(z2, 150, 3, vec![]));
@@ -2110,9 +1473,7 @@ mod tests {
     #[test]
     fn a_lost_seat_keeps_its_table_and_a_regained_one_resumes_it() {
         // Node 3 sits as ZCR of Z2, so it participates in Z2 and Z1.
-        let mut core = SessionCore::new(n(3), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(3);
         let (z1, z2) = (ZoneId(1), ZoneId(2));
         ctx.now = SimTime::from_millis(180);
         core.on_msg(
@@ -2131,15 +1492,7 @@ mod tests {
 
         // A closer usurper takes Z2: node 3 stops participating in Z1.
         core.levels[0].my_dist_to_parent = Some(ms(10));
-        core.on_msg(
-            &mut ctx,
-            n(6),
-            &SessionMsg::ZcrTakeover {
-                zone: z2,
-                new_zcr: n(6),
-                dist_to_parent: ms(4),
-            },
-        );
+        core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
         assert_eq!(core.participation(), vec![z2]);
         // The Z1 table is kept and still counted, but no longer searched
         // or updated …
@@ -2179,9 +1532,7 @@ mod tests {
 
     #[test]
     fn freshness_reads_the_levels_own_table() {
-        let mut core = SessionCore::new(n(5), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(5);
         let early = SimTime::from_secs(1);
         let late = SimTime::from_secs(20); // far past the 3.2 s window
                                            // Nobody heard yet: trivially fresh early on, stale once a whole
@@ -2209,9 +1560,7 @@ mod tests {
     fn a_zone_outside_the_chain_has_no_aggregate() {
         // Node 0's chain is [Z0]; Z2 traffic reaches it because channels
         // nest, and is ignored.
-        let mut core = SessionCore::new(n(0), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (mut core, mut ctx) = started(0);
         core.set_local_loss(0.25);
         let mut heard = announce(ZoneId(2), 10, 3, vec![]);
         if let SessionMsg::Announce(a) = &mut heard {
@@ -2230,9 +1579,7 @@ mod tests {
 
     #[test]
     fn source_has_no_election_timers() {
-        let mut core = SessionCore::new(n(0), hier(), SessionConfig::default(), &designed());
-        let mut ctx = FakeCtx::new();
-        core.start(&mut ctx);
+        let (_, ctx) = started(0);
         let challenge_timers = ctx
             .timers
             .iter()

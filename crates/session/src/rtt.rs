@@ -40,11 +40,6 @@ impl RttEstimate {
     pub fn one_way(&self) -> SimDuration {
         self.rtt / 2
     }
-
-    /// Number of samples merged so far.
-    pub fn samples(&self) -> u32 {
-        self.samples
-    }
 }
 
 /// Echo bookkeeping plus RTT estimate for one peer.
@@ -170,11 +165,6 @@ impl PeerTable {
         entries.sort_unstable_by_key(|e| e.peer);
         entries
     }
-
-    /// Iterates over tracked peers.
-    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.peers.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +186,7 @@ mod tests {
         }
         let err = (e.rtt().as_secs_f64() - 0.040).abs();
         assert!(err < 1e-4, "estimate {:?} should approach 40ms", e.rtt());
-        assert_eq!(e.samples(), 21);
+        assert_eq!(e.samples, 21);
     }
 
     #[test]

@@ -49,6 +49,7 @@
 pub mod config;
 pub mod msg;
 pub mod receiver;
+mod replier;
 pub mod source;
 
 pub use config::SrmConfig;

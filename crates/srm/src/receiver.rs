@@ -3,6 +3,7 @@
 use crate::adaptive_window;
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
+use crate::replier::Replier;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
@@ -31,12 +32,6 @@ struct ReqState {
     backed_off: bool,
 }
 
-#[derive(Debug)]
-struct RepState {
-    timer: TimerId,
-    d_ab: SimDuration,
-}
-
 /// SRM receiver agent.
 pub struct SrmReceiver {
     cfg: SrmConfig,
@@ -48,10 +43,9 @@ pub struct SrmReceiver {
     /// others' requests); `None` before anything is heard.
     max_seen: Option<u32>,
     requests: IdHashMap<u32, ReqState>,
-    repairs: IdHashMap<u32, RepState>,
-    holdoff: IdHashMap<u32, SimTime>,
     req_params: AdaptiveTimer,
-    rep_params: AdaptiveTimer,
+    /// Repairs this receiver owes for packets it holds.
+    replier: Replier,
     /// Session-layer peer table: every announcer heard, with the time it
     /// was last heard.  Because announcements are globally scoped this
     /// grows O(n) with session size — the state SRM's session protocol
@@ -73,19 +67,16 @@ impl SrmReceiver {
     /// `source`.
     pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId) -> SrmReceiver {
         let req_params = adaptive_window(cfg.c1, cfg.c2, cfg.adaptive);
-        let rep_params = adaptive_window(cfg.d1, cfg.d2, cfg.adaptive);
         SrmReceiver {
             received: vec![false; cfg.total_packets as usize],
+            replier: Replier::new(&cfg),
             cfg,
             chan,
             source,
             received_count: 0,
             max_seen: None,
             requests: IdHashMap::default(),
-            repairs: IdHashMap::default(),
-            holdoff: IdHashMap::default(),
             req_params,
-            rep_params,
             session_peers: IdHashMap::default(),
             announce_round: 0,
             requests_sent: 0,
@@ -195,25 +186,6 @@ impl SrmReceiver {
             });
         }
     }
-
-    fn schedule_repair(&mut self, ctx: &mut Ctx<'_, SrmMsg>, seq: u32, requester: NodeId) {
-        if self.repairs.contains_key(&seq) {
-            self.rep_params.saw_duplicate();
-            return;
-        }
-        if let Some(&until) = self.holdoff.get(&seq) {
-            if ctx.now() < until {
-                return;
-            }
-        }
-        let d_ab = ctx.one_way(requester);
-        let factor = ctx.rng().range_f64(
-            self.rep_params.lo(),
-            self.rep_params.lo() + self.rep_params.width(),
-        );
-        let timer = ctx.set_timer(d_ab.mul_f64(factor), TOK_REP_BASE | seq as u64);
-        self.repairs.insert(seq, RepState { timer, d_ab });
-    }
 }
 
 impl Agent<SrmMsg> for SrmReceiver {
@@ -223,8 +195,7 @@ impl Agent<SrmMsg> for SrmReceiver {
         size_of::<SrmReceiver>()
             + self.received.capacity() * size_of::<bool>()
             + map(self.requests.capacity(), size_of::<ReqState>())
-            + map(self.repairs.capacity(), size_of::<RepState>())
-            + map(self.holdoff.capacity(), size_of::<SimTime>())
+            + self.replier.heap_bytes()
             + self.session_bytes()
     }
 
@@ -278,14 +249,9 @@ impl Agent<SrmMsg> for SrmReceiver {
         let seq = (token & 0xFFFF_FFFF) as u32;
         if token & TOK_REP_BASE != 0 && token < TOK_AUDIT {
             // Repair timer fired: transmit if still unsuppressed.
-            if let Some(rep) = self.repairs.remove(&seq) {
+            if self.replier.fire(ctx, seq) {
                 ctx.multicast(self.chan, SrmMsg::Repair { seq }, self.cfg.packet_bytes);
                 self.repairs_sent += 1;
-                self.holdoff.insert(
-                    seq,
-                    ctx.now() + rep.d_ab.mul_f64(self.cfg.repair_holdoff_factor),
-                );
-                self.rep_params.end_round(1.0);
             }
             return;
         }
@@ -324,15 +290,7 @@ impl Agent<SrmMsg> for SrmReceiver {
             SrmMsg::Data { seq } => self.accept(ctx, seq),
             SrmMsg::Repair { seq } => {
                 // Cache the repair and suppress our own pending one.
-                if let Some(rep) = self.repairs.remove(&seq) {
-                    ctx.cancel_timer(rep.timer);
-                    self.holdoff.insert(
-                        seq,
-                        ctx.now() + rep.d_ab.mul_f64(self.cfg.repair_holdoff_factor),
-                    );
-                    self.rep_params.saw_duplicate();
-                    self.rep_params.end_round(1.0);
-                }
+                self.replier.heard_repair(ctx, seq);
                 self.accept(ctx, seq);
             }
             SrmMsg::Request { seq } => {
@@ -342,7 +300,8 @@ impl Agent<SrmMsg> for SrmReceiver {
                 // A request reveals the packet exists.
                 self.note_exists(ctx, seq);
                 if self.received[seq as usize] {
-                    self.schedule_repair(ctx, seq, pkt.src);
+                    let token = TOK_REP_BASE | seq as u64;
+                    self.replier.schedule(ctx, &self.cfg, seq, pkt.src, token);
                 } else if let Some((old_timer, i, backed_off)) = self
                     .requests
                     .get(&seq)
@@ -384,51 +343,7 @@ mod tests {
     use super::*;
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
-
-    /// A receiver and everything [`Ctx::new`] borrows, owned by the test:
-    /// no engine, no network.
-    struct Driven {
-        r: SrmReceiver,
-        me: NodeId,
-        now: SimTime,
-        rng: SimRng,
-        oracle: DistanceOracle,
-        next_timer: u64,
-        probes: ProbeSink,
-    }
-
-    impl Driven {
-        /// Runs one callback and returns what it queued.
-        fn call(
-            &mut self,
-            f: impl FnOnce(&mut SrmReceiver, &mut Ctx<'_, SrmMsg>),
-        ) -> Vec<Action<SrmMsg>> {
-            let mut actions = Vec::new();
-            let mut ctx = Ctx::new(
-                self.now,
-                self.me,
-                &mut self.rng,
-                &self.oracle,
-                &mut actions,
-                &mut self.next_timer,
-                &mut self.probes,
-            );
-            f(&mut self.r, &mut ctx);
-            actions
-        }
-
-        fn hear(&mut self, src: NodeId, payload: SrmMsg) -> Vec<Action<SrmMsg>> {
-            let pkt = Packet {
-                uid: 0,
-                src,
-                channel: ChannelId(0),
-                sent_at: self.now,
-                bytes: 0,
-                payload,
-            };
-            self.call(|r, ctx| r.on_packet(ctx, &pkt))
-        }
-    }
+    use sharqfec_netsim::testkit::Rig;
 
     /// SRM §IV backs a request off when a duplicate is overheard — once
     /// per round.  A shared upstream loss makes every peer request; the
@@ -438,9 +353,10 @@ mod tests {
     fn overheard_duplicates_back_a_request_off_once_per_round() {
         let built = sharqfec_topology::chain(3);
         let (source, peer) = (built.source, built.receivers[0]);
-        let mut d = Driven {
-            r: SrmReceiver::new(SrmConfig::default(), ChannelId(0), source),
-            me: built.receivers[1],
+        let chan = ChannelId(0);
+        let mut d = Rig {
+            agent: SrmReceiver::new(SrmConfig::default(), chan, source),
+            node: built.receivers[1],
             now: SimTime::from_secs(6),
             rng: SimRng::new(3),
             oracle: DistanceOracle::compute(&built.topology),
@@ -448,26 +364,27 @@ mod tests {
             probes: ProbeSink::default(),
         };
         // Sequence 1 goes missing: its request timer is armed at i = 0.
-        d.hear(source, SrmMsg::Data { seq: 0 });
-        d.hear(source, SrmMsg::Data { seq: 2 });
-        let armed = d.r.requests[&1].timer;
+        d.hear(source, chan, SrmMsg::Data { seq: 0 });
+        d.hear(source, chan, SrmMsg::Data { seq: 2 });
+        let armed = d.agent.requests[&1].timer;
 
-        let first = d.hear(peer, SrmMsg::Request { seq: 1 });
+        let first = d.hear(peer, chan, SrmMsg::Request { seq: 1 });
         assert!(
             matches!(first[..], [Action::CancelTimer(id), Action::SetTimer { .. }] if id == armed)
         );
-        assert_eq!(d.r.requests[&1].i, 1);
-        let rearmed = d.r.requests[&1].timer;
+        assert_eq!(d.agent.requests[&1].i, 1);
+        let rearmed = d.agent.requests[&1].timer;
         for _ in 0..3 {
-            assert!(d.hear(peer, SrmMsg::Request { seq: 1 }).is_empty());
+            assert!(d.hear(peer, chan, SrmMsg::Request { seq: 1 }).is_empty());
         }
-        assert_eq!((d.r.requests[&1].i, d.r.requests[&1].timer), (1, rearmed));
+        let req = &d.agent.requests[&1];
+        assert_eq!((req.i, req.timer), (1, rearmed));
 
         // Our own request opens a new round (i = 2): one more back-off.
         d.call(|r, ctx| r.on_timer(ctx, TOK_REQ_BASE | 1));
-        d.hear(peer, SrmMsg::Request { seq: 1 });
-        d.hear(peer, SrmMsg::Request { seq: 1 });
-        assert_eq!(d.r.requests[&1].i, 3);
+        d.hear(peer, chan, SrmMsg::Request { seq: 1 });
+        d.hear(peer, chan, SrmMsg::Request { seq: 1 });
+        assert_eq!(d.agent.requests[&1].i, 3);
     }
 
     #[test]

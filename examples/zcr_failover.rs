@@ -16,9 +16,9 @@ use sharqfec_repro::netsim::faults::FaultPlan;
 use sharqfec_repro::netsim::prelude::*;
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
 use sharqfec_repro::session::{
-    ProbePlan, SessionAgent, SessionConfig, SessionCore, SessionWire, ZcrSeeding,
+    setup_session_builder, SessionAgent, SessionConfig, SessionWire, ZcrSeeding,
 };
-use std::sync::Arc;
+use sharqfec_repro::topology::BuiltTopology;
 
 fn main() {
     // Chain src - r1 - r2 - r3 - r4 plus a slow src - r2 bypass.  r1 is
@@ -38,45 +38,32 @@ fn main() {
     t.add_link(src, r2, fast(50));
     t.add_link(r2, r3, fast(10));
     t.add_link(r3, r4, fast(10));
-    let topo = t.build();
+    let topology = t.build();
 
     let members = [src, r1, r2, r3, r4];
     let receivers = [r1, r2, r3, r4];
     let mut h = ZoneHierarchyBuilder::new(members.len());
     let root = h.root(&members);
     let zone = h.child(root, &receivers).expect("receiver zone nests");
-    let hier = Arc::new(h.build().expect("valid hierarchy"));
+    let built = BuiltTopology {
+        topology,
+        source: src,
+        receivers: receivers.to_vec(),
+        hierarchy: h.build().expect("valid hierarchy"),
+        designed_zcrs: vec![src, r1],
+    };
 
     let down_at = SimTime::from_secs(8);
     let up_at = SimTime::from_secs(30);
-    let mut builder: EngineBuilder<SessionWire> = EngineBuilder::new(topo, 5);
-    builder.fault_plan(FaultPlan::new().link_flap(flappy, down_at, up_at));
-    let channels: Arc<Vec<ChannelId>> = Arc::new(
-        hier.zones()
-            .iter()
-            .map(|z| builder.add_channel(&z.members))
-            .collect(),
+    let mut builder = setup_session_builder(
+        &built,
+        5,
+        ZcrSeeding::Designed(built.designed_zcrs.clone()),
+        SessionConfig::default(),
+        SimTime::from_secs(1),
+        &[],
     );
-    let root_channel = channels[root.idx()];
-    let seeding = ZcrSeeding::Designed(vec![src, r1]);
-    for member in members {
-        let core = SessionCore::new(
-            member,
-            Arc::clone(&hier),
-            SessionConfig::default(),
-            &seeding,
-        );
-        builder.add_agent_at(
-            member,
-            Box::new(SessionAgent::new(
-                core,
-                Arc::clone(&channels),
-                root_channel,
-                ProbePlan::default(),
-            )),
-            SimTime::from_secs(1),
-        );
-    }
+    builder.fault_plan(FaultPlan::new().link_flap(flappy, down_at, up_at));
     let mut engine = builder.build();
 
     let view = |engine: &Engine<SessionWire>, node: NodeId| {

@@ -15,11 +15,10 @@ use sharqfec_repro::netsim::runner::{run_sweep, Cell};
 use sharqfec_repro::protocol::SharqfecConfig;
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
 use sharqfec_repro::session::{
-    ProbePlan, SessionAgent, SessionConfig, SessionCore, SessionWire, ZcrSeeding,
+    setup_session_builder, SessionAgent, SessionConfig, SessionWire, ZcrSeeding,
 };
-use sharqfec_repro::topology::{figure10, Figure10Params};
+use sharqfec_repro::topology::{figure10, BuiltTopology, Figure10Params};
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
 /// The Figure 10 backbone link feeding tree 3.  Link ids depend only on
 /// construction order, so a throwaway build identifies the link for
@@ -86,47 +85,34 @@ fn zcr_election_reconverges_after_partition_heals() {
     t.add_link(src, r2, fast(50));
     t.add_link(r2, r3, fast(10));
     t.add_link(r3, r4, fast(10));
-    let topo = t.build();
+    let topology = t.build();
 
     let members = [src, r1, r2, r3, r4];
     let receivers = [r1, r2, r3, r4];
     let mut h = ZoneHierarchyBuilder::new(members.len());
     let root = h.root(&members);
     let zone = h.child(root, &receivers).expect("receiver zone nests");
-    let hier = Arc::new(h.build().expect("valid hierarchy"));
+    let built = BuiltTopology {
+        topology,
+        source: src,
+        receivers: receivers.to_vec(),
+        hierarchy: h.build().expect("valid hierarchy"),
+        designed_zcrs: vec![src, r1],
+    };
 
-    let mut builder: EngineBuilder<SessionWire> = EngineBuilder::new(topo, 5);
+    let mut builder = setup_session_builder(
+        &built,
+        5,
+        ZcrSeeding::Designed(built.designed_zcrs.clone()),
+        SessionConfig::default(),
+        SimTime::from_secs(1),
+        &[],
+    );
     builder.fault_plan(FaultPlan::new().link_flap(
         flappy,
         SimTime::from_secs(8),
         SimTime::from_secs(30),
     ));
-    let channels: Arc<Vec<ChannelId>> = Arc::new(
-        hier.zones()
-            .iter()
-            .map(|z| builder.add_channel(&z.members))
-            .collect(),
-    );
-    let root_channel = channels[root.idx()];
-    let seeding = ZcrSeeding::Designed(vec![src, r1]);
-    for member in members {
-        let core = SessionCore::new(
-            member,
-            Arc::clone(&hier),
-            SessionConfig::default(),
-            &seeding,
-        );
-        builder.add_agent_at(
-            member,
-            Box::new(SessionAgent::new(
-                core,
-                Arc::clone(&channels),
-                root_channel,
-                ProbePlan::default(),
-            )),
-            SimTime::from_secs(1),
-        );
-    }
     let mut engine = builder.build();
     let view = |engine: &Engine<SessionWire>, node: NodeId| {
         engine
