@@ -25,10 +25,7 @@ pub mod table;
 
 pub use fig1::{ExampleTree, NonScopedFecModel};
 pub use national::{NationalAnalysis, NationalLevel};
-pub use series::{
-    bin_deliveries, bin_deliveries_streaming, bin_probe_count, bin_probe_mean, bin_transmissions,
-    bin_transmissions_streaming, BinSpec,
-};
+pub use series::{bin_deliveries, BinSpec};
 pub use spark::{downsample, spark_row, sparkline};
 pub use stats::{cdf, mean, percentile, Summary};
 pub use table::Table;

@@ -1,21 +1,9 @@
-//! Time-series binning of recorder events.
-//!
-//! Two paths produce the same series:
-//!
-//! * [`bin_deliveries`] / [`bin_transmissions`] scan raw event vectors
-//!   (recorder in `Raw` mode);
-//! * [`bin_deliveries_streaming`] / [`bin_transmissions_streaming`] read
-//!   the per-(node, class) bins a `Streaming`-mode recorder aggregated at
-//!   record time, for runs too large (or too numerous) to keep raw traces.
-//!
-//! [`bin_probe_count`] and [`bin_probe_mean`] apply the same [`BinSpec`]
-//! geometry to the protocol-decision probe stream
-//! ([`sharqfec_netsim::probe`]), so packet traffic and protocol internals
-//! (ZLC trajectories, suppression rates, window constants) plot on a
-//! shared time axis.
+//! Time-series binning of recorder events: [`bin_deliveries`] scans the
+//! raw event vector a `Raw`-mode recorder keeps and cuts it into the
+//! fixed-width intervals of a [`BinSpec`] — the one binner every figure,
+//! `Scenario::run_traffic` and the benchmark use.
 
-use sharqfec_netsim::metrics::{Record, Recorder, TrafficClass};
-use sharqfec_netsim::probe::ProbeRecord;
+use sharqfec_netsim::metrics::{Record, TrafficClass};
 use sharqfec_netsim::{NodeId, SimTime};
 
 /// A binning specification: window `[start, end)` cut into fixed-width
@@ -40,10 +28,18 @@ impl BinSpec {
         }
     }
 
+    /// Bin width in whole nanoseconds, the unit [`SimTime`] counts in:
+    /// dividing in `f64` puts an event exactly `k` widths after `start`
+    /// into bin `k − 1` for a third of all `k` (`0.3 / 0.1 < 3`), and the
+    /// CBR source sends on exact multiples of 10 ms.
+    fn width_ns(&self) -> u64 {
+        (self.width_secs * 1e9).round() as u64
+    }
+
     /// Number of bins.
     pub fn bins(&self) -> usize {
-        let span = self.end.saturating_since(self.start).as_secs_f64();
-        (span / self.width_secs).ceil() as usize
+        let span = self.end.saturating_since(self.start).as_nanos();
+        span.div_ceil(self.width_ns()) as usize
     }
 
     /// Bin index for an instant, or `None` if outside the window.
@@ -51,9 +47,8 @@ impl BinSpec {
         if t < self.start || t >= self.end {
             return None;
         }
-        let offset = t.saturating_since(self.start).as_secs_f64();
-        let idx = (offset / self.width_secs) as usize;
-        (idx < self.bins()).then_some(idx)
+        let offset = t.saturating_since(self.start).as_nanos();
+        Some((offset / self.width_ns()) as usize)
     }
 
     /// Midpoint time (seconds) of each bin, for plotting.
@@ -88,137 +83,9 @@ pub fn bin_deliveries(
     counts.into_iter().map(|c| c as f64 / n).collect()
 }
 
-/// Bins transmission records matching `classes` across *all* nodes,
-/// yielding total transmissions per bin (used for aggregate NACK counts).
-pub fn bin_transmissions(records: &[Record], spec: &BinSpec, classes: &[TrafficClass]) -> Vec<f64> {
-    let mut counts = vec![0f64; spec.bins()];
-    for r in records {
-        if !classes.contains(&r.class) {
-            continue;
-        }
-        if let Some(i) = spec.index(r.time) {
-            counts[i] += 1.0;
-        }
-    }
-    counts
-}
-
-/// Offset of the recorder bin that corresponds to `spec`'s first bin.
-///
-/// # Panics
-///
-/// Panics if the spec's bin width differs from the recorder's, or the
-/// window start is not on a recorder bin boundary — the streaming bins are
-/// fixed at record time, so a misaligned spec cannot be served.
-fn streaming_base(rec: &Recorder, spec: &BinSpec) -> usize {
-    let width_ns = rec.bin_width().as_nanos();
-    let spec_width_ns = (spec.width_secs * 1e9).round() as u64;
-    assert_eq!(
-        spec_width_ns, width_ns,
-        "spec bin width must match the recorder's streaming bin width"
-    );
-    assert_eq!(
-        spec.start.as_nanos() % width_ns,
-        0,
-        "spec window must start on a streaming bin boundary"
-    );
-    (spec.start.as_nanos() / width_ns) as usize
-}
-
-/// Streaming-mode counterpart of [`bin_deliveries`]: average packet count
-/// per selected node per bin, read from the recorder's aggregated bins.
-pub fn bin_deliveries_streaming(
-    rec: &Recorder,
-    spec: &BinSpec,
-    classes: &[TrafficClass],
-    nodes: &[NodeId],
-) -> Vec<f64> {
-    let base = streaming_base(rec, spec);
-    let mut counts = vec![0u64; spec.bins()];
-    for &node in nodes {
-        for &class in classes {
-            let bins = rec.delivered_bins(node, class);
-            for (i, c) in counts.iter_mut().enumerate() {
-                if let Some(t) = bins.get(base + i) {
-                    *c += t.packets;
-                }
-            }
-        }
-    }
-    let n = nodes.len().max(1) as f64;
-    counts.into_iter().map(|c| c as f64 / n).collect()
-}
-
-/// Streaming-mode counterpart of [`bin_transmissions`]: total
-/// transmissions per bin across all nodes.
-pub fn bin_transmissions_streaming(
-    rec: &Recorder,
-    spec: &BinSpec,
-    classes: &[TrafficClass],
-) -> Vec<f64> {
-    let base = streaming_base(rec, spec);
-    let mut counts = vec![0f64; spec.bins()];
-    for node in (0..rec.node_count() as u32).map(NodeId) {
-        for &class in classes {
-            let bins = rec.sent_bins(node, class);
-            for (i, c) in counts.iter_mut().enumerate() {
-                if let Some(t) = bins.get(base + i) {
-                    *c += t.packets as f64;
-                }
-            }
-        }
-    }
-    counts
-}
-
-/// Counts probe events per bin, filtered by a predicate — e.g. NACK
-/// suppressions only, or one node's injections.  Events outside the
-/// window are ignored.
-pub fn bin_probe_count(
-    records: &[ProbeRecord],
-    spec: &BinSpec,
-    mut filter: impl FnMut(&ProbeRecord) -> bool,
-) -> Vec<f64> {
-    let mut counts = vec![0f64; spec.bins()];
-    for r in records {
-        if !filter(r) {
-            continue;
-        }
-        if let Some(i) = spec.index(r.time) {
-            counts[i] += 1.0;
-        }
-    }
-    counts
-}
-
-/// Means of a numeric projection of probe events per bin — e.g. the ZLC
-/// prediction after each EWMA fold, or the adaptive window's `ave_dup`.
-/// `project` returns `None` to skip an event; bins with no selected
-/// events yield `None` (absence of data, not zero).
-pub fn bin_probe_mean(
-    records: &[ProbeRecord],
-    spec: &BinSpec,
-    mut project: impl FnMut(&ProbeRecord) -> Option<f64>,
-) -> Vec<Option<f64>> {
-    let mut sums = vec![0f64; spec.bins()];
-    let mut counts = vec![0u64; spec.bins()];
-    for r in records {
-        let Some(v) = project(r) else { continue };
-        if let Some(i) = spec.index(r.time) {
-            sums[i] += v;
-            counts[i] += 1;
-        }
-    }
-    sums.into_iter()
-        .zip(counts)
-        .map(|(s, c)| (c > 0).then(|| s / c as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharqfec_netsim::metrics::RecorderMode;
     use sharqfec_netsim::ChannelId;
 
     fn rec(t_ms: u64, node: u32, class: TrafficClass) -> Record {
@@ -270,104 +137,20 @@ mod tests {
     }
 
     #[test]
-    fn transmissions_count_totals() {
-        let spec = BinSpec::paper(SimTime::ZERO, SimTime::from_secs(1));
-        let records = vec![
-            rec(10, 1, TrafficClass::Nack),
-            rec(20, 2, TrafficClass::Nack),
-            rec(130, 9, TrafficClass::Nack),
-            rec(140, 9, TrafficClass::Data),
-        ];
-        let bins = bin_transmissions(&records, &spec, &[TrafficClass::Nack]);
-        assert_eq!(bins[0], 2.0);
-        assert_eq!(bins[1], 1.0);
-        assert_eq!(bins[2], 0.0);
-    }
-
-    #[test]
-    fn streaming_bins_match_raw_binning() {
-        let spec = BinSpec::paper(SimTime::ZERO, SimTime::from_secs(1));
-        let records = vec![
-            rec(10, 1, TrafficClass::Data),
-            rec(20, 2, TrafficClass::Data),
-            rec(30, 1, TrafficClass::Repair),
-            rec(40, 3, TrafficClass::Data),
-            rec(950, 2, TrafficClass::Data),
-            rec(1500, 2, TrafficClass::Data), // outside the window
-        ];
-        let mut streaming = Recorder::new(RecorderMode::Streaming);
-        for r in &records {
-            streaming.record_delivery(r.clone());
-            streaming.record_transmission(r.clone());
+    fn boundary_events_open_the_next_bin() {
+        // 0.3 / 0.1, 0.6 / 0.1 and 0.7 / 0.1 all fall just short of the
+        // integer in f64; the event belongs to the bin it opens.
+        let spec = BinSpec::paper(SimTime::from_secs(6), SimTime::from_secs(17));
+        for k in [3u64, 6, 7] {
+            let t = SimTime::from_millis(6000 + 100 * k);
+            assert_eq!(spec.index(t), Some(k as usize));
         }
-        let classes = [TrafficClass::Data, TrafficClass::Repair];
-        let nodes = [NodeId(1), NodeId(2)];
-        assert_eq!(
-            bin_deliveries_streaming(&streaming, &spec, &classes, &nodes),
-            bin_deliveries(&records, &spec, &classes, &nodes)
-        );
-        assert_eq!(
-            bin_transmissions_streaming(&streaming, &spec, &[TrafficClass::Data]),
-            bin_transmissions(&records, &spec, &[TrafficClass::Data])
-        );
-    }
-
-    #[test]
-    fn streaming_window_offset_is_applied() {
-        // Window starting at 0.2 s: a delivery at 0.25 s lands in bin 0.
-        let spec = BinSpec::paper(SimTime::from_millis(200), SimTime::from_millis(500));
-        let mut r = Recorder::new(RecorderMode::Streaming);
-        r.record_delivery(rec(250, 1, TrafficClass::Data));
-        r.record_delivery(rec(50, 1, TrafficClass::Data)); // before window
-        let bins = bin_deliveries_streaming(&r, &spec, &[TrafficClass::Data], &[NodeId(1)]);
-        assert_eq!(bins, vec![1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width must match")]
-    fn streaming_rejects_mismatched_width() {
-        let spec = BinSpec {
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(1),
-            width_secs: 0.25,
-        };
-        let r = Recorder::new(RecorderMode::Streaming);
-        bin_deliveries_streaming(&r, &spec, &[TrafficClass::Data], &[NodeId(1)]);
-    }
-
-    #[test]
-    fn probe_binning_counts_and_means() {
-        use sharqfec_netsim::probe::ProbeEvent;
-        let spec = BinSpec::paper(SimTime::ZERO, SimTime::from_secs(1));
-        let zlc = |t_ms: u64, pred: f64| ProbeRecord {
-            time: SimTime::from_millis(t_ms),
-            node: NodeId(1),
-            event: ProbeEvent::ZlcUpdate {
-                group: 0,
-                level: 0,
-                observed: 0.0,
-                pred,
-            },
-        };
-        let records = vec![
-            zlc(10, 1.0),
-            zlc(20, 3.0),
-            zlc(150, 5.0),
-            zlc(1500, 9.0), // outside the window
-        ];
-        let counts = bin_probe_count(&records, &spec, |r| {
-            matches!(r.event, ProbeEvent::ZlcUpdate { .. })
-        });
-        assert_eq!(counts[0], 2.0);
-        assert_eq!(counts[1], 1.0);
-        assert_eq!(counts[2], 0.0);
-        let means = bin_probe_mean(&records, &spec, |r| match r.event {
-            ProbeEvent::ZlcUpdate { pred, .. } => Some(pred),
-            _ => None,
-        });
-        assert_eq!(means[0], Some(2.0));
-        assert_eq!(means[1], Some(5.0));
-        assert_eq!(means[2], None);
+        assert_eq!(spec.index(spec.end), None);
+        let at = |ms| rec(ms, 1, TrafficClass::Data);
+        let records = [at(6300), at(6600), at(6700), at(17_000)];
+        let bins = bin_deliveries(&records, &spec, &[TrafficClass::Data], &[NodeId(1)]);
+        let hit: Vec<usize> = (0..bins.len()).filter(|&i| bins[i] > 0.0).collect();
+        assert_eq!(hit, [3, 6, 7]);
     }
 
     #[test]

@@ -207,12 +207,7 @@ fn run_case(name: &str, built: &BuiltTopology, t: &mut Table) {
     engine.advance(RunSpec::to(SimTime::from_secs(15)));
 
     // Count challenge/takeover control traffic.
-    let controls = engine
-        .recorder()
-        .transmissions
-        .iter()
-        .filter(|r| r.class == TrafficClass::Control)
-        .count();
+    let controls = engine.recorder().total_sent(TrafficClass::Control);
 
     for zone in built.hierarchy.zones().iter().skip(1) {
         let expected = built.zcr(zone.id);

@@ -520,16 +520,8 @@ fn extract_run<M: Classify + Clone + 'static>(
             .collect(),
         source_nacks: bin_deliveries(&rec.deliveries, spec, &nk, &[built.source]),
         unrecovered,
-        total_repairs: rec
-            .transmissions
-            .iter()
-            .filter(|t| t.class == TrafficClass::Repair)
-            .count(),
-        total_nacks: rec
-            .transmissions
-            .iter()
-            .filter(|t| t.class == TrafficClass::Nack)
-            .count(),
+        total_repairs: rec.total_sent(TrafficClass::Repair),
+        total_nacks: rec.total_sent(TrafficClass::Nack),
         audit: run.audit,
     }
 }

@@ -12,8 +12,8 @@
 //! * SRM's session layer is the counterexample the paper argues against:
 //!   its peer table tracks the full membership, so per-receiver state
 //!   grows linearly with n.
-//! * The aggregate Recorder is O(bins): its allocation depends on the
-//!   horizon, never on receivers or packets.
+//! * The aggregate Recorder is O(1): it allocates nothing, whatever the
+//!   horizon, receivers or packets.
 
 use sharqfec::{setup_sharqfec_builder, SharqfecConfig};
 use sharqfec_netsim::{RecorderMode, RunSpec, SimDuration, SimTime};
@@ -151,7 +151,7 @@ fn aggregate_recorder_allocation_is_o_bins_not_o_packets_or_receivers() {
 fn ten_thousand_receiver_smoke_run_stays_bounded() {
     // The ISSUE's 10⁴-receiver smoke: a short window of real protocol
     // activity at n = 10⁴ with the aggregate recorder; allocation stays
-    // O(bins) and per-receiver state stays zone-bounded (leaf zones here
+    // O(1) and per-receiver state stays zone-bounded (leaf zones here
     // are ~100 members, so state must be nowhere near O(n)).
     let built = scaled_tree(
         &ScaledTreeParams {

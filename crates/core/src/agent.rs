@@ -27,6 +27,19 @@ use std::sync::Arc;
 /// short, so only genuinely slow rounds should narrow the window.
 pub const DELAY_HIGH: f64 = 4.0;
 
+/// Request window start and width factors (paper §4: C1 = C2 = 2), the
+/// window being `2^i·[C1·d, (C1+C2)·d]`.
+const C1: f64 = 2.0;
+const C2: f64 = 2.0;
+/// Reply window start and width factors (paper §4: D1 = D2 = 1); no
+/// reply backoff.
+const D1: f64 = 1.0;
+const D2: f64 = 1.0;
+/// NACK attempts per zone before escalating scope (paper §4: 2).
+const ATTEMPTS_PER_ZONE: u32 = 2;
+/// NACK base size in bytes (ancestor-chain entries add 12 B each).
+const NACK_BYTES: u32 = 40;
+
 /// Whether this member originates the stream or receives it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
@@ -117,8 +130,8 @@ impl SfAgent {
         let pcfg = cfg.policy.clone();
         let policy = pcfg.build(chain.len());
         let window = AdaptiveTimer::new(
-            cfg.c1,
-            cfg.c2,
+            C1,
+            C2,
             cfg.adaptive_timers,
             AdaptiveConfig {
                 delay_high: DELAY_HIGH,
@@ -295,7 +308,7 @@ impl SfAgent {
         st.zones[sent_level].zlc = st.zones[sent_level].zlc.max(llc);
         let zlc_now = st.zones[sent_level].zlc;
         st.attempts += 1;
-        if st.attempts >= self.cfg.attempts_per_zone && st.scope_idx + 1 < self.chain.len() {
+        if st.attempts >= ATTEMPTS_PER_ZONE && st.scope_idx + 1 < self.chain.len() {
             // Escalate to the next-larger scope (paper §4: "after two
             // attempts at each zone").
             st.scope_idx += 1;
@@ -303,7 +316,7 @@ impl SfAgent {
         }
         st.i = (st.i + 1).min(self.cfg.max_backoff);
         let chain_entries = self.session.ancestor_chain();
-        let bytes = self.cfg.nack_bytes + 12 * chain_entries.len() as u32;
+        let bytes = NACK_BYTES + 12 * chain_entries.len() as u32;
         ctx.multicast(
             self.channels[zone.idx()],
             SfMsg::Nack {
@@ -340,14 +353,14 @@ impl SfAgent {
     }
 
     fn arm_reply(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let (d1, d2, default) = (self.cfg.d1, self.cfg.d2, self.cfg.default_dist);
+        let default = self.cfg.default_dist;
         let st = self.groups.get_mut(&g).expect("group exists");
         let z = &mut st.zones[level];
         if z.reply_timer.is_some() || z.outstanding == 0 {
             return;
         }
         let d = z.last_nack_dist.unwrap_or(default);
-        let factor = ctx.rng().range_f64(d1, d1 + d2);
+        let factor = ctx.rng().range_f64(D1, D1 + D2);
         // No backoff on reply timers (paper §4).
         z.reply_timer = Some(ctx.set_timer(d.mul_f64(factor), tok(KIND_REPLY, g, level)));
     }

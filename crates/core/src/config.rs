@@ -43,8 +43,6 @@ pub struct SharqfecConfig {
     pub total_packets: u32,
     /// Data/FEC packet size in bytes (paper: 1000).
     pub packet_bytes: u32,
-    /// NACK base size in bytes (ancestor-chain entries add 12 B each).
-    pub nack_bytes: u32,
     /// CBR inter-packet interval (paper: 10 ms = 800 kbit/s).
     pub send_interval: SimDuration,
     /// When the source starts sending (paper: t = 6 s).
@@ -71,19 +69,10 @@ pub struct SharqfecConfig {
     /// parameters (`policy.enabled = false` ⇒ the `ni` variants).
     pub policy: PolicyConfig,
 
-    // ---- timers (paper §4) ----
-    /// Request window start factor (paper: C1 = 2).
-    pub c1: f64,
-    /// Request window width factor (paper: C2 = 2).
-    pub c2: f64,
-    /// Reply window start factor (paper: D1 = 1).
-    pub d1: f64,
-    /// Reply window width factor (paper: D2 = 1); no reply backoff.
-    pub d2: f64,
+    // ---- timers (paper §4; the fixed constants live beside their
+    // reader in `agent.rs`) ----
     /// Cap on the request backoff exponent `i`.
     pub max_backoff: u32,
-    /// NACK attempts per zone before escalating scope (paper: 2).
-    pub attempts_per_zone: u32,
     /// §7 future-work extension: adapt C1/C2 per receiver from observed
     /// duplicate NACKs and recovery delay (SRM §V structure).  Off by
     /// default — the paper's evaluation uses fixed timers.
@@ -101,19 +90,13 @@ impl Default for SharqfecConfig {
         SharqfecConfig {
             total_packets: 1024,
             packet_bytes: 1000,
-            nack_bytes: 40,
             send_interval: SimDuration::from_millis(10),
             data_start: SimTime::from_secs(6),
             group_size: 16,
             first_seq: 0,
             scoping: true,
             receiver_repairs: true,
-            c1: 2.0,
-            c2: 2.0,
-            d1: 1.0,
-            d2: 1.0,
             max_backoff: 8,
-            attempts_per_zone: 2,
             adaptive_timers: false,
             policy: PolicyConfig::default(),
             default_dist: SimDuration::from_millis(50),
@@ -209,14 +192,6 @@ impl SharqfecConfig {
         );
         assert!(self.packet_bytes > 0, "packets must have a size");
         assert!(
-            self.c1 > 0.0 && self.c2 >= 0.0 && self.d1 > 0.0 && self.d2 >= 0.0,
-            "timer factors must be positive"
-        );
-        assert!(
-            self.attempts_per_zone >= 1,
-            "need at least one attempt per zone"
-        );
-        assert!(
             self.send_interval > SimDuration::ZERO,
             "CBR interval must be positive"
         );
@@ -241,7 +216,6 @@ mod tests {
         assert_eq!(c.total_packets, 1024);
         assert_eq!(c.group_size, 16);
         assert_eq!(c.group_count(), 64);
-        assert_eq!((c.c1, c.c2, c.d1, c.d2), (2.0, 2.0, 1.0, 1.0));
         let p = &c.policy;
         assert!(p.enabled);
         assert_eq!(p.measure_rtt_factor, 2.5);
@@ -252,7 +226,6 @@ mod tests {
                 initial_pred: 1.0
             }
         );
-        assert_eq!(c.attempts_per_zone, 2);
     }
 
     #[test]

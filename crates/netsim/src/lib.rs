@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::faults::{FaultEvent, FaultPlan, LossModel};
     pub use crate::graph::{LinkId, LinkParams, NodeId, Topology, TopologyBuilder};
     pub use crate::idhash::{IdHashMap, IdHashSet};
-    pub use crate::metrics::{Recorder, RecorderMode, Tally, TrafficClass};
+    pub use crate::metrics::{Recorder, RecorderMode, TrafficClass};
     pub use crate::packet::{Classify, Packet};
     pub use crate::probe::{
         AuditConfig, AuditReport, Auditor, NackOutcome, ProbeEvent, ProbeRecord, ProbeSink,

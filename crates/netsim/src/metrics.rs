@@ -6,28 +6,29 @@
 //! those plots are binned from; the `sharqfec-analysis` crate does the
 //! binning.
 //!
-//! Three storage modes ([`RecorderMode`]) trade fidelity for footprint:
+//! Every mode keeps the session-global per-class counts; the three
+//! storage modes ([`RecorderMode`]) differ only in what they keep beside
+//! them:
 //!
-//! * **Raw** (the default) keeps every event in the public vectors, so
-//!   post-hoc tooling (timelines, custom filters) can see everything.
-//! * **Streaming** aggregates at record time into per-(node, class)
-//!   totals and fixed-width time bins, keeping memory `O(nodes × bins)`
-//!   regardless of traffic volume — the mode the parallel sweep runner
-//!   uses, where dozens of engines are alive at once.
-//! * **Aggregate** keeps only session-global per-class totals and bins,
-//!   `O(bins)` regardless of node count — the mode the 10⁵–10⁶-receiver
-//!   scaling sweeps use.
+//! * **Raw** (the default) keeps per-(node, class) counts and every event
+//!   in the public vectors, so post-hoc tooling (binning, timelines,
+//!   custom filters) can see everything.
+//! * **Streaming** keeps the per-(node, class) counts and no events:
+//!   memory is `O(nodes)` regardless of traffic volume and run length —
+//!   the mode the parallel sweep runner uses, where dozens of engines are
+//!   alive at once.
+//! * **Aggregate** keeps neither: `O(1)` memory, the mode the
+//!   10⁵–10⁶-receiver scaling sweeps use.
 //!
-//! In the raw and streaming modes the per-(node, class) totals are
-//! maintained as the events arrive, so [`Recorder::delivered_count`] and
-//! [`Recorder::sent_count`] are O(1) lookups, never scans; the global
-//! totals are O(1) in every mode.
+//! The counts are maintained as the events arrive, so
+//! [`Recorder::delivered_count`], [`Recorder::sent_count`] and the
+//! `total_*` accessors are O(1) lookups, never scans.
 
 use crate::channel::ChannelId;
 use crate::graph::NodeId;
 use crate::queue::EventKey;
 use crate::shard::merge_by_key;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Coarse protocol-independent classification of a packet.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -124,38 +125,16 @@ pub enum RecorderMode {
     /// Keep every event in the raw vectors (plus the O(1) totals).
     #[default]
     Raw,
-    /// Aggregate into per-(node, class) totals and time bins at record
-    /// time; the raw vectors stay empty.  Memory is `O(nodes × bins)`.
+    /// Count per (node, class) at record time; the raw vectors stay
+    /// empty.  Memory is `O(nodes)`.
     Streaming,
-    /// Keep only session-global per-class totals and time bins — no
-    /// per-node state, no raw vectors.  Memory is `O(bins)` regardless of
-    /// node count or traffic volume, the mode large-scale sweeps use
-    /// (10⁶ receivers would make even per-node totals several hundred
-    /// megabytes).  Per-node queries ([`Recorder::delivered_count`],
-    /// [`Recorder::sent_count`], the per-node bin accessors) read as zero
-    /// or empty in this mode.
+    /// Keep only session-global per-class totals — no per-node state, no
+    /// raw vectors.  Memory is `O(1)` regardless of node count or traffic
+    /// volume, the mode large-scale sweeps use (10⁶ receivers would make
+    /// even per-node totals tens of megabytes).  Per-node queries
+    /// ([`Recorder::delivered_count`], [`Recorder::sent_count`]) read as
+    /// zero in this mode.
     Aggregate,
-}
-
-/// A packet count plus the bytes those packets carried.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Tally {
-    /// Packets observed.
-    pub packets: u64,
-    /// Total wire bytes across those packets.
-    pub bytes: u64,
-}
-
-impl Tally {
-    fn add(&mut self, bytes: u32) {
-        self.packets += 1;
-        self.bytes += bytes as u64;
-    }
-
-    fn absorb(&mut self, other: Tally) {
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-    }
 }
 
 /// Which side of the wire an observation was made on; indexes every
@@ -180,31 +159,17 @@ struct RecorderTags {
     drops: Vec<EventKey>,
 }
 
-/// Aggregate state, kept once per node and once for the whole session:
-/// totals per (direction, class) and, where the mode bins at that level,
-/// per-bin tallies — one lazily grown vector per (direction, class), so
-/// nothing is paid for kinds of traffic never seen.
-#[derive(Clone, Debug, Default)]
-struct Stats {
-    totals: [[Tally; CLASS_COUNT]; 2],
-    bins: [[Vec<Tally>; CLASS_COUNT]; 2],
-}
+/// Packet counts per (direction, class), kept once per node and once for
+/// the whole session.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Stats([[u64; CLASS_COUNT]; 2]);
 
 impl Stats {
-    /// Sums `other`'s tables into this one, growing bins to cover them.
+    /// Sums `other`'s counts into this one.
     fn absorb(&mut self, other: &Stats) {
-        let totals = self.totals.iter_mut().flatten();
-        for (mine, theirs) in totals.zip(other.totals.iter().flatten()) {
-            mine.absorb(*theirs);
-        }
-        let bins = self.bins.iter_mut().flatten();
-        for (mine, theirs) in bins.zip(other.bins.iter().flatten()) {
-            if mine.len() < theirs.len() {
-                mine.resize(theirs.len(), Tally::default());
-            }
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.absorb(*t);
-            }
+        let counts = self.0.iter_mut().flatten();
+        for (mine, theirs) in counts.zip(other.0.iter().flatten()) {
+            *mine += theirs;
         }
     }
 }
@@ -220,11 +185,9 @@ pub struct Recorder {
     /// Every loss event (raw mode only).
     pub drops: Vec<DropRecord>,
     mode: RecorderMode,
-    bin_width: SimDuration,
-    /// Per-node totals (raw and streaming modes) and bins (streaming).
+    /// Per-node counts (raw and streaming modes).
     nodes: Vec<Stats>,
-    /// Session-global totals (every mode) and bins
-    /// ([`RecorderMode::Aggregate`]).
+    /// Session-global counts (every mode).
     global: Stats,
     drop_total: [u64; CLASS_COUNT],
     /// Event-key tags parallel to the raw vectors; `Some` only on
@@ -239,8 +202,6 @@ impl Default for Recorder {
             transmissions: Vec::new(),
             drops: Vec::new(),
             mode: RecorderMode::default(),
-            // The paper's measurement granularity (§6.2): 0.1 s bins.
-            bin_width: SimDuration::from_millis(100),
             nodes: Vec::new(),
             global: Stats::default(),
             drop_total: [0; CLASS_COUNT],
@@ -267,7 +228,7 @@ impl Recorder {
     ///
     /// # Panics
     ///
-    /// Panics if events have already been recorded — the two modes store
+    /// Panics if events have already been recorded — the modes store
     /// different things, so a mid-run switch would silently mix them.
     pub fn set_mode(&mut self, mode: RecorderMode) {
         assert!(
@@ -276,25 +237,6 @@ impl Recorder {
              (call clear() first to restart)"
         );
         self.mode = mode;
-    }
-
-    /// Streaming-mode bin width (defaults to the paper's 0.1 s).
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin_width
-    }
-
-    /// Sets the streaming-mode bin width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero width, or if events have already been recorded.
-    pub fn set_bin_width(&mut self, width: SimDuration) {
-        assert!(width > SimDuration::ZERO, "bin width must be positive");
-        assert!(
-            self.is_empty(),
-            "bin width must be chosen before any event is recorded"
-        );
-        self.bin_width = width;
     }
 
     /// Starts stamping every raw record with the [`EventKey`] set by
@@ -324,7 +266,7 @@ impl Recorder {
             && self.transmissions.is_empty()
             && self.drops.is_empty()
             && self.drop_total.iter().all(|&c| c == 0)
-            && self.global.totals.iter().flatten().all(|t| t.packets == 0)
+            && self.global.0.iter().flatten().all(|&c| c == 0)
     }
 
     fn node_mut(&mut self, node: NodeId) -> &mut Stats {
@@ -344,30 +286,24 @@ impl Recorder {
         self.record(Sent, r);
     }
 
-    /// The one record path: the session total always, then what the mode
-    /// keeps — session bins, the node's total and bins, or the node's
-    /// total and the event itself.
+    /// The one record path: the session count always, then what the mode
+    /// keeps — nothing more, the node's count, or the node's count and the
+    /// event itself.
     #[inline]
     fn record(&mut self, dir: Direction, r: Record) {
         let (d, c) = (dir as usize, r.class.index());
-        let bin = (r.time.as_nanos() / self.bin_width.as_nanos()) as usize;
-        self.global.totals[d][c].add(r.bytes);
-        match self.mode {
-            RecorderMode::Aggregate => add_to_bin(&mut self.global.bins[d][c], bin, r.bytes),
-            RecorderMode::Streaming => {
-                let stats = self.node_mut(r.node);
-                stats.totals[d][c].add(r.bytes);
-                add_to_bin(&mut stats.bins[d][c], bin, r.bytes);
+        self.global.0[d][c] += 1;
+        if self.mode == RecorderMode::Aggregate {
+            return;
+        }
+        self.node_mut(r.node).0[d][c] += 1;
+        if self.mode == RecorderMode::Raw {
+            if let Some(tags) = &mut self.tags {
+                tags.records[d].push(tags.current);
             }
-            RecorderMode::Raw => {
-                self.node_mut(r.node).totals[d][c].add(r.bytes);
-                if let Some(tags) = &mut self.tags {
-                    tags.records[d].push(tags.current);
-                }
-                match dir {
-                    Delivered => self.deliveries.push(r),
-                    Sent => self.transmissions.push(r),
-                }
+            match dir {
+                Delivered => self.deliveries.push(r),
+                Sent => self.transmissions.push(r),
             }
         }
     }
@@ -384,7 +320,7 @@ impl Recorder {
     }
 
     /// Empties all recorded events and aggregates (e.g. to discard a
-    /// warm-up phase); mode and bin width are kept.
+    /// warm-up phase); the mode is kept.
     pub fn clear(&mut self) {
         self.deliveries.clear();
         self.transmissions.clear();
@@ -399,15 +335,9 @@ impl Recorder {
     }
 
     fn node_total(&self, dir: Direction, node: NodeId, class: TrafficClass) -> usize {
-        self.nodes.get(node.idx()).map_or(0, |s| {
-            s.totals[dir as usize][class.index()].packets as usize
-        })
-    }
-
-    fn node_bins(&self, dir: Direction, node: NodeId, class: TrafficClass) -> &[Tally] {
         self.nodes
             .get(node.idx())
-            .map_or(&[][..], |s| &s.bins[dir as usize][class.index()])
+            .map_or(0, |s| s.0[dir as usize][class.index()] as usize)
     }
 
     /// Counts deliveries at `node` with the given class.  O(1).
@@ -422,12 +352,12 @@ impl Recorder {
 
     /// Total deliveries across all nodes for a class.  O(1).
     pub fn total_delivered(&self, class: TrafficClass) -> usize {
-        self.global.totals[Delivered as usize][class.index()].packets as usize
+        self.global.0[Delivered as usize][class.index()] as usize
     }
 
     /// Total transmissions across all nodes for a class.  O(1).
     pub fn total_sent(&self, class: TrafficClass) -> usize {
-        self.global.totals[Sent as usize][class.index()].packets as usize
+        self.global.0[Sent as usize][class.index()] as usize
     }
 
     /// Total loss events for a class.  O(1).
@@ -441,57 +371,25 @@ impl Recorder {
         self.nodes.len()
     }
 
-    /// Streaming-mode delivery bins for `(node, class)`: entry `i` covers
-    /// `[i × bin_width, (i + 1) × bin_width)`.  Empty when nothing was
-    /// recorded there (and always in raw mode, which keeps raw events
-    /// instead).
-    pub fn delivered_bins(&self, node: NodeId, class: TrafficClass) -> &[Tally] {
-        self.node_bins(Delivered, node, class)
-    }
-
-    /// Streaming-mode transmission bins for `(node, class)`; see
-    /// [`Recorder::delivered_bins`].
-    pub fn sent_bins(&self, node: NodeId, class: TrafficClass) -> &[Tally] {
-        self.node_bins(Sent, node, class)
-    }
-
-    /// Aggregate-mode session-global delivery bins for a class; entry `i`
-    /// covers `[i × bin_width, (i + 1) × bin_width)`.  Empty in the other
-    /// modes (which keep raw events or per-node bins instead).
-    pub fn total_delivered_bins(&self, class: TrafficClass) -> &[Tally] {
-        &self.global.bins[Delivered as usize][class.index()]
-    }
-
-    /// Aggregate-mode session-global transmission bins for a class; see
-    /// [`Recorder::total_delivered_bins`].
-    pub fn total_sent_bins(&self, class: TrafficClass) -> &[Tally] {
-        &self.global.bins[Sent as usize][class.index()]
-    }
-
     /// Approximate heap bytes this recorder currently holds.  The
-    /// scaling harness asserts this stays `O(bins)` in
+    /// scaling harness asserts this stays zero in
     /// [`RecorderMode::Aggregate`] — independent of node count and
     /// traffic volume.
     pub fn resident_bytes(&self) -> usize {
         let record = std::mem::size_of::<Record>();
-        let every_stats = self.nodes.iter().chain([&self.global]);
-        let bins = every_stats.flat_map(|s| s.bins.iter().flatten());
         self.deliveries.capacity() * record
             + self.transmissions.capacity() * record
             + self.drops.capacity() * std::mem::size_of::<DropRecord>()
             + self.nodes.capacity() * std::mem::size_of::<Stats>()
-            + bins.map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Tally>()
     }
 
-    /// Sums another recorder's aggregate tables into this one: global
-    /// per-class totals, drop counts, global bins, and (when present)
-    /// per-node stats and bins.  Used to reassemble
-    /// [`RecorderMode::Streaming`] / [`RecorderMode::Aggregate`] shard
-    /// recorders, whose tables are commutative sums — per-node rows are
-    /// node-disjoint across shards, so ordering cannot matter.
+    /// Sums another recorder's counts into this one: global per-class
+    /// totals, drop counts, and (when present) per-node counts.  Used to
+    /// reassemble [`RecorderMode::Streaming`] / [`RecorderMode::Aggregate`]
+    /// shard recorders, whose tables are commutative sums, so ordering
+    /// cannot matter.
     pub(crate) fn absorb_totals(&mut self, other: &Recorder) {
         debug_assert_eq!(self.mode, other.mode, "shard recorders share one mode");
-        debug_assert_eq!(self.bin_width, other.bin_width);
         self.global.absorb(&other.global);
         for (mine, theirs) in self.drop_total.iter_mut().zip(&other.drop_total) {
             *mine += theirs;
@@ -531,14 +429,6 @@ impl Recorder {
         merge_by_key(transmissions, |r| self.record(Sent, r));
         merge_by_key(drops, |d| self.record_drop(d));
     }
-}
-
-/// Adds one packet to `bins[bin]`, growing the vector to reach it.
-fn add_to_bin(bins: &mut Vec<Tally>, bin: usize, bytes: u32) {
-    if bins.len() <= bin {
-        bins.resize(bin + 1, Tally::default());
-    }
-    bins[bin].add(bytes);
 }
 
 #[cfg(test)]
@@ -590,8 +480,6 @@ mod tests {
         assert_eq!(r.delivered_count(NodeId(2), TrafficClass::Nack), 0);
         assert_eq!(r.delivered_count(NodeId(99), TrafficClass::Data), 0);
         assert_eq!(r.sent_count(NodeId(0), TrafficClass::Data), 1);
-        let data = TrafficClass::Data.index();
-        assert_eq!(r.global.totals[Delivered as usize][data].bytes, 30);
         assert_eq!(r.total_delivered(TrafficClass::Data), 3);
         assert_eq!(r.total_sent(TrafficClass::Data), 1);
 
@@ -608,7 +496,6 @@ mod tests {
     #[test]
     fn streaming_mode_bins_and_keeps_no_raw_events() {
         let mut r = Recorder::new(RecorderMode::Streaming);
-        // Two deliveries in bin 0, one in bin 3 (0.1 s bins).
         r.record_delivery(rec_at(10, 1, TrafficClass::Data));
         r.record_delivery(rec_at(99, 1, TrafficClass::Data));
         r.record_delivery(rec_at(350, 1, TrafficClass::Data));
@@ -618,28 +505,9 @@ mod tests {
         assert!(r.transmissions.is_empty());
         assert_eq!(r.delivered_count(NodeId(1), TrafficClass::Data), 3);
         assert_eq!(r.total_sent(TrafficClass::Nack), 1);
-
-        let bins = r.delivered_bins(NodeId(1), TrafficClass::Data);
-        assert_eq!(bins.len(), 4);
-        assert_eq!(
-            bins[0],
-            Tally {
-                packets: 2,
-                bytes: 20
-            }
-        );
-        assert_eq!(bins[1], Tally::default());
-        assert_eq!(
-            bins[3],
-            Tally {
-                packets: 1,
-                bytes: 10
-            }
-        );
-        let sent = r.sent_bins(NodeId(0), TrafficClass::Nack);
-        assert_eq!(sent[1].packets, 1);
-        // Unseen (node, class) pairs read as empty.
-        assert!(r.delivered_bins(NodeId(9), TrafficClass::Data).is_empty());
+        assert_eq!(r.sent_count(NodeId(0), TrafficClass::Nack), 1);
+        // Unseen (node, class) pairs read as zero.
+        assert_eq!(r.delivered_count(NodeId(9), TrafficClass::Data), 0);
     }
 
     #[test]
@@ -679,16 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_bin_width_is_respected() {
-        let mut r = Recorder::new(RecorderMode::Streaming);
-        r.set_bin_width(SimDuration::from_secs(1));
-        r.record_delivery(rec_at(2500, 1, TrafficClass::Data));
-        let bins = r.delivered_bins(NodeId(1), TrafficClass::Data);
-        assert_eq!(bins.len(), 3);
-        assert_eq!(bins[2].packets, 1);
-    }
-
-    #[test]
     fn aggregate_mode_keeps_global_bins_and_no_per_node_state() {
         let mut r = Recorder::new(RecorderMode::Aggregate);
         r.record_delivery(rec_at(10, 1, TrafficClass::Data));
@@ -699,23 +557,14 @@ mod tests {
         assert!(r.deliveries.is_empty() && r.transmissions.is_empty());
         assert_eq!(r.node_count(), 0, "no per-node tables at all");
         assert_eq!(r.delivered_count(NodeId(1), TrafficClass::Data), 0);
-        assert!(r.delivered_bins(NodeId(1), TrafficClass::Data).is_empty());
 
-        // Global totals and bins still answer.
+        // Global totals still answer.
         assert_eq!(r.total_delivered(TrafficClass::Data), 2);
         assert_eq!(r.total_delivered(TrafficClass::Session), 1);
         assert_eq!(r.total_sent(TrafficClass::Nack), 1);
-        let bins = r.total_delivered_bins(TrafficClass::Data);
-        assert_eq!(bins.len(), 1);
-        assert_eq!(bins[0].packets, 2);
-        let sess = r.total_delivered_bins(TrafficClass::Session);
-        assert_eq!(sess.len(), 4);
-        assert_eq!(sess[3].packets, 1);
-        assert_eq!(r.total_sent_bins(TrafficClass::Nack)[1].packets, 1);
 
         r.clear();
         assert_eq!(r.total_delivered(TrafficClass::Data), 0);
-        assert!(r.total_delivered_bins(TrafficClass::Data).is_empty());
     }
 
     #[test]
@@ -733,7 +582,7 @@ mod tests {
         let large = record(20_000);
         assert_eq!(
             small, large,
-            "aggregate-mode footprint must depend only on the bin span"
+            "aggregate-mode footprint must not depend on traffic volume"
         );
     }
 
@@ -810,45 +659,68 @@ mod tests {
 
     #[test]
     fn absorb_totals_sums_streaming_tables() {
-        let mut a = Recorder::new(RecorderMode::Streaming);
-        a.record_delivery(rec_at(10, 1, TrafficClass::Data));
-        a.record_drop(DropRecord {
+        // Node 2 is seen by both parts, nodes 1 and 7 by one each: the
+        // merged counts must equal recording the union into one recorder.
+        let drop = DropRecord {
             time: SimTime::from_millis(5),
             from: NodeId(0),
             to: NodeId(1),
             class: TrafficClass::Data,
-        });
-        let mut b = Recorder::new(RecorderMode::Streaming);
-        b.record_delivery(rec_at(350, 2, TrafficClass::Data));
-        b.record_transmission(rec_at(120, 2, TrafficClass::Nack));
-
-        let mut merged = Recorder::new(RecorderMode::Streaming);
-        merged.absorb_totals(&a);
-        merged.absorb_totals(&b);
-        assert_eq!(merged.total_delivered(TrafficClass::Data), 2);
-        assert_eq!(merged.total_dropped(TrafficClass::Data), 1);
-        assert_eq!(merged.total_sent(TrafficClass::Nack), 1);
-        assert_eq!(merged.delivered_count(NodeId(1), TrafficClass::Data), 1);
-        assert_eq!(merged.delivered_count(NodeId(2), TrafficClass::Data), 1);
-        let bins = merged.delivered_bins(NodeId(2), TrafficClass::Data);
-        assert_eq!(bins.len(), 4);
-        assert_eq!(bins[3].packets, 1);
+        };
+        let a = [
+            rec_at(10, 1, TrafficClass::Data),
+            rec_at(20, 2, TrafficClass::Data),
+            rec_at(30, 2, TrafficClass::Nack),
+        ];
+        let b = [
+            rec_at(350, 2, TrafficClass::Data),
+            rec_at(120, 7, TrafficClass::Repair),
+        ];
+        for mode in [RecorderMode::Streaming, RecorderMode::Aggregate] {
+            let mut union = Recorder::new(mode);
+            let mut merged = Recorder::new(mode);
+            for (events, drops) in [(&a[..], 1), (&b[..], 2)] {
+                let mut part = Recorder::new(mode);
+                for r in events {
+                    part.record_delivery(r.clone());
+                    union.record_delivery(r.clone());
+                }
+                part.record_transmission(events[0].clone());
+                union.record_transmission(events[0].clone());
+                for _ in 0..drops {
+                    part.record_drop(drop.clone());
+                    union.record_drop(drop.clone());
+                }
+                merged.absorb_totals(&part);
+            }
+            assert_eq!(merged.nodes, union.nodes);
+            assert_eq!(merged.global, union.global);
+            assert_eq!(merged.drop_total, union.drop_total);
+            assert_eq!(merged.total_dropped(TrafficClass::Data), 3);
+            assert_eq!(merged.total_delivered(TrafficClass::Data), 3);
+            let per_node = mode == RecorderMode::Streaming;
+            assert_eq!(merged.node_count(), if per_node { 8 } else { 0 });
+            let at_2 = merged.delivered_count(NodeId(2), TrafficClass::Data);
+            assert_eq!(at_2, if per_node { 2 } else { 0 });
+        }
     }
 
     #[test]
-    fn absorb_totals_sums_aggregate_bins() {
-        let mut a = Recorder::new(RecorderMode::Aggregate);
-        a.record_delivery(rec_at(10, 1, TrafficClass::Data));
-        let mut b = Recorder::new(RecorderMode::Aggregate);
-        b.record_delivery(rec_at(50, 2, TrafficClass::Data));
-        b.record_delivery(rec_at(350, 3, TrafficClass::Data));
-        let mut merged = Recorder::new(RecorderMode::Aggregate);
-        merged.absorb_totals(&a);
-        merged.absorb_totals(&b);
-        let bins = merged.total_delivered_bins(TrafficClass::Data);
-        assert_eq!(bins.len(), 4);
-        assert_eq!(bins[0].packets, 2);
-        assert_eq!(bins[3].packets, 1);
-        assert_eq!(merged.node_count(), 0);
+    fn resident_bytes_do_not_grow_with_the_horizon() {
+        // The same per-node event set spread over 1 s and over 1000 s.
+        let record = |mode: RecorderMode, stretch: u64| -> usize {
+            let mut r = Recorder::new(mode);
+            for i in 0..1000u32 {
+                let t_ms = u64::from(i) * stretch;
+                r.record_delivery(rec_at(t_ms, i % 50, TrafficClass::Data));
+                r.record_transmission(rec_at(t_ms, i % 7, TrafficClass::Nack));
+            }
+            r.resident_bytes()
+        };
+        let short = record(RecorderMode::Streaming, 1);
+        assert!(short > 0, "streaming keeps per-node counts");
+        assert_eq!(short, record(RecorderMode::Streaming, 1000));
+        assert_eq!(record(RecorderMode::Aggregate, 1), 0);
+        assert_eq!(record(RecorderMode::Aggregate, 1000), 0);
     }
 }

@@ -345,8 +345,24 @@ impl fmt::Display for Violation {
     }
 }
 
+/// How long two simultaneous seat claims may persist before counting as a
+/// violation.  Covers legitimate handoffs (takeover announced, old holder
+/// concedes on its next announcement): several announce/challenge
+/// periods, far below the lifetime of a genuine split-brain.
+const SEAT_SETTLE: SimDuration = SimDuration::from_secs(10);
+/// Extension appended after the *last* fault event when deriving an
+/// excused window from a [`FaultPlan`] (see
+/// [`AuditConfig::excuse_faults`]): elections need a few challenge rounds
+/// to reconverge after heal.
+const HEAL_GRACE: SimDuration = SimDuration::from_secs(15);
+/// Grace appended after each membership disruption (join, leave, handoff,
+/// churn edge) when deriving excuse windows from a [`ScenarioPlan`] (see
+/// [`AuditConfig::excuse_scenario`]).  Shorter than [`HEAL_GRACE`]:
+/// membership flips touch no routing, only seats and audit paths.
+const MEMBERSHIP_GRACE: SimDuration = SimDuration::from_secs(10);
+
 /// Auditor tuning.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AuditConfig {
     /// Time windows during which multi-claimant ZCR seats are excused
     /// (network faults and their heal aftermath).  An overlap episode that
@@ -354,23 +370,6 @@ pub struct AuditConfig {
     /// legitimately split seats, and re-convergence takes a beat after
     /// heal.
     pub excused: Vec<(SimTime, SimTime)>,
-    /// How long two simultaneous seat claims may persist before counting
-    /// as a violation.  Covers legitimate handoffs (takeover announced,
-    /// old holder concedes on its next announcement).  Default 10 s —
-    /// several announce/challenge periods, far below the lifetime of a
-    /// genuine split-brain.
-    pub seat_settle: SimDuration,
-    /// Extension appended after the *last* fault event when deriving an
-    /// excused window from a [`FaultPlan`] (see
-    /// [`AuditConfig::excuse_faults`]): elections need a few challenge
-    /// rounds to reconverge after heal.  Default 15 s.
-    pub heal_grace: SimDuration,
-    /// Grace appended after each membership disruption (join, leave,
-    /// handoff, churn edge) when deriving excuse windows from a
-    /// [`ScenarioPlan`] (see [`AuditConfig::excuse_scenario`]).  Shorter
-    /// than `heal_grace`: membership flips touch no routing, only seats
-    /// and audit paths.  Default 10 s.
-    pub membership_grace: SimDuration,
     /// Opt-in NACK-storm cap: the maximum number of `Sent` NACK decisions
     /// allowed per (group, level) over the whole run.  `None` (the
     /// default) disables the check — static workloads tune suppression
@@ -379,34 +378,22 @@ pub struct AuditConfig {
     pub nack_sent_cap: Option<u32>,
 }
 
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            excused: Vec::new(),
-            seat_settle: SimDuration::from_secs(10),
-            heal_grace: SimDuration::from_secs(15),
-            membership_grace: SimDuration::from_secs(10),
-            nack_sent_cap: None,
-        }
-    }
-}
-
 impl AuditConfig {
     /// Adds one excused window covering a fault plan's entire activity
-    /// span, from its first event to [`AuditConfig::heal_grace`] past its
-    /// last.  No-op for an empty plan.
+    /// span, from its first event to 15 s (`HEAL_GRACE`) past its last.
+    /// No-op for an empty plan.
     pub fn excuse_faults(&mut self, plan: &FaultPlan) {
         let times: Vec<SimTime> = plan.events().iter().map(|&(t, _)| t).collect();
         let (Some(&first), Some(&last)) = (times.iter().min(), times.iter().max()) else {
             return;
         };
-        self.excused.push((first, last + self.heal_grace));
+        self.excused.push((first, last + HEAL_GRACE));
     }
 
     /// Adds excuse windows for a scenario plan's membership disruptions:
-    /// one window `[t, t + membership_grace]` per disruption instant,
-    /// with overlapping windows coalesced so a steady churn process does
-    /// not degenerate into thousands of entries.  Unlike
+    /// one window `[t, t + 10 s]` (`MEMBERSHIP_GRACE`) per disruption
+    /// instant, with overlapping windows coalesced so a steady churn
+    /// process does not degenerate into thousands of entries.  Unlike
     /// [`AuditConfig::excuse_faults`] this deliberately does *not* blanket
     /// the whole span — the quiet stretches between membership events must
     /// still uphold every invariant.  No-op for an empty plan.
@@ -414,12 +401,12 @@ impl AuditConfig {
         let mut open: Option<(SimTime, SimTime)> = None;
         for t in plan.disruption_times() {
             match &mut open {
-                Some((_, end)) if t <= *end => *end = t + self.membership_grace,
+                Some((_, end)) if t <= *end => *end = t + MEMBERSHIP_GRACE,
                 _ => {
                     if let Some(w) = open.take() {
                         self.excused.push(w);
                     }
-                    open = Some((t, t + self.membership_grace));
+                    open = Some((t, t + MEMBERSHIP_GRACE));
                 }
             }
         }
@@ -514,7 +501,7 @@ impl Auditor {
     /// intersecting an excused window.
     fn close_overlap(&mut self, zone: u64, since: SimTime, r: &ProbeRecord) {
         let until = r.time;
-        if until.saturating_since(since) <= self.cfg.seat_settle || self.excused(since, until) {
+        if until.saturating_since(since) <= SEAT_SETTLE || self.excused(since, until) {
             return;
         }
         let holders = self
@@ -665,7 +652,7 @@ impl Auditor {
         let mut violations = self.violations.clone();
         for (&zone, seat) in &self.seats {
             if let Some(since) = seat.overlap_since {
-                if now.saturating_since(since) > self.cfg.seat_settle && !self.excused(since, now) {
+                if now.saturating_since(since) > SEAT_SETTLE && !self.excused(since, now) {
                     let holders = seat.claimants();
                     violations.push(Violation {
                         time: now,
@@ -1102,7 +1089,7 @@ mod tests {
         cfg.excuse_faults(&plan);
         assert_eq!(cfg.excused.len(), 1);
         assert_eq!(cfg.excused[0].0, at(7));
-        assert_eq!(cfg.excused[0].1, at(9) + cfg.heal_grace);
+        assert_eq!(cfg.excused[0].1, at(9) + HEAL_GRACE);
     }
 
     #[test]

@@ -413,7 +413,6 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         let mut shards: Vec<Engine<M>> = (0..k as u32)
             .map(|me| {
                 let mut recorder = Recorder::new(self.recorder.mode());
-                recorder.set_bin_width(self.recorder.bin_width());
                 if recorder.mode() == RecorderMode::Raw {
                     recorder.enable_tagging();
                 }

@@ -4,38 +4,23 @@ use sharqfec_netsim::{SimDuration, SimTime};
 
 /// Parameters of an SRM run.  Workload defaults mirror the SHARQFEC
 /// paper's §6.2 scenario (1024 × 1000-byte packets at 800 kbit/s from
-/// t = 6 s); timer constants are SRM's, with the adaptive algorithm on by
-/// default as in the paper's comparison.
+/// t = 6 s); the timer constants are SRM's and sit beside their readers
+/// (`receiver.rs`, `replier.rs`), with the adaptive algorithm on by default
+/// as in the paper's comparison.
 #[derive(Clone, Debug)]
 pub struct SrmConfig {
     /// Number of data packets in the stream.
     pub total_packets: u32,
     /// Data/repair packet size, bytes.
     pub packet_bytes: u32,
-    /// Request (NACK) packet size, bytes.
-    pub request_bytes: u32,
     /// Inter-packet interval of the CBR source (10 ms = 800 kbit/s at
     /// 1000 B).
     pub send_interval: SimDuration,
     /// When the source starts transmitting.
     pub data_start: SimTime,
-    /// Initial request-timer window factors `[C1·d, (C1+C2)·d]`.
-    pub c1: f64,
-    /// See [`SrmConfig::c1`].
-    pub c2: f64,
-    /// Initial repair-timer window factors `[D1·d, (D1+D2)·d]`.
-    pub d1: f64,
-    /// See [`SrmConfig::d1`].
-    pub d2: f64,
     /// Whether the §V adaptive-timer adjustment runs (the paper's
     /// comparison enables it "for best possible performance").
     pub adaptive: bool,
-    /// Ignore further requests for a packet for this multiple of `d_SA`
-    /// after sending its repair (SRM's repair hold-down).
-    pub repair_holdoff_factor: f64,
-    /// How often receivers audit for tail losses after the stream should
-    /// have ended (as a multiple of `send_interval`).
-    pub audit_factor: f64,
     /// Optional session-message layer (SRM's periodic session packets):
     /// every receiver multicasts a globally scoped announcement each
     /// interval, and every receiver records each announcer it hears in a
@@ -43,8 +28,6 @@ pub struct SrmConfig {
     /// the scale sweep measures.  `None` (the default) disables the layer
     /// entirely, leaving the paper-scenario runs bit-identical.
     pub session_announce: Option<SimDuration>,
-    /// Session announcement packet size, bytes.
-    pub announce_bytes: u32,
     /// Announcer rotation stride: in round `r`, only receivers whose
     /// `(node + r) % stride == 0` announce.  `1` (the default) is full
     /// SRM — every member announces every interval.  Large sweep cells use
@@ -59,18 +42,10 @@ impl Default for SrmConfig {
         SrmConfig {
             total_packets: 1024,
             packet_bytes: 1000,
-            request_bytes: 40,
             send_interval: SimDuration::from_millis(10),
             data_start: SimTime::from_secs(6),
-            c1: 2.0,
-            c2: 2.0,
-            d1: 1.0,
-            d2: 1.0,
             adaptive: true,
-            repair_holdoff_factor: 3.0,
-            audit_factor: 10.0,
             session_announce: None,
-            announce_bytes: 40,
             announce_stride: 1,
         }
     }
@@ -86,16 +61,11 @@ impl SrmConfig {
         assert!(self.total_packets > 0, "need at least one packet");
         assert!(self.packet_bytes > 0, "packets must have a size");
         assert!(
-            self.c1 > 0.0 && self.c2 >= 0.0 && self.d1 > 0.0 && self.d2 >= 0.0,
-            "timer window factors must be positive"
-        );
-        assert!(
             self.send_interval > SimDuration::ZERO,
             "CBR interval must be positive"
         );
         if let Some(iv) = self.session_announce {
             assert!(iv > SimDuration::ZERO, "announce interval must be positive");
-            assert!(self.announce_bytes > 0, "announcements must have a size");
             assert!(self.announce_stride > 0, "announce stride must be positive");
         }
     }

@@ -12,6 +12,17 @@ const TOK_REP_BASE: u64 = 2 << 32;
 const TOK_AUDIT: u64 = 3 << 32;
 const TOK_ANNOUNCE: u64 = 4 << 32;
 
+/// Initial request-timer window factors `[C1·d, (C1+C2)·d]`.
+const C1: f64 = 2.0;
+const C2: f64 = 2.0;
+/// Request (NACK) packet size, bytes.
+const REQUEST_BYTES: u32 = 40;
+/// Session announcement packet size, bytes.
+const ANNOUNCE_BYTES: u32 = 40;
+/// How often receivers audit for tail losses after the stream should have
+/// ended (as a multiple of `send_interval`).
+const AUDIT_FACTOR: f64 = 10.0;
+
 /// Backoff exponent cap: 2^7 × window tops out around tens of seconds on
 /// the paper topology, keeping the repair tail finite within a simulation
 /// horizon while still backing off aggressively.
@@ -66,7 +77,7 @@ impl SrmReceiver {
     /// Creates a receiver expecting `cfg.total_packets` packets from
     /// `source`.
     pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId) -> SrmReceiver {
-        let req_params = adaptive_window(cfg.c1, cfg.c2, cfg.adaptive);
+        let req_params = adaptive_window(C1, C2, cfg.adaptive);
         SrmReceiver {
             received: vec![false; cfg.total_packets as usize],
             replier: Replier::new(&cfg),
@@ -113,7 +124,7 @@ impl SrmReceiver {
     fn stream_end(&self) -> SimTime {
         self.cfg.data_start
             + self.cfg.send_interval * self.cfg.total_packets as u64
-            + self.cfg.send_interval.mul_f64(self.cfg.audit_factor)
+            + self.cfg.send_interval.mul_f64(AUDIT_FACTOR)
     }
 
     fn d_sa(&self, ctx: &Ctx<'_, SrmMsg>) -> SimDuration {
@@ -223,7 +234,7 @@ impl Agent<SrmMsg> for SrmReceiver {
             };
             let stride = self.cfg.announce_stride;
             if (u64::from(ctx.node().0) + self.announce_round).is_multiple_of(stride) {
-                ctx.multicast(self.chan, SrmMsg::Announce, self.cfg.announce_bytes);
+                ctx.multicast(self.chan, SrmMsg::Announce, ANNOUNCE_BYTES);
                 self.announces_sent += 1;
             }
             self.announce_round += 1;
@@ -239,10 +250,7 @@ impl Agent<SrmMsg> for SrmReceiver {
                 // Anything never even heard of is a tail loss.
                 let last = self.cfg.total_packets - 1;
                 self.note_exists(ctx, last);
-                ctx.set_timer(
-                    self.cfg.send_interval.mul_f64(self.cfg.audit_factor),
-                    TOK_AUDIT,
-                );
+                ctx.set_timer(self.cfg.send_interval.mul_f64(AUDIT_FACTOR), TOK_AUDIT);
             }
             return;
         }
@@ -263,7 +271,7 @@ impl Agent<SrmMsg> for SrmReceiver {
         let Some(i) = self.requests.get(&seq).map(|r| r.i) else {
             return;
         };
-        ctx.multicast(self.chan, SrmMsg::Request { seq }, self.cfg.request_bytes);
+        ctx.multicast(self.chan, SrmMsg::Request { seq }, REQUEST_BYTES);
         self.requests_sent += 1;
         // SRM has one flat scope and no ZLC; `group` carries the sequence
         // number and the counts carry what the protocol actually tracks.
@@ -301,7 +309,7 @@ impl Agent<SrmMsg> for SrmReceiver {
                 self.note_exists(ctx, seq);
                 if self.received[seq as usize] {
                     let token = TOK_REP_BASE | seq as u64;
-                    self.replier.schedule(ctx, &self.cfg, seq, pkt.src, token);
+                    self.replier.schedule(ctx, seq, pkt.src, token);
                 } else if let Some((old_timer, i, backed_off)) = self
                     .requests
                     .get(&seq)

@@ -12,11 +12,17 @@ use crate::msg::SrmMsg;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
+/// Initial repair-timer window factors `[D1·d, (D1+D2)·d]`.
+pub(crate) const D1: f64 = 1.0;
+pub(crate) const D2: f64 = 1.0;
+/// Ignore further requests for a packet for this multiple of `d_AB` after
+/// sending its repair (SRM's repair hold-down).
+pub(crate) const REPAIR_HOLDOFF_FACTOR: f64 = 3.0;
+
 pub(crate) struct Replier {
     /// Pending repair timers: seq → (timer, hold-off span once the repair
     /// is sent or heard — the requester's distance × the hold-off factor,
-    /// worked out when armed so the machine keeps no copy of the factor:
-    /// an agent's size is part of the benchmark's pinned `alloc_mb`).
+    /// worked out when armed, while the requester is at hand).
     pending: IdHashMap<u32, (TimerId, SimDuration)>,
     /// Per-seq hold-down after a repair was sent or heard.
     holdoff: IdHashMap<u32, SimTime>,
@@ -29,7 +35,7 @@ impl Replier {
         Replier {
             pending: IdHashMap::default(),
             holdoff: IdHashMap::default(),
-            params: adaptive_window(cfg.d1, cfg.d2, cfg.adaptive),
+            params: adaptive_window(D1, D2, cfg.adaptive),
         }
     }
 
@@ -40,7 +46,6 @@ impl Replier {
     pub(crate) fn schedule(
         &mut self,
         ctx: &mut Ctx<'_, SrmMsg>,
-        cfg: &SrmConfig,
         seq: u32,
         requester: NodeId,
         token: u64,
@@ -59,7 +64,7 @@ impl Replier {
             .rng()
             .range_f64(self.params.lo(), self.params.lo() + self.params.width());
         let timer = ctx.set_timer(d_ab.mul_f64(factor), token);
-        let hold = d_ab.mul_f64(cfg.repair_holdoff_factor);
+        let hold = d_ab.mul_f64(REPAIR_HOLDOFF_FACTOR);
         self.pending.insert(seq, (timer, hold));
     }
 

@@ -70,7 +70,7 @@ impl Agent<SrmMsg> for SrmSource {
                 // Only packets already transmitted can be repaired.
                 if seq < self.next_seq {
                     let token = TOK_REPAIR_BASE | seq as u64;
-                    self.replier.schedule(ctx, &self.cfg, seq, pkt.src, token);
+                    self.replier.schedule(ctx, seq, pkt.src, token);
                 }
             }
             SrmMsg::Repair { seq } => {
@@ -88,6 +88,7 @@ impl Agent<SrmMsg> for SrmSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replier::{D1, D2, REPAIR_HOLDOFF_FACTOR};
     use crate::SrmReceiver;
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
@@ -137,8 +138,8 @@ mod tests {
             panic!("one timer, got {armed:?}");
         };
         assert_eq!(token, TOK_REPAIR_BASE | 1);
-        let (cfg, delay) = (SrmConfig::default(), at.saturating_since(d.now));
-        assert!(dist.mul_f64(cfg.d1) <= delay && delay <= dist.mul_f64(cfg.d1 + cfg.d2));
+        let delay = at.saturating_since(d.now);
+        assert!(dist.mul_f64(D1) <= delay && delay <= dist.mul_f64(D1 + D2));
 
         // A duplicate arms nothing; the window folds it in when the round
         // ends: one duplicate request + the repair that beat ours, × 1/4.
@@ -150,7 +151,7 @@ mod tests {
         // The heard repair started the hold-off (3·d): requests inside it
         // are ignored, the first one after it is answered.
         assert!(request(&mut d, p, 1).is_empty());
-        d.now += dist.mul_f64(cfg.repair_holdoff_factor);
+        d.now += dist.mul_f64(REPAIR_HOLDOFF_FACTOR);
         assert_eq!(request(&mut d, p, 1).len(), 1);
         let fired = d.call(|s, ctx| s.on_timer(ctx, TOK_REPAIR_BASE | 1));
         let repair = SrmMsg::Repair { seq: 1 };

@@ -73,13 +73,9 @@ fn main() {
         TrafficClass::Session,
         TrafficClass::Control,
     ] {
-        let tx = rec
-            .transmissions
-            .iter()
-            .filter(|t| t.class == class)
-            .count();
-        let rx = rec.deliveries.iter().filter(|d| d.class == class).count();
-        let dr = rec.drops.iter().filter(|d| d.class == class).count();
+        let tx = rec.total_sent(class);
+        let rx = rec.total_delivered(class);
+        let dr = rec.total_dropped(class);
         println!("  {:<8} {:>7} / {:>8} / {:>6}", class.label(), tx, rx, dr);
     }
     println!("packets missing at horizon: {missing}");

@@ -92,10 +92,7 @@ fn main() {
     println!("deepest FEC index used anywhere: {worst_fec_used} (headroom {HEADROOM})");
     let repairs = engine
         .recorder()
-        .transmissions
-        .iter()
-        .filter(|t| t.class == sharqfec_repro::netsim::TrafficClass::Repair)
-        .count();
+        .total_sent(sharqfec_repro::netsim::TrafficClass::Repair);
     println!(
         "repair packets across the whole session: {repairs} ({:.2} per group per zone on average)",
         repairs as f64 / n_groups as f64 / 29.0

@@ -70,16 +70,13 @@ fn protocol_demo() {
         .map(|&r| engine.agent::<SfAgent>(r).expect("receiver").missing())
         .sum();
     let rec = engine.recorder();
-    let count = |class| {
-        rec.transmissions
-            .iter()
-            .filter(|t| t.class == class)
-            .count()
-    };
     println!("   112 receivers, 128 packets each under 13-28% loss");
     println!("   drops on links : {}", rec.drops.len());
-    println!("   repairs sent   : {}", count(TrafficClass::Repair));
-    println!("   NACKs sent     : {}", count(TrafficClass::Nack));
+    println!(
+        "   repairs sent   : {}",
+        rec.total_sent(TrafficClass::Repair)
+    );
+    println!("   NACKs sent     : {}", rec.total_sent(TrafficClass::Nack));
     println!("   packets missing: {missing}");
     assert_eq!(missing, 0, "SHARQFEC must deliver reliably");
     println!("   every receiver reconstructed every group ✓");
