@@ -13,7 +13,7 @@ echo "==> line ledger: the total and the file cap only move on purpose"
 # alloc_ceiling below, and states its budget in CHANGES.md; one that
 # removes lines lowers it to keep them removed.  No source file outside
 # vendor/ may pass 1800 lines.
-line_ceiling=32404
+line_ceiling=32749
 ledger=$(find crates vendor src tests examples -name '*.rs' | xargs wc -l | sort -n)
 total=$(awk '$2 == "total" {print $1}' <<< "$ledger")
 echo "    total $total (ceiling $line_ceiling); five largest:"
@@ -84,6 +84,9 @@ pinned_sweep fault fault_sweep
 pinned_sweep ablation ablation_sweep
 pinned_sweep fig14-21 fig14_21_traffic --packets 128
 pinned_sweep policy BENCH_policy_sweep
+# The full scenario grid (the 10^4-receiver flash cell included): its
+# outage cells are the runs whose routing follows link faults.
+pinned_sweep scenario BENCH_scenario_sweep
 
 echo "==> scaling sweep smoke (10^2/10^3) + crossover check"
 # The smoke grid re-measures the SHARQFEC-vs-SRM session crossover at
@@ -93,14 +96,12 @@ echo "==> scaling sweep smoke (10^2/10^3) + crossover check"
 "$bench" scale --check "$fresh/BENCH_scale_sweep.json"
 "$bench" scale --check results/BENCH_scale_sweep.json
 
-echo "==> workload-scenario sweep smoke + committed-grid check"
+echo "==> workload-scenario sweep smoke"
 # Flash crowds, churn, and regional outages compiled through the
-# scenario DSL, every cell audited: the smoke grid runs fresh, the
-# committed full grid (with the 10^4-receiver flash-crowd cell) is
-# invariant-checked.
+# scenario DSL, every cell audited: the smoke grid runs fresh for the
+# sharded gate below (the full grid is pinned above).
 "$bench" scenario --smoke --out "$fresh" > /dev/null
 "$bench" scenario --check "$fresh/BENCH_scenario_sweep.json"
-"$bench" scenario --check results/BENCH_scenario_sweep.json
 
 echo "==> sharded engine determinism gate (--shards 4 vs serial)"
 # The conservative-PDES shard path must be bit-identical to the serial
@@ -124,7 +125,7 @@ alloc_ceiling() {
     fig10_repair)    echo 26629 ;; # 26366
     session_1k)      echo 34813 ;; # 34469
     srm_500)         echo 5620 ;;  # 5565
-    flash_churn_500) echo 57108 ;; # 56543
+    flash_churn_500) echo 41654 ;; # 41242
     codec_object)    echo 2128 ;;  # 2107
     *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
   esac

@@ -35,12 +35,20 @@
 //!
 //! ## Dynamic topology
 //!
-//! Shortest-path trees are computed lazily against the current link-up
-//! mask.  A [`FaultEvent::LinkDown`] invalidates every cached tree that
-//! routes over the dead link; a [`FaultEvent::LinkUp`] invalidates all of
-//! them (a restored link can shorten any path).  The next packet forwarded
-//! from a source recomputes that source's tree on demand, so routing
-//! reacts to flaps without paying for trees nobody uses.  The
+//! On a tree topology — every generator in `topology` builds one — a
+//! packet's route is the unique path, walked from the adjacency list.  A
+//! link fault only decides whether that path exists: each applied
+//! [`FaultEvent::LinkDown`]/[`FaultEvent::LinkUp`] relabels every node
+//! with its component over the up links (`O(n)`; no labels while every
+//! link is up), and a packet stops at nodes whose label differs from its
+//! source's.  That is the masked shortest-path tree: on a tree, a node is
+//! in its source's masked tree iff its path to the source is up.
+//!
+//! On a graph with cycles, shortest-path trees are computed lazily against
+//! the current link-up mask.  A `LinkDown` invalidates every cached tree
+//! that routes over the dead link; a `LinkUp` invalidates all of them (a
+//! restored link can shorten any path).  The next packet forwarded from a
+//! source recomputes that source's tree on demand.  The
 //! [`DistanceOracle`] intentionally stays frozen at build time: it models
 //! a *converged* session's RTT knowledge, not instantaneous reachability.
 
@@ -103,18 +111,22 @@ pub struct Engine<M> {
     pub(crate) topo: Topology,
     pub(crate) oracle: DistanceOracle,
     /// Lazily-computed shortest-path trees against the current `link_up`
-    /// mask; `None` means "invalidated or never needed yet".  Stays a
-    /// zero-length vec until a tree is first requested, so tree-forwarded
-    /// runs never pay the `O(nodes)` table (let alone the `O(n²)` trees).
+    /// mask, for graphs with cycles; `None` means "invalidated or never
+    /// needed yet".  Stays a zero-length vec until a tree is first
+    /// requested, so a tree topology never pays the `O(nodes)` table (let
+    /// alone the `O(n²)` trees).
     pub(crate) spts: Vec<Option<Spt>>,
-    /// Whether forwarding may use the `O(depth)`-per-hop tree fast path
-    /// instead of per-source SPTs.  True only when the topology is a tree
-    /// *and* no link fault can change routing mid-run; the two paths
-    /// produce bit-identical schedules where both apply.
-    pub(crate) tree_forwarding: bool,
     pub(crate) link_state: Vec<LinkState>,
     /// Whether each link currently carries traffic (fault injection).
     pub(crate) link_up: Vec<bool>,
+    /// Each node's connected component over the up links (the id of its
+    /// lowest-numbered member); `None` while every link is up.  Tree
+    /// forwarding stops where a node's label differs from the source's.
+    pub(crate) reach: Option<Vec<u32>>,
+    /// Forces the masked-SPT path on a tree, so a test can hold the
+    /// labelled tree path against it.
+    #[cfg(test)]
+    pub(crate) force_spt: bool,
     /// Whether each node's *agent* is running; a crashed node still
     /// forwards (the router outlives the application process).
     pub(crate) node_up: Vec<bool>,
@@ -173,8 +185,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// topologies (cheap at paper scale, 113 nodes), `O(n)` tree arrays
     /// when the topology is a tree; per-source routing trees are computed
     /// lazily on first use so fault-driven invalidation stays cheap, and
-    /// are never computed at all on fault-free tree topologies (see
-    /// [`EngineBuilder::fault_plan`]).
+    /// are never computed at all on tree topologies.
     ///
     /// Crate-internal: [`EngineBuilder`] is the public way to construct
     /// an engine, configuring channels, agents, recorder mode, and the
@@ -185,14 +196,15 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         let loss_base = root.split(u64::MAX);
         let agent_rngs = (0..n as u64).map(|i| root.split(i)).collect();
         let oracle = DistanceOracle::compute(&topo);
-        let tree_forwarding = oracle.is_tree();
         Engine {
             link_state: vec![LinkState::default(); topo.link_count()],
             link_up: vec![true; topo.link_count()],
+            reach: None,
+            #[cfg(test)]
+            force_spt: false,
             node_up: vec![true; n],
             epoch: vec![0; n],
             spts: Vec::new(),
-            tree_forwarding,
             oracle,
             channels: Vec::new(),
             agents: (0..n).map(|_| None).collect(),
@@ -255,7 +267,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     }
 
     /// Per-source routing trees currently cached (diagnostics).  Stays
-    /// zero for tree-forwarded runs, which never materialize an SPT.
+    /// zero on a tree topology, link faults or not: only a graph with
+    /// cycles materializes an SPT.
     pub fn cached_spt_count(&self) -> usize {
         self.spts.iter().flatten().count()
     }
@@ -313,20 +326,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     }
 
     /// Schedules every event of a fault plan.  Events must not lie in the
-    /// engine's past.
-    ///
-    /// A plan containing link up/down events disables the tree forwarding
-    /// fast path for the rest of the run: packets already in a subtree
-    /// must observe the live link mask and rerouted trees, which only the
-    /// masked-SPT path models.
+    /// engine's past; a link event changes routing only once applied.
     pub(crate) fn schedule_faults(&mut self, plan: &FaultPlan) {
-        if plan
-            .events()
-            .iter()
-            .any(|(_, ev)| matches!(ev, FaultEvent::LinkDown(_) | FaultEvent::LinkUp(_)))
-        {
-            self.tree_forwarding = false;
-        }
         for &(when, ev) in plan.events() {
             assert!(
                 when >= self.now,
@@ -345,10 +346,9 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         }
     }
 
-    /// Schedules one channel-membership change.  Unlike link faults this
-    /// never disables the tree-forwarding fast path and invalidates no
-    /// routing tree: scope pruning consults live membership per hop, so
-    /// the membership flip is visible to the very next packet.
+    /// Schedules one channel-membership change.  Unlike a link fault this
+    /// touches no routing state: scope pruning consults live membership
+    /// per hop, so the flip is visible to the very next packet.
     pub(crate) fn schedule_membership(&mut self, when: SimTime, ev: MembershipEvent) {
         assert!(
             when >= self.now,
@@ -565,6 +565,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                         *spt = None;
                     }
                 }
+                self.relabel();
             }
             FaultEvent::LinkUp(link) => {
                 if self.link_up[link.idx()] {
@@ -576,6 +577,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 for spt in &mut self.spts {
                     *spt = None;
                 }
+                self.relabel();
             }
             FaultEvent::SetLoss(link, model) => {
                 self.topo.set_loss_model(link, model);
@@ -605,6 +607,34 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 }
             }
         }
+    }
+
+    /// Recomputes `reach` from the link mask in one `O(n)` sweep.
+    fn relabel(&mut self) {
+        if self.link_up.iter().all(|&up| up) {
+            self.reach = None;
+            return;
+        }
+        let mut label = self.reach.take().unwrap_or_default();
+        label.clear();
+        label.resize(self.topo.node_count(), u32::MAX);
+        let mut stack = Vec::new();
+        for root in 0..label.len() as u32 {
+            if label[root as usize] != u32::MAX {
+                continue;
+            }
+            label[root as usize] = root;
+            stack.push(NodeId(root));
+            while let Some(u) = stack.pop() {
+                for &(v, link) in self.topo.neighbors(u) {
+                    if self.link_up[link.idx()] && label[v.idx()] == u32::MAX {
+                        label[v.idx()] = root;
+                        stack.push(v);
+                    }
+                }
+            }
+        }
+        self.reach = Some(label);
     }
 
     /// Runs one agent callback and then applies its queued actions.
@@ -709,18 +739,25 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// pruning at channel non-members (administrative scope boundary) and
     /// sampling the per-link loss process for lossy traffic classes.
     ///
-    /// On tree topologies without link faults the children are enumerated
-    /// directly from the adjacency list (every neighbour except the one
-    /// toward the source), so no per-source SPT is ever materialized —
-    /// the `O(n)` trees that session-announce traffic from every member
-    /// would otherwise force add up to `O(n²)`.  Both neighbour lists and
+    /// On a tree topology the children are enumerated directly from the
+    /// adjacency list (every neighbour except the one toward the source),
+    /// so no per-source SPT is ever materialized — the `O(n)` trees that
+    /// session-announce traffic from every member would otherwise force
+    /// add up to `O(n²)`.  Under link faults this is still the masked SPT:
+    /// a node cut off from the source (another label) forwards nothing,
+    /// and `hop` skips each down link below it.  Both neighbour lists and
     /// SPT child groups are sorted by node id, so the hop order (and with
     /// it the loss-RNG draw order) is bit-identical across the two paths.
     fn forward(&mut self, at: NodeId, pkt: PacketRef) {
         // The cached header carries everything the hop loop needs — the
         // payload (and its class()) is never touched per hop.
         let hdr = self.arena.header(pkt);
-        if self.tree_forwarding {
+        if self.tree_routed() {
+            if let Some(reach) = &self.reach {
+                if reach[at.idx()] != reach[hdr.src.idx()] {
+                    return;
+                }
+            }
             let toward = if at == hdr.src {
                 None
             } else {
@@ -746,6 +783,15 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             let (child, link) = self.spts[src].as_ref().expect("ensured").child_edge(i);
             self.hop(at, child, link, pkt, hdr);
         }
+    }
+
+    /// Whether forwarding takes the tree path: a property of the topology.
+    fn tree_routed(&self) -> bool {
+        #[cfg(test)]
+        if self.force_spt {
+            return false;
+        }
+        self.oracle.is_tree()
     }
 
     /// One forwarding hop: link-mask and scope checks, loss sampling for

@@ -677,38 +677,92 @@ fn legitimate_cancel_is_reclaimed_when_deadline_passes() {
     assert_eq!(e.cancelled.len(), 0);
 }
 
-#[test]
-fn tree_fast_path_is_bit_identical_to_spt_forwarding() {
-    // The same lossy tree scenario run twice: once on the tree fast
-    // path, once with the legacy masked-SPT path forced by a link
-    // fault scheduled far beyond the horizon.  Arrival sequences (and
-    // hence every loss-RNG draw) must match exactly; the fast path
-    // must cache no SPTs at all.
-    let run = |force_legacy: bool| -> (Vec<(SimTime, Msg)>, usize) {
-        let (t, [n0, n1, n2]) = chain3(0.3);
-        let l = t.link_between(n0, n1).unwrap();
-        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 9);
-        let chan = b.add_channel(&[n0, n1, n2]);
-        b.add_agent(n0, Box::new(Burst { chan, count: 50 }));
-        b.add_agent(n2, Box::new(Sniffer::default()));
-        if force_legacy {
-            b.fault_plan(
-                FaultPlan::new().at(SimTime::from_secs(1_000_000), FaultEvent::LinkDown(l)),
-            );
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On a tree, the labelled adjacency walk forwards exactly as the
+    /// masked-SPT path does while links go down and come back with traffic
+    /// in flight: same events, clock, deliveries, transmissions and drops,
+    /// over lossy, bandwidth-limited links, several senders and a mid-run
+    /// horizon stop — and it never builds an SPT.
+    #[test]
+    fn labelled_tree_routing_matches_masked_spt_forwarding(
+        // Node `i + 1` hangs off one of the nodes before it, over 1–9 ms.
+        tree in (3usize..28).prop_flat_map(|n| proptest::collection::vec((any::<u32>(), 1u64..10), n..n + 1)),
+        flaps in proptest::collection::vec((any::<u32>(), 0u64..120, 1u64..80), 0..6),
+        senders in proptest::collection::vec(any::<u32>(), 1..4),
+        seed in any::<u64>(),
+        mid in 1u64..150,
+    ) {
+        let n = tree.len() + 1;
+        let mut t = TopologyBuilder::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| t.add_node(format!("{i}"))).collect();
+        for (i, &(pick, lat)) in tree.iter().enumerate() {
+            let parent = nodes[pick as usize % (i + 1)];
+            t.add_link(parent, nodes[i + 1], LinkParams::new(ms(lat), 500_000, 0.2));
         }
-        let mut e = b.build();
-        e.advance(RunSpec::to(SimTime::from_secs(100)));
-        (
-            e.agent::<Sniffer>(n2).unwrap().heard.clone(),
-            e.cached_spt_count(),
-        )
-    };
-    let (fast, fast_spts) = run(false);
-    let (legacy, legacy_spts) = run(true);
-    assert!(!fast.is_empty());
-    assert_eq!(fast, legacy);
-    assert_eq!(fast_spts, 0, "tree forwarding must not materialize SPTs");
-    assert!(legacy_spts > 0, "the control run must use the SPT path");
+        let topo = t.build();
+        let mut plan = FaultPlan::new();
+        for &(pick, down, span) in &flaps {
+            let link = LinkId(pick % (n as u32 - 1));
+            plan = plan.link_flap(link, SimTime::from_millis(down), SimTime::from_millis(down + span));
+        }
+        let run = |force_spt: bool| {
+            let mut b: EngineBuilder<Msg> = EngineBuilder::new(topo.clone(), seed);
+            let chan = b.add_channel(&nodes);
+            let mut senders: Vec<usize> = senders.iter().map(|&s| s as usize % n).collect();
+            senders.sort_unstable();
+            senders.dedup();
+            for s in senders {
+                b.add_agent(nodes[s], Box::new(Ticker { chan, left: 8 }));
+            }
+            b.fault_plan(plan.clone());
+            let mut e = b.build();
+            e.force_spt = force_spt;
+            let mut processed = e.advance(RunSpec::to(SimTime::from_millis(mid)));
+            processed += e.advance(RunSpec::drain());
+            let rec = e.recorder();
+            let seen = (processed, e.now(), rec.deliveries.clone(), rec.transmissions.clone());
+            (seen, rec.drops.clone(), e.cached_spt_count())
+        };
+        let (labelled, spt) = (run(false), run(true));
+        prop_assert_eq!(&labelled.0, &spt.0);
+        prop_assert_eq!(&labelled.1, &spt.1);
+        prop_assert_eq!(labelled.2, 0, "tree routing must not materialize SPTs");
+    }
+}
+
+#[test]
+fn a_send_after_a_horizon_stop_pops_before_the_queued_head() {
+    // The horizon stop peeks the queue's head, n1's start at 1 s, which
+    // moves the queue's base up to it; the multicast at `now` then queues
+    // arrivals below that base, and they must still pop first.
+    let (t, [n0, n1, n2]) = chain3(0.0);
+    let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 1);
+    let chan = b.add_channel(&[n0, n1, n2]);
+    let started_at = Vec::new();
+    b.add_agent_at(
+        n1,
+        Box::new(StartClock { started_at }),
+        SimTime::from_secs(1),
+    );
+    let mut e = b.build();
+    e.advance(RunSpec::to(SimTime::from_millis(100)));
+    e.multicast_from(n0, chan, Msg::Data(0), 1000);
+    e.advance(RunSpec::drain());
+    let at = SimTime::from_millis;
+    let order: Vec<(SimTime, NodeId)> = e
+        .recorder()
+        .deliveries
+        .iter()
+        .map(|r| (r.time, r.node))
+        .collect();
+    assert_eq!(order, vec![(at(120), n1), (at(140), n2)]);
+    assert_eq!(
+        e.agent::<StartClock>(n1).unwrap().started_at,
+        vec![at(1000)]
+    );
+    assert_eq!(e.now(), at(1000));
 }
 
 #[test]

@@ -4,21 +4,32 @@
 //! events, so the queue's memory behaviour is a first-order performance
 //! concern.  This queue separates *ordering* from *storage*:
 //!
-//! * the binary min-heap holds only 32-byte `Copy` entries — an
-//!   [`EventKey`]'s four fields plus the slab slot, two to a cache line —
-//!   so every sift moves a few words instead of a whole event payload;
+//! * ordering moves only 32-byte `Copy` entries — an [`EventKey`]'s four
+//!   fields plus the slab slot, two to a cache line — never a payload;
 //! * event payloads live in a slab (`Vec<Option<T>>`) addressed by the
 //!   key's slot index, with a free list recycling slots, so steady-state
 //!   scheduling touches no allocator at all once the simulation's
 //!   high-water mark is reached.
 //!
 //! Ordering is the lexicographic minimum of an [`EventKey`] — `(time,
-//! push_time, origin, oseq)`.  The legacy [`EventQueue::push`] entry point
-//! assigns keys from a monotone per-queue counter, which reproduces the
-//! old global-FIFO tie-break exactly: events at the same timestamp pop in
-//! insertion order.  A property test in `tests/proptests.rs` pins that
-//! equivalence against a `BinaryHeap` model over random push/pop
-//! interleavings.
+//! push_time, origin, oseq)` — kept in two tiers around `last`, the time
+//! the queue last advanced to.  Entries due by `last` (the few sharing the
+//! current instant, or pushed below it after a horizon stop) sit in `near`,
+//! a binary min-heap on the full key.  Later entries sit in 64 radix
+//! buckets, bucket `b` holding those whose time first differs from `last`
+//! at bit `b`: a push is O(1).  When `near` runs dry, the lowest non-empty
+//! bucket is emptied — `last` moves up to its minimum time (kept on push),
+//! its entries due then go to `near` and the rest to lower buckets, while
+//! higher buckets stay valid because the new `last` agrees with the old
+//! above bit `b`.  Buckets are chains of 32-entry chunks from one pool
+//! with a free list.  Keys are unique, so any correct min-queue pops the
+//! same sequence: the schedule depends on the keys, not on this layout.
+//!
+//! The legacy [`EventQueue::push`] entry point assigns keys from a
+//! monotone per-queue counter, which reproduces the old global-FIFO
+//! tie-break exactly: events at the same timestamp pop in insertion
+//! order.  A property test in `tests/proptests.rs` pins that equivalence
+//! against a `BinaryHeap` model over random push/pop interleavings.
 //!
 //! The richer keyed entry points ([`EventQueue::push_keyed`],
 //! [`EventQueue::pop_keyed`]) exist for the sharded engine: a key that is
@@ -64,7 +75,7 @@ pub struct EventKey {
 /// `EventKey::cmp` — lexicographic `(time, push_time, origin, oseq)` — on
 /// every pair of keys; a property test below pins it, ties on every prefix
 /// included.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Entry {
     time: u64,
     push_time: u64,
@@ -108,14 +119,58 @@ impl Entry {
     }
 }
 
+/// Entries per pool chunk.
+const CHUNK: usize = 32;
+
+/// "No chunk": the end of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A run of bucket entries; `next` links the bucket's chain (or the free
+/// list) toward older chunks.
+#[derive(Debug)]
+struct Chunk {
+    entries: [Entry; CHUNK],
+    next: u32,
+}
+
+/// One radix bucket: a chain of pool chunks, the newest first.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    /// The newest chunk; every older chunk in the chain is full.
+    head: u32,
+    /// Entries in `head`.  An empty bucket reads as full, so its first
+    /// push takes a chunk the same way a full one does.
+    fill: u32,
+    /// The earliest time among the bucket's entries.
+    min: u64,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    fill: CHUNK as u32,
+    min: u64::MAX,
+};
+
 /// A min-ordered event queue: `pop` yields events in ascending `(time,
 /// insertion sequence)` order.
 ///
 /// `T` is the event payload; it is stored once in the slab and moved out
-/// exactly once on pop — the heap itself only ever copies small keys.
+/// exactly once on pop — ordering only ever copies small entries.
+///
+/// **Layout invariant** (see the module docs): every entry in `near` has
+/// `time <= last`, and every entry in bucket `b` has `time > last` with
+/// `b` the highest bit of `time ^ last`.  So `near`'s minimum, when `near`
+/// is non-empty, is the queue's minimum.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: Vec<Entry>,
+    near: Vec<Entry>,
+    last: u64,
+    buckets: [Bucket; 64],
+    /// Bit `b` is set iff bucket `b` holds an entry.
+    occupied: u64,
+    pool: Vec<Chunk>,
+    /// Head of the free-chunk list threaded through `Chunk::next`.
+    spare: u32,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
     seq: u64,
@@ -131,7 +186,12 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            heap: Vec::new(),
+            near: Vec::new(),
+            last: 0,
+            buckets: [EMPTY; 64],
+            occupied: 0,
+            pool: Vec::new(),
+            spare: NIL,
             slots: Vec::new(),
             free: Vec::new(),
             seq: 0,
@@ -140,12 +200,12 @@ impl<T> EventQueue<T> {
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Whether the queue holds no events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `item` at `time` and returns its insertion sequence
@@ -182,13 +242,13 @@ impl<T> EventQueue<T> {
                 s
             }
         };
-        self.heap.push(Entry::new(key, slot));
-        self.sift_up(self.heap.len() - 1);
+        self.place(Entry::new(key, slot));
     }
 
-    /// Full ordering key of the earliest event, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.first().map(Entry::key)
+    /// Full ordering key of the earliest event, if any.  Takes `&mut
+    /// self` because finding it may empty a bucket into `near`.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
+        self.refill().then(|| self.near[0].key())
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
@@ -198,33 +258,104 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event with its full key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
+        if !self.refill() {
+            return None;
+        }
+        let top = self.near[0];
+        let tail = self.near.pop().expect("refilled");
+        if !self.near.is_empty() {
+            self.near[0] = tail;
             self.sift_down(0);
         }
         let item = self.slots[top.slot as usize]
             .take()
-            .expect("heap key points at a filled slot");
+            .expect("queue entry points at a filled slot");
         self.free.push(top.slot);
         Some((top.key(), item))
+    }
+
+    /// Files an entry by the layout invariant: into `near` when it is due
+    /// by `last`, else at the tail of its bucket's newest chunk.
+    #[inline]
+    fn place(&mut self, e: Entry) {
+        if e.time <= self.last {
+            self.near.push(e);
+            self.sift_up(self.near.len() - 1);
+            return;
+        }
+        let b = 63 - (e.time ^ self.last).leading_zeros() as usize;
+        let mut bucket = self.buckets[b];
+        if bucket.fill == CHUNK as u32 {
+            bucket.head = self.take_chunk(bucket.head);
+            bucket.fill = 0;
+        }
+        self.pool[bucket.head as usize].entries[bucket.fill as usize] = e;
+        bucket.fill += 1;
+        bucket.min = bucket.min.min(e.time);
+        self.buckets[b] = bucket;
+        self.occupied |= 1 << b;
+    }
+
+    /// A chunk from the free list (or a new one) linked in front of `next`.
+    fn take_chunk(&mut self, next: u32) -> u32 {
+        if self.spare == NIL {
+            let c = u32::try_from(self.pool.len()).expect("chunk pool exceeds u32 chunks");
+            self.pool.push(Chunk {
+                entries: [Entry::default(); CHUNK],
+                next,
+            });
+            return c;
+        }
+        let c = self.spare;
+        self.spare = std::mem::replace(&mut self.pool[c as usize].next, next);
+        c
+    }
+
+    /// Makes `near` non-empty unless the queue is: empties the lowest
+    /// non-empty bucket, moving `last` up to its earliest time and
+    /// re-filing its entries (those due then into `near`, the rest into
+    /// lower buckets).  Returns whether an entry is queued.
+    fn refill(&mut self) -> bool {
+        if !self.near.is_empty() {
+            return true;
+        }
+        if self.occupied == 0 {
+            return false;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        let bucket = std::mem::replace(&mut self.buckets[b], EMPTY);
+        self.occupied &= !(1 << b);
+        self.last = bucket.min;
+        let (mut head, mut count) = (bucket.head, bucket.fill as usize);
+        while head != NIL {
+            // Re-filing writes to `near` and buckets below `b`, never to
+            // this chain, and the chunk is freed only once read whole.
+            for i in 0..count {
+                let e = self.pool[head as usize].entries[i];
+                self.place(e);
+            }
+            let next = std::mem::replace(&mut self.pool[head as usize].next, self.spare);
+            self.spare = head;
+            head = next;
+            count = CHUNK;
+        }
+        true
     }
 
     /// Moves the entry at `i` toward the root until its parent pops first.
     /// The entry travels in a register and is written once where the hole
     /// it leaves comes to rest — one store per level, not a swap's three.
     fn sift_up(&mut self, mut i: usize) {
-        let moving = self.heap[i];
+        let moving = self.near[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if !moving.before(&self.heap[parent]) {
+            if !moving.before(&self.near[parent]) {
                 break;
             }
-            self.heap[i] = self.heap[parent];
+            self.near[i] = self.near[parent];
             i = parent;
         }
-        self.heap[i] = moving;
+        self.near[i] = moving;
     }
 
     /// Moves the entry at `i` toward the leaves until both children pop
@@ -232,7 +363,7 @@ impl<T> EventQueue<T> {
     /// the compare's outcome to the left child's index, so the only
     /// data-dependent branch per level is the loop exit.
     fn sift_down(&mut self, mut i: usize) {
-        let heap = &mut self.heap[..];
+        let heap = &mut self.near[..];
         let n = heap.len();
         let moving = heap[i];
         loop {
@@ -316,6 +447,66 @@ mod tests {
             prop_assert_eq!(ea.key(), a);
             prop_assert_eq!(eb.key(), b);
         }
+
+        /// The two-tier queue pops, peeks and counts as a
+        /// `BinaryHeap<Reverse<EventKey>>` does under any interleaving:
+        /// times at every bit position, ties forced on each key prefix,
+        /// pushes at and before the last popped time, and bursts of more
+        /// than a chunk into one bucket.
+        #[test]
+        fn radix_queue_matches_a_binary_heap_of_keys(
+            ops in proptest::collection::vec((0u8..6, 0u8..3, time(), key(), 0usize..4), 1..200),
+        ) {
+            use std::cmp::Reverse;
+            let mut model = std::collections::BinaryHeap::new();
+            let mut q = EventQueue::new();
+            let (mut last, mut prev, mut pushed) = (0u64, EventKey::default(), 0u64);
+            for (op, rel, t, mut key, share) in ops {
+                // An absolute time, or one relative to the last popped.
+                let at = match rel { 0 => t, 1 => last.saturating_add(t), _ => last.saturating_sub(t) };
+                if op == 5 {
+                    prop_assert_eq!(q.peek_key(), model.peek().map(|r: &Reverse<EventKey>| r.0));
+                } else if op >= 3 {
+                    let got = q.pop_keyed();
+                    prop_assert_eq!(got.map(|(k, _)| k), model.pop().map(|r| r.0));
+                    if let Some((k, item)) = got {
+                        prop_assert_eq!(item, k.oseq, "payload travels with its key");
+                        last = k.time.0;
+                    }
+                } else {
+                    // Op 2 is a burst of 33–63 at one time or a nanosecond apart.
+                    let n = if op == 2 { 33 + 10 * share as u64 } else { 1 };
+                    for i in 0..n {
+                        key.time = SimTime(at.saturating_add(i * (share as u64 & 1)));
+                        if op < 2 && share >= 1 { key.time = prev.time; }
+                        if op < 2 && share >= 2 { key.push_time = prev.push_time; }
+                        if op < 2 && share >= 3 { key.origin = prev.origin; }
+                        // Unique, and a bijection of the push count, so not in push order.
+                        key.oseq = pushed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        pushed += 1;
+                        q.push_keyed(key, key.oseq);
+                        model.push(Reverse(key));
+                        prev = key;
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while let Some(Reverse(k)) = model.pop() {
+                prop_assert_eq!(q.pop_keyed().map(|(k, _)| k), Some(k));
+            }
+            prop_assert!(q.is_empty());
+        }
+    }
+
+    /// Fire times at every bit position of the `u64` range, both ends
+    /// included.
+    fn time() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..4,
+            (0u32..64).prop_map(|b| 1 << b),
+            (0u32..64).prop_map(|b| u64::MAX >> b),
+            (0u32..64, any::<u64>()).prop_map(|(b, r)| r >> b),
+        ]
     }
 
     #[test]

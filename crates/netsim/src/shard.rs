@@ -420,9 +420,11 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                     topo: self.topo.clone(),
                     oracle: self.oracle.clone(),
                     spts: Vec::new(),
-                    tree_forwarding: self.tree_forwarding,
                     link_state: self.link_state.clone(),
                     link_up: self.link_up.clone(),
+                    reach: self.reach.clone(),
+                    #[cfg(test)]
+                    force_spt: self.force_spt,
                     node_up: self.node_up.clone(),
                     epoch: self.epoch.clone(),
                     channels: self.channels.clone(),
@@ -498,10 +500,10 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         // events replay everywhere); take shard 0's copy.
         std::mem::swap(&mut self.topo, &mut shards[0].topo);
         std::mem::swap(&mut self.link_up, &mut shards[0].link_up);
+        std::mem::swap(&mut self.reach, &mut shards[0].reach);
         std::mem::swap(&mut self.node_up, &mut shards[0].node_up);
         std::mem::swap(&mut self.epoch, &mut shards[0].epoch);
         std::mem::swap(&mut self.channels, &mut shards[0].channels);
-        self.tree_forwarding = shards[0].tree_forwarding;
         self.spts = Vec::new(); // recomputed lazily against the new mask
         for i in 0..n {
             let o = plan.owner[i] as usize;
