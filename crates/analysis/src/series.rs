@@ -70,6 +70,7 @@ pub fn bin_deliveries(
     nodes: &[NodeId],
 ) -> Vec<f64> {
     let mut counts = vec![0u64; spec.bins()];
+    // Lookup-only, never iterated: its order reaches nothing.
     let node_set: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
     for r in records {
         if !classes.contains(&r.class) || !node_set.contains(&r.node) {

@@ -10,6 +10,7 @@ use sharqfec_netsim::{NodeId, RunSpec, SimTime, TrafficClass};
 use sharqfec_session::core::ZcrSeeding;
 use sharqfec_session::{setup_session_builder, SessionAgent, SessionConfig};
 use sharqfec_topology::{balanced_tree, chain, star, BuiltTopology};
+use std::collections::BTreeSet;
 
 /// `fig01` — the paper's Figure 1 analysis (§3.1): compounded loss on
 /// the example delivery tree, the probability that every receiver gets a
@@ -211,24 +212,34 @@ fn run_case(name: &str, built: &BuiltTopology, t: &mut Table) {
 
     for zone in built.hierarchy.zones().iter().skip(1) {
         let expected = built.zcr(zone.id);
-        let mut winners = std::collections::HashSet::new();
-        for &m in &zone.members {
-            let agent = engine.agent::<SessionAgent>(m).expect("member");
-            if let Some(z) = agent.core().zcr_of(zone.id) {
-                winners.insert(z);
-            }
-        }
-        let agreed = winners.len() == 1;
-        let winner = winners.iter().next().copied();
+        let agents = zone
+            .members
+            .iter()
+            .map(|&m| engine.agent::<SessionAgent>(m).expect("member"));
+        let winners: BTreeSet<NodeId> = agents.filter_map(|a| a.core().zcr_of(zone.id)).collect();
+        let [elected, correct] = elected_cells(&winners, expected);
         t.row(vec![
             name.to_string(),
             format!("{}", zone.id),
             format!("{expected}"),
-            winner.map_or("-".into(), |w| format!("{w}")),
-            (agreed && winner == Some(expected)).to_string(),
+            elected,
+            correct,
             controls.to_string(),
         ]);
     }
+}
+
+/// The `zcr` table's "elected" and "correct" cells for the ZCRs a zone's
+/// members name: the lowest id, with the number of distinct ones when the
+/// members disagree.
+fn elected_cells(winners: &BTreeSet<NodeId>, expected: NodeId) -> [String; 2] {
+    let elected = match (winners.first(), winners.len()) {
+        (None, _) => "-".to_string(),
+        (Some(w), 1) => w.to_string(),
+        (Some(w), n) => format!("{w} (of {n})"),
+    };
+    let correct = winners.len() == 1 && winners.first() == Some(&expected);
+    [elected, correct.to_string()]
 }
 
 /// `zcr` — the paper's §6.1 election claim: "other networks that were
@@ -257,4 +268,17 @@ pub fn zcr() {
     println!("{}", t.to_aligned());
     println!("Expectation (paper): every zone elects its true closest receiver");
     println!("within one or two challenge rounds.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_disagreeing_zone_renders_the_same_row_every_time() {
+        let cells = |ids: [u32; 3]| elected_cells(&ids.map(NodeId).into(), NodeId(2));
+        assert_eq!(cells([9, 2, 5]), cells([5, 9, 2]));
+        assert_eq!(cells([9, 2, 5]), ["2 (of 3)", "false"].map(String::from));
+        assert_eq!(cells([2, 2, 2]), ["2", "true"].map(String::from));
+    }
 }

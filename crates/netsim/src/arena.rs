@@ -13,9 +13,9 @@
 //!   instead of chasing the payload — and classifies the payload once per
 //!   packet instead of once per hop;
 //! * an explicit reference count equal to the number of `Arrive` events
-//!   in the event queue holding the handle.  The *last* arrival moves the
-//!   packet out of the slot — zero clones for the common leaf delivery —
-//!   and returns the slot to a free list for the next multicast.
+//!   in the event queue holding the handle.  Each arrival lends its agent
+//!   the packet where it lies — zero clones and zero moves — and the
+//!   *last* one returns the slot to a free list for the next multicast.
 //!
 //! The arena is engine-internal: agents still receive `&Packet<M>` and
 //! never see a handle.
@@ -43,8 +43,7 @@ pub(crate) struct PacketHeader {
 }
 
 struct Slot<M> {
-    /// `None` only while the packet is temporarily lent to an agent
-    /// callback (`take`/`restore`) or after the slot was freed.
+    /// `None` once the slot is freed.
     pkt: Option<Packet<M>>,
     header: PacketHeader,
     /// Number of queued `Arrive` events referencing this slot.
@@ -66,7 +65,7 @@ impl<M> PacketArena<M> {
         }
     }
 
-    /// Packets currently interned (in flight or lent out).  Diagnostics;
+    /// Packets currently interned (in flight or being delivered).  Diagnostics;
     /// a drained engine must report zero.
     pub fn live(&self) -> usize {
         self.live
@@ -102,6 +101,12 @@ impl<M> PacketArena<M> {
                 PacketRef(i)
             }
         }
+    }
+
+    /// An interned packet, lent where it lies.
+    pub fn get(&self, r: PacketRef) -> &Packet<M> {
+        let pkt = self.slots[r.0 as usize].pkt.as_ref();
+        pkt.expect("packet ref outlived its slot")
     }
 
     /// Cached header of an interned packet.
@@ -141,35 +146,6 @@ impl<M> PacketArena<M> {
             self.free.push(r.0);
             self.live -= 1;
         }
-    }
-
-    /// A copy of an interned packet, for an arrival that moves to another
-    /// engine's arena (a cross-shard hop, a shard split or absorb) while
-    /// this slot still serves the arrivals that stay.
-    pub fn copy_of(&self, r: PacketRef) -> Packet<M>
-    where
-        M: Clone,
-    {
-        let pkt = self.slots[r.0 as usize].pkt.clone();
-        pkt.expect("copy of an empty slot")
-    }
-
-    /// Temporarily moves the packet out so it can be lent to an agent
-    /// callback while other arrivals still reference the slot.  The slot
-    /// stays off the free list, so re-entrant `insert`s cannot reuse it;
-    /// pair with [`PacketArena::restore`].
-    pub fn take(&mut self, r: PacketRef) -> Packet<M> {
-        self.slots[r.0 as usize]
-            .pkt
-            .take()
-            .expect("take on an empty slot")
-    }
-
-    /// Returns a packet lent out by [`PacketArena::take`].
-    pub fn restore(&mut self, r: PacketRef, pkt: Packet<M>) {
-        let slot = &mut self.slots[r.0 as usize];
-        debug_assert!(slot.pkt.is_none());
-        slot.pkt = Some(pkt);
     }
 }
 
@@ -252,23 +228,6 @@ mod tests {
         a.release_orphan(r); // someone holds it: must not free
         assert_eq!(a.live(), 1);
         assert!(a.release(r).is_some());
-        assert_eq!(a.live(), 0);
-    }
-
-    #[test]
-    fn take_keeps_the_slot_reserved_for_reentrant_inserts() {
-        let mut a: PacketArena<u64> = PacketArena::new();
-        let r = a.insert(pkt(1), TrafficClass::Data);
-        a.add_ref(r);
-        a.add_ref(r);
-        assert!(a.release(r).is_none());
-        let lent = a.take(r);
-        // A packet interned while the slot is lent must get a new slot.
-        let r2 = a.insert(pkt(2), TrafficClass::Data);
-        assert_ne!(r2, r);
-        a.restore(r, lent);
-        assert_eq!(a.release(r).expect("last ref").uid, 1);
-        a.release_orphan(r2);
         assert_eq!(a.live(), 0);
     }
 }

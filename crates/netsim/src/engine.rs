@@ -94,6 +94,15 @@ pub(crate) enum EventKind {
     Replicated(Replicated),
 }
 
+/// The agent callback an event runs.
+#[derive(Clone, Copy)]
+enum Callback {
+    Start,
+    Timer(u64),
+    /// An arrival, whose arena reference the callback path drops.
+    Packet(PacketRef),
+}
+
 /// The events a sharded run queues on *every* shard under one key, so
 /// replicated state — link masks, loss models, crash epochs, channel
 /// member sets — evolves identically everywhere.  Applying one is
@@ -411,7 +420,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         let class = self.arena.header(pkt).class;
         let owned = match self.arena.release(pkt) {
             Some(p) => p,
-            None => self.arena.copy_of(pkt),
+            None => self.arena.get(pkt).clone(),
         };
         (owned, class)
     }
@@ -482,9 +491,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Start(node) => {
-                self.with_agent(node, |agent, ctx| agent.on_start(ctx));
-            }
+            EventKind::Start(node) => self.call(node, Callback::Start),
             EventKind::Timer {
                 node,
                 id,
@@ -501,13 +508,13 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 if epoch != self.epoch[node.idx()] {
                     return;
                 }
-                self.with_agent(node, |agent, ctx| agent.on_timer(ctx, token));
+                self.call(node, Callback::Timer(token));
             }
             EventKind::Arrive { node, pkt } => {
-                // Deliver to the local agent (if any), then keep forwarding
-                // down the source-rooted tree.  A crashed node still
-                // forwards — the router outlives the application — but its
-                // agent hears nothing (with_agent checks node_up).
+                // Forward down the source-rooted tree, then deliver to the
+                // local agent (if any).  A crashed node still forwards —
+                // the router outlives the application — but its agent
+                // hears nothing (`call` checks node_up).
                 let hdr = self.arena.header(pkt);
                 self.recorder.record_delivery(Record {
                     time: self.now,
@@ -518,21 +525,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                     channel: hdr.channel,
                 });
                 self.forward(node, pkt);
-                let has_agent = self.agents[node.idx()].is_some();
-                if let Some(owned) = self.arena.release(pkt) {
-                    // Last arrival: the packet moved out of the arena with
-                    // no clone; deliver it and let it drop.
-                    if has_agent {
-                        self.with_agent(node, |agent, ctx| agent.on_packet(ctx, &owned));
-                    }
-                } else if has_agent {
-                    // Other arrivals still pending: lend the packet to the
-                    // callback and put it back.  The slot stays reserved,
-                    // so re-entrant multicasts cannot reuse it.
-                    let owned = self.arena.take(pkt);
-                    self.with_agent(node, |agent, ctx| agent.on_packet(ctx, &owned));
-                    self.arena.restore(pkt, owned);
-                }
+                self.call(node, Callback::Packet(pkt));
             }
             EventKind::Replicated(Replicated::Fault(ev)) => self.apply_fault(ev),
             EventKind::Replicated(Replicated::Membership(ev)) => self.apply_membership(ev),
@@ -637,29 +630,38 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.reach = Some(label);
     }
 
-    /// Runs one agent callback and then applies its queued actions.
-    /// Crashed nodes get no callbacks at all.
-    fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent<M>, &mut Ctx<'_, M>)) {
-        if !self.node_up[node.idx()] {
-            return;
-        }
-        let Some(mut agent) = self.agents[node.idx()].take() else {
-            return;
-        };
+    /// Runs one agent callback, then applies its queued actions.  Crashed
+    /// and agent-less nodes get no callback.
+    ///
+    /// The agent and an arriving packet are borrowed where they lie, in
+    /// `agents` and in the arena: a callback only queues actions, so
+    /// nothing it does can touch either.  An arrival's arena reference is
+    /// dropped after the callback but before the actions are applied, so a
+    /// multicast among them reuses the slot the last arrival freed.
+    fn call(&mut self, node: NodeId, callback: Callback) {
         // Applying an action never runs a callback, so the buffer is never
         // wanted twice at once and can leave the engine for the duration.
         let mut actions = std::mem::take(&mut self.actions);
-        let mut ctx = Ctx::new(
-            self.now,
-            node,
-            &mut self.agent_rngs[node.idx()],
-            &self.oracle,
-            &mut actions,
-            &mut self.node_seq[node.idx()],
-            &mut self.probes,
-        );
-        f(agent.as_mut(), &mut ctx);
-        self.agents[node.idx()] = Some(agent);
+        let agent = self.agents[node.idx()].as_deref_mut();
+        if let Some(agent) = agent.filter(|_| self.node_up[node.idx()]) {
+            let mut ctx = Ctx::new(
+                self.now,
+                node,
+                &mut self.agent_rngs[node.idx()],
+                &self.oracle,
+                &mut actions,
+                &mut self.node_seq[node.idx()],
+                &mut self.probes,
+            );
+            match callback {
+                Callback::Start => agent.on_start(&mut ctx),
+                Callback::Timer(token) => agent.on_timer(&mut ctx, token),
+                Callback::Packet(pkt) => agent.on_packet(&mut ctx, self.arena.get(pkt)),
+            }
+        }
+        if let Callback::Packet(pkt) = callback {
+            self.arena.release(pkt);
+        }
         for action in actions.drain(..) {
             self.apply(node, action);
         }
@@ -852,7 +854,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                     key: self.key_from(at, arrive, oseq),
                     node: child,
                     class: hdr.class,
-                    pkt: self.arena.copy_of(pkt),
+                    pkt: self.arena.get(pkt).clone(),
                 });
                 return;
             }

@@ -329,6 +329,53 @@ fn arena_drains_with_the_event_queue() {
     assert_eq!(e.packets_in_flight(), 0);
 }
 
+/// Agent that records what it hears and echoes every original, from
+/// inside `on_packet`, as a payload derived from the one it was lent.
+struct Echo {
+    chan: ChannelId,
+    heard: Vec<(NodeId, u32)>,
+}
+impl Agent<Msg> for Echo {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Msg>, pkt: &Packet<Msg>) {
+        let Msg::Data(x) = pkt.payload else { return };
+        self.heard.push((pkt.src, x));
+        if x < 100 {
+            ctx.multicast(self.chan, Msg::Data(x + 100 * (ctx.node().0 + 1)), 1000);
+        }
+    }
+}
+
+#[test]
+fn echoes_sent_from_a_lent_packet_carry_its_payload() {
+    // 0 - 1 < (2, 3): at 1 the packet is lent while 2 and 3 still hold
+    // references; at the later of 2 and 3 it is the last arrival, whose
+    // slot the echo's own multicast reuses.
+    let mut b = TopologyBuilder::new();
+    let n: Vec<NodeId> = (0..4).map(|i| b.add_node(i.to_string())).collect();
+    for (x, y) in [(0, 1), (1, 2), (1, 3)] {
+        b.add_link(n[x], n[y], LinkParams::new(ms(1 + y as u64), 800_000, 0.0));
+    }
+    let mut e: Engine<Msg> = Engine::new(b.build(), 1);
+    let chan = e.add_channel(&n);
+    e.set_agent(n[0], Box::new(Burst { chan, count: 3 }));
+    for &r in &n[1..] {
+        let heard = Vec::new();
+        e.set_agent(r, Box::new(Echo { chan, heard }));
+    }
+    e.advance(RunSpec::drain());
+    assert_eq!(e.packets_in_flight(), 0);
+    for &r in &n[1..] {
+        let mut heard = e.agent::<Echo>(r).unwrap().heard.clone();
+        heard.sort_unstable();
+        // Each original from 0, then each other receiver's echo of it.
+        let sent = |o: NodeId, x| if o == n[0] { x } else { x + 100 * (o.0 + 1) };
+        let want: Vec<(NodeId, u32)> = (n.iter().filter(|&&o| o != r))
+            .flat_map(|&o| (0..3).map(move |x| (o, sent(o, x))))
+            .collect();
+        assert_eq!(heard, want, "at {r:?}");
+    }
+}
+
 #[test]
 fn builder_honours_start_times() {
     let (t, [n0, ..]) = chain3(0.0);

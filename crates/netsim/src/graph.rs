@@ -152,7 +152,7 @@ pub struct TopologyBuilder {
     links: Vec<LinkSpec>,
     /// Normalized `(min, max)` endpoint pairs, for O(1) duplicate checks
     /// (a linear scan per `add_link` would make building a 10⁶-link tree
-    /// quadratic).
+    /// quadratic).  Lookup-only, never iterated: its order reaches nothing.
     seen_links: std::collections::HashSet<(u32, u32)>,
 }
 

@@ -386,6 +386,8 @@ impl ZoneSym {
 pub struct ZoneInterner {
     /// Per symbol: parent symbol (`u32::MAX` for a root) and ordinal.
     entries: Vec<(u32, u32)>,
+    /// Lookup-only, never iterated (the derived `Debug` aside, which no
+    /// output prints): its order reaches nothing.
     index: std::collections::HashMap<(u32, u32), u32>,
 }
 
