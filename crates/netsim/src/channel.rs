@@ -114,23 +114,13 @@ impl Channel {
     /// Checks that the members form a connected subtree of the given
     /// source-rooted SPT — the precondition for scope pruning to reach
     /// every member.  Used by topology builders in debug assertions.
-    pub fn is_spt_connected(&self, spt: &Spt, source: NodeId) -> bool {
-        if !self.contains(source) {
-            return false;
-        }
-        // Every member's SPT path to the source must consist of members.
-        self.members.iter().all(|&m| {
-            let mut cur = m;
-            loop {
-                if cur == source {
-                    return true;
-                }
-                match spt.parent[cur.idx()] {
-                    Some((p, _)) if self.contains(p) => cur = p,
-                    _ => return false,
-                }
-            }
-        })
+    pub fn is_spt_connected(&self, spt: &Spt) -> bool {
+        // Every member's SPT path from the source must consist of members.
+        self.contains(spt.source)
+            && self
+                .members
+                .iter()
+                .all(|&m| spt.reachable(m) && spt.path_to(m).iter().all(|&v| self.contains(v)))
     }
 }
 
@@ -242,14 +232,14 @@ mod tests {
         let spt = Spt::compute(&t, ids[0]);
 
         let contiguous = Channel::new(4, &[ids[0], ids[1], ids[2]]);
-        assert!(contiguous.is_spt_connected(&spt, ids[0]));
+        assert!(contiguous.is_spt_connected(&spt));
 
         // {0, 2} skips node 1: scope pruning could never deliver to 2.
         let gapped = Channel::new(4, &[ids[0], ids[2]]);
-        assert!(!gapped.is_spt_connected(&spt, ids[0]));
+        assert!(!gapped.is_spt_connected(&spt));
 
         // Source outside the channel is also unreachable.
         let no_src = Channel::new(4, &[ids[1], ids[2]]);
-        assert!(!no_src.is_spt_connected(&spt, ids[0]));
+        assert!(!no_src.is_spt_connected(&spt));
     }
 }

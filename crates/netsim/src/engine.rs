@@ -35,20 +35,16 @@
 //!
 //! ## Dynamic topology
 //!
-//! On a tree topology — every generator in `topology` builds one — a
-//! packet's route is the unique path, walked from the adjacency list.  A
-//! link fault only decides whether that path exists: each applied
-//! [`FaultEvent::LinkDown`]/[`FaultEvent::LinkUp`] relabels every node
-//! with its component over the up links (`O(n)`; no labels while every
-//! link is up), and a packet stops at nodes whose label differs from its
-//! source's.  That is the masked shortest-path tree: on a tree, a node is
-//! in its source's masked tree iff its path to the source is up.
-//!
-//! On a graph with cycles, shortest-path trees are computed lazily against
-//! the current link-up mask.  A `LinkDown` invalidates every cached tree
-//! that routes over the dead link; a `LinkUp` invalidates all of them (a
-//! restored link can shorten any path).  The next packet forwarded from a
-//! source recomputes that source's tree on demand.  The
+//! Every source routes over one shortest-path spanning forest, [`Spt`]:
+//! node 0's shortest-path tree over the up links, plus one tree per
+//! component a link fault cuts off.  Each applied
+//! [`FaultEvent::LinkDown`]/[`FaultEvent::LinkUp`] recomputes it in place,
+//! so the next hop of a packet already in flight sees the new mask.  A
+//! packet stops at a node no longer connected to its source, and otherwise
+//! goes to every forest-edge neighbour but the one toward its source.  On
+//! a tree — every generator in `topology` builds one — that is each
+//! source's own masked shortest-path tree; on a graph with cycles a source
+//! other than node 0 follows node 0's tree (DESIGN §10).  The
 //! [`DistanceOracle`] intentionally stays frozen at build time: it models
 //! a *converged* session's RTT knowledge, not instantaneous reachability.
 
@@ -119,23 +115,16 @@ pub(crate) enum Replicated {
 pub struct Engine<M> {
     pub(crate) topo: Topology,
     pub(crate) oracle: DistanceOracle,
-    /// Lazily-computed shortest-path trees against the current `link_up`
-    /// mask, for graphs with cycles; `None` means "invalidated or never
-    /// needed yet".  Stays a zero-length vec until a tree is first
-    /// requested, so a tree topology never pays the `O(nodes)` table (let
-    /// alone the `O(n²)` trees).
-    pub(crate) spts: Vec<Option<Spt>>,
+    /// Every source's routing tree: node 0's shortest-path forest over the
+    /// `link_up` mask, recomputed in place by each applied link fault.
+    pub(crate) forest: Spt,
     pub(crate) link_state: Vec<LinkState>,
     /// Whether each link currently carries traffic (fault injection).
     pub(crate) link_up: Vec<bool>,
-    /// Each node's connected component over the up links (the id of its
-    /// lowest-numbered member); `None` while every link is up.  Tree
-    /// forwarding stops where a node's label differs from the source's.
-    pub(crate) reach: Option<Vec<u32>>,
-    /// Forces the masked-SPT path on a tree, so a test can hold the
-    /// labelled tree path against it.
+    /// Routes each packet over its own source's masked SPT, recomputed per
+    /// hop, so a test can hold the forest against that reference.
     #[cfg(test)]
-    pub(crate) force_spt: bool,
+    pub(crate) per_source_reference: bool,
     /// Whether each node's *agent* is running; a crashed node still
     /// forwards (the router outlives the application process).
     pub(crate) node_up: Vec<bool>,
@@ -190,11 +179,9 @@ pub struct Engine<M> {
 impl<M: Classify + Clone + 'static> Engine<M> {
     /// Creates an engine over a topology with a root RNG seed.
     ///
-    /// The distance oracle is computed eagerly — dense all-pairs for meshy
-    /// topologies (cheap at paper scale, 113 nodes), `O(n)` tree arrays
-    /// when the topology is a tree; per-source routing trees are computed
-    /// lazily on first use so fault-driven invalidation stays cheap, and
-    /// are never computed at all on tree topologies.
+    /// The distance oracle and the routing forest are both node 0's
+    /// shortest-path tree, `O(n)` arrays each; the oracle stays as built,
+    /// the forest follows the link faults.
     ///
     /// Crate-internal: [`EngineBuilder`] is the public way to construct
     /// an engine, configuring channels, agents, recorder mode, and the
@@ -208,12 +195,11 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         Engine {
             link_state: vec![LinkState::default(); topo.link_count()],
             link_up: vec![true; topo.link_count()],
-            reach: None,
             #[cfg(test)]
-            force_spt: false,
+            per_source_reference: false,
             node_up: vec![true; n],
             epoch: vec![0; n],
-            spts: Vec::new(),
+            forest: oracle.forest.clone(),
             oracle,
             channels: Vec::new(),
             agents: (0..n).map(|_| None).collect(),
@@ -236,28 +222,6 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         }
     }
 
-    /// The shortest-path tree rooted at `src`, computed against the
-    /// current link-up mask (takes `&mut self` because trees are cached
-    /// lazily and invalidated by link faults).
-    #[cfg(test)]
-    fn spt(&mut self, src: NodeId) -> &Spt {
-        self.ensure_spt(src.idx());
-        self.spts[src.idx()].as_ref().expect("just ensured")
-    }
-
-    fn ensure_spt(&mut self, src: usize) {
-        if self.spts.is_empty() {
-            self.spts = (0..self.topo.node_count()).map(|_| None).collect();
-        }
-        if self.spts[src].is_none() {
-            self.spts[src] = Some(Spt::compute_masked(
-                &self.topo,
-                NodeId(src as u32),
-                Some(&self.link_up),
-            ));
-        }
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -275,11 +239,11 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.arena.live()
     }
 
-    /// Per-source routing trees currently cached (diagnostics).  Stays
-    /// zero on a tree topology, link faults or not: only a graph with
-    /// cycles materializes an SPT.
+    /// Per-source routing trees cached (diagnostics): always zero, since
+    /// every source routes over the one forest.  Kept for the callers
+    /// that report it.
     pub fn cached_spt_count(&self) -> usize {
-        self.spts.iter().flatten().count()
+        0
     }
 
     /// Recorded observations so far.
@@ -547,30 +511,13 @@ impl<M: Classify + Clone + 'static> Engine<M> {
 
     fn apply_fault(&mut self, ev: FaultEvent) {
         match ev {
-            FaultEvent::LinkDown(link) => {
-                if !self.link_up[link.idx()] {
-                    return; // already down
+            FaultEvent::LinkDown(link) | FaultEvent::LinkUp(link) => {
+                let up = matches!(ev, FaultEvent::LinkUp(_));
+                if self.link_up[link.idx()] == up {
+                    return; // already in that state
                 }
-                self.link_up[link.idx()] = false;
-                // Only trees actually routing over the dead link reroute.
-                for spt in &mut self.spts {
-                    if spt.as_ref().is_some_and(|s| s.uses_link(link)) {
-                        *spt = None;
-                    }
-                }
-                self.relabel();
-            }
-            FaultEvent::LinkUp(link) => {
-                if self.link_up[link.idx()] {
-                    return; // already up
-                }
-                self.link_up[link.idx()] = true;
-                // A restored link can shorten any path: drop every cached
-                // tree and let forwarding recompute on demand.
-                for spt in &mut self.spts {
-                    *spt = None;
-                }
-                self.relabel();
+                self.link_up[link.idx()] = up;
+                self.forest.recompute(&self.topo, &self.link_up);
             }
             FaultEvent::SetLoss(link, model) => {
                 self.topo.set_loss_model(link, model);
@@ -600,34 +547,6 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 }
             }
         }
-    }
-
-    /// Recomputes `reach` from the link mask in one `O(n)` sweep.
-    fn relabel(&mut self) {
-        if self.link_up.iter().all(|&up| up) {
-            self.reach = None;
-            return;
-        }
-        let mut label = self.reach.take().unwrap_or_default();
-        label.clear();
-        label.resize(self.topo.node_count(), u32::MAX);
-        let mut stack = Vec::new();
-        for root in 0..label.len() as u32 {
-            if label[root as usize] != u32::MAX {
-                continue;
-            }
-            label[root as usize] = root;
-            stack.push(NodeId(root));
-            while let Some(u) = stack.pop() {
-                for &(v, link) in self.topo.neighbors(u) {
-                    if self.link_up[link.idx()] && label[v.idx()] == u32::MAX {
-                        label[v.idx()] = root;
-                        stack.push(v);
-                    }
-                }
-            }
-        }
-        self.reach = Some(label);
     }
 
     /// Runs one agent callback, then applies its queued actions.  Crashed
@@ -741,63 +660,54 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// pruning at channel non-members (administrative scope boundary) and
     /// sampling the per-link loss process for lossy traffic classes.
     ///
-    /// On a tree topology the children are enumerated directly from the
-    /// adjacency list (every neighbour except the one toward the source),
-    /// so no per-source SPT is ever materialized — the `O(n)` trees that
+    /// The children are enumerated from the adjacency list: every
+    /// forest-edge neighbour except the one toward the source, so no
+    /// per-source tree is ever materialized — the `O(n)` trees that
     /// session-announce traffic from every member would otherwise force
-    /// add up to `O(n²)`.  Under link faults this is still the masked SPT:
-    /// a node cut off from the source (another label) forwards nothing,
-    /// and `hop` skips each down link below it.  Both neighbour lists and
-    /// SPT child groups are sorted by node id, so the hop order (and with
-    /// it the loss-RNG draw order) is bit-identical across the two paths.
+    /// add up to `O(n²)`.  A node the last link fault cut off from the
+    /// source forwards nothing, and a down link is no forest edge: over a
+    /// link that died after this packet entered the subtree the hop simply
+    /// never happens (down is not loss — no drop record, and lossless
+    /// classes are blocked too).
     fn forward(&mut self, at: NodeId, pkt: PacketRef) {
         // The cached header carries everything the hop loop needs — the
         // payload (and its class()) is never touched per hop.
         let hdr = self.arena.header(pkt);
-        if self.tree_routed() {
-            if let Some(reach) = &self.reach {
-                if reach[at.idx()] != reach[hdr.src.idx()] {
-                    return;
-                }
-            }
-            let toward = if at == hdr.src {
-                None
-            } else {
-                Some(self.oracle.tree_next_hop(at, hdr.src))
-            };
-            for i in 0..self.topo.neighbors(at).len() {
-                let (child, link) = self.topo.neighbors(at)[i];
-                if Some(child) == toward {
-                    continue;
-                }
-                self.hop(at, child, link, pkt, hdr);
-            }
+        #[cfg(test)]
+        if self.per_source_reference {
+            return self.forward_per_source(at, pkt, hdr);
+        }
+        if !self.forest.connects(at, hdr.src) {
             return;
         }
-        // The SPT stores child edges in a flat CSR arena, so each edge is
-        // copied out by index — no per-packet allocation while the rest of
-        // the engine state stays mutable.
-        let src = hdr.src.idx();
-        self.ensure_spt(src);
-        let spt = self.spts[src].as_ref().expect("just ensured");
-        let (start, end) = spt.child_range(at);
-        for i in start..end {
-            let (child, link) = self.spts[src].as_ref().expect("ensured").child_edge(i);
+        let toward = (at != hdr.src).then(|| self.forest.next_hop(at, hdr.src));
+        for i in 0..self.topo.neighbors(at).len() {
+            let (child, link) = self.topo.neighbors(at)[i];
+            if Some(child) == toward || !self.forest.carries(link) {
+                continue;
+            }
             self.hop(at, child, link, pkt, hdr);
         }
     }
 
-    /// Whether forwarding takes the tree path: a property of the topology.
-    fn tree_routed(&self) -> bool {
-        #[cfg(test)]
-        if self.force_spt {
-            return false;
+    /// The reference `forward` is tested against: the children of `at` in
+    /// the source's own masked SPT, recomputed for every hop with nothing
+    /// cached.  A node outside the source's tree forwards nothing, even
+    /// where it has children in the forest's tree of its own component.
+    /// Both walk the id-sorted neighbour list, so the hop order (and with
+    /// it the loss-RNG draw order) is the same on both paths.
+    #[cfg(test)]
+    fn forward_per_source(&mut self, at: NodeId, pkt: PacketRef, hdr: PacketHeader) {
+        let spt = Spt::compute_masked(&self.topo, hdr.src, &self.link_up);
+        for (child, link) in self.topo.neighbors(at).to_vec() {
+            if spt.reachable(at) && spt.parent(child) == Some((at, link)) {
+                self.hop(at, child, link, pkt, hdr);
+            }
         }
-        self.oracle.is_tree()
     }
 
-    /// One forwarding hop: link-mask and scope checks, loss sampling for
-    /// lossy classes, then the queued arrival.
+    /// One forwarding hop over a forest edge: the scope check, loss
+    /// sampling for lossy classes, then the queued arrival.
     ///
     /// Loss draws come from the link *direction*'s own lazily-split RNG
     /// stream, and the arrival's event key from `at`'s own counter — both
@@ -806,12 +716,6 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// a node owned by another shard is diverted into the outbox instead
     /// of this shard's queue.
     fn hop(&mut self, at: NodeId, child: NodeId, link: LinkId, pkt: PacketRef, hdr: PacketHeader) {
-        if !self.link_up[link.idx()] {
-            // A link that died after this packet entered the subtree: the
-            // hop simply never happens (down is not loss — no drop record,
-            // and lossless classes are blocked too).
-            return;
-        }
         if !self.channels[hdr.channel.idx()].contains(child) {
             return; // scope boundary: prune the whole subtree
         }

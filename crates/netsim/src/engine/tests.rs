@@ -490,7 +490,33 @@ fn link_down_reroutes_around_the_dead_link() {
     assert_eq!(n3_heard[1], (SimTime::from_millis(156), Msg::Data(1)));
     let n1_heard = &e.agent::<Sniffer>(n1).unwrap().heard;
     assert_eq!(n1_heard[1], (SimTime::from_millis(157), Msg::Data(1)));
-    assert_eq!(e.spt(n0).path_to(n3), vec![n0, n2, n3]);
+    assert_eq!(e.forest.path_to(n3), vec![n0, n2, n3]);
+}
+
+#[test]
+fn every_source_follows_node_zeros_tree_on_a_ring() {
+    // Ring 0-1-2-3-0 of 1 ms links.  Node 0's tree is 0-1, 0-3 and 1-2
+    // (2 is 2 ms away either way; the tie goes to the lower id, 1), so
+    // node 3's multicast reaches node 2 via 0 and 1 at 3 ms — the delay
+    // the oracle reports — although the direct link 3-2 takes 1 ms.
+    let mut b = TopologyBuilder::new();
+    let n = b.add_nodes("n", 4);
+    for i in 0..4 {
+        b.add_link(n[i], n[(i + 1) % 4], LinkParams::lossless_infinite(ms(1)));
+    }
+    let mut e: Engine<Msg> = Engine::new(b.build(), 1);
+    let chan = e.add_channel(&n);
+    let mut arrivals = |src: usize| {
+        let (start, seen) = (e.now(), e.recorder().deliveries.len());
+        e.multicast_from(n[src], chan, Msg::Data(0), 100);
+        e.advance(RunSpec::drain());
+        let new = &e.recorder().deliveries[seen..];
+        Vec::from_iter(new.iter().map(|r| (r.node.idx(), r.time - start)))
+    };
+    assert_eq!(arrivals(3), [(0, ms(1)), (1, ms(2)), (2, ms(3))]);
+    // Node 0's own multicasts still arrive at their Floyd–Warshall distances.
+    assert_eq!(arrivals(0), [(1, ms(1)), (3, ms(1)), (2, ms(2))]);
+    assert_eq!(e.oracle.one_way(n[3], n[2]), ms(3));
 }
 
 #[test]
@@ -727,15 +753,18 @@ fn legitimate_cancel_is_reclaimed_when_deadline_passes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On a tree, the labelled adjacency walk forwards exactly as the
-    /// masked-SPT path does while links go down and come back with traffic
+    /// The one forest forwards exactly as each source's own masked SPT,
+    /// recomputed per hop, while links go down and come back with traffic
     /// in flight: same events, clock, deliveries, transmissions and drops,
-    /// over lossy, bandwidth-limited links, several senders and a mid-run
-    /// horizon stop — and it never builds an SPT.
+    /// over lossy, bandwidth-limited links and a mid-run horizon stop.  On
+    /// a tree that holds for several senders; on a graph with 1–3 extra
+    /// links for node 0, whose masked SPT the forest is — the property the
+    /// ZCR failover example's flapped bypass graph relies on.
     #[test]
     fn labelled_tree_routing_matches_masked_spt_forwarding(
         // Node `i + 1` hangs off one of the nodes before it, over 1–9 ms.
         tree in (3usize..28).prop_flat_map(|n| proptest::collection::vec((any::<u32>(), 1u64..10), n..n + 1)),
+        extra in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u64..10), 0..4),
         flaps in proptest::collection::vec((any::<u32>(), 0u64..120, 1u64..80), 0..6),
         senders in proptest::collection::vec(any::<u32>(), 1..4),
         seed in any::<u64>(),
@@ -744,38 +773,45 @@ proptest! {
         let n = tree.len() + 1;
         let mut t = TopologyBuilder::new();
         let nodes: Vec<NodeId> = (0..n).map(|i| t.add_node(format!("{i}"))).collect();
-        for (i, &(pick, lat)) in tree.iter().enumerate() {
-            let parent = nodes[pick as usize % (i + 1)];
-            t.add_link(parent, nodes[i + 1], LinkParams::new(ms(lat), 500_000, 0.2));
+        // The tree's links first, then the extras that are neither loops
+        // nor duplicates.
+        let tree_links = tree.iter().enumerate().map(|(i, &(pick, lat))| (pick as usize % (i + 1), i + 1, lat));
+        let extra_links = extra.iter().map(|&(a, b, lat)| (a as usize % n, b as usize % n, lat));
+        let mut linked = std::collections::BTreeSet::new();
+        for (a, b, lat) in tree_links.chain(extra_links) {
+            if a != b && linked.insert((a.min(b), a.max(b))) {
+                t.add_link(nodes[a], nodes[b], LinkParams::new(ms(lat), 500_000, 0.2));
+            }
         }
         let topo = t.build();
         let mut plan = FaultPlan::new();
         for &(pick, down, span) in &flaps {
-            let link = LinkId(pick % (n as u32 - 1));
+            let link = LinkId(pick % topo.link_count() as u32);
             plan = plan.link_flap(link, SimTime::from_millis(down), SimTime::from_millis(down + span));
         }
-        let run = |force_spt: bool| {
+        // On a graph with cycles node 0 is the only sender.
+        let cyclic = topo.link_count() >= n;
+        let mut senders: Vec<usize> = senders.iter().map(|&s| s as usize % n * usize::from(!cyclic)).collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let run = |reference: bool| {
             let mut b: EngineBuilder<Msg> = EngineBuilder::new(topo.clone(), seed);
             let chan = b.add_channel(&nodes);
-            let mut senders: Vec<usize> = senders.iter().map(|&s| s as usize % n).collect();
-            senders.sort_unstable();
-            senders.dedup();
-            for s in senders {
+            for &s in &senders {
                 b.add_agent(nodes[s], Box::new(Ticker { chan, left: 8 }));
             }
             b.fault_plan(plan.clone());
             let mut e = b.build();
-            e.force_spt = force_spt;
+            e.per_source_reference = reference;
             let mut processed = e.advance(RunSpec::to(SimTime::from_millis(mid)));
             processed += e.advance(RunSpec::drain());
             let rec = e.recorder();
             let seen = (processed, e.now(), rec.deliveries.clone(), rec.transmissions.clone());
-            (seen, rec.drops.clone(), e.cached_spt_count())
+            (seen, rec.drops.clone())
         };
-        let (labelled, spt) = (run(false), run(true));
-        prop_assert_eq!(&labelled.0, &spt.0);
-        prop_assert_eq!(&labelled.1, &spt.1);
-        prop_assert_eq!(labelled.2, 0, "tree routing must not materialize SPTs");
+        let (forest, reference) = (run(false), run(true));
+        prop_assert_eq!(&forest.0, &reference.0);
+        prop_assert_eq!(&forest.1, &reference.1);
     }
 }
 

@@ -9,10 +9,13 @@
 //!   propagation latency, a bandwidth, and a pluggable loss process —
 //!   i.i.d. Bernoulli or a bursty Gilbert–Elliott chain ([`graph`],
 //!   [`link`], [`faults`]).
-//! * **Routing** — per-source shortest-path trees (Dijkstra on latency),
-//!   which is how ns builds its multicast distribution trees.  Trees are
-//!   computed lazily against the *current* link-up mask and invalidated
-//!   when a fault plan takes a link down or up ([`routing`]).
+//! * **Routing** — one shortest-path spanning forest on latency, node
+//!   0's tree plus one per component a link fault cuts off, that every
+//!   source forwards over; on a tree, the only kind the generators build,
+//!   that is each source's own shortest-path tree, which is how ns builds
+//!   its multicast distribution trees.  It is recomputed in place against
+//!   the *current* link-up mask whenever a fault plan takes a link down or
+//!   up ([`routing`]).
 //! * **Fault injection** — a declarative [`faults::FaultPlan`] schedules
 //!   link flaps, loss changes, and node churn as ordinary DES events
 //!   ([`faults`]).

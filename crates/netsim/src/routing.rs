@@ -1,308 +1,183 @@
-//! Per-source shortest-path trees.
+//! Shortest-path multicast routing: one spanning forest per link mask.
 //!
-//! Multicast routing in the paper's ns scenarios is a static per-source
-//! shortest-path tree (dense-mode style, pruned to group members).  We run
-//! Dijkstra from each source on propagation latency, with deterministic
-//! tie-breaking on node id so identical topologies always yield identical
-//! trees.
+//! Multicast routing in the paper's ns scenarios is a static source-rooted
+//! shortest-path tree (dense-mode style, pruned to group members).  Every
+//! topology this repository generates is a tree, where that tree is the
+//! same for every source, so the engine keeps one forest, [`Spt`], and
+//! every source forwards over it; on a graph with cycles a source other
+//! than the forest's root thereby follows the root's tree (DESIGN §10).
+//! Ties break on (distance, node id), so identical topologies always
+//! yield identical forests.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::time::SimDuration;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// A shortest-path tree rooted at one source node.
+/// No node: the "not reached yet" root and the "depth unknown" mark.
+const NONE: u32 = u32::MAX;
+
+/// A shortest-path spanning forest over the up links: `source`'s
+/// shortest-path tree, then one tree per component the link mask cuts off
+/// from it, each rooted at its lowest node.
 ///
-/// Child edges live in one flat arena in CSR (compressed sparse row)
-/// layout rather than a `Vec<Vec<_>>`: the engine's forwarding hot path
-/// walks a node's children for every packet hop, and the flat layout lets
-/// it do so by copying `(NodeId, LinkId)` pairs out by index — no
-/// per-packet allocation, no aliasing with the rest of the engine state.
+/// Every array holds `u32`/`u64` words indexed by node (flags indexed by
+/// link for the edges), so a forwarding hop reads a few words and
+/// [`Spt::recompute`] refills them in place without allocating.
 #[derive(Clone, Debug)]
 pub struct Spt {
-    /// The root.
+    /// The root of the first tree.
     pub source: NodeId,
-    /// Parent edge of each node (`None` for the root).
-    pub parent: Vec<Option<(NodeId, LinkId)>>,
-    /// All child edges, grouped by parent, each group sorted by child id.
-    child_edges: Vec<(NodeId, LinkId)>,
-    /// `child_edges[child_start[v] .. child_start[v + 1]]` are the
-    /// children of node `v`; length `node_count + 1`.
-    child_start: Vec<u32>,
-    /// Propagation-latency distance from the root to each node.
-    pub dist: Vec<SimDuration>,
+    /// Each node's parent; a root is its own.
+    parent: Vec<u32>,
+    /// The link to each node's parent (meaningless at a root).
+    uplink: Vec<u32>,
+    /// The root of each node's tree: two nodes are connected iff equal.
+    root: Vec<u32>,
+    /// Hops below the node's root.
+    depth: Vec<u32>,
+    /// Propagation latency below the node's root, in nanoseconds.
+    dist: Vec<u64>,
+    /// Whether each link is a forest edge.
+    edges: Vec<bool>,
+    /// The search's FIFO work list, then the depth pass's stack.
+    work: Vec<u32>,
 }
 
 impl Spt {
-    /// Computes the tree rooted at `source` with every link usable.
+    /// Computes the forest rooted at `source` with every link usable.
     pub fn compute(topo: &Topology, source: NodeId) -> Spt {
-        Spt::compute_masked(topo, source, None)
-    }
-
-    /// Computes the tree rooted at `source`, skipping links whose entry in
-    /// `link_up` is `false` (fault injection: a downed link carries no
-    /// traffic and routing must detour around it).  With a mask the graph
-    /// may be disconnected; unreachable nodes get no parent, no children,
-    /// and a [`SimDuration::MAX`] distance (see [`Spt::reachable`]).
-    pub fn compute_masked(topo: &Topology, source: NodeId, link_up: Option<&[bool]>) -> Spt {
         let n = topo.node_count();
         assert!(source.idx() < n, "unknown source {source:?}");
-        if let Some(mask) = link_up {
-            assert_eq!(mask.len(), topo.link_count(), "link mask length mismatch");
-        }
-        let mut dist = vec![u64::MAX; n];
-        let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut done = vec![false; n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        dist[source.idx()] = 0;
-        heap.push(Reverse((0, source.0)));
+        let mut spt = Spt {
+            source,
+            parent: vec![0; n],
+            uplink: vec![0; n],
+            root: vec![0; n],
+            depth: vec![0; n],
+            dist: vec![0; n],
+            edges: vec![false; topo.link_count()],
+            work: Vec::with_capacity(n),
+        };
+        spt.fill(topo, |_| true);
+        spt
+    }
 
-        while let Some(Reverse((d, u))) = heap.pop() {
-            let u = NodeId(u);
-            if done[u.idx()] {
+    /// Computes the forest rooted at `source`, skipping links whose entry
+    /// in `link_up` is `false` (fault injection: a downed link carries no
+    /// traffic and routing must detour around it).  Nodes cut off from
+    /// `source` are unreachable from it (see [`Spt::reachable`]).
+    pub fn compute_masked(topo: &Topology, source: NodeId, link_up: &[bool]) -> Spt {
+        let mut spt = Spt::compute(topo, source);
+        spt.recompute(topo, link_up);
+        spt
+    }
+
+    /// Recomputes the forest in place against a new link mask.
+    pub fn recompute(&mut self, topo: &Topology, link_up: &[bool]) {
+        assert_eq!(link_up.len(), topo.link_count(), "link mask length");
+        self.fill(topo, |link| link_up[link.idx()]);
+    }
+
+    /// A FIFO label-correcting search from each root in turn: heap-free,
+    /// and on an acyclic graph every node is queued once, so `O(n)`.
+    fn fill(&mut self, topo: &Topology, up: impl Fn(LinkId) -> bool) {
+        let n = self.parent.len();
+        self.root.fill(NONE);
+        self.depth.fill(NONE);
+        self.dist.fill(u64::MAX);
+        self.edges.fill(false);
+        self.work.clear();
+        let mut head = 0;
+        for r in std::iter::once(self.source.0).chain(0..n as u32) {
+            let ri = r as usize;
+            if self.root[ri] != NONE {
                 continue;
             }
-            done[u.idx()] = true;
-            for &(v, link) in topo.neighbors(u) {
-                if let Some(mask) = link_up {
-                    if !mask[link.idx()] {
+            (self.root[ri], self.parent[ri]) = (r, r);
+            (self.depth[ri], self.dist[ri]) = (0, 0);
+            self.work.push(r);
+            while let Some(&u) = self.work.get(head) {
+                head += 1;
+                let du = self.dist[u as usize];
+                // The edge back up never improves: skip it unread, as a
+                // depth-first walk of a tree would.
+                let pu = self.parent[u as usize];
+                for &(v, link) in topo.neighbors(NodeId(u)) {
+                    if v.0 == pu || !up(link) {
                         continue;
                     }
-                }
-                let w = topo.link(link).params.latency.as_nanos();
-                let nd = d + w;
-                // Strict < keeps the first (lowest-id thanks to sorted
-                // neighbour lists and heap ordering) parent on ties.
-                if nd < dist[v.idx()] {
-                    dist[v.idx()] = nd;
-                    parent[v.idx()] = Some((u, link));
-                    heap.push(Reverse((nd, v.0)));
-                }
-            }
-        }
-
-        // Counting sort into CSR: every reachable non-root contributes one
-        // edge under its parent; filling in ascending node order keeps each
-        // group sorted by child id without a per-group sort.
-        let mut child_start = vec![0u32; n + 1];
-        for p in parent.iter().flatten() {
-            child_start[p.0.idx() + 1] += 1;
-        }
-        for i in 0..n {
-            child_start[i + 1] += child_start[i];
-        }
-        let edge_count = child_start[n] as usize;
-        let mut next = child_start.clone();
-        let mut child_edges = vec![(NodeId(0), LinkId(0)); edge_count];
-        for v in topo.nodes() {
-            if let Some((p, link)) = parent[v.idx()] {
-                child_edges[next[p.idx()] as usize] = (v, link);
-                next[p.idx()] += 1;
-            }
-        }
-
-        Spt {
-            source,
-            parent,
-            child_edges,
-            child_start,
-            dist: dist.into_iter().map(SimDuration).collect(),
-        }
-    }
-
-    /// Whether `node` is reachable from the root under the mask this tree
-    /// was computed with.  Trees over a fully-up topology always return
-    /// `true` (connectivity is enforced at build time).
-    pub fn reachable(&self, node: NodeId) -> bool {
-        node == self.source || self.parent[node.idx()].is_some()
-    }
-
-    /// Whether this tree routes any traffic over `link` — the invalidation
-    /// test when a fault takes a link down.
-    pub fn uses_link(&self, link: LinkId) -> bool {
-        self.parent.iter().flatten().any(|&(_, l)| l == link)
-    }
-
-    /// The children of `node` in this tree, sorted by child id.
-    #[cfg(test)]
-    fn children(&self, node: NodeId) -> &[(NodeId, LinkId)] {
-        let (start, end) = self.child_range(node);
-        &self.child_edges[start..end]
-    }
-
-    /// Index range of `node`'s children in the flat edge arena; pair with
-    /// [`Spt::child_edge`] to iterate by copy while mutating other state.
-    pub fn child_range(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.child_start[node.idx()] as usize,
-            self.child_start[node.idx() + 1] as usize,
-        )
-    }
-
-    /// The `i`-th edge in the flat child arena (copied out).
-    pub fn child_edge(&self, i: usize) -> (NodeId, LinkId) {
-        self.child_edges[i]
-    }
-
-    /// The path from the root to `node`, as a list of nodes starting at the
-    /// root and ending at `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is unreachable under this tree's link mask.
-    pub fn path_to(&self, node: NodeId) -> Vec<NodeId> {
-        assert!(self.reachable(node), "{node:?} unreachable from the root");
-        let mut rev = vec![node];
-        let mut cur = node;
-        while let Some((p, _)) = self.parent[cur.idx()] {
-            rev.push(p);
-            cur = p;
-        }
-        rev.reverse();
-        debug_assert_eq!(rev[0], self.source);
-        rev
-    }
-
-    /// One-way propagation delay from the root to `node`
-    /// ([`SimDuration::MAX`] when unreachable under the link mask).
-    pub fn delay_to(&self, node: NodeId) -> SimDuration {
-        self.dist[node.idx()]
-    }
-}
-
-/// All-pairs propagation delays.
-///
-/// Protocol baselines use this as a *converged-session oracle*: SRM assumes
-/// every member has RTT estimates to every other member via its session
-/// protocol; handing the baseline exact delays is strictly generous to it,
-/// which is the conservative direction for comparisons against SHARQFEC.
-///
-/// Two representations, chosen automatically by [`DistanceOracle::compute`]:
-///
-/// * **Dense** — one Dijkstra row per node, `O(n²)` memory.  Used for
-///   meshy topologies (paper scale: 113 nodes, trivially cheap).
-/// * **Tree** — when the topology has exactly `n − 1` links (connectivity
-///   is asserted at build time, so that means a tree), paths are unique
-///   and `delay(a, b) = dist(a) + dist(b) − 2·dist(lca(a, b))` over
-///   root-distances.  `O(n)` memory and `O(depth)` per query, with values
-///   *identical* to the Dijkstra rows — large-scale runs stay bit-compatible
-///   with the dense representation.
-#[derive(Clone, Debug)]
-pub struct DistanceOracle {
-    repr: OracleRepr,
-}
-
-#[derive(Clone, Debug)]
-enum OracleRepr {
-    Dense {
-        delays: Vec<Vec<SimDuration>>,
-    },
-    Tree {
-        /// Parent of each node in the tree rooted at node 0 (the root maps
-        /// to itself).
-        parent: Vec<u32>,
-        depth: Vec<u32>,
-        /// Propagation latency from the root, in nanoseconds.
-        dist: Vec<u64>,
-    },
-}
-
-fn tree_lca(parent: &[u32], depth: &[u32], mut a: usize, mut b: usize) -> usize {
-    while depth[a] > depth[b] {
-        a = parent[a] as usize;
-    }
-    while depth[b] > depth[a] {
-        b = parent[b] as usize;
-    }
-    while a != b {
-        a = parent[a] as usize;
-        b = parent[b] as usize;
-    }
-    a
-}
-
-impl DistanceOracle {
-    /// Computes delays for every ordered pair — eagerly (dense) for meshy
-    /// topologies, as `O(n)` tree arrays when the topology is a tree.
-    pub fn compute(topo: &Topology) -> DistanceOracle {
-        if topo.link_count() == topo.node_count() - 1 {
-            // Connected with n − 1 links ⇒ a tree: unique paths make the
-            // LCA distance exactly what Dijkstra would compute.
-            let n = topo.node_count();
-            let mut parent = vec![0u32; n];
-            let mut depth = vec![0u32; n];
-            let mut dist = vec![0u64; n];
-            let mut seen = vec![false; n];
-            let mut stack = vec![NodeId(0)];
-            seen[0] = true;
-            while let Some(u) = stack.pop() {
-                for &(v, link) in topo.neighbors(u) {
-                    if !seen[v.idx()] {
-                        seen[v.idx()] = true;
-                        parent[v.idx()] = u.0;
-                        depth[v.idx()] = depth[u.idx()] + 1;
-                        dist[v.idx()] = dist[u.idx()] + topo.link(link).params.latency.as_nanos();
-                        stack.push(v);
+                    let (v, nd) = (v.idx(), du + topo.link(link).params.latency.as_nanos());
+                    // A tie goes to the parent with the least (distance,
+                    // id), the one Dijkstra would settle first; `du < nd`
+                    // keeps a zero-latency link from closing a cycle.
+                    let p = self.parent[v];
+                    let tie = nd == self.dist[v] && du < nd && (du, u) < (self.dist[p as usize], p);
+                    if nd >= self.dist[v] && !tie {
+                        continue;
                     }
+                    if nd < self.dist[v] {
+                        self.work.push(v as u32);
+                    }
+                    (self.root[v], self.parent[v], self.uplink[v]) = (r, u, link.0);
+                    self.dist[v] = nd;
                 }
             }
-            return DistanceOracle {
-                repr: OracleRepr::Tree {
-                    parent,
-                    depth,
-                    dist,
-                },
-            };
         }
-        let delays = topo
-            .nodes()
-            .map(|src| Spt::compute(topo, src).dist)
-            .collect();
-        DistanceOracle {
-            repr: OracleRepr::Dense { delays },
-        }
-    }
-
-    /// Whether the compact tree representation is in use (equivalently:
-    /// whether the topology is a tree).
-    pub fn is_tree(&self) -> bool {
-        matches!(self.repr, OracleRepr::Tree { .. })
-    }
-
-    /// One-way propagation delay between two nodes.
-    pub fn one_way(&self, a: NodeId, b: NodeId) -> SimDuration {
-        match &self.repr {
-            OracleRepr::Dense { delays } => delays[a.idx()][b.idx()],
-            OracleRepr::Tree {
-                parent,
-                depth,
-                dist,
-            } => {
-                let l = tree_lca(parent, depth, a.idx(), b.idx());
-                SimDuration(dist[a.idx()] + dist[b.idx()] - 2 * dist[l])
+        // Depths last, off the settled parents: the search may re-parent a
+        // node after its children were reached.
+        self.work.clear();
+        for v in 0..n {
+            let mut u = v;
+            while self.depth[u] == NONE {
+                self.work.push(u as u32);
+                u = self.parent[u] as usize;
+            }
+            while let Some(w) = self.work.pop() {
+                self.depth[w as usize] = self.depth[u] + 1;
+                u = w as usize;
             }
         }
+        for v in (0..n).filter(|&v| self.parent[v] as usize != v) {
+            self.edges[self.uplink[v] as usize] = true;
+        }
     }
 
-    /// Round-trip propagation delay between two nodes.
-    pub fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
-        self.one_way(a, b) * 2
+    /// Whether `a` and `b` lie in one tree, i.e. are connected over the
+    /// up links.
+    #[inline]
+    pub fn connects(&self, a: NodeId, b: NodeId) -> bool {
+        self.root[a.idx()] == self.root[b.idx()]
     }
 
-    /// On a tree topology, the neighbour of `at` on the unique path toward
-    /// `to`.  This is what lets the engine forward down a source-rooted
-    /// tree without materializing per-source [`Spt`]s: the children of
-    /// `at` re-rooted at `src` are exactly its neighbours minus
-    /// `tree_next_hop(at, src)`.
+    /// Whether `node` is in `source`'s tree.  A forest over a fully-up
+    /// topology reaches every node (connectivity is enforced at build time).
+    pub fn reachable(&self, node: NodeId) -> bool {
+        self.connects(self.source, node)
+    }
+
+    /// Whether `link` is a forest edge; a down link never is.
+    #[inline]
+    pub fn carries(&self, link: LinkId) -> bool {
+        self.edges[link.idx()]
+    }
+
+    /// The edge from `node` up to its parent (`None` at a root).
+    pub fn parent(&self, node: NodeId) -> Option<(NodeId, LinkId)> {
+        let p = self.parent[node.idx()];
+        (p != node.0).then(|| (NodeId(p), LinkId(self.uplink[node.idx()])))
+    }
+
+    /// The neighbour of `at` on the forest path toward `to`.  This is what
+    /// lets every source forward over the one forest: the children of `at`
+    /// in its tree re-rooted at `to` are its forest-edge neighbours other
+    /// than `next_hop(at, to)`.
     ///
     /// # Panics
     ///
-    /// Panics on a dense (non-tree) oracle or when `at == to`.
-    pub fn tree_next_hop(&self, at: NodeId, to: NodeId) -> NodeId {
-        let OracleRepr::Tree { parent, depth, .. } = &self.repr else {
-            panic!("tree_next_hop requires a tree topology");
-        };
+    /// Panics when `at == to`; the two must be connected.
+    pub fn next_hop(&self, at: NodeId, to: NodeId) -> NodeId {
         assert_ne!(at, to, "no next hop from a node to itself");
+        debug_assert!(self.connects(at, to), "{at:?} and {to:?} are not connected");
+        let (parent, depth) = (&self.parent, &self.depth);
         // If `at` is an ancestor of `to`, step down through the child of
         // `at` on the path; otherwise the path leaves through the parent.
         if depth[to.idx()] > depth[at.idx()] {
@@ -315,6 +190,91 @@ impl DistanceOracle {
             }
         }
         NodeId(parent[at.idx()])
+    }
+
+    /// The lowest common ancestor of two connected nodes.
+    fn lca(&self, mut a: usize, mut b: usize) -> usize {
+        let (parent, depth) = (&self.parent, &self.depth);
+        while depth[a] > depth[b] {
+            a = parent[a] as usize;
+        }
+        while depth[b] > depth[a] {
+            b = parent[b] as usize;
+        }
+        while a != b {
+            a = parent[a] as usize;
+            b = parent[b] as usize;
+        }
+        a
+    }
+
+    /// The path from the root to `node`, as a list of nodes starting at the
+    /// root and ending at `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is unreachable under this forest's link mask.
+    pub fn path_to(&self, node: NodeId) -> Vec<NodeId> {
+        assert!(self.reachable(node), "{node:?} unreachable from the root");
+        let mut rev = vec![node];
+        let mut cur = node;
+        while let Some((p, _)) = self.parent(cur) {
+            rev.push(p);
+            cur = p;
+        }
+        rev.reverse();
+        debug_assert_eq!(rev[0], self.source);
+        rev
+    }
+
+    /// One-way propagation delay from the root to `node`
+    /// ([`SimDuration::MAX`] when unreachable under the link mask).
+    pub fn delay_to(&self, node: NodeId) -> SimDuration {
+        if self.reachable(node) {
+            SimDuration(self.dist[node.idx()])
+        } else {
+            SimDuration::MAX
+        }
+    }
+}
+
+/// All-pairs propagation delays along the all-up forest: `delay(a, b) =
+/// dist(a) + dist(b) − 2·dist(lca(a, b))` over node 0's shortest-path
+/// tree, `O(n)` memory and `O(depth)` per query.
+///
+/// Protocol baselines use this as a *converged-session oracle*: SRM assumes
+/// every member has RTT estimates to every other member via its session
+/// protocol; handing the baseline exact delays is strictly generous to it,
+/// which is the conservative direction for comparisons against SHARQFEC.
+///
+/// On a tree — every topology the repository generates — paths are unique
+/// and this is the shortest-path delay of every pair.  On a graph with
+/// cycles it is exact from node 0 and otherwise the delay along node 0's
+/// tree, which is the path the engine delivers over (DESIGN §10).
+#[derive(Clone, Debug)]
+pub struct DistanceOracle {
+    /// Node 0's all-up forest, which the engine's routing forest starts as.
+    pub(crate) forest: Spt,
+}
+
+impl DistanceOracle {
+    /// Computes node 0's shortest-path tree over every link.
+    pub fn compute(topo: &Topology) -> DistanceOracle {
+        DistanceOracle {
+            forest: Spt::compute(topo, NodeId(0)),
+        }
+    }
+
+    /// One-way propagation delay between two nodes.
+    pub fn one_way(&self, a: NodeId, b: NodeId) -> SimDuration {
+        let f = &self.forest;
+        let l = f.lca(a.idx(), b.idx());
+        SimDuration(f.dist[a.idx()] + f.dist[b.idx()] - 2 * f.dist[l])
+    }
+
+    /// Round-trip propagation delay between two nodes.
+    pub fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
+        self.one_way(a, b) * 2
     }
 }
 
@@ -361,33 +321,9 @@ mod tests {
     fn root_has_no_parent_and_zero_distance() {
         let (t, [n0, ..]) = diamond();
         let spt = Spt::compute(&t, n0);
-        assert!(spt.parent[n0.idx()].is_none());
+        assert!(spt.parent(n0).is_none());
         assert_eq!(spt.delay_to(n0), SimDuration::ZERO);
         assert_eq!(spt.path_to(n0), vec![n0]);
-    }
-
-    #[test]
-    fn children_partition_non_roots() {
-        let (t, [n0, ..]) = diamond();
-        let spt = Spt::compute(&t, n0);
-        let total: usize = t.nodes().map(|v| spt.children(v).len()).sum();
-        assert_eq!(total, t.node_count() - 1);
-    }
-
-    #[test]
-    fn csr_children_match_parent_edges_and_are_sorted() {
-        let (t, [n0, ..]) = diamond();
-        let spt = Spt::compute(&t, n0);
-        for v in t.nodes() {
-            let kids = spt.children(v);
-            assert!(kids.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
-            let (start, end) = spt.child_range(v);
-            for (off, &(child, link)) in kids.iter().enumerate() {
-                assert_eq!(spt.child_edge(start + off), (child, link));
-                assert_eq!(spt.parent[child.idx()], Some((v, link)));
-            }
-            assert_eq!(end - start, kids.len());
-        }
     }
 
     #[test]
@@ -406,7 +342,7 @@ mod tests {
         let t = b.build();
         for _ in 0..5 {
             let spt = Spt::compute(&t, n0);
-            assert_eq!(spt.parent[n3.idx()].unwrap().0, n1);
+            assert_eq!(spt.parent(n3).unwrap().0, n1);
         }
     }
 
@@ -417,12 +353,12 @@ mod tests {
         let l01 = t.link_between(n0, n1).unwrap();
         let mut up = vec![true; t.link_count()];
         up[l01.idx()] = false;
-        let spt = Spt::compute_masked(&t, n0, Some(&up));
+        let spt = Spt::compute_masked(&t, n0, &up);
         assert_eq!(spt.path_to(n3), vec![n0, n2, n3]);
         assert_eq!(spt.delay_to(n3), ms(6));
         assert_eq!(spt.path_to(n1), vec![n0, n2, n3, n1]);
-        assert!(spt.uses_link(t.link_between(n2, n3).unwrap()));
-        assert!(!spt.uses_link(l01));
+        assert!(spt.carries(t.link_between(n2, n3).unwrap()));
+        assert!(!spt.carries(l01));
         assert!(t.nodes().all(|v| spt.reachable(v)));
     }
 
@@ -433,16 +369,19 @@ mod tests {
         let n1 = b.add_node("1");
         let n2 = b.add_node("2");
         let l01 = b.add_link(n0, n1, LinkParams::lossless_infinite(ms(1)));
-        b.add_link(n1, n2, LinkParams::lossless_infinite(ms(1)));
+        let l12 = b.add_link(n1, n2, LinkParams::lossless_infinite(ms(1)));
         let t = b.build();
         let mut up = vec![true; t.link_count()];
         up[l01.idx()] = false;
-        let spt = Spt::compute_masked(&t, n0, Some(&up));
+        let spt = Spt::compute_masked(&t, n0, &up);
         assert!(spt.reachable(n0));
         assert!(!spt.reachable(n1));
         assert!(!spt.reachable(n2));
         assert_eq!(spt.delay_to(n2), SimDuration::MAX);
-        assert!(spt.children(n0).is_empty());
+        assert!(!spt.carries(l01));
+        // The cut-off side is a tree of its own, rooted at its lowest node.
+        assert!(spt.carries(l12) && spt.connects(n1, n2));
+        assert_eq!(spt.parent(n2), Some((n1, l12)));
     }
 
     #[test]
@@ -453,16 +392,17 @@ mod tests {
         let n1 = b.add_node("1");
         let l = b.add_link(n0, n1, LinkParams::lossless_infinite(ms(1)));
         let t = b.build();
-        let spt = Spt::compute_masked(&t, n0, Some(&[false; 1]));
+        let spt = Spt::compute_masked(&t, n0, &[false; 1]);
         let _ = l;
         let _ = spt.path_to(n1);
     }
 
     #[test]
     fn oracle_is_symmetric_and_matches_spt() {
+        // Every source's shortest-path tree in the diamond is node 0's (the
+        // 5 ms link 0-2 is on no shortest path): the oracle is exact.
         let (t, [n0, n1, n2, n3]) = diamond();
         let oracle = DistanceOracle::compute(&t);
-        assert!(!oracle.is_tree(), "the diamond has a cycle");
         for &a in &[n0, n1, n2, n3] {
             let spt = Spt::compute(&t, a);
             for &b in &[n0, n1, n2, n3] {
@@ -492,7 +432,6 @@ mod tests {
     fn tree_oracle_matches_dijkstra_on_every_pair() {
         let t = lopsided_tree();
         let oracle = DistanceOracle::compute(&t);
-        assert!(oracle.is_tree());
         for a in t.nodes() {
             let spt = Spt::compute(&t, a);
             for b in t.nodes() {
@@ -509,31 +448,23 @@ mod tests {
     #[test]
     fn tree_next_hop_walks_the_unique_path() {
         let t = lopsided_tree();
-        let oracle = DistanceOracle::compute(&t);
+        let forest = Spt::compute(&t, NodeId(0));
         for src in t.nodes() {
             let spt = Spt::compute(&t, src);
             for dst in t.nodes() {
                 if src == dst {
                     continue;
                 }
-                // Walk from dst toward src one hop at a time; the hops
-                // must retrace the SPT path in reverse.
+                // Walk from dst toward src one hop at a time over node 0's
+                // forest; the hops must retrace src's own SPT path in reverse.
                 let path = spt.path_to(dst);
                 let mut cur = dst;
                 for expect in path.iter().rev().skip(1) {
-                    cur = oracle.tree_next_hop(cur, src);
+                    cur = forest.next_hop(cur, src);
                     assert_eq!(cur, *expect);
                 }
                 assert_eq!(cur, src);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a tree topology")]
-    fn tree_next_hop_rejects_dense_oracles() {
-        let (t, [n0, n1, ..]) = diamond();
-        let oracle = DistanceOracle::compute(&t);
-        let _ = oracle.tree_next_hop(n0, n1);
     }
 }

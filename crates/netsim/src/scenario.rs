@@ -33,9 +33,9 @@
 //! prunes identically everywhere.  Channel mutation is idempotent
 //! ([`Channel::insert`](crate::channel::Channel::insert)), so replaying a
 //! replicated event converges.  Routing is membership-independent (scope
-//! pruning is checked live per hop), so no SPT or tree-forwarding state is
-//! invalidated by a membership change: the "lazy SPT invalidation" for
-//! membership is that there is nothing to invalidate.
+//! pruning is checked live per hop), so a membership change leaves the
+//! routing forest as it is: unlike a link fault, there is nothing to
+//! recompute.
 
 use crate::channel::ChannelId;
 use crate::graph::NodeId;

@@ -62,6 +62,7 @@ use crate::metrics::{Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
 use crate::probe::ProbeRecord;
 use crate::queue::{EventKey, EventQueue};
+use crate::routing::Spt;
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -95,31 +96,13 @@ impl ShardPlan {
         if shards <= 1 || n <= 1 || topo.link_count() != n - 1 {
             return ShardPlan::single(n);
         }
-        // BFS from the root; `parent` doubles as the visited set.
-        let mut parent = vec![u32::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        parent[root.idx()] = root.0;
-        order.push(root);
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &(v, _) in topo.neighbors(u) {
-                if parent[v.idx()] == u32::MAX {
-                    parent[v.idx()] = u.0;
-                    order.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            return ShardPlan::single(n); // disconnected
-        }
-        // Subtree sizes by folding leaves upward (reverse BFS order).
-        let mut size = vec![1u64; n];
-        for &u in order.iter().rev() {
-            if u != root {
-                size[parent[u.idx()] as usize] += size[u.idx()];
-            }
+        // Each node's unit is the root's child on its path; `size` counts
+        // the nodes of each unit.
+        let tree = Spt::compute(topo, root);
+        let unit = |v: NodeId| tree.next_hop(root, v).idx();
+        let mut size = vec![0u64; n];
+        for v in topo.nodes().filter(|&v| v != root) {
+            size[unit(v)] += 1;
         }
         // Greedy-pack the root's subtrees, largest first.
         let mut children: Vec<NodeId> = topo.neighbors(root).iter().map(|&(v, _)| v).collect();
@@ -133,16 +116,8 @@ impl ShardPlan {
             bin[c.idx()] = b as u32;
         }
         let mut owner = vec![0u32; n];
-        for &u in &order {
-            if u == root {
-                continue;
-            }
-            let p = parent[u.idx()] as usize;
-            owner[u.idx()] = if p == root.idx() {
-                bin[u.idx()]
-            } else {
-                owner[p]
-            };
+        for v in topo.nodes().filter(|&v| v != root) {
+            owner[v.idx()] = bin[unit(v)];
         }
         ShardPlan {
             owner,
@@ -419,12 +394,11 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 Engine {
                     topo: self.topo.clone(),
                     oracle: self.oracle.clone(),
-                    spts: Vec::new(),
+                    forest: self.forest.clone(),
                     link_state: self.link_state.clone(),
                     link_up: self.link_up.clone(),
-                    reach: self.reach.clone(),
                     #[cfg(test)]
-                    force_spt: self.force_spt,
+                    per_source_reference: self.per_source_reference,
                     node_up: self.node_up.clone(),
                     epoch: self.epoch.clone(),
                     channels: self.channels.clone(),
@@ -500,11 +474,10 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         // events replay everywhere); take shard 0's copy.
         std::mem::swap(&mut self.topo, &mut shards[0].topo);
         std::mem::swap(&mut self.link_up, &mut shards[0].link_up);
-        std::mem::swap(&mut self.reach, &mut shards[0].reach);
+        std::mem::swap(&mut self.forest, &mut shards[0].forest);
         std::mem::swap(&mut self.node_up, &mut shards[0].node_up);
         std::mem::swap(&mut self.epoch, &mut shards[0].epoch);
         std::mem::swap(&mut self.channels, &mut shards[0].channels);
-        self.spts = Vec::new(); // recomputed lazily against the new mask
         for i in 0..n {
             let o = plan.owner[i] as usize;
             self.agents[i] = shards[o].agents[i].take();

@@ -96,7 +96,7 @@ mod tests {
             let spt = Spt::compute(&built.topology, root);
             let chan = Channel::new(built.topology.node_count(), &zone.members);
             assert!(
-                chan.is_spt_connected(&spt, root),
+                chan.is_spt_connected(&spt),
                 "zone {} not SPT-connected from its ZCR {root}",
                 zone.id
             );

@@ -180,7 +180,7 @@ mod tests {
                 let spt = Spt::compute(&built.topology, zcr);
                 let chan = Channel::new(built.topology.node_count(), &zone.members);
                 assert!(
-                    chan.is_spt_connected(&spt, zcr),
+                    chan.is_spt_connected(&spt),
                     "seed {seed}: zone {} not contiguous",
                     zone.id
                 );

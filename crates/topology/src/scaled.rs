@@ -490,7 +490,7 @@ mod tests {
             let spt = Spt::compute(&b.topology, zcr);
             let chan = Channel::new(b.topology.node_count(), m);
             assert!(
-                chan.is_spt_connected(&spt, zcr),
+                chan.is_spt_connected(&spt),
                 "zone {} not contiguous",
                 zone.id
             );
