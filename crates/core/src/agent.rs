@@ -10,7 +10,7 @@ use crate::config::SharqfecConfig;
 use crate::group::{GroupState, Phase};
 use crate::msg::SfMsg;
 use crate::policy::InjectionPolicy;
-use sharqfec_netsim::adaptive::{AdaptiveConfig, AdaptiveTimer};
+use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
 use sharqfec_session::core::{is_session_token, SessionCore};
@@ -89,11 +89,6 @@ pub struct SfAgent {
     /// Sizes preemptive injection where this member is a level's ZCR
     /// (paper §4's EWMA by default; see [`crate::policy`]).
     policy: Box<dyn InjectionPolicy>,
-    /// Whether preemptive injection runs at all (`policy.enabled`,
-    /// resolved once — `false` reproduces the `ni` variants).
-    injection_on: bool,
-    /// ZLC measurement delay as a multiple of the farthest known RTT.
-    measure_rtt_factor: f64,
     /// Source only: next absolute data sequence number.
     next_seq: u32,
     /// Request-window constants C1 (`lo`) and C2 (`width`), optionally
@@ -127,17 +122,8 @@ impl SfAgent {
         } else {
             0
         };
-        let pcfg = cfg.policy.clone();
-        let policy = pcfg.build(chain.len());
-        let window = AdaptiveTimer::new(
-            C1,
-            C2,
-            cfg.adaptive_timers,
-            AdaptiveConfig {
-                delay_high: DELAY_HIGH,
-                ..AdaptiveConfig::default()
-            },
-        );
+        let policy = cfg.policy.build(chain.len());
+        let window = AdaptiveTimer::new(C1, C2, cfg.adaptive_timers, DELAY_HIGH);
         let cfg_first_seq = cfg.first_seq;
         SfAgent {
             cfg,
@@ -149,8 +135,6 @@ impl SfAgent {
             initial_scope,
             groups: IdHashMap::default(),
             policy,
-            injection_on: pcfg.enabled,
-            measure_rtt_factor: pcfg.measure_rtt_factor,
             next_seq: cfg_first_seq,
             window,
             observed_loss: 0.0,
@@ -499,7 +483,8 @@ impl SfAgent {
                 continue;
             }
             // ZCR duties: preemptive injection sized by the policy…
-            if self.injection_on && repairs_allowed && !self.groups[&g].zones[level].injected {
+            if self.cfg.policy.enabled && repairs_allowed && !self.groups[&g].zones[level].injected
+            {
                 self.groups.get_mut(&g).expect("exists").zones[level].injected = true;
                 let n = self.decide_injection(ctx, g, level);
                 if n > 0 {
@@ -517,7 +502,7 @@ impl SfAgent {
                     .session
                     .max_known_rtt()
                     .unwrap_or(self.cfg.default_dist * 2);
-                let delay = rtt.mul_f64(self.measure_rtt_factor);
+                let delay = rtt.mul_f64(self.cfg.policy.measure_rtt_factor);
                 ctx.set_timer(delay, tok(KIND_MEASURE, g, level));
             }
         }
@@ -557,7 +542,7 @@ impl SfAgent {
         // RTT is known (bounded by `MAX_MEASURE_DEFERS`).
         if self.session.max_known_rtt().is_none() {
             let fallback = self.cfg.default_dist * 2;
-            let factor = self.measure_rtt_factor;
+            let factor = self.cfg.policy.measure_rtt_factor;
             let st = self.groups.get_mut(&g).expect("group exists");
             let z = &mut st.zones[level];
             if !z.measured && z.measure_defers < Self::MAX_MEASURE_DEFERS {
@@ -855,7 +840,7 @@ impl SfAgent {
     /// measurement timer.
     fn finish_group(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let root = self.chain.len() - 1;
-        if self.injection_on && !self.groups[&g].zones[root].injected {
+        if self.cfg.policy.enabled && !self.groups[&g].zones[root].injected {
             self.groups.get_mut(&g).expect("exists").zones[root].injected = true;
             let n = self.decide_injection(ctx, g, root);
             if n > 0 {
@@ -869,7 +854,7 @@ impl SfAgent {
                 .max_known_rtt()
                 .unwrap_or(self.cfg.default_dist * 2);
             ctx.set_timer(
-                rtt.mul_f64(self.measure_rtt_factor),
+                rtt.mul_f64(self.cfg.policy.measure_rtt_factor),
                 tok(KIND_MEASURE, g, root),
             );
         }

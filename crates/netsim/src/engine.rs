@@ -251,12 +251,6 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         &self.recorder
     }
 
-    /// The probe sink agents emit decision-level events into (disabled
-    /// unless an auditor is attached; see [`EngineBuilder::audit`]).
-    pub fn probes(&self) -> &ProbeSink {
-        &self.probes
-    }
-
     /// Probe events captured so far (empty unless [`EngineBuilder::audit`]
     /// attached a record-keeping auditor).
     pub fn probe_records(&self) -> &[ProbeRecord] {

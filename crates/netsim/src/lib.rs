@@ -110,7 +110,6 @@ pub mod scenario;
 pub mod shard;
 pub mod testkit;
 pub mod time;
-pub mod trace;
 
 /// One-stop import for simulator users.
 pub mod prelude {

@@ -11,8 +11,8 @@
 //! them:
 //!
 //! * **Raw** (the default) keeps per-(node, class) counts and every event
-//!   in the public vectors, so post-hoc tooling (binning, timelines,
-//!   custom filters) can see everything.
+//!   in the public vectors, so post-hoc tooling (binning, replays, custom
+//!   filters) can see everything.
 //! * **Streaming** keeps the per-(node, class) counts and no events:
 //!   memory is `O(nodes)` regardless of traffic volume and run length —
 //!   the mode the parallel sweep runner uses, where dozens of engines are

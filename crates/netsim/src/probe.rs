@@ -1,8 +1,8 @@
 //! Decision-level protocol probes and the run-attached invariant auditor.
 //!
-//! [`crate::metrics::Recorder`] and [`crate::trace::Timeline`] see packets
-//! on the wire; the paper's evaluation, however, reasons from *internal*
-//! protocol state — ZLC EWMAs, NACK suppression outcomes, ZCR seats.
+//! [`crate::metrics::Recorder`] sees packets on the wire; the paper's
+//! evaluation, however, reasons from *internal* protocol state — ZLC
+//! EWMAs, NACK suppression outcomes, ZCR seats.
 //! This module gives protocol agents a structured channel for exactly
 //! those decisions:
 //!
@@ -51,7 +51,7 @@ pub enum NackOutcome {
 }
 
 impl NackOutcome {
-    /// Short label for timelines and tables.
+    /// Short label for probe lines and tables.
     pub fn label(self) -> &'static str {
         match self {
             NackOutcome::Sent => "sent",
@@ -78,7 +78,7 @@ pub enum ZcrAction {
 }
 
 impl ZcrAction {
-    /// Short label for timelines and tables.
+    /// Short label for probe lines and tables.
     pub fn label(self) -> &'static str {
         match self {
             ZcrAction::Seeded => "seeded",
@@ -195,7 +195,7 @@ pub enum ProbeEvent {
 }
 
 impl ProbeEvent {
-    /// Short kind label for timelines and binning filters.
+    /// Short kind label for probe lines and binning filters.
     pub fn label(&self) -> &'static str {
         match self {
             ProbeEvent::ZlcUpdate { .. } => "zlc",
@@ -1267,14 +1267,81 @@ mod tests {
 
     #[test]
     fn event_display_is_compact() {
-        let e = ProbeEvent::Nack {
-            group: 2,
-            level: 1,
-            outcome: NackOutcome::SuppressedCovered,
-            llc: 3,
-            zlc: 5,
-        };
-        assert_eq!(format!("{e}"), "g2 L1 covered llc=3 zlc=5");
-        assert_eq!(e.label(), "nack");
+        // One case per variant, each with its exact label and rendering
+        // (`examples/explore.rs` prints probes through these two).
+        let cases = [
+            (
+                ProbeEvent::ZlcUpdate {
+                    group: 3,
+                    level: 1,
+                    observed: 2.0,
+                    pred: 1.25,
+                },
+                "zlc g3 L1 observed=2 pred=1.250",
+            ),
+            (
+                ProbeEvent::PolicyDecision {
+                    policy: "ewma",
+                    group: 0,
+                    level: 2,
+                    pred: 1.0,
+                    target: 0.95,
+                    chosen: 2,
+                    group_size: 16,
+                },
+                "policy g0 L2 ewma pred=1.000 target=0.95 chosen=2/16",
+            ),
+            (
+                ProbeEvent::Window {
+                    lo: 2.1,
+                    width: 2.5,
+                    ave_dup: 1.0,
+                    ave_delay: 0.75,
+                },
+                "window lo=2.10 width=2.50 dup=1.00 delay=0.75",
+            ),
+            (ProbeEvent::Sender { seq: 7 }, "sender fresh seq 7"),
+        ];
+        let shown = |e: ProbeEvent| format!("{} {e}", e.label());
+        for (e, want) in cases {
+            assert_eq!(shown(e), want);
+        }
+        for (outcome, word) in [
+            (NackOutcome::Sent, "sent"),
+            (NackOutcome::SuppressedDuplicate, "dup-backoff"),
+            (NackOutcome::SuppressedCovered, "covered"),
+        ] {
+            let e = ProbeEvent::Nack {
+                group: 2,
+                level: 1,
+                outcome,
+                llc: 3,
+                zlc: 5,
+            };
+            assert_eq!(shown(e), format!("nack g2 L1 {word} llc=3 zlc=5"));
+        }
+        for (action, word) in [
+            (ZcrAction::Seeded, "seeded"),
+            (ZcrAction::Takeover, "takeover"),
+            (ZcrAction::Adopt, "adopt"),
+            (ZcrAction::Reassert, "reassert"),
+            (ZcrAction::Concede, "concede"),
+        ] {
+            let e = ProbeEvent::Zcr {
+                zone: 6,
+                action,
+                holder: NodeId(9),
+            };
+            assert_eq!(shown(e), format!("zcr zone6 {word} -> n9"));
+        }
+        for (complete, held, word) in [(true, 16, "complete"), (false, 15, "INCOMPLETE")] {
+            let e = ProbeEvent::GroupClose {
+                group: 4,
+                complete,
+                held,
+                k: 16,
+            };
+            assert_eq!(shown(e), format!("close g4 {word} held={held}/16"));
+        }
     }
 }

@@ -775,7 +775,7 @@ mod tests {
                 .iter()
                 .map(|&r| e.agent::<Receiver>(r).unwrap().heard.clone())
                 .collect(),
-            probes: e.probes().records().to_vec(),
+            probes: e.probe_records().to_vec(),
         }
     }
 

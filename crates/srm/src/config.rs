@@ -4,18 +4,13 @@ use sharqfec_netsim::{SimDuration, SimTime};
 
 /// Parameters of an SRM run.  Workload defaults mirror the SHARQFEC
 /// paper's §6.2 scenario (1024 × 1000-byte packets at 800 kbit/s from
-/// t = 6 s); the timer constants are SRM's and sit beside their readers
-/// (`receiver.rs`, `replier.rs`), with the adaptive algorithm on by default
-/// as in the paper's comparison.
+/// t = 6 s); the packet size, the CBR interval and the timer constants sit
+/// beside their readers (`source.rs`, `receiver.rs`, `replier.rs`), with
+/// the adaptive algorithm on by default as in the paper's comparison.
 #[derive(Clone, Debug)]
 pub struct SrmConfig {
     /// Number of data packets in the stream.
     pub total_packets: u32,
-    /// Data/repair packet size, bytes.
-    pub packet_bytes: u32,
-    /// Inter-packet interval of the CBR source (10 ms = 800 kbit/s at
-    /// 1000 B).
-    pub send_interval: SimDuration,
     /// When the source starts transmitting.
     pub data_start: SimTime,
     /// Whether the §V adaptive-timer adjustment runs (the paper's
@@ -41,8 +36,6 @@ impl Default for SrmConfig {
     fn default() -> SrmConfig {
         SrmConfig {
             total_packets: 1024,
-            packet_bytes: 1000,
-            send_interval: SimDuration::from_millis(10),
             data_start: SimTime::from_secs(6),
             adaptive: true,
             session_announce: None,
@@ -59,11 +52,6 @@ impl SrmConfig {
     /// Panics with a description of the violated invariant.
     pub fn validate(&self) {
         assert!(self.total_packets > 0, "need at least one packet");
-        assert!(self.packet_bytes > 0, "packets must have a size");
-        assert!(
-            self.send_interval > SimDuration::ZERO,
-            "CBR interval must be positive"
-        );
         if let Some(iv) = self.session_announce {
             assert!(iv > SimDuration::ZERO, "announce interval must be positive");
             assert!(self.announce_stride > 0, "announce stride must be positive");
@@ -80,8 +68,6 @@ mod tests {
         let c = SrmConfig::default();
         c.validate();
         assert_eq!(c.total_packets, 1024);
-        assert_eq!(c.packet_bytes, 1000);
-        assert_eq!(c.send_interval, SimDuration::from_millis(10));
         assert_eq!(c.data_start, SimTime::from_secs(6));
         assert!(c.adaptive);
         assert!(c.session_announce.is_none(), "session layer is opt-in");

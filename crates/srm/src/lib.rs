@@ -57,7 +57,6 @@ pub use msg::SrmMsg;
 pub use receiver::SrmReceiver;
 pub use source::SrmSource;
 
-use sharqfec_netsim::adaptive::{AdaptiveConfig, AdaptiveTimer};
 use sharqfec_netsim::{EngineBuilder, SimTime};
 use sharqfec_topology::BuiltTopology;
 
@@ -78,15 +77,6 @@ use sharqfec_topology::BuiltTopology;
 /// SHARQFEC's scoped recovery deliberately waits until 4
 /// (`sharqfec::agent::DELAY_HIGH`).
 pub const DELAY_HIGH: f64 = 1.5;
-
-/// One adaptive window under SRM's trigger.
-pub(crate) fn adaptive_window(lo: f64, width: f64, enabled: bool) -> AdaptiveTimer {
-    let cfg = AdaptiveConfig {
-        delay_high: DELAY_HIGH,
-        ..AdaptiveConfig::default()
-    };
-    AdaptiveTimer::new(lo, width, enabled, cfg)
-}
 
 /// Assembles a fully-populated [`EngineBuilder`] for an SRM scenario: one
 /// global channel, a CBR source, and a receiver agent on every other

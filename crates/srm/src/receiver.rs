@@ -1,9 +1,10 @@
 //! The SRM receiver: gap detection, suppressed requests, peer repairs.
 
-use crate::adaptive_window;
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
 use crate::replier::Replier;
+use crate::source::{PACKET_BYTES, SEND_INTERVAL};
+use crate::DELAY_HIGH;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
@@ -20,7 +21,7 @@ const REQUEST_BYTES: u32 = 40;
 /// Session announcement packet size, bytes.
 const ANNOUNCE_BYTES: u32 = 40;
 /// How often receivers audit for tail losses after the stream should have
-/// ended (as a multiple of `send_interval`).
+/// ended (as a multiple of [`SEND_INTERVAL`]).
 const AUDIT_FACTOR: f64 = 10.0;
 
 /// Backoff exponent cap: 2^7 × window tops out around tens of seconds on
@@ -77,7 +78,7 @@ impl SrmReceiver {
     /// Creates a receiver expecting `cfg.total_packets` packets from
     /// `source`.
     pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId) -> SrmReceiver {
-        let req_params = adaptive_window(C1, C2, cfg.adaptive);
+        let req_params = AdaptiveTimer::new(C1, C2, cfg.adaptive, DELAY_HIGH);
         SrmReceiver {
             received: vec![false; cfg.total_packets as usize],
             replier: Replier::new(&cfg),
@@ -111,20 +112,12 @@ impl SrmReceiver {
         self.session_peers.len()
     }
 
-    /// Resident bytes of the session-layer peer table — the O(n) share of
-    /// this receiver's state (zero while the layer is off).
-    pub fn session_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.session_peers.capacity()
-            * (size_of::<NodeId>() + size_of::<SimTime>() + size_of::<u64>())
-    }
-
     /// When the session layer stops announcing: the same deadline the
     /// tail-loss audit uses, so a quiescent run still terminates.
     fn stream_end(&self) -> SimTime {
         self.cfg.data_start
-            + self.cfg.send_interval * self.cfg.total_packets as u64
-            + self.cfg.send_interval.mul_f64(AUDIT_FACTOR)
+            + SEND_INTERVAL * self.cfg.total_packets as u64
+            + SEND_INTERVAL.mul_f64(AUDIT_FACTOR)
     }
 
     fn d_sa(&self, ctx: &Ctx<'_, SrmMsg>) -> SimDuration {
@@ -207,7 +200,9 @@ impl Agent<SrmMsg> for SrmReceiver {
             + self.received.capacity() * size_of::<bool>()
             + map(self.requests.capacity(), size_of::<ReqState>())
             + self.replier.heap_bytes()
-            + self.session_bytes()
+            // The session-layer peer table: the O(n) share of this
+            // receiver's state (zero while the layer is off).
+            + map(self.session_peers.capacity(), size_of::<SimTime>())
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SrmMsg>) {
@@ -250,7 +245,7 @@ impl Agent<SrmMsg> for SrmReceiver {
                 // Anything never even heard of is a tail loss.
                 let last = self.cfg.total_packets - 1;
                 self.note_exists(ctx, last);
-                ctx.set_timer(self.cfg.send_interval.mul_f64(AUDIT_FACTOR), TOK_AUDIT);
+                ctx.set_timer(SEND_INTERVAL.mul_f64(AUDIT_FACTOR), TOK_AUDIT);
             }
             return;
         }
@@ -258,7 +253,7 @@ impl Agent<SrmMsg> for SrmReceiver {
         if token & TOK_REP_BASE != 0 && token < TOK_AUDIT {
             // Repair timer fired: transmit if still unsuppressed.
             if self.replier.fire(ctx, seq) {
-                ctx.multicast(self.chan, SrmMsg::Repair { seq }, self.cfg.packet_bytes);
+                ctx.multicast(self.chan, SrmMsg::Repair { seq }, PACKET_BYTES);
                 self.repairs_sent += 1;
             }
             return;

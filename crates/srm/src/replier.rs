@@ -6,9 +6,9 @@
 //! [`SrmSource`]: crate::SrmSource
 //! [`SrmReceiver`]: crate::SrmReceiver
 
-use crate::adaptive_window;
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
+use crate::DELAY_HIGH;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
@@ -35,7 +35,7 @@ impl Replier {
         Replier {
             pending: IdHashMap::default(),
             holdoff: IdHashMap::default(),
-            params: adaptive_window(D1, D2, cfg.adaptive),
+            params: AdaptiveTimer::new(D1, D2, cfg.adaptive, DELAY_HIGH),
         }
     }
 

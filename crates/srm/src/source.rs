@@ -6,6 +6,12 @@ use crate::msg::SrmMsg;
 use crate::replier::Replier;
 use sharqfec_netsim::prelude::*;
 
+/// Data/repair packet size, bytes.
+pub(crate) const PACKET_BYTES: u32 = 1000;
+/// Inter-packet interval of the CBR source (10 ms = 800 kbit/s at
+/// 1000 B).
+pub(crate) const SEND_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
 const TOK_SEND: u64 = 0;
 const TOK_REPAIR_BASE: u64 = 1 << 32;
 
@@ -45,21 +51,17 @@ impl Agent<SrmMsg> for SrmSource {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SrmMsg>, token: u64) {
         if token == TOK_SEND {
             if self.next_seq < self.cfg.total_packets {
-                ctx.multicast(
-                    self.chan,
-                    SrmMsg::Data { seq: self.next_seq },
-                    self.cfg.packet_bytes,
-                );
+                ctx.multicast(self.chan, SrmMsg::Data { seq: self.next_seq }, PACKET_BYTES);
                 self.next_seq += 1;
                 if self.next_seq < self.cfg.total_packets {
-                    ctx.set_timer(self.cfg.send_interval, TOK_SEND);
+                    ctx.set_timer(SEND_INTERVAL, TOK_SEND);
                 }
             }
             return;
         }
         let seq = (token & 0xFFFF_FFFF) as u32;
         if self.replier.fire(ctx, seq) {
-            ctx.multicast(self.chan, SrmMsg::Repair { seq }, self.cfg.packet_bytes);
+            ctx.multicast(self.chan, SrmMsg::Repair { seq }, PACKET_BYTES);
             self.repairs_sent += 1;
         }
     }

@@ -1,7 +1,7 @@
 //! An interactive-ish exploration tool: run any protocol variant on any
 //! built-in topology and inspect the result — summary, per-class traffic,
-//! and a filtered event timeline around the first loss (the trace module
-//! standing in for the paper's *nam* animator).
+//! the NACK and ZLC probes after the first loss (the probe stream standing
+//! in for the paper's *nam* animator) and the invariant auditor's verdict.
 //!
 //! Run: `cargo run --release --example explore -- [variant] [topology] [packets] [seed]`
 //!
@@ -10,8 +10,7 @@
 //!   packets  : data packets                            (default 64)
 //!   seed     : RNG seed                                (default 42)
 
-use sharqfec_repro::netsim::trace::{Timeline, TraceFilter};
-use sharqfec_repro::netsim::{RunSpec, SimDuration, SimTime, TrafficClass};
+use sharqfec_repro::netsim::{AuditConfig, RunSpec, SimDuration, SimTime, TrafficClass};
 use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_repro::topology::{
     chain, figure10, national, random_tree, BuiltTopology, Figure10Params, NationalParams,
@@ -53,7 +52,11 @@ fn main() {
         built.hierarchy.zone_count()
     );
 
-    let mut engine = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1)).build();
+    let mut b = setup_sharqfec_builder(&built, seed, cfg, SimTime::from_secs(1));
+    // The auditor keeps every probe record; attaching it never perturbs
+    // the run, so the summary below is the unaudited run's.
+    b.audit(AuditConfig::default());
+    let mut engine = b.build();
     engine.advance(RunSpec::to(SimTime::from_secs(
         6 + packets as u64 / 100 + 60,
     )));
@@ -80,33 +83,32 @@ fn main() {
     }
     println!("packets missing at horizon: {missing}");
 
-    // Timeline around the first data loss: who noticed, who asked, who
-    // repaired.
+    // NACK and ZLC decisions around the first data loss: who asked, and
+    // what each zone learned of its loss.
     if let Some(first_drop) = rec.drops.iter().find(|d| d.class == TrafficClass::Data) {
         let from = first_drop.time;
         let to = from + SimDuration::from_millis(1500);
         println!(
-            "\nevent timeline for the 1.5 s after the first data loss (t={:.3}s, link n{}→n{}):",
+            "\nNACK/ZLC probes for the 1.5 s after the first data loss (t={:.3}s, link n{}→n{}):",
             from.as_secs_f64(),
             first_drop.from.0,
             first_drop.to.0
         );
-        let text = Timeline::new(rec)
-            .filter(
-                TraceFilter::default()
-                    .class(TrafficClass::Nack)
-                    .class(TrafficClass::Repair)
-                    .between(from, to),
-            )
-            .render();
-        let lines: Vec<&str> = text.lines().collect();
-        for line in lines.iter().take(25) {
-            println!("  {line}");
+        let window: Vec<_> = engine
+            .probe_records()
+            .iter()
+            .filter(|p| (from..to).contains(&p.time) && matches!(p.event.label(), "nack" | "zlc"))
+            .collect();
+        for p in window.iter().take(25) {
+            let (t, node, e) = (p.time.as_secs_f64(), p.node.0, &p.event);
+            println!("  {t:>10.6}  n{node:<4} {:<7} {e}", e.label());
         }
-        if lines.len() > 25 {
-            println!("  … {} more events", lines.len() - 25);
+        if window.len() > 25 {
+            println!("  … {} more probes", window.len() - 25);
         }
     } else {
         println!("\nno data losses occurred (lossless run).");
     }
+    let report = engine.audit_report().expect("auditor attached");
+    println!("\n{}", report.summary());
 }
