@@ -30,9 +30,9 @@
 //! deterministic 1/stride of the membership announces, every residue
 //! class getting its turn.  The measured traffic times the stride is an
 //! unbiased estimate of the full-fidelity traffic and is reported as
-//! `session_norm`; peer tables fill with every announcer actually heard,
-//! so the *measured* state is a lower bound at strided cells (the
-//! strides in [`announce_stride`] keep it monotone through n = 10⁵).
+//! `session_norm`.  The stride thins traffic, not state: an SRM peer
+//! table has one slot per member id from the first announcement heard,
+//! so `state_bytes_per_rx` is exact at every cell.
 //! SHARQFEC cells never stride — zone-scoped announcements are O(n·z̄)
 //! per round and simulate in full at every n.
 //!
@@ -112,8 +112,8 @@ pub fn plan(sizes: &[usize]) -> Vec<ScaleCell> {
 /// SRM announcer-rotation stride per receiver count (see the module docs
 /// for why and how this keeps the measurement honest).  Strides through
 /// n = 10⁵ are chosen so every residue class still announces within the
-/// ~5-round horizon or the sampled peer tables stay monotone in n; the
-/// opt-in 10⁶ cell trades table size for feasibility.
+/// ~5-round horizon; the opt-in 10⁶ cell trades peer count for
+/// feasibility.
 pub fn announce_stride(receivers: usize) -> u64 {
     match receivers {
         0..=9_999 => 1,

@@ -671,6 +671,11 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         if self.per_source_reference {
             return self.forward_per_source(at, pkt, hdr);
         }
+        // A leaf's one neighbour is its hop toward the source (or it is cut
+        // off): nothing to forward, so skip the forest walk.
+        if at != hdr.src && self.topo.neighbors(at).len() == 1 {
+            return;
+        }
         if !self.forest.connects(at, hdr.src) {
             return;
         }

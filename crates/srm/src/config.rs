@@ -19,16 +19,17 @@ pub struct SrmConfig {
     /// Optional session-message layer (SRM's periodic session packets):
     /// every receiver multicasts a globally scoped announcement each
     /// interval, and every receiver records each announcer it hears in a
-    /// peer table — the O(n)-per-receiver state and O(n²) session traffic
-    /// the scale sweep measures.  `None` (the default) disables the layer
-    /// entirely, leaving the paper-scenario runs bit-identical.
+    /// peer table with a slot per member id — the O(n)-per-receiver state
+    /// and O(n²) session traffic the scale sweep measures.  `None` (the
+    /// default) disables the layer entirely, leaving the paper-scenario
+    /// runs bit-identical.
     pub session_announce: Option<SimDuration>,
     /// Announcer rotation stride: in round `r`, only receivers whose
     /// `(node + r) % stride == 0` announce.  `1` (the default) is full
     /// SRM — every member announces every interval.  Large sweep cells use
     /// a constant stride to bound simulated event counts; a stride shared
     /// across cells rescales session traffic by `1/stride` without
-    /// changing its growth exponent in `n`.
+    /// changing its growth exponent in `n` or the peer tables' size.
     pub announce_stride: u64,
 }
 

@@ -35,13 +35,14 @@
 //! opt-in session-message layer can be enabled via
 //! [`SrmConfig::session_announce`]: every receiver periodically multicasts
 //! a globally scoped [`SrmMsg::Announce`] and records each announcer it
-//! hears in a peer table.  That reproduces SRM's two scaling liabilities —
-//! O(n²) session traffic and O(n) per-receiver state — without altering
-//! repair behaviour; the default (`None`) leaves every existing scenario
-//! bit-identical.  [`SrmConfig::announce_stride`] rotates announcers to
-//! bound simulated event counts at very large n (a stride shared across
-//! sweep cells rescales traffic by a constant, leaving the growth exponent
-//! intact).
+//! hears in a peer table with one slot per member id.  That reproduces
+//! SRM's two scaling liabilities — O(n²) session traffic and O(n)
+//! per-receiver state — without altering repair behaviour; the default
+//! (`None`) leaves every existing scenario bit-identical.
+//! [`SrmConfig::announce_stride`] rotates announcers to bound simulated
+//! event counts at very large n (a stride shared across sweep cells
+//! rescales traffic by a constant, leaving the growth exponent intact);
+//! the peer table keeps its full size at any stride.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,6 +93,7 @@ pub fn setup_srm_builder(
     cfg.validate();
     let mut builder: EngineBuilder<SrmMsg> = EngineBuilder::new(built.topology.clone(), seed);
     let chan = builder.add_channel(&built.members());
+    let nodes = built.topology.node_count();
     builder.add_agent_at(
         built.source,
         Box::new(SrmSource::new(cfg.clone(), chan)),
@@ -100,7 +102,7 @@ pub fn setup_srm_builder(
     for &r in &built.receivers {
         builder.add_agent_at(
             r,
-            Box::new(SrmReceiver::new(cfg.clone(), chan, built.source)),
+            Box::new(SrmReceiver::new(cfg.clone(), chan, built.source, nodes)),
             join_at,
         );
     }
@@ -295,7 +297,7 @@ mod tests {
         for &r in &ids[1..] {
             builder.add_agent_at(
                 r,
-                Box::new(SrmReceiver::new(cfg.clone(), chan, ids[0])),
+                Box::new(SrmReceiver::new(cfg.clone(), chan, ids[0], ids.len())),
                 SimTime::from_secs(1),
             );
         }

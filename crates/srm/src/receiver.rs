@@ -29,6 +29,9 @@ const AUDIT_FACTOR: f64 = 10.0;
 /// horizon while still backing off aggressively.
 const MAX_BACKOFF: u32 = 7;
 
+/// A `session_peers` slot whose member has not been heard announcing.
+const NEVER: SimTime = SimTime::MAX;
+
 #[derive(Debug)]
 struct ReqState {
     timer: TimerId,
@@ -58,11 +61,15 @@ pub struct SrmReceiver {
     req_params: AdaptiveTimer,
     /// Repairs this receiver owes for packets it holds.
     replier: Replier,
-    /// Session-layer peer table: every announcer heard, with the time it
-    /// was last heard.  Because announcements are globally scoped this
-    /// grows O(n) with session size — the state SRM's session protocol
-    /// fundamentally requires and the scale sweep measures.
-    session_peers: IdHashMap<NodeId, SimTime>,
+    /// Session-layer peer table, indexed by member id: when each announcer
+    /// was last heard, [`NEVER`] if not.  Global announcements make it O(n)
+    /// — the state SRM's session protocol requires and the scale sweep
+    /// measures.  Sized `nodes`, allocated on the first announcement heard.
+    session_peers: Vec<SimTime>,
+    /// Distinct announcers in `session_peers`.
+    session_peer_count: u32,
+    /// Member ids in the topology: the peer table's length.
+    nodes: usize,
     /// Which announce rotation round comes next (see
     /// `SrmConfig::announce_stride`).
     announce_round: u64,
@@ -76,8 +83,8 @@ pub struct SrmReceiver {
 
 impl SrmReceiver {
     /// Creates a receiver expecting `cfg.total_packets` packets from
-    /// `source`.
-    pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId) -> SrmReceiver {
+    /// `source` on a topology of `nodes` members.
+    pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId, nodes: usize) -> SrmReceiver {
         let req_params = AdaptiveTimer::new(C1, C2, cfg.adaptive, DELAY_HIGH);
         SrmReceiver {
             received: vec![false; cfg.total_packets as usize],
@@ -89,7 +96,9 @@ impl SrmReceiver {
             max_seen: None,
             requests: IdHashMap::default(),
             req_params,
-            session_peers: IdHashMap::default(),
+            session_peers: Vec::new(),
+            session_peer_count: 0,
+            nodes,
             announce_round: 0,
             requests_sent: 0,
             repairs_sent: 0,
@@ -109,7 +118,7 @@ impl SrmReceiver {
 
     /// Distinct peers heard via session announcements.
     pub fn session_peer_count(&self) -> usize {
-        self.session_peers.len()
+        self.session_peer_count as usize
     }
 
     /// When the session layer stops announcing: the same deadline the
@@ -201,8 +210,8 @@ impl Agent<SrmMsg> for SrmReceiver {
             + map(self.requests.capacity(), size_of::<ReqState>())
             + self.replier.heap_bytes()
             // The session-layer peer table: the O(n) share of this
-            // receiver's state (zero while the layer is off).
-            + map(self.session_peers.capacity(), size_of::<SimTime>())
+            // receiver's state (zero until an announcement is heard).
+            + self.session_peers.capacity() * size_of::<SimTime>()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SrmMsg>) {
@@ -335,7 +344,14 @@ impl Agent<SrmMsg> for SrmReceiver {
                 }
             }
             SrmMsg::Announce => {
-                self.session_peers.insert(pkt.src, ctx.now());
+                if self.session_peers.is_empty() {
+                    self.session_peers = vec![NEVER; self.nodes];
+                }
+                let heard = &mut self.session_peers[pkt.src.idx()];
+                if *heard == NEVER {
+                    self.session_peer_count += 1;
+                }
+                *heard = ctx.now();
             }
         }
     }
@@ -358,7 +374,7 @@ mod tests {
         let (source, peer) = (built.source, built.receivers[0]);
         let chan = ChannelId(0);
         let mut d = Rig {
-            agent: SrmReceiver::new(SrmConfig::default(), chan, source),
+            agent: SrmReceiver::new(SrmConfig::default(), chan, source, 3),
             node: built.receivers[1],
             now: SimTime::from_secs(6),
             rng: SimRng::new(3),
@@ -390,13 +406,48 @@ mod tests {
         assert_eq!(d.agent.requests[&1].i, 3);
     }
 
+    /// The session peer table has a slot per member id, allocated at its
+    /// full size on the first announcement heard; an announcer heard again
+    /// is counted once, and unheard slots (this receiver's own among them)
+    /// stay `NEVER`.
+    #[test]
+    fn announcements_fill_a_member_indexed_table_allocated_once() {
+        let built = sharqfec_topology::chain(5);
+        let nodes = built.topology.node_count();
+        let (me, a, b) = (built.receivers[0], built.receivers[1], built.receivers[3]);
+        let chan = ChannelId(0);
+        let mut d = Rig {
+            agent: SrmReceiver::new(SrmConfig::default(), chan, built.source, nodes),
+            node: me,
+            now: SimTime::from_secs(2),
+            rng: SimRng::new(3),
+            oracle: DistanceOracle::compute(&built.topology),
+            next_timer: 0,
+            probes: ProbeSink::default(),
+        };
+        let bare = d.agent.state_bytes();
+        assert_eq!(d.agent.session_peers.capacity(), 0);
+
+        d.hear(a, chan, SrmMsg::Announce);
+        assert_eq!(d.agent.state_bytes() - bare, nodes * 8);
+        d.now = SimTime::from_secs(3);
+        d.hear(b, chan, SrmMsg::Announce);
+        d.hear(a, chan, SrmMsg::Announce);
+        assert_eq!(d.agent.state_bytes() - bare, nodes * 8);
+        assert_eq!(d.agent.session_peer_count(), 2);
+        let heard: Vec<(usize, SimTime)> = (d.agent.session_peers.iter().copied().enumerate())
+            .filter(|&(_, t)| t != NEVER)
+            .collect();
+        assert_eq!(heard, [(a.idx(), d.now), (b.idx(), d.now)]);
+    }
+
     #[test]
     fn receiver_tracks_completion() {
         let cfg = SrmConfig {
             total_packets: 3,
             ..SrmConfig::default()
         };
-        let r = SrmReceiver::new(cfg, ChannelId(0), NodeId(0));
+        let r = SrmReceiver::new(cfg, ChannelId(0), NodeId(0), 2);
         assert!(!r.complete());
         assert_eq!(r.missing(), 3);
     }

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn source_and_a_data_complete_receiver_reply_identically() {
         let (mut source, [p, q]) = sending_source();
-        let (mut receiver, _) = rig(SrmReceiver::new(SrmConfig::default(), CHAN, p));
+        let (mut receiver, _) = rig(SrmReceiver::new(SrmConfig::default(), CHAN, p, 3));
         for seq in 0..SENT {
             receiver.hear(p, CHAN, SrmMsg::Data { seq });
         }

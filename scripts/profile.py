@@ -9,9 +9,11 @@ task-clock sampler opened with perf_event_open(2) -- no `perf` binary, only
 instruction pointer with `addr2line -i` and prints the share of samples by
 file and by the innermost frame, inlined frames included, whose source lies
 under the current directory (so run it from the checkout the binary was built
-from), as `file:line` with its function.  It samples at HZ per CPU-second and
-prints the TOP rows of each table.  Build with line tables
-so that inlined frames resolve:
+from), as `file:line` with its function.  A sample with no such frame (a
+library function the compiler did not inline: `hashbrown`, `alloc`, `core`)
+is reported in both tables by its outermost function, the symbol the sampled
+instruction belongs to.  It samples at HZ per CPU-second and prints the TOP
+rows of each table.  Build with line tables so that inlined frames resolve:
 
     CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release ...
 
@@ -155,7 +157,8 @@ def locate(maps, pid, ip):
 
 
 def symbolise(path, addrs, root):
-    """{address: (function, innermost project file:line)} via addr2line."""
+    """{address: (function, file:line, in the project)} via addr2line: the
+    innermost project frame, else the outermost frame if it has a line."""
     if not addrs:
         return {}
     out = subprocess.run(
@@ -169,7 +172,10 @@ def symbolise(path, addrs, root):
             inside = [(fn, loc) for fn, loc in frames if loc.startswith(root)]
             if inside:
                 fn, loc = inside[0]
-                found[addr] = (fn, os.path.relpath(loc.split(" ")[0], root))
+                found[addr] = (fn, os.path.relpath(loc.split(" ")[0], root), True)
+            elif frames and not frames[-1][1].startswith("??"):
+                fn, loc = frames[-1]
+                found[addr] = (fn, os.path.basename(loc.split(" ")[0]), False)
 
     i = 0
     while i < len(out):
@@ -216,18 +222,18 @@ def main():
     for path, addr in where:
         hit = names.get(path, {}).get(addr)
         if hit:
-            fn, loc = hit
+            fn, loc, ours = hit
             lines[(loc, fn)] += 1
-            files[loc.rsplit(":", 1)[0]] += 1
+            files[loc.rsplit(":", 1)[0] if ours else fn[:70]] += 1
         else:
             files[f"[{os.path.basename(path)}]"] += 1
     total = max(len(samples), 1)
     print(f"{len(samples)} samples at {HZ} Hz, {lost} lost; "
           f"command exited {code}")
-    print(f"\n{'share':>7}  {'samples':>8}  file")
+    print(f"\n{'share':>7}  {'samples':>8}  file (or library function)")
     for name, n in files.most_common(TOP):
         print(f"{100 * n / total:6.2f}%  {n:8d}  {name}")
-    print(f"\n{'share':>7}  {'samples':>8}  innermost project file:line  (function)")
+    print(f"\n{'share':>7}  {'samples':>8}  innermost project file:line, else library  (function)")
     for (loc, fn), n in lines.most_common(TOP):
         print(f"{100 * n / total:6.2f}%  {n:8d}  {loc}  ({fn[:70]})")
     return code
