@@ -186,4 +186,52 @@ mod tests {
         let rtts: Vec<u64> = a.levels.iter().map(|l| l.rtts_per_receiver).collect();
         assert_eq!(rtts, vec![2, 5, 9, 14]);
     }
+
+    /// The simulated miniature: `scaled_tree` with 3 hub levels of fan-out 2
+    /// is `compute([2, 2, 2, 4])`, each suburb hub one of its 4 members.
+    fn small() -> (NationalAnalysis, sharqfec_topology::BuiltTopology) {
+        let params = sharqfec_topology::ScaledTreeParams {
+            receivers: 38,
+            depth: 3,
+            fanout: 2,
+            zone_spread: 0.0,
+            ..Default::default()
+        };
+        let built = sharqfec_topology::scaled_tree(&params, 23).built;
+        (NationalAnalysis::compute([2, 2, 2, 4]), built)
+    }
+
+    #[test]
+    fn small_scale_counts() {
+        let (a, built) = small();
+        assert_eq!((a.total_receivers, built.receivers.len()), (38, 38));
+        assert_eq!(built.topology.node_count(), 39);
+        let zones: u64 = a.levels.iter().map(|l| l.zones).sum();
+        assert_eq!((zones, built.hierarchy.zone_count()), (15, 15));
+    }
+
+    #[test]
+    fn subscriber_zone_chain_is_four_deep() {
+        // Chain depths count the model's `receivers` column: 2 region hubs,
+        // 4 city hubs and 32 suburb members, each under all 4 zones.
+        let (a, built) = small();
+        let mut per_level = [0u64; 4];
+        for &r in &built.receivers {
+            per_level[built.hierarchy.zone_chain(r).len() - 1] += 1;
+        }
+        assert!(a.levels.iter().map(|l| l.receivers).eq(per_level));
+        assert_eq!(per_level, [0, 2, 4, 32]);
+    }
+
+    #[test]
+    fn hub_is_designed_zcr_of_its_zone() {
+        let (_, built) = small();
+        let spt = sharqfec_netsim::routing::Spt::compute(&built.topology, built.source);
+        for zone in built.hierarchy.zones().iter().skip(1) {
+            // The hub is the member nearest the source; `members` is sorted,
+            // so a tie goes to the lowest id.
+            let hub = zone.members.iter().min_by_key(|&&m| spt.delay_to(m));
+            assert_eq!(Some(&built.zcr(zone.id)), hub, "zone {}", zone.id);
+        }
+    }
 }

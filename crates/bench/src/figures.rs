@@ -8,7 +8,7 @@ use sharqfec_analysis::stats::Summary;
 use sharqfec_analysis::table::Table;
 use sharqfec_netsim::{NodeId, RunSpec, SimTime, TrafficClass};
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_builder, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, SessionAgent};
 use sharqfec_topology::{balanced_tree, chain, star, BuiltTopology};
 use std::collections::BTreeSet;
 
@@ -200,7 +200,6 @@ fn run_case(name: &str, built: &BuiltTopology, t: &mut Table) {
         built,
         7,
         ZcrSeeding::Elect { root: built.source },
-        SessionConfig::default(),
         SimTime::from_secs(1),
         &[],
     )

@@ -41,7 +41,7 @@ use sharqfec_netsim::{
     Classify, Engine, EngineBuilder, NodeId, RecorderMode, RunSpec, SimTime, TrafficClass,
 };
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
 use sharqfec_topology::{figure10, BuiltTopology, Figure10Params};
 use std::sync::Arc;
@@ -588,15 +588,7 @@ impl RttExperiment {
                 )
             })
             .collect();
-        let mut engine = setup_session_builder(
-            &built,
-            seed,
-            seeding,
-            SessionConfig::default(),
-            JOIN_AT,
-            &plans,
-        )
-        .build();
+        let mut engine = setup_session_builder(&built, seed, seeding, JOIN_AT, &plans).build();
         let end = self
             .probe_times
             .iter()

@@ -7,7 +7,7 @@
 //! parameters set through `policy.kind` are honoured end to end, and
 //! `policy.enabled = false` is exactly the `ni` ablation variant.
 
-use sharqfec::{PolicyKind, SharqfecConfig};
+use sharqfec::{PolicyKind, SharqfecConfig, Variant};
 use sharqfec_bench::{Scenario, ScenarioOutcome, Workload};
 
 const WORKLOAD: Workload = Workload {
@@ -70,7 +70,7 @@ fn disabled_policy_is_exactly_the_no_injection_variant() {
 
     let (a, b) = (
         run("disabled-policy", explicit),
-        run("ni-variant", SharqfecConfig::ni()),
+        run("ni-variant", SharqfecConfig::variant(Variant::NoInjection)),
     );
     assert_identical(&a, &b);
 }

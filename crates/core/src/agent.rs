@@ -987,7 +987,7 @@ mod tests {
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
     use sharqfec_netsim::testkit::Rig;
-    use sharqfec_session::core::ZcrSeeding;
+    use sharqfec_session::core::{SessionConfig, ZcrSeeding};
 
     const ME: NodeId = NodeId(3);
 
@@ -1000,7 +1000,7 @@ mod tests {
         let channels = Arc::new((0..hier.zone_count() as u32).map(ChannelId).collect());
         let cfg = SharqfecConfig::full();
         let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
-        let session = SessionCore::new(ME, Arc::clone(&hier), cfg.session.clone(), &seeding);
+        let session = SessionCore::new(ME, Arc::clone(&hier), SessionConfig, &seeding);
         let source = built.source;
         Rig {
             agent: SfAgent::new(cfg, Role::Receiver, session, hier, channels, source),

@@ -2,7 +2,6 @@
 
 use crate::policy::PolicyConfig;
 use sharqfec_netsim::{SimDuration, SimTime};
-use sharqfec_session::SessionConfig;
 
 /// The protocol variants the paper evaluates (its figures annotate
 /// `ns` = no scoping, `ni` = no injection, `so` = sender-only repairs).
@@ -81,8 +80,6 @@ pub struct SharqfecConfig {
     /// Fallback one-way distance used for timers before the session has
     /// produced an estimate.
     pub default_dist: SimDuration,
-    /// Session-protocol constants.
-    pub session: SessionConfig,
 }
 
 impl Default for SharqfecConfig {
@@ -100,7 +97,6 @@ impl Default for SharqfecConfig {
             adaptive_timers: false,
             policy: PolicyConfig::default(),
             default_dist: SimDuration::from_millis(50),
-            session: SessionConfig::default(),
         }
     }
 }
@@ -133,26 +129,6 @@ impl SharqfecConfig {
     /// Full SHARQFEC.
     pub fn full() -> SharqfecConfig {
         Self::variant(Variant::Full)
-    }
-
-    /// `SHARQFEC(ni)`.
-    pub fn ni() -> SharqfecConfig {
-        Self::variant(Variant::NoInjection)
-    }
-
-    /// `SHARQFEC(ns)`.
-    pub fn ns() -> SharqfecConfig {
-        Self::variant(Variant::NoScoping)
-    }
-
-    /// `SHARQFEC(ns,ni)`.
-    pub fn ns_ni() -> SharqfecConfig {
-        Self::variant(Variant::NoScopingNoInjection)
-    }
-
-    /// `SHARQFEC(ns,ni,so)` — the ECSRM-equivalent baseline.
-    pub fn ecsrm() -> SharqfecConfig {
-        Self::variant(Variant::Ecsrm)
     }
 
     /// Number of groups in the stream (last group may be short).
@@ -200,7 +176,6 @@ impl SharqfecConfig {
             "first_seq must not pass the end of the stream"
         );
         self.policy.validate();
-        self.session.validate();
     }
 }
 
@@ -235,16 +210,16 @@ mod tests {
         assert!(injection(&SharqfecConfig::full()));
         assert!(SharqfecConfig::full().receiver_repairs);
 
-        let ecsrm = SharqfecConfig::ecsrm();
+        let ecsrm = SharqfecConfig::variant(Variant::Ecsrm);
         assert!(!ecsrm.scoping && !injection(&ecsrm) && !ecsrm.receiver_repairs);
 
-        let ns = SharqfecConfig::ns();
+        let ns = SharqfecConfig::variant(Variant::NoScoping);
         assert!(!ns.scoping && injection(&ns) && ns.receiver_repairs);
 
-        let ni = SharqfecConfig::ni();
+        let ni = SharqfecConfig::variant(Variant::NoInjection);
         assert!(ni.scoping && !injection(&ni) && ni.receiver_repairs);
 
-        let ns_ni = SharqfecConfig::ns_ni();
+        let ns_ni = SharqfecConfig::variant(Variant::NoScopingNoInjection);
         assert!(!ns_ni.scoping && !injection(&ns_ni) && ns_ni.receiver_repairs);
     }
 

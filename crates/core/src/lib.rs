@@ -25,9 +25,9 @@
 //!   suppression timers and the ZCR identities for injection.
 //!
 //! Every feature is individually switchable for the paper's §6.2 ablation
-//! ladder — see [`config::SharqfecConfig`] and its constructors
-//! [`config::SharqfecConfig::ecsrm`] (`ns,ni,so`), `ns_ni`, `ns`, `ni`,
-//! and `full`.
+//! ladder — see [`config::SharqfecConfig::variant`], which builds each
+//! rung from a [`config::Variant`] (`full`, `ni`, `ns`, `ns,ni`,
+//! `ns,ni,so`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

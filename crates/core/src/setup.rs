@@ -5,7 +5,7 @@ use crate::config::SharqfecConfig;
 use crate::msg::SfMsg;
 use sharqfec_netsim::{ChannelId, EngineBuilder, NodeId, ScenarioPlan, SimTime};
 use sharqfec_scoping::{ZoneHierarchy, ZoneHierarchyBuilder};
-use sharqfec_session::core::{SessionCore, ZcrSeeding};
+use sharqfec_session::core::{SessionConfig, SessionCore, ZcrSeeding};
 use sharqfec_topology::BuiltTopology;
 use std::sync::Arc;
 
@@ -125,7 +125,7 @@ pub fn setup_sharqfec_scenario_builder(
                 _ => (Role::Receiver, cfg.clone()),
             }
         };
-        let session = SessionCore::new(member, Arc::clone(&hier), cfg.session.clone(), &seeding);
+        let session = SessionCore::new(member, Arc::clone(&hier), SessionConfig, &seeding);
         let agent = SfAgent::new(
             agent_cfg,
             role,
@@ -143,6 +143,7 @@ pub fn setup_sharqfec_scenario_builder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
     use sharqfec_netsim::RunSpec;
     use sharqfec_netsim::TrafficClass;
     use sharqfec_topology::{chain, figure10, Figure10Params};
@@ -196,7 +197,6 @@ mod tests {
 
     #[test]
     fn every_ablation_variant_recovers() {
-        use crate::config::Variant;
         let built = figure10(&Figure10Params::default());
         for v in [
             Variant::Ecsrm,
@@ -234,7 +234,7 @@ mod tests {
             let cfg = small_cfg(if scoped {
                 SharqfecConfig::full()
             } else {
-                SharqfecConfig::ns()
+                SharqfecConfig::variant(Variant::NoScoping)
             });
             let mut engine = setup_sharqfec_builder(&built, 11, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(120)));

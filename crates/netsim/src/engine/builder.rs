@@ -6,7 +6,7 @@ use crate::agent::Agent;
 use crate::channel::ChannelId;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::graph::{NodeId, Topology};
-use crate::metrics::RecorderMode;
+use crate::metrics::{Recorder, RecorderMode};
 use crate::packet::Classify;
 use crate::probe::{AuditConfig, Auditor};
 use crate::scenario::ScenarioPlan;
@@ -122,7 +122,7 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             engine.probes.set_recording(keep_records);
             engine.probes.set_auditor(Auditor::new(cfg));
         }
-        engine.recorder.set_mode(self.mode);
+        engine.recorder = Recorder::new(self.mode);
         // One pass over the plan answers `initially_out` for every member
         // of every channel and `start_override` for every agent below.
         let (initially_out, start_overrides) = self.scenario.compile();

@@ -896,47 +896,6 @@ fn state_bytes_aggregates_agent_reports() {
     assert_eq!(e.state_bytes(), 123);
 }
 
-#[test]
-fn recorder_clear_midrun_keeps_tail_bit_identical() {
-    // Regression: clearing the recorder between measurement windows
-    // must not perturb the simulation itself — the events recorded
-    // after the clear are exactly the post-clear tail of an identical
-    // uninterrupted run.
-    fn tail<T: Clone>(v: &[T], mid: SimTime, time: impl Fn(&T) -> SimTime) -> Vec<T> {
-        v.iter().filter(|r| time(r) > mid).cloned().collect()
-    }
-    let build = || {
-        let (t, [n0, n1, n2]) = chain3(0.2);
-        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 9);
-        let chan = b.add_channel(&[n0, n1, n2]);
-        b.add_agent(n0, Box::new(Burst { chan, count: 20 }));
-        b.add_agent(n1, Box::new(Sniffer::default()));
-        b.add_agent(n2, Box::new(Sniffer::default()));
-        b.build()
-    };
-    let mut full = build();
-    full.advance(RunSpec::drain());
-    // 105ms falls between events (everything lands on 10ms ticks).
-    let mid = SimTime::from_millis(105);
-
-    let mut halved = build();
-    halved.advance(RunSpec::to(mid));
-    halved.recorder.clear();
-    halved.advance(RunSpec::drain());
-
-    let f = full.recorder();
-    let h = halved.recorder();
-    assert!(!h.deliveries.is_empty() && !h.drops.is_empty());
-    assert_eq!(h.deliveries, tail(&f.deliveries, mid, |r| r.time));
-    assert_eq!(h.transmissions, tail(&f.transmissions, mid, |r| r.time));
-    assert_eq!(h.drops, tail(&f.drops, mid, |r| r.time));
-    // O(1) totals match the event tail, not the whole run.
-    assert_eq!(
-        h.total_delivered(TrafficClass::Data),
-        tail(&f.deliveries, mid, |r| r.time).len()
-    );
-}
-
 /// Ported pin from the PR 9 deprecation shims (`run_until`/`run`, now
 /// removed): a horizon-then-drain `advance` pair must be bit-identical
 /// to one uninterrupted drain.

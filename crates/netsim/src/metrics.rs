@@ -219,24 +219,9 @@ impl Recorder {
         }
     }
 
-    /// The active storage mode.
+    /// The storage mode, fixed when the recorder is built.
     pub fn mode(&self) -> RecorderMode {
         self.mode
-    }
-
-    /// Switches storage mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been recorded — the modes store
-    /// different things, so a mid-run switch would silently mix them.
-    pub fn set_mode(&mut self, mode: RecorderMode) {
-        assert!(
-            self.is_empty(),
-            "recorder mode must be chosen before any event is recorded \
-             (call clear() first to restart)"
-        );
-        self.mode = mode;
     }
 
     /// Starts stamping every raw record with the [`EventKey`] set by
@@ -317,21 +302,6 @@ impl Recorder {
             }
             self.drops.push(d);
         }
-    }
-
-    /// Empties all recorded events and aggregates (e.g. to discard a
-    /// warm-up phase); the mode is kept.
-    pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.transmissions.clear();
-        self.drops.clear();
-        if let Some(tags) = &mut self.tags {
-            tags.records.iter_mut().for_each(Vec::clear);
-            tags.drops.clear();
-        }
-        self.nodes.clear();
-        self.global = Stats::default();
-        self.drop_total = [0; CLASS_COUNT];
     }
 
     fn node_total(&self, dir: Direction, node: NodeId, class: TrafficClass) -> usize {
@@ -486,11 +456,6 @@ mod tests {
         // Raw mode keeps the events themselves.
         assert_eq!(r.deliveries.len(), 4);
         assert_eq!(r.transmissions.len(), 1);
-
-        r.clear();
-        assert!(r.deliveries.is_empty() && r.transmissions.is_empty() && r.drops.is_empty());
-        assert_eq!(r.delivered_count(NodeId(1), TrafficClass::Data), 0);
-        assert_eq!(r.total_delivered(TrafficClass::Data), 0);
     }
 
     #[test]
@@ -530,23 +495,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before any event")]
-    fn mode_switch_after_recording_is_rejected() {
-        let mut r = Recorder::default();
-        r.record_delivery(rec(1, TrafficClass::Data));
-        r.set_mode(RecorderMode::Streaming);
-    }
-
-    #[test]
-    fn mode_switch_allowed_after_clear() {
-        let mut r = Recorder::default();
-        r.record_delivery(rec(1, TrafficClass::Data));
-        r.clear();
-        r.set_mode(RecorderMode::Streaming);
-        assert_eq!(r.mode(), RecorderMode::Streaming);
-    }
-
-    #[test]
     fn aggregate_mode_keeps_global_bins_and_no_per_node_state() {
         let mut r = Recorder::new(RecorderMode::Aggregate);
         r.record_delivery(rec_at(10, 1, TrafficClass::Data));
@@ -562,9 +510,6 @@ mod tests {
         assert_eq!(r.total_delivered(TrafficClass::Data), 2);
         assert_eq!(r.total_delivered(TrafficClass::Session), 1);
         assert_eq!(r.total_sent(TrafficClass::Nack), 1);
-
-        r.clear();
-        assert_eq!(r.total_delivered(TrafficClass::Data), 0);
     }
 
     #[test]

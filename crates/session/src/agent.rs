@@ -6,9 +6,8 @@
 //! other receiver compares its *indirect* RTT estimate against ground
 //! truth.
 
-use crate::core::{is_session_token, SessionCore, SessionCtx, ZcrSeeding};
+use crate::core::{is_session_token, SessionConfig, SessionCore, SessionCtx, ZcrSeeding};
 use crate::msg::SessionMsg;
-use crate::SessionConfig;
 use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::ZoneId;
 use std::sync::Arc;
@@ -223,7 +222,6 @@ pub fn setup_session_builder(
     built: &sharqfec_topology::BuiltTopology,
     seed: u64,
     seeding: ZcrSeeding,
-    cfg: SessionConfig,
     start_at: SimTime,
     probes: &[(NodeId, ProbePlan)],
 ) -> EngineBuilder<SessionWire> {
@@ -238,7 +236,7 @@ pub fn setup_session_builder(
     let root_channel = channels[ZoneId::ROOT.idx()];
 
     for member in built.members() {
-        let core = SessionCore::new(member, Arc::clone(&hier), cfg.clone(), &seeding);
+        let core = SessionCore::new(member, Arc::clone(&hier), SessionConfig, &seeding);
         let plan = probes
             .iter()
             .find(|(n, _)| *n == member)
@@ -260,7 +258,6 @@ mod tests {
             built,
             7,
             ZcrSeeding::Elect { root: built.source },
-            SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
         )
@@ -336,7 +333,6 @@ mod tests {
             &built,
             42,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
-            SessionConfig::default(),
             SimTime::from_secs(1),
             &probes,
         )
@@ -405,7 +401,6 @@ mod tests {
             &built,
             3,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
-            SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
         )

@@ -24,7 +24,6 @@
 //! Distances are one-way throughout (RTT/2), matching the units of the
 //! paper's ZCR-challenge formula.
 
-use crate::config::SessionConfig;
 use crate::msg::{AncestorEntry, Announce, SessionMsg};
 use crate::reports::LossReport;
 use crate::rtt::PeerTable;
@@ -35,6 +34,76 @@ use sharqfec_scoping::{ZoneHierarchy, ZoneId};
 use std::sync::Arc;
 
 mod election;
+
+// ----- protocol constants (paper §5; DESIGN.md §4) ------------------------
+
+/// Steady-state announcement stagger, uniform seconds (paper §5:
+/// `U[0.9, 1.1]` s).
+const ANNOUNCE_INTERVAL: (f64, f64) = (0.9, 1.1);
+/// Warm-up announcement stagger for the first [`WARMUP_COUNT`] messages
+/// (paper §5: `U[0.05, 0.25]` s).
+const WARMUP_INTERVAL: (f64, f64) = (0.05, 0.25);
+/// How many announcements use the warm-up stagger (paper: 3).
+const WARMUP_COUNT: u32 = 3;
+/// EWMA weight of a *new* RTT sample when merging into an estimate
+/// (paper §6.1 says new measurements are merged with an EWMA but does
+/// not print the coefficient; 0.5 converges within the handful of
+/// probes Figures 11–13 send while still smoothing jitter).
+const RTT_GAIN: f64 = 0.5;
+/// Base period between ZCR challenges issued by a sitting ZCR (paper:
+/// "performed periodically … randomized"; the concrete period is ours).
+/// Jittered by ±10 %.
+const CHALLENGE_PERIOD: SimDuration = SimDuration::from_millis(2000);
+/// Multiple of [`CHALLENGE_PERIOD`] after which a candidate that has not
+/// heard from its ZCR issues a challenge itself (paper §5.2: "their
+/// firing window is always slightly larger than that of their ZCR").
+const LIVENESS_FACTOR: f64 = 1.6;
+/// The ZCR liveness window, `CHALLENGE_PERIOD × LIVENESS_FACTOR` = 3.2 s
+/// (a unit test pins the product).
+const LIVENESS_WINDOW: SimDuration = SimDuration::from_millis(3200);
+/// Takeover suppression window as a multiple of the candidate's computed
+/// one-way distance `d` to the parent ZCR: the delay is drawn uniform on
+/// `[1·d, 2·d]` so nearer candidates fire first.
+const TAKEOVER_WINDOW: (f64, f64) = (1.0, 2.0);
+/// Drop peers not heard from for this long.
+const PEER_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Wire size of an announcement header, bytes (entries add
+/// [`ENTRY_BYTES`] each).
+const ANNOUNCE_BASE_BYTES: u32 = 24;
+/// Wire size per announcement entry, bytes.
+const ENTRY_BYTES: u32 = 16;
+/// Wire size of challenge/response/takeover messages, bytes.
+const CONTROL_BYTES: u32 = 32;
+
+// A bad edit to the constants above fails to compile.
+const _: () = assert!(
+    ANNOUNCE_INTERVAL.0 > 0.0 && ANNOUNCE_INTERVAL.0 <= ANNOUNCE_INTERVAL.1,
+    "ANNOUNCE_INTERVAL must be an ordered positive range"
+);
+const _: () = assert!(
+    WARMUP_INTERVAL.0 > 0.0 && WARMUP_INTERVAL.0 <= WARMUP_INTERVAL.1,
+    "WARMUP_INTERVAL must be an ordered positive range"
+);
+const _: () = assert!(
+    RTT_GAIN > 0.0 && RTT_GAIN <= 1.0,
+    "RTT_GAIN must be in (0, 1]"
+);
+const _: () = assert!(
+    LIVENESS_FACTOR > 1.0,
+    "the liveness window must exceed the ZCR's own period"
+);
+const _: () = assert!(
+    TAKEOVER_WINDOW.0 >= 0.0 && TAKEOVER_WINDOW.0 <= TAKEOVER_WINDOW.1,
+    "the takeover window must be an ordered non-negative range"
+);
+
+/// Carries nothing: the session protocol's constants are the private
+/// `const`s above, beside their readers.  It survives only because the
+/// benchmark crate still passes `SessionConfig::default()` to
+/// [`SessionCore::new`]; the benchmark follow-up deletes it together with
+/// that parameter.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SessionConfig;
 
 /// Top bit marks timer tokens owned by the session layer.
 const SESSION_TOKEN_BIT: u64 = 1 << 63;
@@ -150,7 +219,6 @@ struct Pending {
 pub struct SessionCore {
     node: NodeId,
     hier: Arc<ZoneHierarchy>,
-    cfg: SessionConfig,
     /// Zone chain, smallest zone first, ending at the root.
     chain: Vec<ZoneId>,
     levels: Vec<Level>,
@@ -167,14 +235,14 @@ pub struct SessionCore {
 }
 
 impl SessionCore {
-    /// Creates the state machine for `node`.
+    /// Creates the state machine for `node`.  The [`SessionConfig`]
+    /// carries nothing.
     pub fn new(
         node: NodeId,
         hier: Arc<ZoneHierarchy>,
-        cfg: SessionConfig,
+        _: SessionConfig,
         seeding: &ZcrSeeding,
     ) -> SessionCore {
-        cfg.validate();
         let chain = hier.zone_chain(node);
         let levels = chain
             .iter()
@@ -207,7 +275,6 @@ impl SessionCore {
         SessionCore {
             node,
             hier,
-            cfg,
             chain,
             levels,
             local_loss: None,
@@ -547,10 +614,10 @@ impl SessionCore {
     // ----- announcements ---------------------------------------------------
 
     fn arm_announce(&mut self, ctx: &mut dyn SessionCtx) {
-        let (lo, hi) = if self.announces_sent < self.cfg.warmup_count {
-            self.cfg.warmup_interval
+        let (lo, hi) = if self.announces_sent < WARMUP_COUNT {
+            WARMUP_INTERVAL
         } else {
-            self.cfg.announce_interval
+            ANNOUNCE_INTERVAL
         };
         let delay = SimDuration::from_secs_f64(ctx.rng().range_f64(lo, hi));
         ctx.set_timer(delay, token(KIND_ANNOUNCE, 0));
@@ -558,8 +625,8 @@ impl SessionCore {
 
     fn send_announces(&mut self, ctx: &mut dyn SessionCtx) {
         let now = ctx.now();
-        let cutoff = if now.as_nanos() > self.cfg.peer_timeout.as_nanos() {
-            now - self.cfg.peer_timeout
+        let cutoff = if now.as_nanos() > PEER_TIMEOUT.as_nanos() {
+            now - PEER_TIMEOUT
         } else {
             SimTime::ZERO
         };
@@ -581,7 +648,7 @@ impl SessionCore {
             } else {
                 self.levels[l].link_dist
             };
-            let bytes = self.cfg.announce_base_bytes + self.cfg.entry_bytes * entries.len() as u32;
+            let bytes = ANNOUNCE_BASE_BYTES + ENTRY_BYTES * entries.len() as u32;
             let report = self.outgoing_report(zone);
             ctx.send(
                 zone,
@@ -615,9 +682,8 @@ impl SessionCore {
     /// from flipping local beliefs.  Trivially true early in the session,
     /// before a full window has elapsed.
     fn zone_fresh(&self, l: usize, now: SimTime) -> bool {
-        let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
         let last = self.levels[l].table.last_heard().unwrap_or(SimTime::ZERO);
-        now.saturating_since(last) < window
+        now.saturating_since(last) < LIVENESS_WINDOW
     }
 
     /// Whether `peer` specifically has been heard in the zone at chain
@@ -628,12 +694,11 @@ impl SessionCore {
     /// Trivially true before the first full window has elapsed (nobody
     /// can be declared stale that early).
     fn peer_fresh(&self, l: usize, peer: NodeId, now: SimTime) -> bool {
-        let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
         let last = self.levels[l]
             .table
             .state(peer)
             .map_or(SimTime::ZERO, |p| p.last_recv_at);
-        now.saturating_since(last) < window
+        now.saturating_since(last) < LIVENESS_WINDOW
     }
 
     fn on_announce(&mut self, ctx: &mut dyn SessionCtx, src: NodeId, a: &Announce) {
@@ -666,7 +731,7 @@ impl SessionCore {
                 // RTT = (now − my original timestamp) − peer's hold time.
                 let total = now.saturating_since(me.echo_sent_at);
                 if total >= me.elapsed {
-                    peer.sample(total - me.elapsed, self.cfg.rtt_gain);
+                    peer.sample(total - me.elapsed, RTT_GAIN);
                 }
             }
         }
@@ -825,7 +890,7 @@ mod tests {
     /// `node`'s core over [`hier`] under the [`designed`] seeding, not yet
     /// started.
     fn core_of(node: u32) -> SessionCore {
-        SessionCore::new(n(node), hier(), SessionConfig::default(), &designed())
+        SessionCore::new(n(node), hier(), SessionConfig, &designed())
     }
 
     /// [`core_of`], cold-started at t = 0 on a fresh ctx.
@@ -942,7 +1007,7 @@ mod tests {
         ];
         for (node, zcrs, want) in cases {
             let seeding = ZcrSeeding::Designed(zcrs.map(n).to_vec());
-            let core = SessionCore::new(n(node), hier(), SessionConfig::default(), &seeding);
+            let core = SessionCore::new(n(node), hier(), SessionConfig, &seeding);
             // The definition, written out: smallest zone, then the parent
             // of every zone whose seat this node holds.
             let chain = core.chain_zones();
@@ -1285,7 +1350,7 @@ mod tests {
         let core = SessionCore::new(
             n(5),
             hier(),
-            SessionConfig::default(),
+            SessionConfig,
             &ZcrSeeding::Elect { root: n(0) },
         );
         assert_eq!(core.zcr_of(ZoneId(2)), None);
@@ -1550,10 +1615,13 @@ mod tests {
         assert!(core.peer_fresh(0, n(4), late));
         assert!(!core.peer_fresh(0, n(6), late), "freshness is per peer");
         assert!(!core.zone_fresh(1, late), "and per level");
-        let window = SessionConfig::default()
-            .challenge_period
-            .mul_f64(SessionConfig::default().liveness_factor);
-        assert!(!core.zone_fresh(0, late + window));
+        assert!(!core.zone_fresh(0, late + LIVENESS_WINDOW));
+    }
+
+    #[test]
+    fn liveness_window_is_the_factor_times_the_period() {
+        assert_eq!(LIVENESS_WINDOW, CHALLENGE_PERIOD.mul_f64(LIVENESS_FACTOR));
+        assert_eq!(LIVENESS_WINDOW, SimDuration::from_millis(3200));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! reads the per-level state directly and nothing there is more visible
 //! than before.
 
-use super::{token, Pending, SessionCore, SessionCtx, KIND_CHALLENGE, KIND_TAKEOVER};
+use super::{
+    token, Pending, SessionCore, SessionCtx, CHALLENGE_PERIOD, CONTROL_BYTES, KIND_CHALLENGE,
+    KIND_TAKEOVER, LIVENESS_FACTOR, LIVENESS_WINDOW, TAKEOVER_WINDOW,
+};
 use crate::msg::SessionMsg;
 use sharqfec_netsim::probe::{ProbeEvent, ZcrAction};
 use sharqfec_netsim::{NodeId, SimDuration};
@@ -27,11 +30,10 @@ impl SessionCore {
         if self.hier.parent(self.chain[l]).is_none() {
             return; // root: no election
         }
-        let base = self.cfg.challenge_period;
         let delay = if self.levels[l].zcr == Some(self.node) {
-            base.mul_f64(ctx.rng().range_f64(0.9, 1.1))
+            CHALLENGE_PERIOD.mul_f64(ctx.rng().range_f64(0.9, 1.1))
         } else {
-            base.mul_f64(self.cfg.liveness_factor * ctx.rng().range_f64(1.0, 1.1))
+            CHALLENGE_PERIOD.mul_f64(LIVENESS_FACTOR * ctx.rng().range_f64(1.0, 1.1))
         };
         ctx.set_timer(delay, token(KIND_CHALLENGE, l));
     }
@@ -46,9 +48,8 @@ impl SessionCore {
             // Back off while the sitting ZCR is alive, or while the parent
             // zone has not elected a representative yet (top-down order).
             let silence = now.saturating_since(self.levels[l].zcr_heard_at);
-            let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
             let parent_known = l + 1 < self.levels.len() && self.levels[l + 1].zcr.is_some();
-            if (self.levels[l].zcr.is_some() && silence < window) || !parent_known {
+            if (self.levels[l].zcr.is_some() && silence < LIVENESS_WINDOW) || !parent_known {
                 return;
             }
         }
@@ -75,7 +76,7 @@ impl SessionCore {
                 challenger: self.node,
                 claimed_dist: claimed,
             },
-            self.cfg.control_bytes,
+            CONTROL_BYTES,
         );
     }
 
@@ -101,7 +102,7 @@ impl SessionCore {
                             // delay here.
                             hold: SimDuration::ZERO,
                         },
-                        self.cfg.control_bytes,
+                        CONTROL_BYTES,
                     );
                 }
             }
@@ -111,11 +112,10 @@ impl SessionCore {
             // Corroborate a vacancy claim against our own liveness view:
             // the challenger is not the sitting ZCR *and* we have not
             // heard from that ZCR within the window either.
-            let window = self.cfg.challenge_period.mul_f64(self.cfg.liveness_factor);
             let silence = now.saturating_since(self.levels[l].zcr_heard_at);
             let vacant = match self.levels[l].zcr {
                 None => true,
-                Some(z) => z != challenger && silence >= window,
+                Some(z) => z != challenger && silence >= LIVENESS_WINDOW,
             };
             self.levels[l].pending = Some(Pending {
                 challenger,
@@ -237,10 +237,8 @@ impl SessionCore {
             // Suppression: delay proportional to distance so the closest
             // candidate declares first (paper §5.2: "other potential ZCRs
             // should perform suppression as appropriate").
-            let delay = my_dist.mul_f64(ctx.rng().range_f64(
-                self.cfg.takeover_c1,
-                self.cfg.takeover_c1 + self.cfg.takeover_c2,
-            ));
+            let (lo, hi) = TAKEOVER_WINDOW;
+            let delay = my_dist.mul_f64(ctx.rng().range_f64(lo, hi));
             let id = ctx.set_timer(delay, token(KIND_TAKEOVER, l));
             self.levels[l].takeover = Some((id, my_dist));
         }
@@ -268,8 +266,8 @@ impl SessionCore {
             dist_to_parent: my_dist,
         };
         // Two packets: one informs the child zone, one the parent (§5.2).
-        ctx.send(zone, msg.clone(), self.cfg.control_bytes);
-        ctx.send(parent, msg, self.cfg.control_bytes);
+        ctx.send(zone, msg.clone(), CONTROL_BYTES);
+        ctx.send(parent, msg, CONTROL_BYTES);
         ctx.probe(ProbeEvent::Zcr {
             zone: zone.idx() as u64,
             action,

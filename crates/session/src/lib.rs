@@ -20,14 +20,14 @@
 //!
 //! Layout:
 //!
-//! * [`config`] — protocol constants (the paper's §5 staggering intervals
-//!   are the defaults);
 //! * [`msg`] — wire messages: announcements, ZCR challenge / response /
 //!   takeover, and the measurement probe ("fake NACK") of §6.1;
 //! * [`rtt`] — EWMA-merged RTT estimates and per-zone peer tables;
 //! * [`core`] — [`SessionCore`], the engine-agnostic state machine, driven
 //!   through the [`core::SessionCtx`] trait so both the standalone session
-//!   agent and the full SHARQFEC agent can embed it;
+//!   agent and the full SHARQFEC agent can embed it; the protocol's
+//!   constants (the paper's §5 staggering intervals among them) are
+//!   private `const`s there, beside their readers;
 //! * [`agent`] — a standalone netsim agent running only the session
 //!   protocol, used to reproduce Figures 11–13 and the §6.1 election
 //!   claims, and [`Bridge`], the one adapter from a netsim `Ctx` to
@@ -37,17 +37,15 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod config;
 pub mod core;
 pub mod msg;
 pub mod reports;
 pub mod rtt;
 
-pub use crate::core::{SessionCore, SessionCtx, ZcrSeeding};
+pub use crate::core::{SessionConfig, SessionCore, SessionCtx, ZcrSeeding};
 pub use agent::{
     setup_session_builder, Bridge, ProbePlan, SessionAgent, SessionObservation, SessionWire,
 };
-pub use config::SessionConfig;
 pub use msg::{AncestorEntry, PeerEntry, SessionMsg};
 pub use reports::LossReport;
 pub use rtt::{PeerTable, RttEstimate};

@@ -8,7 +8,7 @@ use sharqfec_netsim::routing::DistanceOracle;
 use sharqfec_netsim::{LinkParams, NodeId, RunSpec, SimDuration, SimTime, TopologyBuilder};
 use sharqfec_scoping::ZoneHierarchyBuilder;
 use sharqfec_session::core::ZcrSeeding;
-use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent, SessionConfig};
+use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent};
 use sharqfec_topology::BuiltTopology;
 
 /// A random two-subtree topology: source feeding two gateway receivers,
@@ -103,7 +103,6 @@ proptest! {
             &built,
             seed,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
-            SessionConfig::default(),
             SimTime::from_secs(1),
             &[],
         )
@@ -139,7 +138,6 @@ proptest! {
             &built,
             seed,
             ZcrSeeding::Designed(built.designed_zcrs.clone()),
-            SessionConfig::default(),
             SimTime::from_secs(1),
             &probes,
         )

@@ -9,10 +9,13 @@
 //!   112 receivers under a 3-level zone hierarchy.
 //! * [`simple`] — chains, stars, and balanced trees used by the §6.1
 //!   ZCR-election experiments and unit tests.
-//! * [`national()`] — the §5.1 "national distribution" 4-level hierarchy
-//!   (regions → cities → suburbs → subscribers), scaled down for
-//!   simulation; the full 10,000,210-receiver version is evaluated
-//!   analytically in `sharqfec-analysis`.
+//! * [`random_tree()`] — seeded random attachment trees for fuzzing.
+//! * [`scaled_tree()`] — the one hub-tree generator: a source over
+//!   `depth` levels of `fanout` hubs, each hub the designed ZCR of the zone
+//!   over its subtree, from a few dozen receivers to 10⁶.  At depth 3 it is
+//!   the §5.1 "national distribution" shape in miniature (regions → cities
+//!   → suburbs → subscribers); the paper's full 10,000,210-receiver
+//!   version is evaluated analytically in `sharqfec-analysis`.
 //!
 //! Each builder returns a [`BuiltTopology`]: graph + source + zone
 //! hierarchy + the by-design Zone Closest Receivers (paper §5: "a cache is
@@ -22,13 +25,11 @@
 #![warn(missing_docs)]
 
 pub mod figure10;
-pub mod national;
 pub mod random;
 pub mod scaled;
 pub mod simple;
 
 pub use figure10::{figure10, Figure10Params};
-pub use national::{national, NationalParams};
 pub use random::{random_tree, RandomTreeParams};
 pub use scaled::{scaled_tree, ScaledTopology, ScaledTreeParams};
 pub use simple::{balanced_tree, chain, star};
@@ -111,8 +112,15 @@ mod tests {
 
     #[test]
     fn national_zones_are_routable() {
-        let built = national(&NationalParams::small());
-        assert_zones_spt_connected(&built);
+        // The §5.1 national shape in miniature: 3 hub levels of fan-out 2.
+        let params = ScaledTreeParams {
+            receivers: 38,
+            depth: 3,
+            fanout: 2,
+            zone_spread: 0.0,
+            ..ScaledTreeParams::default()
+        };
+        assert_zones_spt_connected(&scaled_tree(&params, 23).built);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! Run: `cargo run --release --example explore -- [variant] [topology] [packets] [seed]`
 //!
 //!   variant  : full | ni | ns | ns_ni | ecsrm          (default full)
-//!   topology : figure10 | national | chain | random    (default figure10)
+//!   topology : figure10 | scaled | chain | random      (default figure10)
 //!   packets  : data packets                            (default 64)
 //!   seed     : RNG seed                                (default 42)
 
 use sharqfec_repro::netsim::{AuditConfig, RunSpec, SimDuration, SimTime, TrafficClass};
-use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig, Variant};
 use sharqfec_repro::topology::{
-    chain, figure10, national, random_tree, BuiltTopology, Figure10Params, NationalParams,
-    RandomTreeParams,
+    chain, figure10, random_tree, scaled_tree, BuiltTopology, Figure10Params, RandomTreeParams,
+    ScaledTreeParams,
 };
 
 fn main() {
@@ -29,21 +29,21 @@ fn main() {
 
     let cfg = SharqfecConfig {
         total_packets: packets,
-        ..match variant {
-            "full" => SharqfecConfig::full(),
-            "ni" => SharqfecConfig::ni(),
-            "ns" => SharqfecConfig::ns(),
-            "ns_ni" => SharqfecConfig::ns_ni(),
-            "ecsrm" => SharqfecConfig::ecsrm(),
+        ..SharqfecConfig::variant(match variant {
+            "full" => Variant::Full,
+            "ni" => Variant::NoInjection,
+            "ns" => Variant::NoScoping,
+            "ns_ni" => Variant::NoScopingNoInjection,
+            "ecsrm" => Variant::Ecsrm,
             other => panic!("unknown variant {other} (full|ni|ns|ns_ni|ecsrm)"),
-        }
+        })
     };
     let built: BuiltTopology = match topology {
         "figure10" => figure10(&Figure10Params::default()),
-        "national" => national(&NationalParams::small()),
+        "scaled" => scaled_tree(&ScaledTreeParams::default(), seed).built,
         "chain" => chain(8),
         "random" => random_tree(&RandomTreeParams::default(), seed),
-        other => panic!("unknown topology {other} (figure10|national|chain|random)"),
+        other => panic!("unknown topology {other} (figure10|scaled|chain|random)"),
     };
 
     println!(

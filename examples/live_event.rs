@@ -1,5 +1,6 @@
 //! The paper's §5.1 scenario in miniature: a national live-event broadcast
-//! over a 4-level hierarchy (regions → cities → suburbs → subscribers).
+//! over a 4-level hierarchy (regions → cities → suburbs → subscribers),
+//! built by `scaled_tree` at depth 3.
 //!
 //! Demonstrates the two headline properties on a simulated (scaled-down)
 //! national network:
@@ -14,19 +15,19 @@
 use sharqfec_repro::analysis::national::NationalAnalysis;
 use sharqfec_repro::netsim::{RunSpec, SimTime};
 use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
-use sharqfec_repro::topology::{national, NationalParams};
+use sharqfec_repro::topology::{scaled_tree, ScaledTreeParams};
 
 fn main() {
-    // 3 regions x 3 cities x 2 suburbs x 6 subscribers = 120 receivers.
-    let params = NationalParams {
-        regions: 3,
-        cities_per_region: 3,
-        suburbs_per_city: 2,
-        subscribers_per_suburb: 6,
-        access_loss: 0.08,
-        backbone_loss: 0.01,
+    // 3 regions x 3 cities x 3 suburbs of hubs (39 caching receivers),
+    // 81 subscribers under the suburbs: 120 receivers.
+    let params = ScaledTreeParams {
+        receivers: 120,
+        depth: 3,
+        fanout: 3,
+        zone_spread: 0.0,
+        ..ScaledTreeParams::default()
     };
-    let built = national(&params);
+    let built = scaled_tree(&params, 99).built;
     println!(
         "national broadcast: {} receivers over {} zones, 4 levels",
         built.receivers.len(),
@@ -58,10 +59,10 @@ fn main() {
     for &r in &built.receivers {
         let agent = engine.agent::<SfAgent>(r).expect("receiver");
         let tracked = agent.session().tracked_peer_count();
-        if built.hierarchy.zone_chain(r).len() == 4 {
-            subscriber_state.push(tracked as f64);
-        } else {
+        if built.designed_zcrs.contains(&r) {
             hub_state.push(tracked as f64);
+        } else {
+            subscriber_state.push(tracked as f64);
         }
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;

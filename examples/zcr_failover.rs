@@ -15,9 +15,7 @@
 use sharqfec_repro::netsim::faults::FaultPlan;
 use sharqfec_repro::netsim::prelude::*;
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
-use sharqfec_repro::session::{
-    setup_session_builder, SessionAgent, SessionConfig, SessionWire, ZcrSeeding,
-};
+use sharqfec_repro::session::{setup_session_builder, SessionAgent, SessionWire, ZcrSeeding};
 use sharqfec_repro::topology::BuiltTopology;
 
 fn main() {
@@ -59,7 +57,6 @@ fn main() {
         &built,
         5,
         ZcrSeeding::Designed(built.designed_zcrs.clone()),
-        SessionConfig::default(),
         SimTime::from_secs(1),
         &[],
     );

@@ -3,9 +3,10 @@
 //! object-level byte fidelity through the real codec.
 
 use sharqfec_repro::fec::group::{GroupDecoder, GroupEncoder};
+use sharqfec_repro::netsim::routing::Spt;
 use sharqfec_repro::netsim::{RunSpec, SimTime, TrafficClass};
 use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig, Variant};
-use sharqfec_repro::topology::{figure10, national, Figure10Params, NationalParams};
+use sharqfec_repro::topology::{figure10, scaled_tree, Figure10Params, ScaledTreeParams};
 
 fn missing_total(
     engine: &sharqfec_repro::netsim::Engine<sharqfec_repro::protocol::SfMsg>,
@@ -45,7 +46,36 @@ fn all_variants_deliver_reliably_on_figure10() {
 
 #[test]
 fn national_hierarchy_delivers_reliably() {
-    let built = national(&NationalParams::small());
+    // The §5.1 national shape in miniature: 2 regions × 2 cities × 2
+    // suburbs of hubs under the source, 38 receivers in all.
+    let params = ScaledTreeParams {
+        receivers: 38,
+        depth: 3,
+        fanout: 2,
+        zone_spread: 0.0,
+        ..ScaledTreeParams::default()
+    };
+    let built = scaled_tree(&params, 23).built;
+    assert_eq!(built.receivers.len(), 38);
+    // 1 root + 2 regions + 4 cities + 8 suburbs.
+    assert_eq!(built.hierarchy.zone_count(), 15);
+    // Each zone's designed ZCR is its hub: the member nearest the source.
+    let spt = Spt::compute(&built.topology, built.source);
+    for zone in built.hierarchy.zones().iter().skip(1) {
+        let hub = zone.members.iter().min_by_key(|&&m| spt.delay_to(m));
+        assert_eq!(Some(&built.zcr(zone.id)), hub, "zone {}", zone.id);
+    }
+    // 14 hubs; each of the other 24 receivers sits under 4 zones.
+    let subscribers: Vec<_> = built
+        .receivers
+        .iter()
+        .filter(|r| !built.designed_zcrs.contains(r))
+        .collect();
+    assert_eq!(subscribers.len(), 24);
+    for &&r in &subscribers {
+        assert_eq!(built.hierarchy.zone_chain(r).len(), 4, "subscriber {r}");
+    }
+
     let cfg = SharqfecConfig {
         total_packets: 96,
         ..SharqfecConfig::full()

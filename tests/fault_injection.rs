@@ -14,9 +14,7 @@ use sharqfec_repro::netsim::prelude::*;
 use sharqfec_repro::netsim::runner::{run_sweep, Cell};
 use sharqfec_repro::protocol::SharqfecConfig;
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
-use sharqfec_repro::session::{
-    setup_session_builder, SessionAgent, SessionConfig, SessionWire, ZcrSeeding,
-};
+use sharqfec_repro::session::{setup_session_builder, SessionAgent, SessionWire, ZcrSeeding};
 use sharqfec_repro::topology::{figure10, BuiltTopology, Figure10Params};
 use std::num::NonZeroUsize;
 
@@ -104,7 +102,6 @@ fn zcr_election_reconverges_after_partition_heals() {
         &built,
         5,
         ZcrSeeding::Designed(built.designed_zcrs.clone()),
-        SessionConfig::default(),
         SimTime::from_secs(1),
         &[],
     );
