@@ -70,10 +70,11 @@ pub fn bin_deliveries(
     nodes: &[NodeId],
 ) -> Vec<f64> {
     let mut counts = vec![0u64; spec.bins()];
-    // Lookup-only, never iterated: its order reaches nothing.
-    let node_set: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
+    // Selected nodes as a mask by id; an id past its end is unselected.
+    let mut selected = vec![false; nodes.iter().map(|n| n.idx() + 1).max().unwrap_or(0)];
+    nodes.iter().for_each(|n| selected[n.idx()] = true);
     for r in records {
-        if !classes.contains(&r.class) || !node_set.contains(&r.node) {
+        if !classes.contains(&r.class) || selected.get(r.node.idx()) != Some(&true) {
             continue;
         }
         if let Some(i) = spec.index(r.time) {
@@ -121,8 +122,8 @@ mod tests {
             rec(10, 1, TrafficClass::Data),
             rec(20, 2, TrafficClass::Data),
             rec(30, 1, TrafficClass::Repair),
-            rec(40, 3, TrafficClass::Data),  // node 3 not selected
-            rec(50, 1, TrafficClass::Nack),  // class not selected
+            rec(40, 3, TrafficClass::Data), // node 3: past every selected id
+            rec(50, 1, TrafficClass::Nack), // class not selected
             rec(950, 2, TrafficClass::Data), // last bin
         ];
         let bins = bin_deliveries(
@@ -158,6 +159,10 @@ mod tests {
     fn empty_selection_is_all_zeroes() {
         let spec = BinSpec::paper(SimTime::ZERO, SimTime::from_secs(1));
         let bins = bin_deliveries(&[], &spec, &[TrafficClass::Data], &[NodeId(1)]);
+        assert!(bins.iter().all(|&b| b == 0.0));
+        // No node selected: every record is skipped, node 0's too.
+        let records = [rec(10, 0, TrafficClass::Data)];
+        let bins = bin_deliveries(&records, &spec, &[TrafficClass::Data], &[]);
         assert!(bins.iter().all(|&b| b == 0.0));
     }
 }

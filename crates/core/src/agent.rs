@@ -15,6 +15,7 @@ use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
 use sharqfec_session::core::{is_session_token, SessionCore};
 use sharqfec_session::Bridge;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Recovery delay (in units of `d_SA`) above which the adaptive request
@@ -71,6 +72,31 @@ fn tok_parts(token: u64) -> (u64, u32, usize) {
     )
 }
 
+/// Every group's state at one member, by group id: ids are dense, so the
+/// first group heard sizes the table in one allocation, walked in id order.
+#[derive(Debug, Default)]
+struct GroupTable(Vec<Option<GroupState>>);
+
+impl GroupTable {
+    fn get(&self, g: u32) -> Option<&GroupState> {
+        self.0.get(g as usize)?.as_ref()
+    }
+}
+
+impl Index<u32> for GroupTable {
+    type Output = GroupState;
+    fn index(&self, g: u32) -> &GroupState {
+        self.get(g).unwrap_or_else(|| panic!("no group {g}"))
+    }
+}
+
+impl IndexMut<u32> for GroupTable {
+    fn index_mut(&mut self, g: u32) -> &mut GroupState {
+        let slot = self.0.get_mut(g as usize).and_then(Option::as_mut);
+        slot.unwrap_or_else(|| panic!("no group {g}"))
+    }
+}
+
 /// The SHARQFEC protocol state machine for one session member.
 pub struct SfAgent {
     cfg: SharqfecConfig,
@@ -85,7 +111,7 @@ pub struct SfAgent {
     /// The scope index new NACKs start at (paper §4's smallest-partition
     /// rule).
     initial_scope: usize,
-    groups: IdHashMap<u32, GroupState>,
+    groups: GroupTable,
     /// Sizes preemptive injection where this member is a level's ZCR
     /// (paper §4's EWMA by default; see [`crate::policy`]).
     policy: Box<dyn InjectionPolicy>,
@@ -133,7 +159,7 @@ impl SfAgent {
             chain,
             root_channel,
             initial_scope,
-            groups: IdHashMap::default(),
+            groups: GroupTable::default(),
             policy,
             next_seq: cfg_first_seq,
             window,
@@ -153,7 +179,7 @@ impl SfAgent {
         if self.role == Role::Source {
             return true;
         }
-        (0..self.cfg.group_count()).all(|g| self.groups.get(&g).is_some_and(|s| s.complete()))
+        (0..self.cfg.group_count()).all(|g| self.groups.get(g).is_some_and(GroupState::complete))
     }
 
     /// Total packets still missing across all groups.
@@ -161,13 +187,11 @@ impl SfAgent {
         if self.role == Role::Source {
             return 0;
         }
-        (0..self.cfg.group_count())
-            .map(|g| {
-                self.groups
-                    .get(&g)
-                    .map_or(self.cfg.packets_in_group(g), |s| s.deficit())
-            })
-            .sum()
+        let deficit = |g| match self.groups.get(g) {
+            Some(st) => st.deficit(),
+            None => self.cfg.packets_in_group(g),
+        };
+        (0..self.cfg.group_count()).map(deficit).sum()
     }
 
     /// Current predicted ZLC at a chain level (diagnostics / benches).
@@ -184,7 +208,7 @@ impl SfAgent {
         }
         let mut worst = SimTime::ZERO;
         for g in 0..self.cfg.group_count() {
-            let t = self.groups.get(&g).and_then(|s| s.complete_at)?;
+            let t = self.groups.get(g).and_then(|s| s.complete_at)?;
             worst = worst.max(t);
         }
         Some(worst)
@@ -206,10 +230,8 @@ impl SfAgent {
     /// The packet indices this member holds for group `g`, sorted — the
     /// shards an application hands to `sharqfec-fec`'s decoder.
     pub fn held_indices(&self, g: u32) -> Vec<u32> {
-        self.groups
-            .get(&g)
-            .map(|s| s.held_indices())
-            .unwrap_or_default()
+        let st = self.groups.get(g);
+        st.map_or_else(Vec::new, GroupState::held_indices)
     }
 
     fn group_entry(&mut self, g: u32) -> &mut GroupState {
@@ -217,7 +239,10 @@ impl SfAgent {
         let levels = self.chain.len();
         let initial_scope = self.initial_scope;
         let role = self.role;
-        self.groups.entry(g).or_insert_with(|| match role {
+        if self.groups.0.is_empty() {
+            self.groups.0 = (0..self.cfg.group_count()).map(|_| None).collect();
+        }
+        self.groups.0[g as usize].get_or_insert_with(|| match role {
             Role::Source => GroupState::complete_source(k, levels),
             Role::Receiver => GroupState::new(k, levels, initial_scope),
         })
@@ -239,7 +264,7 @@ impl SfAgent {
     fn arm_request(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let d = self.d_sa();
         let (c1, c2, max_backoff) = (self.window.lo(), self.window.width(), self.cfg.max_backoff);
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         let factor = ctx.rng().range_f64(c1, c1 + c2);
         let delay = d.mul_f64(factor) * (1u64 << st.i.min(max_backoff));
         if let Some(old) = st.request_timer.take() {
@@ -256,7 +281,7 @@ impl SfAgent {
         if self.role == Role::Source {
             return;
         }
-        let st = self.groups.get(&g).expect("group exists");
+        let st = &self.groups[g];
         if st.request_timer.is_some() || st.complete() || st.deficit() == 0 {
             return;
         }
@@ -277,7 +302,7 @@ impl SfAgent {
         } else {
             0
         };
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         st.request_timer = None;
         if st.complete() || st.deficit() == 0 {
             return;
@@ -328,18 +353,13 @@ impl SfAgent {
     // ---- reply (repair) side ---------------------------------------------
 
     fn can_repair(&self, g: u32) -> bool {
-        match self.role {
-            Role::Source => true,
-            Role::Receiver => {
-                self.cfg.receiver_repairs && self.groups.get(&g).is_some_and(|s| s.complete())
-            }
-        }
+        self.role == Role::Source
+            || (self.cfg.receiver_repairs && self.groups.get(g).is_some_and(GroupState::complete))
     }
 
     fn arm_reply(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         let default = self.cfg.default_dist;
-        let st = self.groups.get_mut(&g).expect("group exists");
-        let z = &mut st.zones[level];
+        let z = &mut self.groups[g].zones[level];
         if z.reply_timer.is_some() || z.outstanding == 0 {
             return;
         }
@@ -356,7 +376,7 @@ impl SfAgent {
     /// transmitting the first of any queued repairs"), which is what
     /// suppresses the slower timer-based repairers.
     fn kick_repairs(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         if st.zones[level].pacing || st.zones[level].outstanding == 0 {
             return;
         }
@@ -372,7 +392,7 @@ impl SfAgent {
         let bytes = self.cfg.packet_bytes;
         let zone = self.chain[level];
         let chan = self.channels[zone.idx()];
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         if st.zones[level].outstanding == 0 {
             st.zones[level].pacing = false;
             return;
@@ -406,7 +426,7 @@ impl SfAgent {
     }
 
     fn reply_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         st.zones[level].reply_timer = None;
         if st.zones[level].outstanding == 0 {
             return;
@@ -415,7 +435,7 @@ impl SfAgent {
             // Speculation failed: we never completed the group, so we
             // cannot generate FEC.  Surrender this round; the requester
             // will escalate if nobody else answered either.
-            self.groups.get_mut(&g).expect("group exists").zones[level].outstanding = 0;
+            self.groups[g].zones[level].outstanding = 0;
             return;
         }
         self.kick_repairs(ctx, g, level);
@@ -428,45 +448,43 @@ impl SfAgent {
     fn on_complete(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let now = ctx.now();
         let d_sa = self.d_sa().as_secs_f64().max(1e-9);
-        {
-            let st = self.groups.get_mut(&g).expect("group exists");
-            st.complete_at = Some(now);
-            // Close the adaptive-timer round if this group saw losses.
-            if st.peak_llc > 0 {
-                let waited = st
-                    .first_heard
-                    .map(|t| now.saturating_since(t).as_secs_f64())
-                    .unwrap_or(0.0);
-                self.window.end_round(waited / d_sa);
-                ctx.probe(ProbeEvent::Window {
-                    lo: self.window.lo(),
-                    width: self.window.width(),
-                    ave_dup: self.window.ave_dup(),
-                    ave_delay: self.window.ave_delay(),
-                });
-            }
-            ctx.probe(ProbeEvent::GroupClose {
-                group: g,
-                complete: true,
-                held: st.held(),
-                k: st.k,
+        let st = &mut self.groups[g];
+        st.complete_at = Some(now);
+        // Close the adaptive-timer round if this group saw losses.
+        if st.peak_llc > 0 {
+            let waited = st
+                .first_heard
+                .map(|t| now.saturating_since(t).as_secs_f64())
+                .unwrap_or(0.0);
+            self.window.end_round(waited / d_sa);
+            ctx.probe(ProbeEvent::Window {
+                lo: self.window.lo(),
+                width: self.window.width(),
+                ave_dup: self.window.ave_dup(),
+                ave_delay: self.window.ave_delay(),
             });
-            st.phase = Phase::Repair;
-            st.i = 1;
-            if let Some(t) = st.request_timer.take() {
-                ctx.cancel_timer(t);
-            }
-            if let Some(t) = st.ldp_timer.take() {
-                ctx.cancel_timer(t);
-            }
-            // Feed the §7 receiver-report summary: the fraction of this
-            // group's identifiers we never received, smoothed.
-            if self.role == Role::Receiver {
-                let span = st.max_idx().map(|m| m + 1).unwrap_or(st.k).max(1);
-                let frac = st.peak_llc as f64 / span as f64;
-                self.observed_loss += 0.25 * (frac - self.observed_loss);
-                self.session.set_local_loss(self.observed_loss);
-            }
+        }
+        ctx.probe(ProbeEvent::GroupClose {
+            group: g,
+            complete: true,
+            held: st.held(),
+            k: st.k,
+        });
+        st.phase = Phase::Repair;
+        st.i = 1;
+        if let Some(t) = st.request_timer.take() {
+            ctx.cancel_timer(t);
+        }
+        if let Some(t) = st.ldp_timer.take() {
+            ctx.cancel_timer(t);
+        }
+        // Feed the §7 receiver-report summary: the fraction of this
+        // group's identifiers we never received, smoothed.
+        if self.role == Role::Receiver {
+            let span = st.max_idx().map(|m| m + 1).unwrap_or(st.k).max(1);
+            let frac = st.peak_llc as f64 / span as f64;
+            self.observed_loss += 0.25 * (frac - self.observed_loss);
+            self.session.set_local_loss(self.observed_loss);
         }
         let repairs_allowed = self.role == Role::Source || self.cfg.receiver_repairs;
         for level in 0..self.chain.len() {
@@ -477,27 +495,23 @@ impl SfAgent {
             };
             if !is_zcr {
                 // Plain repairers answer queued NACKs now that they can.
-                if repairs_allowed && self.groups[&g].zones[level].outstanding > 0 {
+                if repairs_allowed && self.groups[g].zones[level].outstanding > 0 {
                     self.arm_reply(ctx, g, level);
                 }
                 continue;
             }
             // ZCR duties: preemptive injection sized by the policy…
-            if self.cfg.policy.enabled && repairs_allowed && !self.groups[&g].zones[level].injected
-            {
-                self.groups.get_mut(&g).expect("exists").zones[level].injected = true;
+            if self.cfg.policy.enabled && repairs_allowed && !self.groups[g].zones[level].injected {
+                self.groups[g].zones[level].injected = true;
                 let n = self.decide_injection(ctx, g, level);
-                if n > 0 {
-                    let st = self.groups.get_mut(&g).expect("exists");
-                    st.zones[level].outstanding += n;
-                }
+                self.groups[g].zones[level].outstanding += n;
             }
             // …the first queued repair goes out immediately (paper §4)…
             if repairs_allowed {
                 self.kick_repairs(ctx, g, level);
             }
             // …and the true ZLC is measured 2.5 RTTs later (paper §4).
-            if !self.groups[&g].zones[level].measured {
+            if !self.groups[g].zones[level].measured {
                 let rtt = self
                     .session
                     .max_known_rtt()
@@ -543,15 +557,14 @@ impl SfAgent {
         if self.session.max_known_rtt().is_none() {
             let fallback = self.cfg.default_dist * 2;
             let factor = self.cfg.policy.measure_rtt_factor;
-            let st = self.groups.get_mut(&g).expect("group exists");
-            let z = &mut st.zones[level];
+            let z = &mut self.groups[g].zones[level];
             if !z.measured && z.measure_defers < Self::MAX_MEASURE_DEFERS {
                 z.measure_defers += 1;
                 ctx.set_timer(fallback.mul_f64(factor), tok(KIND_MEASURE, g, level));
                 return;
             }
         }
-        let st = self.groups.get_mut(&g).expect("group exists");
+        let st = &mut self.groups[g];
         if st.zones[level].measured {
             return;
         }
@@ -588,27 +601,24 @@ impl SfAgent {
         burst_end: u32,
         is_repair: bool,
     ) {
-        self.group_entry(g);
-        let send_interval = self.cfg.send_interval;
-        {
-            let st = self.groups.get_mut(&g).expect("exists");
-            if st.first_heard.is_none() {
-                st.first_heard = Some(ctx.now());
-            }
-            // First contact with the group: arm the LDP timer (receivers).
-            if self.role == Role::Receiver
-                && st.phase == Phase::Ldp
-                && st.ldp_timer.is_none()
-                && st.complete_at.is_none()
-            {
-                // Expected residue of the group at the advertised rate,
-                // plus slack for jitter (paper §4's inter-packet estimate).
-                let remaining = st.k.saturating_sub(idx.min(st.k - 1) + 1) as u64;
-                let delay = send_interval * (remaining + 3);
-                st.ldp_timer = Some(ctx.set_timer(delay, tok(KIND_LDP, g, 0)));
-            }
-            st.receive(idx);
+        let (role, send_interval) = (self.role, self.cfg.send_interval);
+        let st = self.group_entry(g);
+        if st.first_heard.is_none() {
+            st.first_heard = Some(ctx.now());
         }
+        // First contact with the group: arm the LDP timer (receivers).
+        if role == Role::Receiver
+            && st.phase == Phase::Ldp
+            && st.ldp_timer.is_none()
+            && st.complete_at.is_none()
+        {
+            // Expected residue of the group at the advertised rate,
+            // plus slack for jitter (paper §4's inter-packet estimate).
+            let remaining = st.k.saturating_sub(idx.min(st.k - 1) + 1) as u64;
+            let delay = send_interval * (remaining + 3);
+            st.ldp_timer = Some(ctx.set_timer(delay, tok(KIND_LDP, g, 0)));
+        }
+        st.receive(idx);
 
         if is_repair {
             // Repairs heard on zone `z` also satisfy every nested zone we
@@ -625,7 +635,7 @@ impl SfAgent {
                 .position(|z| self.channels[z.idx()] == channel);
             if let Some(level) = heard_at {
                 for j in 0..=level {
-                    let st = self.groups.get_mut(&g).expect("exists");
+                    let st = &mut self.groups[g];
                     st.reserve(burst_end);
                     let z = &mut st.zones[j];
                     z.outstanding = z.outstanding.saturating_sub(burst);
@@ -639,18 +649,15 @@ impl SfAgent {
             }
             // A repair resets the request backoff (paper §4: "any time a
             // repair arrives, i is reset to 1").
-            let st = self.groups.get_mut(&g).expect("exists");
+            let st = &mut self.groups[g];
             if st.request_timer.is_some() && !st.complete() {
                 st.i = 1;
                 self.arm_request(ctx, g);
             }
         }
 
-        let complete_now = {
-            let st = self.groups.get_mut(&g).expect("exists");
-            st.complete() && st.complete_at.is_none()
-        };
-        if complete_now {
+        let st = &self.groups[g];
+        if st.complete() && st.complete_at.is_none() {
             self.on_complete(ctx, g);
         } else {
             self.maybe_request(ctx, g);
@@ -681,7 +688,7 @@ impl SfAgent {
         let max_backoff = self.cfg.max_backoff;
 
         let (became_visible, suppress_outcome, my_llc, zlc_now) = {
-            let st = self.groups.get_mut(&g).expect("exists");
+            let st = &mut self.groups[g];
             let newly = st.note_exists(max_idx);
             let z = &mut st.zones[level];
             let zlc_increased = llc > z.zlc;
@@ -755,17 +762,15 @@ impl SfAgent {
     }
 
     fn ldp_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
-        {
-            let st = self.groups.get_mut(&g).expect("exists");
-            st.ldp_timer = None;
-            if st.complete() {
-                return;
-            }
-            st.phase = Phase::Repair;
-            // Every data identifier must exist by now; tail losses that no
-            // gap could reveal become visible here.
-            st.note_exists(st.k - 1);
+        let st = &mut self.groups[g];
+        st.ldp_timer = None;
+        if st.complete() {
+            return;
         }
+        st.phase = Phase::Repair;
+        // Every data identifier must exist by now; tail losses that no
+        // gap could reveal become visible here.
+        st.note_exists(st.k - 1);
         self.maybe_request(ctx, g);
     }
 
@@ -775,9 +780,8 @@ impl SfAgent {
         }
         let mut all_done = true;
         for g in 0..self.cfg.group_count() {
-            self.group_entry(g);
             let (incomplete, needs_timer, held, k) = {
-                let st = self.groups.get_mut(&g).expect("exists");
+                let st = self.group_entry(g);
                 if st.complete() {
                     (false, false, 0, 0)
                 } else {
@@ -818,8 +822,7 @@ impl SfAgent {
         self.next_seq += 1;
         let g = seq / self.cfg.group_size;
         let idx = seq % self.cfg.group_size;
-        let k = self.cfg.packets_in_group(g);
-        self.group_entry(g);
+        let k = self.group_entry(g).k;
         ctx.probe(ProbeEvent::Sender { seq });
         ctx.multicast(
             self.root_channel,
@@ -840,15 +843,13 @@ impl SfAgent {
     /// measurement timer.
     fn finish_group(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let root = self.chain.len() - 1;
-        if self.cfg.policy.enabled && !self.groups[&g].zones[root].injected {
-            self.groups.get_mut(&g).expect("exists").zones[root].injected = true;
+        if self.cfg.policy.enabled && !self.groups[g].zones[root].injected {
+            self.groups[g].zones[root].injected = true;
             let n = self.decide_injection(ctx, g, root);
-            if n > 0 {
-                self.groups.get_mut(&g).expect("exists").zones[root].outstanding += n;
-            }
+            self.groups[g].zones[root].outstanding += n;
         }
         self.kick_repairs(ctx, g, root);
-        if !self.groups[&g].zones[root].measured {
+        if !self.groups[g].zones[root].measured {
             let rtt = self
                 .session
                 .max_known_rtt()
@@ -870,9 +871,8 @@ impl Agent<SfMsg> for SfAgent {
         let mut bytes = size_of::<SfAgent>()
             + self.session.state_bytes()
             + self.chain.capacity() * size_of::<ZoneId>()
-            + self.groups.capacity()
-                * (size_of::<u32>() + size_of::<GroupState>() + size_of::<u64>());
-        for g in self.groups.values() {
+            + self.groups.0.capacity() * size_of::<Option<GroupState>>();
+        for g in self.groups.0.iter().flatten() {
             bytes += g.heap_bytes();
         }
         bytes
@@ -890,14 +890,13 @@ impl Agent<SfMsg> for SfAgent {
         // again.  Forget the dead timers and restart recovery: LDP cannot
         // resume (the group's burst is long gone from the wire), repair
         // pacing chains are broken, and the speculative repair queues
-        // died with their reply timers.  On a cold start the group map is
+        // died with their reply timers.  On a cold start the group table is
         // empty and this is a no-op.  Group order matters: every armed
-        // request consumes an RNG draw, so reconcile in group order, not
-        // hash order.
-        let mut groups: Vec<u32> = self.groups.keys().copied().collect();
-        groups.sort_unstable();
-        for g in groups {
-            let st = self.groups.get_mut(&g).expect("exists");
+        // request consumes an RNG draw, and the table walks in id order.
+        for g in 0..self.groups.0.len() as u32 {
+            let Some(st) = self.groups.0[g as usize].as_mut() else {
+                continue;
+            };
             st.ldp_timer = None;
             st.request_timer = None;
             if st.phase == Phase::Ldp {
@@ -938,7 +937,7 @@ impl Agent<SfMsg> for SfAgent {
             KIND_REQ => self.request_fire(ctx, g),
             KIND_REPLY => self.reply_fire(ctx, g, level),
             KIND_SPACING => {
-                self.groups.get_mut(&g).expect("group exists").zones[level].pacing = false;
+                self.groups[g].zones[level].pacing = false;
                 if self.can_repair(g) {
                     self.send_repair(ctx, g, level);
                 }
@@ -951,6 +950,9 @@ impl Agent<SfMsg> for SfAgent {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, SfMsg>, pkt: &Packet<SfMsg>) {
         match &pkt.payload {
+            // Past the stream's end `packets_in_group` underflows: drop it.
+            SfMsg::Data { group, .. } | SfMsg::Fec { group, .. } | SfMsg::Nack { group, .. }
+                if *group >= self.cfg.group_count() => {}
             SfMsg::Session(msg) => {
                 let mut bridge = Bridge::new(ctx, &self.channels, SfMsg::Session);
                 self.session.on_msg(&mut bridge, pkt.src, msg);
@@ -1033,7 +1035,7 @@ mod tests {
                 },
             );
         }
-        assert!(d.agent.groups[&g].request_timer.is_some());
+        assert!(d.agent.groups[g].request_timer.is_some());
     }
 
     fn fire_request(d: &mut Rig<SfAgent>, g: u32) -> Vec<Action<SfMsg>> {
@@ -1089,10 +1091,10 @@ mod tests {
         // Our own first NACK sets level 0's ZLC to our LLC, so a peer's
         // NACK with the same LLC raises nothing: a duplicate.
         fire_request(&mut d, 0);
-        let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
-        assert_eq!((d.agent.groups[&0].scope_idx, i), (0, 2));
+        let (i, armed) = (d.agent.groups[0].i, d.agent.groups[0].request_timer);
+        assert_eq!((d.agent.groups[0].scope_idx, i), (0, 2));
         let actions = peer_nack(&mut d);
-        assert_eq!(d.agent.groups[&0].i, i + 1, "backed off");
+        assert_eq!(d.agent.groups[0].i, i + 1, "backed off");
         assert_eq!(duplicate_backoffs(&d), 1);
         assert!(cancels(&actions, armed), "old request cancelled");
         assert_eq!(requests_armed(&actions).len(), 1, "and redrawn once");
@@ -1100,11 +1102,11 @@ mod tests {
         // The second attempt at level 0 escalates the next request to
         // level 1.  Level-0 chatter is now below its scope.
         fire_request(&mut d, 0);
-        let (i, armed) = (d.agent.groups[&0].i, d.agent.groups[&0].request_timer);
-        assert_eq!(d.agent.groups[&0].scope_idx, 1);
+        let (i, armed) = (d.agent.groups[0].i, d.agent.groups[0].request_timer);
+        assert_eq!(d.agent.groups[0].scope_idx, 1);
         let actions = peer_nack(&mut d);
-        assert_eq!(d.agent.groups[&0].i, i, "not backed off");
-        assert_eq!(d.agent.groups[&0].request_timer, armed, "timer untouched");
+        assert_eq!(d.agent.groups[0].i, i, "not backed off");
+        assert_eq!(d.agent.groups[0].request_timer, armed, "timer untouched");
         assert_eq!(duplicate_backoffs(&d), 1, "no second suppression");
         assert!(requests_armed(&actions).is_empty());
     }
@@ -1117,8 +1119,8 @@ mod tests {
         lose_one(&mut d, 0);
         fire_request(&mut d, 0);
         fire_request(&mut d, 0);
-        let armed = d.agent.groups[&0].request_timer;
-        assert!(d.agent.groups[&0].i > 1);
+        let armed = d.agent.groups[0].request_timer;
+        assert!(d.agent.groups[0].i > 1);
         // One repair of the fourteen still needed (k = 16, two held).
         let (group, idx, k, burst_end) = (0, 16, 16, 16);
         let actions = hear(
@@ -1131,17 +1133,17 @@ mod tests {
                 burst_end,
             },
         );
-        assert_eq!(d.agent.groups[&0].i, 1);
+        assert_eq!(d.agent.groups[0].i, 1);
         let rearmed = requests_armed(&actions);
         assert_eq!(rearmed.len(), 1);
-        assert_eq!(d.agent.groups[&0].request_timer, Some(rearmed[0].1));
+        assert_eq!(d.agent.groups[0].request_timer, Some(rearmed[0].1));
         assert!(cancels(&actions, armed) && Some(rearmed[0].1) != armed);
     }
 
     /// A crash kills every pending timer but leaves the handles in the
     /// group state.  The restart's `on_start` must forget them — cancel
     /// nothing, treat nothing as armed — and ask again for every open
-    /// group in group order, whatever order the map holds them in: each
+    /// group in group order, whatever order they were opened in: each
     /// armed request is an RNG draw.
     #[test]
     fn restart_forgets_dead_timers_and_reasks_in_group_order() {
@@ -1155,7 +1157,7 @@ mod tests {
             let actions = d.call(|agent, ctx| agent.on_start(ctx));
             let armed = requests_armed(&actions);
             for &(g, id) in &armed {
-                assert_eq!(d.agent.groups[&g].request_timer, Some(id), "fresh handle");
+                assert_eq!(d.agent.groups[g].request_timer, Some(id), "fresh handle");
             }
             assert!(!actions.iter().any(|a| matches!(a, Action::CancelTimer(_))));
             (armed, format!("{actions:?}"))
@@ -1164,6 +1166,37 @@ mod tests {
         let (_, descending) = restart(&mut groups.into_iter().rev());
         assert_eq!(armed.iter().map(|&(g, _)| g).collect::<Vec<_>>(), groups);
         assert_eq!(ascending, descending);
+    }
+
+    /// A group id past the stream's end (64 groups of 16) would underflow
+    /// `packets_in_group`: the packet is dropped untouched.
+    #[test]
+    fn a_group_outside_the_stream_is_dropped() {
+        let mut d = receiver();
+        let (group, idx, k) = (d.agent.cfg.group_count(), 0, 16);
+        assert!(hear(&mut d, 1, SfMsg::Data { group, idx, k }).is_empty());
+        assert!(d.agent.groups.0.is_empty());
+    }
+
+    /// A late joiner's first group is `g > 0`: every group it never heard
+    /// counts as missing in full, up to the last id `group_count − 1`.
+    #[test]
+    fn a_late_joiner_answers_for_groups_it_never_heard() {
+        let mut d = receiver();
+        let last = d.agent.cfg.group_count() - 1;
+        lose_one(&mut d, 5);
+        assert!(d.agent.groups.get(0).is_none() && d.agent.groups.get(last).is_none());
+        assert_eq!(d.agent.missing(), (last + 1) * 16 - 2);
+        assert!(!d.agent.complete() && d.agent.completion_time().is_none());
+        for group in (0..=last).rev() {
+            d.now = SimTime::from_secs(if group == 5 { 9 } else { 8 });
+            for idx in 0..16 {
+                hear(&mut d, 1, SfMsg::Data { group, idx, k: 16 });
+            }
+        }
+        assert_eq!(d.agent.missing(), 0);
+        assert!(d.agent.complete() && d.agent.groups[last].complete());
+        assert_eq!(d.agent.completion_time(), Some(SimTime::from_secs(9)));
     }
 
     #[test]

@@ -4,16 +4,17 @@
 use sharqfec_netsim::agent::TimerId;
 use sharqfec_netsim::{SimDuration, SimTime};
 
-/// Compact set of packet indices: bitset words, lazily grown.
+/// Compact set of packet indices: bitset words, the first two inline.
 ///
 /// Group indices are dense and small (data `0..k`, FEC a few dozen past
 /// `k`), so a `HashSet<u32>` per group — tens of groups per receiver,
 /// 10⁵–10⁶ receivers — wasted a heap table plus ~48 bytes of header on a
-/// set that fits in one or two machine words.  Iteration order is
-/// ascending by construction.
+/// set that fits in one or two machine words — kept inline, so only
+/// indices from 128 up reach the heap.  Iteration order is ascending.
 #[derive(Debug, Default)]
 struct IndexBitset {
-    words: Vec<u64>,
+    inline: [u64; 2],
+    spill: Vec<u64>,
     len: u32,
 }
 
@@ -21,14 +22,18 @@ impl IndexBitset {
     /// Inserts `idx`; `true` if it was absent.
     fn insert(&mut self, idx: u32) -> bool {
         let w = (idx / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        if w >= 2 + self.spill.len() {
+            self.spill.resize(w - 1, 0);
         }
+        let word = match w {
+            0 | 1 => &mut self.inline[w],
+            _ => &mut self.spill[w - 2],
+        };
         let bit = 1u64 << (idx % 64);
-        if self.words[w] & bit != 0 {
+        if *word & bit != 0 {
             return false;
         }
-        self.words[w] |= bit;
+        *word |= bit;
         self.len += 1;
         true
     }
@@ -39,7 +44,8 @@ impl IndexBitset {
 
     /// Set members in ascending order.
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
+        let words = self.inline.iter().chain(&self.spill);
+        words.enumerate().flat_map(|(w, &word)| {
             (0..64)
                 .filter(move |b| word & (1u64 << b) != 0)
                 .map(move |b| (w as u32) * 64 + b)
@@ -47,7 +53,7 @@ impl IndexBitset {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
+        self.spill.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -333,6 +339,8 @@ mod tests {
         assert!(!g.receive(2));
         assert_eq!(g.held(), 1);
         assert_eq!(g.llc(), 2); // identifiers 0,1 revealed missing
+        assert!(g.receive(200) && !g.receive(200)); // past the inline words
+        assert_eq!(g.held_indices(), [2, 200]);
     }
 
     #[test]

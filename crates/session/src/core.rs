@@ -18,7 +18,8 @@
 //! * the believed ZCR, the ZCR→parent-ZCR link distance, and the distances
 //!   its ancestor ZCR announced to peers in the parent zone (the "sibling
 //!   ZCR" table used for indirect estimation);
-//! * the loss reports heard there (§7 summarization);
+//! * the loss reports heard there (§7 summarization), kept only at a seat
+//!   there or below: the two places a report is read;
 //! * election state: the last pending challenge and takeover timer.
 //!
 //! Distances are one-way throughout (RTT/2), matching the units of the
@@ -183,7 +184,8 @@ struct Level {
     /// it participates again.
     table: PeerTable,
     /// Reports heard in this zone, by reporter (ZCR announcements into a
-    /// zone carry the summary for their whole subtree).
+    /// zone carry the summary for their whole subtree), stored only while
+    /// this node holds the seat here or below; a lost seat keeps them.
     reports: IdHashMap<NodeId, LossReport>,
     /// My own measured one-way distance to the *parent* zone's ZCR, from
     /// challenge/response arithmetic (election currency for this zone).
@@ -348,8 +350,9 @@ impl SessionCore {
         self.local_loss = Some(loss.clamp(0.0, 1.0));
     }
 
-    /// The summarized receiver report for a zone, merging everything heard
-    /// there with this member's own report.  At the source,
+    /// The summarized receiver report for a zone: this member's own report
+    /// merged with what it heard there while it held a seat at or below
+    /// that zone.  At the source,
     /// `aggregate_report(root)` approximates the whole session's RR state
     /// from O(zones) announcements.
     pub fn aggregate_report(&self, zone: ZoneId) -> Option<LossReport> {
@@ -717,8 +720,10 @@ impl SessionCore {
         let level = &mut self.levels[l];
 
         // §7 receiver-report bookkeeping: remember the latest summary each
-        // reporter announced into this zone.
-        if let Some(r) = a.report {
+        // reporter announced into this zone, where a seat here or below
+        // reads it — every other member skips the map.
+        let seated = level.zcr == Some(self.node) || (l >= 1 && participates);
+        if let Some(r) = a.report.filter(|_| seated) {
             level.reports.insert(src, r);
         }
 
@@ -927,6 +932,15 @@ mod tests {
             report: None,
             entries,
         })
+    }
+
+    /// [`announce`] carrying a loss report of 0.5.
+    fn reported(zone: ZoneId, sent_ms: u64, zcr: u32) -> SessionMsg {
+        let mut msg = announce(zone, sent_ms, zcr, vec![]);
+        if let SessionMsg::Announce(a) = &mut msg {
+            a.report = Some(LossReport::single(0.5));
+        }
+        msg
     }
 
     /// Node 4 announcing itself, at t = 30 s, as Z2's ZCR 30 ms from the
@@ -1630,11 +1644,7 @@ mod tests {
         // nest, and is ignored.
         let (mut core, mut ctx) = started(0);
         core.set_local_loss(0.25);
-        let mut heard = announce(ZoneId(2), 10, 3, vec![]);
-        if let SessionMsg::Announce(a) = &mut heard {
-            a.report = Some(LossReport::single(0.5));
-        }
-        core.on_msg(&mut ctx, n(3), &heard);
+        core.on_msg(&mut ctx, n(3), &reported(ZoneId(2), 10, 3));
         assert_eq!(core.aggregate_report(ZoneId(2)), None);
         assert_eq!(core.aggregate_report(ZoneId(1)), None);
         assert_eq!(
@@ -1643,6 +1653,27 @@ mod tests {
         );
         assert_eq!(core.tracked_peer_count(), 0);
         assert_eq!(core.direct_rtt(n(3)), None);
+    }
+
+    #[test]
+    fn only_a_seat_here_or_below_keeps_the_reports_heard() {
+        // Node 5 holds no seat: the reports it hears cost it nothing.
+        let (mut plain, mut ctx) = started(5);
+        let bytes = plain.state_bytes();
+        plain.on_msg(&mut ctx, n(1), &reported(ZoneId(1), 10, 1));
+        assert_eq!(plain.state_bytes(), bytes, "no report map");
+        plain.on_msg(&mut ctx, n(4), &reported(ZoneId(2), 10, 3));
+        assert!(plain.levels.iter().all(|l| l.reports.is_empty()));
+        // Z2's ZCR, node 3, keeps them.
+        let (mut zcr, _) = started(3);
+        zcr.on_msg(&mut ctx, n(5), &reported(ZoneId(2), 10, 3));
+        assert_eq!(zcr.aggregate_report(ZoneId(2)).unwrap().receivers, 1);
+        // Node 4 wins Z2's seat: it summarizes only what it hears after.
+        let (mut heir, _) = started(4);
+        heir.on_msg(&mut ctx, n(5), &reported(ZoneId(2), 10, 3));
+        heir.set_seat(0, Some(n(4)));
+        heir.on_msg(&mut ctx, n(6), &reported(ZoneId(2), 20, 3));
+        assert_eq!(heir.outgoing_report(ZoneId(1)).unwrap().receivers, 1);
     }
 
     #[test]

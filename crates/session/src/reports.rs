@@ -9,7 +9,9 @@
 //! Implementation: every member attaches a [`LossReport`] describing its
 //! own reception quality to its zone announcements; a ZCR *merges* the
 //! reports it heard in its zone into the single report it announces into
-//! the parent zone.  The source therefore learns receiver count, worst
+//! the parent zone.  Only the members that read reports keep them: a
+//! zone's ZCR, and the ZCR of a child zone taking part in the parent —
+//! a plain receiver stores none.  The source therefore learns receiver count, worst
 //! loss, and mean loss for the whole session from O(zones) traffic instead
 //! of RTCP's O(receivers) — the same trick the RTT state plays in §5.1.
 
