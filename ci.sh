@@ -13,7 +13,7 @@ echo "==> line ledger: the total and the file cap only move on purpose"
 # alloc_ceiling below, and states its budget in CHANGES.md; one that
 # removes lines lowers it to keep them removed.  No source file outside
 # vendor/ may pass 1800 lines.
-line_ceiling=32098
+line_ceiling=32258
 ledger=$(find crates vendor src tests examples -name '*.rs' | xargs wc -l | sort -n)
 total=$(awk '$2 == "total" {print $1}' <<< "$ledger")
 echo "    total $total (ceiling $line_ceiling); five largest:"
@@ -132,6 +132,15 @@ echo "==> sharded engine determinism gate (--shards 4 vs serial)"
 same_summary "$fresh/BENCH_scale_sweep.json" "$sharded/BENCH_scale_sweep.json"
 same_summary "$fresh/BENCH_scenario_sweep.json" "$sharded/BENCH_scenario_sweep.json"
 
+echo "==> newspaper_delivery example: every receiver rebuilds the object"
+# The only protocol-driven caller of encode_object and finish.
+paper_out=$(cargo run --release -q --example newspaper_delivery)
+if ! grep -q 'reassembled the newspaper byte-for-byte' <<< "$paper_out"; then
+  echo "newspaper_delivery did not report a byte-for-byte reassembly:" >&2
+  echo "$paper_out" >&2
+  exit 1
+fi
+
 echo "==> benchmark/: its own tests, then one counted pass per workload"
 # The benchmark is a workspace of its own; nothing above builds it.  Each
 # workload must reproduce its pinned statistics ("correct": true) and stay
@@ -147,7 +156,9 @@ alloc_ceiling() {
     session_1k)      echo 23218 ;; # 22989
     srm_500)         echo 1588 ;;  # 1573
     flash_churn_500) echo 28015 ;; # 27738
-    codec_object)    echo 2128 ;;  # 2107
+    # 2107 on one core; each further core adds one split range, whose
+    # thread spawns and decode scratch cost 15 allocations.
+    codec_object)    echo $(( (2107 + 15 * ($(nproc) - 1)) * 101 / 100 )) ;;
     *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
   esac
 }

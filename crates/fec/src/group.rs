@@ -18,6 +18,8 @@
 //! holds parity only for groups that are still short, rebuilds nothing but
 //! the missing data packets, and hands the frame buffer over as the object.
 
+use std::{num::NonZeroUsize, panic, sync::OnceLock, thread};
+
 use crate::codec::{DecodeScratch, GroupCodec};
 use crate::{FecError, MAX_GROUP};
 
@@ -90,6 +92,12 @@ impl GroupEncoder {
 
     /// Encodes a whole object into groups.
     pub fn encode_object(&self, object: &[u8]) -> Result<Vec<EncodedGroup>, FecError> {
+        self.encode_split(object, cores())
+    }
+
+    /// [`GroupEncoder::encode_object`] with the parity of its groups
+    /// computed in `ranges` contiguous ranges, one thread each.
+    fn encode_split(&self, object: &[u8], ranges: usize) -> Result<Vec<EncodedGroup>, FecError> {
         let len = self.payload_len;
         let group_bytes = self.codec.k() * len;
         let header = (object.len() as u64).to_le_bytes();
@@ -115,15 +123,48 @@ impl GroupEncoder {
             }
             // Tail padding and the parity packets' space.
             bytes.resize(self.codec.n() * len, 0);
-            self.codec.encode_flat(&mut bytes, len)?;
             out.push(EncodedGroup {
                 group_id: g as u64,
                 payload_len: len,
                 bytes,
             });
         }
+        let per = n_groups.div_ceil(ranges);
+        split(out.chunks_mut(per), |groups| {
+            groups
+                .iter_mut()
+                .try_for_each(|g| self.codec.encode_flat(&mut g.bytes, len))
+        })?;
         Ok(out)
     }
+}
+
+/// Cores this process may run on, looked up once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `work` on every range: the first on the caller's thread, each other
+/// on a scoped thread of its own.  Groups share nothing, so the bytes are a
+/// serial walk's.  Returns the lowest-indexed failing range's first error;
+/// a worker's panic resumes here.
+fn split<R: Send>(
+    ranges: impl Iterator<Item = R>,
+    work: impl Fn(R) -> Result<(), FecError> + Sync,
+) -> Result<(), FecError> {
+    let mut ranges = ranges.peekable();
+    let first = ranges.next().expect("an object spans at least one group");
+    if ranges.peek().is_none() {
+        return work(first);
+    }
+    thread::scope(|s| {
+        let work = &work;
+        let workers: Vec<_> = ranges.map(|r| s.spawn(move || work(r))).collect();
+        workers.into_iter().fold(work(first), |done, w| {
+            done.and(w.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+        })
+    })
 }
 
 /// Words in a bitmap over one group's packet indices.
@@ -190,7 +231,8 @@ impl GroupDecoder {
     ///
     /// Nothing sized by the object is allocated until the first
     /// [`GroupDecoder::push`]; an object too large to address is refused
-    /// here with [`FecError::ObjectTooLarge`].
+    /// here with [`FecError::ObjectTooLarge`], and one of zero groups with
+    /// [`FecError::ZeroGroups`].
     pub fn new(
         k: usize,
         h: usize,
@@ -199,6 +241,9 @@ impl GroupDecoder {
     ) -> Result<GroupDecoder, FecError> {
         if payload_len == 0 {
             return Err(FecError::EmptyShards);
+        }
+        if n_groups == 0 {
+            return Err(FecError::ZeroGroups);
         }
         let codec = GroupCodec::new(k, h)?;
         let frame_len = n_groups
@@ -289,29 +334,38 @@ impl GroupDecoder {
     /// finds every group short.  Fails, keeping everything pushed so far,
     /// if any group is still short.
     pub fn finish(&mut self) -> Result<Vec<u8>, FecError> {
-        let (k, len) = (self.codec.k(), self.payload_len);
+        self.finish_split(cores())
+    }
+
+    /// [`GroupDecoder::finish`] with the missing data rebuilt in `ranges`
+    /// contiguous ranges of groups, one thread each.
+    fn finish_split(&mut self, ranges: usize) -> Result<Vec<u8>, FecError> {
+        let (codec, k, len) = (&self.codec, self.codec.k(), self.payload_len);
         if let Some(got) = (0..self.n_groups)
             .map(|g| self.held(g))
             .find(|&got| got < k)
         {
             return Err(FecError::NotEnoughShards { needed: k, got });
         }
-        // One decode scratch reused across every group of the object; the
-        // groups' data slots are the framed layout already, so only what
-        // never arrived is computed and nothing is copied.
-        let mut scratch = DecodeScratch::default();
-        for (slot, data) in self
+        // The groups' data slots are the framed layout already, so only
+        // what never arrived is computed and nothing is copied; one decode
+        // scratch serves every group of a range.
+        let per = self.n_groups.div_ceil(ranges);
+        let ranges = self
             .slots
-            .iter_mut()
-            .zip(self.frame.chunks_exact_mut(k * len))
-        {
-            if slot.data_complete(k) {
-                continue;
+            .chunks_mut(per)
+            .zip(self.frame.chunks_mut(per * k * len));
+        split(ranges, |(slots, frame)| {
+            let mut scratch = DecodeScratch::default();
+            for (slot, data) in slots.iter_mut().zip(frame.chunks_exact_mut(k * len)) {
+                if slot.data_complete(k) {
+                    continue;
+                }
+                codec.reconstruct_flat(data, &slot.parity, len, |i| slot.has(i), &mut scratch)?;
+                slot.release_parity(k);
             }
-            self.codec
-                .reconstruct_flat(data, &slot.parity, len, |i| slot.has(i), &mut scratch)?;
-            slot.release_parity(k);
-        }
+            Ok(())
+        })?;
         if self.frame.len() < FRAME_HEADER_LEN {
             return Err(FecError::BadFrame("object shorter than header"));
         }
@@ -337,17 +391,25 @@ mod tests {
         (0..len).map(|i| ((i * 37 + 11) % 256) as u8).collect()
     }
 
+    /// Encodes and decodes `obj` in 1, 2, 3, `n_groups` and `n_groups + 1`
+    /// ranges, each group losing its first `drop_each` packets: the groups
+    /// must equal the one-range run's and the object must come back.
     fn round_trip_with_losses(obj: &[u8], k: usize, h: usize, plen: usize, drop_each: usize) {
         let enc = GroupEncoder::new(k, h, plen).unwrap();
-        let groups = enc.encode_object(obj).unwrap();
-        let mut dec = GroupDecoder::new(k, h, plen, groups.len()).unwrap();
-        for g in &groups {
-            for (idx, payload) in g.packets().skip(drop_each) {
-                dec.push(g.group_id, idx, payload).unwrap();
+        let serial = enc.encode_split(obj, 1).unwrap();
+        let n = serial.len();
+        for ranges in [1, 2, 3, n, n + 1] {
+            let groups = enc.encode_split(obj, ranges).unwrap();
+            assert_eq!(groups, serial, "{ranges} ranges");
+            let mut dec = GroupDecoder::new(k, h, plen, n).unwrap();
+            for g in &groups {
+                for (idx, payload) in g.packets().skip(drop_each) {
+                    dec.push(g.group_id, idx, payload).unwrap();
+                }
             }
+            assert!(dec.complete());
+            assert_eq!(dec.finish_split(ranges).unwrap(), obj, "{ranges} ranges");
         }
-        assert!(dec.complete());
-        assert_eq!(dec.finish().unwrap(), obj);
     }
 
     #[test]
@@ -357,6 +419,7 @@ mod tests {
 
     #[test]
     fn round_trip_surviving_h_losses_per_group() {
+        // 5 groups (a multiple of none of 2, 3, 6), each losing 4 data packets.
         round_trip_with_losses(&object(5_000), 16, 4, 64, 4);
     }
 
@@ -440,6 +503,12 @@ mod tests {
             GroupDecoder::new(4, 2, 0, 1).unwrap_err(),
             FecError::EmptyShards
         );
+    }
+
+    #[test]
+    fn zero_groups_rejected() {
+        let err = GroupDecoder::new(4, 2, 16, 0).unwrap_err();
+        assert_eq!(err, FecError::ZeroGroups);
     }
 
     #[test]

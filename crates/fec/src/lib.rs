@@ -70,6 +70,8 @@ pub const MAX_GROUP: usize = 255;
 pub enum FecError {
     /// `k` must be at least 1.
     ZeroDataShards,
+    /// An object of zero groups: every object, even an empty one, has one.
+    ZeroGroups,
     /// `k + h` exceeded [`MAX_GROUP`].
     GroupTooLarge {
         /// Requested number of data packets.
@@ -119,6 +121,7 @@ impl core::fmt::Display for FecError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             FecError::ZeroDataShards => write!(f, "k (data packets per group) must be >= 1"),
+            FecError::ZeroGroups => write!(f, "an object spans at least one group"),
             FecError::GroupTooLarge { k, h } => write!(
                 f,
                 "group size k+h = {} exceeds the GF(256) limit of {}",
