@@ -115,13 +115,15 @@ impl Gf256 {
     /// Raises this element to an arbitrary non-negative integer power.
     ///
     /// `0^0` is defined as `1`, consistent with polynomial evaluation.
+    /// The exponent is reduced mod 255 before it scales the logarithm, so
+    /// no exponent overflows.
     pub fn pow(self, exp: usize) -> Gf256 {
         if exp == 0 {
             return Gf256::ONE;
         }
         match self.log() {
             None => Gf256::ZERO,
-            Some(log) => Gf256(EXP_TABLE[(log as usize * exp) % GROUP_ORDER]),
+            Some(log) => Gf256(EXP_TABLE[log as usize * (exp % GROUP_ORDER) % GROUP_ORDER]),
         }
     }
 }
@@ -202,7 +204,7 @@ impl Mul for Gf256 {
     #[inline]
     fn mul(self, rhs: Gf256) -> Gf256 {
         // Nibble-split lookup: branchless (no zero guards, no mod-255
-        // reduction), and the same tables the slice kernels stream over.
+        // reduction); matrix inversion needs a fast single product.
         let row_lo = &MUL_LO_TABLE[self.0 as usize];
         let row_hi = &MUL_HI_TABLE[self.0 as usize];
         Gf256(row_lo[(rhs.0 & 0x0F) as usize] ^ row_hi[(rhs.0 >> 4) as usize])
@@ -246,16 +248,39 @@ impl Product for Gf256 {
     }
 }
 
+/// Bytes per block of the slice kernels: two 16-byte vector registers.
+const BLOCK: usize = 32;
+
+/// `coeff · 2^7, coeff · 2^6, …, coeff`: the multiples [`mul_block`] adds,
+/// the field's reduction folded in once per call.
+fn multiples(coeff: Gf256) -> [u8; 8] {
+    core::array::from_fn(|j| (coeff * Gf256(0x80 >> j)).0)
+}
+
+/// `coeff · x` for every byte of a block, by shift-and-add: bit `7 - j` of
+/// each byte, moved into its sign bit by `j` doublings, selects
+/// `multiples[j]` under an all-ones or all-zeros mask.  Shifts, signed byte
+/// compares, ANDs and XORs over fixed-size arrays are what the baseline
+/// target's vector unit has (SSE2 on x86-64, NEON on aarch64), so this
+/// vectorizes with no byte shuffle and no table.
+#[inline(always)]
+fn mul_block(mut x: [u8; BLOCK], multiples: &[u8; 8]) -> [u8; BLOCK] {
+    let mut acc = [0u8; BLOCK];
+    for &m in multiples {
+        for i in 0..BLOCK {
+            acc[i] ^= ((x[i] as i8) >> 7) as u8 & m;
+            x[i] = x[i].wrapping_add(x[i]);
+        }
+    }
+    acc
+}
+
 /// Multiplies `dst[i] += coeff * src[i]` for whole slices.
 ///
 /// This is the inner loop of Reed–Solomon encoding and decoding; it is kept
 /// here so both the encoder and the decoder share one audited
-/// implementation.
-///
-/// The body is two nibble-table lookups and two XORs per byte with no
-/// data-dependent branches, so the compiler can unroll and vectorize it —
-/// the per-coefficient table rows (2 × 16 bytes) stay resident in registers
-/// or L1 for the whole slice.
+/// implementation.  Whole 32-byte blocks go through the vectorized
+/// shift-and-add product; a shorter tail uses the scalar product.
 ///
 /// # Panics
 ///
@@ -275,14 +300,26 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], coeff: Gf256) {
         }
         return;
     }
-    let row_lo = &MUL_LO_TABLE[coeff.0 as usize];
-    let row_hi = &MUL_HI_TABLE[coeff.0 as usize];
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= row_lo[(*s & 0x0F) as usize] ^ row_hi[(*s >> 4) as usize];
+    let m = multiples(coeff);
+    let mut dst_blocks = dst.chunks_exact_mut(BLOCK);
+    let mut src_blocks = src.chunks_exact(BLOCK);
+    for (d, s) in (&mut dst_blocks).zip(&mut src_blocks) {
+        let p = mul_block(s.try_into().expect("exact chunk"), &m);
+        for i in 0..BLOCK {
+            d[i] ^= p[i];
+        }
+    }
+    let tails = dst_blocks
+        .into_remainder()
+        .iter_mut()
+        .zip(src_blocks.remainder());
+    for (d, s) in tails {
+        *d ^= (coeff * Gf256(*s)).0;
     }
 }
 
-/// Multiplies a slice in place by a scalar: `dst[i] *= coeff`.
+/// Multiplies a slice in place by a scalar: `dst[i] *= coeff`, by the same
+/// block product as [`mul_acc_slice`].
 pub fn mul_slice(dst: &mut [u8], coeff: Gf256) {
     if coeff == Gf256::ONE {
         return;
@@ -291,10 +328,14 @@ pub fn mul_slice(dst: &mut [u8], coeff: Gf256) {
         dst.fill(0);
         return;
     }
-    let row_lo = &MUL_LO_TABLE[coeff.0 as usize];
-    let row_hi = &MUL_HI_TABLE[coeff.0 as usize];
-    for d in dst.iter_mut() {
-        *d = row_lo[(*d & 0x0F) as usize] ^ row_hi[(*d >> 4) as usize];
+    let m = multiples(coeff);
+    let mut blocks = dst.chunks_exact_mut(BLOCK);
+    for d in &mut blocks {
+        let p = mul_block(d[..].try_into().expect("exact chunk"), &m);
+        d.copy_from_slice(&p);
+    }
+    for d in blocks.into_remainder() {
+        *d = (coeff * Gf256(*d)).0;
     }
 }
 
@@ -341,7 +382,7 @@ mod tests {
 
     #[test]
     fn nibble_tables_recombine_to_the_full_product() {
-        // The slice kernels rely on c·v = LO[c][v&0xF] ⊕ HI[c][v>>4];
+        // The scalar product relies on c·v = LO[c][v&0xF] ⊕ HI[c][v>>4];
         // verify the split against the schoolbook oracle exhaustively.
         for c in 0..=255u8 {
             for v in 0..=255u8 {
@@ -448,26 +489,51 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_slice_matches_scalar_loop() {
-        let src: Vec<u8> = (0..=255).collect();
-        for coeff in [0u8, 1, 2, 0x1D, 0x80, 0xFF] {
-            let mut dst: Vec<u8> = (0..=255).rev().collect();
-            let mut expect = dst.clone();
-            for (e, s) in expect.iter_mut().zip(&src) {
-                *e = (Gf256(*e) + Gf256(coeff) * Gf256(*s)).0;
+    fn pow_reduces_huge_exponents_without_overflow() {
+        // 255 divides 2^64 - 1, so 4^usize::MAX = 1; the oracle is the
+        // unreduced product of logarithm and exponent, taken in u128.
+        assert_eq!(Gf256(4).pow(usize::MAX), Gf256::ONE);
+        for a in [0u8, 1, 2, 4, 0x53, 0xFF] {
+            for exp in usize::MAX - 600..=usize::MAX {
+                let expect = match Gf256(a).log() {
+                    None => Gf256::ZERO,
+                    Some(log) => Gf256(EXP_TABLE[(log as u128 * exp as u128 % 255) as usize]),
+                };
+                assert_eq!(Gf256(a).pow(exp), expect, "a={a} exp={exp}");
             }
-            mul_acc_slice(&mut dst, &src, Gf256(coeff));
-            assert_eq!(dst, expect, "coeff={coeff}");
+        }
+    }
+
+    /// Lengths on both sides of one and two 32-byte blocks, so every tail
+    /// length class is reached, and the paper's 1000-byte shard.
+    const KERNEL_LENS: [usize; 9] = [0, 1, 31, 32, 33, 63, 64, 65, 1000];
+
+    #[test]
+    fn mul_acc_slice_matches_scalar_loop() {
+        for len in KERNEL_LENS {
+            let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            for coeff in 0..=255u8 {
+                let mut dst: Vec<u8> = (0..len).map(|i| (i * 13 + 200) as u8).collect();
+                let expect: Vec<u8> = dst
+                    .iter()
+                    .zip(&src)
+                    .map(|(&d, &s)| (Gf256(d) + Gf256(coeff) * Gf256(s)).0)
+                    .collect();
+                mul_acc_slice(&mut dst, &src, Gf256(coeff));
+                assert_eq!(dst, expect, "coeff={coeff} len={len}");
+            }
         }
     }
 
     #[test]
     fn mul_slice_matches_scalar_loop() {
-        for coeff in [0u8, 1, 3, 0x1D, 0xFF] {
-            let mut dst: Vec<u8> = (0..=255).collect();
-            let expect: Vec<u8> = dst.iter().map(|&d| (Gf256(d) * Gf256(coeff)).0).collect();
-            mul_slice(&mut dst, Gf256(coeff));
-            assert_eq!(dst, expect, "coeff={coeff}");
+        for len in KERNEL_LENS {
+            for coeff in 0..=255u8 {
+                let mut dst: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+                let expect: Vec<u8> = dst.iter().map(|&d| (Gf256(d) * Gf256(coeff)).0).collect();
+                mul_slice(&mut dst, Gf256(coeff));
+                assert_eq!(dst, expect, "coeff={coeff} len={len}");
+            }
         }
     }
 

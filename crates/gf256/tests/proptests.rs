@@ -83,6 +83,22 @@ proptest! {
     }
 
     #[test]
+    fn mul_acc_slice_matches_scalar_product(
+        (src, dst) in (0usize..200).prop_flat_map(|n| {
+            let bytes = || proptest::collection::vec(any::<u8>(), n);
+            (bytes(), bytes())
+        }),
+        c in gf(),
+    ) {
+        // Linearity alone would pass a kernel reducing by the wrong
+        // polynomial; the scalar product pins the field itself.
+        let expect: Vec<u8> = dst.iter().zip(&src).map(|(&d, &s)| (Gf256(d) + c * Gf256(s)).0).collect();
+        let mut got = dst;
+        mul_acc_slice(&mut got, &src, c);
+        prop_assert_eq!(got, expect);
+    }
+
+    #[test]
     fn poly_eval_at_zero_is_constant_term(
         coeffs in proptest::collection::vec(any::<u8>().prop_map(Gf256), 1..16)
     ) {
