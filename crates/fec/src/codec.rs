@@ -7,32 +7,52 @@
 //! packets verbatim (systematic) — while any `k` rows of `W` remain
 //! invertible, because they are the product of an invertible Vandermonde
 //! row-selection with a fixed invertible matrix.
+//!
+//! Encoding reads each data packet once: one [`mul_acc_rows`] call adds it,
+//! times its column of `W`, into every parity packet.  Decoding solves only
+//! for the `e` lost data packets: it inverts the `e × e` block of `W` that
+//! the parity packets standing in for them have at the lost slots, turns
+//! that into `e` weights per source packet, and reads each of the `k`
+//! source packets once into all `e` rebuilt packets.
 
 use crate::matrix::Matrix;
 use crate::{FecError, MAX_GROUP};
-use sharqfec_gf256::{mul_acc_slice, Gf256};
+use core::mem;
+use sharqfec_gf256::{mul_acc_rows, mul_acc_slice, Gf256};
 
 /// Reusable decode workspace.
 ///
 /// [`GroupCodec::decode`] writes the recovered data shards into this
 /// scratch's flat buffer and borrows the result back as a
-/// [`RecoveredGroup`].  All buffers (seen-set, row selection, decode
+/// [`RecoveredGroup`].  All buffers (input positions, slot sources, solve
 /// matrices, output) are grown once and reused, so steady-state repair
 /// decoding — the same codec shape group after group — performs no heap
 /// allocation at all.
 #[derive(Debug, Default, Clone)]
 pub struct DecodeScratch {
-    /// Dedup bitmap over shard indices, `n` entries.
-    seen: Vec<bool>,
-    /// Indices of the k shards used for reconstruction.
+    /// [`GroupCodec::decode`]: where each of the `n` packet indices sits in
+    /// its input, [`ABSENT`] if nowhere.
+    at: Vec<usize>,
+    /// The packet feeding each of the `k` data slots: `i` itself when data
+    /// packet `i` is there, else the parity packet standing in for it.
     rows: Vec<usize>,
-    /// The selected k×k generator rows (destroyed by inversion).
+    /// `Aᵀ`, where `A = W[R][M]` holds the `e` stand-ins' generator
+    /// entries at the `e` lost slots (destroyed by inversion); then the
+    /// `k × e` coefficients, row `i` the weights slot `i`'s packet gives
+    /// the rebuilt packets.
     sub: Matrix,
-    /// The inverse decode matrix.
+    /// `(A⁻¹)ᵀ`, `e × e`: row `r` is what stand-in `r` gives each rebuilt
+    /// packet.
     inv: Matrix,
-    /// Flat `k × shard_len` output buffer.
+    /// The rebuilt packets, `e × shard_len`.
     out: Vec<u8>,
+    /// [`GroupCodec::decode`]'s group laid out flat, `n × shard_len`; its
+    /// first `k` packets are the output.
+    flat: Vec<u8>,
 }
+
+/// [`DecodeScratch::at`] of a packet index not in the input.
+const ABSENT: usize = usize::MAX;
 
 /// A borrowed view of the `k` recovered data shards of one group, laid out
 /// contiguously inside a [`DecodeScratch`].
@@ -85,7 +105,8 @@ impl<'a> RecoveredGroup<'a> {
 /// `k` is the number of data packets per group and `h` the maximum number of
 /// parity ("FEC") packets this codec can produce.  Construction cost is
 /// O(k³); encoding one parity packet is O(k · len); decoding with `e`
-/// erasures costs one k×k inversion plus O(e · k · len).
+/// erasures costs one `e × e` inversion, `O(e² · k)` for the weights, plus
+/// O(e · k · len).
 ///
 /// The codec is immutable and shareable; in the simulator one codec per
 /// group shape is built once and reused for every group.
@@ -152,16 +173,20 @@ impl GroupCodec {
         self.check_data(data)?;
         if parity.len() != self.h {
             return Err(FecError::WrongShardCount {
+                what: "parity buffers",
                 expected: self.h,
                 got: parity.len(),
             });
         }
         let len = data[0].len();
-        for (j, out) in parity.iter_mut().enumerate() {
+        for out in parity.iter_mut() {
             if out.len() != len {
                 return Err(FecError::UnequalShardLengths);
             }
-            self.combine(self.k + j, out, data.iter().copied());
+            out.fill(0);
+        }
+        for (i, src) in data.iter().enumerate() {
+            mul_acc_rows(parity.iter_mut().map(|p| &mut **p).zip(self.column(i)), src);
         }
         Ok(())
     }
@@ -176,15 +201,23 @@ impl GroupCodec {
         }
         if self.n().checked_mul(len) != Some(group.len()) {
             return Err(FecError::WrongShardCount {
+                what: "packets in the group",
                 expected: self.n(),
                 got: group.len() / len,
             });
         }
         let (data, parity) = group.split_at_mut(self.k * len);
-        for (j, out) in parity.chunks_exact_mut(len).enumerate() {
-            self.combine(self.k + j, out, data.chunks_exact(len));
+        parity.fill(0);
+        for (i, src) in data.chunks_exact(len).enumerate() {
+            mul_acc_rows(parity.chunks_exact_mut(len).zip(self.column(i)), src);
         }
         Ok(())
+    }
+
+    /// `W[k + j][i]` for every parity packet `j`: what data packet `i`
+    /// adds to each.
+    fn column(&self, i: usize) -> impl Iterator<Item = Gf256> + '_ {
+        (self.k..self.n()).map(move |r| self.generator[(r, i)])
     }
 
     /// Encodes the single output packet with index `index` into `out`
@@ -214,17 +247,11 @@ impl GroupCodec {
             out.copy_from_slice(data[index]);
             return Ok(());
         }
-        self.combine(index, out, data.iter().copied());
-        Ok(())
-    }
-
-    /// Output packet `index` as the generator row's combination of the `k`
-    /// data packets: `out = Σ W[index][i] · data[i]`.
-    fn combine<'a>(&self, index: usize, out: &mut [u8], data: impl Iterator<Item = &'a [u8]>) {
         out.fill(0);
-        for (shard, &coeff) in data.zip(self.generator.row(index)) {
-            mul_acc_slice(out, shard, coeff);
+        for (src, &coeff) in data.iter().zip(self.generator.row(index)) {
+            mul_acc_slice(out, src, coeff);
         }
+        Ok(())
     }
 
     /// Reconstructs the `k` original data packets from any `k` received
@@ -233,7 +260,10 @@ impl GroupCodec {
     ///
     /// Extra packets beyond `k` are ignored (the first `k` are used; all
     /// entries are still validated).  Indices must be distinct and in
-    /// `0..k+h`; payloads must be non-empty and of equal length.
+    /// `0..k+h`; payloads must be non-empty and of equal length.  The first
+    /// `k` are laid out flat and the missing data packets rebuilt by
+    /// [`GroupCodec::reconstruct_flat`]: the lowest-indexed parity packets
+    /// it takes are exactly the ones among them.
     ///
     /// The scratch may be shared across codecs of different shapes; its
     /// buffers grow to the largest shape seen and are then reused without
@@ -243,9 +273,10 @@ impl GroupCodec {
         shards: &[(usize, &[u8])],
         scratch: &'s mut DecodeScratch,
     ) -> Result<RecoveredGroup<'s>, FecError> {
-        if shards.len() < self.k {
+        let k = self.k;
+        if shards.len() < k {
             return Err(FecError::NotEnoughShards {
-                needed: self.k,
+                needed: k,
                 got: shards.len(),
             });
         }
@@ -253,58 +284,38 @@ impl GroupCodec {
         if len == 0 {
             return Err(FecError::EmptyShards);
         }
-        scratch.seen.clear();
-        scratch.seen.resize(self.n(), false);
-        for &(idx, payload) in shards {
+        scratch.at.clear();
+        scratch.at.resize(self.n(), ABSENT);
+        for (pos, &(idx, payload)) in shards.iter().enumerate() {
             if idx >= self.n() {
                 return Err(FecError::IndexOutOfRange {
                     index: idx,
                     group: self.n(),
                 });
             }
-            if scratch.seen[idx] {
+            if scratch.at[idx] != ABSENT {
                 return Err(FecError::DuplicateIndex(idx));
             }
-            scratch.seen[idx] = true;
+            scratch.at[idx] = pos;
             if payload.len() != len {
                 return Err(FecError::UnequalShardLengths);
             }
         }
-        // Every entry is valid and indices are distinct, so the shards used
-        // for reconstruction are simply the first k in input order.
-        let use_shards = &shards[..self.k];
-        scratch.out.clear();
-        scratch.out.resize(self.k * len, 0);
-
-        // Fast path: if the k selected shards are exactly the data shards,
-        // no algebra is needed.
-        if use_shards.iter().all(|&(idx, _)| idx < self.k) {
-            for &(idx, payload) in use_shards {
-                scratch.out[idx * len..(idx + 1) * len].copy_from_slice(payload);
-            }
-            // All k data indices are distinct and < k, so all slots filled.
-            return Ok(RecoveredGroup {
-                flat: &scratch.out,
-                shard_len: len,
-            });
-        }
-
-        scratch.rows.clear();
-        scratch.rows.extend(use_shards.iter().map(|&(i, _)| i));
-        scratch.sub.select_rows_into(&self.generator, &scratch.rows);
-        if !scratch.sub.invert_into(&mut scratch.inv) {
-            return Err(FecError::SingularMatrix);
-        }
-
-        for data_row in 0..self.k {
-            let out_shard = &mut scratch.out[data_row * len..(data_row + 1) * len];
-            let coeffs = scratch.inv.row(data_row);
-            for (j, &(_, payload)) in use_shards.iter().enumerate() {
-                mul_acc_slice(out_shard, payload, coeffs[j]);
+        // Slots of packets not among the first k keep stale bytes, which
+        // reconstruct_flat never reads.
+        let (at, mut flat) = (mem::take(&mut scratch.at), mem::take(&mut scratch.flat));
+        flat.resize(self.n() * len, 0);
+        for (i, slot) in flat.chunks_exact_mut(len).enumerate() {
+            if at[i] < k {
+                slot.copy_from_slice(shards[at[i]].1);
             }
         }
+        let (data, parity) = flat.split_at_mut(k * len);
+        let rebuilt = self.reconstruct_flat(data, parity, len, |i| at[i] < k, scratch);
+        (scratch.at, scratch.flat) = (at, flat);
+        rebuilt?;
         Ok(RecoveredGroup {
-            flat: &scratch.out,
+            flat: &scratch.flat[..k * len],
             shard_len: len,
         })
     }
@@ -315,12 +326,11 @@ impl GroupCodec {
     /// `i` at offset `i · len`, `parity` is `h · len` bytes with parity
     /// packet `k + j` at offset `j · len`, and `have(i)` says which of the
     /// `k + h` packets are really there (the rest of either buffer is
-    /// never read).  Only the missing data packets are computed — from the
-    /// present data packets and the lowest-indexed present parity packets —
-    /// so a group that lost `e` packets costs one `k × k` inversion plus
-    /// `O(e · k · len)`, not the `O(k² · len)` of a full [`decode`].
-    ///
-    /// [`decode`]: GroupCodec::decode
+    /// never read).  Only the `e` missing data packets are computed — from
+    /// the present data packets and the `e` lowest-indexed present parity
+    /// packets — so a group that lost `e` packets costs one `e × e`
+    /// inversion plus `O(e · k · len)`, not the `O(k² · len)` of
+    /// rebuilding every data packet.
     pub fn reconstruct_flat(
         &self,
         data: &mut [u8],
@@ -329,59 +339,100 @@ impl GroupCodec {
         have: impl Fn(usize) -> bool,
         scratch: &mut DecodeScratch,
     ) -> Result<(), FecError> {
+        let k = self.k;
         if len == 0 {
             return Err(FecError::EmptyShards);
         }
-        if self.k.checked_mul(len) != Some(data.len()) {
+        if k.checked_mul(len) != Some(data.len()) {
             return Err(FecError::WrongShardCount {
-                expected: self.k,
+                what: "data packets",
+                expected: k,
                 got: data.len() / len,
             });
         }
-        scratch.rows.clear();
-        scratch.rows.extend((0..self.k).filter(|&i| have(i)));
-        if scratch.rows.len() == self.k {
+        let e = (0..k).filter(|&i| !have(i)).count();
+        if e == 0 {
             return Ok(());
         }
         if self.h.checked_mul(len) != Some(parity.len()) {
             return Err(FecError::WrongShardCount {
+                what: "parity packets",
                 expected: self.h,
                 got: parity.len() / len,
             });
         }
-        let short = self.k - scratch.rows.len();
-        scratch
-            .rows
-            .extend((self.k..self.n()).filter(|&i| have(i)).take(short));
-        if scratch.rows.len() < self.k {
+        let rows = &mut scratch.rows;
+        rows.clear();
+        rows.extend(0..k);
+        let stand_ins = (k..self.n()).filter(|&i| have(i));
+        for (lost, stand_in) in (0..k).filter(|&i| !have(i)).zip(stand_ins) {
+            rows[lost] = stand_in;
+        }
+        let covered = rows.iter().filter(|&&r| r >= k).count();
+        if covered < e {
             return Err(FecError::NotEnoughShards {
-                needed: self.k,
-                got: scratch.rows.len(),
+                needed: k,
+                got: k - e + covered,
             });
         }
-        scratch.sub.select_rows_into(&self.generator, &scratch.rows);
-        if !scratch.sub.invert_into(&mut scratch.inv) {
+        let packet = |i: usize| match i.checked_sub(k) {
+            None => &data[i * len..(i + 1) * len],
+            Some(j) => &parity[j * len..(j + 1) * len],
+        };
+        self.solve(scratch, len, packet)?;
+        let lost = (0..k).filter(|&i| scratch.rows[i] >= k);
+        for (i, packet) in lost.zip(scratch.out.chunks_exact(len)) {
+            data[i * len..(i + 1) * len].copy_from_slice(packet);
+        }
+        Ok(())
+    }
+
+    /// Solves for the lost data packets into `scratch.out`, `e × len`.
+    /// `scratch.rows[i]` is the packet feeding data slot `i` (see
+    /// [`DecodeScratch`]); with `M` the `e` slots fed by parity and `R`
+    /// those parity packets, only `A = W[R][M]` is inverted.  Since
+    /// `A · d_M = p_R + W[R][P] · d_P` over the present data `P`, lost
+    /// packet `M_q` is `Σ_r A⁻¹[q][r] · p_{R_r}` plus, for each present
+    /// `i`, `(Σ_r A⁻¹[q][r] · W[R_r][i]) · d_i`: rows `M` of the full
+    /// `k × k` inverse, which is unique, so every byte is what inverting
+    /// all `k` rows gives.  Each source packet is then read once, by one
+    /// [`mul_acc_rows`] call over the `e` rebuilt packets.
+    fn solve<'p>(
+        &self,
+        scratch: &mut DecodeScratch,
+        len: usize,
+        packet: impl Fn(usize) -> &'p [u8],
+    ) -> Result<(), FecError> {
+        let (k, rows) = (self.k, &scratch.rows);
+        let (sub, inv) = (&mut scratch.sub, &mut scratch.inv);
+        let lost = || (0..k).filter(|&i| rows[i] >= k);
+        let e = lost().count();
+        // `Aᵀ`, so that its inverse `(A⁻¹)ᵀ` holds column `r` of `A⁻¹`,
+        // the weights parity packet `R_r` gives the rebuilt packets, as a
+        // row.
+        sub.reset(e, e);
+        for (r, m) in lost().enumerate() {
+            for (q, stand_in) in lost().map(|i| rows[i]).enumerate() {
+                sub[(r, q)] = self.generator[(stand_in, m)];
+            }
+        }
+        if !sub.invert_into(inv) {
             return Err(FecError::SingularMatrix);
         }
-        for missing in (0..self.k).filter(|&i| !have(i)) {
-            let at = missing * len;
-            data[at..at + len].fill(0);
-            let coeffs = scratch.inv.row(missing);
-            for (&row, &coeff) in scratch.rows.iter().zip(coeffs) {
-                // Source and destination may be two packets of one buffer:
-                // split it between them.
-                let (out, src) = if row >= self.k {
-                    let from = (row - self.k) * len;
-                    (&mut data[at..at + len], &parity[from..from + len])
-                } else if row < missing {
-                    let (lo, hi) = data.split_at_mut(at);
-                    (&mut hi[..len], &lo[row * len..(row + 1) * len])
-                } else {
-                    let (lo, hi) = data.split_at_mut(row * len);
-                    (&mut lo[at..at + len], &hi[..len])
-                };
-                mul_acc_slice(out, src, coeff);
+        // The coefficients, `k × e`, in the inverted block's storage.
+        sub.reset(k, e);
+        for (r, m) in lost().enumerate() {
+            (0..e).for_each(|q| sub[(m, q)] = inv[(r, q)]);
+            for i in (0..k).filter(|&i| rows[i] < k) {
+                let w = self.generator[(rows[m], i)];
+                (0..e).for_each(|q| sub[(i, q)] += inv[(r, q)] * w);
             }
+        }
+        scratch.out.clear();
+        scratch.out.resize(e * len, 0);
+        for (i, &row) in rows.iter().enumerate() {
+            let coeffs = sub.row(i).iter().copied();
+            mul_acc_rows(scratch.out.chunks_exact_mut(len).zip(coeffs), packet(row));
         }
         Ok(())
     }
@@ -389,6 +440,7 @@ impl GroupCodec {
     fn check_data(&self, data: &[&[u8]]) -> Result<(), FecError> {
         if data.len() != self.k {
             return Err(FecError::WrongShardCount {
+                what: "data shards",
                 expected: self.k,
                 got: data.len(),
             });
@@ -578,6 +630,7 @@ mod tests {
         assert!(matches!(
             encode(&codec, &refs(&data)[..2], &mut parity).unwrap_err(),
             FecError::WrongShardCount {
+                what: "data shards",
                 expected: 3,
                 got: 2
             }
@@ -598,6 +651,7 @@ mod tests {
         assert!(matches!(
             encode(&codec, &refs(&data), &mut parity[..1]).unwrap_err(),
             FecError::WrongShardCount {
+                what: "parity buffers",
                 expected: 2,
                 got: 1
             }
@@ -680,6 +734,7 @@ mod tests {
         assert_eq!(
             codec.encode_flat(&mut [0; 32], 8).unwrap_err(),
             FecError::WrongShardCount {
+                what: "packets in the group",
                 expected: 5,
                 got: 4
             }
@@ -732,6 +787,7 @@ mod tests {
                 .reconstruct_flat(&mut whole[len..], parity, len, |_| true, &mut scratch)
                 .unwrap_err(),
             FecError::WrongShardCount {
+                what: "data packets",
                 expected: 4,
                 got: 3
             }
@@ -741,6 +797,7 @@ mod tests {
                 .reconstruct_flat(&mut whole, &parity[len..], len, |i| i > 0, &mut scratch)
                 .unwrap_err(),
             FecError::WrongShardCount {
+                what: "parity packets",
                 expected: 3,
                 got: 2
             }
@@ -754,6 +811,62 @@ mod tests {
         codec
             .reconstruct_flat(&mut whole, &[], len, |i| i < k, &mut scratch)
             .unwrap();
+    }
+
+    #[test]
+    fn wrong_shard_count_names_what_was_miscounted() {
+        let (codec, data) = (GroupCodec::new(3, 2).unwrap(), sample_data(3, 8));
+        let (d, mut parity) = (refs(&data), vec![vec![0u8; 8]; 2]);
+        let mut bufs: Vec<&mut [u8]> = parity.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let mut scratch = DecodeScratch::default();
+        let got = [
+            codec.encode_into(&d[..2], &mut bufs),
+            codec.encode_into(&d, &mut bufs[..1]),
+            codec.encode_shard_into(&d[..1], 3, &mut [0; 8]),
+            codec.encode_flat(&mut [0; 32], 8),
+            codec.reconstruct_flat(&mut [0; 16], &[0; 16], 8, |_| true, &mut scratch),
+            codec.reconstruct_flat(&mut [0; 24], &[0; 8], 8, |i| i > 0, &mut scratch),
+        ];
+        let want = [
+            "expected 3 data shards, got 2",
+            "expected 2 parity buffers, got 1",
+            "expected 3 data shards, got 1",
+            "expected 5 packets in the group, got 4",
+            "expected 3 data packets, got 2",
+            "expected 2 parity packets, got 1",
+        ];
+        for (got, want) in got.into_iter().zip(want) {
+            assert_eq!(got.unwrap_err().to_string(), want);
+        }
+    }
+
+    #[test]
+    fn scratch_keeps_its_capacities_after_the_largest_shape() {
+        let (k, h, len) = (16usize, 4usize, 48usize);
+        let codec = GroupCodec::new(k, h).unwrap();
+        let mut group = flat_group(&sample_data(k, len), h);
+        codec.encode_flat(&mut group, len).unwrap();
+        let (whole, parity) = group.split_at(k * len);
+        let packet = |i: usize| &group[i * len..(i + 1) * len];
+        let vecs = |s: &DecodeScratch| (s.at.capacity(), s.rows.capacity(), s.out.capacity());
+        let rest = |s: &DecodeScratch| (s.flat.capacity(), s.sub.capacity(), s.inv.capacity());
+        let caps = |s: &DecodeScratch| (vecs(s), rest(s));
+        let mut scratch = DecodeScratch::default();
+        let mut largest = None;
+        // The largest erasure count first, then mixed ones, both paths.
+        for e in [h, 0, 1, 3, 2, 4, 1, 0, 2] {
+            // Data packets e.. and the first e parity packets come first.
+            let shards: Vec<(usize, &[u8])> = (e..k + h).map(|i| (i, packet(i))).collect();
+            assert_eq!(codec.decode(&shards, &mut scratch).unwrap().flat(), whole);
+            let mut held = whole.to_vec();
+            held[..e * len].fill(0xA5);
+            codec
+                .reconstruct_flat(&mut held, parity, len, |i| i >= e, &mut scratch)
+                .unwrap();
+            assert_eq!(held, whole, "e={e}");
+            let now = caps(&scratch);
+            assert_eq!(*largest.get_or_insert(now), now, "e={e}");
+        }
     }
 
     #[test]

@@ -95,47 +95,49 @@ impl GroupEncoder {
         self.encode_split(object, cores())
     }
 
-    /// [`GroupEncoder::encode_object`] with the parity of its groups
-    /// computed in `ranges` contiguous ranges, one thread each.
+    /// [`GroupEncoder::encode_object`] with its groups filled and encoded
+    /// in `ranges` contiguous ranges, one thread each.
     fn encode_split(&self, object: &[u8], ranges: usize) -> Result<Vec<EncodedGroup>, FecError> {
         let len = self.payload_len;
-        let group_bytes = self.codec.k() * len;
-        let header = (object.len() as u64).to_le_bytes();
         let n_groups = self.groups_for(object.len());
-
-        let mut out = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            // This group's window `lo..lo + group_bytes` of the framed
-            // stream — header, object, zero padding — copied piecewise, so
-            // the stream itself is never materialized.  (The header spans
-            // several groups when a group is under 8 bytes.)
-            let lo = g * group_bytes;
-            let mut bytes = Vec::with_capacity(self.codec.n() * len);
-            if lo < FRAME_HEADER_LEN {
-                bytes.extend_from_slice(&header[lo..FRAME_HEADER_LEN.min(lo + group_bytes)]);
-            }
-            let from = lo.saturating_sub(FRAME_HEADER_LEN);
-            let to = (lo + group_bytes)
-                .saturating_sub(FRAME_HEADER_LEN)
-                .min(object.len());
-            if from < to {
-                bytes.extend_from_slice(&object[from..to]);
-            }
-            // Tail padding and the parity packets' space.
-            bytes.resize(self.codec.n() * len, 0);
-            out.push(EncodedGroup {
+        // Each group's buffer is only reserved here; its range's worker
+        // writes it.
+        let mut out: Vec<EncodedGroup> = (0..n_groups)
+            .map(|g| EncodedGroup {
                 group_id: g as u64,
                 payload_len: len,
-                bytes,
-            });
-        }
+                bytes: Vec::with_capacity(self.codec.n() * len),
+            })
+            .collect();
         let per = n_groups.div_ceil(ranges);
         split(out.chunks_mut(per), |groups| {
-            groups
-                .iter_mut()
-                .try_for_each(|g| self.codec.encode_flat(&mut g.bytes, len))
+            groups.iter_mut().try_for_each(|g| {
+                self.fill(&mut g.bytes, g.group_id as usize, object);
+                self.codec.encode_flat(&mut g.bytes, len)
+            })
         })?;
         Ok(out)
+    }
+
+    /// Writes group `g`'s window of the framed stream — header, object,
+    /// zero padding — into the empty `bytes`, then zeroes the parity
+    /// packets' space.  The stream itself is never materialized; the
+    /// header spans several groups when a group is under 8 bytes.
+    fn fill(&self, bytes: &mut Vec<u8>, g: usize, object: &[u8]) {
+        let group_bytes = self.codec.k() * self.payload_len;
+        let header = (object.len() as u64).to_le_bytes();
+        let lo = g * group_bytes;
+        if lo < FRAME_HEADER_LEN {
+            bytes.extend_from_slice(&header[lo..FRAME_HEADER_LEN.min(lo + group_bytes)]);
+        }
+        let from = lo.saturating_sub(FRAME_HEADER_LEN);
+        let to = (lo + group_bytes)
+            .saturating_sub(FRAME_HEADER_LEN)
+            .min(object.len());
+        if from < to {
+            bytes.extend_from_slice(&object[from..to]);
+        }
+        bytes.resize(self.codec.n() * self.payload_len, 0);
     }
 }
 

@@ -79,8 +79,10 @@ pub enum FecError {
         /// Requested number of parity packets.
         h: usize,
     },
-    /// The number of shards handed to encode/decode does not match `k`.
+    /// A codec call was handed the wrong number of shards or buffers.
     WrongShardCount {
+        /// What was counted: data shards, parity buffers, ….
+        what: &'static str,
         /// Shards expected.
         expected: usize,
         /// Shards received.
@@ -128,8 +130,12 @@ impl core::fmt::Display for FecError {
                 k + h,
                 MAX_GROUP
             ),
-            FecError::WrongShardCount { expected, got } => {
-                write!(f, "expected {expected} data shards, got {got}")
+            FecError::WrongShardCount {
+                what,
+                expected,
+                got,
+            } => {
+                write!(f, "expected {expected} {what}, got {got}")
             }
             FecError::UnequalShardLengths => write!(f, "all shards must have equal length"),
             FecError::EmptyShards => write!(f, "shards must be non-empty"),

@@ -247,6 +247,12 @@ impl Matrix {
         }
     }
 
+    /// Entries the storage holds without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Whether this matrix is the identity.
     pub fn is_identity(&self) -> bool {
         if self.rows != self.cols {

@@ -1,7 +1,8 @@
 //! An independent oracle for the codec: the generator `W = V · V_top⁻¹`
 //! built from the Vandermonde definition, and erasures solved by naive
 //! Gaussian elimination, all in scalar `Gf256` arithmetic (no slice kernel,
-//! no `Matrix`), held against `encode_flat` and `reconstruct_flat`.
+//! no `Matrix`), held against all four public paths: `encode_flat`,
+//! `encode_into`, `encode_shard_into`, and `reconstruct_flat` and `decode`.
 
 use proptest::prelude::*;
 use sharqfec_fec::codec::{DecodeScratch, GroupCodec};
@@ -63,12 +64,24 @@ proptest! {
             let dot = |b: usize| (0..k).map(|i| row[i] * Gf256(packet(i)[b])).sum::<Gf256>().0;
             prop_assert_eq!(packet(j), &(0..len).map(dot).collect::<Vec<u8>>()[..]);
         }
+        let data: Vec<&[u8]> = (0..k).map(packet).collect();
+        let mut parity = vec![vec![0x5A; len]; h];
+        let mut bufs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        codec.encode_into(&data, &mut bufs).unwrap();
+        prop_assert_eq!(&parity.concat()[..], &group[k * len..]);
+        let mut out = vec![0x5A; len];
+        for i in 0..k + h {
+            codec.encode_shard_into(&data, i, &mut out).unwrap();
+            prop_assert_eq!(&out[..], packet(i));
+        }
 
-        // Erase up to h packets, data or parity, and solve one equation
-        // per surviving packet for the k data packets' bytes.
+        // Erase up to h packets, data or parity (exactly h in a quarter of
+        // the cases), and solve one equation per surviving packet for the
+        // k data packets' bytes.
         let mut order: Vec<usize> = (0..k + h).collect();
         (1..k + h).rev().for_each(|i| order.swap(i, next() % (i + 1)));
-        let erased = &order[..next() % (h + 1)];
+        let count = if next() % 4 == 0 { h } else { next() % (h + 1) };
+        let (erased, survivors) = order.split_at(count);
         let have = |i: usize| !erased.contains(&i);
         let rows = (0..k + h).filter(|&i| have(i)).map(|i| {
             w[i].iter().copied().chain(packet(i).iter().map(|&b| Gf256(b))).collect()
@@ -76,14 +89,19 @@ proptest! {
         let want: Vec<u8> = solve(rows.collect(), k).concat().iter().map(|v| v.0).collect();
         prop_assert_eq!(&want[..], &group[..k * len]);
 
-        // The codec sees garbage where a packet was erased.
+        // decode takes the survivors in shuffled order, the first k used.
+        let shards: Vec<(usize, &[u8])> = survivors.iter().map(|&i| (i, packet(i))).collect();
+        let mut scratch = DecodeScratch::default();
+        prop_assert_eq!(codec.decode(&shards, &mut scratch).unwrap().flat(), &want[..]);
+
+        // reconstruct_flat sees garbage where a packet was erased.
         let (mut data, mut parity) = (group[..k * len].to_vec(), group[k * len..].to_vec());
         for &i in erased {
             let (buf, at) = if i < k { (&mut data, i) } else { (&mut parity, i - k) };
             buf[at * len..(at + 1) * len].fill(0xA5);
         }
         codec
-            .reconstruct_flat(&mut data, &parity, len, have, &mut DecodeScratch::default())
+            .reconstruct_flat(&mut data, &parity, len, have, &mut scratch)
             .unwrap();
         prop_assert_eq!(data, want);
     }

@@ -8,9 +8,16 @@
 //! The field is realised as `GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1)`, i.e.
 //! the irreducible polynomial `0x11D` used by Rizzo's `fec` library
 //! ("Effective Erasure Codes for Reliable Computer Communication
-//! Protocols", CCR 1997) which the paper builds on.  Multiplication and
-//! division are table-driven via discrete logarithms with respect to the
-//! generator `α = 0x02`, which is primitive for this polynomial.
+//! Protocols", CCR 1997) which the paper builds on.  The scalar product
+//! looks up two nibble tables; inverses and powers go through discrete
+//! logarithms with respect to the generator `α = 0x02`, which is primitive
+//! for this polynomial.
+//!
+//! The codec's inner loop is [`mul_acc_rows`]: `dst += c · src` for up to
+//! four `(dst, c)` rows per pass over `src`, by shift-and-add over 16-byte
+//! blocks that the baseline target vectorizes (SSE2, NEON) in safe Rust,
+//! each block's bit masks built once for all the rows.  [`mul_acc_slice`]
+//! is its one-row case and [`mul_slice`] the in-place product.
 //!
 //! # Example
 //!
@@ -248,8 +255,10 @@ impl Product for Gf256 {
     }
 }
 
-/// Bytes per block of the slice kernels: two 16-byte vector registers.
-const BLOCK: usize = 32;
+/// Bytes per block of the slice kernels: one 16-byte vector register, so
+/// four rows' accumulators, the source block and its mask fit the baseline
+/// target's sixteen.
+const BLOCK: usize = 16;
 
 /// `coeff · 2^7, coeff · 2^6, …, coeff`: the multiples [`mul_block`] adds,
 /// the field's reduction folded in once per call.
@@ -257,69 +266,90 @@ fn multiples(coeff: Gf256) -> [u8; 8] {
     core::array::from_fn(|j| (coeff * Gf256(0x80 >> j)).0)
 }
 
-/// `coeff · x` for every byte of a block, by shift-and-add: bit `7 - j` of
-/// each byte, moved into its sign bit by `j` doublings, selects
-/// `multiples[j]` under an all-ones or all-zeros mask.  Shifts, signed byte
-/// compares, ANDs and XORs over fixed-size arrays are what the baseline
-/// target's vector unit has (SSE2 on x86-64, NEON on aarch64), so this
-/// vectorizes with no byte shuffle and no table.
+/// `coeff · x` for every byte of a block and each of `R` coefficients, by
+/// shift-and-add: bit `7 - j` of each byte, moved into its sign bit by `j`
+/// doublings, is a mask built once that selects every row's
+/// `multiples[j]`.  Shifts, signed byte compares, ANDs and XORs over
+/// fixed-size arrays are what the baseline target's vector unit has (SSE2
+/// on x86-64, NEON on aarch64), so this vectorizes with no byte shuffle
+/// and no table.
 #[inline(always)]
-fn mul_block(mut x: [u8; BLOCK], multiples: &[u8; 8]) -> [u8; BLOCK] {
-    let mut acc = [0u8; BLOCK];
-    for &m in multiples {
-        for i in 0..BLOCK {
-            acc[i] ^= ((x[i] as i8) >> 7) as u8 & m;
-            x[i] = x[i].wrapping_add(x[i]);
+fn mul_block<const R: usize>(mut x: [u8; BLOCK], multiples: &[[u8; 8]; R]) -> [[u8; BLOCK]; R] {
+    let mut acc = [[0u8; BLOCK]; R];
+    for j in 0..8 {
+        let mask: [u8; BLOCK] = core::array::from_fn(|i| ((x[i] as i8) >> 7) as u8);
+        for (acc, m) in acc.iter_mut().zip(multiples) {
+            for i in 0..BLOCK {
+                acc[i] ^= mask[i] & m[j];
+            }
         }
+        x = x.map(|b| b.wrapping_add(b));
     }
     acc
 }
 
-/// Multiplies `dst[i] += coeff * src[i]` for whole slices.
-///
-/// This is the inner loop of Reed–Solomon encoding and decoding; it is kept
-/// here so both the encoder and the decoder share one audited
-/// implementation.  Whole 32-byte blocks go through the vectorized
-/// shift-and-add product; a shorter tail uses the scalar product.
+/// Multiplies `dst[i] += coeff * src[i]` for whole slices: one row of
+/// [`mul_acc_rows`].
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], coeff: Gf256) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "mul_acc_slice requires equal-length slices"
-    );
-    if coeff.is_zero() {
-        return;
-    }
-    if coeff == Gf256::ONE {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= *s;
+    mul_acc_rows([(dst, coeff)], src);
+}
+
+/// `dst[i] += coeff * src[i]` for every `(dst, coeff)` of `rows`.
+///
+/// This is the inner loop of Reed–Solomon encoding and decoding: a parity
+/// or rebuilt packet is one row, and one pass over a source packet feeds
+/// up to four rows, each 16-byte block's bit masks built once for all of
+/// them.  Whole blocks go through the vectorized shift-and-add product; a
+/// shorter tail uses the scalar product.  Rows with `coeff = 0` are
+/// skipped.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `src`'s.
+pub fn mul_acc_rows<'a>(rows: impl IntoIterator<Item = (&'a mut [u8], Gf256)>, src: &[u8]) {
+    let mut rows = rows
+        .into_iter()
+        .inspect(|(d, _)| assert_eq!(d.len(), src.len(), "mul_acc_rows: equal-length slices only"))
+        .filter(|(_, coeff)| !coeff.is_zero())
+        .fuse();
+    loop {
+        match [rows.next(), rows.next(), rows.next(), rows.next()] {
+            [Some(a), Some(b), Some(c), Some(d)] => acc_rows([a, b, c, d], src),
+            [Some(a), Some(b), Some(c), None] => return acc_rows([a, b, c], src),
+            [Some(a), Some(b), None, _] => return acc_rows([a, b], src),
+            [Some(a), None, ..] => return acc_rows([a], src),
+            [None, ..] => return,
         }
-        return;
     }
-    let m = multiples(coeff);
-    let mut dst_blocks = dst.chunks_exact_mut(BLOCK);
-    let mut src_blocks = src.chunks_exact(BLOCK);
-    for (d, s) in (&mut dst_blocks).zip(&mut src_blocks) {
+}
+
+/// [`mul_acc_rows`] for `R` rows at once.
+fn acc_rows<const R: usize>(rows: [(&mut [u8], Gf256); R], src: &[u8]) {
+    let coeffs = rows.each_ref().map(|&(_, c)| c);
+    let (m, mut dst) = (coeffs.map(multiples), rows.map(|(d, _)| d));
+    let whole = src.len() - src.len() % BLOCK;
+    for (at, s) in (0..whole).step_by(BLOCK).zip(src.chunks_exact(BLOCK)) {
         let p = mul_block(s.try_into().expect("exact chunk"), &m);
-        for i in 0..BLOCK {
-            d[i] ^= p[i];
+        for (d, p) in dst.iter_mut().zip(&p) {
+            let d = &mut d[at..at + BLOCK];
+            for i in 0..BLOCK {
+                d[i] ^= p[i];
+            }
         }
     }
-    let tails = dst_blocks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_blocks.remainder());
-    for (d, s) in tails {
-        *d ^= (coeff * Gf256(*s)).0;
+    for (d, c) in dst.iter_mut().zip(coeffs) {
+        for (d, s) in d[whole..].iter_mut().zip(&src[whole..]) {
+            *d ^= (c * Gf256(*s)).0;
+        }
     }
 }
 
 /// Multiplies a slice in place by a scalar: `dst[i] *= coeff`, by the same
-/// block product as [`mul_acc_slice`].
+/// block product as [`mul_acc_rows`].
 pub fn mul_slice(dst: &mut [u8], coeff: Gf256) {
     if coeff == Gf256::ONE {
         return;
@@ -328,10 +358,10 @@ pub fn mul_slice(dst: &mut [u8], coeff: Gf256) {
         dst.fill(0);
         return;
     }
-    let m = multiples(coeff);
+    let m = [multiples(coeff)];
     let mut blocks = dst.chunks_exact_mut(BLOCK);
     for d in &mut blocks {
-        let p = mul_block(d[..].try_into().expect("exact chunk"), &m);
+        let [p] = mul_block(d[..].try_into().expect("exact chunk"), &m);
         d.copy_from_slice(&p);
     }
     for d in blocks.into_remainder() {
@@ -523,6 +553,34 @@ mod tests {
                 assert_eq!(dst, expect, "coeff={coeff} len={len}");
             }
         }
+    }
+
+    #[test]
+    fn mul_acc_rows_matches_one_row_at_a_time() {
+        // 0-9 rows: whole fours and every remainder, with 0 and 1 among
+        // the coefficients at shifting positions.
+        let coeffs = [0, 1, 0x53, 0xCA, 2, 0xFF, 0x1D, 0x80, 7].map(Gf256);
+        for len in KERNEL_LENS {
+            let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            for n in 0..10 {
+                let c = |r: usize| coeffs[(r + n) % 9];
+                let dst = |r: usize| (0..len).map(|i| (i * 13 + r * 29 + 200) as u8).collect();
+                let mut want: Vec<Vec<u8>> = (0..n).map(dst).collect();
+                let mut got = want.clone();
+                (0..n).for_each(|r| mul_acc_slice(&mut want[r], &src, c(r)));
+                mul_acc_rows(
+                    got.iter_mut().map(Vec::as_mut_slice).zip((0..n).map(c)),
+                    &src,
+                );
+                assert_eq!(got, want, "rows={n} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn mul_acc_rows_rejects_length_mismatch_even_at_coefficient_zero() {
+        mul_acc_rows([(&mut [0u8; 4][..], Gf256::ZERO)], &[1, 2, 3]);
     }
 
     #[test]

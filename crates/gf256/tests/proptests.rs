@@ -1,7 +1,7 @@
 //! Property-based tests for the GF(2^8) field axioms.
 
 use proptest::prelude::*;
-use sharqfec_gf256::{mul_acc_slice, poly_eval, Gf256};
+use sharqfec_gf256::{mul_acc_rows, mul_acc_slice, poly_eval, Gf256};
 
 fn gf() -> impl Strategy<Value = Gf256> {
     any::<u8>().prop_map(Gf256)
@@ -96,6 +96,23 @@ proptest! {
         let mut got = dst;
         mul_acc_slice(&mut got, &src, c);
         prop_assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn mul_acc_rows_matches_mul_acc_slice(
+        (src, rows) in (0usize..200).prop_flat_map(|n| {
+            let bytes = move || proptest::collection::vec(any::<u8>(), n);
+            (bytes(), proptest::collection::vec(bytes(), 0..10))
+        }),
+        coeffs in proptest::collection::vec(gf(), 10),
+    ) {
+        let mut want = rows.clone();
+        for (row, &c) in want.iter_mut().zip(&coeffs) {
+            mul_acc_slice(row, &src, c);
+        }
+        let mut got = rows;
+        mul_acc_rows(got.iter_mut().map(Vec::as_mut_slice).zip(coeffs), &src);
+        prop_assert_eq!(got, want);
     }
 
     #[test]
