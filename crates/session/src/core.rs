@@ -14,10 +14,12 @@
 //!
 //! * the [`PeerTable`] of that zone — filled only while the node
 //!   *participates* there: its smallest zone, plus the parent zone of
-//!   every zone it is currently ZCR of;
+//!   every zone it is currently ZCR of.  Its slots are indexed by rank in
+//!   the zone's member list, read from the shared hierarchy, which is
+//!   passed to every table call;
 //! * the believed ZCR, the ZCR→parent-ZCR link distance, and the distances
 //!   its ancestor ZCR announced to peers in the parent zone (the "sibling
-//!   ZCR" table used for indirect estimation);
+//!   ZCR" table used for indirect estimation, a `Vec` sorted by peer id);
 //! * the loss reports heard there (§7 summarization), kept only at a seat
 //!   there or below: the two places a report is read;
 //! * election state: the last pending challenge and takeover timer.
@@ -27,7 +29,7 @@
 
 use crate::msg::{AncestorEntry, Announce, SessionMsg};
 use crate::reports::LossReport;
-use crate::rtt::PeerTable;
+use crate::rtt::{PeerState, PeerTable};
 use sharqfec_netsim::agent::TimerId;
 use sharqfec_netsim::probe::{ProbeEvent, ZcrAction};
 use sharqfec_netsim::{IdHashMap, NodeId, SimDuration, SimRng, SimTime};
@@ -175,8 +177,9 @@ struct Level {
     link_dist: Option<SimDuration>,
     /// One-way distances from *this level's ZCR* to peers in the parent
     /// zone, learned from the ZCR's announcements there (the sibling-ZCR
-    /// table for indirect estimation).
-    zcr_peer_dists: IdHashMap<NodeId, SimDuration>,
+    /// table for indirect estimation), sorted by peer id as the
+    /// announcement's entries are.
+    zcr_peer_dists: Vec<(NodeId, SimDuration)>,
     /// Echo state and RTT estimates for the peers heard in this zone.
     /// Updated only while the node participates here; a node that loses
     /// the seat below keeps the table (and its entries in
@@ -264,8 +267,8 @@ impl SessionCore {
                     zcr,
                     zcr_heard_at: SimTime::ZERO,
                     link_dist: None,
-                    zcr_peer_dists: IdHashMap::default(),
-                    table: PeerTable::new(),
+                    zcr_peer_dists: Vec::new(),
+                    table: PeerTable::default(),
                     reports: IdHashMap::default(),
                     my_dist_to_parent: None,
                     pending: None,
@@ -297,22 +300,14 @@ impl SessionCore {
     /// for the whole run, not per-receiver state.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        let map = |cap: usize, k: usize, v: usize| cap * (k + v + size_of::<u64>());
         let mut bytes = self.chain.capacity() * size_of::<ZoneId>()
             + self.levels.capacity() * size_of::<Level>()
             + self.seat_events.capacity() * size_of::<(usize, bool)>();
         for l in &self.levels {
-            bytes += map(
-                l.zcr_peer_dists.capacity(),
-                size_of::<NodeId>(),
-                size_of::<SimDuration>(),
-            );
+            bytes += l.zcr_peer_dists.capacity() * size_of::<(NodeId, SimDuration)>();
             bytes += l.table.state_bytes();
-            bytes += map(
-                l.reports.capacity(),
-                size_of::<NodeId>(),
-                size_of::<LossReport>(),
-            );
+            bytes += l.reports.capacity()
+                * (size_of::<NodeId>() + size_of::<LossReport>() + size_of::<u64>());
         }
         bytes
     }
@@ -403,7 +398,8 @@ impl SessionCore {
     /// Direct RTT estimate to a peer, searched across all participation
     /// tables (smallest zone first).
     pub fn direct_rtt(&self, peer: NodeId) -> Option<SimDuration> {
-        self.participating().find_map(|level| level.table.rtt(peer))
+        self.participating()
+            .find_map(|level| level.table.rtt(peer, &self.hier.zone(level.zone).members))
     }
 
     /// Largest direct RTT estimate (the paper's "most distant known
@@ -487,7 +483,7 @@ impl SessionCore {
             // (sibling-ZCR hop: my cum distance + ZCR-to-sibling + sender's
             // supplied distance).
             for l in 0..self.levels.len() {
-                if let Some(&sib) = self.levels[l].zcr_peer_dists.get(&e.zcr) {
+                if let Some(sib) = sibling_dist(&self.levels[l].zcr_peer_dists, e.zcr) {
                     if let Some(cum) = self.dist_to_ancestor(l) {
                         return Some((cum + sib + e.dist) * 2);
                     }
@@ -642,7 +638,7 @@ impl SessionCore {
             let zone = self.chain[l];
             let table = &mut self.levels[l].table;
             table.expire(cutoff);
-            let entries = table.entries(now);
+            let entries = table.entries(&self.hier.zone(zone).members, now);
             let zcr = self.levels[l].zcr;
             let zcr_to_parent = if zcr == Some(self.node) {
                 self.levels[l]
@@ -697,11 +693,17 @@ impl SessionCore {
     /// Trivially true before the first full window has elapsed (nobody
     /// can be declared stale that early).
     fn peer_fresh(&self, l: usize, peer: NodeId, now: SimTime) -> bool {
-        let last = self.levels[l]
-            .table
-            .state(peer)
+        let last = self
+            .peer_state(l, peer)
             .map_or(SimTime::ZERO, |p| p.last_recv_at);
         now.saturating_since(last) < LIVENESS_WINDOW
+    }
+
+    /// Echo state for `peer` in the table at chain level `l`.
+    fn peer_state(&self, l: usize, peer: NodeId) -> Option<&PeerState> {
+        self.levels[l]
+            .table
+            .state(peer, &self.hier.zone(self.chain[l]).members)
     }
 
     fn on_announce(&mut self, ctx: &mut dyn SessionCtx, src: NodeId, a: &Announce) {
@@ -727,10 +729,14 @@ impl SessionCore {
             level.reports.insert(src, r);
         }
 
-        // Participation table update (echo protocol): one table lookup for
-        // the sender, one binary search for this node's own line.
-        if participates {
-            let peer = level.table.heard(src, a.sent_at, now);
+        // Participation table update (echo protocol): the sender's slot by
+        // its rank in the zone's `members`, this node's own line by binary
+        // search.  The engine delivers no announcer outside `members` (zone
+        // channels are registered from them, joins go through
+        // `member_channels`); one that came anyway would be skipped.
+        let members = &self.hier.zone(a.zone).members;
+        let peer = participates.then(|| level.table.heard(src, members, a.sent_at, now));
+        if let Some(peer) = peer.flatten() {
             if let Ok(i) = a.entries.binary_search_by_key(&self.node, |e| e.peer) {
                 let me = &a.entries[i];
                 // RTT = (now − my original timestamp) − peer's hold time.
@@ -805,11 +811,17 @@ impl SessionCore {
                     .filter_map(|e| e.rtt_est.map(|rtt| (e.peer, rtt / 2))),
             );
             // link distance to the next ZCR up, if present in the table.
-            if let Some(&d) = upper.and_then(|u| below.zcr_peer_dists.get(&u)) {
+            if let Some(d) = upper.and_then(|u| sibling_dist(&below.zcr_peer_dists, u)) {
                 below.link_dist = Some(d);
             }
         }
     }
+}
+
+/// The distance to `peer` in a sibling-ZCR table, by binary search.
+fn sibling_dist(dists: &[(NodeId, SimDuration)], peer: NodeId) -> Option<SimDuration> {
+    let i = dists.binary_search_by_key(&peer, |&(p, _)| p).ok()?;
+    Some(dists[i].1)
 }
 
 impl core::fmt::Debug for SessionCore {
@@ -1111,6 +1123,26 @@ mod tests {
         core.on_msg(&mut ctx, n(4), &echo);
         assert_eq!(core.direct_rtt(n(4)), Some(ms(60)));
         assert_eq!(core.tracked_peer_count(), 1);
+    }
+
+    #[test]
+    fn an_announcer_outside_the_zone_leaves_the_table_alone() {
+        let (mut core, mut ctx) = started(5);
+        ctx.now = SimTime::from_millis(180);
+        let smallest = core.chain_zones()[0];
+        core.on_msg(&mut ctx, n(4), &announce(smallest, 150, 3, vec![]));
+        let now = ctx.now;
+        let table = |c: &SessionCore| {
+            c.levels[0]
+                .table
+                .entries(&c.hier.zone(smallest).members, now)
+        };
+        let before = table(&core);
+        // Node 1 is not a member of Z2 {3,4,5,6}: no slot, no panic.
+        let echo = announce(smallest, 150, 3, vec![line(5, 100, 20)]);
+        core.on_msg(&mut ctx, n(1), &echo);
+        assert_eq!((table(&core), core.tracked_peer_count()), (before, 1));
+        assert_eq!(core.direct_rtt(n(1)), None);
     }
 
     #[test]
@@ -1534,7 +1566,7 @@ mod tests {
         );
         assert_eq!(core.direct_rtt(n(4)), Some(ms(60)));
         assert_eq!(
-            core.levels[0].table.state(n(4)).map(|p| p.last_sent_at),
+            core.peer_state(0, n(4)).map(|p| p.last_sent_at),
             Some(SimTime::from_millis(170))
         );
         assert_eq!(core.tracked_peer_count(), 3);
@@ -1581,7 +1613,7 @@ mod tests {
         ctx.now = SimTime::from_secs(5);
         core.on_msg(&mut ctx, n(2), &announce(z1, 4_900, 1, vec![]));
         assert_eq!(
-            core.levels[1].table.state(n(2)).map(|p| p.last_recv_at),
+            core.peer_state(1, n(2)).map(|p| p.last_recv_at),
             Some(SimTime::from_millis(180))
         );
         // … nor expired: only participating levels are swept.

@@ -41,8 +41,10 @@ pub struct Announce {
     pub report: Option<LossReport>,
     /// Per-peer report lines, **sorted by strictly ascending peer id** —
     /// an invariant of the message, not a convention: a receiver finds its
-    /// own line by binary search ([`crate::rtt::PeerTable::entries`]
-    /// builds them so; `SessionCore` `debug_assert`s it on receipt).
+    /// own line by binary search, and a listener below copies the lines
+    /// into its sorted sibling-ZCR table.  [`crate::rtt::PeerTable::entries`]
+    /// builds them so without sorting, by walking its slots in member-rank
+    /// order; `SessionCore` `debug_assert`s it on receipt.
     pub entries: Vec<PeerEntry>,
 }
 
