@@ -1,6 +1,6 @@
 //! The injection-policy ablation grid (the `policy` subcommand).
 //!
-//! Three [`sharqfec::InjectionPolicy`] implementations — the paper's
+//! The three [`sharqfec::Policy`] variants — the paper's
 //! EWMA, the quantile tracker, and the TAROT-style optimizing
 //! controller — run the same workload over the Gilbert–Elliott burst
 //! ladder from `fault_sweep` (no faults: this grid isolates the

@@ -9,7 +9,7 @@
 use crate::config::SharqfecConfig;
 use crate::group::{GroupState, Phase};
 use crate::msg::SfMsg;
-use crate::policy::InjectionPolicy;
+use crate::policy::Policy;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 use sharqfec_scoping::{ZoneHierarchy, ZoneId};
@@ -74,7 +74,7 @@ fn tok_parts(token: u64) -> (u64, u32, usize) {
 
 /// Every group's state at one member, by group id: ids are dense, so the
 /// first group heard sizes the table in one allocation, walked in id order.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct GroupTable(Vec<Option<GroupState>>);
 
 impl GroupTable {
@@ -98,6 +98,7 @@ impl IndexMut<u32> for GroupTable {
 }
 
 /// The SHARQFEC protocol state machine for one session member.
+#[derive(Clone, Debug)]
 pub struct SfAgent {
     cfg: SharqfecConfig,
     role: Role,
@@ -114,7 +115,7 @@ pub struct SfAgent {
     groups: GroupTable,
     /// Sizes preemptive injection where this member is a level's ZCR
     /// (paper §4's EWMA by default; see [`crate::policy`]).
-    policy: Box<dyn InjectionPolicy>,
+    policy: Policy,
     /// Source only: next absolute data sequence number.
     next_seq: u32,
     /// Request-window constants C1 (`lo`) and C2 (`width`), optionally
@@ -528,23 +529,21 @@ impl SfAgent {
     const MAX_MEASURE_DEFERS: u8 = 8;
 
     /// Asks the policy how much FEC to inject into `level`'s zone for
-    /// group `g`, records the decision, and returns the clamped count.
+    /// group `g` (at most the group size, which the auditor checks),
+    /// records the decision, and returns the count.
     fn decide_injection(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) -> u32 {
         let pred = self.policy.predicted(level);
         let n = self.policy.injected(level, self.cfg.group_size) as u32;
-        // The budget invariant is the agent's to enforce; the auditor
-        // still flags a policy that tried to exceed it.
-        let chosen = n.min(self.cfg.group_size);
         ctx.probe(ProbeEvent::PolicyDecision {
-            policy: self.policy.name(),
+            policy: self.cfg.policy.name(),
             group: g,
             level: level as u32,
             pred,
-            target: self.policy.target(),
+            target: self.cfg.policy.target(),
             chosen: n,
             group_size: self.cfg.group_size,
         });
-        chosen
+        n
     }
 
     fn measure_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
@@ -871,7 +870,8 @@ impl Agent<SfMsg> for SfAgent {
         let mut bytes = size_of::<SfAgent>()
             + self.session.state_bytes()
             + self.chain.capacity() * size_of::<ZoneId>()
-            + self.groups.0.capacity() * size_of::<Option<GroupState>>();
+            + self.groups.0.capacity() * size_of::<Option<GroupState>>()
+            + self.policy.heap_bytes();
         for g in self.groups.0.iter().flatten() {
             bytes += g.heap_bytes();
         }
@@ -1197,6 +1197,26 @@ mod tests {
         assert_eq!(d.agent.missing(), 0);
         assert!(d.agent.complete() && d.agent.groups[last].complete());
         assert_eq!(d.agent.completion_time(), Some(SimTime::from_secs(9)));
+    }
+
+    /// A rig of a `Clone` agent forks: a copy taken mid-recovery (one loss,
+    /// one NACK sent) answers the same callbacks with the same actions.
+    #[test]
+    fn a_forked_rig_replays_identically() {
+        let mut d = receiver();
+        lose_one(&mut d, 0);
+        fire_request(&mut d, 0);
+        let mut fork = d.clone();
+        let drive = |d: &mut Rig<SfAgent>| {
+            let mut actions = fire_request(d, 0);
+            for (group, idx, k) in [(0, 1, 16), (1, 3, 16)] {
+                actions.extend(hear(d, 1, SfMsg::Data { group, idx, k }));
+            }
+            (format!("{actions:?}"), d.agent.missing())
+        };
+        let replay = drive(&mut d);
+        assert!(replay.0.contains("SetTimer") && replay.1 > 0);
+        assert_eq!(drive(&mut fork), replay);
     }
 
     #[test]

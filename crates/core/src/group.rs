@@ -11,7 +11,7 @@ use sharqfec_netsim::{SimDuration, SimTime};
 /// 10⁵–10⁶ receivers — wasted a heap table plus ~48 bytes of header on a
 /// set that fits in one or two machine words — kept inline, so only
 /// indices from 128 up reach the heap.  Iteration order is ascending.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct IndexBitset {
     inline: [u64; 2],
     spill: Vec<u64>,
@@ -101,7 +101,7 @@ pub struct ZoneState {
 /// the group.  The Local Loss Count (LLC) is the number of indices at or
 /// below the highest identifier known to exist that this member has not
 /// received — the quantity NACKs advertise and zones aggregate into ZLCs.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GroupState {
     /// Data packets in this group.
     pub k: u32,

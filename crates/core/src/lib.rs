@@ -43,6 +43,6 @@ pub use agent::{Role, SfAgent};
 pub use config::{SharqfecConfig, Variant};
 pub use msg::SfMsg;
 pub use policy::{
-    EwmaPolicy, InjectionPolicy, OptimizingPolicy, PercentilePolicy, PolicyConfig, PolicyKind,
+    EwmaPolicy, OptimizingPolicy, PercentilePolicy, Policy, PolicyConfig, PolicyKind,
 };
 pub use setup::{member_channels, setup_sharqfec_builder, setup_sharqfec_scenario_builder};

@@ -1,14 +1,13 @@
-//! Pluggable preemptive-injection sizing: the [`InjectionPolicy`] trait.
+//! Preemptive-injection sizing: the closed [`Policy`] enum.
 //!
 //! The paper sizes preemptive FEC with a fixed-gain EWMA of the measured
 //! ZLC (§4).  TAROT-style controllers reframe the same decision as an
 //! online optimization: predict the zone's loss process, then pick the
-//! smallest redundancy `h` that meets a delivery target.  This module
-//! extracts the decision behind a trait so the EWMA becomes one
-//! implementation among several:
+//! smallest redundancy `h` that meets a delivery target.  A [`Policy`] is
+//! one of three predictors, each a variant over its own state:
 //!
 //! * [`EwmaPolicy`] — the paper's predictor, bit-identical to the
-//!   pre-trait hard-coded path.
+//!   original hard-coded agent path.
 //! * [`PercentilePolicy`] — a quantile of the recent ZLC history held in
 //!   a bounded ring buffer; conservative tail-tracking without EWMA lag.
 //! * [`OptimizingPolicy`] — a Gilbert–Elliott-aware controller: it
@@ -18,107 +17,139 @@
 //!   residual-loss probability meets a configurable delivery target.
 //!
 //! Policies are fed by the agent's existing evidence path: ZLC
-//! measurements ([`InjectionPolicy::on_zlc_measurement`], the same
-//! observation the probe layer records as `ProbeEvent::ZlcUpdate`) and
-//! NACK arrivals ([`InjectionPolicy::on_nack`]).  ZCR seat changes from
-//! the session layer reach [`InjectionPolicy::on_seat_change`] so a
-//! policy can discard history collected while it was not responsible for
-//! a zone.  Every decision is recorded as `ProbeEvent::PolicyDecision`
-//! and audited against `chosen h ≤ group_size`.
+//! measurements ([`Policy::on_zlc_measurement`], the same observation
+//! the probe layer records as `ProbeEvent::ZlcUpdate`) and NACK arrivals
+//! ([`Policy::on_nack`]).  ZCR seat changes from the session layer reach
+//! [`Policy::on_seat_change`] so a policy can discard history collected
+//! while it was not responsible for a zone.  Every decision is recorded
+//! as `ProbeEvent::PolicyDecision` and audited against
+//! `chosen h ≤ group_size`.
 
-/// Sizes preemptive FEC injection for the zones one member represents.
-///
-/// Levels index the member's zone chain (smallest zone first), matching
-/// the agent's `chain`.  Implementations must be deterministic: the
-/// engine replays runs bit-identically and policies hold no clock or RNG.
-/// `Send` is a supertrait because policies live inside agents, which the
-/// sharded engine moves to worker threads; policies are plain
-/// deterministic state machines, so this costs implementations nothing.
-pub trait InjectionPolicy: Send {
-    /// Stable short name recorded in `ProbeEvent::PolicyDecision` and
-    /// accepted by [`PolicyConfig::named`].
-    fn name(&self) -> &'static str;
+use std::collections::VecDeque;
 
+/// Sizes preemptive FEC injection for the zones one member represents,
+/// built by [`PolicyConfig::build`].  Levels index the member's zone chain
+/// (smallest zone first).  Every variant is deterministic plain data (no
+/// clock, no RNG), so an agent holding one can be cloned.
+#[derive(Clone, Debug)]
+pub enum Policy {
+    /// The paper's fixed-gain EWMA.
+    Ewma(EwmaPolicy),
+    /// A quantile of the recent ZLC history.
+    Percentile(PercentilePolicy),
+    /// The smallest `h` meeting a delivery target.
+    Optimizing(OptimizingPolicy),
+}
+
+impl Policy {
     /// Folds one ZLC measurement — the worst residual repair demand any
     /// NACK in the zone advertised for a group, observed ~2.5 RTT after
     /// the group completed — into the predictor for `level`.
-    fn on_zlc_measurement(&mut self, level: usize, observed: f64);
-
-    /// A NACK for `needed` repairs reached this member at `level`.
-    /// Default: ignored (the EWMA only consumes settled measurements).
-    fn on_nack(&mut self, level: usize, needed: u32) {
-        let _ = (level, needed);
+    pub fn on_zlc_measurement(&mut self, level: usize, observed: f64) {
+        match self {
+            Policy::Ewma(p) => p.pred[level] += p.gain * (observed - p.pred[level]),
+            Policy::Percentile(p) => p.hist[level].push(p.window, observed),
+            Policy::Optimizing(p) => {
+                let st = &mut p.levels[level];
+                // Reconstruct the round's gross demand: what the zone
+                // still asked for on top of what we had already injected
+                // for the group this measurement settles (FIFO pairing —
+                // injections and measurements both proceed in group
+                // order).
+                let own = st.pending_h.pop_front().unwrap_or(0);
+                st.demands.push(p.window, observed + own as f64);
+            }
+        }
     }
 
-    /// This member gained (`is_zcr`) or lost the ZCR seat at `level`.
-    /// Default: ignored.  History-bearing policies reset the level so a
-    /// freshly elected ZCR does not act on another era's evidence.
-    fn on_seat_change(&mut self, level: usize, is_zcr: bool) {
-        let _ = (level, is_zcr);
+    /// A NACK for `needed` repairs reached this member at `level`.  The
+    /// optimizing controller folds it in as a floor on its next
+    /// decision; the others only consume settled measurements.
+    pub fn on_nack(&mut self, level: usize, needed: u32) {
+        if let Policy::Optimizing(p) = self {
+            let st = &mut p.levels[level];
+            st.nack_floor = st.nack_floor.max(needed);
+        }
+    }
+
+    /// This member gained (`is_zcr`) or lost the ZCR seat at `level`.  A
+    /// gained seat resets the history-bearing policies' level: a fresh
+    /// seat must not inherit demand observed from the vantage point of a
+    /// different (or failed) representative.  The EWMA ignores seats.
+    pub fn on_seat_change(&mut self, level: usize, is_zcr: bool) {
+        match self {
+            Policy::Percentile(p) if is_zcr => p.hist[level] = Ring::default(),
+            Policy::Optimizing(p) if is_zcr => p.levels[level] = OptLevel::default(),
+            _ => {}
+        }
     }
 
     /// Current loss prediction for `level` (diagnostics, probes, and the
     /// `ZlcUpdate` event).
-    fn predicted(&self, level: usize) -> f64;
+    pub fn predicted(&self, level: usize) -> f64 {
+        match self {
+            Policy::Ewma(p) => p.pred[level],
+            Policy::Percentile(p) => p.quantile_of(level),
+            Policy::Optimizing(p) => p
+                .loss_model(level)
+                .map_or(p.initial_h as f64, |(l, b)| l * b),
+        }
+    }
 
     /// The number of FEC packets to inject preemptively into `level`'s
-    /// zone for a freshly completed group.  Must not exceed
-    /// `group_size`; the agent clamps and the auditor flags violations.
-    fn injected(&mut self, level: usize, group_size: u32) -> usize;
+    /// zone for a freshly completed group, at most `group_size`: the
+    /// rounded prediction for the EWMA and the quantile tracker; the
+    /// optimizing controller's modeled `h`, raised to any NACK floor and
+    /// clamped to `max_h`.
+    pub fn injected(&mut self, level: usize, group_size: u32) -> usize {
+        let Policy::Optimizing(p) = self else {
+            let n = self.predicted(level).round().max(0.0) as u32;
+            return n.min(group_size) as usize;
+        };
+        let h = p.model_h(level);
+        let st = &mut p.levels[level];
+        let floor = std::mem::take(&mut st.nack_floor);
+        let h = h.max(floor).min(p.max_h).min(group_size);
+        st.pending_h.push_back(h);
+        // Bound the FIFO: measurements for very late groups can be
+        // skipped entirely (audit path), so stale entries must not pile
+        // up and skew reconstruction forever.
+        if st.pending_h.len() > p.window {
+            st.pending_h.pop_front();
+        }
+        h as usize
+    }
 
-    /// The delivery/coverage target this policy steers toward, or `0.0`
-    /// when the policy is not target-driven (recorded in
-    /// `ProbeEvent::PolicyDecision`).
-    fn target(&self) -> f64 {
-        0.0
+    /// Heap bytes the policy retains: its per-level state and the
+    /// history buffers inside it.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let f64s = |n: usize| n * size_of::<f64>();
+        match self {
+            Policy::Ewma(p) => f64s(p.pred.capacity()),
+            Policy::Percentile(p) => {
+                let rings = p.hist.iter().map(|r| f64s(r.buf.capacity()));
+                p.hist.capacity() * size_of::<Ring>() + rings.sum::<usize>()
+            }
+            Policy::Optimizing(p) => {
+                let level = |l: &OptLevel| {
+                    f64s(l.demands.buf.capacity()) + l.pending_h.capacity() * size_of::<u32>()
+                };
+                let levels = p.levels.iter().map(level).sum::<usize>();
+                p.levels.capacity() * size_of::<OptLevel>() + levels
+            }
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// EwmaPolicy — the paper's §4 predictor.
-// ---------------------------------------------------------------------------
-
 /// The paper's fixed-gain EWMA: `pred += gain · (observed − pred)`,
 /// injecting `round(pred)` packets.  Selected by default; bit-identical
-/// to the pre-trait hard-coded agent path.
+/// to the original hard-coded agent path.
 #[derive(Clone, Debug)]
 pub struct EwmaPolicy {
     gain: f64,
     pred: Vec<f64>,
 }
-
-impl EwmaPolicy {
-    /// An EWMA predictor over `levels` chain levels.
-    pub fn new(gain: f64, initial_pred: f64, levels: usize) -> EwmaPolicy {
-        EwmaPolicy {
-            gain,
-            pred: vec![initial_pred; levels],
-        }
-    }
-}
-
-impl InjectionPolicy for EwmaPolicy {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-
-    fn on_zlc_measurement(&mut self, level: usize, observed: f64) {
-        self.pred[level] += self.gain * (observed - self.pred[level]);
-    }
-
-    fn predicted(&self, level: usize) -> f64 {
-        self.pred[level]
-    }
-
-    fn injected(&mut self, level: usize, group_size: u32) -> usize {
-        let n = self.pred[level].round().max(0.0) as u32;
-        n.min(group_size) as usize
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PercentilePolicy — quantile of recent ZLC history.
-// ---------------------------------------------------------------------------
 
 /// Per-level bounded history ring.
 #[derive(Clone, Debug, Default)]
@@ -135,11 +166,6 @@ impl Ring {
             self.buf[self.next] = v;
             self.next = (self.next + 1) % window;
         }
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
     }
 }
 
@@ -158,25 +184,6 @@ pub struct PercentilePolicy {
 }
 
 impl PercentilePolicy {
-    /// A quantile predictor over `levels` chain levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `quantile` is outside `[0, 1]` or `window` is zero.
-    pub fn new(quantile: f64, window: usize, initial_pred: f64, levels: usize) -> PercentilePolicy {
-        assert!(
-            (0.0..=1.0).contains(&quantile),
-            "quantile must lie in [0,1]"
-        );
-        assert!(window > 0, "history window must be positive");
-        PercentilePolicy {
-            quantile,
-            window,
-            initial_pred,
-            hist: vec![Ring::default(); levels],
-        }
-    }
-
     /// The quantile of a level's history by linear interpolation on the
     /// sorted samples at rank `q·(n−1)`; `initial_pred` when empty.
     fn quantile_of(&self, level: usize) -> f64 {
@@ -194,41 +201,6 @@ impl PercentilePolicy {
     }
 }
 
-impl InjectionPolicy for PercentilePolicy {
-    fn name(&self) -> &'static str {
-        "percentile"
-    }
-
-    fn on_zlc_measurement(&mut self, level: usize, observed: f64) {
-        self.hist[level].push(self.window, observed);
-    }
-
-    fn on_seat_change(&mut self, level: usize, is_zcr: bool) {
-        if is_zcr {
-            // A fresh seat must not inherit demand observed from the
-            // vantage point of a different (or failed) representative.
-            self.hist[level].clear();
-        }
-    }
-
-    fn predicted(&self, level: usize) -> f64 {
-        self.quantile_of(level)
-    }
-
-    fn injected(&mut self, level: usize, group_size: u32) -> usize {
-        let n = self.quantile_of(level).round().max(0.0) as u32;
-        n.min(group_size) as usize
-    }
-
-    fn target(&self) -> f64 {
-        self.quantile
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OptimizingPolicy — TAROT-style smallest-h-meeting-a-target controller.
-// ---------------------------------------------------------------------------
-
 /// Per-level state for the optimizing controller.
 #[derive(Clone, Debug, Default)]
 struct OptLevel {
@@ -237,7 +209,7 @@ struct OptLevel {
     /// Elliott style sequence of per-group demand observations.
     demands: Ring,
     /// FIFO of h values injected but not yet matched to a measurement.
-    pending_h: Vec<u32>,
+    pending_h: VecDeque<u32>,
     /// Worst shortfall advertised by a NACK since the last injection —
     /// a reactive floor under the model-chosen h, consumed on use.
     nack_floor: u32,
@@ -277,33 +249,6 @@ pub struct OptimizingPolicy {
 }
 
 impl OptimizingPolicy {
-    /// An optimizing controller over `levels` chain levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delivery_target` is outside `(0, 1]` or `window` is
-    /// zero.
-    pub fn new(
-        delivery_target: f64,
-        window: usize,
-        max_h: u32,
-        initial_h: u32,
-        levels: usize,
-    ) -> OptimizingPolicy {
-        assert!(
-            delivery_target > 0.0 && delivery_target <= 1.0,
-            "delivery target must lie in (0,1]"
-        );
-        assert!(window > 0, "demand window must be positive");
-        OptimizingPolicy {
-            delivery_target,
-            window,
-            max_h,
-            initial_h,
-            levels: vec![OptLevel::default(); levels],
-        }
-    }
-
     /// `(p_loss, b)` for a level: loss-round frequency and mean clip.
     fn loss_model(&self, level: usize) -> Option<(f64, f64)> {
         let buf = &self.levels[level].demands.buf;
@@ -350,68 +295,6 @@ impl OptimizingPolicy {
         h.ceil().max(0.0) as u32
     }
 }
-
-impl InjectionPolicy for OptimizingPolicy {
-    fn name(&self) -> &'static str {
-        "optimizing"
-    }
-
-    fn on_zlc_measurement(&mut self, level: usize, observed: f64) {
-        let window = self.window;
-        let st = &mut self.levels[level];
-        // Reconstruct the round's gross demand: what the zone still
-        // asked for on top of what we had already injected for the
-        // group this measurement settles (FIFO pairing — injections and
-        // measurements both proceed in group order).
-        let own = if st.pending_h.is_empty() {
-            0
-        } else {
-            st.pending_h.remove(0)
-        };
-        st.demands.push(window, observed + own as f64);
-    }
-
-    fn on_nack(&mut self, level: usize, needed: u32) {
-        let st = &mut self.levels[level];
-        st.nack_floor = st.nack_floor.max(needed);
-    }
-
-    fn on_seat_change(&mut self, level: usize, is_zcr: bool) {
-        if is_zcr {
-            self.levels[level] = OptLevel::default();
-        }
-    }
-
-    fn predicted(&self, level: usize) -> f64 {
-        match self.loss_model(level) {
-            Some((p_loss, b)) => p_loss * b,
-            None => self.initial_h as f64,
-        }
-    }
-
-    fn injected(&mut self, level: usize, group_size: u32) -> usize {
-        let h = self.model_h(level);
-        let st = &mut self.levels[level];
-        let floor = std::mem::take(&mut st.nack_floor);
-        let h = h.max(floor).min(self.max_h).min(group_size);
-        st.pending_h.push(h);
-        // Bound the FIFO: measurements for very late groups can be
-        // skipped entirely (audit path), so stale entries must not pile
-        // up and skew reconstruction forever.
-        if st.pending_h.len() > self.window {
-            st.pending_h.remove(0);
-        }
-        h as usize
-    }
-
-    fn target(&self) -> f64 {
-        self.delivery_target
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Configuration.
-// ---------------------------------------------------------------------------
 
 /// Which predictor a [`PolicyConfig`] builds, with its parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -519,13 +402,26 @@ impl PolicyConfig {
         }
     }
 
-    /// The stable name of the configured kind (matches
-    /// [`InjectionPolicy::name`]).
+    /// The stable name of the configured kind, recorded in
+    /// `ProbeEvent::PolicyDecision` and accepted by [`PolicyConfig::named`].
     pub fn name(&self) -> &'static str {
         match self.kind {
             PolicyKind::Ewma { .. } => "ewma",
             PolicyKind::Percentile { .. } => "percentile",
             PolicyKind::Optimizing { .. } => "optimizing",
+        }
+    }
+
+    /// The delivery/coverage target the configured kind steers toward,
+    /// or `0.0` for the EWMA, which is not target-driven (recorded in
+    /// `ProbeEvent::PolicyDecision`).
+    pub fn target(&self) -> f64 {
+        match self.kind {
+            PolicyKind::Ewma { .. } => 0.0,
+            PolicyKind::Percentile { quantile: t, .. } => t,
+            PolicyKind::Optimizing {
+                delivery_target: t, ..
+            } => t,
         }
     }
 
@@ -575,33 +471,39 @@ impl PolicyConfig {
 
     /// Builds the configured policy for a member with `levels` chain
     /// levels.
-    pub fn build(&self, levels: usize) -> Box<dyn InjectionPolicy> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`PolicyConfig::validate`] does.
+    pub fn build(&self, levels: usize) -> Policy {
+        self.validate();
         match self.kind {
-            PolicyKind::Ewma { gain, initial_pred } => {
-                Box::new(EwmaPolicy::new(gain, initial_pred, levels))
-            }
+            PolicyKind::Ewma { gain, initial_pred } => Policy::Ewma(EwmaPolicy {
+                gain,
+                pred: vec![initial_pred; levels],
+            }),
             PolicyKind::Percentile {
                 quantile,
                 window,
                 initial_pred,
-            } => Box::new(PercentilePolicy::new(
+            } => Policy::Percentile(PercentilePolicy {
                 quantile,
                 window,
                 initial_pred,
-                levels,
-            )),
+                hist: vec![Ring::default(); levels],
+            }),
             PolicyKind::Optimizing {
                 delivery_target,
                 window,
                 max_h,
                 initial_h,
-            } => Box::new(OptimizingPolicy::new(
+            } => Policy::Optimizing(OptimizingPolicy {
                 delivery_target,
                 window,
                 max_h,
                 initial_h,
-                levels,
-            )),
+                levels: vec![OptLevel::default(); levels],
+            }),
         }
     }
 }
@@ -610,9 +512,40 @@ impl PolicyConfig {
 mod tests {
     use super::*;
 
+    /// A policy of `kind` over `levels` chain levels, built (and
+    /// validated) the way an agent builds its own.
+    fn build(kind: PolicyKind, levels: usize) -> Policy {
+        let mut cfg = PolicyConfig::ewma();
+        cfg.kind = kind;
+        cfg.build(levels)
+    }
+
+    fn ewma(gain: f64, initial_pred: f64, levels: usize) -> Policy {
+        build(PolicyKind::Ewma { gain, initial_pred }, levels)
+    }
+
+    fn percentile(quantile: f64, window: usize, initial_pred: f64, levels: usize) -> Policy {
+        let kind = PolicyKind::Percentile {
+            quantile,
+            window,
+            initial_pred,
+        };
+        build(kind, levels)
+    }
+
+    fn optimizing(target: f64, window: usize, max_h: u32, initial_h: u32, levels: usize) -> Policy {
+        let kind = PolicyKind::Optimizing {
+            delivery_target: target,
+            window,
+            max_h,
+            initial_h,
+        };
+        build(kind, levels)
+    }
+
     #[test]
     fn ewma_matches_the_papers_fold() {
-        let mut p = EwmaPolicy::new(0.25, 1.0, 2);
+        let mut p = ewma(0.25, 1.0, 2);
         // pred = 1.0 → observe 5 → 1 + 0.25·(5−1) = 2.0
         p.on_zlc_measurement(0, 5.0);
         assert_eq!(p.predicted(0), 2.0);
@@ -626,7 +559,7 @@ mod tests {
 
     #[test]
     fn ewma_decays_toward_zero_on_clean_measurements() {
-        let mut p = EwmaPolicy::new(0.25, 4.0, 1);
+        let mut p = ewma(0.25, 4.0, 1);
         for _ in 0..16 {
             p.on_zlc_measurement(0, 0.0);
         }
@@ -636,14 +569,14 @@ mod tests {
 
     #[test]
     fn percentile_empty_history_uses_initial_pred() {
-        let mut p = PercentilePolicy::new(0.9, 16, 3.0, 1);
+        let mut p = percentile(0.9, 16, 3.0, 1);
         assert_eq!(p.predicted(0), 3.0);
         assert_eq!(p.injected(0, 16), 3);
     }
 
     #[test]
     fn percentile_all_equal_samples_returns_the_sample() {
-        let mut p = PercentilePolicy::new(0.5, 8, 1.0, 1);
+        let mut p = percentile(0.5, 8, 1.0, 1);
         for _ in 0..20 {
             p.on_zlc_measurement(0, 7.0);
         }
@@ -654,8 +587,8 @@ mod tests {
     #[test]
     fn percentile_quantile_zero_and_one_are_min_and_max() {
         let samples = [4.0, 1.0, 9.0, 2.0];
-        let mut lo = PercentilePolicy::new(0.0, 16, 0.0, 1);
-        let mut hi = PercentilePolicy::new(1.0, 16, 0.0, 1);
+        let mut lo = percentile(0.0, 16, 0.0, 1);
+        let mut hi = percentile(1.0, 16, 0.0, 1);
         for s in samples {
             lo.on_zlc_measurement(0, s);
             hi.on_zlc_measurement(0, s);
@@ -667,7 +600,7 @@ mod tests {
     #[test]
     fn percentile_interpolates_between_ranks() {
         // Sorted: [0, 10]; q=0.75 → rank 0.75 → 7.5.
-        let mut p = PercentilePolicy::new(0.75, 16, 0.0, 1);
+        let mut p = percentile(0.75, 16, 0.0, 1);
         p.on_zlc_measurement(0, 10.0);
         p.on_zlc_measurement(0, 0.0);
         assert_eq!(p.predicted(0), 7.5);
@@ -675,7 +608,7 @@ mod tests {
 
     #[test]
     fn percentile_window_evicts_oldest() {
-        let mut p = PercentilePolicy::new(1.0, 4, 0.0, 1);
+        let mut p = percentile(1.0, 4, 0.0, 1);
         p.on_zlc_measurement(0, 50.0);
         for _ in 0..4 {
             p.on_zlc_measurement(0, 2.0);
@@ -686,7 +619,7 @@ mod tests {
 
     #[test]
     fn percentile_seat_gain_clears_history() {
-        let mut p = PercentilePolicy::new(1.0, 16, 1.0, 2);
+        let mut p = percentile(1.0, 16, 1.0, 2);
         p.on_zlc_measurement(0, 9.0);
         p.on_zlc_measurement(1, 9.0);
         p.on_seat_change(0, true);
@@ -697,7 +630,7 @@ mod tests {
 
     #[test]
     fn optimizing_clean_history_chooses_zero() {
-        let mut p = OptimizingPolicy::new(0.75, 32, 16, 1, 1);
+        let mut p = optimizing(0.75, 32, 16, 1, 1);
         // Initial h before evidence:
         assert_eq!(p.injected(0, 16), 1);
         for _ in 0..10 {
@@ -712,7 +645,7 @@ mod tests {
 
     #[test]
     fn optimizing_persistent_bursts_raise_h() {
-        let mut p = OptimizingPolicy::new(0.9, 32, 16, 0, 1);
+        let mut p = optimizing(0.9, 32, 16, 0, 1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 6.0);
         }
@@ -724,7 +657,7 @@ mod tests {
 
     #[test]
     fn optimizing_reconstructs_gross_demand_past_own_injection() {
-        let mut p = OptimizingPolicy::new(0.9, 32, 16, 4, 1);
+        let mut p = optimizing(0.9, 32, 16, 4, 1);
         // Round trip: inject 4, then the measurement reads 0 because our
         // own injection covered the zone.  Gross demand is 4, not 0 —
         // the policy must keep injecting rather than concluding "clean".
@@ -738,7 +671,7 @@ mod tests {
 
     #[test]
     fn optimizing_nack_floor_is_consumed_once() {
-        let mut p = OptimizingPolicy::new(0.75, 32, 16, 0, 1);
+        let mut p = optimizing(0.75, 32, 16, 0, 1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 0.0); // model says 0
         }
@@ -750,12 +683,12 @@ mod tests {
 
     #[test]
     fn optimizing_clamps_to_max_h_and_group_size() {
-        let mut p = OptimizingPolicy::new(1.0, 32, 6, 0, 1);
+        let mut p = optimizing(1.0, 32, 6, 0, 1);
         for _ in 0..4 {
             p.on_zlc_measurement(0, 40.0);
         }
         assert_eq!(p.injected(0, 16), 6); // max_h
-        let mut q = OptimizingPolicy::new(1.0, 32, 64, 0, 1);
+        let mut q = optimizing(1.0, 32, 64, 0, 1);
         for _ in 0..4 {
             q.on_zlc_measurement(0, 40.0);
         }
@@ -764,7 +697,7 @@ mod tests {
 
     #[test]
     fn optimizing_seat_gain_resets_the_level() {
-        let mut p = OptimizingPolicy::new(0.9, 32, 16, 2, 1);
+        let mut p = optimizing(0.9, 32, 16, 2, 1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 8.0);
         }
@@ -775,11 +708,11 @@ mod tests {
 
     #[test]
     fn config_names_round_trip() {
-        for name in ["ewma", "percentile", "optimizing"] {
+        for (name, target) in [("ewma", 0.0), ("percentile", 0.95), ("optimizing", 0.75)] {
             let cfg = PolicyConfig::named(name).expect("known policy");
-            assert_eq!(cfg.name(), name);
-            cfg.validate();
-            assert_eq!(cfg.build(3).name(), name);
+            assert_eq!((cfg.name(), cfg.target()), (name, target));
+            let built = format!("{:?}", cfg.build(3)).to_lowercase();
+            assert!(built.starts_with(name), "{name} built {built}");
         }
         assert_eq!(PolicyConfig::named("fixed"), None);
     }

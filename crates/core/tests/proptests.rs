@@ -1,14 +1,12 @@
 //! Property-based tests for the injection-policy layer: under arbitrary
 //! interleavings of loss evidence (ZLC measurements, NACKs, seat
 //! changes), no policy ever asks to inject more than the group size, and
-//! predictions stay finite.  This is the trait-level counterpart of the
+//! predictions stay finite.  This is the policy-level counterpart of the
 //! auditor's `chosen h ≤ group_size` invariant on `PolicyDecision`
 //! probes.
 
 use proptest::prelude::*;
-use sharqfec::{
-    EwmaPolicy, InjectionPolicy, OptimizingPolicy, PercentilePolicy, PolicyConfig, PolicyKind,
-};
+use sharqfec::{PolicyConfig, PolicyKind};
 
 const LEVELS: usize = 3;
 
@@ -30,19 +28,29 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Every configurable policy, spanning the constructor parameter space.
-fn policies() -> impl Strategy<Value = Box<dyn InjectionPolicy>> {
+/// Every configurable policy kind, spanning the valid parameter space; a
+/// delivery target of exactly 1.0 (the optimizing controller's worst-demand
+/// fallback) has an arm of its own, as `0.0..1.0` never draws it.
+fn policies() -> impl Strategy<Value = PolicyKind> {
+    let target = prop_oneof![0.0f64..1.0, Just(1.0)];
     prop_oneof![
-        (0.01f64..1.0, 0.0f64..8.0).prop_map(|(gain, init)| {
-            Box::new(EwmaPolicy::new(gain, init, LEVELS)) as Box<dyn InjectionPolicy>
+        (0.01f64..1.0, 0.0f64..8.0)
+            .prop_map(|(gain, initial_pred)| PolicyKind::Ewma { gain, initial_pred }),
+        (0.0f64..1.0, 1usize..48, 0.0f64..8.0).prop_map(|(quantile, window, initial_pred)| {
+            PolicyKind::Percentile {
+                quantile,
+                window,
+                initial_pred,
+            }
         }),
-        (0.0f64..1.0, 1usize..48, 0.0f64..8.0).prop_map(|(q, window, init)| {
-            Box::new(PercentilePolicy::new(q, window, init, LEVELS)) as Box<dyn InjectionPolicy>
-        }),
-        (0.0f64..1.0, 1usize..48, 0u32..32, 0u32..8).prop_map(|(target, window, max_h, init)| {
-            Box::new(OptimizingPolicy::new(target, window, max_h, init, LEVELS))
-                as Box<dyn InjectionPolicy>
-        }),
+        (target, 1usize..48, 0u32..32, 0u32..8).prop_map(
+            |(delivery_target, window, max_h, initial_h)| PolicyKind::Optimizing {
+                delivery_target,
+                window,
+                max_h,
+                initial_h,
+            }
+        ),
     ]
 }
 
@@ -53,9 +61,11 @@ proptest! {
     /// group size it was asked about, and its prediction stays finite.
     #[test]
     fn injected_never_exceeds_group_size(
-        mut policy in policies(),
+        kind in policies(),
         steps in proptest::collection::vec(step(), 0..80),
     ) {
+        let cfg = PolicyConfig { kind, ..PolicyConfig::default() };
+        let mut policy = cfg.build(LEVELS);
         for s in &steps {
             match *s {
                 Step::Measure { level, observed } => policy.on_zlc_measurement(level, observed),
@@ -66,13 +76,13 @@ proptest! {
                     prop_assert!(
                         h <= group_size as usize,
                         "{} injected {h} > group_size {group_size}",
-                        policy.name()
+                        cfg.name()
                     );
                 }
             }
             for level in 0..LEVELS {
                 let p = policy.predicted(level);
-                prop_assert!(p.is_finite(), "{} produced non-finite prediction {p}", policy.name());
+                prop_assert!(p.is_finite(), "{} produced non-finite prediction {p}", cfg.name());
             }
         }
     }
@@ -87,10 +97,6 @@ proptest! {
     ) {
         let cfg = PolicyConfig::named(["ewma", "percentile", "optimizing"][name_idx])
             .expect("known policy");
-        prop_assert!(matches!(
-            cfg.kind,
-            PolicyKind::Ewma { .. } | PolicyKind::Percentile { .. } | PolicyKind::Optimizing { .. }
-        ));
         let mut policy = cfg.build(LEVELS);
         for (i, &obs) in observations.iter().enumerate() {
             policy.on_zlc_measurement(i % LEVELS, obs);
@@ -98,7 +104,7 @@ proptest! {
             prop_assert!(
                 h <= group_size as usize,
                 "{} injected {h} > group_size {group_size}",
-                policy.name()
+                cfg.name()
             );
         }
     }

@@ -114,7 +114,7 @@ pub enum ProbeEvent {
         pred: f64,
     },
     /// A preemptive-injection sizing decision made by an injection policy
-    /// at group completion (the pluggable `InjectionPolicy` API — EWMA,
+    /// at group completion (one of `sharqfec::Policy`'s variants — EWMA,
     /// percentile, or the optimization-driven controller).
     PolicyDecision {
         /// Static name of the deciding policy (`"ewma"`, `"percentile"`,
@@ -417,7 +417,7 @@ impl AuditConfig {
 }
 
 /// Per-zone seat bookkeeping for the single-ZCR invariant.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct SeatState {
     /// Current claimants and when each claimed.
     holders: IdHashMap<NodeId, SimTime>,
@@ -436,7 +436,7 @@ impl SeatState {
 }
 
 /// Online invariant checker over the probe stream.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Auditor {
     cfg: AuditConfig,
     events: u64,
@@ -726,7 +726,7 @@ impl AuditReport {
 /// The per-engine probe collector.  Disabled by default: emission is a
 /// single branch, no allocation, and never perturbs the simulation (no
 /// RNG draws, no events scheduled).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ProbeSink {
     /// Whether emitted events are stored in [`ProbeSink::records`].
     keep: bool,

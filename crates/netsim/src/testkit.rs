@@ -14,7 +14,9 @@ use crate::time::SimTime;
 
 /// One agent and its environment, owned outright.  Every field is the
 /// caller's to set between callbacks: move the clock, reseed the RNG,
-/// jump the timer counter (a crash), inspect the agent.
+/// jump the timer counter (a crash), inspect the agent.  A `Rig` of a
+/// `Clone` agent clones whole: a fork that replays callbacks identically.
+#[derive(Clone)]
 pub struct Rig<A> {
     /// The agent under test.
     pub agent: A,

@@ -67,6 +67,7 @@ impl SessionObservation {
 const PROBE_TOKEN_BASE: u64 = 1 << 20;
 
 /// Session-only protocol agent.
+#[derive(Clone, Debug)]
 pub struct SessionAgent {
     core: SessionCore,
     /// Channel of each zone, indexed by `ZoneId`.

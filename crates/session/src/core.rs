@@ -166,7 +166,7 @@ pub trait SessionCtx {
 
 /// Per-chain-level state (level 0 = the node's smallest zone; the last
 /// level is the root zone).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Level {
     zone: ZoneId,
     /// Believed ZCR of this zone.
@@ -205,7 +205,7 @@ struct Level {
     usurp_rounds: u8,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Pending {
     challenger: NodeId,
     claimed: Option<SimDuration>,
@@ -221,6 +221,7 @@ struct Pending {
 }
 
 /// The session state machine for one node.
+#[derive(Clone)]
 pub struct SessionCore {
     node: NodeId,
     hier: Arc<ZoneHierarchy>,

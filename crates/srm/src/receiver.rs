@@ -32,7 +32,7 @@ const MAX_BACKOFF: u32 = 7;
 /// A `session_peers` slot whose member has not been heard announcing.
 const NEVER: SimTime = SimTime::MAX;
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ReqState {
     timer: TimerId,
     /// Backoff exponent `i` in `2^i · [C1·d, (C1+C2)·d]`.
@@ -48,6 +48,7 @@ struct ReqState {
 }
 
 /// SRM receiver agent.
+#[derive(Clone, Debug)]
 pub struct SrmReceiver {
     cfg: SrmConfig,
     chan: ChannelId,
@@ -363,6 +364,22 @@ mod tests {
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
     use sharqfec_netsim::testkit::Rig;
+    use sharqfec_topology::BuiltTopology;
+
+    /// A receiver at `node` of `built` at time `secs`, with no engine and
+    /// no network.
+    fn receiver(built: &BuiltTopology, node: NodeId, secs: u64) -> Rig<SrmReceiver> {
+        let nodes = built.topology.node_count();
+        Rig {
+            agent: SrmReceiver::new(SrmConfig::default(), ChannelId(0), built.source, nodes),
+            node,
+            now: SimTime::from_secs(secs),
+            rng: SimRng::new(3),
+            oracle: DistanceOracle::compute(&built.topology),
+            next_timer: 0,
+            probes: ProbeSink::default(),
+        }
+    }
 
     /// SRM §IV backs a request off when a duplicate is overheard — once
     /// per round.  A shared upstream loss makes every peer request; the
@@ -373,15 +390,7 @@ mod tests {
         let built = sharqfec_topology::chain(3);
         let (source, peer) = (built.source, built.receivers[0]);
         let chan = ChannelId(0);
-        let mut d = Rig {
-            agent: SrmReceiver::new(SrmConfig::default(), chan, source, 3),
-            node: built.receivers[1],
-            now: SimTime::from_secs(6),
-            rng: SimRng::new(3),
-            oracle: DistanceOracle::compute(&built.topology),
-            next_timer: 0,
-            probes: ProbeSink::default(),
-        };
+        let mut d = receiver(&built, built.receivers[1], 6);
         // Sequence 1 goes missing: its request timer is armed at i = 0.
         d.hear(source, chan, SrmMsg::Data { seq: 0 });
         d.hear(source, chan, SrmMsg::Data { seq: 2 });
@@ -416,15 +425,7 @@ mod tests {
         let nodes = built.topology.node_count();
         let (me, a, b) = (built.receivers[0], built.receivers[1], built.receivers[3]);
         let chan = ChannelId(0);
-        let mut d = Rig {
-            agent: SrmReceiver::new(SrmConfig::default(), chan, built.source, nodes),
-            node: me,
-            now: SimTime::from_secs(2),
-            rng: SimRng::new(3),
-            oracle: DistanceOracle::compute(&built.topology),
-            next_timer: 0,
-            probes: ProbeSink::default(),
-        };
+        let mut d = receiver(&built, me, 2);
         let bare = d.agent.state_bytes();
         assert_eq!(d.agent.session_peers.capacity(), 0);
 
@@ -439,6 +440,27 @@ mod tests {
             .filter(|&(_, t)| t != NEVER)
             .collect();
         assert_eq!(heard, [(a.idx(), d.now), (b.idx(), d.now)]);
+    }
+
+    /// A rig of a `Clone` agent forks: a copy taken with a request armed
+    /// answers the same callbacks with the same actions.
+    #[test]
+    fn a_forked_rig_replays_identically() {
+        let built = sharqfec_topology::chain(3);
+        let (source, peer, chan) = (built.source, built.receivers[0], ChannelId(0));
+        let mut d = receiver(&built, built.receivers[1], 6);
+        d.hear(source, chan, SrmMsg::Data { seq: 0 });
+        d.hear(source, chan, SrmMsg::Data { seq: 2 });
+        let mut fork = d.clone();
+        let drive = |d: &mut Rig<SrmReceiver>| {
+            let mut actions = d.hear(peer, chan, SrmMsg::Request { seq: 1 });
+            actions.extend(d.call(|r, ctx| r.on_timer(ctx, TOK_REQ_BASE | 1)));
+            actions.extend(d.hear(source, chan, SrmMsg::Data { seq: 5 }));
+            (format!("{actions:?}"), d.agent.missing())
+        };
+        let replay = drive(&mut d);
+        assert!(replay.0.contains("SetTimer") && replay.1 > 0);
+        assert_eq!(drive(&mut fork), replay);
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub(crate) const D2: f64 = 1.0;
 /// sending its repair (SRM's repair hold-down).
 pub(crate) const REPAIR_HOLDOFF_FACTOR: f64 = 3.0;
 
+#[derive(Clone, Debug)]
 pub(crate) struct Replier {
     /// Pending repair timers: seq → (timer, hold-off span once the repair
     /// is sent or heard — the requester's distance × the hold-off factor,

@@ -16,6 +16,7 @@ const TOK_SEND: u64 = 0;
 const TOK_REPAIR_BASE: u64 = 1 << 32;
 
 /// CBR source agent.
+#[derive(Clone, Debug)]
 pub struct SrmSource {
     cfg: SrmConfig,
     chan: ChannelId,
