@@ -16,7 +16,8 @@
 use crate::{figures, grids, policy, scale, scenario, traffic, AuditOutcome, Scenario};
 use sharqfec::PolicyConfig;
 use sharqfec_analysis::table::Table;
-use sharqfec_netsim::runner::{default_threads, run_sweep, Cell, ParseError, SweepSummary};
+use sharqfec_netsim::json::ParseError;
+use sharqfec_netsim::runner::{default_threads, run_sweep, Cell, SweepSummary};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;

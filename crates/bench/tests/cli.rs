@@ -8,7 +8,8 @@
 
 use sharqfec_bench::cli::{check_summary, Sweep};
 use sharqfec_bench::{grids, policy, scale, scenario, traffic};
-use sharqfec_netsim::runner::SweepSummary;
+use sharqfec_netsim::json::{self, Json};
+use sharqfec_netsim::runner::{SummaryCell, SweepSummary};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -34,6 +35,39 @@ fn scratch(test: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch directory");
     dir
+}
+
+/// Each cell's scenario, seed, and metrics or error, read out of a
+/// generic [`json::parse`] tree: the oracle the directed
+/// `SweepSummary::parse` must agree with (`null` as `None`).
+type CellView = (String, u64, Result<Vec<(String, Option<f64>)>, String>);
+
+fn tree_cells(tree: &Json) -> Vec<CellView> {
+    let text = |c: &Json, key| c.get(key).and_then(Json::as_str).map(str::to_string);
+    let number = |v: &Json| match *v {
+        Json::Int(n) => Some(n as f64),
+        Json::Float(f) => Some(f),
+        _ => None,
+    };
+    let cell = |c: &Json| {
+        let result = match (text(c, "status").as_deref(), c.get("metrics")) {
+            (Some("ok"), Some(Json::Obj(m))) => Ok(m.iter().map(|(k, v)| (k.clone(), number(v)))),
+            _ => Err(text(c, "error").expect("a panicked cell's error")),
+        };
+        let seed = c.get("seed").and_then(Json::as_u64).expect("seed");
+        (
+            text(c, "scenario").expect("scenario"),
+            seed,
+            result.map(Iterator::collect),
+        )
+    };
+    let cells = tree.get("cells").and_then(Json::as_arr).expect("cells");
+    cells.iter().map(cell).collect()
+}
+
+fn summary_cells(summary: &SweepSummary) -> Vec<CellView> {
+    let view = |c: &SummaryCell| (c.scenario.clone(), c.seed, c.result.clone());
+    summary.cells.iter().map(view).collect()
 }
 
 fn verdict<S: Sweep>(sweep: &S, text: &str) -> Vec<String> {
@@ -140,7 +174,15 @@ fn every_committed_summary_parses_and_passes_its_check() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "json") {
             let text = std::fs::read_to_string(&path).unwrap();
-            SweepSummary::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let fail = |e: json::ParseError| format!("{}: {e}", path.display());
+            let summary = SweepSummary::parse(&text).map_err(fail).unwrap();
+            let tree = json::parse(&text).map_err(fail).unwrap();
+            assert_eq!(
+                tree_cells(&tree),
+                summary_cells(&summary),
+                "{}",
+                path.display()
+            );
             seen += 1;
         }
     }
@@ -170,6 +212,39 @@ fn every_committed_summary_parses_and_passes_its_check() {
     );
     // A summary checked against the wrong sweep is named as such.
     assert!(verdict(&grids::FAULT, &committed("ablation_sweep"))[0].contains("expected"));
+}
+
+/// The benchmark's own documents read through the workspace reader, and
+/// every count `expected.json` pins stays an exact integer.
+#[test]
+fn benchmark_documents_parse_with_exact_counts() {
+    let read = |rel: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel);
+        let text = std::fs::read_to_string(&path).unwrap();
+        json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let spec = read("BENCHMARK.json");
+    assert!(matches!(spec.get("run_seconds"), Some(Json::Int(_))));
+    let workloads = spec.get("workloads").and_then(Json::as_arr).unwrap();
+    let Json::Obj(table) = read("benchmark/expected.json") else {
+        panic!("expected.json is an object");
+    };
+    assert_eq!(table.len(), workloads.len());
+    for ((name, entry), workload) in table.iter().zip(workloads) {
+        let Json::Obj(counts) = entry else {
+            panic!("{name} is not an object");
+        };
+        assert_eq!(
+            workload.get("name").and_then(Json::as_str),
+            Some(name.as_str())
+        );
+        assert!(!counts.is_empty(), "{name}");
+        for (key, count) in counts {
+            assert!(matches!(count, Json::Int(_)), "{name}.{key}: {count:?}");
+        }
+    }
 }
 
 /// The verdict depends on the summary's content, not its layout: the

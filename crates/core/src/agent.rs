@@ -532,8 +532,7 @@ impl SfAgent {
     /// group `g` (at most the group size, which the auditor checks),
     /// records the decision, and returns the count.
     fn decide_injection(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) -> u32 {
-        let pred = self.policy.predicted(level);
-        let n = self.policy.injected(level, self.cfg.group_size) as u32;
+        let (pred, n) = self.policy.decide(level, self.cfg.group_size);
         ctx.probe(ProbeEvent::PolicyDecision {
             policy: self.cfg.policy.name(),
             group: g,

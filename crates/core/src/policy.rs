@@ -90,23 +90,22 @@ impl Policy {
         match self {
             Policy::Ewma(p) => p.pred[level],
             Policy::Percentile(p) => p.quantile_of(level),
-            Policy::Optimizing(p) => p
-                .loss_model(level)
-                .map_or(p.initial_h as f64, |(l, b)| l * b),
+            Policy::Optimizing(p) => p.model(level).0,
         }
     }
 
-    /// The number of FEC packets to inject preemptively into `level`'s
-    /// zone for a freshly completed group, at most `group_size`: the
-    /// rounded prediction for the EWMA and the quantile tracker; the
-    /// optimizing controller's modeled `h`, raised to any NACK floor and
-    /// clamped to `max_h`.
-    pub fn injected(&mut self, level: usize, group_size: u32) -> usize {
+    /// One injection decision: the prediction it was made from (what
+    /// [`Policy::predicted`] read just before), and the number of FEC
+    /// packets to inject preemptively into `level`'s zone for a freshly
+    /// completed group, at most `group_size`: the rounded prediction for
+    /// the EWMA and the quantile tracker; the optimizing controller's
+    /// modeled `h`, raised to any NACK floor and clamped to `max_h`.
+    pub fn decide(&mut self, level: usize, group_size: u32) -> (f64, u32) {
         let Policy::Optimizing(p) = self else {
-            let n = self.predicted(level).round().max(0.0) as u32;
-            return n.min(group_size) as usize;
+            let pred = self.predicted(level);
+            return (pred, (pred.round().max(0.0) as u32).min(group_size));
         };
-        let h = p.model_h(level);
+        let (pred, h) = p.model(level);
         let st = &mut p.levels[level];
         let floor = std::mem::take(&mut st.nack_floor);
         let h = h.max(floor).min(p.max_h).min(group_size);
@@ -117,7 +116,13 @@ impl Policy {
         if st.pending_h.len() > p.window {
             st.pending_h.pop_front();
         }
-        h as usize
+        (pred, h)
+    }
+
+    /// The count half of [`Policy::decide`], for a caller that records no
+    /// prediction.
+    pub fn injected(&mut self, level: usize, group_size: u32) -> usize {
+        self.decide(level, group_size).1 as usize
     }
 
     /// Heap bytes the policy retains: its per-level state and the
@@ -249,27 +254,27 @@ pub struct OptimizingPolicy {
 }
 
 impl OptimizingPolicy {
-    /// `(p_loss, b)` for a level: loss-round frequency and mean clip.
-    fn loss_model(&self, level: usize) -> Option<(f64, f64)> {
+    /// A level's predicted demand `p_loss · b` and its modeled `h`, from
+    /// one pass over the history: `p_loss` is the loss-round frequency,
+    /// `b` the mean clip.  Both are `initial_h` while the history is
+    /// empty.
+    fn model(&self, level: usize) -> (f64, u32) {
         let buf = &self.levels[level].demands.buf;
         if buf.is_empty() {
-            return None;
+            return (self.initial_h as f64, self.initial_h);
         }
-        let lossy: Vec<f64> = buf.iter().copied().filter(|&d| d > 0.0).collect();
-        let p_loss = lossy.len() as f64 / buf.len() as f64;
-        let b = if lossy.is_empty() {
-            0.0
-        } else {
-            lossy.iter().sum::<f64>() / lossy.len() as f64
-        };
-        Some((p_loss, b))
+        let (mut lossy, mut sum) = (0usize, 0.0);
+        for &d in buf.iter().filter(|&&d| d > 0.0) {
+            lossy += 1;
+            sum += d;
+        }
+        let p_loss = lossy as f64 / buf.len() as f64;
+        let b = if lossy == 0 { 0.0 } else { sum / lossy as f64 };
+        (p_loss * b, self.model_h(level, p_loss, b))
     }
 
     /// Smallest `h` with `p_loss · ((b−1)/b)^h ≤ 1 − delivery_target`.
-    fn model_h(&self, level: usize) -> u32 {
-        let Some((p_loss, b)) = self.loss_model(level) else {
-            return self.initial_h;
-        };
+    fn model_h(&self, level: usize, p_loss: f64, b: f64) -> u32 {
         let eps = 1.0 - self.delivery_target;
         if p_loss <= eps || b <= 0.0 {
             return 0;
@@ -711,8 +716,16 @@ mod tests {
         for (name, target) in [("ewma", 0.0), ("percentile", 0.95), ("optimizing", 0.75)] {
             let cfg = PolicyConfig::named(name).expect("known policy");
             assert_eq!((cfg.name(), cfg.target()), (name, target));
-            let built = format!("{:?}", cfg.build(3)).to_lowercase();
+            let mut p = cfg.build(3);
+            let built = format!("{p:?}").to_lowercase();
             assert!(built.starts_with(name), "{name} built {built}");
+            // A decision reports the prediction it was made from.
+            for observed in [0.0, 3.0, 7.5, 0.0] {
+                p.on_zlc_measurement(1, observed);
+                let before = p.predicted(1);
+                let (pred, _) = p.decide(1, 16);
+                assert_eq!(pred.to_bits(), before.to_bits(), "{name}");
+            }
         }
         assert_eq!(PolicyConfig::named("fixed"), None);
     }

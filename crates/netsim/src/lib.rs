@@ -98,6 +98,7 @@ pub mod engine;
 pub mod faults;
 pub mod graph;
 pub mod idhash;
+pub mod json;
 pub mod link;
 pub mod metrics;
 pub mod packet;

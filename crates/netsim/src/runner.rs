@@ -18,13 +18,14 @@
 //!   machine-readable summary (status, wall time, and caller-chosen
 //!   metrics per cell) under a results directory, and
 //!   [`SweepSummary::parse`] reads one back: the summary format lives
-//!   in this module and nowhere else.
+//!   in this module and nowhere else, its lexing in [`crate::json`].
 //!
 //! Wall-clock fields in the summary are measured, hence *not*
 //! deterministic; every simulation metric is.
 //!
 //! [`Engine`]: crate::engine::Engine
 
+use crate::json::{json_number, json_string, ParseError, Parsed, Reader};
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -253,41 +254,6 @@ impl<T> SweepResults<T> {
     }
 }
 
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON has no NaN/Infinity; map them to null.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Integral values print without a trailing ".0" churn.
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 /// A sweep summary read back from the JSON [`SweepResults::to_json`]
 /// writes — the one reader of that format.  [`SweepSummary::parse`] is
 /// the writer's inverse: it accepts exactly the fields the writer emits,
@@ -322,44 +288,23 @@ pub struct SummaryCell {
     pub result: Result<Vec<(String, Option<f64>)>, String>,
 }
 
-/// Why a document is not a sweep summary: what the reader needed, and
-/// the byte offset at which it was missing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset into the document.
-    pub offset: usize,
-    /// What the reader expected there.
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "byte {}: expected {}", self.offset, self.expected)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 impl SweepSummary {
     /// Parses a summary document: the writer's fields in the writer's
     /// order, in any whitespace layout.  Recursive descent directed by
     /// the summary's own shape, so nesting is bounded by construction
     /// (document → cells → cell → metrics) whatever the input holds.
     pub fn parse(text: &str) -> Result<SweepSummary, ParseError> {
-        let mut r = Reader { text, pos: 0 };
+        let mut r = Reader::new(text);
         let summary = SweepSummary {
             sweep: r.field("{", "\"sweep\"")?.string()?,
             threads: r.field(",", "\"threads\"")?.number("a thread count")?,
             wall_ms: r.field(",", "\"wall_ms\"")?.number("a number")?,
             cells_ok: r.field(",", "\"cells_ok\"")?.number("a cell count")?,
             cells_failed: r.field(",", "\"cells_failed\"")?.number("a cell count")?,
-            cells: r.field(",", "\"cells\"")?.list("[", "]", Reader::cell)?,
+            cells: r.field(",", "\"cells\"")?.list("[", "]", cell)?,
         };
         r.token("}")?;
-        r.skip_ws();
-        if r.pos != text.len() {
-            return r.err("end of document");
-        }
+        r.end()?;
         Ok(summary)
     }
 
@@ -379,167 +324,34 @@ impl SummaryCell {
     }
 }
 
-/// Cursor over a summary document.  `pos` only ever advances past ASCII
-/// bytes or to an index `str::find` returned, so it stays on a character
-/// boundary.
-struct Reader<'a> {
-    text: &'a str,
-    pos: usize,
+/// `"name": <number or null>`.
+fn metric(r: &mut Reader<'_>) -> Parsed<(String, Option<f64>)> {
+    let name = r.string()?;
+    r.token(":")?;
+    let value = if r.eat("null") {
+        None
+    } else {
+        Some(r.number("a number or null")?)
+    };
+    Ok((name, value))
 }
 
-type Parsed<T> = Result<T, ParseError>;
-
-impl<'a> Reader<'a> {
-    fn err<T>(&self, expected: &'static str) -> Parsed<T> {
-        Err(ParseError {
-            offset: self.pos,
-            expected,
-        })
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        let blank = |c: char| matches!(c, ' ' | '\n' | '\r' | '\t');
-        self.pos = self.text.len() - self.rest().trim_start_matches(blank).len();
-    }
-
-    /// Skips whitespace, then consumes `token` if it is next.
-    fn eat(&mut self, token: &str) -> bool {
-        self.skip_ws();
-        let hit = self.rest().starts_with(token);
-        self.pos += if hit { token.len() } else { 0 };
-        hit
-    }
-
-    fn token(&mut self, token: &'static str) -> Parsed<()> {
-        if self.eat(token) {
-            Ok(())
-        } else {
-            self.err(token)
-        }
-    }
-
-    /// `open "key" :`, leaving the cursor at the field's value.
-    fn field(&mut self, open: &'static str, key: &'static str) -> Parsed<&mut Self> {
-        self.token(open)?;
-        self.token(key)?;
-        self.token(":")?;
-        Ok(self)
-    }
-
-    /// `open (item (, item)*)? close`.
-    fn list<T>(
-        &mut self,
-        open: &'static str,
-        close: &'static str,
-        item: fn(&mut Self) -> Parsed<T>,
-    ) -> Parsed<Vec<T>> {
-        self.token(open)?;
-        let mut items = Vec::new();
-        if self.eat(close) {
-            return Ok(items);
-        }
-        loop {
-            items.push(item(self)?);
-            if self.eat(close) {
-                return Ok(items);
-            }
-            self.token(",")?;
-        }
-    }
-
-    fn string(&mut self) -> Parsed<String> {
-        if !self.eat("\"") {
-            return self.err("a string");
-        }
-        let mut out = String::new();
-        loop {
-            let rest = self.rest();
-            let Some(i) = rest.find(['"', '\\']) else {
-                self.pos = self.text.len();
-                return self.err("a closing '\"'");
-            };
-            out.push_str(&rest[..i]);
-            self.pos += i + 1;
-            if rest.as_bytes()[i] == b'"' {
-                return Ok(out);
-            }
-            let escape = self.rest().chars().next();
-            out.push(match escape {
-                Some(c @ ('"' | '\\' | '/')) => c,
-                Some('n') => '\n',
-                Some('r') => '\r',
-                Some('t') => '\t',
-                Some('b') => '\u{8}',
-                Some('f') => '\u{c}',
-                Some('u') => {
-                    let code = self
-                        .text
-                        .get(self.pos + 1..self.pos + 5)
-                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .and_then(char::from_u32);
-                    match code {
-                        Some(c) => {
-                            self.pos += 4;
-                            c
-                        }
-                        None => return self.err("\\u and four hex digits of a scalar value"),
-                    }
-                }
-                _ => return self.err("an escape character"),
-            });
-            self.pos += 1;
-        }
-    }
-
-    fn number<T: std::str::FromStr>(&mut self, expected: &'static str) -> Parsed<T> {
-        self.skip_ws();
-        let digits = |c: char| matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E');
-        let len = self.rest().len() - self.rest().trim_start_matches(digits).len();
-        match self.rest()[..len].parse() {
-            Ok(v) => {
-                self.pos += len;
-                Ok(v)
-            }
-            Err(_) => self.err(expected),
-        }
-    }
-
-    /// `"name": <number or null>`.
-    fn metric(&mut self) -> Parsed<(String, Option<f64>)> {
-        let name = self.string()?;
-        self.token(":")?;
-        let value = if self.eat("null") {
-            None
-        } else {
-            Some(self.number("a number or null")?)
-        };
-        Ok((name, value))
-    }
-
-    fn cell(&mut self) -> Parsed<SummaryCell> {
-        let scenario = self.field("{", "\"scenario\"")?.string()?;
-        let seed = self.field(",", "\"seed\"")?.number("an unsigned seed")?;
-        let wall_ms = self.field(",", "\"wall_ms\"")?.number("a number")?;
-        let result = match self.field(",", "\"status\"")?.string()?.as_str() {
-            "ok" => Ok(self
-                .field(",", "\"metrics\"")?
-                .list("{", "}", Reader::metric)?),
-            "panicked" => Err(self.field(",", "\"error\"")?.string()?),
-            _ => return self.err("status \"ok\" or \"panicked\""),
-        };
-        self.token("}")?;
-        Ok(SummaryCell {
-            scenario,
-            seed,
-            wall_ms,
-            result,
-        })
-    }
+fn cell(r: &mut Reader<'_>) -> Parsed<SummaryCell> {
+    let scenario = r.field("{", "\"scenario\"")?.string()?;
+    let seed = r.field(",", "\"seed\"")?.number("an unsigned seed")?;
+    let wall_ms = r.field(",", "\"wall_ms\"")?.number("a number")?;
+    let result = match r.field(",", "\"status\"")?.string()?.as_str() {
+        "ok" => Ok(r.field(",", "\"metrics\"")?.list("{", "}", metric)?),
+        "panicked" => Err(r.field(",", "\"error\"")?.string()?),
+        _ => return r.err("status \"ok\" or \"panicked\""),
+    };
+    r.token("}")?;
+    Ok(SummaryCell {
+        scenario,
+        seed,
+        wall_ms,
+        result,
+    })
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! topologies, determinism, and the event queue's ordering contract.
 
 use proptest::prelude::*;
+use sharqfec_netsim::json::{self, Json};
 use sharqfec_netsim::prelude::*;
 use sharqfec_netsim::queue::EventQueue;
 use sharqfec_netsim::routing::{DistanceOracle, Spt};
@@ -684,6 +685,33 @@ proptest! {
                     .collect::<Vec<_>>()
             });
             prop_assert_eq!(&read.result, &want);
+        }
+        // The generic tree reader agrees with the directed one on every
+        // cell's scenario, seed, status and metric (`null` as `None`).
+        let tree = json::parse(&json).map_err(|e| TestCaseError::fail(format!("{e} in {json}")))?;
+        let nodes = tree.get("cells").and_then(Json::as_arr).unwrap_or_default();
+        prop_assert_eq!(nodes.len(), summary.cells.len());
+        for (node, read) in nodes.iter().zip(&summary.cells) {
+            let text = |key| node.get(key).and_then(Json::as_str);
+            prop_assert_eq!(text("scenario"), Some(read.scenario.as_str()));
+            prop_assert_eq!(node.get("seed").and_then(Json::as_u64), Some(read.seed));
+            let number = |v: &Json| match *v {
+                Json::Int(n) => Some(n as f64),
+                Json::Float(f) => Some(f),
+                _ => None,
+            };
+            match (&read.result, node.get("metrics")) {
+                (Ok(metrics), Some(Json::Obj(members))) => {
+                    prop_assert_eq!(text("status"), Some("ok"));
+                    let values: Vec<_> = members.iter().map(|(k, v)| (k.clone(), number(v))).collect();
+                    prop_assert_eq!(&values, metrics);
+                }
+                (Err(e), None) => {
+                    prop_assert_eq!(text("status"), Some("panicked"));
+                    prop_assert_eq!(text("error"), Some(e.as_str()));
+                }
+                _ => prop_assert!(false, "status differs in {}", json),
+            }
         }
     }
 }
