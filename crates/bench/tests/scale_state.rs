@@ -7,8 +7,8 @@
 //! * SHARQFEC per-receiver state is bounded by *zone size* (chain depth ×
 //!   peer-table entries), not by session membership — `SessionCore`
 //!   tables hold only zone peers, `SfAgent` group state is per-group
-//!   bitsets, and shared `Rc` structures (hierarchy, channel table) are
-//!   one-per-run, not per-receiver.
+//!   bitsets, and the shared hierarchy is one `Arc` per run, not
+//!   per-receiver (no agent keeps a channel table).
 //! * SRM's session layer is the counterexample the paper argues against:
 //!   its peer table tracks the full membership, so per-receiver state
 //!   grows linearly with n.

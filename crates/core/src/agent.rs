@@ -102,13 +102,10 @@ impl IndexMut<u32> for GroupTable {
 pub struct SfAgent {
     cfg: SharqfecConfig,
     role: Role,
+    /// Session state, and the one copy of this member's zone chain
+    /// (smallest zone first): chain level `l` is zone `chain_zones()[l]`,
+    /// on that zone's [`ZoneId::channel`].
     session: SessionCore,
-    /// Channel of each zone, indexed by `ZoneId`.
-    channels: Arc<Vec<ChannelId>>,
-    /// This member's zone chain (smallest zone first).
-    chain: Vec<ZoneId>,
-    /// Data channel = the root zone's channel (maximum scope).
-    root_channel: ChannelId,
     /// The scope index new NACKs start at (paper §4's smallest-partition
     /// rule).
     initial_scope: usize,
@@ -131,19 +128,17 @@ pub struct SfAgent {
 }
 
 impl SfAgent {
-    /// Creates an agent.  `channels[zone.idx()]` must carry zone traffic;
+    /// Creates an agent.  Each zone's traffic goes on [`ZoneId::channel`];
     /// the root zone's channel doubles as the maximum-scope data channel.
     pub fn new(
         cfg: SharqfecConfig,
         role: Role,
         session: SessionCore,
         hier: Arc<ZoneHierarchy>,
-        channels: Arc<Vec<ChannelId>>,
         source_node: NodeId,
     ) -> SfAgent {
         cfg.validate();
-        let chain = session.chain_zones().to_vec();
-        let root_channel = channels[chain.last().expect("chain nonempty").idx()];
+        let chain = session.chain_zones();
         let initial_scope = if hier.is_member(chain[0], source_node) {
             chain.len() - 1
         } else {
@@ -156,9 +151,6 @@ impl SfAgent {
             cfg,
             role,
             session,
-            channels,
-            chain,
-            root_channel,
             initial_scope,
             groups: GroupTable::default(),
             policy,
@@ -237,7 +229,7 @@ impl SfAgent {
 
     fn group_entry(&mut self, g: u32) -> &mut GroupState {
         let k = self.cfg.packets_in_group(g);
-        let levels = self.chain.len();
+        let levels = self.session.chain_zones().len();
         let initial_scope = self.initial_scope;
         let role = self.role;
         if self.groups.0.is_empty() {
@@ -256,7 +248,7 @@ impl SfAgent {
             return self.cfg.default_dist;
         }
         self.session
-            .dist_to_ancestor(self.chain.len() - 1)
+            .dist_to_ancestor(self.session.chain_zones().len() - 1)
             .unwrap_or(self.cfg.default_dist)
     }
 
@@ -298,7 +290,8 @@ impl SfAgent {
         // A zone's representative asks *upstream*: its own zone shares its
         // losses by construction (everything it missed, its subtree missed
         // too), so its requests start at the parent scope.
-        let zcr_floor = if self.chain.len() > 1 && self.session.is_zcr_of(self.chain[0]) {
+        let chain = self.session.chain_zones();
+        let zcr_floor = if chain.len() > 1 && self.session.is_zcr_of(chain[0]) {
             1
         } else {
             0
@@ -310,7 +303,7 @@ impl SfAgent {
         }
         st.scope_idx = st.scope_idx.max(zcr_floor);
         let sent_level = st.scope_idx;
-        let zone = self.chain[sent_level];
+        let zone = chain[sent_level];
         let needed = st.deficit();
         let llc = st.llc();
         let max_idx = st.max_idx().unwrap_or(st.k.saturating_sub(1));
@@ -318,7 +311,7 @@ impl SfAgent {
         st.zones[sent_level].zlc = st.zones[sent_level].zlc.max(llc);
         let zlc_now = st.zones[sent_level].zlc;
         st.attempts += 1;
-        if st.attempts >= ATTEMPTS_PER_ZONE && st.scope_idx + 1 < self.chain.len() {
+        if st.attempts >= ATTEMPTS_PER_ZONE && st.scope_idx + 1 < chain.len() {
             // Escalate to the next-larger scope (paper §4: "after two
             // attempts at each zone").
             st.scope_idx += 1;
@@ -328,7 +321,7 @@ impl SfAgent {
         let chain_entries = self.session.ancestor_chain();
         let bytes = NACK_BYTES + 12 * chain_entries.len() as u32;
         ctx.multicast(
-            self.channels[zone.idx()],
+            zone.channel(),
             SfMsg::Nack {
                 group: g,
                 zone,
@@ -391,8 +384,7 @@ impl SfAgent {
     fn send_repair(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         let spacing = self.cfg.send_interval / 2;
         let bytes = self.cfg.packet_bytes;
-        let zone = self.chain[level];
-        let chan = self.channels[zone.idx()];
+        let chan = self.session.chain_zones()[level].channel();
         let st = &mut self.groups[g];
         if st.zones[level].outstanding == 0 {
             st.zones[level].pacing = false;
@@ -488,10 +480,10 @@ impl SfAgent {
             self.session.set_local_loss(self.observed_loss);
         }
         let repairs_allowed = self.role == Role::Source || self.cfg.receiver_repairs;
-        for level in 0..self.chain.len() {
-            let zone = self.chain[level];
+        for level in 0..self.session.chain_zones().len() {
+            let zone = self.session.chain_zones()[level];
             let is_zcr = match self.role {
-                Role::Source => level == self.chain.len() - 1,
+                Role::Source => level == self.session.chain_zones().len() - 1,
                 Role::Receiver => self.session.is_zcr_of(zone),
             };
             if !is_zcr {
@@ -627,10 +619,8 @@ impl SfAgent {
             let burst = burst_end.saturating_sub(idx) + 1;
             // Classify the repair by scope: the chain is at most the
             // hierarchy's depth long, so a scan beats any map.
-            let heard_at = self
-                .chain
-                .iter()
-                .position(|z| self.channels[z.idx()] == channel);
+            let chain = self.session.chain_zones();
+            let heard_at = chain.iter().position(|z| z.channel() == channel);
             if let Some(level) = heard_at {
                 for j in 0..=level {
                     let st = &mut self.groups[g];
@@ -674,7 +664,7 @@ impl SfAgent {
         max_idx: u32,
         chain: &[sharqfec_session::AncestorEntry],
     ) {
-        let Some(level) = self.chain.iter().position(|&z| z == zone) else {
+        let Some(level) = self.session.chain_zones().iter().position(|&z| z == zone) else {
             return; // NACK for a zone we are not in (cannot happen via scoping)
         };
         self.group_entry(g);
@@ -745,8 +735,8 @@ impl SfAgent {
         // suppression timer and usually gets beaten to it (speculative for
         // receivers that have not completed the group yet).
         let is_zone_rep = match self.role {
-            Role::Source => level == self.chain.len() - 1,
-            Role::Receiver => self.session.is_zcr_of(self.chain[level]),
+            Role::Source => level == self.session.chain_zones().len() - 1,
+            Role::Receiver => self.session.is_zcr_of(self.session.chain_zones()[level]),
         };
         let may_reply = match self.role {
             Role::Source => true,
@@ -823,7 +813,7 @@ impl SfAgent {
         let k = self.group_entry(g).k;
         ctx.probe(ProbeEvent::Sender { seq });
         ctx.multicast(
-            self.root_channel,
+            ZoneId::ROOT.channel(),
             SfMsg::Data { group: g, idx, k },
             self.cfg.packet_bytes,
         );
@@ -840,7 +830,7 @@ impl SfAgent {
     /// the root-zone policy, the first queued repair, and the ZLC
     /// measurement timer.
     fn finish_group(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
-        let root = self.chain.len() - 1;
+        let root = self.session.chain_zones().len() - 1;
         if self.cfg.policy.enabled && !self.groups[g].zones[root].injected {
             self.groups[g].zones[root].injected = true;
             let n = self.decide_injection(ctx, g, root);
@@ -863,12 +853,9 @@ impl SfAgent {
 impl Agent<SfMsg> for SfAgent {
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        // The per-zone channel table is behind a shared `Arc` (one copy
-        // per run, not per member) and is excluded, like the hierarchy
-        // inside the session core.
+        // The zone chain is counted once, inside the session core.
         let mut bytes = size_of::<SfAgent>()
             + self.session.state_bytes()
-            + self.chain.capacity() * size_of::<ZoneId>()
             + self.groups.0.capacity() * size_of::<Option<GroupState>>()
             + self.policy.heap_bytes();
         for g in self.groups.0.iter().flatten() {
@@ -878,8 +865,7 @@ impl Agent<SfMsg> for SfAgent {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SfMsg>) {
-        self.session
-            .start(&mut Bridge::new(ctx, &self.channels, SfMsg::Session));
+        self.session.start(&mut Bridge::new(ctx, SfMsg::Session));
         self.drain_seat_events();
         // On a warm restart (NodeRestart after a crash) every timer this
         // agent had pending died with the crash epoch, but the per-group
@@ -924,8 +910,8 @@ impl Agent<SfMsg> for SfAgent {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SfMsg>, token: u64) {
         if is_session_token(token) {
-            let mut bridge = Bridge::new(ctx, &self.channels, SfMsg::Session);
-            self.session.on_timer(&mut bridge, token);
+            self.session
+                .on_timer(&mut Bridge::new(ctx, SfMsg::Session), token);
             self.drain_seat_events();
             return;
         }
@@ -953,8 +939,8 @@ impl Agent<SfMsg> for SfAgent {
             SfMsg::Data { group, .. } | SfMsg::Fec { group, .. } | SfMsg::Nack { group, .. }
                 if *group >= self.cfg.group_count() => {}
             SfMsg::Session(msg) => {
-                let mut bridge = Bridge::new(ctx, &self.channels, SfMsg::Session);
-                self.session.on_msg(&mut bridge, pkt.src, msg);
+                self.session
+                    .on_msg(&mut Bridge::new(ctx, SfMsg::Session), pkt.src, msg);
                 self.drain_seat_events();
             }
             SfMsg::Data { group, idx, .. } => {
@@ -998,13 +984,12 @@ mod tests {
     fn receiver() -> Rig<SfAgent> {
         let built = sharqfec_topology::chain(4);
         let hier = Arc::new(built.hierarchy.clone());
-        let channels = Arc::new((0..hier.zone_count() as u32).map(ChannelId).collect());
         let cfg = SharqfecConfig::full();
         let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
         let session = SessionCore::new(ME, Arc::clone(&hier), SessionConfig, &seeding);
         let source = built.source;
         Rig {
-            agent: SfAgent::new(cfg, Role::Receiver, session, hier, channels, source),
+            agent: SfAgent::new(cfg, Role::Receiver, session, hier, source),
             now: SimTime::from_secs(6),
             node: ME,
             rng: SimRng::new(11),
@@ -1016,7 +1001,7 @@ mod tests {
 
     /// Delivers `payload` from a peer on chain level `level`'s channel.
     fn hear(d: &mut Rig<SfAgent>, level: usize, payload: SfMsg) -> Vec<Action<SfMsg>> {
-        let channel = d.agent.channels[d.agent.chain[level].idx()];
+        let channel = d.agent.session.chain_zones()[level].channel();
         d.hear(NodeId(2), channel, payload)
     }
 
@@ -1066,7 +1051,7 @@ mod tests {
         let mut d = receiver();
         lose_one(&mut d, 0);
         let peer_nack = |d: &mut Rig<SfAgent>| {
-            let zone = d.agent.chain[0];
+            let zone = d.agent.session.chain_zones()[0];
             let chain = Vec::new();
             let (group, llc, needed, max_idx) = (0, 1, 1, 2);
             hear(

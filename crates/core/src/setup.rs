@@ -4,25 +4,23 @@ use crate::agent::{Role, SfAgent};
 use crate::config::SharqfecConfig;
 use crate::msg::SfMsg;
 use sharqfec_netsim::{ChannelId, EngineBuilder, NodeId, ScenarioPlan, SimTime};
-use sharqfec_scoping::{ZoneHierarchy, ZoneHierarchyBuilder};
+use sharqfec_scoping::{ZoneHierarchy, ZoneHierarchyBuilder, ZoneId};
 use sharqfec_session::core::{SessionConfig, SessionCore, ZcrSeeding};
 use sharqfec_topology::BuiltTopology;
 use std::sync::Arc;
 
 /// The engine channels `node` belongs to, smallest zone first, ending at
-/// the root/data channel.
+/// the root/data channel: the [`ZoneId::channel`] of each zone in its
+/// chain, which [`setup_sharqfec_builder`] registers in zone order.
 ///
-/// [`setup_sharqfec_builder`] registers one channel per zone *in zone
-/// order*, so `ChannelId(i)` is exactly zone `i`'s channel.  Scenario
-/// plans (joins, leaves, flash crowds) need that mapping to name the
-/// channels a node enters or exits; this helper is the one place that
-/// encodes it.  Pass the same hierarchy the setup used — for scoped
-/// configs that is `built.hierarchy`; the `ns` variants collapse to a
-/// single root zone whose channel is `ChannelId(0)`.
+/// Scenario plans (joins, leaves, flash crowds) name the channels a node
+/// enters or exits through this.  Pass the same hierarchy the setup used —
+/// for scoped configs that is `built.hierarchy`; the `ns` variants
+/// collapse to a single root zone.
 pub fn member_channels(hier: &ZoneHierarchy, node: NodeId) -> Vec<ChannelId> {
     hier.zone_chain(node)
         .into_iter()
-        .map(|z| ChannelId(z.idx() as u32))
+        .map(ZoneId::channel)
         .collect()
 }
 
@@ -108,12 +106,9 @@ pub fn setup_sharqfec_scenario_builder(
     let hier = Arc::new(hierarchy);
 
     let mut builder: EngineBuilder<SfMsg> = EngineBuilder::new(built.topology.clone(), seed);
-    let channels: Vec<ChannelId> = hier
-        .zones()
-        .iter()
-        .map(|z| builder.add_channel(&z.members))
-        .collect();
-    let channels = Arc::new(channels);
+    for z in hier.zones() {
+        assert_eq!(builder.add_channel(&z.members), z.id.channel());
+    }
     let seeding = ZcrSeeding::Designed(zcrs);
 
     for member in built.members() {
@@ -126,14 +121,7 @@ pub fn setup_sharqfec_scenario_builder(
             }
         };
         let session = SessionCore::new(member, Arc::clone(&hier), SessionConfig, &seeding);
-        let agent = SfAgent::new(
-            agent_cfg,
-            role,
-            session,
-            Arc::clone(&hier),
-            Arc::clone(&channels),
-            built.source,
-        );
+        let agent = SfAgent::new(agent_cfg, role, session, Arc::clone(&hier), built.source);
         builder.add_agent_at(member, Box::new(agent), join_at);
     }
     builder.scenario(plan);
@@ -378,18 +366,18 @@ mod tests {
     fn member_channels_match_setup_registration_order() {
         let built = figure10(&Figure10Params::default());
         let hier = &built.hierarchy;
+        let cfg = small_cfg(SharqfecConfig::full());
+        let engine = setup_sharqfec_builder(&built, 1, cfg, SimTime::from_secs(1)).build();
         for member in built.members() {
             let chans = member_channels(hier, member);
-            assert!(!chans.is_empty(), "{member} belongs to no channel");
             // Smallest zone first, root (the data channel) last.
-            assert_eq!(
-                chans.first().copied().unwrap(),
-                ChannelId(hier.smallest_zone(member).idx() as u32)
-            );
+            assert_eq!(chans.len(), hier.zone_chain(member).len());
+            assert_eq!(chans[0], hier.smallest_zone(member).channel());
+            assert_eq!(chans.last(), Some(&ZoneId::ROOT.channel()));
             for &c in &chans {
                 assert!(
-                    hier.zones()[c.idx()].members.contains(&member),
-                    "{member} mapped to channel {c:?} of a zone it is not in"
+                    engine.channel(c).contains(member),
+                    "{member} mapped to channel {c:?} the engine does not put it in"
                 );
             }
         }

@@ -263,7 +263,8 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.probes.audit_report(self.now)
     }
 
-    /// Registers a multicast channel over the given members.
+    /// Registers a multicast channel over the given members (tests only).
+    #[cfg(test)]
     pub(crate) fn add_channel(&mut self, members: &[NodeId]) -> ChannelId {
         let id = ChannelId(self.channels.len() as u32);
         self.channels
@@ -817,7 +818,7 @@ pub struct EngineBuilder<M> {
     topo: Topology,
     seed: u64,
     mode: RecorderMode,
-    channels: Vec<Vec<NodeId>>,
+    channels: Vec<Channel>,
     agents: Vec<(NodeId, Box<dyn Agent<M>>, SimTime)>,
     plan: FaultPlan,
     scenario: ScenarioPlan,

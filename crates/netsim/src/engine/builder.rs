@@ -3,7 +3,7 @@
 
 use super::{Engine, EngineBuilder};
 use crate::agent::Agent;
-use crate::channel::ChannelId;
+use crate::channel::{Channel, ChannelId};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::graph::{NodeId, Topology};
 use crate::metrics::{Recorder, RecorderMode};
@@ -36,7 +36,8 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
     /// Registers a multicast channel; ids are dense from 0 in call order.
     pub fn add_channel(&mut self, members: &[NodeId]) -> ChannelId {
         let id = ChannelId(self.channels.len() as u32);
-        self.channels.push(members.to_vec());
+        self.channels
+            .push(Channel::new(self.topo.node_count(), members));
         id
     }
 
@@ -123,24 +124,17 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             engine.probes.set_auditor(Auditor::new(cfg));
         }
         engine.recorder = Recorder::new(self.mode);
-        // One pass over the plan answers `initially_out` for every member
-        // of every channel and `start_override` for every agent below.
+        // One pass over the plan answers `initially_out` for every channel
+        // and `start_override` for every agent below.
         let (initially_out, start_overrides) = self.scenario.compile();
-        for (i, members) in self.channels.iter().enumerate() {
-            if self.scenario.is_empty() {
-                engine.add_channel(members);
-                continue;
+        engine.channels = self.channels;
+        // Future joiners start outside their channels (keeps setup layers
+        // free to register full zone rosters).  Removal order cannot change
+        // the set left, so the map's iteration order reaches nothing.
+        for &(id, node) in initially_out.keys() {
+            if let Some(channel) = engine.channels.get_mut(id.idx()) {
+                channel.remove(node);
             }
-            // Future joiners start outside their channels: strip them
-            // from the initial member list (keeps setup layers free to
-            // register full zone rosters).
-            let id = ChannelId(i as u32);
-            let initial: Vec<NodeId> = members
-                .iter()
-                .copied()
-                .filter(|&m| !initially_out.contains_key(&(id, m)))
-                .collect();
-            engine.add_channel(&initial);
         }
         // Membership events go in before any agent start, so a join at
         // time t orders ahead of an agent start at the same t (both are

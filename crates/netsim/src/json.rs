@@ -270,16 +270,32 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// An RFC 8259 number, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`,
+    /// read as `T`; anything else (`+5`, `01`, `.5`, `1.`) is `expected`.
     pub(crate) fn number<T: std::str::FromStr>(&mut self, expected: &'static str) -> Parsed<T> {
         self.skip_ws();
-        let digits = |c: char| matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E');
-        let len = self.rest().len() - self.rest().trim_start_matches(digits).len();
-        match self.rest()[..len].parse() {
-            Ok(v) => {
+        let text = self.rest().as_bytes();
+        let at = |i: usize, set: &[u8]| text.get(i).is_some_and(|b| set.contains(b));
+        // The end of a digit run starting at `i`: one digit at least, and
+        // only the one if `int` and it is a 0.
+        let digits = |i: usize, int: bool| {
+            let run = text.get(i..)?;
+            let n = run.iter().take_while(|b| b.is_ascii_digit()).count();
+            (n > 0).then(|| i + if int && text[i] == b'0' { 1 } else { n })
+        };
+        let mut len = digits(usize::from(at(0, b"-")), true);
+        if let Some(end) = len.filter(|&end| at(end, b".")) {
+            len = digits(end + 1, false);
+        }
+        if let Some(end) = len.filter(|&end| at(end, b"eE")) {
+            len = digits(end + 1 + usize::from(at(end + 1, b"+-")), false);
+        }
+        match len.and_then(|len| Some((len, self.rest()[..len].parse().ok()?))) {
+            Some((len, v)) => {
                 self.pos += len;
                 Ok(v)
             }
-            Err(_) => self.err(expected),
+            None => self.err(expected),
         }
     }
 
@@ -344,6 +360,23 @@ mod tests {
             "nul",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        // RFC 8259 numbers only: no plus sign, leading zero, bare point,
+        // or empty fraction or exponent, alone or inside a document.
+        for bad in ["+5", "01", ".5", "1.", "-.5", "1e", "-"] {
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+            assert!(parse(&format!("[{bad}]")).is_err(), "[{bad}]");
+        }
+        let expected = "a JSON value";
+        assert_eq!(
+            parse(" -.5"),
+            Err(ParseError {
+                offset: 1,
+                expected
+            })
+        );
+        for good in ["0", "-0", "10", "1.5", "-0.25e-3", "2E+8", "7e0"] {
+            assert!(parse(good).is_ok(), "{good:?} should parse");
         }
         // RFC 8259 forbids raw control characters in a string; the
         // writer escapes every one of them.

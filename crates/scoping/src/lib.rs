@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sharqfec_netsim::NodeId;
+use sharqfec_netsim::{ChannelId, NodeId};
 
 /// Identifier of a zone within one [`ZoneHierarchy`], dense from 0.
 /// Zone 0 is always the root (largest scope).
@@ -50,6 +50,14 @@ impl ZoneId {
     #[inline]
     pub fn idx(self) -> usize {
         self.0 as usize
+    }
+
+    /// The engine channel carrying this zone's traffic.  Every set-up
+    /// registers one channel per zone in zone order, so zone `z`'s channel
+    /// is `ChannelId(z)`; this is the one place that rule is written.
+    #[inline]
+    pub fn channel(self) -> ChannelId {
+        ChannelId(self.0)
     }
 }
 
@@ -358,98 +366,6 @@ impl ZoneHierarchy {
     }
 }
 
-/// Interned symbol naming one zone path, dense from 0 within one
-/// [`ZoneInterner`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ZoneSym(pub u32);
-
-impl ZoneSym {
-    /// The index as usize, for table lookups.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Interns hierarchical zone names as dense `u32` symbols.
-///
-/// Large generated topologies must not carry a heap `String` per zone (or
-/// worse, per node): at 10⁶ receivers even short labels cost tens of
-/// megabytes and a pointer chase per use.  The interner stores each zone
-/// name as a fixed-size `(parent symbol, ordinal)` pair — 8 bytes per
-/// zone, total memory O(zones) — and reconstructs the human-readable
-/// dotted path only on demand (diagnostics, plots).
-///
-/// Interning is idempotent: the same `(parent, ordinal)` pair always
-/// yields the same symbol.
-#[derive(Clone, Debug, Default)]
-pub struct ZoneInterner {
-    /// Per symbol: parent symbol (`u32::MAX` for a root) and ordinal.
-    entries: Vec<(u32, u32)>,
-    /// Lookup-only, never iterated (the derived `Debug` aside, which no
-    /// output prints): its order reaches nothing.
-    index: std::collections::HashMap<(u32, u32), u32>,
-}
-
-impl ZoneInterner {
-    const NO_PARENT: u32 = u32::MAX;
-
-    /// An empty interner.
-    pub fn new() -> ZoneInterner {
-        ZoneInterner::default()
-    }
-
-    /// Interns the zone that is child number `ordinal` of `parent`
-    /// (`None` for a root-level name).  Returns the existing symbol if
-    /// this exact path was interned before.
-    pub fn intern(&mut self, parent: Option<ZoneSym>, ordinal: u32) -> ZoneSym {
-        let p = parent.map_or(Self::NO_PARENT, |s| s.0);
-        if let Some(&sym) = self.index.get(&(p, ordinal)) {
-            return ZoneSym(sym);
-        }
-        if let Some(parent) = parent {
-            assert!(parent.idx() < self.entries.len(), "unknown parent symbol");
-        }
-        let sym = u32::try_from(self.entries.len()).expect("interner full");
-        self.entries.push((p, ordinal));
-        self.index.insert((p, ordinal), sym);
-        ZoneSym(sym)
-    }
-
-    /// The parent symbol, or `None` for a root-level name.
-    pub fn parent(&self, sym: ZoneSym) -> Option<ZoneSym> {
-        match self.entries[sym.idx()].0 {
-            Self::NO_PARENT => None,
-            p => Some(ZoneSym(p)),
-        }
-    }
-
-    /// The ordinal this symbol holds under its parent.
-    pub fn ordinal(&self, sym: ZoneSym) -> u32 {
-        self.entries[sym.idx()].1
-    }
-
-    /// Renders the dotted path, e.g. `"0.2.7"` — root ordinal first.
-    /// Allocates; intended for diagnostics, never for hot paths.
-    pub fn path(&self, sym: ZoneSym) -> String {
-        let mut ordinals = Vec::new();
-        let mut cur = Some(sym);
-        while let Some(s) = cur {
-            ordinals.push(self.ordinal(s));
-            cur = self.parent(s);
-        }
-        ordinals.reverse();
-        let mut out = String::new();
-        for (i, o) in ordinals.iter().enumerate() {
-            if i > 0 {
-                out.push('.');
-            }
-            out.push_str(&o.to_string());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,32 +519,5 @@ mod tests {
         b.root(&[n(0), n(1)]);
         let h = b.build().unwrap();
         h.smallest_zone(n(2));
-    }
-
-    #[test]
-    fn interner_is_idempotent_and_walks_paths() {
-        let mut i = ZoneInterner::new();
-        let root = i.intern(None, 0);
-        let a = i.intern(Some(root), 2);
-        let b = i.intern(Some(a), 7);
-        assert_eq!(i.intern(Some(root), 2), a, "re-interning dedups");
-        assert_eq!(i.intern(None, 0), root);
-        assert_eq!(i.entries.len(), 3);
-        assert_eq!(i.parent(b), Some(a));
-        assert_eq!(i.parent(root), None);
-        assert_eq!(i.ordinal(b), 7);
-        assert_eq!(i.path(b), "0.2.7");
-        assert_eq!(i.path(root), "0");
-        // Same ordinal under a different parent is a different symbol.
-        let c = i.intern(Some(b), 2);
-        assert_ne!(c, a);
-        assert_eq!(i.path(c), "0.2.7.2");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown parent symbol")]
-    fn interner_rejects_unknown_parent() {
-        let mut i = ZoneInterner::new();
-        i.intern(Some(ZoneSym(5)), 0);
     }
 }

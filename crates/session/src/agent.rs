@@ -70,28 +70,17 @@ const PROBE_TOKEN_BASE: u64 = 1 << 20;
 #[derive(Clone, Debug)]
 pub struct SessionAgent {
     core: SessionCore,
-    /// Channel of each zone, indexed by `ZoneId`.
-    channels: Arc<Vec<ChannelId>>,
-    /// Root-zone channel (probes go here).
-    root_channel: ChannelId,
     probe_plan: ProbePlan,
     /// Observations of other nodes' probes.
     pub observations: Vec<SessionObservation>,
 }
 
 impl SessionAgent {
-    /// Creates the agent.  `channels[zone.idx()]` must be the engine
-    /// channel carrying that zone's session traffic.
-    pub fn new(
-        core: SessionCore,
-        channels: Arc<Vec<ChannelId>>,
-        root_channel: ChannelId,
-        probe_plan: ProbePlan,
-    ) -> SessionAgent {
+    /// Creates the agent.  Each zone's session traffic goes on
+    /// [`ZoneId::channel`]; probes go on the root zone's.
+    pub fn new(core: SessionCore, probe_plan: ProbePlan) -> SessionAgent {
         SessionAgent {
             core,
-            channels,
-            root_channel,
             probe_plan,
             observations: Vec::new(),
         }
@@ -109,23 +98,14 @@ impl SessionAgent {
 /// `sharqfec-core`.
 pub struct Bridge<'a, 'b, M> {
     ctx: &'a mut Ctx<'b, M>,
-    channels: &'a [ChannelId],
     wrap: fn(SessionMsg) -> M,
 }
 
 impl<'a, 'b, M> Bridge<'a, 'b, M> {
-    /// `channels[zone.idx()]` is the channel carrying that zone's session
-    /// traffic; `wrap` puts a session message on the host's wire.
-    pub fn new(
-        ctx: &'a mut Ctx<'b, M>,
-        channels: &'a [ChannelId],
-        wrap: fn(SessionMsg) -> M,
-    ) -> Self {
-        Bridge {
-            ctx,
-            channels,
-            wrap,
-        }
+    /// A zone's session traffic goes on [`ZoneId::channel`]; `wrap` puts a
+    /// session message on the host's wire.
+    pub fn new(ctx: &'a mut Ctx<'b, M>, wrap: fn(SessionMsg) -> M) -> Self {
+        Bridge { ctx, wrap }
     }
 }
 
@@ -137,8 +117,7 @@ impl<M> SessionCtx for Bridge<'_, '_, M> {
         self.ctx.rng()
     }
     fn send(&mut self, zone: ZoneId, msg: SessionMsg, bytes: u32) {
-        self.ctx
-            .multicast(self.channels[zone.idx()], (self.wrap)(msg), bytes);
+        self.ctx.multicast(zone.channel(), (self.wrap)(msg), bytes);
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         self.ctx.set_timer(delay, token)
@@ -154,7 +133,6 @@ impl<M> SessionCtx for Bridge<'_, '_, M> {
 impl Agent<SessionWire> for SessionAgent {
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        // The channel table is behind a shared `Arc` (one copy per run).
         size_of::<SessionAgent>()
             + self.core.state_bytes()
             + self.probe_plan.times.capacity() * size_of::<SimTime>()
@@ -167,14 +145,13 @@ impl Agent<SessionWire> for SessionAgent {
             let delay = t.saturating_since(ctx.now());
             ctx.set_timer(delay, PROBE_TOKEN_BASE + i as u64);
         }
-        self.core
-            .start(&mut Bridge::new(ctx, &self.channels, SessionWire));
+        self.core.start(&mut Bridge::new(ctx, SessionWire));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SessionWire>, token: u64) {
         if is_session_token(token) {
-            let mut bridge = Bridge::new(ctx, &self.channels, SessionWire);
-            self.core.on_timer(&mut bridge, token);
+            self.core
+                .on_timer(&mut Bridge::new(ctx, SessionWire), token);
             return;
         }
         if token >= PROBE_TOKEN_BASE {
@@ -182,7 +159,7 @@ impl Agent<SessionWire> for SessionAgent {
             let chain = self.core.ancestor_chain();
             let bytes = 40 + 12 * chain.len() as u32;
             ctx.multicast(
-                self.root_channel,
+                ZoneId::ROOT.channel(),
                 SessionWire(SessionMsg::Probe {
                     seq,
                     sent_at: ctx.now(),
@@ -206,8 +183,8 @@ impl Agent<SessionWire> for SessionAgent {
                 });
             }
             msg => {
-                let mut bridge = Bridge::new(ctx, &self.channels, SessionWire);
-                self.core.on_msg(&mut bridge, pkt.src, msg);
+                self.core
+                    .on_msg(&mut Bridge::new(ctx, SessionWire), pkt.src, msg);
             }
         }
     }
@@ -215,8 +192,8 @@ impl Agent<SessionWire> for SessionAgent {
 
 /// Assembles a fully-populated [`EngineBuilder`] for a session-only
 /// simulation over a `BuiltTopology`-style bundle: one channel per zone in
-/// zone order — so zone `z`'s channel is `ChannelId(z.idx())` — and one
-/// [`SessionAgent`] per member.
+/// zone order — each zone's [`ZoneId::channel`] — and one [`SessionAgent`]
+/// per member.
 ///
 /// `probes` maps node → probe schedule.
 pub fn setup_session_builder(
@@ -228,13 +205,9 @@ pub fn setup_session_builder(
 ) -> EngineBuilder<SessionWire> {
     let hier = Arc::new(built.hierarchy.clone());
     let mut builder: EngineBuilder<SessionWire> = EngineBuilder::new(built.topology.clone(), seed);
-    let channels: Vec<ChannelId> = hier
-        .zones()
-        .iter()
-        .map(|z| builder.add_channel(&z.members))
-        .collect();
-    let channels = Arc::new(channels);
-    let root_channel = channels[ZoneId::ROOT.idx()];
+    for z in hier.zones() {
+        assert_eq!(builder.add_channel(&z.members), z.id.channel());
+    }
 
     for member in built.members() {
         let core = SessionCore::new(member, Arc::clone(&hier), SessionConfig, &seeding);
@@ -243,7 +216,7 @@ pub fn setup_session_builder(
             .find(|(n, _)| *n == member)
             .map(|(_, p)| p.clone())
             .unwrap_or_default();
-        let agent = SessionAgent::new(core, Arc::clone(&channels), root_channel, plan);
+        let agent = SessionAgent::new(core, plan);
         builder.add_agent_at(member, Box::new(agent), start_at);
     }
     builder
@@ -407,7 +380,7 @@ mod tests {
         )
         .build();
         engine.advance(RunSpec::to(SimTime::from_secs(10)));
-        let root_chan = ChannelId(ZoneId::ROOT.idx() as u32);
+        let root_chan = ZoneId::ROOT.channel();
         let rec = engine.recorder();
         // Transmissions into the root channel: only the source and the 7
         // mesh-node ZCRs participate there.

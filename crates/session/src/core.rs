@@ -168,7 +168,6 @@ pub trait SessionCtx {
 /// level is the root zone).
 #[derive(Clone, Debug)]
 struct Level {
-    zone: ZoneId,
     /// Believed ZCR of this zone.
     zcr: Option<NodeId>,
     /// When the ZCR was last heard (liveness).
@@ -264,7 +263,6 @@ impl SessionCore {
                     }
                 };
                 Level {
-                    zone,
                     zcr,
                     zcr_heard_at: SimTime::ZERO,
                     link_dist: None,
@@ -400,14 +398,14 @@ impl SessionCore {
     /// tables (smallest zone first).
     pub fn direct_rtt(&self, peer: NodeId) -> Option<SimDuration> {
         self.participating()
-            .find_map(|level| level.table.rtt(peer, &self.hier.zone(level.zone).members))
+            .find_map(|(zone, level)| level.table.rtt(peer, &self.hier.zone(zone).members))
     }
 
     /// Largest direct RTT estimate (the paper's "most distant known
     /// receiver" for the 2.5×RTT ZLC measurement window).
     pub fn max_known_rtt(&self) -> Option<SimDuration> {
         self.participating()
-            .filter_map(|level| level.table.max_rtt())
+            .filter_map(|(_, level)| level.table.max_rtt())
             .max()
     }
 
@@ -442,7 +440,7 @@ impl SessionCore {
                 let zcr = self.levels[l].zcr?;
                 let dist = self.dist_to_ancestor(l)?;
                 Some(AncestorEntry {
-                    zone: self.levels[l].zone,
+                    zone: self.chain[l],
                     zcr,
                     dist,
                 })
@@ -504,14 +502,15 @@ impl SessionCore {
         l == 0 || self.levels[l - 1].zcr == Some(self.node)
     }
 
-    /// The levels this node participates at, smallest zone first, without
-    /// a `Vec`: every distance estimate searches their tables.
-    fn participating(&self) -> impl Iterator<Item = &Level> + '_ {
-        self.levels
-            .iter()
+    /// The levels this node participates at with their zones, smallest
+    /// zone first, without a `Vec`: every distance estimate searches their
+    /// tables.
+    fn participating(&self) -> impl Iterator<Item = (ZoneId, &Level)> + '_ {
+        let levels = self.chain.iter().copied().zip(&self.levels);
+        levels
             .enumerate()
             .filter(|&(l, _)| self.participates(l))
-            .map(|(_, level)| level)
+            .map(|(_, zone_and_level)| zone_and_level)
     }
 
     /// Zones this node participates in: smallest zone plus the parent of
@@ -521,7 +520,7 @@ impl SessionCore {
     /// zone chain, and a chain never repeats a zone.
     #[cfg(test)]
     fn participation(&self) -> Vec<ZoneId> {
-        self.participating().map(|level| level.zone).collect()
+        self.participating().map(|(zone, _)| zone).collect()
     }
 
     /// Starts the protocol: arms the announcement timer and the per-zone
@@ -1045,7 +1044,7 @@ mod tests {
                 }
             }
             assert_eq!(spec, want, "node {node} under {zcrs:?}");
-            let zones: Vec<ZoneId> = core.participating().map(|level| level.zone).collect();
+            let zones: Vec<ZoneId> = core.participating().map(|(zone, _)| zone).collect();
             assert_eq!(zones, want);
             assert_eq!(core.participation(), want);
             for (l, zone) in chain.iter().enumerate() {

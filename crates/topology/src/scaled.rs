@@ -14,9 +14,8 @@
 //! range (node ids are assigned in DFS preorder), and nothing O(n²) — or
 //! even O(n) per node — is ever materialized:
 //!
-//! * nodes are added unlabelled (no per-node `String`);
-//! * zones are named through a [`ZoneInterner`] — 8 bytes per zone, the
-//!   dotted path rendered only on demand;
+//! * nodes are added unlabelled (no per-node `String`), and a zone is
+//!   named only by its [`ZoneId`];
 //! * the engine side stays scale-safe too (tree routing oracle, lazy
 //!   SPTs, range-encoded channels — see `sharqfec-netsim`).
 //!
@@ -26,7 +25,7 @@
 use crate::BuiltTopology;
 use sharqfec_netsim::prelude::{FaultEvent, FaultPlan};
 use sharqfec_netsim::{LinkId, LinkParams, NodeId, SimDuration, SimRng, SimTime, TopologyBuilder};
-use sharqfec_scoping::{ZoneHierarchyBuilder, ZoneId, ZoneInterner, ZoneSym};
+use sharqfec_scoping::{ZoneHierarchyBuilder, ZoneId};
 
 /// Parameters for [`scaled_tree`].
 #[derive(Clone, Debug)]
@@ -100,24 +99,15 @@ impl ScaledTreeParams {
     }
 }
 
-/// A [`BuiltTopology`] plus the interned zone naming produced by
-/// [`scaled_tree`].
+/// A [`BuiltTopology`] produced by [`scaled_tree`], whose zones are
+/// contiguous preorder node-id ranges.
 #[derive(Debug)]
 pub struct ScaledTopology {
     /// Graph, source, receivers, hierarchy, designed ZCRs.
     pub built: BuiltTopology,
-    /// Interned zone names (dotted hub paths).
-    pub zone_names: ZoneInterner,
-    /// Symbol of each zone, indexed by [`ZoneId`].
-    pub zone_syms: Vec<ZoneSym>,
 }
 
 impl ScaledTopology {
-    /// Renders a zone's dotted hub path, e.g. `"0.2.7"` (root is `"0"`).
-    pub fn zone_label(&self, zone: ZoneId) -> String {
-        self.zone_names.path(self.zone_syms[zone.idx()])
-    }
-
     /// The link bundle of a zone's region: every link internal to the
     /// zone's contiguous preorder member range plus the uplink that
     /// connects the zone's hub to its parent (the root zone has none).
@@ -178,8 +168,6 @@ struct Gen<'a> {
     /// Prefix sums of leaf-zone sizes, for O(1) subtree totals.
     leaf_prefix: Vec<u64>,
     designed_zcrs: Vec<NodeId>,
-    names: ZoneInterner,
-    zone_syms: Vec<ZoneSym>,
 }
 
 impl Gen<'_> {
@@ -217,12 +205,10 @@ impl Gen<'_> {
         let Slot {
             parent_node,
             parent_zone,
-            parent_sym,
             level,
             id,
             leaf_lo,
             leaf_hi,
-            ordinal,
         } = slot;
         let hub = NodeId(id);
         let link = self.hub_link();
@@ -238,9 +224,6 @@ impl Gen<'_> {
             .expect("contiguous subtree nests");
         debug_assert_eq!(zone.idx(), self.designed_zcrs.len());
         self.designed_zcrs.push(hub);
-        let sym = self.names.intern(Some(parent_sym), ordinal);
-        debug_assert_eq!(zone.idx(), self.zone_syms.len());
-        self.zone_syms.push(sym);
 
         if level == self.params.depth {
             // Leaf hub: attach this zone's receivers directly.
@@ -257,12 +240,10 @@ impl Gen<'_> {
                 next = self.visit(Slot {
                     parent_node: hub,
                     parent_zone: zone,
-                    parent_sym: sym,
                     level: level + 1,
                     id: next,
                     leaf_lo: leaf_lo + c * span,
                     leaf_hi: leaf_lo + (c + 1) * span,
-                    ordinal: c as u32,
                 });
             }
             next
@@ -271,18 +252,15 @@ impl Gen<'_> {
 }
 
 /// One hub's slot in the preorder walk: the parent it hangs off, its
-/// level, its preorder node id, the leaf-zone range `[leaf_lo, leaf_hi)`
-/// its subtree owns, and its ordinal among siblings (for the interned
-/// dotted name).
+/// level, its preorder node id, and the leaf-zone range `[leaf_lo,
+/// leaf_hi)` its subtree owns.
 struct Slot {
     parent_node: NodeId,
     parent_zone: ZoneId,
-    parent_sym: ZoneSym,
     level: u32,
     id: u32,
     leaf_lo: usize,
     leaf_hi: usize,
-    ordinal: u32,
 }
 
 /// Builds a hierarchical scaled tree; identical `(params, seed)` pairs
@@ -355,8 +333,6 @@ pub fn scaled_tree(params: &ScaledTreeParams, seed: u64) -> ScaledTopology {
     let mut zb = ZoneHierarchyBuilder::new(total_nodes);
     let all: Vec<NodeId> = (0..total_nodes as u32).map(NodeId).collect();
     let root = zb.root(&all);
-    let mut names = ZoneInterner::new();
-    let root_sym = names.intern(None, 0);
 
     let mut gen = Gen {
         b,
@@ -365,8 +341,6 @@ pub fn scaled_tree(params: &ScaledTreeParams, seed: u64) -> ScaledTopology {
         params,
         leaf_prefix,
         designed_zcrs: vec![source],
-        names,
-        zone_syms: vec![root_sym],
     };
     let leaves_per_top = leaf_count / params.fanout;
     let mut next = 1u32;
@@ -374,12 +348,10 @@ pub fn scaled_tree(params: &ScaledTreeParams, seed: u64) -> ScaledTopology {
         next = gen.visit(Slot {
             parent_node: source,
             parent_zone: root,
-            parent_sym: root_sym,
             level: 1,
             id: next,
             leaf_lo: c * leaves_per_top,
             leaf_hi: (c + 1) * leaves_per_top,
-            ordinal: c as u32,
         });
     }
     assert_eq!(next as usize, total_nodes, "preorder covered every node");
@@ -396,8 +368,6 @@ pub fn scaled_tree(params: &ScaledTreeParams, seed: u64) -> ScaledTopology {
             hierarchy,
             designed_zcrs: gen.designed_zcrs,
         },
-        zone_names: gen.names,
-        zone_syms: gen.zone_syms,
     }
 }
 
@@ -416,7 +386,6 @@ mod tests {
         assert_eq!(b.receivers.len(), 500);
         // Root + 4 level-1 + 16 level-2 hub zones.
         assert_eq!(b.hierarchy.zone_count(), 21);
-        assert_eq!(t.zone_syms.len(), 21);
         assert_eq!(b.zcr(ZoneId::ROOT), b.source);
     }
 
@@ -498,21 +467,16 @@ mod tests {
     }
 
     #[test]
-    fn zone_labels_follow_hub_paths() {
+    fn zone_ids_follow_hub_preorder() {
         let t = scaled_tree(&ScaledTreeParams::default(), 2);
-        assert_eq!(t.zone_label(ZoneId::ROOT), "0");
-        // Level-1 zones are created in fan-out order right after the root.
-        assert_eq!(t.zone_label(ZoneId(1)), "0.0");
-        // Zone 2 is the first child of hub 0 (preorder).
-        assert_eq!(t.zone_label(ZoneId(2)), "0.0.0");
-        let labels: std::collections::HashSet<String> = t
-            .built
-            .hierarchy
-            .zones()
-            .iter()
-            .map(|z| t.zone_label(z.id))
-            .collect();
-        assert_eq!(labels.len(), t.built.hierarchy.zone_count(), "unique");
+        let h = &t.built.hierarchy;
+        // Level-1 zones are created in fan-out order right after the root;
+        // zone 2 is the first child of hub 0 (preorder).
+        assert_eq!(h.parent(ZoneId(1)), Some(ZoneId::ROOT));
+        assert_eq!(h.parent(ZoneId(2)), Some(ZoneId(1)));
+        // Each zone's hub comes after the previous zone's in preorder.
+        let hubs: Vec<NodeId> = h.zones().iter().map(|z| z.members[0]).collect();
+        assert!(hubs.windows(2).all(|w| w[0] < w[1]), "{hubs:?}");
     }
 
     #[test]

@@ -77,14 +77,6 @@ proptest! {
                 .sum();
             prop_assert!(child_total < zone.members.len());
         }
-        // Interned names are unique and one per zone.
-        let labels: std::collections::HashSet<String> = b
-            .hierarchy
-            .zones()
-            .iter()
-            .map(|z| t.zone_label(z.id))
-            .collect();
-        prop_assert_eq!(labels.len(), b.hierarchy.zone_count());
     }
 
     /// Generation is deterministic and independent of the thread it runs

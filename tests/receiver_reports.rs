@@ -52,7 +52,7 @@ fn source_learns_session_quality_from_zone_summaries() {
 
     // Scalability: deep receivers never announced beyond their own zone —
     // root-channel session senders stay the source + the 7 mesh ZCRs.
-    let root_chan = sharqfec_repro::netsim::ChannelId(0);
+    let root_chan = ZoneId::ROOT.channel();
     let mut senders = std::collections::HashSet::new();
     for t in &engine.recorder().transmissions {
         if t.channel == root_chan && t.class == TrafficClass::Session {
