@@ -13,7 +13,7 @@ echo "==> line ledger: the total and the file cap only move on purpose"
 # alloc_ceiling below, and states its budget in CHANGES.md; one that
 # removes lines lowers it to keep them removed.  No source file outside
 # vendor/ may pass 1800 lines.
-line_ceiling=32916
+line_ceiling=33139
 ledger=$(find crates vendor src tests examples -name '*.rs' | xargs wc -l | sort -n)
 total=$(awk '$2 == "total" {print $1}' <<< "$ledger")
 echo "    total $total (ceiling $line_ceiling); five largest:"
@@ -161,9 +161,9 @@ alloc_ceiling() {
     session_1k)      echo 16523 ;; # 16360
     srm_500)         echo 1588 ;;  # 1573
     flash_churn_500) echo 25157 ;; # 24908 (24958 before channels dropped their member lists)
-    # 2107 on one core; each further core adds one split range, whose
-    # thread spawns and decode scratch cost 15 allocations.
-    codec_object)    echo $(( (2107 + 15 * ($(nproc) - 1)) * 101 / 100 )) ;;
+    # 1059 on one core; each further core adds one split range, whose
+    # encode buffer, thread spawns and decode scratch cost 16 allocations.
+    codec_object)    echo $(( (1059 + 16 * ($(nproc) - 1)) * 101 / 100 )) ;;
     *) echo "no allocs ceiling for workload $1" >&2; return 1 ;;
   esac
 }

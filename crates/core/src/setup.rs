@@ -7,7 +7,7 @@ use sharqfec_netsim::{ChannelId, EngineBuilder, NodeId, ScenarioPlan, SimTime};
 use sharqfec_scoping::{ZoneHierarchy, ZoneHierarchyBuilder, ZoneId};
 use sharqfec_session::core::{SessionConfig, SessionCore, ZcrSeeding};
 use sharqfec_topology::BuiltTopology;
-use std::sync::Arc;
+use std::{iter, sync::Arc};
 
 /// The engine channels `node` belongs to, smallest zone first, ending at
 /// the root/data channel: the [`ZoneId::channel`] of each zone in its
@@ -83,7 +83,7 @@ pub fn setup_sharqfec_scenario_builder(
     let standby_cfg = standby.map(|n| {
         assert_ne!(n, built.source, "standby must differ from the source");
         assert!(
-            built.members().contains(&n),
+            built.receivers.contains(&n),
             "standby {n} is not a session member"
         );
         let t = plan
@@ -111,7 +111,7 @@ pub fn setup_sharqfec_scenario_builder(
     }
     let seeding = ZcrSeeding::Designed(zcrs);
 
-    for member in built.members() {
+    for member in iter::once(built.source).chain(built.receivers.iter().copied()) {
         let (role, agent_cfg) = if member == built.source {
             (Role::Source, cfg.clone())
         } else {
@@ -368,7 +368,7 @@ mod tests {
         let hier = &built.hierarchy;
         let cfg = small_cfg(SharqfecConfig::full());
         let engine = setup_sharqfec_builder(&built, 1, cfg, SimTime::from_secs(1)).build();
-        for member in built.members() {
+        for member in iter::once(built.source).chain(built.receivers.iter().copied()) {
             let chans = member_channels(hier, member);
             // Smallest zone first, root (the data channel) last.
             assert_eq!(chans.len(), hier.zone_chain(member).len());

@@ -8,17 +8,18 @@
 //! invertible, because they are the product of an invertible Vandermonde
 //! row-selection with a fixed invertible matrix.
 //!
-//! Encoding reads each data packet once: one [`mul_acc_rows`] call adds it,
-//! times its column of `W`, into every parity packet.  Decoding solves only
-//! for the `e` lost data packets: it inverts the `e × e` block of `W` that
-//! the parity packets standing in for them have at the lost slots, turns
-//! that into `e` weights per source packet, and reads each of the `k`
-//! source packets once into all `e` rebuilt packets.
+//! Encoding writes each 16-byte column of up to four parity packets once:
+//! [`dot_rows`] sums it in registers over the `k` data packets, with the
+//! parity rows of `W` expanded when the codec is built.  Decoding solves
+//! only for the `e` lost data packets: it inverts the `e × e` block of `W`
+//! that the parity packets standing in for them have at the lost slots,
+//! turns that into `e` weights per source packet, and reads each of the
+//! `k` source packets once into all `e` rebuilt packets.
 
 use crate::matrix::Matrix;
 use crate::{FecError, MAX_GROUP};
 use core::mem;
-use sharqfec_gf256::{mul_acc_rows, mul_acc_slice, Gf256};
+use sharqfec_gf256::{dot_rows, mul_acc_rows, Expanded, Gf256};
 
 /// Reusable decode workspace.
 ///
@@ -116,6 +117,8 @@ pub struct GroupCodec {
     h: usize,
     /// The full (k+h) × k generator matrix `W`; rows `0..k` are identity.
     generator: Matrix,
+    /// Rows `k..k+h` of `W` expanded for [`dot_rows`], `k` per row.
+    parity: Vec<Expanded>,
 }
 
 impl core::fmt::Debug for GroupCodec {
@@ -144,7 +147,15 @@ impl GroupCodec {
         debug_assert!(generator
             .select_rows(&(0..k).collect::<Vec<_>>())
             .is_identity());
-        Ok(GroupCodec { k, h, generator })
+        let parity = (0..h * k)
+            .map(|n| generator[(k + n / k, n % k)].into())
+            .collect();
+        Ok(GroupCodec {
+            k,
+            h,
+            generator,
+            parity,
+        })
     }
 
     /// Number of data packets per group.
@@ -166,7 +177,7 @@ impl GroupCodec {
     /// packets into caller-provided buffers — one per parity packet, each
     /// exactly the data packets' length.
     ///
-    /// The buffers are zeroed and overwritten; on error their contents are
+    /// The buffers are overwritten; on error their contents are
     /// unspecified.  Callers own the storage, so a steady-state encoder
     /// reuses the same parity buffers group after group.
     pub fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), FecError> {
@@ -179,15 +190,11 @@ impl GroupCodec {
             });
         }
         let len = data[0].len();
-        for out in parity.iter_mut() {
-            if out.len() != len {
-                return Err(FecError::UnequalShardLengths);
-            }
-            out.fill(0);
+        if parity.iter().any(|out| out.len() != len) {
+            return Err(FecError::UnequalShardLengths);
         }
-        for (i, src) in data.iter().enumerate() {
-            mul_acc_rows(parity.iter_mut().map(|p| &mut **p).zip(self.column(i)), src);
-        }
+        let rows = parity.iter_mut().map(|p| &mut **p);
+        dot_rows(rows.zip(self.parity.chunks_exact(self.k)), |i| data[i]);
         Ok(())
     }
 
@@ -207,17 +214,11 @@ impl GroupCodec {
             });
         }
         let (data, parity) = group.split_at_mut(self.k * len);
-        parity.fill(0);
-        for (i, src) in data.chunks_exact(len).enumerate() {
-            mul_acc_rows(parity.chunks_exact_mut(len).zip(self.column(i)), src);
-        }
+        let rows = parity
+            .chunks_exact_mut(len)
+            .zip(self.parity.chunks_exact(self.k));
+        dot_rows(rows, |i| &data[i * len..(i + 1) * len]);
         Ok(())
-    }
-
-    /// `W[k + j][i]` for every parity packet `j`: what data packet `i`
-    /// adds to each.
-    fn column(&self, i: usize) -> impl Iterator<Item = Gf256> + '_ {
-        (self.k..self.n()).map(move |r| self.generator[(r, i)])
     }
 
     /// Encodes the single output packet with index `index` into `out`
@@ -247,10 +248,8 @@ impl GroupCodec {
             out.copy_from_slice(data[index]);
             return Ok(());
         }
-        out.fill(0);
-        for (src, &coeff) in data.iter().zip(self.generator.row(index)) {
-            mul_acc_slice(out, src, coeff);
-        }
+        let row = &self.parity[(index - self.k) * self.k..][..self.k];
+        dot_rows([(out, row)], |i| data[i]);
         Ok(())
     }
 

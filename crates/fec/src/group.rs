@@ -11,14 +11,16 @@
 //! header so the decoder can strip tail padding; everything after it is raw
 //! object bytes.
 //!
-//! Each side moves the object through one buffer.  An [`EncodedGroup`] is
-//! one contiguous `(k + h) · payload_len` run filled straight from the
-//! object, parity written behind the data in place.  The decoder copies
-//! every arriving data packet directly into its slot of one frame buffer,
-//! holds parity only for groups that are still short, rebuilds nothing but
-//! the missing data packets, and hands the frame buffer over as the object.
+//! Each side moves the object through few buffers.  An [`EncodedObject`]
+//! holds one buffer per encoding range, each group in it one contiguous
+//! `(k + h) · payload_len` run filled straight from the object, parity
+//! written behind the data in place.  The decoder keeps the header apart
+//! and copies every arriving data packet directly into its slot of one
+//! frame buffer that starts at object byte 0, holds parity only for groups
+//! that are still short, rebuilds nothing but the missing data packets,
+//! and hands the frame buffer over as the object where it lies.
 
-use std::{num::NonZeroUsize, panic, sync::OnceLock, thread};
+use std::{iter, mem, num::NonZeroUsize, ops::Range, panic, sync::OnceLock, thread};
 
 use crate::codec::{DecodeScratch, GroupCodec};
 use crate::{FecError, MAX_GROUP};
@@ -26,20 +28,20 @@ use crate::{FecError, MAX_GROUP};
 /// Header bytes prepended to the object (little-endian u64 length).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// One encoded packet group: `k` data packets followed by `h` parity
-/// packets, all `payload_len` bytes, in one contiguous buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedGroup {
+/// One encoded packet group, borrowed from its [`EncodedObject`]: `k` data
+/// packets followed by `h` parity packets, all `payload_len` bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodedGroup<'a> {
     /// Group sequence number, starting at 0.
     pub group_id: u64,
     payload_len: usize,
     /// Packet `i` at offset `i · payload_len`.
-    bytes: Vec<u8>,
+    bytes: &'a [u8],
 }
 
-impl EncodedGroup {
+impl<'a> EncodedGroup<'a> {
     /// Iterates `(index, payload)` over all `k + h` packets of the group.
-    pub fn packets(&self) -> impl Iterator<Item = (usize, &[u8])> {
+    pub fn packets(&self) -> impl Iterator<Item = (usize, &'a [u8])> {
         self.bytes.chunks_exact(self.payload_len).enumerate()
     }
 
@@ -48,8 +50,70 @@ impl EncodedGroup {
     /// # Panics
     ///
     /// Panics if `index >= k + h`.
-    pub fn packet(&self, index: usize) -> &[u8] {
+    pub fn packet(&self, index: usize) -> &'a [u8] {
         &self.bytes[index * self.payload_len..(index + 1) * self.payload_len]
+    }
+}
+
+/// An object's encoded groups, in one buffer per range of groups that
+/// [`GroupEncoder::encode_object`] encoded on one thread.
+#[derive(Debug, Clone)]
+pub struct EncodedObject {
+    n_groups: usize,
+    payload_len: usize,
+    /// `(k + h) · payload_len`.
+    group_len: usize,
+    /// Groups per range: group `g` is group `g % per` of range `g / per`.
+    per: usize,
+    /// Each range's groups back to back.
+    ranges: Vec<Vec<u8>>,
+}
+
+impl EncodedObject {
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.n_groups
+    }
+
+    /// Whether there are no groups (never: an object spans at least one).
+    pub fn is_empty(&self) -> bool {
+        self.n_groups == 0
+    }
+
+    /// Group `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= len()`.
+    pub fn group(&self, g: usize) -> EncodedGroup<'_> {
+        let size = self.group_len;
+        EncodedGroup {
+            group_id: g as u64,
+            payload_len: self.payload_len,
+            bytes: &self.ranges[g / self.per][g % self.per * size..][..size],
+        }
+    }
+
+    /// Iterates the groups in order.
+    pub fn iter(&self) -> Groups<'_> {
+        iter::repeat(self)
+            .zip(0..self.n_groups)
+            .map(|(o, g)| o.group(g))
+    }
+}
+
+/// The groups of an [`EncodedObject`], in order.
+pub type Groups<'a> = iter::Map<
+    iter::Zip<iter::Repeat<&'a EncodedObject>, Range<usize>>,
+    fn((&'a EncodedObject, usize)) -> EncodedGroup<'a>,
+>;
+
+impl<'a> IntoIterator for &'a EncodedObject {
+    type Item = EncodedGroup<'a>;
+    type IntoIter = Groups<'a>;
+
+    fn into_iter(self) -> Groups<'a> {
+        self.iter()
     }
 }
 
@@ -91,40 +155,44 @@ impl GroupEncoder {
     }
 
     /// Encodes a whole object into groups.
-    pub fn encode_object(&self, object: &[u8]) -> Result<Vec<EncodedGroup>, FecError> {
+    pub fn encode_object(&self, object: &[u8]) -> Result<EncodedObject, FecError> {
         self.encode_split(object, cores())
     }
 
     /// [`GroupEncoder::encode_object`] with its groups filled and encoded
-    /// in `ranges` contiguous ranges, one thread each.
-    fn encode_split(&self, object: &[u8], ranges: usize) -> Result<Vec<EncodedGroup>, FecError> {
-        let len = self.payload_len;
+    /// in `ranges` contiguous ranges, one thread and one buffer each.
+    fn encode_split(&self, object: &[u8], ranges: usize) -> Result<EncodedObject, FecError> {
+        let (len, group_len) = (self.payload_len, self.codec.n() * self.payload_len);
         let n_groups = self.groups_for(object.len());
-        // Each group's buffer is only reserved here; its range's worker
-        // writes it.
-        let mut out: Vec<EncodedGroup> = (0..n_groups)
-            .map(|g| EncodedGroup {
-                group_id: g as u64,
-                payload_len: len,
-                bytes: Vec::with_capacity(self.codec.n() * len),
-            })
-            .collect();
         let per = n_groups.div_ceil(ranges);
-        split(out.chunks_mut(per), |groups| {
-            groups.iter_mut().try_for_each(|g| {
-                self.fill(&mut g.bytes, g.group_id as usize, object);
-                self.codec.encode_flat(&mut g.bytes, len)
+        // Each range's buffer is only named here; its worker reserves and
+        // writes it, so the pages are first touched in parallel.
+        let mut bufs = vec![Vec::new(); n_groups.div_ceil(per)];
+        split(bufs.iter_mut().enumerate(), |(r, buf)| {
+            let groups = r * per..n_groups.min(r * per + per);
+            buf.reserve_exact(groups.len() * group_len);
+            groups.into_iter().try_for_each(|g| {
+                self.fill(buf, g, object);
+                let at = buf.len() - group_len;
+                self.codec.encode_flat(&mut buf[at..], len)
             })
         })?;
-        Ok(out)
+        Ok(EncodedObject {
+            n_groups,
+            payload_len: len,
+            group_len,
+            per,
+            ranges: bufs,
+        })
     }
 
-    /// Writes group `g`'s window of the framed stream — header, object,
-    /// zero padding — into the empty `bytes`, then zeroes the parity
-    /// packets' space.  The stream itself is never materialized; the
-    /// header spans several groups when a group is under 8 bytes.
+    /// Appends group `g`'s window of the framed stream — header, object,
+    /// zero padding — to `bytes`, then zeroed space for the parity
+    /// packets.  The stream itself is never materialized; the header spans
+    /// several groups when a group is under 8 bytes.
     fn fill(&self, bytes: &mut Vec<u8>, g: usize, object: &[u8]) {
         let group_bytes = self.codec.k() * self.payload_len;
+        let end = bytes.len() + self.codec.n() * self.payload_len;
         let header = (object.len() as u64).to_le_bytes();
         let lo = g * group_bytes;
         if lo < FRAME_HEADER_LEN {
@@ -137,7 +205,7 @@ impl GroupEncoder {
         if from < to {
             bytes.extend_from_slice(&object[from..to]);
         }
-        bytes.resize(self.codec.n() * self.payload_len, 0);
+        bytes.resize(end, 0);
     }
 }
 
@@ -217,11 +285,14 @@ pub struct GroupDecoder {
     codec: GroupCodec,
     payload_len: usize,
     n_groups: usize,
-    /// `n_groups · k · payload_len`, checked against overflow in `new`.
+    /// `n_groups · k · payload_len`, the framed stream's, overflow-checked.
     frame_len: usize,
-    /// The framed object: data packet `i` of group `g` lives at offset
-    /// `(g · k + i) · payload_len`, arrives there and is rebuilt there.
-    /// Empty until the first `push`; handed over by `finish`.
+    /// The framed stream's first bytes: the object's length.
+    header: [u8; FRAME_HEADER_LEN],
+    /// The rest of the framed stream, object byte 0 first: data packet `i`
+    /// of group `g` starts at stream offset `(g · k + i) · payload_len`
+    /// (see [`spans`]), arrives there and is rebuilt there.  Empty until
+    /// the first `push`; handed over by `finish`.
     frame: Vec<u8>,
     /// Per-group arrival state; empty until the first `push`.
     slots: Vec<GroupSlot>,
@@ -258,6 +329,7 @@ impl GroupDecoder {
             payload_len,
             n_groups,
             frame_len,
+            header: [0; FRAME_HEADER_LEN],
             frame: Vec::new(),
             slots: Vec::new(),
         })
@@ -281,7 +353,7 @@ impl GroupDecoder {
             return Err(FecError::UnequalShardLengths);
         }
         if self.slots.is_empty() {
-            self.frame = vec![0; self.frame_len];
+            self.frame = vec![0; self.frame_len.saturating_sub(FRAME_HEADER_LEN)];
             self.slots.resize_with(self.n_groups, GroupSlot::default);
         }
         let (k, len) = (self.codec.k(), self.payload_len);
@@ -290,15 +362,21 @@ impl GroupDecoder {
             return Ok(()); // duplicate: drop silently
         }
         if index < k {
-            let at = (g * k + index) * len;
-            self.frame[at..at + len].copy_from_slice(payload);
+            let (head, body) = spans((g * k + index) * len, len);
+            let (to_head, to_body) = payload.split_at(head.len());
+            self.header[head].copy_from_slice(to_head);
+            self.frame[body].copy_from_slice(to_body);
             slot.set(index);
             if !slot.parity.is_empty() && slot.data_complete(k) {
                 slot.release_parity(k);
             }
         } else if slot.count() < k {
             if slot.parity.is_empty() {
-                slot.parity = vec![0; self.codec.h() * len];
+                // `finish` rebuilds a group under the header behind its
+                // parity: room for its data too.
+                let data = if g * k * len < FRAME_HEADER_LEN { k } else { 0 };
+                slot.parity = Vec::with_capacity((self.codec.h() + data) * len);
+                slot.parity.resize(self.codec.h() * len, 0);
             }
             let at = (index - k) * len;
             slot.parity[at..at + len].copy_from_slice(payload);
@@ -349,40 +427,66 @@ impl GroupDecoder {
         {
             return Err(FecError::NotEnoughShards { needed: k, got });
         }
-        // The groups' data slots are the framed layout already, so only
-        // what never arrived is computed and nothing is copied; one decode
-        // scratch serves every group of a range.
-        let per = self.n_groups.div_ceil(ranges);
-        let ranges = self
-            .slots
-            .chunks_mut(per)
-            .zip(self.frame.chunks_mut(per * k * len));
-        split(ranges, |(slots, frame)| {
+        if self.frame_len < FRAME_HEADER_LEN {
+            return Err(FecError::BadFrame("object shorter than header"));
+        }
+        // The first range takes every group under the header, and rebuilds
+        // each behind its parity and copies it back.  Every other group's
+        // data slots are the object's layout already, so only what never
+        // arrived is computed and nothing is copied.  One decode scratch
+        // serves every group of a range.
+        let gb = k * len;
+        let head = FRAME_HEADER_LEN.div_ceil(gb);
+        let per = self.n_groups.div_ceil(ranges).max(head);
+        let (first, rest) = self.frame.split_at_mut(per * gb - FRAME_HEADER_LEN);
+        let frames = iter::once(first).chain(rest.chunks_mut(per * gb));
+        let headers = iter::once(Some(&mut self.header)).chain(iter::repeat_with(|| None));
+        let ranges = self.slots.chunks_mut(per).zip(frames).zip(headers);
+        split(ranges, |((slots, frame), mut header)| {
             let mut scratch = DecodeScratch::default();
-            for (slot, data) in slots.iter_mut().zip(frame.chunks_exact_mut(k * len)) {
+            // Stream offset of the range's first group, as `spans` reads it.
+            let base = FRAME_HEADER_LEN * usize::from(header.is_none());
+            for (j, slot) in slots.iter_mut().enumerate() {
+                let (to_head, to_body) = spans(base + j * gb, gb);
                 if slot.data_complete(k) {
                     continue;
+                } else if to_head.is_empty() {
+                    let (data, parity) = (&mut frame[to_body], &slot.parity);
+                    codec.reconstruct_flat(data, parity, len, |i| slot.has(i), &mut scratch)?;
+                } else {
+                    let header = header
+                        .as_deref_mut()
+                        .expect("the first range has the header");
+                    let mut group = mem::take(&mut slot.parity);
+                    group.extend_from_slice(&header[to_head.clone()]);
+                    group.extend_from_slice(&frame[to_body.clone()]);
+                    let (parity, data) = group.split_at_mut(codec.h() * len);
+                    codec.reconstruct_flat(data, parity, len, |i| slot.has(i), &mut scratch)?;
+                    let (from_head, from_body) = data.split_at(to_head.len());
+                    header[to_head].copy_from_slice(from_head);
+                    frame[to_body].copy_from_slice(from_body);
                 }
-                codec.reconstruct_flat(data, &slot.parity, len, |i| slot.has(i), &mut scratch)?;
                 slot.release_parity(k);
             }
             Ok(())
         })?;
-        if self.frame.len() < FRAME_HEADER_LEN {
-            return Err(FecError::BadFrame("object shorter than header"));
-        }
-        let mut len_bytes = [0u8; FRAME_HEADER_LEN];
-        len_bytes.copy_from_slice(&self.frame[..FRAME_HEADER_LEN]);
-        let object_len = match usize::try_from(u64::from_le_bytes(len_bytes)) {
-            Ok(n) if n <= self.frame.len() - FRAME_HEADER_LEN => n,
+        let object_len = match usize::try_from(u64::from_le_bytes(self.header)) {
+            Ok(n) if n <= self.frame.len() => n,
             _ => return Err(FecError::BadFrame("length header exceeds payload")),
         };
         self.slots.clear();
-        let mut object = std::mem::take(&mut self.frame);
-        object.copy_within(FRAME_HEADER_LEN..FRAME_HEADER_LEN + object_len, 0);
+        let mut object = mem::take(&mut self.frame);
         object.truncate(object_len);
         Ok(object)
     }
+}
+
+/// Where `len` bytes at framed-stream offset `at` lie: the part in the
+/// decoder's header, then the part in its frame.
+fn spans(at: usize, len: usize) -> (Range<usize>, Range<usize>) {
+    let (h, end) = (FRAME_HEADER_LEN, at + len);
+    let head = at.min(h)..end.min(h);
+    (head, at.saturating_sub(h)..end.saturating_sub(h))
 }
 
 #[cfg(test)]
@@ -402,7 +506,7 @@ mod tests {
         let n = serial.len();
         for ranges in [1, 2, 3, n, n + 1] {
             let groups = enc.encode_split(obj, ranges).unwrap();
-            assert_eq!(groups, serial, "{ranges} ranges");
+            assert!(groups.iter().eq(&serial), "{ranges} ranges");
             let mut dec = GroupDecoder::new(k, h, plen, n).unwrap();
             for g in &groups {
                 for (idx, payload) in g.packets().skip(drop_each) {
@@ -456,14 +560,14 @@ mod tests {
         let groups = enc.encode_object(&object(100)).unwrap();
         let mut dec = GroupDecoder::new(4, 2, 16, groups.len()).unwrap();
         assert_eq!(dec.deficit(0), 4);
-        dec.push(0, 0, groups[0].packet(0)).unwrap();
+        dec.push(0, 0, groups.group(0).packet(0)).unwrap();
         assert_eq!(dec.deficit(0), 3);
         // duplicates don't shrink the deficit
-        dec.push(0, 0, groups[0].packet(0)).unwrap();
+        dec.push(0, 0, groups.group(0).packet(0)).unwrap();
         assert_eq!(dec.deficit(0), 3);
-        dec.push(0, 4, groups[0].packet(4)).unwrap();
-        dec.push(0, 5, groups[0].packet(5)).unwrap();
-        dec.push(0, 1, groups[0].packet(1)).unwrap();
+        dec.push(0, 4, groups.group(0).packet(4)).unwrap();
+        dec.push(0, 5, groups.group(0).packet(5)).unwrap();
+        dec.push(0, 1, groups.group(0).packet(1)).unwrap();
         assert_eq!(dec.deficit(0), 0);
         assert!(dec.group_complete(0));
     }
@@ -517,12 +621,10 @@ mod tests {
     fn corrupted_length_header_detected() {
         // Hand-craft a group whose header claims more bytes than exist.
         let enc = GroupEncoder::new(2, 0, 8).unwrap();
-        let mut groups = enc.encode_object(&object(4)).unwrap();
-        groups[0].bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let groups = enc.encode_object(&object(4)).unwrap();
         let mut dec = GroupDecoder::new(2, 0, 8, 1).unwrap();
-        for (idx, p) in groups[0].packets() {
-            dec.push(0, idx, p).unwrap();
-        }
+        dec.push(0, 0, &u64::MAX.to_le_bytes()).unwrap();
+        dec.push(0, 1, groups.group(0).packet(1)).unwrap();
         assert!(matches!(dec.finish().unwrap_err(), FecError::BadFrame(_)));
     }
 
@@ -558,7 +660,7 @@ mod tests {
 
     /// A decoder for `groups`, fed packet `idx` of group 0 for each `idx`.
     fn feed(
-        groups: &[EncodedGroup],
+        groups: &EncodedObject,
         k: usize,
         h: usize,
         plen: usize,
@@ -566,7 +668,7 @@ mod tests {
     ) -> GroupDecoder {
         let mut dec = GroupDecoder::new(k, h, plen, groups.len()).unwrap();
         for &idx in order {
-            dec.push(0, idx, groups[0].packet(idx)).unwrap();
+            dec.push(0, idx, groups.group(0).packet(idx)).unwrap();
         }
         dec
     }
@@ -601,7 +703,7 @@ mod tests {
         let mut dec = feed(&groups, 4, 3, 16, &[4, 5, 2, 3, 1]);
         assert_eq!(dec.slots[0].count(), 5);
         assert!(!dec.slots[0].parity.is_empty());
-        dec.push(0, 0, groups[0].packet(0)).unwrap();
+        dec.push(0, 0, groups.group(0).packet(0)).unwrap();
         assert!(dec.slots[0].parity.is_empty());
         assert_eq!(dec.deficit(0), 0);
         assert_eq!(dec.finish().unwrap(), obj);

@@ -46,7 +46,7 @@ proptest! {
     fn codec_matches_the_scalar_oracle(
         k in 1usize..=24,
         h in 0usize..=8,
-        // Short packets, a few whole 32-byte kernel blocks with tails, and
+        // Short packets, a few whole 16-byte kernel blocks with tails, and
         // the paper's 1000-byte packet.
         len in prop_oneof![1usize..48, 64usize..130, Just(1000)],
         seed in any::<u64>(),

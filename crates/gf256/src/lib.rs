@@ -13,11 +13,14 @@
 //! logarithms with respect to the generator `α = 0x02`, which is primitive
 //! for this polynomial.
 //!
-//! The codec's inner loop is [`mul_acc_rows`]: `dst += c · src` for up to
-//! four `(dst, c)` rows per pass over `src`, by shift-and-add over 16-byte
-//! blocks that the baseline target vectorizes (SSE2, NEON) in safe Rust,
-//! each block's bit masks built once for all the rows.  [`mul_acc_slice`]
-//! is its one-row case and [`mul_slice`] the in-place product.
+//! The codec's inner loops shift-and-add over 16-byte blocks that the
+//! baseline target vectorizes (SSE2, NEON) in safe Rust.  Encoding runs
+//! [`dot_rows`]: a block of up to four parity rows summed in registers over
+//! every source, with coefficients [`Expanded`] once per codec.  Decoding
+//! runs [`mul_acc_rows`]: `dst += c · src` for up to four `(dst, c)` rows
+//! per pass over `src`, each block's bit masks built once for all the rows.
+//! [`mul_acc_slice`] is its one-row case and [`mul_slice`] the in-place
+//! product.
 //!
 //! # Example
 //!
@@ -288,6 +291,83 @@ fn mul_block<const R: usize>(mut x: [u8; BLOCK], multiples: &[[u8; 8]; R]) -> [[
     acc
 }
 
+/// A coefficient expanded once for [`dot_rows`]: its eight multiples
+/// `coeff · 2^7, …, coeff`, each broadcast over an aligned block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(align(16))]
+pub struct Expanded([[u8; BLOCK]; 8]);
+
+impl From<Gf256> for Expanded {
+    fn from(coeff: Gf256) -> Expanded {
+        Expanded(multiples(coeff).map(|m| [m; BLOCK]))
+    }
+}
+
+/// `dst = Σ_i coeffs[i] · src(i)` for every `(dst, coeffs)` of `rows`: the
+/// column kernel of encoding.  Each 16-byte column of up to four rows is
+/// summed in registers over all sources and stored once, so `dst` needs no
+/// zeroing; a shorter tail uses the scalar product.
+///
+/// # Panics
+///
+/// Panics unless every row, and every source, has one length and every
+/// row the same number of coefficients.
+pub fn dot_rows<'a, 's>(
+    rows: impl IntoIterator<Item = (&'a mut [u8], &'a [Expanded])>,
+    src: impl Fn(usize) -> &'s [u8],
+) {
+    let mut rows = rows.into_iter().fuse();
+    loop {
+        match [rows.next(), rows.next(), rows.next(), rows.next()] {
+            [Some(a), Some(b), Some(c), Some(d)] => dot([a, b, c, d], &src),
+            [Some(a), Some(b), Some(c), None] => return dot([a, b, c], &src),
+            [Some(a), Some(b), None, _] => return dot([a, b], &src),
+            [Some(a), None, ..] => return dot([a], &src),
+            [None, ..] => return,
+        }
+    }
+}
+
+/// [`dot_rows`] for `R` rows at once.
+fn dot<'s, const R: usize>(rows: [(&mut [u8], &[Expanded]); R], src: &impl Fn(usize) -> &'s [u8]) {
+    let (coeffs, mut dst) = (rows.each_ref().map(|&(_, c)| c), rows.map(|(d, _)| d));
+    let (len, k) = (dst[0].len(), coeffs[0].len());
+    let fit = |d: &[u8], c: &[Expanded]| d.len() == len && c.len() == k;
+    let rows_fit = dst.iter().zip(coeffs).all(|(d, c)| fit(d, c));
+    let fits = rows_fit && (0..k).all(|i| src(i).len() == len);
+    assert!(fits, "dot_rows: equal-length slices only");
+    let whole = len - len % BLOCK;
+    for at in (0..whole).step_by(BLOCK) {
+        let mut acc = [[0u8; BLOCK]; R];
+        for i in 0..k {
+            let mut x: [u8; BLOCK] = src(i)[at..at + BLOCK].try_into().expect("whole block");
+            let e = coeffs.map(|c| &c[i].0);
+            // Shift-and-add as in `mul_block`, each row's accumulator
+            // rebuilt as a value so the rows stay in registers.
+            for j in 0..8 {
+                let mask: [u8; BLOCK] = core::array::from_fn(|b| ((x[b] as i8) >> 7) as u8);
+                for (acc, e) in acc.iter_mut().zip(e) {
+                    *acc = core::array::from_fn(|b| acc[b] ^ (mask[b] & e[j][b]));
+                }
+                x = x.map(|b| b.wrapping_add(b));
+            }
+        }
+        for (d, acc) in dst.iter_mut().zip(&acc) {
+            d[at..at + BLOCK].copy_from_slice(acc);
+        }
+    }
+    dst.iter_mut().for_each(|d| d[whole..].fill(0));
+    for i in 0..k {
+        for (d, c) in dst.iter_mut().zip(coeffs) {
+            // Multiple 7 is `coeff · 1`.
+            let c = Gf256(c[i].0[7][0]);
+            for (d, s) in d[whole..].iter_mut().zip(&src(i)[whole..]) {
+                *d ^= (c * Gf256(*s)).0;
+            }
+        }
+    }
+}
+
 /// Multiplies `dst[i] += coeff * src[i]` for whole slices: one row of
 /// [`mul_acc_rows`].
 ///
@@ -534,9 +614,9 @@ mod tests {
         }
     }
 
-    /// Lengths on both sides of one and two 32-byte blocks, so every tail
+    /// Lengths on both sides of one to four 16-byte blocks, so every tail
     /// length class is reached, and the paper's 1000-byte shard.
-    const KERNEL_LENS: [usize; 9] = [0, 1, 31, 32, 33, 63, 64, 65, 1000];
+    const KERNEL_LENS: [usize; 15] = [0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 1000];
 
     #[test]
     fn mul_acc_slice_matches_scalar_loop() {
@@ -573,6 +653,29 @@ mod tests {
                     &src,
                 );
                 assert_eq!(got, want, "rows={n} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_rows_matches_a_scalar_sum() {
+        // 1-8 rows (whole fours and every remainder) of 1 or 5 sources,
+        // over stale `dst` bytes.
+        let coeffs = [0, 1, 0x53, 0xCA, 2, 0xFF, 0x1D, 0x80, 7].map(Gf256);
+        for (k, len) in [1, 5].into_iter().flat_map(|k| KERNEL_LENS.map(|n| (k, n))) {
+            let data: Vec<u8> = (0..k * len).map(|b| (b * 7 + 3) as u8).collect();
+            let src = |i: usize| &data[i * len..(i + 1) * len];
+            let c = |r: usize, i: usize| coeffs[(r * k + i) % 9];
+            let dot = |r, b| (0..k).map(|i| c(r, i) * Gf256(src(i)[b])).sum::<Gf256>().0;
+            for h in 1..=8 {
+                let expanded: Vec<Expanded> = (0..h * k).map(|n| coeffs[n % 9].into()).collect();
+                let mut got = vec![vec![0xA5; len]; h];
+                let rows = got.iter_mut().map(Vec::as_mut_slice);
+                dot_rows(rows.zip(expanded.chunks(k)), src);
+                let want: Vec<Vec<u8>> = (0..h)
+                    .map(|r| (0..len).map(|b| dot(r, b)).collect())
+                    .collect();
+                assert_eq!(got, want, "rows={h} k={k} len={len}");
             }
         }
     }

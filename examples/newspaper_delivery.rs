@@ -76,7 +76,7 @@ fn main() {
                     );
                     worst_fec_used = worst_fec_used.max(f + 1);
                 }
-                dec.push(g as u64, idx, encoded[g as usize].packet(idx))
+                dec.push(g as u64, idx, encoded.group(g as usize).packet(idx))
                     .expect("feed shard");
                 fed += 1;
                 if fed >= K {

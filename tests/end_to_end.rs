@@ -143,7 +143,7 @@ fn object_bytes_survive_the_network() {
             for idx in agent.held_indices(g) {
                 let idx = idx as usize;
                 assert!(idx < K + HEADROOM, "FEC index {idx} beyond headroom");
-                dec.push(g as u64, idx, groups[g as usize].packet(idx))
+                dec.push(g as u64, idx, groups.group(g as usize).packet(idx))
                     .expect("push");
                 fed += 1;
                 if fed >= K {
