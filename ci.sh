@@ -13,7 +13,7 @@ echo "==> line ledger: the total and the file cap only move on purpose"
 # alloc_ceiling below, and states its budget in CHANGES.md; one that
 # removes lines lowers it to keep them removed.  No source file outside
 # vendor/ may pass 1800 lines.
-line_ceiling=33139
+line_ceiling=33019
 ledger=$(find crates vendor src tests examples -name '*.rs' | xargs wc -l | sort -n)
 total=$(awk '$2 == "total" {print $1}' <<< "$ledger")
 echo "    total $total (ceiling $line_ceiling); five largest:"

@@ -42,7 +42,7 @@ use sharqfec_netsim::{
 };
 use sharqfec_session::core::ZcrSeeding;
 use sharqfec_session::{setup_session_builder, ProbePlan, SessionAgent};
-use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
+use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmMember};
 use sharqfec_topology::{figure10, BuiltTopology, Figure10Params};
 use std::sync::Arc;
 use std::time::Instant;
@@ -422,7 +422,7 @@ impl Scenario {
         };
         let run = self.simulate(built, setup_srm_builder(built, seed, cfg, JOIN_AT));
         let receiver = |&r| {
-            let agent = run.engine.agent::<SrmReceiver>(r).expect("receiver");
+            let agent = run.engine.agent::<SrmMember>(r).expect("receiver");
             agent.missing()
         };
         let unrecovered = built.receivers.iter().map(receiver).sum();

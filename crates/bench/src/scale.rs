@@ -61,7 +61,7 @@ use sharqfec_netsim::faults::FaultPlan;
 use sharqfec_netsim::probe::AuditConfig;
 use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::{Classify, EngineBuilder, RecorderMode, SimDuration, SimTime, TrafficClass};
-use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
+use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmMember};
 use sharqfec_topology::{scaled_tree, BuiltTopology, ScaledTreeParams};
 use std::time::Instant;
 
@@ -198,7 +198,7 @@ pub fn run_cell(cell: ScaleCell, seed: u64, packets: u32, shards: usize) -> Scal
         );
         let (mut unrecovered, mut peers) = (0u64, 0u64);
         for &r in &built.receivers {
-            let a = run.engine.agent::<SrmReceiver>(r).expect("receiver");
+            let a = run.engine.agent::<SrmMember>(r).expect("receiver");
             unrecovered += u64::from(a.missing());
             peers += a.session_peer_count() as u64;
         }

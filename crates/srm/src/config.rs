@@ -5,8 +5,8 @@ use sharqfec_netsim::{SimDuration, SimTime};
 /// Parameters of an SRM run.  Workload defaults mirror the SHARQFEC
 /// paper's §6.2 scenario (1024 × 1000-byte packets at 800 kbit/s from
 /// t = 6 s); the packet size, the CBR interval and the timer constants sit
-/// beside their readers (`source.rs`, `receiver.rs`, `replier.rs`), with
-/// the adaptive algorithm on by default as in the paper's comparison.
+/// beside their readers (`receiver.rs`, `replier.rs`), with the adaptive
+/// algorithm on by default as in the paper's comparison.
 #[derive(Clone, Debug)]
 pub struct SrmConfig {
     /// Number of data packets in the stream.

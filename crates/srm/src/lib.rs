@@ -9,8 +9,10 @@
 //!
 //! * **Per-packet NACK/repair.**  Receivers detect sequence gaps and
 //!   multicast *requests*; any member holding the packet may multicast a
-//!   *repair*.  All traffic is global scope — this is precisely the
-//!   non-localized behaviour SHARQFEC improves on.
+//!   *repair*.  The source is simply the member that holds every packet,
+//!   so every member runs one agent, [`SrmMember`].  All traffic is global
+//!   scope — this is precisely the non-localized behaviour SHARQFEC
+//!   improves on.
 //! * **Suppression timers.**  Request delay uniform on
 //!   `2^i · [C1·d_SA, (C1+C2)·d_SA]` (d_SA = one-way delay to the data
 //!   source), doubling (`i += 1`) both after sending and when a duplicate
@@ -51,12 +53,13 @@ pub mod config;
 pub mod msg;
 pub mod receiver;
 mod replier;
-pub mod source;
 
 pub use config::SrmConfig;
 pub use msg::SrmMsg;
-pub use receiver::SrmReceiver;
-pub use source::SrmSource;
+pub use receiver::SrmMember;
+
+/// The member agent under its old name, which `benchmark/` imports.
+pub type SrmReceiver = SrmMember;
 
 use sharqfec_netsim::{EngineBuilder, SimTime};
 use sharqfec_topology::BuiltTopology;
@@ -80,10 +83,10 @@ use sharqfec_topology::BuiltTopology;
 pub const DELAY_HIGH: f64 = 1.5;
 
 /// Assembles a fully-populated [`EngineBuilder`] for an SRM scenario: one
-/// global channel, a CBR source, and a receiver agent on every other
-/// member.  Nodes join at `join_at`; the source starts transmitting at
-/// `cfg.data_start`.  Harnesses needing a streaming recorder or fault plan
-/// set those on the returned builder before [`EngineBuilder::build`].
+/// global channel and an [`SrmMember`] on every member, joining at
+/// `join_at`; the one at `built.source` sends from `cfg.data_start`.
+/// Harnesses needing a streaming recorder or fault plan set those on the
+/// returned builder before [`EngineBuilder::build`].
 pub fn setup_srm_builder(
     built: &BuiltTopology,
     seed: u64,
@@ -92,19 +95,12 @@ pub fn setup_srm_builder(
 ) -> EngineBuilder<SrmMsg> {
     cfg.validate();
     let mut builder: EngineBuilder<SrmMsg> = EngineBuilder::new(built.topology.clone(), seed);
-    let chan = builder.add_channel(&built.members());
+    let members = built.members();
+    let chan = builder.add_channel(&members);
     let nodes = built.topology.node_count();
-    builder.add_agent_at(
-        built.source,
-        Box::new(SrmSource::new(cfg.clone(), chan)),
-        join_at,
-    );
-    for &r in &built.receivers {
-        builder.add_agent_at(
-            r,
-            Box::new(SrmReceiver::new(cfg.clone(), chan, built.source, nodes)),
-            join_at,
-        );
+    for m in members {
+        let member = SrmMember::new(cfg.clone(), chan, built.source, nodes);
+        builder.add_agent_at(m, Box::new(member), join_at);
     }
     builder
 }
@@ -126,7 +122,7 @@ mod tests {
         let mut engine = setup_srm_builder(&built, 1, cfg, SimTime::from_secs(1)).build();
         engine.advance(RunSpec::to(SimTime::from_secs(40)));
         for &r in &built.receivers {
-            let agent = engine.agent::<SrmReceiver>(r).unwrap();
+            let agent = engine.agent::<SrmMember>(r).unwrap();
             assert!(agent.complete(), "receiver {r} incomplete");
         }
         let rec = engine.recorder();
@@ -157,7 +153,7 @@ mod tests {
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         let mut incomplete = 0;
         for &r in &built.receivers {
-            let agent = engine.agent::<SrmReceiver>(r).unwrap();
+            let agent = engine.agent::<SrmMember>(r).unwrap();
             if !agent.complete() {
                 incomplete += 1;
             }
@@ -195,7 +191,7 @@ mod tests {
             let missing: u32 = built
                 .receivers
                 .iter()
-                .map(|&r| engine.agent::<SrmReceiver>(r).unwrap().missing())
+                .map(|&r| engine.agent::<SrmMember>(r).unwrap().missing())
                 .sum();
             let nacks = engine
                 .recorder()
@@ -228,16 +224,18 @@ mod tests {
             };
             let mut engine = setup_srm_builder(&built, 3, cfg, SimTime::from_secs(1)).build();
             engine.advance(RunSpec::to(SimTime::from_secs(40)));
-            let session_tx = engine
-                .recorder()
-                .transmissions
-                .iter()
+            let session: Vec<_> = (engine.recorder().transmissions.iter())
                 .filter(|t| t.class == TrafficClass::Session)
-                .count();
+                .collect();
+            // The source neither announces nor keeps a peer table.
+            assert!(session.iter().all(|t| t.node != built.source));
+            let source = engine.agent::<SrmMember>(built.source).unwrap();
+            assert_eq!(source.session_peer_count(), 0);
+            let session_tx = session.len();
             let peers: Vec<usize> = built
                 .receivers
                 .iter()
-                .map(|&r| engine.agent::<SrmReceiver>(r).unwrap().session_peer_count())
+                .map(|&r| engine.agent::<SrmMember>(r).unwrap().session_peer_count())
                 .collect();
             (session_tx, peers)
         };
@@ -289,22 +287,14 @@ mod tests {
         }
         let mut builder: EngineBuilder<SrmMsg> = EngineBuilder::new(b.build(), 9);
         let chan = builder.add_channel(&ids);
-        builder.add_agent_at(
-            ids[0],
-            Box::new(SrmSource::new(cfg.clone(), chan)),
-            SimTime::from_secs(1),
-        );
-        for &r in &ids[1..] {
-            builder.add_agent_at(
-                r,
-                Box::new(SrmReceiver::new(cfg.clone(), chan, ids[0], ids.len())),
-                SimTime::from_secs(1),
-            );
+        for &m in &ids {
+            let member = SrmMember::new(cfg.clone(), chan, ids[0], ids.len());
+            builder.add_agent_at(m, Box::new(member), SimTime::from_secs(1));
         }
         let mut engine = builder.build();
         engine.advance(RunSpec::to(SimTime::from_secs(120)));
         for &r in &ids[1..] {
-            assert!(engine.agent::<SrmReceiver>(r).unwrap().complete());
+            assert!(engine.agent::<SrmMember>(r).unwrap().complete());
         }
         let rec = engine.recorder();
         let losses = rec

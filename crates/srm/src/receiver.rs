@@ -1,18 +1,26 @@
-//! The SRM receiver: gap detection, suppressed requests, peer repairs.
+//! The SRM member, the one state machine every session member runs: gap
+//! detection, suppressed requests, peer repairs.  The source is the member
+//! that holds every packet: it sends the CBR stream instead of auditing
+//! for losses, and answers requests like any other holder.
 
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
 use crate::replier::Replier;
-use crate::source::{PACKET_BYTES, SEND_INTERVAL};
 use crate::DELAY_HIGH;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
+const TOK_SEND: u64 = 0;
 const TOK_REQ_BASE: u64 = 1 << 32;
 const TOK_REP_BASE: u64 = 2 << 32;
 const TOK_AUDIT: u64 = 3 << 32;
 const TOK_ANNOUNCE: u64 = 4 << 32;
 
+/// Data/repair packet size, bytes.
+const PACKET_BYTES: u32 = 1000;
+/// Inter-packet interval of the CBR source (10 ms = 800 kbit/s at
+/// 1000 B).
+const SEND_INTERVAL: SimDuration = SimDuration::from_millis(10);
 /// Initial request-timer window factors `[C1·d, (C1+C2)·d]`.
 const C1: f64 = 2.0;
 const C2: f64 = 2.0;
@@ -47,12 +55,13 @@ struct ReqState {
     backed_off: bool,
 }
 
-/// SRM receiver agent.
+/// SRM member agent; the one placed at `source` sends the stream.
 #[derive(Clone, Debug)]
-pub struct SrmReceiver {
+pub struct SrmMember {
     cfg: SrmConfig,
     chan: ChannelId,
     source: NodeId,
+    /// Packets held; at the source, those sent so far.
     received: Vec<bool>,
     received_count: u32,
     /// Highest sequence number known to exist (from data, repairs, or
@@ -60,7 +69,7 @@ pub struct SrmReceiver {
     max_seen: Option<u32>,
     requests: IdHashMap<u32, ReqState>,
     req_params: AdaptiveTimer,
-    /// Repairs this receiver owes for packets it holds.
+    /// Repairs this member owes for packets it holds.
     replier: Replier,
     /// Session-layer peer table, indexed by member id: when each announcer
     /// was last heard, [`NEVER`] if not.  Global announcements make it O(n)
@@ -74,20 +83,20 @@ pub struct SrmReceiver {
     /// Which announce rotation round comes next (see
     /// `SrmConfig::announce_stride`).
     announce_round: u64,
-    /// Requests this receiver transmitted (for diagnostics).
+    /// Requests this member transmitted (for diagnostics).
     pub requests_sent: u32,
-    /// Repairs this receiver transmitted.
+    /// Repairs this member transmitted.
     pub repairs_sent: u32,
-    /// Session announcements this receiver transmitted.
+    /// Session announcements this member transmitted.
     pub announces_sent: u32,
 }
 
-impl SrmReceiver {
-    /// Creates a receiver expecting `cfg.total_packets` packets from
-    /// `source` on a topology of `nodes` members.
-    pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId, nodes: usize) -> SrmReceiver {
+impl SrmMember {
+    /// Creates a member of a session whose `cfg.total_packets` packets
+    /// come from `source`, on a topology of `nodes` members.
+    pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId, nodes: usize) -> SrmMember {
         let req_params = AdaptiveTimer::new(C1, C2, cfg.adaptive, DELAY_HIGH);
-        SrmReceiver {
+        SrmMember {
             received: vec![false; cfg.total_packets as usize],
             replier: Replier::new(&cfg),
             cfg,
@@ -120,6 +129,10 @@ impl SrmReceiver {
     /// Distinct peers heard via session announcements.
     pub fn session_peer_count(&self) -> usize {
         self.session_peer_count as usize
+    }
+
+    fn is_source(&self, ctx: &Ctx<'_, SrmMsg>) -> bool {
+        ctx.node() == self.source
     }
 
     /// When the session layer stops announcing: the same deadline the
@@ -161,8 +174,25 @@ impl SrmReceiver {
         );
     }
 
-    /// Notes that `upto` exists, detecting any gaps below it.
+    /// Re-arms the pending request for `seq` one back-off step further out
+    /// (`i + 1`, capped); `backed_off` records whether an overheard
+    /// duplicate, not our own request, moved it.
+    fn back_off(&mut self, ctx: &mut Ctx<'_, SrmMsg>, seq: u32, backed_off: bool) {
+        let i = (self.requests[&seq].i + 1).min(MAX_BACKOFF);
+        let delay = self.request_delay(ctx, i);
+        let timer = ctx.set_timer(delay, TOK_REQ_BASE | seq as u64);
+        let req = self.requests.get_mut(&seq).expect("still present");
+        req.i = i;
+        req.timer = timer;
+        req.backed_off = backed_off;
+    }
+
+    /// Notes that `upto` exists, detecting any gaps below it.  The source
+    /// has sent everything that exists, so it has no gaps to detect.
     fn note_exists(&mut self, ctx: &mut Ctx<'_, SrmMsg>, upto: u32) {
+        if self.is_source(ctx) {
+            return;
+        }
         let start = match self.max_seen {
             Some(m) if m >= upto => return,
             Some(m) => m + 1,
@@ -202,20 +232,25 @@ impl SrmReceiver {
     }
 }
 
-impl Agent<SrmMsg> for SrmReceiver {
+impl Agent<SrmMsg> for SrmMember {
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         let map = |cap: usize, v: usize| cap * (size_of::<u32>() + v + size_of::<u64>());
-        size_of::<SrmReceiver>()
+        size_of::<SrmMember>()
             + self.received.capacity() * size_of::<bool>()
             + map(self.requests.capacity(), size_of::<ReqState>())
             + self.replier.heap_bytes()
             // The session-layer peer table: the O(n) share of this
-            // receiver's state (zero until an announcement is heard).
+            // member's state (zero until an announcement is heard).
             + self.session_peers.capacity() * size_of::<SimTime>()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SrmMsg>) {
+        if self.is_source(ctx) {
+            let delay = self.cfg.data_start.saturating_since(ctx.now());
+            ctx.set_timer(delay, TOK_SEND);
+            return;
+        }
         // Audit for tail losses after the stream should have ended: the
         // receiver knows the advertised stream length and rate, mirroring
         // SHARQFEC's use of the advertised channel bandwidth for its LDP
@@ -231,6 +266,17 @@ impl Agent<SrmMsg> for SrmReceiver {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SrmMsg>, token: u64) {
+        if token == TOK_SEND {
+            // The source sends its next packet, and holds it from now on.
+            let seq = self.received_count;
+            ctx.multicast(self.chan, SrmMsg::Data { seq }, PACKET_BYTES);
+            self.received[seq as usize] = true;
+            self.received_count += 1;
+            if !self.complete() {
+                ctx.set_timer(SEND_INTERVAL, TOK_SEND);
+            }
+            return;
+        }
         if token == TOK_ANNOUNCE {
             // Must be matched exactly, before the masked request/repair
             // dispatch below misreads its high bits.
@@ -273,9 +319,9 @@ impl Agent<SrmMsg> for SrmReceiver {
             self.requests.remove(&seq);
             return;
         }
-        let Some(i) = self.requests.get(&seq).map(|r| r.i) else {
+        if !self.requests.contains_key(&seq) {
             return;
-        };
+        }
         ctx.multicast(self.chan, SrmMsg::Request { seq }, REQUEST_BYTES);
         self.requests_sent += 1;
         // SRM has one flat scope and no ZLC; `group` carries the sequence
@@ -289,13 +335,7 @@ impl Agent<SrmMsg> for SrmReceiver {
         });
         // Back off and wait for the repair; re-request if it never comes.
         // A fresh round starts: overheard duplicates may back it off once.
-        let new_i = (i + 1).min(MAX_BACKOFF);
-        let delay = self.request_delay(ctx, new_i);
-        let timer = ctx.set_timer(delay, TOK_REQ_BASE | seq as u64);
-        let req = self.requests.get_mut(&seq).expect("still present");
-        req.i = new_i;
-        req.timer = timer;
-        req.backed_off = false;
+        self.back_off(ctx, seq, false);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, SrmMsg>, pkt: &Packet<SrmMsg>) {
@@ -315,11 +355,8 @@ impl Agent<SrmMsg> for SrmReceiver {
                 if self.received[seq as usize] {
                     let token = TOK_REP_BASE | seq as u64;
                     self.replier.schedule(ctx, seq, pkt.src, token);
-                } else if let Some((old_timer, i, backed_off)) = self
-                    .requests
-                    .get(&seq)
-                    .map(|r| (r.timer, r.i, r.backed_off))
-                {
+                } else if let Some(req) = self.requests.get(&seq) {
+                    let (timer, backed_off) = (req.timer, req.backed_off);
                     // Duplicate-request suppression: exponential backoff
                     // and timer reset (SRM §IV) — at most once per round,
                     // or a shared upstream loss heard from ~n peers would
@@ -333,17 +370,14 @@ impl Agent<SrmMsg> for SrmReceiver {
                         zlc: 0,
                     });
                     if !backed_off {
-                        ctx.cancel_timer(old_timer);
-                        let new_i = (i + 1).min(MAX_BACKOFF);
-                        let delay = self.request_delay(ctx, new_i);
-                        let timer = ctx.set_timer(delay, TOK_REQ_BASE | seq as u64);
-                        let req = self.requests.get_mut(&seq).expect("still present");
-                        req.i = new_i;
-                        req.timer = timer;
-                        req.backed_off = true;
+                        ctx.cancel_timer(timer);
+                        self.back_off(ctx, seq, true);
                     }
                 }
             }
+            // The source keeps no peer table: the scale sweep measures
+            // the receivers' session state.
+            SrmMsg::Announce if self.is_source(ctx) => {}
             SrmMsg::Announce => {
                 if self.session_peers.is_empty() {
                     self.session_peers = vec![NEVER; self.nodes];
@@ -361,17 +395,18 @@ impl Agent<SrmMsg> for SrmReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replier::{D1, D2, REPAIR_HOLDOFF_FACTOR};
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
     use sharqfec_netsim::testkit::Rig;
     use sharqfec_topology::BuiltTopology;
 
-    /// A receiver at `node` of `built` at time `secs`, with no engine and
+    /// A member at `node` of `built` at time `secs`, with no engine and
     /// no network.
-    fn receiver(built: &BuiltTopology, node: NodeId, secs: u64) -> Rig<SrmReceiver> {
+    fn member(built: &BuiltTopology, node: NodeId, secs: u64) -> Rig<SrmMember> {
         let nodes = built.topology.node_count();
         Rig {
-            agent: SrmReceiver::new(SrmConfig::default(), ChannelId(0), built.source, nodes),
+            agent: SrmMember::new(SrmConfig::default(), ChannelId(0), built.source, nodes),
             node,
             now: SimTime::from_secs(secs),
             rng: SimRng::new(3),
@@ -390,7 +425,7 @@ mod tests {
         let built = sharqfec_topology::chain(3);
         let (source, peer) = (built.source, built.receivers[0]);
         let chan = ChannelId(0);
-        let mut d = receiver(&built, built.receivers[1], 6);
+        let mut d = member(&built, built.receivers[1], 6);
         // Sequence 1 goes missing: its request timer is armed at i = 0.
         d.hear(source, chan, SrmMsg::Data { seq: 0 });
         d.hear(source, chan, SrmMsg::Data { seq: 2 });
@@ -425,7 +460,7 @@ mod tests {
         let nodes = built.topology.node_count();
         let (me, a, b) = (built.receivers[0], built.receivers[1], built.receivers[3]);
         let chan = ChannelId(0);
-        let mut d = receiver(&built, me, 2);
+        let mut d = member(&built, me, 2);
         let bare = d.agent.state_bytes();
         assert_eq!(d.agent.session_peers.capacity(), 0);
 
@@ -448,11 +483,11 @@ mod tests {
     fn a_forked_rig_replays_identically() {
         let built = sharqfec_topology::chain(3);
         let (source, peer, chan) = (built.source, built.receivers[0], ChannelId(0));
-        let mut d = receiver(&built, built.receivers[1], 6);
+        let mut d = member(&built, built.receivers[1], 6);
         d.hear(source, chan, SrmMsg::Data { seq: 0 });
         d.hear(source, chan, SrmMsg::Data { seq: 2 });
         let mut fork = d.clone();
-        let drive = |d: &mut Rig<SrmReceiver>| {
+        let drive = |d: &mut Rig<SrmMember>| {
             let mut actions = d.hear(peer, chan, SrmMsg::Request { seq: 1 });
             actions.extend(d.call(|r, ctx| r.on_timer(ctx, TOK_REQ_BASE | 1)));
             actions.extend(d.hear(source, chan, SrmMsg::Data { seq: 5 }));
@@ -463,13 +498,65 @@ mod tests {
         assert_eq!(drive(&mut fork), replay);
     }
 
+    /// The source arms only its send timer, holds what it has sent, and
+    /// answers requests like any holder: once per round, not inside the
+    /// hold-off, and never for a packet it has not sent yet.
+    #[test]
+    fn source_replies_once_per_request_round_and_honours_the_holdoff() {
+        const SENT: u32 = 3;
+        let built = sharqfec_topology::chain(3);
+        let (chan, [p, q]) = (ChannelId(0), [built.receivers[0], built.receivers[1]]);
+        let mut d = member(&built, built.source, 6);
+        let started = d.call(|s, ctx| s.on_start(ctx));
+        assert!(matches!(started[..], [Action::SetTimer { token, .. }] if token == TOK_SEND));
+        for _ in 0..SENT {
+            d.call(|s, ctx| s.on_timer(ctx, TOK_SEND));
+        }
+        assert_eq!(d.agent.missing(), d.agent.cfg.total_packets - SENT);
+        let request =
+            |d: &mut Rig<SrmMember>, from, seq| d.hear(from, chan, SrmMsg::Request { seq });
+        assert!(request(&mut d, p, SENT).is_empty());
+
+        // The first request arms one reply timer inside [D1·d, (D1+D2)·d].
+        let dist = d.oracle.one_way(d.node, p);
+        let armed = request(&mut d, p, 1);
+        let [Action::SetTimer { id, at, token }] = armed[..] else {
+            panic!("one timer, got {armed:?}");
+        };
+        assert_eq!(token, TOK_REP_BASE | 1);
+        let delay = at.saturating_since(d.now);
+        assert!(dist.mul_f64(D1) <= delay && delay <= dist.mul_f64(D1 + D2));
+
+        // A duplicate arms nothing; the window folds it in when the round
+        // ends: one duplicate request + the repair that beat ours, × 1/4.
+        assert!(request(&mut d, q, 1).is_empty());
+        let suppressed = d.hear(q, chan, SrmMsg::Repair { seq: 1 });
+        assert!(matches!(suppressed[..], [Action::CancelTimer(c)] if c == id));
+        assert_eq!(d.agent.replier.ave_dup(), 0.5);
+
+        // The heard repair started the hold-off (3·d): requests inside it
+        // are ignored, the first one after it is answered.
+        assert!(request(&mut d, p, 1).is_empty());
+        d.now += dist.mul_f64(REPAIR_HOLDOFF_FACTOR);
+        assert_eq!(request(&mut d, p, 1).len(), 1);
+        let fired = d.call(|s, ctx| s.on_timer(ctx, TOK_REP_BASE | 1));
+        let repair = SrmMsg::Repair { seq: 1 };
+        assert!(matches!(&fired[..], [Action::Multicast { payload, .. }] if *payload == repair));
+        assert_eq!(d.agent.repairs_sent, 1);
+        // The timer is spent, and sending the repair began a new hold-off.
+        assert!(d
+            .call(|s, ctx| s.on_timer(ctx, TOK_REP_BASE | 1))
+            .is_empty());
+        assert!(request(&mut d, q, 1).is_empty());
+    }
+
     #[test]
     fn receiver_tracks_completion() {
         let cfg = SrmConfig {
             total_packets: 3,
             ..SrmConfig::default()
         };
-        let r = SrmReceiver::new(cfg, ChannelId(0), NodeId(0), 2);
+        let r = SrmMember::new(cfg, ChannelId(0), NodeId(0), 2);
         assert!(!r.complete());
         assert_eq!(r.missing(), 3);
     }

@@ -1,10 +1,5 @@
 //! SRM's repair-reply machine: the suppressed repair timer any member
-//! holding a packet runs when it hears a request for it.  The source "is
-//! simply a member that happens to hold every packet", so [`SrmSource`]
-//! and [`SrmReceiver`] hold one of these each rather than a copy each.
-//!
-//! [`SrmSource`]: crate::SrmSource
-//! [`SrmReceiver`]: crate::SrmReceiver
+//! holding a packet runs when it hears a request for it.
 
 use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
