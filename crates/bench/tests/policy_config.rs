@@ -42,7 +42,6 @@ fn tuned_ewma() -> SharqfecConfig {
         gain: 0.4,
         initial_pred: 2.0,
     };
-    cfg.policy.measure_rtt_factor = 3.0;
     cfg
 }
 

@@ -1,10 +1,11 @@
 //! The SHARQFEC protocol agent.
 //!
-//! One agent type plays both roles: the *source* is simply the member
-//! that originates data packets and is born holding every group, while
-//! *receivers* run the Loss Detection Phase / Repair Phase state machine
-//! of paper §4.  Both embed a [`SessionCore`] for RTT estimates and ZCR
-//! identity, and both act as repairers for the zones they belong to.
+//! Every member runs the one Loss Detection Phase / Repair Phase state
+//! machine of paper §4.  The *sender* is simply the member at the node
+//! named as the stream's source: it is born holding every group (so it
+//! never detects a loss or asks for a repair), sends the stream, and
+//! represents the root zone.  Every member embeds a [`SessionCore`] for
+//! RTT estimates and ZCR identity, and repairs the zones it belongs to.
 
 use crate::config::SharqfecConfig;
 use crate::group::{GroupState, Phase};
@@ -12,11 +13,10 @@ use crate::msg::SfMsg;
 use crate::policy::Policy;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
-use sharqfec_scoping::{ZoneHierarchy, ZoneId};
+use sharqfec_scoping::ZoneId;
 use sharqfec_session::core::{is_session_token, SessionCore};
 use sharqfec_session::Bridge;
 use std::ops::{Index, IndexMut};
-use std::sync::Arc;
 
 /// Recovery delay (in units of `d_SA`) above which the adaptive request
 /// window narrows.  The window is the SRM §V adjustment
@@ -40,15 +40,9 @@ const D2: f64 = 1.0;
 const ATTEMPTS_PER_ZONE: u32 = 2;
 /// NACK base size in bytes (ancestor-chain entries add 12 B each).
 const NACK_BYTES: u32 = 40;
-
-/// Whether this member originates the stream or receives it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// The data source (root ZCR).
-    Source,
-    /// A receiving session member.
-    Receiver,
-}
+/// ZLC measurement delay as a multiple of the RTT to the most distant
+/// known receiver (paper §4: 2.5).
+const MEASURE_RTT_FACTOR: f64 = 2.5;
 
 // Timer token layout (bit 63 is reserved for the session layer):
 // bits 40..44 = kind, bits 8..40 = group, bits 0..8 = chain level.
@@ -101,11 +95,12 @@ impl IndexMut<u32> for GroupTable {
 #[derive(Clone, Debug)]
 pub struct SfAgent {
     cfg: SharqfecConfig,
-    role: Role,
     /// Session state, and the one copy of this member's zone chain
     /// (smallest zone first): chain level `l` is zone `chain_zones()[l]`,
     /// on that zone's [`ZoneId::channel`].
     session: SessionCore,
+    /// The stream's source: the member at this node is the sender.
+    source: NodeId,
     /// The scope index new NACKs start at (paper §4's smallest-partition
     /// rule).
     initial_scope: usize,
@@ -113,7 +108,7 @@ pub struct SfAgent {
     /// Sizes preemptive injection where this member is a level's ZCR
     /// (paper §4's EWMA by default; see [`crate::policy`]).
     policy: Policy,
-    /// Source only: next absolute data sequence number.
+    /// The sender's next absolute data sequence number.
     next_seq: u32,
     /// Request-window constants C1 (`lo`) and C2 (`width`), optionally
     /// adapted (paper §7 extension; see [`DELAY_HIGH`]).
@@ -121,45 +116,38 @@ pub struct SfAgent {
     /// EWMA of this receiver's observed loss fraction, fed to the session
     /// layer's §7 receiver-report summarization.
     observed_loss: f64,
-    /// NACKs transmitted (diagnostics).
-    pub nacks_sent: u32,
-    /// Repair packets transmitted, including preemptive injections.
-    pub repairs_sent: u32,
 }
 
 impl SfAgent {
-    /// Creates an agent.  Each zone's traffic goes on [`ZoneId::channel`];
+    /// Creates the agent of the member `session` runs at, the sender if
+    /// that is `source`.  Each zone's traffic goes on [`ZoneId::channel`];
     /// the root zone's channel doubles as the maximum-scope data channel.
-    pub fn new(
-        cfg: SharqfecConfig,
-        role: Role,
-        session: SessionCore,
-        hier: Arc<ZoneHierarchy>,
-        source_node: NodeId,
-    ) -> SfAgent {
+    pub fn new(cfg: SharqfecConfig, session: SessionCore, source: NodeId) -> SfAgent {
         cfg.validate();
         let chain = session.chain_zones();
-        let initial_scope = if hier.is_member(chain[0], source_node) {
+        let initial_scope = if session.hierarchy().is_member(chain[0], source) {
             chain.len() - 1
         } else {
             0
         };
         let policy = cfg.policy.build(chain.len());
         let window = AdaptiveTimer::new(C1, C2, cfg.adaptive_timers, DELAY_HIGH);
-        let cfg_first_seq = cfg.first_seq;
         SfAgent {
             cfg,
-            role,
             session,
+            source,
             initial_scope,
             groups: GroupTable::default(),
             policy,
-            next_seq: cfg_first_seq,
+            next_seq: 0,
             window,
             observed_loss: 0.0,
-            nacks_sent: 0,
-            repairs_sent: 0,
         }
+    }
+
+    /// Whether this member is the sender.
+    fn is_source(&self) -> bool {
+        self.session.node() == self.source
     }
 
     /// The embedded session state machine.
@@ -169,15 +157,12 @@ impl SfAgent {
 
     /// Whether every group of the stream is reconstructable here.
     pub fn complete(&self) -> bool {
-        if self.role == Role::Source {
-            return true;
-        }
-        (0..self.cfg.group_count()).all(|g| self.groups.get(g).is_some_and(GroupState::complete))
+        self.missing() == 0
     }
 
     /// Total packets still missing across all groups.
     pub fn missing(&self) -> u32 {
-        if self.role == Role::Source {
+        if self.is_source() {
             return 0;
         }
         let deficit = |g| match self.groups.get(g) {
@@ -196,7 +181,7 @@ impl SfAgent {
     /// of the stream is reconstructable here (`None` for the source and
     /// for receivers still missing packets).
     pub fn completion_time(&self) -> Option<SimTime> {
-        if self.role == Role::Source {
+        if self.is_source() {
             return None;
         }
         let mut worst = SimTime::ZERO;
@@ -230,23 +215,22 @@ impl SfAgent {
     fn group_entry(&mut self, g: u32) -> &mut GroupState {
         let k = self.cfg.packets_in_group(g);
         let levels = self.session.chain_zones().len();
-        let initial_scope = self.initial_scope;
-        let role = self.role;
+        let (initial_scope, is_source) = (self.initial_scope, self.is_source());
         if self.groups.0.is_empty() {
             self.groups.0 = (0..self.cfg.group_count()).map(|_| None).collect();
         }
-        self.groups.0[g as usize].get_or_insert_with(|| match role {
-            Role::Source => GroupState::complete_source(k, levels),
-            Role::Receiver => GroupState::new(k, levels, initial_scope),
+        self.groups.0[g as usize].get_or_insert_with(|| {
+            if is_source {
+                GroupState::complete_source(k, levels)
+            } else {
+                GroupState::new(k, levels, initial_scope)
+            }
         })
     }
 
     /// One-way distance estimate to the source (the root ZCR) for request
     /// timers, with the configured fallback before the session converges.
     fn d_sa(&self) -> SimDuration {
-        if self.role == Role::Source {
-            return self.cfg.default_dist;
-        }
         self.session
             .dist_to_ancestor(self.session.chain_zones().len() - 1)
             .unwrap_or(self.cfg.default_dist)
@@ -271,9 +255,6 @@ impl SfAgent {
     /// at any enclosing scope with `llc >= ours` provokes repairs that
     /// reach us, since zone channels nest).
     fn maybe_request(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
-        if self.role == Role::Source {
-            return;
-        }
         let st = &self.groups[g];
         if st.request_timer.is_some() || st.complete() || st.deficit() == 0 {
             return;
@@ -332,7 +313,6 @@ impl SfAgent {
             },
             bytes,
         );
-        self.nacks_sent += 1;
         ctx.probe(ProbeEvent::Nack {
             group: g,
             level: sent_level as u32,
@@ -346,9 +326,26 @@ impl SfAgent {
 
     // ---- reply (repair) side ---------------------------------------------
 
+    /// Whether this member represents chain level `level`'s zone: the
+    /// sender represents the root zone alone, a receiver every zone it
+    /// is ZCR of.
+    fn represents(&self, level: usize) -> bool {
+        let chain = self.session.chain_zones();
+        if self.is_source() {
+            level == chain.len() - 1
+        } else {
+            self.session.is_zcr_of(chain[level])
+        }
+    }
+
+    /// Whether this member repairs at all: the sender always, receivers
+    /// unless only the sender repairs (the `so` variant).
+    fn may_repair(&self) -> bool {
+        self.is_source() || self.cfg.receiver_repairs
+    }
+
     fn can_repair(&self, g: u32) -> bool {
-        self.role == Role::Source
-            || (self.cfg.receiver_repairs && self.groups.get(g).is_some_and(GroupState::complete))
+        self.may_repair() && self.groups.get(g).is_some_and(GroupState::complete)
     }
 
     fn arm_reply(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
@@ -370,14 +367,10 @@ impl SfAgent {
     /// transmitting the first of any queued repairs"), which is what
     /// suppresses the slower timer-based repairers.
     fn kick_repairs(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let st = &mut self.groups[g];
-        if st.zones[level].pacing || st.zones[level].outstanding == 0 {
-            return;
+        let z = &self.groups[g].zones[level];
+        if !z.pacing && z.outstanding > 0 && self.can_repair(g) {
+            self.send_repair(ctx, g, level);
         }
-        if !self.can_repair(g) {
-            return;
-        }
-        self.send_repair(ctx, g, level);
     }
 
     /// Transmits one FEC repair into the given zone and paces the next.
@@ -411,7 +404,6 @@ impl SfAgent {
             },
             bytes,
         );
-        self.repairs_sent += 1;
         if more {
             // Half the inter-packet interval, the paper's §4 repair pacing.
             ctx.set_timer(spacing, tok(KIND_SPACING, g, level));
@@ -436,8 +428,9 @@ impl SfAgent {
 
     // ---- preemptive injection and ZLC measurement --------------------------
 
-    /// On group completion: inject predicted FEC into zones this member
-    /// represents, and schedule the ZLC measurement that feeds the EWMA.
+    /// On a receiver's group completion: inject predicted FEC into zones
+    /// this member represents, and schedule the ZLC measurement that
+    /// feeds the EWMA.  (The sender is born holding every group.)
     fn on_complete(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
         let now = ctx.now();
         let d_sa = self.d_sa().as_secs_f64().max(1e-9);
@@ -473,45 +466,35 @@ impl SfAgent {
         }
         // Feed the §7 receiver-report summary: the fraction of this
         // group's identifiers we never received, smoothed.
-        if self.role == Role::Receiver {
-            let span = st.max_idx().map(|m| m + 1).unwrap_or(st.k).max(1);
-            let frac = st.peak_llc as f64 / span as f64;
-            self.observed_loss += 0.25 * (frac - self.observed_loss);
-            self.session.set_local_loss(self.observed_loss);
-        }
-        let repairs_allowed = self.role == Role::Source || self.cfg.receiver_repairs;
+        let span = st.max_idx().map(|m| m + 1).unwrap_or(st.k).max(1);
+        let frac = st.peak_llc as f64 / span as f64;
+        self.observed_loss += 0.25 * (frac - self.observed_loss);
+        self.session.set_local_loss(self.observed_loss);
         for level in 0..self.session.chain_zones().len() {
-            let zone = self.session.chain_zones()[level];
-            let is_zcr = match self.role {
-                Role::Source => level == self.session.chain_zones().len() - 1,
-                Role::Receiver => self.session.is_zcr_of(zone),
-            };
-            if !is_zcr {
+            if self.represents(level) {
+                self.zcr_duties(ctx, g, level);
+            } else if self.may_repair() {
                 // Plain repairers answer queued NACKs now that they can.
-                if repairs_allowed && self.groups[g].zones[level].outstanding > 0 {
-                    self.arm_reply(ctx, g, level);
-                }
-                continue;
+                self.arm_reply(ctx, g, level);
             }
-            // ZCR duties: preemptive injection sized by the policy…
-            if self.cfg.policy.enabled && repairs_allowed && !self.groups[g].zones[level].injected {
-                self.groups[g].zones[level].injected = true;
-                let n = self.decide_injection(ctx, g, level);
-                self.groups[g].zones[level].outstanding += n;
-            }
-            // …the first queued repair goes out immediately (paper §4)…
-            if repairs_allowed {
-                self.kick_repairs(ctx, g, level);
-            }
-            // …and the true ZLC is measured 2.5 RTTs later (paper §4).
-            if !self.groups[g].zones[level].measured {
-                let rtt = self
-                    .session
-                    .max_known_rtt()
-                    .unwrap_or(self.cfg.default_dist * 2);
-                let delay = rtt.mul_f64(self.cfg.policy.measure_rtt_factor);
-                ctx.set_timer(delay, tok(KIND_MEASURE, g, level));
-            }
+        }
+    }
+
+    /// A zone representative's duties once it holds group `g` (a receiver
+    /// on completing it, the sender on sending it), paper §4: preemptive
+    /// injection sized by the policy, the first queued repair at once,
+    /// and the true ZLC measured 2.5 RTTs later.
+    fn zcr_duties(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
+        if self.cfg.policy.enabled && self.may_repair() && !self.groups[g].zones[level].injected {
+            self.groups[g].zones[level].injected = true;
+            let n = self.decide_injection(ctx, g, level);
+            self.groups[g].zones[level].outstanding += n;
+        }
+        self.kick_repairs(ctx, g, level);
+        if !self.groups[g].zones[level].measured {
+            let fallback = self.cfg.default_dist * 2;
+            let rtt = self.session.max_known_rtt().unwrap_or(fallback);
+            ctx.set_timer(rtt.mul_f64(MEASURE_RTT_FACTOR), tok(KIND_MEASURE, g, level));
         }
     }
 
@@ -546,11 +529,11 @@ impl SfAgent {
         // RTT is known (bounded by `MAX_MEASURE_DEFERS`).
         if self.session.max_known_rtt().is_none() {
             let fallback = self.cfg.default_dist * 2;
-            let factor = self.cfg.policy.measure_rtt_factor;
             let z = &mut self.groups[g].zones[level];
             if !z.measured && z.measure_defers < Self::MAX_MEASURE_DEFERS {
                 z.measure_defers += 1;
-                ctx.set_timer(fallback.mul_f64(factor), tok(KIND_MEASURE, g, level));
+                let delay = fallback.mul_f64(MEASURE_RTT_FACTOR);
+                ctx.set_timer(delay, tok(KIND_MEASURE, g, level));
                 return;
             }
         }
@@ -591,17 +574,13 @@ impl SfAgent {
         burst_end: u32,
         is_repair: bool,
     ) {
-        let (role, send_interval) = (self.role, self.cfg.send_interval);
+        let send_interval = self.cfg.send_interval;
         let st = self.group_entry(g);
         if st.first_heard.is_none() {
             st.first_heard = Some(ctx.now());
         }
         // First contact with the group: arm the LDP timer (receivers).
-        if role == Role::Receiver
-            && st.phase == Phase::Ldp
-            && st.ldp_timer.is_none()
-            && st.complete_at.is_none()
-        {
+        if st.phase == Phase::Ldp && st.ldp_timer.is_none() && st.complete_at.is_none() {
             // Expected residue of the group at the advertised rate,
             // plus slack for jitter (paper §4's inter-packet estimate).
             let remaining = st.k.saturating_sub(idx.min(st.k - 1) + 1) as u64;
@@ -734,17 +713,12 @@ impl SfAgent {
         // the largest scope) repairs immediately; everyone else arms a
         // suppression timer and usually gets beaten to it (speculative for
         // receivers that have not completed the group yet).
-        let is_zone_rep = match self.role {
-            Role::Source => level == self.session.chain_zones().len() - 1,
-            Role::Receiver => self.session.is_zcr_of(self.session.chain_zones()[level]),
-        };
-        let may_reply = match self.role {
-            Role::Source => true,
-            Role::Receiver => self.cfg.receiver_repairs,
-        };
-        if is_zone_rep && may_reply && self.can_repair(g) {
+        if !self.may_repair() {
+            return;
+        }
+        if self.represents(level) && self.can_repair(g) {
             self.kick_repairs(ctx, g, level);
-        } else if may_reply {
+        } else {
             self.arm_reply(ctx, g, level);
         }
     }
@@ -762,10 +736,7 @@ impl SfAgent {
         self.maybe_request(ctx, g);
     }
 
-    fn audit_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, _token_group: u32) {
-        if self.role == Role::Source {
-            return;
-        }
+    fn audit_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>) {
         let mut all_done = true;
         for g in 0..self.cfg.group_count() {
             let (incomplete, needs_timer, held, k) = {
@@ -802,7 +773,6 @@ impl SfAgent {
     // ---- source transmission ------------------------------------------------
 
     fn send_tick(&mut self, ctx: &mut Ctx<'_, SfMsg>) {
-        debug_assert_eq!(self.role, Role::Source);
         if self.next_seq >= self.cfg.total_packets {
             return;
         }
@@ -817,35 +787,12 @@ impl SfAgent {
             SfMsg::Data { group: g, idx, k },
             self.cfg.packet_bytes,
         );
-        let group_finished = idx + 1 == k;
-        if group_finished {
-            self.finish_group(ctx, g);
+        if idx + 1 == k {
+            // The group is on the wire: the root zone's ZCR duties.
+            self.zcr_duties(ctx, g, self.session.chain_zones().len() - 1);
         }
         if self.next_seq < self.cfg.total_packets {
             ctx.set_timer(self.cfg.send_interval, tok(KIND_SEND, 0, 0));
-        }
-    }
-
-    /// The source's end-of-group duties: preemptive redundancy sized by
-    /// the root-zone policy, the first queued repair, and the ZLC
-    /// measurement timer.
-    fn finish_group(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32) {
-        let root = self.session.chain_zones().len() - 1;
-        if self.cfg.policy.enabled && !self.groups[g].zones[root].injected {
-            self.groups[g].zones[root].injected = true;
-            let n = self.decide_injection(ctx, g, root);
-            self.groups[g].zones[root].outstanding += n;
-        }
-        self.kick_repairs(ctx, g, root);
-        if !self.groups[g].zones[root].measured {
-            let rtt = self
-                .session
-                .max_known_rtt()
-                .unwrap_or(self.cfg.default_dist * 2);
-            ctx.set_timer(
-                rtt.mul_f64(self.cfg.policy.measure_rtt_factor),
-                tok(KIND_MEASURE, g, root),
-            );
         }
     }
 }
@@ -894,17 +841,20 @@ impl Agent<SfMsg> for SfAgent {
             }
             self.maybe_request(ctx, g);
         }
-        match self.role {
-            Role::Source => {
-                let delay = self.cfg.data_start.saturating_since(ctx.now());
-                ctx.set_timer(delay, tok(KIND_SEND, 0, 0));
+        if self.is_source() {
+            // A sender that has sent nothing joins the schedule where it
+            // stands: a standby started at a handoff instant takes the
+            // send slot the retiring sender's crash cancelled.
+            if self.next_seq == 0 {
+                self.next_seq = self.cfg.seqs_sent_before(ctx.now());
             }
-            Role::Receiver => {
-                let end = self.cfg.data_start
-                    + self.cfg.send_interval * self.cfg.total_packets as u64
-                    + self.cfg.send_interval * 50;
-                ctx.set_timer(end.saturating_since(ctx.now()), tok(KIND_AUDIT, 0, 0));
-            }
+            let delay = self.cfg.data_start.saturating_since(ctx.now());
+            ctx.set_timer(delay, tok(KIND_SEND, 0, 0));
+        } else {
+            let end = self.cfg.data_start
+                + self.cfg.send_interval * self.cfg.total_packets as u64
+                + self.cfg.send_interval * 50;
+            ctx.set_timer(end.saturating_since(ctx.now()), tok(KIND_AUDIT, 0, 0));
         }
     }
 
@@ -923,12 +873,10 @@ impl Agent<SfMsg> for SfAgent {
             KIND_REPLY => self.reply_fire(ctx, g, level),
             KIND_SPACING => {
                 self.groups[g].zones[level].pacing = false;
-                if self.can_repair(g) {
-                    self.send_repair(ctx, g, level);
-                }
+                self.kick_repairs(ctx, g, level);
             }
             KIND_MEASURE => self.measure_fire(ctx, g, level),
-            KIND_AUDIT => self.audit_fire(ctx, g),
+            KIND_AUDIT => self.audit_fire(ctx),
             other => unreachable!("unknown protocol timer kind {other}"),
         }
     }
@@ -971,27 +919,27 @@ impl Agent<SfMsg> for SfAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
     use sharqfec_netsim::agent::Action;
     use sharqfec_netsim::routing::DistanceOracle;
     use sharqfec_netsim::testkit::Rig;
     use sharqfec_session::core::{SessionConfig, ZcrSeeding};
+    use std::sync::Arc;
 
     const ME: NodeId = NodeId(3);
 
-    /// A receiver with no engine and no network.  `c3` of `chain(4)` sits
-    /// in the child zone `{c1, c2, c3}` under the root, is nobody's ZCR,
-    /// and so has a two-level chain whose requests start at level 0.
-    fn receiver() -> Rig<SfAgent> {
+    /// The member at `node` of `chain(4)` with no engine and no network.
+    /// The source `c0` belongs to the root zone only; `c1`, `c2` and `c3`
+    /// also share the child zone under it, whose ZCR is `c1`.
+    fn member(node: NodeId, cfg: SharqfecConfig) -> Rig<SfAgent> {
         let built = sharqfec_topology::chain(4);
         let hier = Arc::new(built.hierarchy.clone());
-        let cfg = SharqfecConfig::full();
         let seeding = ZcrSeeding::Designed(built.designed_zcrs.clone());
-        let session = SessionCore::new(ME, Arc::clone(&hier), SessionConfig, &seeding);
-        let source = built.source;
+        let session = SessionCore::new(node, hier, SessionConfig, &seeding);
         Rig {
-            agent: SfAgent::new(cfg, Role::Receiver, session, hier, source),
+            agent: SfAgent::new(cfg, session, built.source),
             now: SimTime::from_secs(6),
-            node: ME,
+            node,
             rng: SimRng::new(11),
             oracle: DistanceOracle::compute(&built.topology),
             next_timer: 0,
@@ -999,10 +947,33 @@ mod tests {
         }
     }
 
+    /// `c3`, nobody's ZCR: a two-level chain whose requests start at
+    /// level 0.
+    fn receiver() -> Rig<SfAgent> {
+        member(ME, SharqfecConfig::full())
+    }
+
     /// Delivers `payload` from a peer on chain level `level`'s channel.
     fn hear(d: &mut Rig<SfAgent>, level: usize, payload: SfMsg) -> Vec<Action<SfMsg>> {
         let channel = d.agent.session.chain_zones()[level].channel();
         d.hear(NodeId(2), channel, payload)
+    }
+
+    /// A peer's NACK at chain level `level` for one packet of group 0,
+    /// having seen up to index 2.
+    fn peer_nack(d: &mut Rig<SfAgent>, level: usize) -> Vec<Action<SfMsg>> {
+        let zone = d.agent.session.chain_zones()[level];
+        let chain = Vec::new();
+        let (group, llc, needed, max_idx) = (0, 1, 1, 2);
+        let nack = SfMsg::Nack {
+            group,
+            zone,
+            llc,
+            needed,
+            max_idx,
+            chain,
+        };
+        hear(d, level, nack)
     }
 
     /// Opens group `g` with a one-packet gap (indices 0 and 2 arrive),
@@ -1026,10 +997,10 @@ mod tests {
         d.call(|agent, ctx| agent.on_timer(ctx, tok(KIND_REQ, g, 0)))
     }
 
-    /// The request timers an action list arms, as `(group, id)`.
-    fn requests_armed(actions: &[Action<SfMsg>]) -> Vec<(u32, TimerId)> {
+    /// The timers of `kind` an action list arms, as `(group, id)`.
+    fn timers_armed(actions: &[Action<SfMsg>], kind: u64) -> Vec<(u32, TimerId)> {
         let armed = |a: &Action<SfMsg>| match *a {
-            Action::SetTimer { id, token, .. } if tok_parts(token).0 == KIND_REQ => {
+            Action::SetTimer { id, token, .. } if tok_parts(token).0 == kind => {
                 Some((tok_parts(token).1, id))
             }
             _ => None,
@@ -1050,23 +1021,6 @@ mod tests {
     fn duplicate_nacks_back_off_only_at_or_above_the_request_scope() {
         let mut d = receiver();
         lose_one(&mut d, 0);
-        let peer_nack = |d: &mut Rig<SfAgent>| {
-            let zone = d.agent.session.chain_zones()[0];
-            let chain = Vec::new();
-            let (group, llc, needed, max_idx) = (0, 1, 1, 2);
-            hear(
-                d,
-                0,
-                SfMsg::Nack {
-                    group,
-                    zone,
-                    llc,
-                    needed,
-                    max_idx,
-                    chain,
-                },
-            )
-        };
         let duplicate_backoffs = |d: &Rig<SfAgent>| {
             let dup = NackOutcome::SuppressedDuplicate;
             let is_dup = |r: &&ProbeRecord| matches!(r.event, ProbeEvent::Nack { outcome, .. } if outcome == dup);
@@ -1077,22 +1031,22 @@ mod tests {
         fire_request(&mut d, 0);
         let (i, armed) = (d.agent.groups[0].i, d.agent.groups[0].request_timer);
         assert_eq!((d.agent.groups[0].scope_idx, i), (0, 2));
-        let actions = peer_nack(&mut d);
+        let actions = peer_nack(&mut d, 0);
         assert_eq!(d.agent.groups[0].i, i + 1, "backed off");
         assert_eq!(duplicate_backoffs(&d), 1);
         assert!(cancels(&actions, armed), "old request cancelled");
-        assert_eq!(requests_armed(&actions).len(), 1, "and redrawn once");
+        assert_eq!(timers_armed(&actions, KIND_REQ).len(), 1, "redrawn once");
 
         // The second attempt at level 0 escalates the next request to
         // level 1.  Level-0 chatter is now below its scope.
         fire_request(&mut d, 0);
         let (i, armed) = (d.agent.groups[0].i, d.agent.groups[0].request_timer);
         assert_eq!(d.agent.groups[0].scope_idx, 1);
-        let actions = peer_nack(&mut d);
+        let actions = peer_nack(&mut d, 0);
         assert_eq!(d.agent.groups[0].i, i, "not backed off");
         assert_eq!(d.agent.groups[0].request_timer, armed, "timer untouched");
         assert_eq!(duplicate_backoffs(&d), 1, "no second suppression");
-        assert!(requests_armed(&actions).is_empty());
+        assert!(timers_armed(&actions, KIND_REQ).is_empty());
     }
 
     /// Paper §4: "any time a repair arrives, i is reset to 1" — and the
@@ -1118,7 +1072,7 @@ mod tests {
             },
         );
         assert_eq!(d.agent.groups[0].i, 1);
-        let rearmed = requests_armed(&actions);
+        let rearmed = timers_armed(&actions, KIND_REQ);
         assert_eq!(rearmed.len(), 1);
         assert_eq!(d.agent.groups[0].request_timer, Some(rearmed[0].1));
         assert!(cancels(&actions, armed) && Some(rearmed[0].1) != armed);
@@ -1139,7 +1093,7 @@ mod tests {
             // sides, so only the agents' own state can differ.
             (d.now, d.rng, d.next_timer) = (SimTime::from_secs(7), SimRng::new(5), 1_000);
             let actions = d.call(|agent, ctx| agent.on_start(ctx));
-            let armed = requests_armed(&actions);
+            let armed = timers_armed(&actions, KIND_REQ);
             for &(g, id) in &armed {
                 assert_eq!(d.agent.groups[g].request_timer, Some(id), "fresh handle");
             }
@@ -1150,6 +1104,40 @@ mod tests {
         let (_, descending) = restart(&mut groups.into_iter().rev());
         assert_eq!(armed.iter().map(|&(g, _)| g).collect::<Vec<_>>(), groups);
         assert_eq!(ascending, descending);
+    }
+
+    /// The reply rule under sender-only repair (`Variant::Ecsrm`): the
+    /// sender answers a root-scope NACK with FEC in the same callback,
+    /// while a receiver that holds the group but is not its zone's ZCR
+    /// neither repairs nor arms a reply timer — which it does once
+    /// receivers may repair.
+    #[test]
+    fn only_the_sender_answers_nacks_under_sender_only_repair() {
+        // (FEC multicasts, reply timers armed) in one callback's actions.
+        let replies = |actions: &[Action<SfMsg>]| {
+            let fec = |a: &&_| match a {
+                Action::Multicast { payload, .. } => matches!(payload, SfMsg::Fec { .. }),
+                _ => false,
+            };
+            let fec = actions.iter().filter(fec).count();
+            (fec, timers_armed(actions, KIND_REPLY).len())
+        };
+        let ecsrm = SharqfecConfig::variant(Variant::Ecsrm);
+        assert!(!ecsrm.receiver_repairs);
+
+        let mut sender = member(NodeId(0), ecsrm.clone());
+        assert_eq!(sender.agent.session.chain_zones(), [ZoneId::ROOT]);
+        assert_eq!(replies(&peer_nack(&mut sender, 0)), (1, 0));
+
+        for (cfg, reply_timers) in [(ecsrm, 0), (SharqfecConfig::full(), 1)] {
+            let (mut d, group, k) = (member(ME, cfg), 0, 16);
+            for idx in 0..k {
+                hear(&mut d, 1, SfMsg::Data { group, idx, k });
+            }
+            assert!(d.agent.groups[0].complete());
+            assert!(!d.agent.session.is_zcr_of(d.agent.session.chain_zones()[0]));
+            assert_eq!(replies(&peer_nack(&mut d, 0)), (0, reply_timers));
+        }
     }
 
     /// A group id past the stream's end (64 groups of 16) would underflow

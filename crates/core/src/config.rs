@@ -48,12 +48,6 @@ pub struct SharqfecConfig {
     pub data_start: SimTime,
     /// Data packets per group (paper: 16).
     pub group_size: u32,
-    /// First sequence this source sends fresh (default 0).  A standby
-    /// source taking over mid-stream (scenario sender handoff) is seeded
-    /// with the count of sequences the retired sender already put on the
-    /// wire, so the stream continues without gap or overlap; it can still
-    /// *repair* any earlier sequence from its warm-replica history.
-    pub first_seq: u32,
 
     // ---- feature switches (ablations) ----
     /// Administrative scoping (`false` ⇒ the `ns` variants: one global
@@ -90,7 +84,6 @@ impl Default for SharqfecConfig {
             send_interval: SimDuration::from_millis(10),
             data_start: SimTime::from_secs(6),
             group_size: 16,
-            first_seq: 0,
             scoping: true,
             receiver_repairs: true,
             max_backoff: 8,
@@ -145,9 +138,9 @@ impl SharqfecConfig {
     /// Number of fresh sequences a source on this schedule has sent
     /// strictly before `t` — sends happen at `data_start + s·interval`,
     /// and a send scheduled exactly at `t` has not yet fired.  This is
-    /// the `first_seq` to give a standby taking over at `t`: the retiring
-    /// sender's send timer at the handoff instant dies with its crash
-    /// epoch, so the standby's first send replaces it seamlessly.
+    /// where a sender started at `t` begins: a standby taking over at `t`
+    /// sends next what the retiring sender's send timer at the handoff
+    /// instant would have, that timer having died with its crash epoch.
     pub fn seqs_sent_before(&self, t: SimTime) -> u32 {
         let dt = t.saturating_since(self.data_start);
         let sent = dt.0.div_ceil(self.send_interval.0);
@@ -171,10 +164,6 @@ impl SharqfecConfig {
             self.send_interval > SimDuration::ZERO,
             "CBR interval must be positive"
         );
-        assert!(
-            self.first_seq <= self.total_packets,
-            "first_seq must not pass the end of the stream"
-        );
         self.policy.validate();
     }
 }
@@ -193,7 +182,6 @@ mod tests {
         assert_eq!(c.group_count(), 64);
         let p = &c.policy;
         assert!(p.enabled);
-        assert_eq!(p.measure_rtt_factor, 2.5);
         assert_eq!(
             p.kind,
             PolicyKind::Ewma {
@@ -256,7 +244,6 @@ mod tests {
     #[test]
     fn handoff_seq_arithmetic() {
         let c = SharqfecConfig::default(); // data_start 6 s, 10 ms interval
-        assert_eq!(c.first_seq, 0, "plain sources start at the beginning");
         assert_eq!(c.seqs_sent_before(SimTime::from_secs(6)), 0);
         // At exactly 6 s + 40 ms the send of seq 4 has not fired yet.
         assert_eq!(c.seqs_sent_before(SimTime::from_millis(6040)), 4);
@@ -264,12 +251,6 @@ mod tests {
         assert_eq!(c.seqs_sent_before(SimTime::from_secs(3)), 0, "before start");
         // Past the stream end the count saturates at the stream length.
         assert_eq!(c.seqs_sent_before(SimTime::from_secs(1000)), 1024);
-        let bad = SharqfecConfig {
-            first_seq: 2000,
-            ..SharqfecConfig::default()
-        };
-        let err = std::panic::catch_unwind(move || bad.validate());
-        assert!(err.is_err(), "first_seq past the stream is rejected");
     }
 
     #[test]

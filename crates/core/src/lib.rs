@@ -39,7 +39,7 @@ pub mod msg;
 pub mod policy;
 pub mod setup;
 
-pub use agent::{Role, SfAgent};
+pub use agent::SfAgent;
 pub use config::{SharqfecConfig, Variant};
 pub use msg::SfMsg;
 pub use policy::{

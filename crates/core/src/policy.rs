@@ -334,18 +334,13 @@ pub enum PolicyKind {
     },
 }
 
-/// Injection-policy selection and shared measurement parameters, carried
-/// by `SharqfecConfig` and threaded through `EngineBuilder` and the
-/// bench CLI (`--policy`).
+/// Injection-policy selection, carried by `SharqfecConfig` and threaded
+/// through `EngineBuilder` and the bench CLI (`--policy`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicyConfig {
     /// Master switch for preemptive injection (`false` ⇒ the paper's
     /// `ni` variants: no policy runs and nothing is injected).
     pub enabled: bool,
-    /// ZLC measurement delay as a multiple of the RTT to the most
-    /// distant known receiver (paper: 2.5).  A property of the
-    /// measurement pipeline, not of any one predictor, so it lives here.
-    pub measure_rtt_factor: f64,
     /// The predictor to build.
     pub kind: PolicyKind,
 }
@@ -361,7 +356,6 @@ impl PolicyConfig {
     pub fn ewma() -> PolicyConfig {
         PolicyConfig {
             enabled: true,
-            measure_rtt_factor: 2.5,
             kind: PolicyKind::Ewma {
                 gain: 0.25,
                 initial_pred: 1.0,
@@ -373,7 +367,6 @@ impl PolicyConfig {
     pub fn percentile() -> PolicyConfig {
         PolicyConfig {
             enabled: true,
-            measure_rtt_factor: 2.5,
             kind: PolicyKind::Percentile {
                 quantile: 0.95,
                 window: 32,
@@ -386,7 +379,6 @@ impl PolicyConfig {
     pub fn optimizing() -> PolicyConfig {
         PolicyConfig {
             enabled: true,
-            measure_rtt_factor: 2.5,
             kind: PolicyKind::Optimizing {
                 delivery_target: 0.75,
                 window: 8,
@@ -436,10 +428,6 @@ impl PolicyConfig {
     ///
     /// Panics with a description of the violated invariant.
     pub fn validate(&self) {
-        assert!(
-            self.measure_rtt_factor > 0.0,
-            "measure_rtt_factor must be positive"
-        );
         match self.kind {
             PolicyKind::Ewma { gain, initial_pred } => {
                 assert!(
@@ -734,7 +722,6 @@ mod tests {
     fn config_default_is_the_papers_ewma() {
         let cfg = PolicyConfig::default();
         assert!(cfg.enabled);
-        assert_eq!(cfg.measure_rtt_factor, 2.5);
         assert_eq!(
             cfg.kind,
             PolicyKind::Ewma {

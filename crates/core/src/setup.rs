@@ -1,6 +1,6 @@
 //! Assembling a SHARQFEC simulation over a built topology.
 
-use crate::agent::{Role, SfAgent};
+use crate::agent::SfAgent;
 use crate::config::SharqfecConfig;
 use crate::msg::SfMsg;
 use sharqfec_netsim::{ChannelId, EngineBuilder, NodeId, ScenarioPlan, SimTime};
@@ -56,14 +56,13 @@ pub fn setup_sharqfec_builder(
 ///
 /// `standby` names a node that takes over the stream at a sender handoff
 /// (the plan must contain a matching [`ScenarioPlan::handoff`], whose
-/// start override tells us the handoff instant).  That node's agent is
-/// built as a *warm-replica source*: `Role::Source` with
-/// [`SharqfecConfig::first_seq`] set to the count of sequences the
-/// retiring sender has already put on the wire, and the original
-/// `data_start` kept so its first send lands exactly on the handoff
-/// instant — replacing the send the retiring sender's crash cancelled.
-/// A warm standby is already a member of its zone channels, so the
-/// handoff should be declared with empty `to_channels` (re-joining a
+/// start override is the handoff instant).  That node's agent is built
+/// as its own source, a *warm replica*: it holds every group it hears,
+/// and when it starts at the handoff instant it derives its first
+/// sequence from the schedule ([`SharqfecConfig::seqs_sent_before`]), so
+/// its first send lands on the slot the retiring sender's crash
+/// cancelled.  A warm standby is already a member of its zone channels,
+/// so the handoff should be declared with empty `to_channels` (re-joining a
 /// node that forwards for a subtree would strip it from the initial
 /// membership and sever the subtree until the handoff).
 ///
@@ -80,19 +79,17 @@ pub fn setup_sharqfec_scenario_builder(
     standby: Option<NodeId>,
 ) -> EngineBuilder<SfMsg> {
     cfg.validate();
-    let standby_cfg = standby.map(|n| {
+    if let Some(n) = standby {
         assert_ne!(n, built.source, "standby must differ from the source");
         assert!(
             built.receivers.contains(&n),
             "standby {n} is not a session member"
         );
-        let t = plan
-            .start_override(n)
-            .expect("standby needs a scenario start override (ScenarioPlan::handoff)");
-        let mut c = cfg.clone();
-        c.first_seq = cfg.seqs_sent_before(t);
-        (n, c)
-    });
+        assert!(
+            plan.start_override(n).is_some(),
+            "standby needs a scenario start override (ScenarioPlan::handoff)"
+        );
+    }
     let (hierarchy, zcrs): (ZoneHierarchy, Vec<NodeId>) = if cfg.scoping {
         (built.hierarchy.clone(), built.designed_zcrs.clone())
     } else {
@@ -112,16 +109,9 @@ pub fn setup_sharqfec_scenario_builder(
     let seeding = ZcrSeeding::Designed(zcrs);
 
     for member in iter::once(built.source).chain(built.receivers.iter().copied()) {
-        let (role, agent_cfg) = if member == built.source {
-            (Role::Source, cfg.clone())
-        } else {
-            match &standby_cfg {
-                Some((n, c)) if *n == member => (Role::Source, c.clone()),
-                _ => (Role::Receiver, cfg.clone()),
-            }
-        };
+        let source = standby.filter(|&n| n == member).unwrap_or(built.source);
         let session = SessionCore::new(member, Arc::clone(&hier), SessionConfig, &seeding);
-        let agent = SfAgent::new(agent_cfg, role, session, Arc::clone(&hier), built.source);
+        let agent = SfAgent::new(cfg.clone(), session, source);
         builder.add_agent_at(member, Box::new(agent), join_at);
     }
     builder.scenario(plan);
@@ -386,8 +376,9 @@ mod tests {
     #[test]
     fn sender_handoff_completes_the_stream_with_one_active_sender() {
         // The retiring sender crashes at the handoff instant; the warm
-        // standby — built as a Role::Source with `first_seq` — takes over
-        // on the very send slot the crash cancelled.  Receivers must
+        // standby — built as its own source, deriving its first sequence
+        // when it starts — takes over on the very send slot the crash
+        // cancelled.  Receivers must
         // complete and the single-sender audit must stay clean.
         use sharqfec_netsim::prelude::AuditConfig;
         use sharqfec_netsim::TrafficClass;

@@ -379,6 +379,16 @@ impl SessionCore {
         Self::summarized(self.local_loss.map(LossReport::single), child)
     }
 
+    /// The node this state machine runs at.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The zone hierarchy, shared by every member.
+    pub fn hierarchy(&self) -> &ZoneHierarchy {
+        &self.hier
+    }
+
     /// The node's zone chain, smallest first.
     pub fn chain_zones(&self) -> &[ZoneId] {
         &self.chain
