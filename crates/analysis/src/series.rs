@@ -1,45 +1,39 @@
 //! Time-series binning of recorder events: [`bin_deliveries`] scans the
 //! raw event vector a `Raw`-mode recorder keeps and cuts it into the
-//! fixed-width intervals of a [`BinSpec`] — the one binner every figure,
+//! paper's 0.1 s intervals of a [`BinSpec`] — the one binner every figure,
 //! `Scenario::run_traffic` and the benchmark use.
 
 use sharqfec_netsim::metrics::{Record, TrafficClass};
 use sharqfec_netsim::{NodeId, SimTime};
 
-/// A binning specification: window `[start, end)` cut into fixed-width
-/// intervals (the paper uses 0.1 s bins over the data phase).
+/// The paper's bin width in seconds (§6.2 plots 0.1 s bins).
+const WIDTH_SECS: f64 = 0.1;
+/// The bin width in whole nanoseconds, the unit [`SimTime`] counts in:
+/// dividing in `f64` puts an event exactly `k` widths after `start` into
+/// bin `k − 1` for a third of all `k` (`0.3 / 0.1 < 3`), and the CBR
+/// source sends on exact multiples of 10 ms.
+const WIDTH_NS: u64 = 100_000_000;
+
+/// A binning specification: window `[start, end)` cut into the paper's
+/// 0.1 s bins.
 #[derive(Clone, Debug)]
 pub struct BinSpec {
     /// Window start.
     pub start: SimTime,
     /// Window end (exclusive).
     pub end: SimTime,
-    /// Bin width in seconds.
-    pub width_secs: f64,
 }
 
 impl BinSpec {
-    /// The paper's measurement window: 0.1 s bins.
+    /// The paper's measurement window over `[start, end)`.
     pub fn paper(start: SimTime, end: SimTime) -> BinSpec {
-        BinSpec {
-            start,
-            end,
-            width_secs: 0.1,
-        }
-    }
-
-    /// Bin width in whole nanoseconds, the unit [`SimTime`] counts in:
-    /// dividing in `f64` puts an event exactly `k` widths after `start`
-    /// into bin `k − 1` for a third of all `k` (`0.3 / 0.1 < 3`), and the
-    /// CBR source sends on exact multiples of 10 ms.
-    fn width_ns(&self) -> u64 {
-        (self.width_secs * 1e9).round() as u64
+        BinSpec { start, end }
     }
 
     /// Number of bins.
     pub fn bins(&self) -> usize {
         let span = self.end.saturating_since(self.start).as_nanos();
-        span.div_ceil(self.width_ns()) as usize
+        span.div_ceil(WIDTH_NS) as usize
     }
 
     /// Bin index for an instant, or `None` if outside the window.
@@ -48,14 +42,14 @@ impl BinSpec {
             return None;
         }
         let offset = t.saturating_since(self.start).as_nanos();
-        Some((offset / self.width_ns()) as usize)
+        Some((offset / WIDTH_NS) as usize)
     }
 
     /// Midpoint time (seconds) of each bin, for plotting.
     pub fn midpoints(&self) -> Vec<f64> {
         let t0 = self.start.as_secs_f64();
         (0..self.bins())
-            .map(|i| t0 + (i as f64 + 0.5) * self.width_secs)
+            .map(|i| t0 + (i as f64 + 0.5) * WIDTH_SECS)
             .collect()
     }
 }

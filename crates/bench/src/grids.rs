@@ -13,7 +13,7 @@ use sharqfec_netsim::SimTime;
 use sharqfec_topology::figure10::mesh_node;
 use sharqfec_topology::{figure10, Figure10Params};
 
-/// A grid of audited streaming [`Scenario`]s labelled `a/b`, reported as
+/// A grid of [`Scenario`]s labelled `a/b`, each [`Scenario::run`], reported as
 /// one table row per cell.
 pub struct Fig10Grid {
     /// Sweep name (summary file stem).
@@ -63,7 +63,7 @@ impl Sweep for Fig10Grid {
     }
 
     fn metrics(&self, o: &ScenarioOutcome) -> Vec<(String, f64)> {
-        let audit = audit_of(o);
+        let audit = &o.audit;
         let mut m = vec![
             ("data_repair_per_rx".to_string(), o.data_repair_per_rx),
             ("nacks".to_string(), o.nacks as f64),
@@ -94,7 +94,7 @@ impl Sweep for Fig10Grid {
             ];
             row.extend(self.extra.as_ref().map(|e| (e.shown)(o)));
             row.push(o.unrecovered.to_string());
-            row.push(cli::audit_column(audit_of(o)));
+            row.push(cli::audit_column(&o.audit));
             row
         });
         let title = (self.title)(args.packets, args.seed);
@@ -102,18 +102,12 @@ impl Sweep for Fig10Grid {
     }
 
     fn failures(&self, o: &ScenarioOutcome) -> Vec<String> {
-        cli::audit_failure(&o.label, audit_of(o))
-            .into_iter()
-            .collect()
+        cli::audit_failure(&o.label, &o.audit).into_iter().collect()
     }
 
     fn check(&self, summary: &SweepSummary, problems: &mut Vec<String>) {
         (self.check)(summary, problems)
     }
-}
-
-fn audit_of(o: &ScenarioOutcome) -> &crate::AuditOutcome {
-    o.audit.as_ref().expect("every grid cell is audited")
 }
 
 /// `ablation` — sweeps over SHARQFEC's design choices (DESIGN.md §8):
@@ -146,8 +140,6 @@ fn ablation_plan(packets: u32) -> Vec<Scenario> {
     let cell = |sweep: &str, setting: String, cfg: SharqfecConfig, loss_scale: f64| {
         Scenario::sharqfec(format!("{sweep}/{setting}"), cfg, workload)
             .with_params(Figure10Params::default().scaled_loss(loss_scale))
-            .streaming()
-            .audited()
     };
     let base = SharqfecConfig::full;
     let mut cells = Vec::new();
@@ -241,9 +233,7 @@ fn fault_plan(packets: u32) -> Vec<Scenario> {
                 )
                 .with_params(Figure10Params::default().scaled_loss(scale))
                 .with_burst(mean_burst)
-                .with_faults(flap.clone())
-                .streaming()
-                .audited(),
+                .with_faults(flap.clone()),
             );
         }
     }

@@ -7,11 +7,11 @@
 //! subcommands print.  Performance is measured elsewhere: `benchmark/` at
 //! the repository root is the one performance harness.
 //!
-//! * Every experiment cell is a [`Scenario`]: protocol variant + topology
-//!   knobs + workload + fault plan + recorder mode.  The figure sweeps,
-//!   the ablation sweep, and the fault sweep all build scenarios and run
-//!   them through the same code path (fanned out via
-//!   `sharqfec_netsim::runner`).
+//! * Every experiment cell is a [`Scenario`]: protocol variant + loss
+//!   scale + workload + fault plan.  The figure sweeps, the ablation
+//!   sweep, and the fault sweep all build scenarios and run them through
+//!   the same code path (fanned out via `sharqfec_netsim::runner`), every
+//!   run audited; the run method picks the recorder.
 //! * Figures 14–21: [`Scenario::variant`] / [`Scenario::srm_baseline`]
 //!   build the §6.2 workload (1024 × 1000 B packets at 800 kbit/s on the
 //!   Figure 10 network); [`Scenario::run_traffic`] returns
@@ -74,11 +74,11 @@ pub struct TrafficRun {
     pub total_repairs: usize,
     /// Total NACK transmissions over the run.
     pub total_nacks: usize,
-    /// Invariant-auditor verdict (`None` when the run was not audited).
-    pub audit: Option<AuditOutcome>,
+    /// Invariant-auditor verdict.
+    pub audit: AuditOutcome,
 }
 
-/// The invariant auditor's verdict on one audited run (see
+/// The invariant auditor's verdict on one run (see
 /// `sharqfec_netsim::probe::Auditor`): how much evidence it saw and what,
 /// if anything, broke.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,38 +144,38 @@ pub(crate) struct Driven<M> {
     pub events_per_sec: f64,
     /// Shards the topology actually split into (1 = serial).
     pub shards: usize,
-    /// The auditor's verdict, if one was asked for.
-    pub audit: Option<AuditOutcome>,
+    /// The auditor's verdict.
+    pub audit: AuditOutcome,
 }
 
 /// The one way a harness turns a protocol's populated builder into a
 /// finished run: recorder mode, auditor (fed the probe stream, keeping no
-/// records — nothing here reads them) and fault plan on top of `builder`,
+/// records — nothing here reads them; every harness run is audited) and
+/// fault plan on top of `builder`,
 /// then build and advance to `horizon` over up to `shards` subtrees of
 /// `built`.
 pub(crate) fn drive<M: Classify + Clone + Send + 'static>(
     built: &BuiltTopology,
     mut builder: EngineBuilder<M>,
     recorder: RecorderMode,
-    audit: Option<AuditConfig>,
+    audit: AuditConfig,
     faults: FaultPlan,
     horizon: SimTime,
     shards: usize,
 ) -> Driven<M> {
     builder.recorder_mode(recorder).fault_plan(faults);
-    if let Some(cfg) = audit {
-        builder.audit_streaming(cfg);
-    }
+    builder.audit_streaming(audit);
     let plan = Arc::new(built.shard_plan(shards.max(1)));
     let started = Instant::now();
     let mut engine = builder.build();
     let events = engine.advance(RunSpec::to(horizon).with_plan(Arc::clone(&plan)));
     let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let audit = engine.audit_report().map(|r| AuditOutcome {
-        events: r.events,
-        violations: r.violations.len(),
-        summary: r.summary(),
-    });
+    let report = engine.audit_report().expect("drive attaches the auditor");
+    let audit = AuditOutcome {
+        events: report.events,
+        violations: report.violations.len(),
+        summary: report.summary(),
+    };
     Driven {
         engine,
         events,
@@ -195,8 +195,11 @@ pub enum Protocol {
 }
 
 /// One fully-described experiment cell on the Figure 10 network: a
-/// protocol, the topology knobs, the workload, an optional burst-loss
-/// re-model, a fault plan, and the recorder mode.
+/// protocol, the loss scale, the workload, an optional burst-loss
+/// re-model and a fault plan.  Every run is audited (fault spans are
+/// excused automatically; see `EngineBuilder::audit`); [`Scenario::run`]
+/// records on the streaming recorder, [`Scenario::run_traffic`] on the
+/// raw one its series need.
 ///
 /// Identical `(Scenario, seed)` pairs produce identical results at any
 /// sweep thread count, so a scenario's label can serve as the
@@ -207,7 +210,7 @@ pub struct Scenario {
     pub label: String,
     /// Protocol under test.
     pub protocol: Protocol,
-    /// Figure 10 knobs (loss plan, latencies, bandwidths).
+    /// Figure 10's loss scale.
     pub params: Figure10Params,
     /// When set, every lossy link's Bernoulli model is replaced by a
     /// Gilbert–Elliott burst model of equal mean loss and this mean
@@ -217,19 +220,14 @@ pub struct Scenario {
     pub workload: Workload,
     /// Deterministic fault schedule (link flaps, loss changes, churn).
     pub faults: FaultPlan,
-    /// Recorder storage mode; sweeps use streaming, figures use raw.
-    pub recorder: RecorderMode,
-    /// Attach the probe-stream invariant auditor (fault spans are excused
-    /// automatically; see `EngineBuilder::audit`).
-    pub audit: bool,
     /// Engine shards the run executes on (1 = serial).  Results are
     /// bit-identical at any shard count (see `sharqfec_netsim::shard`),
     /// so this is purely a throughput knob.
     pub shards: usize,
 }
 
-/// Aggregate metrics of one [`Scenario`] run, available in both recorder
-/// modes (they come from the recorder's O(1) totals, never raw events).
+/// Aggregate metrics of one [`Scenario`] run, from the streaming
+/// recorder's O(1) totals and the source's per-node counts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioOutcome {
     /// The scenario's label.
@@ -248,13 +246,12 @@ pub struct ScenarioOutcome {
     /// completed its last group — the stream's time-to-complete.  `None`
     /// for SRM runs and whenever any packet stayed unrecovered.
     pub time_to_complete: Option<f64>,
-    /// Invariant-auditor verdict (`None` when the run was not audited).
-    pub audit: Option<AuditOutcome>,
+    /// Invariant-auditor verdict.
+    pub audit: AuditOutcome,
 }
 
 impl Scenario {
-    /// A scenario with default topology, no bursts, no faults, raw
-    /// recording.
+    /// A scenario with default topology, no bursts, no faults.
     fn new(label: impl Into<String>, protocol: Protocol, workload: Workload) -> Scenario {
         Scenario {
             label: label.into(),
@@ -263,20 +260,16 @@ impl Scenario {
             mean_burst: None,
             workload,
             faults: FaultPlan::new(),
-            recorder: RecorderMode::Raw,
-            audit: false,
             shards: 1,
         }
     }
 
-    /// A SHARQFEC scenario with default topology, no bursts, no faults,
-    /// raw recording.
+    /// A SHARQFEC scenario with default topology, no bursts, no faults.
     pub fn sharqfec(label: impl Into<String>, cfg: SharqfecConfig, workload: Workload) -> Scenario {
         Scenario::new(label, Protocol::Sharqfec(cfg), workload)
     }
 
-    /// An SRM scenario with default topology, no bursts, no faults, raw
-    /// recording.
+    /// An SRM scenario with default topology, no bursts, no faults.
     pub fn srm(label: impl Into<String>, cfg: SrmConfig, workload: Workload) -> Scenario {
         Scenario::new(label, Protocol::Srm(cfg), workload)
     }
@@ -293,7 +286,7 @@ impl Scenario {
         Scenario::srm("SRM", SrmConfig::default(), workload)
     }
 
-    /// Replaces the topology knobs.
+    /// Replaces the loss scale.
     pub fn with_params(mut self, params: Figure10Params) -> Scenario {
         self.params = params;
         self
@@ -325,20 +318,6 @@ impl Scenario {
         self
     }
 
-    /// Switches to the streaming recorder (sweep-friendly footprint).
-    pub fn streaming(mut self) -> Scenario {
-        self.recorder = RecorderMode::Streaming;
-        self
-    }
-
-    /// Attaches the probe-stream invariant auditor to the run; its verdict
-    /// lands in the outcome's `audit` field.  The scenario's fault plan is
-    /// excused from the single-ZCR invariant automatically.
-    pub fn audited(mut self) -> Scenario {
-        self.audit = true;
-        self
-    }
-
     /// Runs the engine sharded over up to `shards` zone subtrees
     /// (conservative PDES; bit-identical to serial).
     pub fn with_shards(mut self, shards: usize) -> Scenario {
@@ -363,18 +342,19 @@ impl Scenario {
         built
     }
 
-    /// Runs the protocol's `builder` under this scenario's recorder mode,
-    /// fault plan, auditor and shard count, to the workload's end.
+    /// Runs the protocol's `builder` on `recorder` under this scenario's
+    /// fault plan, the auditor and the shard count, to the workload's end.
     fn simulate<M: Classify + Clone + Send + 'static>(
         &self,
         built: &BuiltTopology,
         builder: EngineBuilder<M>,
+        recorder: RecorderMode,
     ) -> Driven<M> {
         drive(
             built,
             builder,
-            self.recorder,
-            self.audit.then(AuditConfig::default),
+            recorder,
+            AuditConfig::default(),
             self.faults.clone(),
             self.workload.run_end(),
             self.shards,
@@ -390,12 +370,14 @@ impl Scenario {
         built: &BuiltTopology,
         cfg: &SharqfecConfig,
         seed: u64,
+        recorder: RecorderMode,
     ) -> (Driven<sharqfec::SfMsg>, u32, Option<f64>) {
         let cfg = SharqfecConfig {
             total_packets: self.workload.packets,
             ..cfg.clone()
         };
-        let run = self.simulate(built, setup_sharqfec_builder(built, seed, cfg, JOIN_AT));
+        let builder = setup_sharqfec_builder(built, seed, cfg, JOIN_AT);
+        let run = self.simulate(built, builder, recorder);
         let agents = || {
             let receiver = |&r| run.engine.agent::<SfAgent>(r).expect("receiver");
             built.receivers.iter().map(receiver)
@@ -415,12 +397,14 @@ impl Scenario {
         built: &BuiltTopology,
         cfg: &SrmConfig,
         seed: u64,
+        recorder: RecorderMode,
     ) -> (Driven<sharqfec_srm::SrmMsg>, u32) {
         let cfg = SrmConfig {
             total_packets: self.workload.packets,
             ..cfg.clone()
         };
-        let run = self.simulate(built, setup_srm_builder(built, seed, cfg, JOIN_AT));
+        let builder = setup_srm_builder(built, seed, cfg, JOIN_AT);
+        let run = self.simulate(built, builder, recorder);
         let receiver = |&r| {
             let agent = run.engine.agent::<SrmMember>(r).expect("receiver");
             agent.missing()
@@ -429,16 +413,18 @@ impl Scenario {
         (run, unrecovered)
     }
 
-    /// Runs the scenario and returns aggregate metrics.
+    /// Runs the scenario on the streaming recorder and returns aggregate
+    /// metrics.
     pub fn run(&self, seed: u64) -> ScenarioOutcome {
         let built = self.build_topology();
+        let streaming = RecorderMode::Streaming;
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let (run, unrecovered, ttc) = self.simulate_sharqfec(&built, cfg, seed);
+                let (run, unrecovered, ttc) = self.simulate_sharqfec(&built, cfg, seed, streaming);
                 self.outcome(run, &built, unrecovered, ttc)
             }
             Protocol::Srm(cfg) => {
-                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed);
+                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed, streaming);
                 self.outcome(run, &built, unrecovered, None)
             }
         }
@@ -469,27 +455,20 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario and returns the binned traffic series the figure
-    /// sweep plots.
-    ///
-    /// # Panics
-    ///
-    /// Panics in streaming mode — the series need the raw event traces.
+    /// Runs the scenario on the raw recorder (the series need its event
+    /// traces) and returns the binned traffic series the figure sweep
+    /// plots.
     pub fn run_traffic(&self, seed: u64) -> TrafficRun {
-        assert_eq!(
-            self.recorder,
-            RecorderMode::Raw,
-            "binned traffic series need the raw recorder"
-        );
         let built = self.build_topology();
         let spec = self.workload.spec();
+        let raw = RecorderMode::Raw;
         match &self.protocol {
             Protocol::Sharqfec(cfg) => {
-                let (run, unrecovered, _) = self.simulate_sharqfec(&built, cfg, seed);
+                let (run, unrecovered, _) = self.simulate_sharqfec(&built, cfg, seed, raw);
                 extract_run(self.label.clone(), run, &built, &spec, unrecovered)
             }
             Protocol::Srm(cfg) => {
-                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed);
+                let (run, unrecovered) = self.simulate_srm(&built, cfg, seed, raw);
                 extract_run(self.label.clone(), run, &built, &spec, unrecovered)
             }
         }
@@ -667,6 +646,24 @@ mod tests {
             RttExperiment::new(&probers, &times).elected().run(42),
             RttExperiment::new(&probers, &times).elected().run(42)
         );
+    }
+
+    /// Both run methods are audited, and the streaming recorder's totals
+    /// are the raw recorder's.
+    #[test]
+    fn run_and_run_traffic_report_the_same_totals_and_verdict() {
+        let w = Workload {
+            packets: 32,
+            tail_secs: 15,
+        };
+        let cell = Scenario::variant(Variant::Full, w);
+        let (totals, series) = (cell.run(42), cell.run_traffic(42));
+        assert!(totals.repairs > 0 && totals.audit.events > 0);
+        assert_eq!(
+            (totals.unrecovered, totals.repairs, totals.nacks),
+            (series.unrecovered, series.total_repairs, series.total_nacks)
+        );
+        assert_eq!(totals.audit, series.audit);
     }
 
     /// A sharded figure run is the same run: every binned series and

@@ -20,7 +20,6 @@ use crate::grids::{Extra, Fig10Grid};
 use crate::{Scenario, Workload};
 use sharqfec::{PolicyConfig, SharqfecConfig};
 use sharqfec_netsim::runner::SweepSummary;
-use sharqfec_topology::Figure10Params;
 
 /// The `policy` sweep; the summary lands in
 /// `results/BENCH_policy_sweep.json`.
@@ -95,10 +94,7 @@ pub fn plan(packets: u32) -> Vec<Scenario> {
         for (cell, mean_burst) in CELLS {
             let mut s =
                 Scenario::sharqfec(format!("{policy}/{cell}"), SharqfecConfig::full(), workload)
-                    .with_policy(PolicyConfig::named(policy).expect("known policy"))
-                    .with_params(Figure10Params::default().scaled_loss(1.0))
-                    .streaming()
-                    .audited();
+                    .with_policy(PolicyConfig::named(policy).expect("known policy"));
             if let Some(mb) = mean_burst {
                 s = s.with_burst(mb);
             }
@@ -175,7 +171,6 @@ mod tests {
                     .find(|s| s.label == format!("{policy}/{cell}"))
                     .expect("cell planned");
                 assert_eq!(s.mean_burst, mb);
-                assert!(s.audit);
                 let Protocol::Sharqfec(cfg) = &s.protocol else {
                     panic!("policy sweep is SHARQFEC-only");
                 };

@@ -228,15 +228,7 @@ fn advance<M: Classify + Clone + Send + 'static>(
 ) -> Driven<M> {
     let (aggregate, audit) = (RecorderMode::Aggregate, AuditConfig::default());
     let no_faults = FaultPlan::new();
-    drive(
-        built,
-        builder,
-        aggregate,
-        Some(audit),
-        no_faults,
-        HORIZON,
-        shards,
-    )
+    drive(built, builder, aggregate, audit, no_faults, HORIZON, shards)
 }
 
 /// Reads a finished run's aggregate metrics; `ran` is `(unrecovered,
@@ -270,7 +262,7 @@ fn outcome<M: Classify + Clone + 'static>(
         events: run.events,
         events_per_sec: run.events_per_sec,
         shards: run.shards,
-        audit: run.audit.expect("every scale cell is audited"),
+        audit: run.audit,
     }
 }
 

@@ -127,7 +127,7 @@ impl Sweep for Traffic {
                 always.contains(&s.label.as_str())
                     || wanted.iter().any(|f| f.runs.contains(&s.label.as_str()))
             })
-            .map(|s| s.audited().with_shards(args.shard_count()))
+            .map(|s| s.with_shards(args.shard_count()))
             .collect();
         cli::apply_policy_override(scenarios, args.policy.as_ref())
             .into_iter()
@@ -140,7 +140,7 @@ impl Sweep for Traffic {
     }
 
     fn metrics(&self, r: &TrafficRun) -> Vec<(String, f64)> {
-        let audit = r.audit.as_ref().expect("every figure run is audited");
+        let audit = &r.audit;
         vec![
             ("total_repairs".into(), r.total_repairs as f64),
             ("total_nacks".into(), r.total_nacks as f64),
@@ -162,8 +162,7 @@ impl Sweep for Traffic {
     }
 
     fn failures(&self, r: &TrafficRun) -> Vec<String> {
-        let audit = r.audit.as_ref().expect("every figure run is audited");
-        cli::audit_failure(&r.label, audit).into_iter().collect()
+        cli::audit_failure(&r.label, &r.audit).into_iter().collect()
     }
 
     /// SRM's exponential backoff leaves a long repair tail (the paper's

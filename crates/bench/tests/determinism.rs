@@ -81,8 +81,8 @@ fn audit_verdicts_repeat_word_for_word() {
         packets: 32,
         tail_secs: 20,
     };
-    let figure10 = Scenario::variant(Variant::Full, workload).audited();
-    let figure10 = || figure10.run(42).audit.expect("audited").summary;
+    let figure10 = Scenario::variant(Variant::Full, workload);
+    let figure10 = || figure10.run(42).audit.summary;
     // n=200, a 16-member flash crowd, churn and an outage.
     let scenario = || run_cell(smoke_grid()[2], 42, 32, 1).audit.summary;
     for verdict in [&figure10 as &dyn Fn() -> String, &scenario] {

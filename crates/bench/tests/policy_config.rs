@@ -16,10 +16,7 @@ const WORKLOAD: Workload = Workload {
 };
 
 fn run(label: &str, cfg: SharqfecConfig) -> ScenarioOutcome {
-    Scenario::sharqfec(label, cfg, WORKLOAD)
-        .streaming()
-        .audited()
-        .run(7)
+    Scenario::sharqfec(label, cfg, WORKLOAD).run(7)
 }
 
 fn assert_identical(a: &ScenarioOutcome, b: &ScenarioOutcome) {
@@ -28,12 +25,8 @@ fn assert_identical(a: &ScenarioOutcome, b: &ScenarioOutcome) {
     assert_eq!(a.repairs, b.repairs);
     assert_eq!(a.unrecovered, b.unrecovered);
     assert_eq!(a.time_to_complete, b.time_to_complete);
-    let (aa, ba) = (
-        a.audit.as_ref().expect("audited"),
-        b.audit.as_ref().expect("audited"),
-    );
-    assert_eq!(aa.events, ba.events, "probe streams diverged");
-    assert_eq!(aa.violations, ba.violations);
+    assert_eq!(a.audit.events, b.audit.events, "probe streams diverged");
+    assert_eq!(a.audit.violations, b.audit.violations);
 }
 
 fn tuned_ewma() -> SharqfecConfig {

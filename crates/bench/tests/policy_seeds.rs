@@ -46,7 +46,7 @@ fn optimizing_beats_ewma_on_long_bursts_but_on_the_known_seeds() {
     assert_eq!(failing, POLICY_KNOWN_FAILING, "repairs {CELLS:?}: {rows:?}");
 
     let stalled: Vec<(&str, u64)> = (outcomes.iter().enumerate())
-        .filter(|(_, o)| o.unrecovered > 0 || o.audit.as_ref().is_some_and(|a| !a.ok()))
+        .filter(|(_, o)| o.unrecovered > 0 || !o.audit.ok())
         .map(|(k, _)| (CELLS[k / SEEDS.len()], SEEDS[k % SEEDS.len()]))
         .collect();
     assert_eq!(stalled, STALLED);

@@ -116,6 +116,8 @@ pub struct SfAgent {
     /// EWMA of this receiver's observed loss fraction, fed to the session
     /// layer's §7 receiver-report summarization.
     observed_loss: f64,
+    /// The session's seat mask as last forwarded to the policy.
+    seats_seen: u64,
 }
 
 impl SfAgent {
@@ -142,6 +144,7 @@ impl SfAgent {
             next_seq: 0,
             window,
             observed_loss: 0.0,
+            seats_seen: 0,
         }
     }
 
@@ -192,16 +195,19 @@ impl SfAgent {
         Some(worst)
     }
 
-    /// Forwards ZCR seat transitions recorded by the session layer to
-    /// the policy, so history-bearing predictors can reset on election.
-    fn drain_seat_events(&mut self) {
-        // Called after every session delivery; seats change a few times a
+    /// Forwards the ZCR seats this member gained or lost since the last
+    /// call to the policy, lowest level first, so history-bearing
+    /// predictors can reset on election.  Seeded seats count as gains.
+    fn forward_seat_changes(&mut self) {
+        // Called after every session callback; seats change a few times a
         // run.
-        if !self.session.has_seat_events() {
-            return;
-        }
-        for (level, is_zcr) in self.session.take_seat_events() {
-            self.policy.on_seat_change(level, is_zcr);
+        let mut changed = self.session.seats() ^ self.seats_seen;
+        self.seats_seen ^= changed;
+        while changed != 0 {
+            let level = changed.trailing_zeros() as usize;
+            changed &= changed - 1;
+            self.policy
+                .on_seat_change(level, self.seats_seen >> level & 1 == 1);
         }
     }
 
@@ -813,7 +819,7 @@ impl Agent<SfMsg> for SfAgent {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SfMsg>) {
         self.session.start(&mut Bridge::new(ctx, SfMsg::Session));
-        self.drain_seat_events();
+        self.forward_seat_changes();
         // On a warm restart (NodeRestart after a crash) every timer this
         // agent had pending died with the crash epoch, but the per-group
         // state still holds the handles.  A handle that *looks* armed
@@ -862,7 +868,7 @@ impl Agent<SfMsg> for SfAgent {
         if is_session_token(token) {
             self.session
                 .on_timer(&mut Bridge::new(ctx, SfMsg::Session), token);
-            self.drain_seat_events();
+            self.forward_seat_changes();
             return;
         }
         let (kind, g, level) = tok_parts(token);
@@ -889,7 +895,7 @@ impl Agent<SfMsg> for SfAgent {
             SfMsg::Session(msg) => {
                 self.session
                     .on_msg(&mut Bridge::new(ctx, SfMsg::Session), pkt.src, msg);
-                self.drain_seat_events();
+                self.forward_seat_changes();
             }
             SfMsg::Data { group, idx, .. } => {
                 self.handle_payload(ctx, *group, *idx, pkt.channel, *idx, false);

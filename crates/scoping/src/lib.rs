@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 use sharqfec_netsim::{ChannelId, NodeId};
+use std::sync::Arc;
 
 /// Identifier of a zone within one [`ZoneHierarchy`], dense from 0.
 /// Zone 0 is always the root (largest scope).
@@ -233,16 +234,18 @@ impl ZoneHierarchyBuilder {
         }
         // Sibling disjointness: tag every member of every child with its
         // zone, sort once per parent, and look for adjacent duplicates.
-        // O(n log n) per level instead of pairwise set intersections.
+        // O(n log n) per level instead of pairwise set intersections; one
+        // buffer serves every parent.
+        let mut tagged: Vec<(NodeId, ZoneId)> = Vec::new();
         for z in &self.zones {
             if z.children.len() < 2 {
                 continue;
             }
-            let mut tagged: Vec<(NodeId, ZoneId)> = z
-                .children
-                .iter()
-                .flat_map(|&c| self.zones[c.idx()].members.iter().map(move |&m| (m, c)))
-                .collect();
+            tagged.clear();
+            tagged.extend(
+                (z.children.iter())
+                    .flat_map(|&c| self.zones[c.idx()].members.iter().map(move |&m| (m, c))),
+            );
             tagged.sort();
             for w in tagged.windows(2) {
                 if w[0].0 == w[1].0 {
@@ -273,19 +276,21 @@ impl ZoneHierarchyBuilder {
         }
 
         Ok(ZoneHierarchy {
-            zones: self.zones,
-            smallest,
+            zones: self.zones.into(),
+            smallest: smallest.into(),
         })
     }
 }
 
-/// A validated nesting of administratively scoped zones.
+/// A validated nesting of administratively scoped zones.  Immutable once
+/// built, so a clone shares the zone list and the smallest-zone table
+/// (two pointer copies, however large the tree).
 #[derive(Clone, Debug)]
 pub struct ZoneHierarchy {
-    zones: Vec<Zone>,
+    zones: Arc<[Zone]>,
     /// Deepest zone containing each node (None if the node is outside the
     /// session entirely).
-    smallest: Vec<Option<ZoneId>>,
+    smallest: Arc<[Option<ZoneId>]>,
 }
 
 impl ZoneHierarchy {
@@ -405,6 +410,9 @@ mod tests {
         assert_eq!(h.zone(z4).level, 2);
         assert_eq!(h.parent(z4), Some(z1));
         assert_eq!(h.parent(z0), None);
+        // A clone shares the zone list and the smallest-zone table.
+        let copy = h.clone();
+        assert!(Arc::ptr_eq(&h.zones, &copy.zones) && Arc::ptr_eq(&h.smallest, &copy.smallest));
     }
 
     #[test]

@@ -232,11 +232,9 @@ pub struct SessionCore {
     local_loss: Option<f64>,
     announces_sent: u32,
     started: bool,
-    /// ZCR seat transitions of *this node* (chain level, now-held),
-    /// queued for the host protocol to drain via
-    /// [`SessionCore::take_seat_events`] — injection policies reset
-    /// per-level history when responsibility changes hands.
-    seat_events: Vec<(usize, bool)>,
+    /// The chain levels whose ZCR seat this node holds, bit `l` for
+    /// level `l` (see [`SessionCore::seats`]).
+    seats: u64,
 }
 
 impl SessionCore {
@@ -249,7 +247,8 @@ impl SessionCore {
         seeding: &ZcrSeeding,
     ) -> SessionCore {
         let chain = hier.zone_chain(node);
-        let levels = chain
+        assert!(chain.len() <= 64, "a seat mask holds 64 chain levels");
+        let levels: Vec<Level> = chain
             .iter()
             .map(|&zone| {
                 let zcr = match seeding {
@@ -276,6 +275,9 @@ impl SessionCore {
                 }
             })
             .collect();
+        let seats = (levels.iter().enumerate())
+            .filter(|(_, level)| level.zcr == Some(node))
+            .fold(0, |seats, (l, _)| seats | 1 << l);
         SessionCore {
             node,
             hier,
@@ -284,7 +286,7 @@ impl SessionCore {
             local_loss: None,
             announces_sent: 0,
             started: false,
-            seat_events: Vec::new(),
+            seats,
         }
     }
 
@@ -300,8 +302,7 @@ impl SessionCore {
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.chain.capacity() * size_of::<ZoneId>()
-            + self.levels.capacity() * size_of::<Level>()
-            + self.seat_events.capacity() * size_of::<(usize, bool)>();
+            + self.levels.capacity() * size_of::<Level>();
         for l in &self.levels {
             bytes += l.zcr_peer_dists.capacity() * size_of::<(NodeId, SimDuration)>();
             bytes += l.table.state_bytes();
@@ -311,30 +312,25 @@ impl SessionCore {
         bytes
     }
 
-    /// Updates the believed ZCR at chain level `l`, recording a seat
-    /// event whenever *this node's* tenure changes.
+    /// Updates the believed ZCR at chain level `l`, and this node's seat
+    /// mask with it.
     fn set_seat(&mut self, l: usize, holder: Option<NodeId>) {
-        let was_me = self.levels[l].zcr == Some(self.node);
-        let is_me = holder == Some(self.node);
-        if was_me != is_me {
-            self.seat_events.push((l, is_me));
+        if holder == Some(self.node) {
+            self.seats |= 1 << l;
+        } else {
+            self.seats &= !(1 << l);
         }
         self.levels[l].zcr = holder;
     }
 
-    /// Drains the queued ZCR seat transitions of this node — `(chain
-    /// level, whether the seat is now held)`, in occurrence order.  The
-    /// host protocol forwards these to its injection policy.
-    ///
-    /// Check [`SessionCore::has_seat_events`] first on a hot path: taking
-    /// an empty queue still moves a `Vec` out and a fresh one in.
-    pub fn take_seat_events(&mut self) -> Vec<(usize, bool)> {
-        std::mem::take(&mut self.seat_events)
-    }
-
-    /// Whether any seat transition is waiting in the queue.
-    pub fn has_seat_events(&self) -> bool {
-        !self.seat_events.is_empty()
+    /// The chain levels whose ZCR seat this node holds, bit `l` for chain
+    /// level `l` — seeded tenure from construction on.  A host protocol
+    /// compares it with the mask it last saw to learn its seat gains and
+    /// losses (injection policies reset per-level history when
+    /// responsibility changes hands); one session callback changes at
+    /// most one level's seat.
+    pub fn seats(&self) -> u64 {
+        self.seats
     }
 
     /// Sets this member's own reception-quality figure (loss fraction)
@@ -559,8 +555,6 @@ impl SessionCore {
                         action: ZcrAction::Seeded,
                         holder: self.node,
                     });
-                    // Seeded tenure counts as a seat gain for the host.
-                    self.seat_events.push((l, true));
                 }
             }
         }
@@ -1087,7 +1081,7 @@ mod tests {
         let cold_timers = ctx.timers.len();
         let cold_probes = ctx.probes.len();
         assert_eq!(cold_probes, 1, "node 3 is the seeded ZCR of Z2");
-        assert_eq!(core.take_seat_events(), vec![(0, true)]);
+        assert_eq!(core.seats(), 0b1);
 
         ctx.now = SimTime::from_secs(40); // well past every liveness window
         core.start(&mut ctx);
@@ -1097,10 +1091,7 @@ mod tests {
             "warm restart must re-arm the same timer set"
         );
         assert_eq!(ctx.probes.len(), cold_probes, "no second Seeded probe");
-        assert!(
-            core.take_seat_events().is_empty(),
-            "rejoining must not mint another seat gain"
-        );
+        assert_eq!(core.seats(), 0b1, "rejoining changes no seat");
     }
 
     #[test]
@@ -1339,21 +1330,20 @@ mod tests {
     #[test]
     fn seat_events_record_this_nodes_tenure_changes() {
         let (mut core, mut ctx) = started(3);
-        // Seeded ZCR of Z2 (chain level 0): one gain event, drained once.
-        assert_eq!(core.take_seat_events(), vec![(0, true)]);
-        assert_eq!(core.take_seat_events(), vec![]);
+        // Seeded ZCR of Z2 (chain level 0).
+        assert_eq!(core.seats(), 0b1);
         let z2 = core.chain_zones()[0];
         core.levels[0].my_dist_to_parent = Some(ms(10));
-        // Reassert against a farther usurper: tenure unchanged, no event.
+        // Reassert against a farther usurper: tenure unchanged.
         core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 25));
-        assert_eq!(core.take_seat_events(), vec![]);
-        // A strictly closer usurper wins the seat: one loss event.
+        assert_eq!(core.seats(), 0b1);
+        // A strictly closer usurper wins the seat.
         core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
-        assert_eq!(core.take_seat_events(), vec![(0, false)]);
+        assert_eq!(core.seats(), 0);
 
-        // A node seeded with no seats never produces events.
-        let (mut other, _) = started(5);
-        assert_eq!(other.take_seat_events(), vec![]);
+        // A node seeded with no seats holds none.
+        let (other, _) = started(5);
+        assert_eq!(other.seats(), 0);
     }
 
     #[test]
@@ -1615,6 +1605,7 @@ mod tests {
         core.levels[0].my_dist_to_parent = Some(ms(10));
         core.on_msg(&mut ctx, n(6), &takeover(z2, 6, 4));
         assert_eq!(core.participation(), vec![z2]);
+        assert_eq!(core.seats(), 0);
         // The Z1 table is kept and still counted, but no longer searched
         // or updated …
         assert_eq!(core.tracked_peer_count(), 3);
@@ -1638,6 +1629,7 @@ mod tests {
         core.levels[0].takeover = Some((TimerId(99), ms(1)));
         assert!(core.on_timer(&mut ctx, token(KIND_TAKEOVER, 0)));
         assert_eq!(core.participation(), vec![z2, z1]);
+        assert_eq!(core.seats(), 0b1);
         assert_eq!(core.tracked_peer_count(), 3);
         assert_eq!(core.direct_rtt(n(1)), Some(ms(40)));
         // … and the next announcement sweeps out what went stale meanwhile.
@@ -1645,10 +1637,6 @@ mod tests {
         assert!(core.on_timer(&mut ctx, token(KIND_ANNOUNCE, 0)));
         assert_eq!(core.levels[1].table.len(), 1);
         assert_eq!(core.tracked_peer_count(), 2);
-        assert_eq!(
-            core.take_seat_events(),
-            vec![(0, true), (0, false), (0, true)]
-        );
     }
 
     #[test]

@@ -83,12 +83,6 @@ pub struct SrmMember {
     /// Which announce rotation round comes next (see
     /// `SrmConfig::announce_stride`).
     announce_round: u64,
-    /// Requests this member transmitted (for diagnostics).
-    pub requests_sent: u32,
-    /// Repairs this member transmitted.
-    pub repairs_sent: u32,
-    /// Session announcements this member transmitted.
-    pub announces_sent: u32,
 }
 
 impl SrmMember {
@@ -110,9 +104,6 @@ impl SrmMember {
             session_peer_count: 0,
             nodes,
             announce_round: 0,
-            requests_sent: 0,
-            repairs_sent: 0,
-            announces_sent: 0,
         }
     }
 
@@ -286,7 +277,6 @@ impl Agent<SrmMsg> for SrmMember {
             let stride = self.cfg.announce_stride;
             if (u64::from(ctx.node().0) + self.announce_round).is_multiple_of(stride) {
                 ctx.multicast(self.chan, SrmMsg::Announce, ANNOUNCE_BYTES);
-                self.announces_sent += 1;
             }
             self.announce_round += 1;
             // Announce for the life of the stream, then stop so quiescent
@@ -310,7 +300,6 @@ impl Agent<SrmMsg> for SrmMember {
             // Repair timer fired: transmit if still unsuppressed.
             if self.replier.fire(ctx, seq) {
                 ctx.multicast(self.chan, SrmMsg::Repair { seq }, PACKET_BYTES);
-                self.repairs_sent += 1;
             }
             return;
         }
@@ -323,7 +312,6 @@ impl Agent<SrmMsg> for SrmMember {
             return;
         }
         ctx.multicast(self.chan, SrmMsg::Request { seq }, REQUEST_BYTES);
-        self.requests_sent += 1;
         // SRM has one flat scope and no ZLC; `group` carries the sequence
         // number and the counts carry what the protocol actually tracks.
         ctx.probe(ProbeEvent::Nack {
@@ -540,9 +528,9 @@ mod tests {
         d.now += dist.mul_f64(REPAIR_HOLDOFF_FACTOR);
         assert_eq!(request(&mut d, p, 1).len(), 1);
         let fired = d.call(|s, ctx| s.on_timer(ctx, TOK_REP_BASE | 1));
+        // One action, this member's one repair multicast.
         let repair = SrmMsg::Repair { seq: 1 };
         assert!(matches!(&fired[..], [Action::Multicast { payload, .. }] if *payload == repair));
-        assert_eq!(d.agent.repairs_sent, 1);
         // The timer is spent, and sending the repair began a new hold-off.
         assert!(d
             .call(|s, ctx| s.on_timer(ctx, TOK_REP_BASE | 1))

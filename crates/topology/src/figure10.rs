@@ -38,40 +38,33 @@ use crate::BuiltTopology;
 use sharqfec_netsim::{LinkParams, NodeId, SimDuration, TopologyBuilder};
 use sharqfec_scoping::ZoneHierarchyBuilder;
 
-/// Tunable parameters of the Figure 10 build (defaults reproduce the
-/// paper; sweeps perturb them for ablations).
+/// Backbone (source → mesh node) one-way latencies in ms, one per tree.
+const BACKBONE_LATENCY_MS: [u64; TREES] = [30, 40, 50, 60, 35, 10, 20];
+/// Backbone loss rates, one per tree: tree 3 worst (≈ 18.8 % ⇒ 28.3 % at
+/// its leaves), trees 5 and 6 best (2 % ⇒ 13.4 % at their leaves); see
+/// the module docs for how the text pins them.
+const BACKBONE_LOSS: [f64; TREES] = [0.05, 0.08, 0.12, 0.188, 0.10, 0.02, 0.02];
+/// Loss on mesh-node → child links (paper: 8 %).
+const MESH_CHILD_LOSS: f64 = 0.08;
+/// Loss on child → leaf links (paper: 4 %).
+const CHILD_LEAF_LOSS: f64 = 0.04;
+/// Backbone bandwidth (paper: 45 Mbit/s).
+const BACKBONE_BPS: u64 = 45_000_000;
+/// Tree bandwidth (paper: 10 Mbit/s).
+const TREE_BPS: u64 = 10_000_000;
+/// Tree link latency (paper: 20 ms).
+const TREE_LATENCY_MS: u64 = 20;
+
+/// The one knob of the Figure 10 build: a factor on every loss rate
+/// (the default reproduces the paper; loss-sweep ablations scale it).
 #[derive(Clone, Debug)]
 pub struct Figure10Params {
-    /// Backbone (source → mesh node) one-way latencies, one per tree.
-    pub backbone_latency_ms: [u64; 7],
-    /// Backbone loss rates, one per tree (see module docs for how the
-    /// defaults are pinned by the text).
-    pub backbone_loss: [f64; 7],
-    /// Loss on mesh-node → child links (paper: 8 %).
-    pub mesh_child_loss: f64,
-    /// Loss on child → leaf links (paper: 4 %).
-    pub child_leaf_loss: f64,
-    /// Backbone bandwidth (paper: 45 Mbit/s).
-    pub backbone_bps: u64,
-    /// Tree bandwidth (paper: 10 Mbit/s).
-    pub tree_bps: u64,
-    /// Tree link latency (paper: 20 ms).
-    pub tree_latency_ms: u64,
+    loss_scale: f64,
 }
 
 impl Default for Figure10Params {
     fn default() -> Figure10Params {
-        Figure10Params {
-            backbone_latency_ms: [30, 40, 50, 60, 35, 10, 20],
-            // Tree 3 worst (≈18.8% ⇒ 28.3% at its leaves); trees 5 & 6 best
-            // (2% ⇒ 13.4% at their leaves).
-            backbone_loss: [0.05, 0.08, 0.12, 0.188, 0.10, 0.02, 0.02],
-            mesh_child_loss: 0.08,
-            child_leaf_loss: 0.04,
-            backbone_bps: 45_000_000,
-            tree_bps: 10_000_000,
-            tree_latency_ms: 20,
-        }
+        Figure10Params { loss_scale: 1.0 }
     }
 }
 
@@ -81,31 +74,26 @@ impl Figure10Params {
     /// engine already spares session/NACK classes, but a fully lossless
     /// network is useful for isolating protocol logic in tests).
     pub fn lossless() -> Figure10Params {
-        Figure10Params {
-            backbone_loss: [0.0; 7],
-            mesh_child_loss: 0.0,
-            child_leaf_loss: 0.0,
-            ..Figure10Params::default()
-        }
+        Figure10Params { loss_scale: 0.0 }
     }
 
-    /// Scales every loss rate by `factor` (clamped to [0, 1]) for
+    /// Scales every loss rate by `factor` (each clamped to [0, 1]) for
     /// loss-sweep ablations.
     pub fn scaled_loss(mut self, factor: f64) -> Figure10Params {
-        let clamp = |p: f64| (p * factor).clamp(0.0, 1.0);
-        for p in &mut self.backbone_loss {
-            *p = clamp(*p);
-        }
-        self.mesh_child_loss = clamp(self.mesh_child_loss);
-        self.child_leaf_loss = clamp(self.child_leaf_loss);
+        self.loss_scale *= factor;
         self
+    }
+
+    /// One of the paper's loss rates under this build's scale.
+    fn loss(&self, base: f64) -> f64 {
+        (base * self.loss_scale).clamp(0.0, 1.0)
     }
 
     /// Compounded end-to-end loss from the source to a leaf of tree `t`.
     pub fn leaf_loss(&self, t: usize) -> f64 {
-        1.0 - (1.0 - self.backbone_loss[t])
-            * (1.0 - self.mesh_child_loss)
-            * (1.0 - self.child_leaf_loss)
+        1.0 - (1.0 - self.loss(BACKBONE_LOSS[t]))
+            * (1.0 - self.loss(MESH_CHILD_LOSS))
+            * (1.0 - self.loss(CHILD_LEAF_LOSS))
     }
 }
 
@@ -155,28 +143,21 @@ pub fn figure10(params: &Figure10Params) -> BuiltTopology {
         debug_assert_eq!(mesh, mesh_node(t));
     }
 
-    let tree_lat = SimDuration::from_millis(params.tree_latency_ms);
+    let tree = |base| {
+        let lat = SimDuration::from_millis(TREE_LATENCY_MS);
+        LinkParams::new(lat, TREE_BPS, params.loss(base))
+    };
     for t in 0..TREES {
-        b.add_link(
-            source,
-            mesh_node(t),
-            LinkParams::new(
-                SimDuration::from_millis(params.backbone_latency_ms[t]),
-                params.backbone_bps,
-                params.backbone_loss[t],
-            ),
-        );
+        let lat = SimDuration::from_millis(BACKBONE_LATENCY_MS[t]);
+        let backbone = LinkParams::new(lat, BACKBONE_BPS, params.loss(BACKBONE_LOSS[t]));
+        b.add_link(source, mesh_node(t), backbone);
         for c in 0..CHILDREN {
-            b.add_link(
-                mesh_node(t),
-                child_node(t, c),
-                LinkParams::new(tree_lat, params.tree_bps, params.mesh_child_loss),
-            );
+            b.add_link(mesh_node(t), child_node(t, c), tree(MESH_CHILD_LOSS));
             for l in 0..LEAVES {
                 b.add_link(
                     child_node(t, c),
                     leaf_node(t, c * LEAVES + l),
-                    LinkParams::new(tree_lat, params.tree_bps, params.child_leaf_loss),
+                    tree(CHILD_LEAF_LOSS),
                 );
             }
         }
@@ -222,6 +203,7 @@ pub fn figure10(params: &Figure10Params) -> BuiltTopology {
 mod tests {
     use super::*;
     use sharqfec_netsim::routing::Spt;
+    use sharqfec_netsim::LinkId;
 
     #[test]
     fn counts_match_the_paper() {
@@ -313,10 +295,16 @@ mod tests {
 
     #[test]
     fn scaled_loss_clamps() {
+        // ×10 takes tree 3's backbone (18.8 %) past 1: clamped, its leaves
+        // lose everything.
         let p = Figure10Params::default().scaled_loss(10.0);
-        assert!(p.backbone_loss.iter().all(|&l| l <= 1.0));
+        assert_eq!(p.leaf_loss(3), 1.0);
+        let built = figure10(&p);
+        let losses: Vec<f64> = (0..built.topology.link_count() as u32)
+            .map(|l| built.topology.link(LinkId(l)).params.loss.mean_loss())
+            .collect();
+        assert!(losses.iter().all(|&l| l <= 1.0) && losses.contains(&1.0));
         let p0 = Figure10Params::default().scaled_loss(0.0);
-        assert!(p0.backbone_loss.iter().all(|&l| l == 0.0));
         assert_eq!(p0.leaf_loss(0), 0.0);
     }
 

@@ -6,7 +6,8 @@
 //! * [`figure10()`] — the paper's §6 test network: a source feeding 7
 //!   backbone ("mesh") receivers over 45 Mbit/s links, each of which heads
 //!   a balanced tree of 3 children × 4 leaves on 10 Mbit/s, 20 ms links —
-//!   112 receivers under a 3-level zone hierarchy.
+//!   112 receivers under a 3-level zone hierarchy.  Every link value is a
+//!   constant; [`Figure10Params`] only scales the loss plan.
 //! * [`simple`] — chains, stars, and balanced trees used by the §6.1
 //!   ZCR-election experiments and unit tests.
 //! * [`random_tree()`] — seeded random attachment trees for fuzzing.

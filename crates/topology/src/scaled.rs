@@ -41,11 +41,6 @@ pub struct ScaledTreeParams {
     /// receivers evenly, 0.5 draws zone weights in `[0.5, 1.5]`.  The
     /// total always stays exactly `receivers`.
     pub zone_spread: f64,
-    /// Hub-to-hub (and source-to-hub) latency range in ms (lo, hi], drawn
-    /// uniformly per link.
-    pub hub_latency_ms: (u64, u64),
-    /// Leaf-hub-to-receiver latency range in ms.
-    pub leaf_latency_ms: (u64, u64),
     /// Per-link loss range on hub links.
     pub hub_loss: (f64, f64),
     /// Per-link loss range on leaf links.
@@ -59,8 +54,6 @@ impl Default for ScaledTreeParams {
             depth: 2,
             fanout: 4,
             zone_spread: 0.3,
-            hub_latency_ms: (10, 30),
-            leaf_latency_ms: (2, 20),
             hub_loss: (0.0, 0.02),
             leaf_loss: (0.0, 0.05),
         }
@@ -160,6 +153,16 @@ impl ScaledTopology {
     }
 }
 
+/// Hub-to-hub (and source-to-hub) latency range in ms, `[lo, hi)`,
+/// drawn uniformly per link.
+const HUB_LATENCY_MS: (u64, u64) = (10, 30);
+/// Leaf-hub-to-receiver latency range in ms, `[lo, hi)`.
+const LEAF_LATENCY_MS: (u64, u64) = (2, 20);
+const _: () = assert!(
+    HUB_LATENCY_MS.0 < HUB_LATENCY_MS.1 && LEAF_LATENCY_MS.0 < LEAF_LATENCY_MS.1,
+    "latency ranges must be non-empty"
+);
+
 struct Gen<'a> {
     b: TopologyBuilder,
     zb: ZoneHierarchyBuilder,
@@ -182,7 +185,7 @@ impl Gen<'_> {
     }
 
     fn hub_link(&mut self) -> LinkParams {
-        let (lo, hi) = self.params.hub_latency_ms;
+        let (lo, hi) = HUB_LATENCY_MS;
         let lat = lo + self.rng.below(hi - lo);
         let loss = self
             .rng
@@ -191,7 +194,7 @@ impl Gen<'_> {
     }
 
     fn leaf_link(&mut self) -> LinkParams {
-        let (lo, hi) = self.params.leaf_latency_ms;
+        let (lo, hi) = LEAF_LATENCY_MS;
         let lat = lo + self.rng.below(hi - lo);
         let loss = self
             .rng
@@ -275,11 +278,6 @@ pub fn scaled_tree(params: &ScaledTreeParams, seed: u64) -> ScaledTopology {
     assert!(
         (0.0..1.0).contains(&params.zone_spread),
         "zone spread must be in [0, 1)"
-    );
-    assert!(
-        params.hub_latency_ms.0 < params.hub_latency_ms.1
-            && params.leaf_latency_ms.0 < params.leaf_latency_ms.1,
-        "latency ranges must be non-empty"
     );
     assert!(
         params.hub_loss.0 <= params.hub_loss.1

@@ -44,7 +44,6 @@ fn burst_flap_scenario(label: &str, mean_burst: f64, packets: u32) -> Scenario {
     Scenario::sharqfec(label, SharqfecConfig::full(), workload)
         .with_burst(mean_burst)
         .with_faults(flap)
-        .streaming()
 }
 
 #[test]
