@@ -186,17 +186,16 @@ fn every_committed_summary_parses_and_passes_its_check() {
             seen += 1;
         }
     }
-    assert_eq!(seen, 6, "results/ holds the six sweep summaries");
+    assert_eq!(seen, 7, "six sweep summaries and the scale smoke pin");
 
     let none = Vec::<String>::new();
     assert_eq!(
         verdict(&policy::SWEEP, &committed("BENCH_policy_sweep")),
         none
     );
-    assert_eq!(
-        verdict(&scale::Scale, &committed("BENCH_scale_sweep")),
-        none
-    );
+    for name in ["BENCH_scale_sweep", "BENCH_scale_smoke"] {
+        assert_eq!(verdict(&scale::Scale, &committed(name)), none);
+    }
     assert_eq!(
         verdict(&scenario::Scenarios, &committed("BENCH_scenario_sweep")),
         none

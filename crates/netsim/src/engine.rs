@@ -62,7 +62,7 @@ use crate::queue::{EventKey, EventQueue};
 use crate::rng::SimRng;
 use crate::routing::{DistanceOracle, Spt};
 use crate::scenario::{MembershipEvent, ScenarioPlan};
-use crate::shard::{OutMsg, ShardCtx};
+use crate::shard::{Observation, OutMsg, ShardCtx};
 use crate::time::SimTime;
 use std::any::Any;
 
@@ -344,14 +344,13 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// the queue is empty or its head lies past `bound`.  Returns `(events
     /// processed, replicated events among them)`.
     ///
-    /// A shard also stamps each event's key into its recorder and probe
-    /// sink, so per-shard outputs merge back into the serial timeline, and
-    /// counts the replicated events (each shard processes its own copy;
-    /// the sharded driver subtracts the duplicates).  Whether this engine
-    /// is a shard is decided once, outside the loop: a serial run stamps
-    /// and counts nothing.
+    /// A shard also keeps the current event's key, under which
+    /// [`Engine::observe`] journals what the event records, moves what its
+    /// probe sink gained during the event into the journal under the same
+    /// key, and counts the replicated events (each shard processes its own
+    /// copy; `run_sharded` subtracts the duplicates).  A serial run
+    /// does none of this.
     pub(crate) fn run(&mut self, bound: Option<SimTime>) -> (u64, u64) {
-        let is_shard = self.shard.is_some();
         let bound = bound.unwrap_or(SimTime::MAX);
         let (mut processed, mut replicated) = (0, 0);
         while let Some(key) = self.queue.peek_key() {
@@ -361,15 +360,30 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             let (key, kind) = self.queue.pop_keyed().expect("peeked");
             debug_assert!(key.time >= self.now, "time went backwards");
             self.now = key.time;
-            if is_shard {
+            if let Some(sh) = &mut self.shard {
                 replicated += u64::from(matches!(kind, EventKind::Replicated(_)));
-                self.recorder.set_tag(key);
-                self.probes.set_tag(key);
+                sh.key = key;
             }
             self.dispatch(kind);
+            if let Some(sh) = &mut self.shard {
+                let probes = self.probes.drain().map(|r| (key, Observation::Probe(r)));
+                sh.journal.extend(probes);
+            }
             processed += 1;
         }
         (processed, replicated)
+    }
+
+    /// The one record path of the event loop.  A shard of a run whose
+    /// recorder keeps every event journals the observation, for
+    /// `run_sharded` to replay in serial order; everywhere else it goes
+    /// straight into this engine's recorder.
+    #[inline]
+    fn observe(&mut self, obs: Observation) {
+        match &mut self.shard {
+            Some(sh) if self.recorder.mode() == RecorderMode::Raw => sh.journal.push((sh.key, obs)),
+            _ => obs.replay(&mut self.recorder, &mut self.probes),
+        }
     }
 
     /// What a popped `Arrive` event carried, for another engine's queue
@@ -475,14 +489,14 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 // the router outlives the application — but its agent
                 // hears nothing (`call` checks node_up).
                 let hdr = self.arena.header(pkt);
-                self.recorder.record_delivery(Record {
+                self.observe(Observation::Delivery(Record {
                     time: self.now,
                     node,
                     src: hdr.src,
                     class: hdr.class,
                     bytes: hdr.bytes,
                     channel: hdr.channel,
-                });
+                }));
                 self.forward(node, pkt);
                 self.call(node, Callback::Packet(pkt));
             }
@@ -635,14 +649,14 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             payload,
         };
         let class = pkt.class();
-        self.recorder.record_transmission(Record {
+        self.observe(Observation::Transmission(Record {
             time: self.now,
             node,
             src: node,
             class,
             bytes,
             channel,
-        });
+        }));
         // Intern once; every queued Arrive takes a reference in forward().
         // If no first hop survives (pruned, down, or dropped) the orphan
         // is reclaimed immediately.
@@ -736,12 +750,12 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 spec.params.loss.sample(bad, &mut streams[dir])
             };
             if dropped {
-                self.recorder.record_drop(DropRecord {
+                self.observe(Observation::Drop(DropRecord {
                     time: self.now,
                     from: at,
                     to: child,
                     class: hdr.class,
-                });
+                }));
                 return;
             }
         }

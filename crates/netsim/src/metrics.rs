@@ -23,11 +23,15 @@
 //! The counts are maintained as the events arrive, so
 //! [`Recorder::delivered_count`], [`Recorder::sent_count`] and the
 //! `total_*` accessors are O(1) lookups, never scans.
+//!
+//! Observations arrive through [`Recorder::record_delivery`],
+//! [`Recorder::record_transmission`] and [`Recorder::record_drop`] only,
+//! one at a time and in the order the run made them; a sharded run
+//! replays its shards' journals through the same three calls in serial
+//! order (`shard.rs`).
 
 use crate::channel::ChannelId;
 use crate::graph::NodeId;
-use crate::queue::EventKey;
-use crate::shard::merge_by_key;
 use crate::time::SimTime;
 
 /// Coarse protocol-independent classification of a packet.
@@ -146,19 +150,6 @@ enum Direction {
 }
 use Direction::{Delivered, Sent};
 
-/// Per-record [`EventKey`] tags, kept only by per-shard recorders in
-/// [`RecorderMode::Raw`].  Each raw vector gets a parallel tag vector
-/// stamping which engine event produced the record, so shard outputs can
-/// be merged back into the exact serial timeline regardless of shard
-/// completion order (see `shard.rs`).
-#[derive(Debug, Default)]
-struct RecorderTags {
-    current: EventKey,
-    /// Parallel to `deliveries` and `transmissions`, by [`Direction`].
-    records: [Vec<EventKey>; 2],
-    drops: Vec<EventKey>,
-}
-
 /// Packet counts per (direction, class), kept once per node and once for
 /// the whole session.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -175,7 +166,7 @@ impl Stats {
 }
 
 /// Accumulates simulation observations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Recorder {
     /// Every delivery to an agent (raw mode only).
     pub deliveries: Vec<Record>,
@@ -190,24 +181,6 @@ pub struct Recorder {
     /// Session-global counts (every mode).
     global: Stats,
     drop_total: [u64; CLASS_COUNT],
-    /// Event-key tags parallel to the raw vectors; `Some` only on
-    /// per-shard recorders (see [`Recorder::enable_tagging`]).
-    tags: Option<Box<RecorderTags>>,
-}
-
-impl Default for Recorder {
-    fn default() -> Recorder {
-        Recorder {
-            deliveries: Vec::new(),
-            transmissions: Vec::new(),
-            drops: Vec::new(),
-            mode: RecorderMode::default(),
-            nodes: Vec::new(),
-            global: Stats::default(),
-            drop_total: [0; CLASS_COUNT],
-            tags: None,
-        }
-    }
 }
 
 impl Recorder {
@@ -222,36 +195,6 @@ impl Recorder {
     /// The storage mode, fixed when the recorder is built.
     pub fn mode(&self) -> RecorderMode {
         self.mode
-    }
-
-    /// Starts stamping every raw record with the [`EventKey`] set by
-    /// [`Recorder::set_tag`].  Only meaningful in [`RecorderMode::Raw`];
-    /// the sharded driver enables this on per-shard recorders so
-    /// [`Recorder::merge_raw_parts`] can reconstruct the serial timeline.
-    pub(crate) fn enable_tagging(&mut self) {
-        assert!(
-            self.is_empty(),
-            "tagging must be enabled before any event is recorded"
-        );
-        self.tags = Some(Box::default());
-    }
-
-    /// Sets the event key stamped onto subsequently recorded raw events.
-    /// No-op when tagging is disabled.
-    #[inline]
-    pub(crate) fn set_tag(&mut self, key: EventKey) {
-        if let Some(tags) = &mut self.tags {
-            tags.current = key;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-            && self.deliveries.is_empty()
-            && self.transmissions.is_empty()
-            && self.drops.is_empty()
-            && self.drop_total.iter().all(|&c| c == 0)
-            && self.global.0.iter().flatten().all(|&c| c == 0)
     }
 
     fn node_mut(&mut self, node: NodeId) -> &mut Stats {
@@ -283,9 +226,6 @@ impl Recorder {
         }
         self.node_mut(r.node).0[d][c] += 1;
         if self.mode == RecorderMode::Raw {
-            if let Some(tags) = &mut self.tags {
-                tags.records[d].push(tags.current);
-            }
             match dir {
                 Delivered => self.deliveries.push(r),
                 Sent => self.transmissions.push(r),
@@ -297,9 +237,6 @@ impl Recorder {
     pub fn record_drop(&mut self, d: DropRecord) {
         self.drop_total[d.class.index()] += 1;
         if self.mode == RecorderMode::Raw {
-            if let Some(tags) = &mut self.tags {
-                tags.drops.push(tags.current);
-            }
             self.drops.push(d);
         }
     }
@@ -356,10 +293,10 @@ impl Recorder {
     /// Sums another recorder's counts into this one: global per-class
     /// totals, drop counts, and (when present) per-node counts.  Used to
     /// reassemble [`RecorderMode::Streaming`] / [`RecorderMode::Aggregate`]
-    /// shard recorders, whose tables are commutative sums, so ordering
-    /// cannot matter.
+    /// recorders that each counted part of one run; the tables are
+    /// commutative sums, so the order of the parts cannot matter.
     pub(crate) fn absorb_totals(&mut self, other: &Recorder) {
-        debug_assert_eq!(self.mode, other.mode, "shard recorders share one mode");
+        debug_assert_eq!(self.mode, other.mode, "summed recorders share one mode");
         self.global.absorb(&other.global);
         for (mine, theirs) in self.drop_total.iter_mut().zip(&other.drop_total) {
             *mine += theirs;
@@ -371,39 +308,14 @@ impl Recorder {
             mine.absorb(theirs);
         }
     }
-
-    /// Reassembles tagged [`RecorderMode::Raw`] shard recorders into this
-    /// recorder, replaying every record in global [`EventKey`] order
-    /// ([`merge_by_key`]) so the result is bit-identical to the serial
-    /// run's recorder: raw vectors in serial order, totals and per-node
-    /// tables rebuilt by the same record path.  Records the target
-    /// already holds (from earlier `advance` calls or external sends) stay
-    /// in place; the merged batch appends after them, matching the serial
-    /// timeline because a sharded window's events all postdate anything
-    /// recorded before it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a part is untagged.
-    pub(crate) fn merge_raw_parts(&mut self, parts: Vec<Recorder>) {
-        assert_eq!(self.mode, RecorderMode::Raw);
-        let (mut deliveries, mut transmissions, mut drops) = (Vec::new(), Vec::new(), Vec::new());
-        for part in parts {
-            let tags = *part.tags.expect("shard recorder parts are tagged");
-            let [delivered, sent] = tags.records;
-            deliveries.push((delivered, part.deliveries));
-            transmissions.push((sent, part.transmissions));
-            drops.push((tags.drops, part.drops));
-        }
-        merge_by_key(deliveries, |r| self.record(Delivered, r));
-        merge_by_key(transmissions, |r| self.record(Sent, r));
-        merge_by_key(drops, |d| self.record_drop(d));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{ProbeEvent, ProbeRecord, ProbeSink};
+    use crate::queue::EventKey;
+    use crate::shard::{merge_by_key, Observation};
 
     fn rec(node: u32, class: TrafficClass) -> Record {
         rec_at(0, node, class)
@@ -537,69 +449,67 @@ mod tests {
         assert_eq!(TrafficClass::Session.label(), "session");
     }
 
-    fn key(time_ms: u64, origin: u32, oseq: u64) -> EventKey {
-        EventKey {
-            time: SimTime::from_millis(time_ms),
+    fn probe(group: u32) -> ProbeRecord {
+        ProbeRecord {
+            time: SimTime::from_millis(15),
+            node: NodeId(2),
+            event: ProbeEvent::ZlcUpdate {
+                group,
+                level: 0,
+                observed: 1.0,
+                pred: 0.0,
+            },
+        }
+    }
+
+    /// Replays shard a's journal (the 10 ms event) and shard b's (the 15 ms
+    /// one, two sends and two probes, and the 20 ms one), in both orders.
+    fn replay_journals_both_ways() -> [(Recorder, ProbeSink); 2] {
+        use {Observation::*, TrafficClass::*};
+        let key = |t_ms, origin, oseq| EventKey {
+            time: SimTime::from_millis(t_ms),
             push_time: SimTime::ZERO,
             origin,
             oseq,
-        }
+        };
+        [false, true].map(|swap| {
+            let a = vec![(key(10, 1, 0), Delivery(rec_at(10, 1, Data)))];
+            let b = vec![
+                (key(15, 2, 0), Transmission(rec_at(15, 2, Data))),
+                (key(15, 2, 0), Probe(probe(0))),
+                (key(15, 2, 0), Transmission(rec_at(15, 2, Repair))),
+                (key(15, 2, 0), Probe(probe(1))),
+                (key(20, 2, 1), Delivery(rec_at(20, 3, Data))),
+            ];
+            let parts = if swap { vec![b, a] } else { vec![a, b] };
+            let (mut merged, mut probes) = (Recorder::default(), ProbeSink::recording());
+            merge_by_key(parts, |obs| obs.replay(&mut merged, &mut probes));
+            (merged, probes)
+        })
     }
 
     #[test]
     fn merge_raw_parts_rebuilds_serial_order_regardless_of_part_order() {
-        // Serial reference: events at keys k1 < k2 < k3, each producing
-        // one record.
         let mut serial = Recorder::default();
         serial.record_delivery(rec_at(10, 1, TrafficClass::Data));
+        serial.record_transmission(rec_at(15, 2, TrafficClass::Data));
         serial.record_transmission(rec_at(15, 2, TrafficClass::Repair));
         serial.record_delivery(rec_at(20, 3, TrafficClass::Data));
-
-        let build_parts = || {
-            let mut a = Recorder::default();
-            a.enable_tagging();
-            a.set_tag(key(10, 1, 0));
-            a.record_delivery(rec_at(10, 1, TrafficClass::Data));
-            let mut b = Recorder::default();
-            b.enable_tagging();
-            b.set_tag(key(15, 2, 0));
-            b.record_transmission(rec_at(15, 2, TrafficClass::Repair));
-            b.set_tag(key(20, 2, 1));
-            b.record_delivery(rec_at(20, 3, TrafficClass::Data));
-            (a, b)
-        };
-
-        for swap in [false, true] {
-            let (a, b) = build_parts();
-            let parts = if swap { vec![b, a] } else { vec![a, b] };
-            let mut merged = Recorder::default();
-            merged.merge_raw_parts(parts);
+        for (merged, _) in replay_journals_both_ways() {
             assert_eq!(merged.deliveries, serial.deliveries);
             assert_eq!(merged.transmissions, serial.transmissions);
-            assert_eq!(
-                merged.delivered_count(NodeId(1), TrafficClass::Data),
-                serial.delivered_count(NodeId(1), TrafficClass::Data)
-            );
-            assert_eq!(
-                merged.total_sent(TrafficClass::Repair),
-                serial.total_sent(TrafficClass::Repair)
-            );
+            assert_eq!(merged.delivered_count(NodeId(1), TrafficClass::Data), 1);
+            assert_eq!(merged.total_sent(TrafficClass::Repair), 1);
         }
     }
 
     #[test]
     fn merge_raw_parts_keeps_same_event_records_in_shard_order() {
-        // One event emits two transmissions; they share a tag and must
-        // stay in emission order after the stable merge.
-        let mut part = Recorder::default();
-        part.enable_tagging();
-        part.set_tag(key(5, 3, 7));
-        part.record_transmission(rec_at(5, 3, TrafficClass::Data));
-        part.record_transmission(rec_at(5, 3, TrafficClass::Repair));
-        let mut merged = Recorder::default();
-        merged.merge_raw_parts(vec![part]);
-        assert_eq!(merged.transmissions[0].class, TrafficClass::Data);
-        assert_eq!(merged.transmissions[1].class, TrafficClass::Repair);
+        for (merged, probes) in replay_journals_both_ways() {
+            let classes: Vec<_> = merged.transmissions.iter().map(|r| r.class).collect();
+            assert_eq!(classes, [TrafficClass::Data, TrafficClass::Repair]);
+            assert_eq!(probes.records(), [probe(0), probe(1)]);
+        }
     }
 
     #[test]

@@ -732,10 +732,6 @@ pub struct ProbeSink {
     keep: bool,
     records: Vec<ProbeRecord>,
     auditor: Option<Auditor>,
-    /// Event-key tags parallel to `records`; `Some` only on per-shard
-    /// sinks (see [`ProbeSink::shard_sink`]).
-    tags: Option<Vec<crate::queue::EventKey>>,
-    current_tag: crate::queue::EventKey,
 }
 
 impl ProbeSink {
@@ -772,51 +768,21 @@ impl ProbeSink {
     }
 
     /// Hands one record to whatever observes: the auditor, then the record
-    /// log (tagged, on a shard sink).  Besides [`ProbeSink::emit`], this is
-    /// how a master sink takes the globally merged shard stream — in key
-    /// order, as the auditor requires.
+    /// log.  Besides [`ProbeSink::emit`], this is how a sharded run
+    /// replays its shards' probes — in serial order, as the auditor
+    /// requires.
     pub(crate) fn ingest(&mut self, r: ProbeRecord) {
         if let Some(a) = &mut self.auditor {
             a.ingest(&r);
         }
         if self.keep {
-            if let Some(tags) = &mut self.tags {
-                tags.push(self.current_tag);
-            }
             self.records.push(r);
         }
     }
 
-    /// A per-shard sink derived from this (master) sink: disabled when
-    /// the master observes nothing; otherwise it records every emission
-    /// with an [`crate::queue::EventKey`] tag and defers auditing to the
-    /// master, which ingests the merged stream in global key order (the
-    /// auditor is order-sensitive, so shards must not feed it locally).
-    pub(crate) fn shard_sink(&self) -> ProbeSink {
-        if !self.enabled() {
-            return ProbeSink::default();
-        }
-        ProbeSink {
-            keep: true,
-            tags: Some(Vec::new()),
-            ..ProbeSink::default()
-        }
-    }
-
-    /// Sets the event key stamped onto subsequent emissions.  No-op on
-    /// untagged sinks.
-    #[inline]
-    pub(crate) fn set_tag(&mut self, key: crate::queue::EventKey) {
-        if self.tags.is_some() {
-            self.current_tag = key;
-        }
-    }
-
-    /// Takes everything recorded since the last drain, with its tags.
-    /// Only meaningful on tagged shard sinks.
-    pub(crate) fn drain_tagged(&mut self) -> crate::shard::Tagged<ProbeRecord> {
-        let tags = self.tags.as_mut().map(std::mem::take).unwrap_or_default();
-        (tags, std::mem::take(&mut self.records))
+    /// Takes out everything recorded so far, oldest first.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, ProbeRecord> {
+        self.records.drain(..)
     }
 
     /// Everything recorded so far (empty unless recording was enabled).

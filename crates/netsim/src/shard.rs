@@ -44,9 +44,11 @@
 //!   identical keys, so replicated state (link masks, loss models,
 //!   epochs, channel member sets) evolves identically everywhere; the
 //!   restart `Start` fires only in the shard owning the node's agent;
-//! * recorder and probe records are tagged with their event key and
-//!   k-way merged back into the serial timeline regardless of shard
-//!   completion order.
+//! * shards journal, thread 0 replays: each shard appends what it
+//!   observes (deliveries, transmissions, drops, probes) to one journal
+//!   under the key of the event that made it, and once per round thread
+//!   0 replays every journal into the master's recorder and probe sink in
+//!   key order, whatever order the shards finished in.
 //!
 //! The one requirement is positive latency on every inter-shard link
 //! (zero lookahead would admit same-instant cross-shard causality);
@@ -58,9 +60,9 @@ use crate::engine::{Engine, EventKind};
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::idhash::IdHashSet;
 use crate::link::LinkState;
-use crate::metrics::{Recorder, RecorderMode, TrafficClass};
+use crate::metrics::{DropRecord, Record, Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
-use crate::probe::ProbeRecord;
+use crate::probe::{ProbeRecord, ProbeSink};
 use crate::queue::{EventKey, EventQueue};
 use crate::routing::Spt;
 use crate::time::{SimDuration, SimTime};
@@ -177,10 +179,16 @@ impl RunSpec {
 }
 
 /// Shard identity attached to a per-shard engine; `hop` consults it to
-/// divert remote arrivals into the outbox.
+/// divert remote arrivals into the outbox, and the event loop keeps the
+/// shard's journal in it.
 pub(crate) struct ShardCtx {
     pub(crate) plan: Arc<ShardPlan>,
     pub(crate) me: u32,
+    /// The key of the event being processed.
+    pub(crate) key: EventKey,
+    /// What the shard observed this round, under the key of the event
+    /// that made each observation, in the order it made them.
+    pub(crate) journal: Vec<(EventKey, Observation)>,
 }
 
 /// A cross-shard arrival: the packet re-materialized as a value plus the
@@ -193,24 +201,38 @@ pub(crate) struct OutMsg<M> {
     pub(crate) pkt: Packet<M>,
 }
 
-/// What one shard recorded of one kind, as parallel vectors: each record
-/// and the key of the event that produced it.
-pub(crate) type Tagged<T> = (Vec<EventKey>, Vec<T>);
+/// One thing a shard observed, bound for the master's recorder or probe
+/// sink.
+pub(crate) enum Observation {
+    Delivery(Record),
+    Transmission(Record),
+    Drop(DropRecord),
+    Probe(ProbeRecord),
+}
 
-/// Replays the records of every shard in global [`EventKey`] order — the
-/// order the serial engine produced them in.  Each engine event is
-/// processed by exactly one shard, so no key appears in two parts, and
-/// the sort is stable, so the several records one event produced keep
+impl Observation {
+    /// Hands the observation to the recorder or probe sink it belongs in.
+    #[inline]
+    pub(crate) fn replay(self, recorder: &mut Recorder, probes: &mut ProbeSink) {
+        match self {
+            Observation::Delivery(r) => recorder.record_delivery(r),
+            Observation::Transmission(r) => recorder.record_transmission(r),
+            Observation::Drop(d) => recorder.record_drop(d),
+            Observation::Probe(p) => probes.ingest(p),
+        }
+    }
+}
+
+/// Replays the journals of every shard in global [`EventKey`] order — the
+/// order the serial engine made the observations in.  Each engine event
+/// is processed by exactly one shard, so no key appears in two parts, and
+/// the sort is stable, so the several observations one event made keep
 /// their within-shard order.
 pub(crate) fn merge_by_key<T>(
-    parts: impl IntoIterator<Item = Tagged<T>>,
+    parts: impl IntoIterator<Item = Vec<(EventKey, T)>>,
     mut replay: impl FnMut(T),
 ) {
-    let mut all: Vec<(EventKey, T)> = Vec::new();
-    for (tags, records) in parts {
-        assert_eq!(tags.len(), records.len(), "every shard record is tagged");
-        all.extend(tags.into_iter().zip(records));
-    }
+    let mut all: Vec<(EventKey, T)> = parts.into_iter().flatten().collect();
     all.sort_by_key(|(key, _)| *key);
     for (_, r) in all {
         replay(r);
@@ -292,14 +314,15 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         let shards = self.split_shards(&plan);
         // Per-round rendezvous state.  `mins` is written only in the
         // publish phase (before barrier A) and read only after it; the
-        // inboxes and probe batches are written in the process phase and
+        // inboxes and journals are written in the process phase and
         // drained between barriers B and C.
         let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
         let inboxes: Vec<Mutex<Vec<OutMsg<M>>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
-        let probe_batches: Vec<Mutex<Tagged<ProbeRecord>>> =
-            (0..k).map(|_| Mutex::new(Default::default())).collect();
-        let master_probes = Mutex::new(std::mem::take(&mut self.probes));
+        let journals: Vec<Mutex<Vec<(EventKey, Observation)>>> =
+            (0..k).map(|_| Mutex::new(Vec::new())).collect();
         let barrier = Barrier::new(k);
+        // Thread 0 replays every round's journals into the master.
+        let mut master = Some((&mut self.recorder, &mut self.probes));
 
         // Each worker returns its shard with `run`'s two counts summed.
         let done: Vec<(Engine<M>, u64, u64)> = std::thread::scope(|scope| {
@@ -307,8 +330,8 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 .into_iter()
                 .enumerate()
                 .map(|(i, mut e)| {
-                    let (mins, inboxes, probe_batches) = (&mins, &inboxes, &probe_batches);
-                    let (barrier, master_probes) = (&barrier, &master_probes);
+                    let (mins, inboxes, journals, barrier) = (&mins, &inboxes, &journals, &barrier);
+                    let mut master = master.take();
                     scope.spawn(move || {
                         let (mut processed, mut replicated) = (0, 0);
                         loop {
@@ -339,20 +362,18 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                             for m in e.outbox.drain(..) {
                                 locked(&inboxes[m.dst as usize]).push(m);
                             }
-                            *locked(&probe_batches[i]) = e.probes.drain_tagged();
-                            barrier.wait(); // B: all outboxes/probes deposited
-                            if i == 0 {
+                            let sh = e.shard.as_mut().expect("a shard engine");
+                            *locked(&journals[i]) = std::mem::take(&mut sh.journal);
+                            barrier.wait(); // B: all outboxes/journals deposited
+                            if let Some((recorder, probes)) = &mut master {
                                 // Windows are disjoint and increasing, so a
-                                // per-round merge extends the global
-                                // key-ordered probe stream (and keeps shard
-                                // sink memory bounded round-to-round).
-                                let mut sink = locked(master_probes);
-                                merge_by_key(
-                                    probe_batches
-                                        .iter()
-                                        .map(|b| std::mem::take(&mut *locked(b))),
-                                    |r| sink.ingest(r),
-                                );
+                                // per-round merge extends the master's
+                                // serial-order record and probe streams
+                                // (and keeps shard memory bounded
+                                // round-to-round).
+                                let parts =
+                                    journals.iter().map(|j| std::mem::take(&mut *locked(j)));
+                                merge_by_key(parts, |obs| obs.replay(recorder, probes));
                             }
                             let msgs = std::mem::take(&mut *locked(&inboxes[i]));
                             e.ingest(msgs);
@@ -367,9 +388,6 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         });
-        self.probes = master_probes
-            .into_inner()
-            .expect("a shard worker panicked holding this lock");
         // Every shard processed its own copy of each replicated event; the
         // serial engine processes one.
         let processed: u64 = done.iter().map(|d| d.1).sum();
@@ -387,10 +405,13 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         let n = self.topo.node_count();
         let mut shards: Vec<Engine<M>> = (0..k as u32)
             .map(|me| {
-                let mut recorder = Recorder::new(self.recorder.mode());
-                if recorder.mode() == RecorderMode::Raw {
-                    recorder.enable_tagging();
-                }
+                // A shard's sink only collects; the master's auditor reads
+                // the replayed stream, since it depends on serial order.
+                let probes = if self.probes.enabled() {
+                    ProbeSink::recording()
+                } else {
+                    ProbeSink::default()
+                };
                 Engine {
                     topo: self.topo.clone(),
                     oracle: self.oracle.clone(),
@@ -413,11 +434,13 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                     cancelled: IdHashSet::default(),
                     node_seq: self.node_seq.clone(),
                     build_seq: self.build_seq,
-                    recorder,
-                    probes: self.probes.shard_sink(),
+                    recorder: Recorder::new(self.recorder.mode()),
+                    probes,
                     shard: Some(ShardCtx {
                         plan: Arc::clone(plan),
                         me,
+                        key: EventKey::default(),
+                        journal: Vec::new(),
                     }),
                     outbox: Vec::new(),
                     actions: Vec::new(),
@@ -467,7 +490,8 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
     /// Reassembles shard engines back into this master engine after a
     /// sharded run: per-node state comes from each node's owner,
     /// per-direction link state from the direction's transmitting side,
-    /// replicated state from shard 0, and the recorders merge by mode.
+    /// replicated state from shard 0, and the recorders' counts (in the
+    /// modes that count on the shards) sum.
     fn absorb_shards(&mut self, mut shards: Vec<Engine<M>>, plan: &ShardPlan) {
         let n = self.topo.node_count();
         // Replicated state evolved identically in every shard (fault
@@ -532,15 +556,11 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
             }
             debug_assert_eq!(s.arena.live(), 0, "shard arena drained back");
         }
-        match self.recorder.mode() {
-            RecorderMode::Raw => {
-                let parts = shards.iter_mut().map(|s| std::mem::take(&mut s.recorder));
-                self.recorder.merge_raw_parts(parts.collect());
-            }
-            _ => {
-                for s in &shards {
-                    self.recorder.absorb_totals(&s.recorder);
-                }
+        // A raw recorder's records reached the master round by round; the
+        // other modes counted on each shard.
+        if self.recorder.mode() != RecorderMode::Raw {
+            for s in &shards {
+                self.recorder.absorb_totals(&s.recorder);
             }
         }
         let last = shards.iter().map(|s| s.now).max().unwrap_or(self.now);

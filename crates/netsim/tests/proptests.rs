@@ -143,7 +143,9 @@ impl Classify for Beat {
     }
 }
 
-/// Root source: one tick every 7 ms, `left` in total.
+/// Root source: one tick every 7 ms, `left` in total.  Like `EchoBack`
+/// it probes once per callback it handles, with events the auditor
+/// accepts: one seat holder, one sender, every group closed complete.
 struct Metronome {
     chan: ChannelId,
     next: u32,
@@ -151,9 +153,16 @@ struct Metronome {
 }
 impl Agent<Beat> for Metronome {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Beat>) {
+        let holder = ctx.node();
+        ctx.probe(ProbeEvent::Zcr {
+            zone: 0,
+            action: ZcrAction::Seeded,
+            holder,
+        });
         ctx.set_timer(SimDuration::from_millis(1), 0);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Beat>, _token: u64) {
+        ctx.probe(ProbeEvent::Sender { seq: self.next });
         ctx.multicast(self.chan, Beat::Tick(self.next), 200);
         self.next += 1;
         self.left -= 1;
@@ -173,6 +182,12 @@ struct EchoBack {
 impl Agent<Beat> for EchoBack {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Beat>, pkt: &Packet<Beat>) {
         if let Beat::Tick(seq) = pkt.payload {
+            ctx.probe(ProbeEvent::GroupClose {
+                group: seq,
+                complete: true,
+                held: 1,
+                k: 1,
+            });
             if ctx.rng().next_f64() < 0.5 {
                 let jitter = (ctx.rng().next_f64() * 5e6) as u64;
                 ctx.set_timer(
@@ -182,7 +197,15 @@ impl Agent<Beat> for EchoBack {
             }
         }
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Beat>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Beat>, token: u64) {
+        let (group, outcome) = (token as u32, NackOutcome::Sent);
+        ctx.probe(ProbeEvent::Nack {
+            group,
+            level: 0,
+            outcome,
+            llc: 1,
+            zlc: 1,
+        });
         ctx.multicast(self.chan, Beat::Echo, 60);
     }
 }
@@ -543,7 +566,7 @@ proptest! {
     /// The sharded engine is bit-identical to serial on random small
     /// trees, at shard counts 1/2/4, under random fault plans: same
     /// processed-event count, same recorder logs (deliveries,
-    /// transmissions, drops), same final clock.  The drain also doubles
+    /// transmissions, drops), same probe records, same final clock.  The drain also doubles
     /// as a deadlock-freedom check — a stuck barrier would hang the test.
     #[test]
     fn sharded_runs_match_serial_on_random_trees(
@@ -583,7 +606,7 @@ proptest! {
             let topo = b.build();
             let plan = Arc::new(ShardPlan::by_subtrees(&topo, ids[0], shards));
             let mut builder: EngineBuilder<Beat> = EngineBuilder::new(topo, seed);
-            builder.fault_plan(fp.clone());
+            builder.fault_plan(fp.clone()).audit(AuditConfig::default());
             let chan = builder.add_channel(&ids);
             builder.add_agent(ids[0], Box::new(Metronome { chan, next: 0, left: 5 }));
             for &r in &ids[1..] {
@@ -602,6 +625,7 @@ proptest! {
                 rec.deliveries.clone(),
                 rec.transmissions.clone(),
                 rec.drops.clone(),
+                engine.probe_records().to_vec(),
             )
         };
 

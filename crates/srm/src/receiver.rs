@@ -10,11 +10,18 @@ use crate::DELAY_HIGH;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
 use sharqfec_netsim::prelude::*;
 
-const TOK_SEND: u64 = 0;
-const TOK_REQ_BASE: u64 = 1 << 32;
-const TOK_REP_BASE: u64 = 2 << 32;
-const TOK_AUDIT: u64 = 3 << 32;
-const TOK_ANNOUNCE: u64 = 4 << 32;
+/// The five timer kinds.  A token holds its kind in the high 32 bits and,
+/// for a request or repair timer, the sequence number in the low 32.
+const SEND: u64 = 0;
+const REQUEST: u64 = 1;
+const REPAIR: u64 = 2;
+const AUDIT: u64 = 3;
+const ANNOUNCE: u64 = 4;
+const TOK_SEND: u64 = SEND << 32;
+const TOK_REQ_BASE: u64 = REQUEST << 32;
+const TOK_REP_BASE: u64 = REPAIR << 32;
+const TOK_AUDIT: u64 = AUDIT << 32;
+const TOK_ANNOUNCE: u64 = ANNOUNCE << 32;
 
 /// Data/repair packet size, bytes.
 const PACKET_BYTES: u32 = 1000;
@@ -257,73 +264,71 @@ impl Agent<SrmMsg> for SrmMember {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SrmMsg>, token: u64) {
-        if token == TOK_SEND {
-            // The source sends its next packet, and holds it from now on.
-            let seq = self.received_count;
-            ctx.multicast(self.chan, SrmMsg::Data { seq }, PACKET_BYTES);
-            self.received[seq as usize] = true;
-            self.received_count += 1;
-            if !self.complete() {
-                ctx.set_timer(SEND_INTERVAL, TOK_SEND);
+        let seq = token as u32;
+        match token >> 32 {
+            SEND => {
+                // The source sends its next packet, and holds it from now on.
+                let seq = self.received_count;
+                ctx.multicast(self.chan, SrmMsg::Data { seq }, PACKET_BYTES);
+                self.received[seq as usize] = true;
+                self.received_count += 1;
+                if !self.complete() {
+                    ctx.set_timer(SEND_INTERVAL, TOK_SEND);
+                }
             }
-            return;
-        }
-        if token == TOK_ANNOUNCE {
-            // Must be matched exactly, before the masked request/repair
-            // dispatch below misreads its high bits.
-            let Some(iv) = self.cfg.session_announce else {
-                return;
-            };
-            let stride = self.cfg.announce_stride;
-            if (u64::from(ctx.node().0) + self.announce_round).is_multiple_of(stride) {
-                ctx.multicast(self.chan, SrmMsg::Announce, ANNOUNCE_BYTES);
+            ANNOUNCE => {
+                let Some(iv) = self.cfg.session_announce else {
+                    return;
+                };
+                let stride = self.cfg.announce_stride;
+                if (u64::from(ctx.node().0) + self.announce_round).is_multiple_of(stride) {
+                    ctx.multicast(self.chan, SrmMsg::Announce, ANNOUNCE_BYTES);
+                }
+                self.announce_round += 1;
+                // Announce for the life of the stream, then stop so quiescent
+                // runs still drain their event queues.
+                if ctx.now() < self.stream_end() {
+                    ctx.set_timer(iv, TOK_ANNOUNCE);
+                }
             }
-            self.announce_round += 1;
-            // Announce for the life of the stream, then stop so quiescent
-            // runs still drain their event queues.
-            if ctx.now() < self.stream_end() {
-                ctx.set_timer(iv, TOK_ANNOUNCE);
+            AUDIT => {
+                if !self.complete() {
+                    // Anything never even heard of is a tail loss.
+                    let last = self.cfg.total_packets - 1;
+                    self.note_exists(ctx, last);
+                    ctx.set_timer(SEND_INTERVAL.mul_f64(AUDIT_FACTOR), TOK_AUDIT);
+                }
             }
-            return;
-        }
-        if token == TOK_AUDIT {
-            if !self.complete() {
-                // Anything never even heard of is a tail loss.
-                let last = self.cfg.total_packets - 1;
-                self.note_exists(ctx, last);
-                ctx.set_timer(SEND_INTERVAL.mul_f64(AUDIT_FACTOR), TOK_AUDIT);
+            REPAIR => {
+                // Repair timer fired: transmit if still unsuppressed.
+                if self.replier.fire(ctx, seq) {
+                    ctx.multicast(self.chan, SrmMsg::Repair { seq }, PACKET_BYTES);
+                }
             }
-            return;
-        }
-        let seq = (token & 0xFFFF_FFFF) as u32;
-        if token & TOK_REP_BASE != 0 && token < TOK_AUDIT {
-            // Repair timer fired: transmit if still unsuppressed.
-            if self.replier.fire(ctx, seq) {
-                ctx.multicast(self.chan, SrmMsg::Repair { seq }, PACKET_BYTES);
+            REQUEST => {
+                if self.received[seq as usize] {
+                    self.requests.remove(&seq);
+                    return;
+                }
+                if !self.requests.contains_key(&seq) {
+                    return;
+                }
+                ctx.multicast(self.chan, SrmMsg::Request { seq }, REQUEST_BYTES);
+                // SRM has one flat scope and no ZLC; `group` carries the sequence
+                // number and the counts carry what the protocol actually tracks.
+                ctx.probe(ProbeEvent::Nack {
+                    group: seq,
+                    level: 0,
+                    outcome: NackOutcome::Sent,
+                    llc: self.missing(),
+                    zlc: 0,
+                });
+                // Back off and wait for the repair; re-request if it never comes.
+                // A fresh round starts: overheard duplicates may back it off once.
+                self.back_off(ctx, seq, false);
             }
-            return;
+            _ => unreachable!("timer token {token:#x} has no kind"),
         }
-        // Request timer fired.
-        if self.received[seq as usize] {
-            self.requests.remove(&seq);
-            return;
-        }
-        if !self.requests.contains_key(&seq) {
-            return;
-        }
-        ctx.multicast(self.chan, SrmMsg::Request { seq }, REQUEST_BYTES);
-        // SRM has one flat scope and no ZLC; `group` carries the sequence
-        // number and the counts carry what the protocol actually tracks.
-        ctx.probe(ProbeEvent::Nack {
-            group: seq,
-            level: 0,
-            outcome: NackOutcome::Sent,
-            llc: self.missing(),
-            zlc: 0,
-        });
-        // Back off and wait for the repair; re-request if it never comes.
-        // A fresh round starts: overheard duplicates may back it off once.
-        self.back_off(ctx, seq, false);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, SrmMsg>, pkt: &Packet<SrmMsg>) {
