@@ -392,22 +392,16 @@ pub fn print_table(
 }
 
 /// Applies a `--policy` override (when given) to every SHARQFEC
-/// scenario in a grid; SRM cells pass through untouched.  A cell that
-/// had injection disabled (the ablation ladders' "no injection"
-/// variants) stays disabled — the override swaps the predictor, not the
-/// arm's on/off gate.
+/// scenario in a grid; SRM cells pass through untouched.  An `ni` cell
+/// still injects nothing: its variant, not its policy, decides that.
 pub fn apply_policy_override(specs: Vec<Scenario>, policy: Option<&PolicyConfig>) -> Vec<Scenario> {
     let Some(p) = policy else {
         return specs;
     };
     specs
         .into_iter()
-        .map(|s| match &s.protocol {
-            crate::Protocol::Sharqfec(cfg) => {
-                let mut p = p.clone();
-                p.enabled &= cfg.policy.enabled;
-                s.with_policy(p)
-            }
+        .map(|s| match s.protocol {
+            crate::Protocol::Sharqfec(_) => s.with_policy(*p),
             crate::Protocol::Srm(_) => s,
         })
         .collect()
@@ -530,9 +524,9 @@ pub(crate) mod tests {
         tail_secs: 1,
     };
 
-    fn policy_of(s: &Scenario) -> &PolicyConfig {
+    fn config_of(s: &Scenario) -> &SharqfecConfig {
         match &s.protocol {
-            Protocol::Sharqfec(cfg) => &cfg.policy,
+            Protocol::Sharqfec(cfg) => cfg,
             Protocol::Srm(_) => unreachable!(),
         }
     }
@@ -543,15 +537,15 @@ pub(crate) mod tests {
             Scenario::sharqfec("sf", SharqfecConfig::full(), W),
             Scenario::srm("srm", SrmConfig::default(), W),
         ];
-        let out = apply_policy_override(specs, Some(&PolicyConfig::optimizing()));
-        assert_eq!(policy_of(&out[0]).name(), "optimizing");
+        let out = apply_policy_override(specs, Some(&PolicyConfig::Optimizing));
+        assert_eq!(config_of(&out[0]).policy, PolicyConfig::Optimizing);
         assert!(matches!(out[1].protocol, Protocol::Srm(_)));
 
         let kept = apply_policy_override(
             vec![Scenario::sharqfec("sf", SharqfecConfig::full(), W)],
             None,
         );
-        assert_eq!(policy_of(&kept[0]).name(), "ewma");
+        assert_eq!(config_of(&kept[0]).policy.name(), "ewma");
     }
 
     #[test]
@@ -559,12 +553,14 @@ pub(crate) mod tests {
         let no_injection = SharqfecConfig::variant(Variant::NoInjection);
         let out = apply_policy_override(
             vec![Scenario::sharqfec("sf", no_injection, W)],
-            Some(&PolicyConfig::optimizing()),
+            Some(&PolicyConfig::Optimizing),
         );
-        assert_eq!(policy_of(&out[0]).name(), "optimizing");
-        assert!(
-            !policy_of(&out[0]).enabled,
-            "--policy must not re-enable injection"
+        let cfg = config_of(&out[0]);
+        assert_eq!(cfg.policy, PolicyConfig::Optimizing);
+        assert_eq!(
+            cfg.variant,
+            Variant::NoInjection,
+            "--policy must not enable injection"
         );
     }
 

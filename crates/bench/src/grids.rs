@@ -6,7 +6,7 @@
 
 use crate::cli::{self, Args, Ran, Sweep};
 use crate::{Scenario, ScenarioOutcome, Workload};
-use sharqfec::{PolicyKind, SharqfecConfig};
+use sharqfec::{PolicyConfig, SharqfecConfig};
 use sharqfec_netsim::faults::FaultPlan;
 use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::SimTime;
@@ -151,10 +151,9 @@ fn ablation_plan(packets: u32) -> Vec<Scenario> {
         cells.push(cell("group size", format!("k={k}"), cfg, 1.0));
     }
     for gain in [0.1f64, 0.25, 0.5] {
-        let mut cfg = base();
-        cfg.policy.kind = PolicyKind::Ewma {
-            gain,
-            initial_pred: 1.0,
+        let cfg = SharqfecConfig {
+            policy: PolicyConfig::Ewma { gain },
+            ..base()
         };
         cells.push(cell("zlc EWMA gain", format!("w={gain}"), cfg, 1.0));
     }

@@ -32,7 +32,9 @@ pub mod scale;
 pub mod scenario;
 pub mod traffic;
 
-use sharqfec::{setup_sharqfec_builder, PolicyConfig, SfAgent, SharqfecConfig, Variant};
+use sharqfec::{
+    setup_sharqfec_builder, PolicyConfig, SfAgent, SharqfecConfig, Variant, SEND_INTERVAL,
+};
 use sharqfec_analysis::series::{bin_deliveries, BinSpec};
 use sharqfec_netsim::faults::{FaultPlan, LossModel};
 use sharqfec_netsim::graph::LinkId;
@@ -118,7 +120,7 @@ impl Workload {
     }
 
     fn stream_end(&self) -> SimTime {
-        SimTime::from_secs(6) + sharqfec_netsim::SimDuration::from_millis(10 * self.packets as u64)
+        SimTime::from_secs(6) + SEND_INTERVAL * self.packets as u64
     }
 
     fn run_end(&self) -> SimTime {

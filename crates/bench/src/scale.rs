@@ -26,13 +26,19 @@
 //! **Announcer sampling.**  A full SRM announce round is n multicasts × n
 //! deliveries = O(n²) simulated events — at n = 10⁵ that is 10¹⁰ events
 //! per round, infeasible to simulate honestly.  Large SRM cells therefore
-//! rotate announcers ([`SrmConfig::announce_stride`]): each interval a
-//! deterministic 1/stride of the membership announces, every residue
-//! class getting its turn.  The measured traffic times the stride is an
-//! unbiased estimate of the full-fidelity traffic and is reported as
-//! `session_norm`.  The stride thins traffic, not state: an SRM peer
-//! table has one slot per member id from the first announcement heard,
-//! so `state_bytes_per_rx` is exact at every cell.
+//! rotate announcers ([`SrmConfig::announce_stride`]): member `m`
+//! announces only in rounds `r` with `(m + r) % stride == 0`, so each
+//! round a deterministic 1/stride of the membership announces.  The
+//! measured traffic times the stride is an unbiased estimate of one
+//! round's full-fidelity traffic and is reported as `session_norm`.  The
+//! stride thins traffic, not state: an SRM peer table has one slot per
+//! member id from the first announcement heard, so `state_bytes_per_rx`
+//! is exact at every cell.  Not every residue class gets a turn, though:
+//! an 8 s cell holds six or seven announce rounds (members join at 1 s;
+//! the last round falls just after the stream ends), so at a stride
+//! above that only the classes whose rounds came up announce, and
+//! `peers_per_rx` counts only them (the committed `srm/n=100000` cell,
+//! stride 50, reads 12 839.87 peers, 12.8 % of n).
 //! SHARQFEC cells never stride — zone-scoped announcements are O(n·z̄)
 //! per round and simulate in full at every n.
 //!
@@ -110,10 +116,13 @@ pub fn plan(sizes: &[usize]) -> Vec<ScaleCell> {
 }
 
 /// SRM announcer-rotation stride per receiver count (see the module docs
-/// for why and how this keeps the measurement honest).  Strides through
-/// n = 10⁵ are chosen so every residue class still announces within the
-/// ~5-round horizon; the opt-in 10⁶ cell trades peer count for
-/// feasibility.
+/// for why and how this keeps the measurement honest).  Through n = 10⁴
+/// the stride (at most 5) stays within the cell's six or seven announce
+/// rounds, so every residue class announces and `peers_per_rx` is n − 1;
+/// the 10⁵ cell (stride 50) and the opt-in 10⁶ cell trade peer count for
+/// feasibility: `session_norm` stays an unbiased per-round estimate and
+/// `state_bytes` exact, but `peers_per_rx` counts only the classes that
+/// got a turn.
 pub fn announce_stride(receivers: usize) -> u64 {
     match receivers {
         0..=9_999 => 1,
@@ -564,7 +573,7 @@ mod tests {
     fn strides_are_full_fidelity_through_the_crossover_bound() {
         assert_eq!(announce_stride(100), 1);
         assert_eq!(announce_stride(1_000), 1);
-        // 10⁴ rotates but the ~5-round horizon still covers every
+        // 10⁴ rotates but its six or seven rounds still cover every
         // residue class, so peer tables stay complete.
         assert!(announce_stride(10_000) <= 5);
         assert!(announce_stride(100_000) > announce_stride(10_000));

@@ -1,13 +1,12 @@
 //! Regression pins for explicit injection-policy configuration.
 //!
-//! The deprecated loose `SharqfecConfig` knobs (`zlc_gain`,
-//! `initial_zlc_pred`, `zlc_measure_rtt_factor`, `injection`) are gone;
-//! [`sharqfec::PolicyConfig`] is the only way to shape injection.  These
-//! tests pin the explicit paths the old shims folded into: tuned EWMA
-//! parameters set through `policy.kind` are honoured end to end, and
-//! `policy.enabled = false` is exactly the `ni` ablation variant.
+//! [`sharqfec::PolicyConfig`] is the only way to shape injection, and
+//! the variant alone decides whether a run injects.  These tests pin
+//! both: a tuned EWMA gain is honoured end to end, and a `--policy`
+//! override leaves an `ni` variant's run bit-identical.
 
-use sharqfec::{PolicyKind, SharqfecConfig, Variant};
+use sharqfec::{PolicyConfig, SharqfecConfig, Variant};
+use sharqfec_bench::cli::apply_policy_override;
 use sharqfec_bench::{Scenario, ScenarioOutcome, Workload};
 
 const WORKLOAD: Workload = Workload {
@@ -30,12 +29,10 @@ fn assert_identical(a: &ScenarioOutcome, b: &ScenarioOutcome) {
 }
 
 fn tuned_ewma() -> SharqfecConfig {
-    let mut cfg = SharqfecConfig::full();
-    cfg.policy.kind = PolicyKind::Ewma {
-        gain: 0.4,
-        initial_pred: 2.0,
-    };
-    cfg
+    SharqfecConfig {
+        policy: PolicyConfig::Ewma { gain: 0.4 },
+        ..SharqfecConfig::full()
+    }
 }
 
 #[test]
@@ -56,13 +53,16 @@ fn explicit_ewma_tuning_is_deterministic_and_honoured() {
 }
 
 #[test]
-fn disabled_policy_is_exactly_the_no_injection_variant() {
-    let mut explicit = SharqfecConfig::full();
-    explicit.policy.enabled = false;
-
-    let (a, b) = (
-        run("disabled-policy", explicit),
-        run("ni-variant", SharqfecConfig::variant(Variant::NoInjection)),
+fn a_policy_override_leaves_a_no_injection_variant_bit_identical() {
+    let ni = Scenario::sharqfec(
+        "ni",
+        SharqfecConfig::variant(Variant::NoInjection),
+        WORKLOAD,
     );
-    assert_identical(&a, &b);
+    let plain = ni.run(7);
+    for name in ["percentile", "optimizing"] {
+        let policy = PolicyConfig::named(name).expect("known policy");
+        let overridden = apply_policy_override(vec![ni.clone()], Some(&policy));
+        assert_identical(&overridden[0].run(7), &plain);
+    }
 }

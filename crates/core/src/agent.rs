@@ -7,7 +7,7 @@
 //! represents the root zone.  Every member embeds a [`SessionCore`] for
 //! RTT estimates and ZCR identity, and repairs the zones it belongs to.
 
-use crate::config::SharqfecConfig;
+use crate::config::{SharqfecConfig, PACKET_BYTES, SEND_INTERVAL};
 use crate::group::{GroupState, Phase};
 use crate::msg::SfMsg;
 use crate::policy::Policy;
@@ -43,6 +43,9 @@ const NACK_BYTES: u32 = 40;
 /// ZLC measurement delay as a multiple of the RTT to the most distant
 /// known receiver (paper §4: 2.5).
 const MEASURE_RTT_FACTOR: f64 = 2.5;
+/// Fallback one-way distance for timers before the session has produced
+/// an estimate.
+pub(crate) const DEFAULT_DIST: SimDuration = SimDuration::from_millis(50);
 
 // Timer token layout (bit 63 is reserved for the session layer):
 // bits 40..44 = kind, bits 8..40 = group, bits 0..8 = chain level.
@@ -235,11 +238,11 @@ impl SfAgent {
     }
 
     /// One-way distance estimate to the source (the root ZCR) for request
-    /// timers, with the configured fallback before the session converges.
+    /// timers, with [`DEFAULT_DIST`] before the session converges.
     fn d_sa(&self) -> SimDuration {
         self.session
             .dist_to_ancestor(self.session.chain_zones().len() - 1)
-            .unwrap_or(self.cfg.default_dist)
+            .unwrap_or(DEFAULT_DIST)
     }
 
     // ---- request (NACK) side ---------------------------------------------
@@ -347,7 +350,7 @@ impl SfAgent {
     /// Whether this member repairs at all: the sender always, receivers
     /// unless only the sender repairs (the `so` variant).
     fn may_repair(&self) -> bool {
-        self.is_source() || self.cfg.receiver_repairs
+        self.is_source() || self.cfg.variant.receivers_repair()
     }
 
     fn can_repair(&self, g: u32) -> bool {
@@ -355,12 +358,11 @@ impl SfAgent {
     }
 
     fn arm_reply(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let default = self.cfg.default_dist;
         let z = &mut self.groups[g].zones[level];
         if z.reply_timer.is_some() || z.outstanding == 0 {
             return;
         }
-        let d = z.last_nack_dist.unwrap_or(default);
+        let d = z.last_nack_dist.unwrap_or(DEFAULT_DIST);
         let factor = ctx.rng().range_f64(D1, D1 + D2);
         // No backoff on reply timers (paper §4).
         z.reply_timer = Some(ctx.set_timer(d.mul_f64(factor), tok(KIND_REPLY, g, level)));
@@ -381,8 +383,6 @@ impl SfAgent {
 
     /// Transmits one FEC repair into the given zone and paces the next.
     fn send_repair(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        let spacing = self.cfg.send_interval / 2;
-        let bytes = self.cfg.packet_bytes;
         let chan = self.session.chain_zones()[level].channel();
         let st = &mut self.groups[g];
         if st.zones[level].outstanding == 0 {
@@ -408,11 +408,11 @@ impl SfAgent {
                 k,
                 burst_end,
             },
-            bytes,
+            PACKET_BYTES,
         );
         if more {
             // Half the inter-packet interval, the paper's §4 repair pacing.
-            ctx.set_timer(spacing, tok(KIND_SPACING, g, level));
+            ctx.set_timer(SEND_INTERVAL / 2, tok(KIND_SPACING, g, level));
         }
     }
 
@@ -491,15 +491,14 @@ impl SfAgent {
     /// injection sized by the policy, the first queued repair at once,
     /// and the true ZLC measured 2.5 RTTs later.
     fn zcr_duties(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
-        if self.cfg.policy.enabled && self.may_repair() && !self.groups[g].zones[level].injected {
+        if self.cfg.variant.injects() && !self.groups[g].zones[level].injected {
             self.groups[g].zones[level].injected = true;
             let n = self.decide_injection(ctx, g, level);
             self.groups[g].zones[level].outstanding += n;
         }
         self.kick_repairs(ctx, g, level);
         if !self.groups[g].zones[level].measured {
-            let fallback = self.cfg.default_dist * 2;
-            let rtt = self.session.max_known_rtt().unwrap_or(fallback);
+            let rtt = self.session.max_known_rtt().unwrap_or(DEFAULT_DIST * 2);
             ctx.set_timer(rtt.mul_f64(MEASURE_RTT_FACTOR), tok(KIND_MEASURE, g, level));
         }
     }
@@ -528,17 +527,16 @@ impl SfAgent {
 
     fn measure_fire(&mut self, ctx: &mut Ctx<'_, SfMsg>, g: u32, level: usize) {
         // Startup ordering: when the measurement was armed before the
-        // session converged, its delay came from the `default_dist * 2`
+        // session converged, its delay came from the `DEFAULT_DIST * 2`
         // fallback.  If that undershoots the true round-trip the timer
         // fires before the zone's first repair round settles, folding a
         // spurious low observation into the predictor.  Defer until an
         // RTT is known (bounded by `MAX_MEASURE_DEFERS`).
         if self.session.max_known_rtt().is_none() {
-            let fallback = self.cfg.default_dist * 2;
             let z = &mut self.groups[g].zones[level];
             if !z.measured && z.measure_defers < Self::MAX_MEASURE_DEFERS {
                 z.measure_defers += 1;
-                let delay = fallback.mul_f64(MEASURE_RTT_FACTOR);
+                let delay = (DEFAULT_DIST * 2).mul_f64(MEASURE_RTT_FACTOR);
                 ctx.set_timer(delay, tok(KIND_MEASURE, g, level));
                 return;
             }
@@ -580,7 +578,6 @@ impl SfAgent {
         burst_end: u32,
         is_repair: bool,
     ) {
-        let send_interval = self.cfg.send_interval;
         let st = self.group_entry(g);
         if st.first_heard.is_none() {
             st.first_heard = Some(ctx.now());
@@ -590,7 +587,7 @@ impl SfAgent {
             // Expected residue of the group at the advertised rate,
             // plus slack for jitter (paper §4's inter-packet estimate).
             let remaining = st.k.saturating_sub(idx.min(st.k - 1) + 1) as u64;
-            let delay = send_interval * (remaining + 3);
+            let delay = SEND_INTERVAL * (remaining + 3);
             st.ldp_timer = Some(ctx.set_timer(delay, tok(KIND_LDP, g, 0)));
         }
         st.receive(idx);
@@ -657,7 +654,7 @@ impl SfAgent {
             .session
             .estimate_rtt(src, chain)
             .map(|rtt| rtt / 2)
-            .unwrap_or(self.cfg.default_dist);
+            .unwrap_or(DEFAULT_DIST);
         let max_backoff = self.cfg.max_backoff;
 
         let (became_visible, suppress_outcome, my_llc, zlc_now) = {
@@ -772,7 +769,7 @@ impl SfAgent {
             }
         }
         if !all_done {
-            ctx.set_timer(self.cfg.send_interval * 50, tok(KIND_AUDIT, 0, 0));
+            ctx.set_timer(SEND_INTERVAL * 50, tok(KIND_AUDIT, 0, 0));
         }
     }
 
@@ -791,14 +788,14 @@ impl SfAgent {
         ctx.multicast(
             ZoneId::ROOT.channel(),
             SfMsg::Data { group: g, idx, k },
-            self.cfg.packet_bytes,
+            PACKET_BYTES,
         );
         if idx + 1 == k {
             // The group is on the wire: the root zone's ZCR duties.
             self.zcr_duties(ctx, g, self.session.chain_zones().len() - 1);
         }
         if self.next_seq < self.cfg.total_packets {
-            ctx.set_timer(self.cfg.send_interval, tok(KIND_SEND, 0, 0));
+            ctx.set_timer(SEND_INTERVAL, tok(KIND_SEND, 0, 0));
         }
     }
 }
@@ -858,8 +855,8 @@ impl Agent<SfMsg> for SfAgent {
             ctx.set_timer(delay, tok(KIND_SEND, 0, 0));
         } else {
             let end = self.cfg.data_start
-                + self.cfg.send_interval * self.cfg.total_packets as u64
-                + self.cfg.send_interval * 50;
+                + SEND_INTERVAL * self.cfg.total_packets as u64
+                + SEND_INTERVAL * 50;
             ctx.set_timer(end.saturating_since(ctx.now()), tok(KIND_AUDIT, 0, 0));
         }
     }
@@ -1129,7 +1126,7 @@ mod tests {
             (fec, timers_armed(actions, KIND_REPLY).len())
         };
         let ecsrm = SharqfecConfig::variant(Variant::Ecsrm);
-        assert!(!ecsrm.receiver_repairs);
+        assert!(!ecsrm.variant.receivers_repair());
 
         let mut sender = member(NodeId(0), ecsrm.clone());
         assert_eq!(sender.agent.session.chain_zones(), [ZoneId::ROOT]);

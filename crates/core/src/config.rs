@@ -1,7 +1,19 @@
 //! SHARQFEC configuration and the §6.2 ablation ladder.
+//!
+//! A [`SharqfecConfig`] holds only what a sweep varies: the stream's
+//! length, start and group size, the ladder rung ([`Variant`]), the
+//! injection policy, the backoff cap and the §7 adaptive-timer switch.
+//! What the paper fixes is a constant: the workload's [`PACKET_BYTES`]
+//! and [`SEND_INTERVAL`] here, the timer constants beside their reader in
+//! `agent.rs`, the predictors' constants in `policy.rs`.
 
 use crate::policy::PolicyConfig;
 use sharqfec_netsim::{SimDuration, SimTime};
+
+/// Data/FEC packet size in bytes (paper §6.2: 1000).
+pub const PACKET_BYTES: u32 = 1000;
+/// CBR inter-packet interval (paper §6.2: 10 ms = 800 kbit/s at 1000 B).
+pub const SEND_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// The protocol variants the paper evaluates (its figures annotate
 /// `ns` = no scoping, `ni` = no injection, `so` = sender-only repairs).
@@ -21,6 +33,24 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// Whether zones are administratively scoped (every rung but the `ns`
+    /// ones, which collapse to one global zone).
+    pub fn scoped(self) -> bool {
+        matches!(self, Variant::Full | Variant::NoInjection)
+    }
+
+    /// Whether receivers repair their peers (every rung but `so`, where
+    /// only the sender repairs).
+    pub fn receivers_repair(self) -> bool {
+        self != Variant::Ecsrm
+    }
+
+    /// Whether zone representatives inject FEC preemptively (every rung
+    /// but the `ni` ones).  An injecting rung also lets receivers repair.
+    pub fn injects(self) -> bool {
+        matches!(self, Variant::Full | Variant::NoScoping)
+    }
+
     /// The paper's figure annotation for this variant.
     pub fn label(self) -> &'static str {
         match self {
@@ -33,33 +63,24 @@ impl Variant {
     }
 }
 
-/// Full parameter set for a SHARQFEC run.  Defaults reproduce the paper's
-/// §6.2 workload and §4 constants.
+/// Full parameter set for a SHARQFEC run: what a sweep varies.  Defaults
+/// reproduce the paper's §6.2 workload and §4 constants; the packet size
+/// and CBR interval are the constants [`PACKET_BYTES`] and
+/// [`SEND_INTERVAL`].
 #[derive(Clone, Debug)]
 pub struct SharqfecConfig {
     // ---- workload (paper §6.2) ----
     /// Total data packets in the stream (paper: 1024).
     pub total_packets: u32,
-    /// Data/FEC packet size in bytes (paper: 1000).
-    pub packet_bytes: u32,
-    /// CBR inter-packet interval (paper: 10 ms = 800 kbit/s).
-    pub send_interval: SimDuration,
     /// When the source starts sending (paper: t = 6 s).
     pub data_start: SimTime,
     /// Data packets per group (paper: 16).
     pub group_size: u32,
 
-    // ---- feature switches (ablations) ----
-    /// Administrative scoping (`false` ⇒ the `ns` variants: one global
-    /// zone).
-    pub scoping: bool,
-    /// Receivers repair their peers (`false` ⇒ the `so` variant: sender
-    /// only).
-    pub receiver_repairs: bool,
-
-    // ---- injection policy ----
-    /// How preemptive FEC injection is sized: predictor selection and
-    /// parameters (`policy.enabled = false` ⇒ the `ni` variants).
+    /// The rung of the ablation ladder: whether zones are scoped,
+    /// receivers repair, and zone representatives inject.
+    pub variant: Variant,
+    /// How preemptive FEC injection is sized where the variant injects.
     pub policy: PolicyConfig,
 
     // ---- timers (paper §4; the fixed constants live beside their
@@ -70,53 +91,29 @@ pub struct SharqfecConfig {
     /// duplicate NACKs and recovery delay (SRM §V structure).  Off by
     /// default — the paper's evaluation uses fixed timers.
     pub adaptive_timers: bool,
-
-    /// Fallback one-way distance used for timers before the session has
-    /// produced an estimate.
-    pub default_dist: SimDuration,
 }
 
 impl Default for SharqfecConfig {
     fn default() -> SharqfecConfig {
         SharqfecConfig {
             total_packets: 1024,
-            packet_bytes: 1000,
-            send_interval: SimDuration::from_millis(10),
             data_start: SimTime::from_secs(6),
             group_size: 16,
-            scoping: true,
-            receiver_repairs: true,
+            variant: Variant::Full,
+            policy: PolicyConfig::default(),
             max_backoff: 8,
             adaptive_timers: false,
-            policy: PolicyConfig::default(),
-            default_dist: SimDuration::from_millis(50),
         }
     }
 }
 
 impl SharqfecConfig {
     /// Configuration for a named variant.
-    pub fn variant(v: Variant) -> SharqfecConfig {
-        let mut c = SharqfecConfig::default();
-        match v {
-            Variant::Full => {}
-            Variant::NoInjection => {
-                c.policy.enabled = false;
-            }
-            Variant::NoScoping => {
-                c.scoping = false;
-            }
-            Variant::NoScopingNoInjection => {
-                c.scoping = false;
-                c.policy.enabled = false;
-            }
-            Variant::Ecsrm => {
-                c.scoping = false;
-                c.policy.enabled = false;
-                c.receiver_repairs = false;
-            }
+    pub fn variant(variant: Variant) -> SharqfecConfig {
+        SharqfecConfig {
+            variant,
+            ..SharqfecConfig::default()
         }
-        c
     }
 
     /// Full SHARQFEC.
@@ -143,7 +140,7 @@ impl SharqfecConfig {
     /// instant would have, that timer having died with its crash epoch.
     pub fn seqs_sent_before(&self, t: SimTime) -> u32 {
         let dt = t.saturating_since(self.data_start);
-        let sent = dt.0.div_ceil(self.send_interval.0);
+        let sent = dt.0.div_ceil(SEND_INTERVAL.0);
         sent.min(self.total_packets as u64) as u32
     }
 
@@ -159,11 +156,6 @@ impl SharqfecConfig {
             self.group_size as usize <= sharqfec_fec::MAX_GROUP,
             "group size exceeds the GF(256) erasure-code limit"
         );
-        assert!(self.packet_bytes > 0, "packets must have a size");
-        assert!(
-            self.send_interval > SimDuration::ZERO,
-            "CBR interval must be positive"
-        );
         self.policy.validate();
     }
 }
@@ -171,7 +163,6 @@ impl SharqfecConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
 
     #[test]
     fn defaults_match_the_paper() {
@@ -180,45 +171,37 @@ mod tests {
         assert_eq!(c.total_packets, 1024);
         assert_eq!(c.group_size, 16);
         assert_eq!(c.group_count(), 64);
-        let p = &c.policy;
-        assert!(p.enabled);
-        assert_eq!(
-            p.kind,
-            PolicyKind::Ewma {
-                gain: 0.25,
-                initial_pred: 1.0
-            }
-        );
+        assert_eq!(c.variant, Variant::Full);
+        assert_eq!(c.policy, PolicyConfig::Ewma { gain: 0.25 });
     }
 
     #[test]
     fn variant_ladder_flags() {
-        let injection = |c: &SharqfecConfig| c.policy.enabled;
-        assert!(SharqfecConfig::full().scoping);
-        assert!(injection(&SharqfecConfig::full()));
-        assert!(SharqfecConfig::full().receiver_repairs);
-
-        let ecsrm = SharqfecConfig::variant(Variant::Ecsrm);
-        assert!(!ecsrm.scoping && !injection(&ecsrm) && !ecsrm.receiver_repairs);
-
-        let ns = SharqfecConfig::variant(Variant::NoScoping);
-        assert!(!ns.scoping && injection(&ns) && ns.receiver_repairs);
-
-        let ni = SharqfecConfig::variant(Variant::NoInjection);
-        assert!(ni.scoping && !injection(&ni) && ni.receiver_repairs);
-
-        let ns_ni = SharqfecConfig::variant(Variant::NoScopingNoInjection);
-        assert!(!ns_ni.scoping && !injection(&ns_ni) && ns_ni.receiver_repairs);
+        // (variant, scoped, receivers repair, injects)
+        for (v, flags) in [
+            (Variant::Full, (true, true, true)),
+            (Variant::NoInjection, (true, true, false)),
+            (Variant::NoScoping, (false, true, true)),
+            (Variant::NoScopingNoInjection, (false, true, false)),
+            (Variant::Ecsrm, (false, false, false)),
+        ] {
+            assert_eq!(SharqfecConfig::variant(v).variant, v);
+            assert_eq!(
+                (v.scoped(), v.receivers_repair(), v.injects()),
+                flags,
+                "{v:?}"
+            );
+        }
     }
 
     #[test]
     fn explicit_policy_overrides_are_preserved() {
         let c = SharqfecConfig {
-            policy: crate::policy::PolicyConfig::optimizing(),
+            policy: PolicyConfig::Optimizing,
             ..SharqfecConfig::default()
         };
         assert_eq!(c.policy.name(), "optimizing");
-        assert!(c.policy.enabled);
+        assert!(c.variant.injects());
         c.validate();
     }
 

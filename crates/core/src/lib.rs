@@ -24,10 +24,9 @@
 //!   [`sharqfec_session::SessionCore`] provides the RTT estimates for all
 //!   suppression timers and the ZCR identities for injection.
 //!
-//! Every feature is individually switchable for the paper's §6.2 ablation
-//! ladder — see [`config::SharqfecConfig::variant`], which builds each
-//! rung from a [`config::Variant`] (`full`, `ni`, `ns`, `ns,ni`,
-//! `ns,ni,so`).
+//! The paper's §6.2 ablation ladder is one [`config::Variant`] (`full`,
+//! `ni`, `ns`, `ns,ni`, `ns,ni,so`): the agent and the set-up ask it
+//! whether zones are scoped, receivers repair and representatives inject.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +39,7 @@ pub mod policy;
 pub mod setup;
 
 pub use agent::SfAgent;
-pub use config::{SharqfecConfig, Variant};
+pub use config::{SharqfecConfig, Variant, PACKET_BYTES, SEND_INTERVAL};
 pub use msg::SfMsg;
-pub use policy::{
-    EwmaPolicy, OptimizingPolicy, PercentilePolicy, Policy, PolicyConfig, PolicyKind,
-};
+pub use policy::{EwmaPolicy, OptimizingPolicy, PercentilePolicy, Policy, PolicyConfig};
 pub use setup::{member_channels, setup_sharqfec_builder, setup_sharqfec_scenario_builder};

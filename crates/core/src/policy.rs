@@ -14,7 +14,13 @@
 //!   reconstructs the zone's *total* repair demand per measurement round
 //!   (observed residual + what it injected itself), estimates the loss
 //!   burst process from that, and chooses the smallest `h` whose modeled
-//!   residual-loss probability meets a configurable delivery target.
+//!   residual-loss probability meets a delivery target.
+//!
+//! A [`PolicyConfig`] picks one of the three; its only parameter is the
+//! EWMA's gain, which the ablation sweeps.  Everything else the
+//! predictors use is a constant beside its reader: `INITIAL_PRED`,
+//! `QUANTILE` and `PERCENTILE_WINDOW`, `DELIVERY_TARGET`,
+//! `OPTIMIZING_WINDOW`, `MAX_H` and `INITIAL_H`.
 //!
 //! Policies are fed by the agent's existing evidence path: ZLC
 //! measurements ([`Policy::on_zlc_measurement`], the same observation
@@ -26,6 +32,24 @@
 //! `chosen h ≤ group_size`.
 
 use std::collections::VecDeque;
+
+/// The EWMA's and the quantile tracker's prediction before any
+/// measurement (paper §4: "a small number").
+const INITIAL_PRED: f64 = 1.0;
+/// The quantile of the recent ZLC history the percentile policy tracks.
+const QUANTILE: f64 = 0.95;
+/// Measurements the percentile policy keeps per level.
+const PERCENTILE_WINDOW: usize = 32;
+/// Probability a group must be covered by the first repair round, the
+/// optimizing controller's target.
+const DELIVERY_TARGET: f64 = 0.75;
+/// Reconstructed demands the optimizing controller keeps per level.
+const OPTIMIZING_WINDOW: usize = 8;
+/// Hard cap on the optimizing controller's `h` (further clamped to the
+/// group size).
+const MAX_H: u32 = 16;
+/// The optimizing controller's `h` before any demand has been observed.
+const INITIAL_H: u32 = 0;
 
 /// Sizes preemptive FEC injection for the zones one member represents,
 /// built by [`PolicyConfig::build`].  Levels index the member's zone chain
@@ -48,7 +72,7 @@ impl Policy {
     pub fn on_zlc_measurement(&mut self, level: usize, observed: f64) {
         match self {
             Policy::Ewma(p) => p.pred[level] += p.gain * (observed - p.pred[level]),
-            Policy::Percentile(p) => p.hist[level].push(p.window, observed),
+            Policy::Percentile(p) => p.hist[level].push(PERCENTILE_WINDOW, observed),
             Policy::Optimizing(p) => {
                 let st = &mut p.levels[level];
                 // Reconstruct the round's gross demand: what the zone
@@ -57,7 +81,7 @@ impl Policy {
                 // injections and measurements both proceed in group
                 // order).
                 let own = st.pending_h.pop_front().unwrap_or(0);
-                st.demands.push(p.window, observed + own as f64);
+                st.demands.push(OPTIMIZING_WINDOW, observed + own as f64);
             }
         }
     }
@@ -99,7 +123,7 @@ impl Policy {
     /// packets to inject preemptively into `level`'s zone for a freshly
     /// completed group, at most `group_size`: the rounded prediction for
     /// the EWMA and the quantile tracker; the optimizing controller's
-    /// modeled `h`, raised to any NACK floor and clamped to `max_h`.
+    /// modeled `h`, raised to any NACK floor and clamped to `MAX_H`.
     pub fn decide(&mut self, level: usize, group_size: u32) -> (f64, u32) {
         let Policy::Optimizing(p) = self else {
             let pred = self.predicted(level);
@@ -108,12 +132,12 @@ impl Policy {
         let (pred, h) = p.model(level);
         let st = &mut p.levels[level];
         let floor = std::mem::take(&mut st.nack_floor);
-        let h = h.max(floor).min(p.max_h).min(group_size);
+        let h = h.max(floor).min(MAX_H).min(group_size);
         st.pending_h.push_back(h);
         // Bound the FIFO: measurements for very late groups can be
         // skipped entirely (audit path), so stale entries must not pile
         // up and skew reconstruction forever.
-        if st.pending_h.len() > p.window {
+        if st.pending_h.len() > OPTIMIZING_WINDOW {
             st.pending_h.pop_front();
         }
         (pred, h)
@@ -174,31 +198,29 @@ impl Ring {
     }
 }
 
-/// Predicts the ZLC as a quantile of the last `window` measurements.
+/// Predicts the ZLC as the `QUANTILE` of the last `PERCENTILE_WINDOW`
+/// measurements.
 ///
 /// Where the EWMA tracks the *mean* demand (and lags bursts by
 /// `1/gain` rounds), a high quantile tracks the *tail*: under bursty
 /// loss it keeps injecting near the recent worst case until the burst
-/// ages out of the window.  An empty history predicts `initial_pred`.
+/// ages out of the window.  An empty history predicts `INITIAL_PRED`.
 #[derive(Clone, Debug)]
 pub struct PercentilePolicy {
-    quantile: f64,
-    window: usize,
-    initial_pred: f64,
     hist: Vec<Ring>,
 }
 
 impl PercentilePolicy {
     /// The quantile of a level's history by linear interpolation on the
-    /// sorted samples at rank `q·(n−1)`; `initial_pred` when empty.
+    /// sorted samples at rank `q·(n−1)`; `INITIAL_PRED` when empty.
     fn quantile_of(&self, level: usize) -> f64 {
         let buf = &self.hist[level].buf;
         if buf.is_empty() {
-            return self.initial_pred;
+            return INITIAL_PRED;
         }
         let mut sorted = buf.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("ZLC samples are finite"));
-        let rank = self.quantile * (sorted.len() - 1) as f64;
+        let rank = QUANTILE * (sorted.len() - 1) as f64;
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         let frac = rank - lo as f64;
@@ -241,27 +263,23 @@ struct OptLevel {
 ///   group misses its first repair round with probability
 ///   `p_loss · ((b−1)/b)^h`.
 ///
-/// It picks the smallest `h` pushing that below `1 − delivery_target`,
+/// It picks the smallest `h` pushing that below `1 − DELIVERY_TARGET`,
 /// raised to any NACK-advertised shortfall since the last round and
-/// clamped to `min(max_h, group_size)`.
+/// clamped to `min(MAX_H, group_size)`.
 #[derive(Clone, Debug)]
 pub struct OptimizingPolicy {
-    delivery_target: f64,
-    window: usize,
-    max_h: u32,
-    initial_h: u32,
     levels: Vec<OptLevel>,
 }
 
 impl OptimizingPolicy {
     /// A level's predicted demand `p_loss · b` and its modeled `h`, from
     /// one pass over the history: `p_loss` is the loss-round frequency,
-    /// `b` the mean clip.  Both are `initial_h` while the history is
+    /// `b` the mean clip.  Both are `INITIAL_H` while the history is
     /// empty.
     fn model(&self, level: usize) -> (f64, u32) {
         let buf = &self.levels[level].demands.buf;
         if buf.is_empty() {
-            return (self.initial_h as f64, self.initial_h);
+            return (INITIAL_H as f64, INITIAL_H);
         }
         let (mut lossy, mut sum) = (0usize, 0.0);
         for &d in buf.iter().filter(|&&d| d > 0.0) {
@@ -270,12 +288,12 @@ impl OptimizingPolicy {
         }
         let p_loss = lossy as f64 / buf.len() as f64;
         let b = if lossy == 0 { 0.0 } else { sum / lossy as f64 };
-        (p_loss * b, self.model_h(level, p_loss, b))
+        (p_loss * b, Self::model_h(p_loss, b))
     }
 
-    /// Smallest `h` with `p_loss · ((b−1)/b)^h ≤ 1 − delivery_target`.
-    fn model_h(&self, level: usize, p_loss: f64, b: f64) -> u32 {
-        let eps = 1.0 - self.delivery_target;
+    /// Smallest `h` with `p_loss · ((b−1)/b)^h ≤ 1 − DELIVERY_TARGET`.
+    fn model_h(p_loss: f64, b: f64) -> u32 {
+        let eps = 1.0 - DELIVERY_TARGET;
         if p_loss <= eps || b <= 0.0 {
             return 0;
         }
@@ -285,140 +303,65 @@ impl OptimizingPolicy {
             return 1;
         }
         let tail = (b - 1.0) / b;
-        // h = ⌈ln(eps / p_loss) / ln(tail)⌉, guarded for eps = 0 (100%
-        // target): fall back to the worst demand in the window.
-        if eps <= 0.0 {
-            let worst = self.levels[level]
-                .demands
-                .buf
-                .iter()
-                .copied()
-                .fold(0.0_f64, f64::max);
-            return worst.ceil() as u32;
-        }
+        // h = ⌈ln(eps / p_loss) / ln(tail)⌉.
         let h = (eps / p_loss).ln() / tail.ln();
         h.ceil().max(0.0) as u32
     }
 }
 
-/// Which predictor a [`PolicyConfig`] builds, with its parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PolicyKind {
+/// Injection-policy selection, carried by `SharqfecConfig` and threaded
+/// through `EngineBuilder` and the bench CLI (`--policy`): which predictor
+/// to build, with the one parameter a sweep varies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum PolicyConfig {
     /// The paper's fixed-gain EWMA (default).
     Ewma {
-        /// New-sample weight (paper: 0.25).
+        /// New-sample weight, in `[0,1]` (paper: 0.25).
         gain: f64,
-        /// Prediction before any measurement (paper: "a small number").
-        initial_pred: f64,
     },
     /// Quantile-of-recent-history predictor.
-    Percentile {
-        /// The quantile tracked, in `[0,1]`.
-        quantile: f64,
-        /// Ring-buffer capacity (measurements kept per level).
-        window: usize,
-        /// Prediction while the history is empty.
-        initial_pred: f64,
-    },
+    Percentile,
     /// TAROT-style optimizing controller.
-    Optimizing {
-        /// Probability a group must be covered by the first repair
-        /// round, in `(0,1]`.
-        delivery_target: f64,
-        /// Demand-history window per level.
-        window: usize,
-        /// Hard cap on chosen `h` (further clamped to the group size).
-        max_h: u32,
-        /// `h` before any demand has been observed.
-        initial_h: u32,
-    },
-}
-
-/// Injection-policy selection, carried by `SharqfecConfig` and threaded
-/// through `EngineBuilder` and the bench CLI (`--policy`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PolicyConfig {
-    /// Master switch for preemptive injection (`false` ⇒ the paper's
-    /// `ni` variants: no policy runs and nothing is injected).
-    pub enabled: bool,
-    /// The predictor to build.
-    pub kind: PolicyKind,
+    Optimizing,
 }
 
 impl Default for PolicyConfig {
+    /// The paper's EWMA with its §4 gain, 0.25.
     fn default() -> PolicyConfig {
-        PolicyConfig::ewma()
+        PolicyConfig::Ewma { gain: 0.25 }
     }
 }
 
 impl PolicyConfig {
-    /// The paper's EWMA with §4 constants (gain 0.25, initial 1.0).
-    pub fn ewma() -> PolicyConfig {
-        PolicyConfig {
-            enabled: true,
-            kind: PolicyKind::Ewma {
-                gain: 0.25,
-                initial_pred: 1.0,
-            },
-        }
-    }
-
-    /// The 0.95-quantile of the last 32 measurements.
-    pub fn percentile() -> PolicyConfig {
-        PolicyConfig {
-            enabled: true,
-            kind: PolicyKind::Percentile {
-                quantile: 0.95,
-                window: 32,
-                initial_pred: 1.0,
-            },
-        }
-    }
-
-    /// The optimizing controller with its tuned defaults.
-    pub fn optimizing() -> PolicyConfig {
-        PolicyConfig {
-            enabled: true,
-            kind: PolicyKind::Optimizing {
-                delivery_target: 0.75,
-                window: 8,
-                max_h: 16,
-                initial_h: 0,
-            },
-        }
-    }
-
     /// Resolves a CLI policy name (`ewma` | `percentile` | `optimizing`)
     /// to its default configuration.
     pub fn named(name: &str) -> Option<PolicyConfig> {
         match name {
-            "ewma" => Some(PolicyConfig::ewma()),
-            "percentile" => Some(PolicyConfig::percentile()),
-            "optimizing" => Some(PolicyConfig::optimizing()),
+            "ewma" => Some(PolicyConfig::default()),
+            "percentile" => Some(PolicyConfig::Percentile),
+            "optimizing" => Some(PolicyConfig::Optimizing),
             _ => None,
         }
     }
 
-    /// The stable name of the configured kind, recorded in
+    /// The stable name of the configured predictor, recorded in
     /// `ProbeEvent::PolicyDecision` and accepted by [`PolicyConfig::named`].
     pub fn name(&self) -> &'static str {
-        match self.kind {
-            PolicyKind::Ewma { .. } => "ewma",
-            PolicyKind::Percentile { .. } => "percentile",
-            PolicyKind::Optimizing { .. } => "optimizing",
+        match self {
+            PolicyConfig::Ewma { .. } => "ewma",
+            PolicyConfig::Percentile => "percentile",
+            PolicyConfig::Optimizing => "optimizing",
         }
     }
 
-    /// The delivery/coverage target the configured kind steers toward,
-    /// or `0.0` for the EWMA, which is not target-driven (recorded in
-    /// `ProbeEvent::PolicyDecision`).
+    /// The delivery/coverage target the configured predictor steers
+    /// toward, or `0.0` for the EWMA, which is not target-driven
+    /// (recorded in `ProbeEvent::PolicyDecision`).
     pub fn target(&self) -> f64 {
-        match self.kind {
-            PolicyKind::Ewma { .. } => 0.0,
-            PolicyKind::Percentile { quantile: t, .. } => t,
-            PolicyKind::Optimizing {
-                delivery_target: t, ..
-            } => t,
+        match self {
+            PolicyConfig::Ewma { .. } => 0.0,
+            PolicyConfig::Percentile => QUANTILE,
+            PolicyConfig::Optimizing => DELIVERY_TARGET,
         }
     }
 
@@ -426,39 +369,13 @@ impl PolicyConfig {
     ///
     /// # Panics
     ///
-    /// Panics with a description of the violated invariant.
+    /// Panics when an EWMA gain lies outside `[0,1]`.
     pub fn validate(&self) {
-        match self.kind {
-            PolicyKind::Ewma { gain, initial_pred } => {
-                assert!(
-                    (0.0..=1.0).contains(&gain),
-                    "EWMA gain must be a weight in [0,1]"
-                );
-                assert!(initial_pred >= 0.0, "initial prediction must be >= 0");
-            }
-            PolicyKind::Percentile {
-                quantile,
-                window,
-                initial_pred,
-            } => {
-                assert!(
-                    (0.0..=1.0).contains(&quantile),
-                    "quantile must lie in [0,1]"
-                );
-                assert!(window > 0, "history window must be positive");
-                assert!(initial_pred >= 0.0, "initial prediction must be >= 0");
-            }
-            PolicyKind::Optimizing {
-                delivery_target,
-                window,
-                ..
-            } => {
-                assert!(
-                    delivery_target > 0.0 && delivery_target <= 1.0,
-                    "delivery target must lie in (0,1]"
-                );
-                assert!(window > 0, "demand window must be positive");
-            }
+        if let PolicyConfig::Ewma { gain } = *self {
+            assert!(
+                (0.0..=1.0).contains(&gain),
+                "EWMA gain must be a weight in [0,1]"
+            );
         }
     }
 
@@ -470,31 +387,15 @@ impl PolicyConfig {
     /// Panics when [`PolicyConfig::validate`] does.
     pub fn build(&self, levels: usize) -> Policy {
         self.validate();
-        match self.kind {
-            PolicyKind::Ewma { gain, initial_pred } => Policy::Ewma(EwmaPolicy {
+        match *self {
+            PolicyConfig::Ewma { gain } => Policy::Ewma(EwmaPolicy {
                 gain,
-                pred: vec![initial_pred; levels],
+                pred: vec![INITIAL_PRED; levels],
             }),
-            PolicyKind::Percentile {
-                quantile,
-                window,
-                initial_pred,
-            } => Policy::Percentile(PercentilePolicy {
-                quantile,
-                window,
-                initial_pred,
+            PolicyConfig::Percentile => Policy::Percentile(PercentilePolicy {
                 hist: vec![Ring::default(); levels],
             }),
-            PolicyKind::Optimizing {
-                delivery_target,
-                window,
-                max_h,
-                initial_h,
-            } => Policy::Optimizing(OptimizingPolicy {
-                delivery_target,
-                window,
-                max_h,
-                initial_h,
+            PolicyConfig::Optimizing => Policy::Optimizing(OptimizingPolicy {
                 levels: vec![OptLevel::default(); levels],
             }),
         }
@@ -505,45 +406,18 @@ impl PolicyConfig {
 mod tests {
     use super::*;
 
-    /// A policy of `kind` over `levels` chain levels, built (and
-    /// validated) the way an agent builds its own.
-    fn build(kind: PolicyKind, levels: usize) -> Policy {
-        let mut cfg = PolicyConfig::ewma();
-        cfg.kind = kind;
-        cfg.build(levels)
-    }
-
-    fn ewma(gain: f64, initial_pred: f64, levels: usize) -> Policy {
-        build(PolicyKind::Ewma { gain, initial_pred }, levels)
-    }
-
-    fn percentile(quantile: f64, window: usize, initial_pred: f64, levels: usize) -> Policy {
-        let kind = PolicyKind::Percentile {
-            quantile,
-            window,
-            initial_pred,
-        };
-        build(kind, levels)
-    }
-
-    fn optimizing(target: f64, window: usize, max_h: u32, initial_h: u32, levels: usize) -> Policy {
-        let kind = PolicyKind::Optimizing {
-            delivery_target: target,
-            window,
-            max_h,
-            initial_h,
-        };
-        build(kind, levels)
+    fn ewma(gain: f64, levels: usize) -> Policy {
+        PolicyConfig::Ewma { gain }.build(levels)
     }
 
     #[test]
     fn ewma_matches_the_papers_fold() {
-        let mut p = ewma(0.25, 1.0, 2);
+        let mut p = ewma(0.25, 2);
         // pred = 1.0 → observe 5 → 1 + 0.25·(5−1) = 2.0
         p.on_zlc_measurement(0, 5.0);
         assert_eq!(p.predicted(0), 2.0);
         // Untouched level keeps its initial prediction.
-        assert_eq!(p.predicted(1), 1.0);
+        assert_eq!(p.predicted(1), INITIAL_PRED);
         // Rounds to nearest, clamps at the group size.
         assert_eq!(p.injected(0, 16), 2);
         p.on_zlc_measurement(0, 100.0);
@@ -552,7 +426,7 @@ mod tests {
 
     #[test]
     fn ewma_decays_toward_zero_on_clean_measurements() {
-        let mut p = ewma(0.25, 4.0, 1);
+        let mut p = ewma(0.25, 1);
         for _ in 0..16 {
             p.on_zlc_measurement(0, 0.0);
         }
@@ -561,16 +435,16 @@ mod tests {
     }
 
     #[test]
-    fn percentile_empty_history_uses_initial_pred() {
-        let mut p = percentile(0.9, 16, 3.0, 1);
-        assert_eq!(p.predicted(0), 3.0);
-        assert_eq!(p.injected(0, 16), 3);
+    fn percentile_empty_history_uses_the_initial_prediction() {
+        let mut p = PolicyConfig::Percentile.build(1);
+        assert_eq!(p.predicted(0), INITIAL_PRED);
+        assert_eq!(p.injected(0, 16), 1);
     }
 
     #[test]
     fn percentile_all_equal_samples_returns_the_sample() {
-        let mut p = percentile(0.5, 8, 1.0, 1);
-        for _ in 0..20 {
+        let mut p = PolicyConfig::Percentile.build(1);
+        for _ in 0..40 {
             p.on_zlc_measurement(0, 7.0);
         }
         assert_eq!(p.predicted(0), 7.0);
@@ -578,67 +452,59 @@ mod tests {
     }
 
     #[test]
-    fn percentile_quantile_zero_and_one_are_min_and_max() {
-        let samples = [4.0, 1.0, 9.0, 2.0];
-        let mut lo = percentile(0.0, 16, 0.0, 1);
-        let mut hi = percentile(1.0, 16, 0.0, 1);
-        for s in samples {
-            lo.on_zlc_measurement(0, s);
-            hi.on_zlc_measurement(0, s);
-        }
-        assert_eq!(lo.predicted(0), 1.0);
-        assert_eq!(hi.predicted(0), 9.0);
-    }
-
-    #[test]
     fn percentile_interpolates_between_ranks() {
-        // Sorted: [0, 10]; q=0.75 → rank 0.75 → 7.5.
-        let mut p = percentile(0.75, 16, 0.0, 1);
+        // Sorted: [0, 10]; q = 0.95 → rank 0.95 → 9.5.
+        let mut p = PolicyConfig::Percentile.build(1);
         p.on_zlc_measurement(0, 10.0);
         p.on_zlc_measurement(0, 0.0);
-        assert_eq!(p.predicted(0), 7.5);
+        assert!((p.predicted(0) - 9.5).abs() < 1e-9, "{}", p.predicted(0));
     }
 
     #[test]
     fn percentile_window_evicts_oldest() {
-        let mut p = percentile(1.0, 4, 0.0, 1);
-        p.on_zlc_measurement(0, 50.0);
-        for _ in 0..4 {
-            p.on_zlc_measurement(0, 2.0);
+        // Two 50s then 2s fill the window: rank 0.95·31 = 29.45 falls
+        // between the last 2 and the first 50.
+        let mut p = PolicyConfig::Percentile.build(1);
+        for s in [50.0, 50.0].into_iter().chain([2.0; PERCENTILE_WINDOW - 2]) {
+            p.on_zlc_measurement(0, s);
         }
-        // The 50 aged out of the 4-deep window.
+        assert!((p.predicted(0) - (2.0 + 0.45 * 48.0)).abs() < 1e-9);
+        // One more 2 ages the oldest 50 out: one 50 sits above the rank.
+        p.on_zlc_measurement(0, 2.0);
         assert_eq!(p.predicted(0), 2.0);
     }
 
     #[test]
     fn percentile_seat_gain_clears_history() {
-        let mut p = percentile(1.0, 16, 1.0, 2);
+        let mut p = PolicyConfig::Percentile.build(2);
         p.on_zlc_measurement(0, 9.0);
         p.on_zlc_measurement(1, 9.0);
         p.on_seat_change(0, true);
         p.on_seat_change(1, false); // losing the seat keeps history
-        assert_eq!(p.predicted(0), 1.0);
+        assert_eq!(p.predicted(0), INITIAL_PRED);
         assert_eq!(p.predicted(1), 9.0);
     }
 
     #[test]
     fn optimizing_clean_history_chooses_zero() {
-        let mut p = optimizing(0.75, 32, 16, 1, 1);
-        // Initial h before evidence:
+        let mut p = PolicyConfig::Optimizing.build(1);
+        assert_eq!(p.injected(0, 16), INITIAL_H as usize);
+        // A NACK floor makes the next round inject one.
+        p.on_nack(0, 1);
         assert_eq!(p.injected(0, 16), 1);
-        for _ in 0..10 {
+        for _ in 0..7 {
             p.on_zlc_measurement(0, 0.0);
         }
-        // p_loss dropped under 1−target ⇒ no preemptive FEC.  (The
-        // predicted demand is not exactly 0: the initial h=1 round is
-        // itself part of the reconstructed demand history.)
+        // p_loss fell under 1−target ⇒ no preemptive FEC.  (The predicted
+        // demand is not 0: the injected round is itself part of the
+        // reconstructed demand history, one lossy round in seven.)
         assert_eq!(p.injected(0, 16), 0);
-        assert!(p.predicted(0) < 0.25);
+        assert!(p.predicted(0) > 0.0 && p.predicted(0) < 0.25);
     }
 
     #[test]
     fn optimizing_persistent_bursts_raise_h() {
-        let mut p = optimizing(0.9, 32, 16, 0, 1);
+        let mut p = PolicyConfig::Optimizing.build(1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 6.0);
         }
@@ -650,10 +516,12 @@ mod tests {
 
     #[test]
     fn optimizing_reconstructs_gross_demand_past_own_injection() {
-        let mut p = optimizing(0.9, 32, 16, 4, 1);
-        // Round trip: inject 4, then the measurement reads 0 because our
-        // own injection covered the zone.  Gross demand is 4, not 0 —
-        // the policy must keep injecting rather than concluding "clean".
+        let mut p = PolicyConfig::Optimizing.build(1);
+        // Round trip: inject 4 (a NACK's floor), then the measurement
+        // reads 0 because our own injection covered the zone.  Gross
+        // demand is 4, not 0 — the policy must keep injecting rather than
+        // concluding "clean".
+        p.on_nack(0, 4);
         for _ in 0..8 {
             let h = p.injected(0, 16);
             assert!(h >= 1, "must not collapse to zero while demand persists");
@@ -664,7 +532,7 @@ mod tests {
 
     #[test]
     fn optimizing_nack_floor_is_consumed_once() {
-        let mut p = optimizing(0.75, 32, 16, 0, 1);
+        let mut p = PolicyConfig::Optimizing.build(1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 0.0); // model says 0
         }
@@ -676,27 +544,27 @@ mod tests {
 
     #[test]
     fn optimizing_clamps_to_max_h_and_group_size() {
-        let mut p = optimizing(1.0, 32, 6, 0, 1);
-        for _ in 0..4 {
-            p.on_zlc_measurement(0, 40.0);
-        }
-        assert_eq!(p.injected(0, 16), 6); // max_h
-        let mut q = optimizing(1.0, 32, 64, 0, 1);
-        for _ in 0..4 {
-            q.on_zlc_measurement(0, 40.0);
-        }
-        assert_eq!(q.injected(0, 8), 8); // group_size
+        let heavy = || {
+            let mut p = PolicyConfig::Optimizing.build(1);
+            for _ in 0..4 {
+                p.on_zlc_measurement(0, 40.0);
+            }
+            p
+        };
+        // The model asks for ⌈ln 0.25 / ln 0.975⌉ = 55.
+        assert_eq!(heavy().injected(0, 64), MAX_H as usize);
+        assert_eq!(heavy().injected(0, 8), 8); // group_size
     }
 
     #[test]
     fn optimizing_seat_gain_resets_the_level() {
-        let mut p = optimizing(0.9, 32, 16, 2, 1);
+        let mut p = PolicyConfig::Optimizing.build(1);
         for _ in 0..10 {
             p.on_zlc_measurement(0, 8.0);
         }
         assert!(p.injected(0, 16) >= 6);
         p.on_seat_change(0, true);
-        assert_eq!(p.injected(0, 16), 2); // back to initial_h
+        assert_eq!(p.injected(0, 16), INITIAL_H as usize);
     }
 
     #[test]
@@ -720,43 +588,12 @@ mod tests {
 
     #[test]
     fn config_default_is_the_papers_ewma() {
-        let cfg = PolicyConfig::default();
-        assert!(cfg.enabled);
-        assert_eq!(
-            cfg.kind,
-            PolicyKind::Ewma {
-                gain: 0.25,
-                initial_pred: 1.0
-            }
-        );
+        assert_eq!(PolicyConfig::default(), PolicyConfig::Ewma { gain: 0.25 });
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
-    fn config_rejects_out_of_range_quantile() {
-        PolicyConfig {
-            kind: PolicyKind::Percentile {
-                quantile: 1.5,
-                window: 16,
-                initial_pred: 1.0,
-            },
-            ..PolicyConfig::percentile()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "delivery target")]
-    fn config_rejects_zero_delivery_target() {
-        PolicyConfig {
-            kind: PolicyKind::Optimizing {
-                delivery_target: 0.0,
-                window: 32,
-                max_h: 16,
-                initial_h: 1,
-            },
-            ..PolicyConfig::optimizing()
-        }
-        .validate();
+    #[should_panic(expected = "EWMA gain")]
+    fn config_rejects_a_gain_outside_the_unit_interval() {
+        PolicyConfig::Ewma { gain: 1.5 }.validate();
     }
 }

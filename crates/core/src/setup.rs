@@ -30,7 +30,7 @@ pub fn member_channels(hier: &ZoneHierarchy, node: NodeId) -> Vec<ChannelId> {
 /// (the paper uses t = 1 s, five seconds before data starts, so session
 /// state stabilises).
 ///
-/// With `cfg.scoping` the zone hierarchy and by-design ZCRs of the built
+/// When `cfg.variant` is scoped, the zone hierarchy and by-design ZCRs of the built
 /// topology are used; without it (`ns` variants) the hierarchy collapses
 /// to a single maximum-scope zone whose representative is the source —
 /// which is exactly what "no administrative scoping" means operationally.
@@ -90,7 +90,7 @@ pub fn setup_sharqfec_scenario_builder(
             "standby needs a scenario start override (ScenarioPlan::handoff)"
         );
     }
-    let (hierarchy, zcrs): (ZoneHierarchy, Vec<NodeId>) = if cfg.scoping {
+    let (hierarchy, zcrs): (ZoneHierarchy, Vec<NodeId>) = if cfg.variant.scoped() {
         (built.hierarchy.clone(), built.designed_zcrs.clone())
     } else {
         let mut b = ZoneHierarchyBuilder::new(built.topology.node_count());
@@ -260,39 +260,54 @@ mod tests {
 
     #[test]
     fn zlc_measurement_defers_until_rtt_known() {
-        // Startup-ordering regression: with a short `default_dist`, the
-        // source's first ZLC measurement timer — armed off the
-        // `default_dist * 2` fallback because no RTT is known yet — fires
-        // before the stream's first NACK can possibly arrive.  It used to
-        // fold `zone_needed = 0` into the EWMA and mark the level
+        // Startup-ordering regression: the source's first ZLC measurement
+        // timer is armed off the `DEFAULT_DIST * 2` fallback, because no
+        // RTT is known yet, and fires 2.5 × 100 ms = 250 ms after the
+        // group completes.  Over a 200 ms link that is before the
+        // receiver's first NACK (or the first RTT sample) can arrive.  It
+        // used to fold `zone_needed = 0` into the EWMA and mark the level
         // measured, so the prediction decayed to 0.75 and the zone's real
         // repair demand never fed it.  The measurement must instead defer
         // until the session has an RTT estimate (bounded), by which time
         // the receiver's NACK has established the true demand.
+        use crate::agent::DEFAULT_DIST;
         use sharqfec_netsim::prelude::{FaultEvent, FaultPlan, LossModel};
-        use sharqfec_netsim::{LinkId, SimDuration};
-        let built = chain(2);
-        let mut cfg = small_cfg(SharqfecConfig::full());
-        cfg.total_packets = 16; // one group
-        cfg.data_start = SimTime::from_millis(10);
-        cfg.send_interval = SimDuration::from_millis(1);
-        cfg.default_dist = SimDuration::from_millis(1); // fallback: 5 ms
+        use sharqfec_netsim::{LinkId, LinkParams, SimDuration, TopologyBuilder};
+        let latency = SimDuration::from_millis(200);
+        let mut b = TopologyBuilder::new();
+        let ids = b.add_nodes("n", 2);
+        b.add_link(ids[0], ids[1], LinkParams::lossless(latency, 10_000_000));
+        let mut zb = ZoneHierarchyBuilder::new(2);
+        zb.root(&ids);
+        let built = BuiltTopology {
+            topology: b.build(),
+            source: ids[0],
+            receivers: vec![ids[1]],
+            hierarchy: zb.build().expect("one zone"),
+            designed_zcrs: vec![ids[0]],
+        };
+        let cfg = SharqfecConfig {
+            total_packets: 16, // one group, sent 10–160 ms
+            data_start: SimTime::from_millis(10),
+            ..SharqfecConfig::full()
+        };
+        // The first four sends are lost.
+        let loss = |p| FaultEvent::SetLoss(LinkId(0), LossModel::bernoulli(p));
         let plan = FaultPlan::new()
-            .at(
-                SimTime::ZERO,
-                FaultEvent::SetLoss(LinkId(0), LossModel::bernoulli(1.0)),
-            )
-            .at(
-                SimTime::from_millis(18),
-                FaultEvent::SetLoss(LinkId(0), LossModel::bernoulli(0.0)),
-            );
+            .at(SimTime::ZERO, loss(1.0))
+            .at(SimTime::from_millis(45), loss(0.0));
         let mut builder = setup_sharqfec_builder(&built, 3, cfg, SimTime::ZERO);
         builder.fault_plan(plan);
         let mut engine = builder.build();
         engine.advance(RunSpec::to(SimTime::from_secs(30)));
+        let fallback_measure = SimTime::from_millis(160) + (DEFAULT_DIST * 2).mul_f64(2.5);
+        let first_nack = (engine.recorder().deliveries.iter())
+            .find(|d| d.node == built.source && d.class == TrafficClass::Nack)
+            .expect("the receiver NACKs its losses");
+        assert!(first_nack.time > fallback_measure, "{:?}", first_nack.time);
         let src = engine.agent::<SfAgent>(built.source).unwrap();
-        // The root-level prediction must reflect the NACKed demand (many
-        // lost packets folded at gain 0.25 from an initial 1.0), not the
+        // The root-level prediction must reflect the NACKed demand (lost
+        // packets folded at gain 0.25 from an initial 1.0), not the
         // decayed 0.75 a premature measurement would produce.
         assert!(
             src.zlc_prediction(0) > 1.0,

@@ -6,7 +6,7 @@
 //! probes.
 
 use proptest::prelude::*;
-use sharqfec::{PolicyConfig, PolicyKind};
+use sharqfec::PolicyConfig;
 
 const LEVELS: usize = 3;
 
@@ -28,29 +28,13 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Every configurable policy kind, spanning the valid parameter space; a
-/// delivery target of exactly 1.0 (the optimizing controller's worst-demand
-/// fallback) has an arm of its own, as `0.0..1.0` never draws it.
-fn policies() -> impl Strategy<Value = PolicyKind> {
-    let target = prop_oneof![0.0f64..1.0, Just(1.0)];
+/// Every configurable policy: the EWMA over its gain range, and the two
+/// predictors whose constants are fixed.
+fn policies() -> impl Strategy<Value = PolicyConfig> {
     prop_oneof![
-        (0.01f64..1.0, 0.0f64..8.0)
-            .prop_map(|(gain, initial_pred)| PolicyKind::Ewma { gain, initial_pred }),
-        (0.0f64..1.0, 1usize..48, 0.0f64..8.0).prop_map(|(quantile, window, initial_pred)| {
-            PolicyKind::Percentile {
-                quantile,
-                window,
-                initial_pred,
-            }
-        }),
-        (target, 1usize..48, 0u32..32, 0u32..8).prop_map(
-            |(delivery_target, window, max_h, initial_h)| PolicyKind::Optimizing {
-                delivery_target,
-                window,
-                max_h,
-                initial_h,
-            }
-        ),
+        (0.01f64..1.0).prop_map(|gain| PolicyConfig::Ewma { gain }),
+        Just(PolicyConfig::Percentile),
+        Just(PolicyConfig::Optimizing),
     ]
 }
 
@@ -61,10 +45,9 @@ proptest! {
     /// group size it was asked about, and its prediction stays finite.
     #[test]
     fn injected_never_exceeds_group_size(
-        kind in policies(),
+        cfg in policies(),
         steps in proptest::collection::vec(step(), 0..80),
     ) {
-        let cfg = PolicyConfig { kind, ..PolicyConfig::default() };
         let mut policy = cfg.build(LEVELS);
         for s in &steps {
             match *s {

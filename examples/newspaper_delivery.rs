@@ -16,12 +16,12 @@
 
 use sharqfec_repro::fec::group::{GroupDecoder, GroupEncoder};
 use sharqfec_repro::netsim::{RunSpec, SimTime};
-use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SharqfecConfig, PACKET_BYTES};
 use sharqfec_repro::topology::{figure10, Figure10Params};
 
 /// The wire shape shared by the simulation and the codec.
 const K: u32 = 16;
-const PAYLOAD: usize = 1000;
+const PAYLOAD: usize = PACKET_BYTES as usize;
 /// FEC headroom per group: enough that every repair index the protocol
 /// allocates maps to a real parity shard.
 const HEADROOM: usize = 64;
@@ -45,7 +45,6 @@ fn main() {
     let total_packets = (n_groups as u32) * K;
     let cfg = SharqfecConfig {
         total_packets,
-        packet_bytes: PAYLOAD as u32,
         ..SharqfecConfig::full()
     };
     let stream_secs = (total_packets as u64) / 100 + 1;

@@ -128,7 +128,6 @@ fn object_bytes_survive_the_network() {
 
     let cfg = SharqfecConfig {
         total_packets: (n_groups * K) as u32,
-        packet_bytes: PAYLOAD as u32,
         ..SharqfecConfig::full()
     };
     let mut engine = setup_sharqfec_builder(&built, 5, cfg, SimTime::from_secs(1)).build();

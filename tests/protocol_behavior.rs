@@ -5,9 +5,7 @@
 use sharqfec_repro::netsim::{
     Engine, LinkParams, NodeId, RunSpec, SimDuration, SimTime, TopologyBuilder, TrafficClass,
 };
-use sharqfec_repro::protocol::{
-    setup_sharqfec_builder, PolicyKind, SfAgent, SfMsg, SharqfecConfig,
-};
+use sharqfec_repro::protocol::{setup_sharqfec_builder, SfAgent, SfMsg, SharqfecConfig};
 use sharqfec_repro::scoping::ZoneHierarchyBuilder;
 use sharqfec_repro::topology::BuiltTopology;
 
@@ -133,18 +131,14 @@ fn zcr_requests_go_upstream() {
 }
 
 /// §4: the injection prediction "decays over time" — on a lossless
-/// network, a deliberately inflated initial prediction produces early
+/// network, the initial prediction (1.0, one packet) produces early
 /// injected FEC that dies away within a few groups.
 #[test]
 fn injection_decays_on_a_clean_network() {
     let built = shared_loss_topology(0.0);
-    let mut cfg = SharqfecConfig {
+    let cfg = SharqfecConfig {
         total_packets: 320, // 20 groups
         ..SharqfecConfig::full()
-    };
-    cfg.policy.kind = PolicyKind::Ewma {
-        gain: 0.25,
-        initial_pred: 4.0,
     };
     let engine = run(&built, cfg, 10, 60);
     let repairs: Vec<SimTime> = engine
@@ -156,11 +150,11 @@ fn injection_decays_on_a_clean_network() {
         .collect();
     assert!(
         !repairs.is_empty(),
-        "the inflated prediction must inject something at first"
+        "the initial prediction must inject something at first"
     );
     // Stream spans t = 6.0 .. 9.2 s; all injections must stop in the
-    // first half once the EWMA has decayed (0.75^4 of 4 rounds to < 0.5
-    // within ~5 groups).
+    // first half once the EWMA has decayed (0.75³ of 1.0 rounds to 0:
+    // three clean measurements).
     let late = repairs.iter().filter(|t| t.as_secs_f64() > 7.6).count();
     assert_eq!(
         late, 0,
