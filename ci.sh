@@ -13,7 +13,7 @@ echo "==> line ledger: the total and the file cap only move on purpose"
 # alloc_ceiling below, and states its budget in CHANGES.md; one that
 # removes lines lowers it to keep them removed.  No source file outside
 # vendor/ may pass 1800 lines.
-line_ceiling=32651
+line_ceiling=32512
 ledger=$(find crates vendor src tests examples -name '*.rs' | xargs wc -l | sort -n)
 total=$(awk '$2 == "total" {print $1}' <<< "$ledger")
 echo "    total $total (ceiling $line_ceiling); five largest:"
@@ -182,10 +182,10 @@ echo "==> benchmark/: its own tests, then one counted pass per workload"
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 alloc_ceiling() {
   case "$1" in
-    fig10_repair)    echo 17959 ;; # 17782
-    session_1k)      echo 16502 ;; # 16339
-    srm_500)         echo 1588 ;;  # 1573
-    flash_churn_500) echo 25135 ;; # 24887 (24958 before channels dropped their member lists)
+    fig10_repair)    echo 17834 ;; # 17658
+    session_1k)      echo 15482 ;; # 15329
+    srm_500)         echo 1067 ;;  # 1057
+    flash_churn_500) echo 24617 ;; # 24374
     # 1059 on one core; each further core adds one split range, whose
     # encode buffer, thread spawns and decode scratch cost 16 allocations.
     codec_object)    echo $(( (1059 + 16 * ($(nproc) - 1)) * 101 / 100 )) ;;

@@ -818,7 +818,7 @@ impl Agent<SfMsg> for SfAgent {
         self.session.start(&mut Bridge::new(ctx, SfMsg::Session));
         self.forward_seat_changes();
         // On a warm restart (NodeRestart after a crash) every timer this
-        // agent had pending died with the crash epoch, but the per-group
+        // agent had pending died in the crash, but the per-group
         // state still holds the handles.  A handle that *looks* armed
         // suppresses both `maybe_request` and the completeness watchdog's
         // re-arm, so a group mid-recovery at crash time would never ask

@@ -137,7 +137,7 @@ impl SharqfecConfig {
     /// and a send scheduled exactly at `t` has not yet fired.  This is
     /// where a sender started at `t` begins: a standby taking over at `t`
     /// sends next what the retiring sender's send timer at the handoff
-    /// instant would have, that timer having died with its crash epoch.
+    /// instant would have, that timer having died in its crash.
     pub fn seqs_sent_before(&self, t: SimTime) -> u32 {
         let dt = t.saturating_since(self.data_start);
         let sent = dt.0.div_ceil(SEND_INTERVAL.0);

@@ -444,7 +444,7 @@ mod tests {
 
     /// Scenario-fuzzing regression (churn cells of the scenario sweep):
     /// a receiver that crashes *while request timers are armed* used to
-    /// wedge — the crash epoch killed its pending timers but the group
+    /// wedge — the crash killed its pending timers but the group
     /// state kept the handles, so `maybe_request` and the completeness
     /// watchdog both saw "a request is already pending" forever and the
     /// node never asked again.  Churn it twice: once mid-stream (to

@@ -54,7 +54,7 @@ use crate::channel::{Channel, ChannelId};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::idhash::IdHashSet;
-use crate::link::LinkState;
+use crate::link::LinkDir;
 use crate::metrics::{DropRecord, Record, Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
 use crate::probe::{AuditConfig, AuditReport, ProbeRecord, ProbeSink};
@@ -78,13 +78,11 @@ pub(crate) enum EventKind {
         node: NodeId,
         pkt: PacketRef,
     },
+    /// A timer, which fires only while its id is still live.
     Timer {
         node: NodeId,
         id: TimerId,
         token: u64,
-        /// The node's crash epoch when the timer was armed; a stale epoch
-        /// means the node crashed in between and the timer dies silently.
-        epoch: u32,
     },
     /// A scheduled change to state every shard holds a copy of.
     Replicated(Replicated),
@@ -100,8 +98,8 @@ enum Callback {
 }
 
 /// The events a sharded run queues on *every* shard under one key, so
-/// replicated state — link masks, loss models, crash epochs, channel
-/// member sets — evolves identically everywhere.  Applying one is
+/// replicated state — link masks, loss models, which nodes are up,
+/// channel member sets — evolves identically everywhere.  Applying one is
 /// idempotent.
 #[derive(Clone, Copy)]
 pub(crate) enum Replicated {
@@ -118,7 +116,8 @@ pub struct Engine<M> {
     /// Every source's routing tree: node 0's shortest-path forest over the
     /// `link_up` mask, recomputed in place by each applied link fault.
     pub(crate) forest: Spt,
-    pub(crate) link_state: Vec<LinkState>,
+    /// Each link's two directions, `[from a, from b]`.
+    pub(crate) links: Vec<[LinkDir; 2]>,
     /// Whether each link currently carries traffic (fault injection).
     pub(crate) link_up: Vec<bool>,
     /// Routes each packet over its own source's masked SPT, recomputed per
@@ -128,32 +127,18 @@ pub struct Engine<M> {
     /// Whether each node's *agent* is running; a crashed node still
     /// forwards (the router outlives the application process).
     pub(crate) node_up: Vec<bool>,
-    /// Per-node crash epoch; bumped on `NodeCrash` so timers armed before
-    /// the crash never fire after a restart.
-    pub(crate) epoch: Vec<u32>,
     pub(crate) channels: Vec<Channel>,
     pub(crate) agents: Vec<Option<Box<dyn Agent<M>>>>,
     pub(crate) agent_rngs: Vec<SimRng>,
-    /// Frozen base stream for link-loss sampling; never drawn from
-    /// directly — per-(link, direction) streams split off lazily (below),
-    /// so loss draws depend only on that link direction's own history and
-    /// are identical at any shard count.
-    pub(crate) loss_base: SimRng,
-    /// Lazily-initialized loss streams per link: `[from-a, from-b]`.
-    pub(crate) loss_streams: Vec<Option<Box<[SimRng; 2]>>>,
     pub(crate) queue: EventQueue<EventKind>,
     /// In-flight packets, interned once per multicast; `Arrive` events
     /// hold [`PacketRef`] handles into it.
     pub(crate) arena: PacketArena<M>,
     pub(crate) now: SimTime,
-    /// Timer events scheduled but not yet fired.  Keyed by id (ids are
-    /// never reused), removed when the event is popped, so both this set
-    /// and `cancelled` stay bounded by the number of in-flight timers.
-    pub(crate) pending_timers: IdHashSet<TimerId>,
-    /// Cancellations whose timer event is still in the queue.  Invariant:
-    /// `cancelled ⊆ pending_timers` — cancelling an already-fired (or
-    /// never-armed) timer must not leak an entry forever.
-    pub(crate) cancelled: IdHashSet<TimerId>,
+    /// The timers that may still fire: armed, and since then neither
+    /// fired nor called off by a cancel or by their node's crash.  Ids are
+    /// never reused, so a queued timer event whose id is gone is skipped.
+    pub(crate) live_timers: IdHashSet<TimerId>,
     /// Per-node monotone counter feeding timer ids, packet uids, and
     /// event-key sequence numbers.  Only drawn while processing events at
     /// the owning node, so the draw sequence — and with it every
@@ -189,28 +174,28 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     pub(crate) fn new(topo: Topology, seed: u64) -> Engine<M> {
         let n = topo.node_count();
         let mut root = SimRng::new(seed);
-        let loss_base = root.split(u64::MAX);
+        // Each link direction samples loss from its own stream, so its
+        // draws depend on its own history alone, at any shard count.
+        let loss = root.split(u64::MAX);
         let agent_rngs = (0..n as u64).map(|i| root.split(i)).collect();
         let oracle = DistanceOracle::compute(&topo);
         Engine {
-            link_state: vec![LinkState::default(); topo.link_count()],
+            links: (0..topo.link_count() as u64)
+                .map(|l| [0, 1].map(|d| LinkDir::new(loss.clone().split(2 * l + d))))
+                .collect(),
             link_up: vec![true; topo.link_count()],
             #[cfg(test)]
             per_source_reference: false,
             node_up: vec![true; n],
-            epoch: vec![0; n],
             forest: oracle.forest.clone(),
             oracle,
             channels: Vec::new(),
             agents: (0..n).map(|_| None).collect(),
             agent_rngs,
-            loss_base,
-            loss_streams: (0..topo.link_count()).map(|_| None).collect(),
             queue: EventQueue::new(),
             arena: PacketArena::new(),
             now: SimTime::ZERO,
-            pending_timers: IdHashSet::default(),
-            cancelled: IdHashSet::default(),
+            live_timers: IdHashSet::default(),
             node_seq: vec![0; n],
             build_seq: 0,
             recorder: Recorder::default(),
@@ -227,9 +212,9 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.now
     }
 
-    /// Timer events scheduled but not yet fired (diagnostics).
+    /// Timers that may still fire (diagnostics).
     pub fn pending_timer_count(&self) -> usize {
-        self.pending_timers.len()
+        self.live_timers.len()
     }
 
     /// Packets currently interned in the arena, i.e. with at least one
@@ -465,23 +450,10 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Start(node) => self.call(node, Callback::Start),
-            EventKind::Timer {
-                node,
-                id,
-                token,
-                epoch,
-            } => {
-                self.pending_timers.remove(&id);
-                if self.cancelled.remove(&id) {
-                    return;
+            EventKind::Timer { node, id, token } => {
+                if self.live_timers.remove(&id) {
+                    self.call(node, Callback::Timer(token));
                 }
-                // Timers armed before a crash die with the old epoch, so a
-                // restarted agent only sees timers it armed after coming
-                // back (its on_start re-arms whatever it needs).
-                if epoch != self.epoch[node.idx()] {
-                    return;
-                }
-                self.call(node, Callback::Timer(token));
             }
             EventKind::Arrive { node, pkt } => {
                 // Forward down the source-rooted tree, then deliver to the
@@ -530,14 +502,19 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             }
             FaultEvent::SetLoss(link, model) => {
                 self.topo.set_loss_model(link, model);
-                self.link_state[link.idx()].reset_chain();
+                for dir in &mut self.links[link.idx()] {
+                    dir.bad = false;
+                }
             }
             FaultEvent::NodeCrash(node) => {
                 if !self.node_up[node.idx()] {
                     return;
                 }
                 self.node_up[node.idx()] = false;
-                self.epoch[node.idx()] += 1;
+                // Its timers die with it, so a restarted agent only sees
+                // timers it armed after coming back (its on_start re-arms
+                // whatever it needs).
+                self.live_timers.retain(|id| id.node() != Some(node));
             }
             FaultEvent::NodeRestart(node) => {
                 if self.node_up[node.idx()] {
@@ -599,29 +576,13 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     fn apply(&mut self, node: NodeId, action: Action<M>) {
         match action {
             Action::SetTimer { id, at, token } => {
-                self.pending_timers.insert(id);
-                let epoch = self.epoch[node.idx()];
+                self.live_timers.insert(id);
                 // The timer id's per-node sequence doubles as the event
                 // key sequence — both come from the same counter.
-                self.push_from(
-                    node,
-                    at,
-                    id.seq(),
-                    EventKind::Timer {
-                        node,
-                        id,
-                        token,
-                        epoch,
-                    },
-                );
+                self.push_from(node, at, id.seq(), EventKind::Timer { node, id, token });
             }
             Action::CancelTimer(id) => {
-                // Only remember cancellations for timers still in the
-                // queue; cancelling an already-fired timer (or cancelling
-                // twice) must be a bounded no-op, not a permanent leak.
-                if self.pending_timers.contains(&id) {
-                    self.cancelled.insert(id);
-                }
+                self.live_timers.remove(&id);
             }
             Action::Multicast {
                 channel,
@@ -723,9 +684,9 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// One forwarding hop over a forest edge: the scope check, loss
     /// sampling for lossy classes, then the queued arrival.
     ///
-    /// Loss draws come from the link *direction*'s own lazily-split RNG
-    /// stream, and the arrival's event key from `at`'s own counter — both
-    /// are pure functions of this hop's local history, so the schedule is
+    /// Loss draws come from the link *direction*'s own RNG stream, and the
+    /// arrival's event key from `at`'s own counter — both are pure
+    /// functions of this hop's local history, so the schedule is
     /// bit-identical at any shard count.  In a sharded run, an arrival at
     /// a node owned by another shard is diverted into the outbox instead
     /// of this shard's queue.
@@ -734,32 +695,17 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             return; // scope boundary: prune the whole subtree
         }
         let spec = self.topo.link(link);
-        if hdr.class.lossy() {
-            if self.loss_streams[link.idx()].is_none() {
-                let l = link.idx() as u64;
-                self.loss_streams[link.idx()] = Some(Box::new([
-                    self.loss_base.clone().split(2 * l),
-                    self.loss_base.clone().split(2 * l + 1),
-                ]));
-            }
-            let dir = usize::from(spec.a != at);
-            let streams = self.loss_streams[link.idx()].as_mut().expect("just set");
-            let state = &mut self.link_state[link.idx()];
-            let dropped = {
-                let bad = state.chain_state_mut(spec, at);
-                spec.params.loss.sample(bad, &mut streams[dir])
-            };
-            if dropped {
-                self.observe(Observation::Drop(DropRecord {
-                    time: self.now,
-                    from: at,
-                    to: child,
-                    class: hdr.class,
-                }));
-                return;
-            }
+        let dir = &mut self.links[link.idx()][usize::from(spec.a != at)];
+        if hdr.class.lossy() && spec.params.loss.sample(&mut dir.bad, &mut dir.loss) {
+            self.observe(Observation::Drop(DropRecord {
+                time: self.now,
+                from: at,
+                to: child,
+                class: hdr.class,
+            }));
+            return;
         }
-        let arrive = self.link_state[link.idx()].transmit(spec, at, self.now, hdr.bytes);
+        let arrive = dir.transmit(&spec.params, self.now, hdr.bytes);
         let oseq = self.next_seq(at);
         if let Some(sh) = &self.shard {
             let dst = sh.plan.owner(child);

@@ -576,23 +576,23 @@ fn crash_kills_pending_timers_and_restart_reruns_start() {
     b.fault_plan(
         FaultPlan::new()
             .at(SimTime::from_millis(250), FaultEvent::NodeCrash(n0))
-            .at(SimTime::from_millis(600), FaultEvent::NodeRestart(n0)),
+            .at(SimTime::from_millis(280), FaultEvent::NodeRestart(n0)),
     );
     let mut e = b.build();
-    e.advance(RunSpec::to(SimTime::from_millis(1000)));
+    e.advance(RunSpec::to(SimTime::from_millis(600)));
     let agent = e.agent::<Ticker>(n0).unwrap();
     assert_eq!(agent.starts, 2, "restart re-runs on_start");
-    // Ticks at 100, 200 (pre-crash), then 700, 800, 900, 1000 — the
-    // timer armed at 200 (due 300) died with the crash epoch.
+    // Ticks at 100, 200 (pre-crash), then 380, 480, 580 — the timer
+    // armed at 200 died in the crash, though it was due (at 300) after
+    // the restart.
     assert_eq!(
         agent.ticks,
         vec![
             SimTime::from_millis(100),
             SimTime::from_millis(200),
-            SimTime::from_millis(700),
-            SimTime::from_millis(800),
-            SimTime::from_millis(900),
-            SimTime::from_millis(1000),
+            SimTime::from_millis(380),
+            SimTime::from_millis(480),
+            SimTime::from_millis(580),
         ]
     );
     assert_eq!(e.pending_timer_count(), 1);
@@ -692,9 +692,9 @@ fn drained_run_leaves_clock_at_last_event() {
 
 #[test]
 fn stale_and_double_cancels_do_not_leak() {
-    // Regression: CancelTimer used to insert into the cancelled set
-    // unconditionally, so cancelling an already-fired timer (the common
-    // "ack arrived, cancel retransmit" pattern) grew the set forever.
+    // Regression: a cancel used to be remembered unconditionally, so
+    // cancelling an already-fired timer (the common "ack arrived, cancel
+    // retransmit" pattern) grew the engine's bookkeeping forever.
     struct Churn {
         last: Option<TimerId>,
         rounds: u32,
@@ -725,7 +725,6 @@ fn stale_and_double_cancels_do_not_leak() {
     );
     e.advance(RunSpec::drain());
     assert_eq!(e.pending_timer_count(), 0);
-    assert_eq!(e.cancelled.len(), 0, "cancelled set must not leak");
 }
 
 #[test]
@@ -738,16 +737,18 @@ fn legitimate_cancel_is_reclaimed_when_deadline_passes() {
         }
         fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
         fn on_timer(&mut self, _: &mut Ctx<'_, Msg>, _: u64) {
-            panic!("cancelled timer must not fire");
+            panic!("a timer called off before its deadline must not fire");
         }
     }
     let (t, [n0, ..]) = chain3(0.0);
     let mut e: Engine<Msg> = Engine::new(t, 1);
     e.set_agent(n0, Box::new(SetAndCancel));
-    e.advance(RunSpec::drain());
-    // Once the cancelled deadline is processed, both sets are empty.
+    // The cancel frees the timer at once, long before its deadline …
+    e.advance(RunSpec::to(SimTime::from_millis(1)));
     assert_eq!(e.pending_timer_count(), 0);
-    assert_eq!(e.cancelled.len(), 0);
+    // … and the queued event it leaves behind fires nothing.
+    e.advance(RunSpec::drain());
+    assert_eq!(e.pending_timer_count(), 0);
 }
 
 proptest! {

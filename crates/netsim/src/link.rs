@@ -1,6 +1,7 @@
-//! Link specification and runtime (queueing) state.
+//! Link specification and per-direction run-time state.
 
 use crate::graph::{LinkParams, NodeId};
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Static description of an undirected link.
@@ -27,86 +28,66 @@ impl LinkSpec {
     }
 }
 
-/// Mutable per-direction transmit-queue state: the time at which the
-/// outgoing serializer frees up.  Models an infinite FIFO output queue
-/// (store-and-forward), the same abstraction ns-2's DropTail queue provides
-/// when it never overflows — at the paper's 800 kbit/s workload on 10/45
-/// Mbit/s links, queues stay far from any realistic limit.
-#[derive(Clone, Debug, Default)]
-pub struct LinkState {
-    /// Serializer-free time for the a→b direction.
-    pub busy_until_ab: SimTime,
-    /// Serializer-free time for the b→a direction.
-    pub busy_until_ba: SimTime,
-    /// Gilbert–Elliott chain state for the a→b direction (`true` = bad).
-    /// Ignored by the Bernoulli loss model.
-    pub bad_ab: bool,
-    /// Gilbert–Elliott chain state for the b→a direction.
-    pub bad_ba: bool,
+/// One direction of a link at run time: its transmit queue, its
+/// Gilbert–Elliott chain state and its own loss stream.  The queue is an
+/// infinite FIFO (store-and-forward), the same abstraction ns-2's DropTail
+/// queue provides when it never overflows — at the paper's 800 kbit/s
+/// workload on 10/45 Mbit/s links, queues stay far from any realistic
+/// limit.  Only the direction's transmitting endpoint touches it, so loss
+/// draws depend on that direction's own history alone.
+#[derive(Clone, Debug)]
+pub struct LinkDir {
+    /// When the outgoing serializer frees up.
+    pub busy_until: SimTime,
+    /// Gilbert–Elliott chain state (`true` = bad); ignored by the
+    /// Bernoulli loss model.
+    pub bad: bool,
+    /// The stream this direction's loss samples draw from.
+    pub loss: SimRng,
 }
 
-impl LinkState {
-    /// The Gilbert–Elliott chain state for the direction leaving `from`.
-    pub fn chain_state_mut(&mut self, spec: &LinkSpec, from: NodeId) -> &mut bool {
-        if from == spec.a {
-            &mut self.bad_ab
-        } else {
-            debug_assert_eq!(from, spec.b, "sample from non-endpoint");
-            &mut self.bad_ba
+impl LinkDir {
+    /// An idle direction in the good state, sampling loss from `loss`.
+    pub fn new(loss: SimRng) -> LinkDir {
+        LinkDir {
+            busy_until: SimTime::ZERO,
+            bad: false,
+            loss,
         }
     }
 
-    /// Resets both directions' chain state to good (used when a fault
-    /// plan swaps the link's loss model).
-    pub fn reset_chain(&mut self) {
-        self.bad_ab = false;
-        self.bad_ba = false;
-    }
-
-    /// Enqueues a transmission of `bytes` from `from` at time `now`.
-    /// Returns the arrival time at the far end and updates the serializer.
-    pub fn transmit(&mut self, spec: &LinkSpec, from: NodeId, now: SimTime, bytes: u32) -> SimTime {
-        let tx = match spec.params.bandwidth.as_bps() {
+    /// Enqueues a transmission of `bytes` at time `now`.  Returns the
+    /// arrival time at the far end and updates the serializer.
+    pub fn transmit(&mut self, params: &LinkParams, now: SimTime, bytes: u32) -> SimTime {
+        let tx = match params.bandwidth.as_bps() {
             Some(bps) => SimDuration::transmission(bytes, bps),
             None => SimDuration::ZERO,
         };
-        let busy = if from == spec.a {
-            &mut self.busy_until_ab
-        } else {
-            debug_assert_eq!(from, spec.b, "transmit from non-endpoint");
-            &mut self.busy_until_ba
-        };
-        let start = if *busy > now { *busy } else { now };
-        let done = start + tx;
-        *busy = done;
-        done + spec.params.latency
+        let done = self.busy_until.max(now) + tx;
+        self.busy_until = done;
+        done + params.latency
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::LinkParams;
 
-    fn spec(lat_ms: u64, bps: u64) -> LinkSpec {
-        LinkSpec {
-            a: NodeId(0),
-            b: NodeId(1),
-            params: LinkParams::lossless(SimDuration::from_millis(lat_ms), bps),
-        }
+    fn ms(v: u64) -> SimDuration {
+        SimDuration::from_millis(v)
     }
 
-    fn spec_infinite(lat_ms: u64) -> LinkSpec {
-        LinkSpec {
-            a: NodeId(0),
-            b: NodeId(1),
-            params: LinkParams::lossless_infinite(SimDuration::from_millis(lat_ms)),
-        }
+    fn idle() -> LinkDir {
+        LinkDir::new(SimRng::new(0))
     }
 
     #[test]
     fn other_endpoint() {
-        let s = spec(1, 800_000);
+        let s = LinkSpec {
+            a: NodeId(0),
+            b: NodeId(1),
+            params: LinkParams::lossless(ms(1), 800_000),
+        };
         assert_eq!(s.other(NodeId(0)), Some(NodeId(1)));
         assert_eq!(s.other(NodeId(1)), Some(NodeId(0)));
         assert_eq!(s.other(NodeId(9)), None);
@@ -114,45 +95,43 @@ mod tests {
 
     #[test]
     fn idle_link_arrival_is_tx_plus_latency() {
-        let s = spec(10, 800_000); // 1000B => 10ms tx
-        let mut st = LinkState::default();
-        let arrive = st.transmit(&s, NodeId(0), SimTime::ZERO, 1000);
+        let p = LinkParams::lossless(ms(10), 800_000); // 1000B => 10ms tx
+        let arrive = idle().transmit(&p, SimTime::ZERO, 1000);
         assert_eq!(arrive, SimTime::from_millis(20));
     }
 
     #[test]
     fn back_to_back_packets_queue_fifo() {
-        let s = spec(10, 800_000);
-        let mut st = LinkState::default();
-        let a1 = st.transmit(&s, NodeId(0), SimTime::ZERO, 1000);
-        let a2 = st.transmit(&s, NodeId(0), SimTime::ZERO, 1000);
+        let p = LinkParams::lossless(ms(10), 800_000);
+        let mut d = idle();
+        let a1 = d.transmit(&p, SimTime::ZERO, 1000);
+        let a2 = d.transmit(&p, SimTime::ZERO, 1000);
         assert_eq!(a1, SimTime::from_millis(20));
         assert_eq!(a2, SimTime::from_millis(30)); // waits for serializer
     }
 
     #[test]
     fn directions_do_not_interfere() {
-        let s = spec(10, 800_000);
-        let mut st = LinkState::default();
-        let a1 = st.transmit(&s, NodeId(0), SimTime::ZERO, 1000);
-        let a2 = st.transmit(&s, NodeId(1), SimTime::ZERO, 1000);
+        let p = LinkParams::lossless(ms(10), 800_000);
+        let mut link = [idle(), idle()];
+        let a1 = link[0].transmit(&p, SimTime::ZERO, 1000);
+        let a2 = link[1].transmit(&p, SimTime::ZERO, 1000);
         assert_eq!(a1, a2); // full duplex
     }
 
     #[test]
     fn serializer_frees_up_over_time() {
-        let s = spec(0, 800_000);
-        let mut st = LinkState::default();
-        let _ = st.transmit(&s, NodeId(0), SimTime::ZERO, 1000); // busy till 10ms
-        let a = st.transmit(&s, NodeId(0), SimTime::from_millis(50), 1000);
+        let p = LinkParams::lossless(ms(0), 800_000);
+        let mut d = idle();
+        let _ = d.transmit(&p, SimTime::ZERO, 1000); // busy till 10ms
+        let a = d.transmit(&p, SimTime::from_millis(50), 1000);
         assert_eq!(a, SimTime::from_millis(60)); // no residual queueing
     }
 
     #[test]
     fn infinite_bandwidth_is_latency_only() {
-        let s = spec_infinite(7);
-        let mut st = LinkState::default();
-        let a = st.transmit(&s, NodeId(0), SimTime::from_millis(3), 123456);
+        let p = LinkParams::lossless_infinite(ms(7));
+        let a = idle().transmit(&p, SimTime::from_millis(3), 123456);
         assert_eq!(a, SimTime::from_millis(10));
     }
 }

@@ -41,9 +41,11 @@
 //!   only advanced while processing that node's events — all owned by
 //!   exactly one shard;
 //! * fault and membership events are replicated to every shard with
-//!   identical keys, so replicated state (link masks, loss models,
-//!   epochs, channel member sets) evolves identically everywhere; the
-//!   restart `Start` fires only in the shard owning the node's agent;
+//!   identical keys, so replicated state (link masks, loss models, which
+//!   nodes are up, channel member sets) evolves identically everywhere;
+//!   a crash removes the node's live timers on the shard that holds them,
+//!   and the restart `Start` fires only in the shard owning the node's
+//!   agent;
 //! * shards journal, thread 0 replays: each shard appends what it
 //!   observes (deliveries, transmissions, drops, probes) to one journal
 //!   under the key of the event that made it, and once per round thread
@@ -54,12 +56,10 @@
 //! (zero lookahead would admit same-instant cross-shard causality);
 //! [`Engine::advance`] asserts it.
 
-use crate::agent::TimerId;
 use crate::arena::PacketArena;
 use crate::engine::{Engine, EventKind};
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::idhash::IdHashSet;
-use crate::link::LinkState;
 use crate::metrics::{DropRecord, Record, Recorder, RecorderMode, TrafficClass};
 use crate::packet::{Classify, Packet};
 use crate::probe::{ProbeRecord, ProbeSink};
@@ -396,10 +396,11 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         processed - duplicates
     }
 
-    /// Splits this engine into `k` per-shard engines: agents, timers, and
-    /// queued events move to their owning shard; replicated state (link
-    /// masks, epochs, RNG stream states, counters) is cloned everywhere
-    /// so fault replay keeps every copy identical.
+    /// Splits this engine into `k` per-shard engines: agents, live timers
+    /// and queued events move to their owning shard; the rest (link
+    /// directions, link masks, node liveness, RNG stream states,
+    /// counters) is cloned everywhere, so fault replay keeps every copy
+    /// identical.
     fn split_shards(&mut self, plan: &Arc<ShardPlan>) -> Vec<Engine<M>> {
         let k = plan.shard_count();
         let n = self.topo.node_count();
@@ -416,22 +417,18 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                     topo: self.topo.clone(),
                     oracle: self.oracle.clone(),
                     forest: self.forest.clone(),
-                    link_state: self.link_state.clone(),
+                    links: self.links.clone(),
                     link_up: self.link_up.clone(),
                     #[cfg(test)]
                     per_source_reference: self.per_source_reference,
                     node_up: self.node_up.clone(),
-                    epoch: self.epoch.clone(),
                     channels: self.channels.clone(),
                     agents: (0..n).map(|_| None).collect(),
                     agent_rngs: self.agent_rngs.clone(),
-                    loss_base: self.loss_base.clone(),
-                    loss_streams: self.loss_streams.clone(),
                     queue: EventQueue::new(),
                     arena: PacketArena::new(),
                     now: self.now,
-                    pending_timers: IdHashSet::default(),
-                    cancelled: IdHashSet::default(),
+                    live_timers: IdHashSet::default(),
                     node_seq: self.node_seq.clone(),
                     build_seq: self.build_seq,
                     recorder: Recorder::new(self.recorder.mode()),
@@ -452,16 +449,10 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 shards[plan.owner[i] as usize].agents[i] = Some(a);
             }
         }
-        // Timer bookkeeping partitions by the id's encoded owner node.
-        let owner = |id: TimerId| {
-            let node = id.node();
-            plan.owner(node.expect("engine-issued timer ids encode their node")) as usize
-        };
-        for id in self.pending_timers.drain() {
-            shards[owner(id)].pending_timers.insert(id);
-        }
-        for id in self.cancelled.drain() {
-            shards[owner(id)].cancelled.insert(id);
+        // Live timers partition by the id's encoded owner node.
+        for id in self.live_timers.drain() {
+            let node = id.node().expect("an engine-issued timer id");
+            shards[plan.owner(node) as usize].live_timers.insert(id);
         }
         // Distribute queued events under their existing keys: replicated
         // ones to every shard, the rest to the shard owning their node.
@@ -488,8 +479,8 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
     }
 
     /// Reassembles shard engines back into this master engine after a
-    /// sharded run: per-node state comes from each node's owner,
-    /// per-direction link state from the direction's transmitting side,
+    /// sharded run: per-node state comes from each node's owner, each link
+    /// direction from the owner of its transmitting endpoint,
     /// replicated state from shard 0, and the recorders' counts (in the
     /// modes that count on the shards) sum.
     fn absorb_shards(&mut self, mut shards: Vec<Engine<M>>, plan: &ShardPlan) {
@@ -500,7 +491,6 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         std::mem::swap(&mut self.link_up, &mut shards[0].link_up);
         std::mem::swap(&mut self.forest, &mut shards[0].forest);
         std::mem::swap(&mut self.node_up, &mut shards[0].node_up);
-        std::mem::swap(&mut self.epoch, &mut shards[0].epoch);
         std::mem::swap(&mut self.channels, &mut shards[0].channels);
         for i in 0..n {
             let o = plan.owner[i] as usize;
@@ -509,37 +499,15 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
             self.node_seq[i] = shards[o].node_seq[i];
         }
         // Each link direction is only driven by the shard owning its
-        // transmitting endpoint; stitch the two directions back together.
+        // transmitting endpoint.
         for l in 0..self.topo.link_count() {
             let spec = self.topo.link(LinkId(l as u32));
-            let oa = plan.owner(spec.a) as usize;
-            let ob = plan.owner(spec.b) as usize;
-            let sa = &shards[oa].link_state[l];
-            let sb = &shards[ob].link_state[l];
-            self.link_state[l] = LinkState {
-                busy_until_ab: sa.busy_until_ab,
-                bad_ab: sa.bad_ab,
-                busy_until_ba: sb.busy_until_ba,
-                bad_ba: sb.bad_ba,
-            };
-            let da = shards[oa].loss_streams[l].as_ref().map(|p| p[0].clone());
-            let db = shards[ob].loss_streams[l].as_ref().map(|p| p[1].clone());
-            self.loss_streams[l] = match (da, db) {
-                (None, None) => None,
-                (da, db) => {
-                    // A side that never sampled holds the stream in its
-                    // freshly-split state — exactly what lazy init yields.
-                    let fresh = |d: u64| self.loss_base.clone().split(2 * l as u64 + d);
-                    Some(Box::new([
-                        da.unwrap_or_else(|| fresh(0)),
-                        db.unwrap_or_else(|| fresh(1)),
-                    ]))
-                }
-            };
+            for (d, from) in [spec.a, spec.b].into_iter().enumerate() {
+                self.links[l][d] = shards[plan.owner(from) as usize].links[l][d].clone();
+            }
         }
         for s in &mut shards {
-            self.pending_timers.extend(s.pending_timers.drain());
-            self.cancelled.extend(s.cancelled.drain());
+            self.live_timers.extend(s.live_timers.drain());
         }
         // Events still queued (horizon reached before drain) come back
         // under their keys; replicated ones only from shard 0.

@@ -16,7 +16,7 @@ pub struct SimTime(pub u64);
 pub struct SimDuration(pub u64);
 
 impl SimTime {
-    /// The simulation epoch, t = 0.
+    /// The start of simulated time, t = 0.
     pub const ZERO: SimTime = SimTime(0);
     /// The far future; no event is ever scheduled here.
     pub const MAX: SimTime = SimTime(u64::MAX);
@@ -36,7 +36,7 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Nanoseconds since the epoch.
+    /// Nanoseconds since t = 0.
     pub const fn as_nanos(self) -> u64 {
         self.0
     }

@@ -138,7 +138,8 @@ impl Classify for Beat {
     fn class(&self) -> TrafficClass {
         match self {
             Beat::Tick(_) => TrafficClass::Data,
-            Beat::Echo => TrafficClass::Nack,
+            // Lossy, so loss streams draw in both directions of a link.
+            Beat::Echo => TrafficClass::Repair,
         }
     }
 }
@@ -174,13 +175,21 @@ impl Agent<Beat> for Metronome {
 }
 
 /// Receiver: echoes each tick with probability ½ after an RNG-jittered
-/// back-off — exercises per-agent RNG streams, timers, and cross-shard
-/// traffic in both directions.
+/// back-off, and calls off its latest echo when it hears a peer's, as a
+/// suppression timer would — exercises per-agent RNG streams, timers and
+/// their cancels (live and already fired), and cross-shard traffic in
+/// both directions.
 struct EchoBack {
     chan: ChannelId,
+    pending: Option<TimerId>,
 }
 impl Agent<Beat> for EchoBack {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Beat>, pkt: &Packet<Beat>) {
+        if let Beat::Echo = pkt.payload {
+            if let Some(id) = self.pending.take() {
+                ctx.cancel_timer(id);
+            }
+        }
         if let Beat::Tick(seq) = pkt.payload {
             ctx.probe(ProbeEvent::GroupClose {
                 group: seq,
@@ -190,10 +199,10 @@ impl Agent<Beat> for EchoBack {
             });
             if ctx.rng().next_f64() < 0.5 {
                 let jitter = (ctx.rng().next_f64() * 5e6) as u64;
-                ctx.set_timer(
+                self.pending = Some(ctx.set_timer(
                     SimDuration(SimDuration::from_millis(2).0 + jitter),
                     u64::from(seq),
-                );
+                ));
             }
         }
     }
@@ -610,7 +619,7 @@ proptest! {
             let chan = builder.add_channel(&ids);
             builder.add_agent(ids[0], Box::new(Metronome { chan, next: 0, left: 5 }));
             for &r in &ids[1..] {
-                builder.add_agent(r, Box::new(EchoBack { chan }));
+                builder.add_agent(r, Box::new(EchoBack { chan, pending: None }));
             }
             let mut engine = builder.build();
             // A mid-run horizon stop exercises the split/absorb round

@@ -534,7 +534,7 @@ impl SessionCore {
     ///
     /// Calling it again is a *warm restart* — the path a node takes when
     /// it rejoins after a crash (scenario churn, `NodeRestart`): the
-    /// crash epoch killed every pending timer, so announcements and
+    /// crash killed every pending timer, so announcements and
     /// election challenges are re-armed and the liveness clocks reset to
     /// `now` (a returning node must not instantly depose every ZCR it
     /// slept through).  Session state — learned ZCRs, distances, seat
@@ -1074,7 +1074,7 @@ mod tests {
         // Regression (scenario churn): `NodeRestart` re-runs `on_start`,
         // which calls `start` a second time.  This used to panic with
         // "SessionCore started twice"; it must instead warm-restart —
-        // re-arm announce/challenge timers (the crash epoch killed the
+        // re-arm announce/challenge timers (the crash killed the
         // old ones), reset the ZCR liveness clocks, and NOT re-emit the
         // seeded-tenure probe or seat gain.
         let (mut core, mut ctx) = started(3);

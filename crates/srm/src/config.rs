@@ -5,17 +5,15 @@ use sharqfec_netsim::{SimDuration, SimTime};
 /// Parameters of an SRM run.  Workload defaults mirror the SHARQFEC
 /// paper's §6.2 scenario (1024 × 1000-byte packets at 800 kbit/s from
 /// t = 6 s); the packet size, the CBR interval and the timer constants sit
-/// beside their readers (`receiver.rs`, `replier.rs`), with the adaptive
-/// algorithm on by default as in the paper's comparison.
+/// beside their readers (`receiver.rs`, `replier.rs`).  The §V adaptive
+/// timers always run: the paper's comparison enables them "for best
+/// possible performance".
 #[derive(Clone, Debug)]
 pub struct SrmConfig {
     /// Number of data packets in the stream.
     pub total_packets: u32,
     /// When the source starts transmitting.
     pub data_start: SimTime,
-    /// Whether the §V adaptive-timer adjustment runs (the paper's
-    /// comparison enables it "for best possible performance").
-    pub adaptive: bool,
     /// Optional session-message layer (SRM's periodic session packets):
     /// every receiver multicasts a globally scoped announcement each
     /// interval, and every receiver records each announcer it hears in a
@@ -38,7 +36,6 @@ impl Default for SrmConfig {
         SrmConfig {
             total_packets: 1024,
             data_start: SimTime::from_secs(6),
-            adaptive: true,
             session_announce: None,
             announce_stride: 1,
         }
@@ -70,7 +67,6 @@ mod tests {
         c.validate();
         assert_eq!(c.total_packets, 1024);
         assert_eq!(c.data_start, SimTime::from_secs(6));
-        assert!(c.adaptive);
         assert!(c.session_announce.is_none(), "session layer is opt-in");
     }
 

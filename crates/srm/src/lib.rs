@@ -175,43 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_timers_do_not_hurt_and_both_modes_recover() {
-        // The paper runs SRM "with adaptive timers turned on for best
-        // possible performance"; verify both modes recover and that the
-        // adaptive mode doesn't inflate request volume.
-        let built = figure10(&Figure10Params::default());
-        let run = |adaptive: bool| {
-            let cfg = SrmConfig {
-                total_packets: 48,
-                adaptive,
-                ..SrmConfig::default()
-            };
-            let mut engine = setup_srm_builder(&built, 21, cfg, SimTime::from_secs(1)).build();
-            engine.advance(RunSpec::to(SimTime::from_secs(150)));
-            let missing: u32 = built
-                .receivers
-                .iter()
-                .map(|&r| engine.agent::<SrmMember>(r).unwrap().missing())
-                .sum();
-            let nacks = engine
-                .recorder()
-                .transmissions
-                .iter()
-                .filter(|t| t.class == TrafficClass::Nack)
-                .count();
-            (missing, nacks)
-        };
-        let (miss_fixed, nacks_fixed) = run(false);
-        let (miss_adaptive, nacks_adaptive) = run(true);
-        assert_eq!(miss_fixed, 0);
-        assert_eq!(miss_adaptive, 0);
-        assert!(
-            (nacks_adaptive as f64) < 1.5 * nacks_fixed as f64,
-            "adaptive timers should not inflate requests: {nacks_adaptive} vs {nacks_fixed}"
-        );
-    }
-
-    #[test]
     fn session_layer_is_opt_in_and_builds_full_peer_tables() {
         use sharqfec_netsim::SimDuration;
         let built = chain(5);

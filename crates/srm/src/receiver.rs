@@ -96,10 +96,10 @@ impl SrmMember {
     /// Creates a member of a session whose `cfg.total_packets` packets
     /// come from `source`, on a topology of `nodes` members.
     pub fn new(cfg: SrmConfig, chan: ChannelId, source: NodeId, nodes: usize) -> SrmMember {
-        let req_params = AdaptiveTimer::new(C1, C2, cfg.adaptive, DELAY_HIGH);
+        let req_params = AdaptiveTimer::new(C1, C2, true, DELAY_HIGH);
         SrmMember {
             received: vec![false; cfg.total_packets as usize],
-            replier: Replier::new(&cfg),
+            replier: Replier::new(),
             cfg,
             chan,
             source,

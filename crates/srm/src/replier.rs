@@ -1,7 +1,6 @@
 //! SRM's repair-reply machine: the suppressed repair timer any member
 //! holding a packet runs when it hears a request for it.
 
-use crate::config::SrmConfig;
 use crate::msg::SrmMsg;
 use crate::DELAY_HIGH;
 use sharqfec_netsim::adaptive::AdaptiveTimer;
@@ -27,11 +26,11 @@ pub(crate) struct Replier {
 }
 
 impl Replier {
-    pub(crate) fn new(cfg: &SrmConfig) -> Replier {
+    pub(crate) fn new() -> Replier {
         Replier {
             pending: IdHashMap::default(),
             holdoff: IdHashMap::default(),
-            params: AdaptiveTimer::new(D1, D2, cfg.adaptive, DELAY_HIGH),
+            params: AdaptiveTimer::new(D1, D2, true, DELAY_HIGH),
         }
     }
 
